@@ -1,7 +1,8 @@
 # Standard verify entrypoint: `make check` runs vet, build, the
 # project's own static analysis (sketchlint), the pinned third-party
 # analyzers when present, the race-enabled test suite with and without
-# the sanitize invariant layer, and a short benchmark smoke pass.
+# the sanitize invariant layer, a short benchmark smoke pass, and the
+# benchmark harness's own tests.
 
 GO ?= go
 
@@ -13,9 +14,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-json bench-regress fuzz wire-snapshot wire-docs wire-golden clean
+.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-harness bench-json bench-regress fuzz wire-snapshot wire-docs wire-golden clean
 
-check: vet build lint staticcheck govulncheck race sanitize bench-smoke bench-server bench-regress
+check: vet build lint staticcheck govulncheck race sanitize bench-smoke bench-server bench-harness bench-regress
 
 # Project-specific analyzers: the syntactic suite (mergecompat,
 # locksafe, hotpathalloc, detrand, regcomplete), the flow-sensitive
@@ -81,16 +82,26 @@ race:
 sanitize:
 	$(GO) test -tags sanitize -race ./...
 
-# Quick compile-and-run smoke over every Update/UpdateBatch benchmark;
-# 100 iterations keeps it a few seconds, not a measurement.
+# Quick compile-and-run smoke over every Update/UpdateBatch benchmark
+# (100 iterations keeps it a few seconds, not a measurement) and one
+# decode+merge of every registered family through the registry — the
+# aggregator's unit cost, which no per-family list can forget a family
+# of.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Update -benchtime=100x .
+	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x ./internal/registry/
 
 # Compile-and-run smoke over the server merge-plane benchmarks (push,
 # batched push, cached and re-encode pull); one iteration each keeps it
 # a liveness check, not a measurement.
 bench-server:
 	$(GO) test -run='^$$' -bench=Server -benchtime=1x ./internal/server/
+
+# The repository benchmark (benchmark/, run by `bash benchmark/run.sh`)
+# is a module of its own, so `./...` from the root never reaches its
+# tests: run the harness's unit tests and its -quick smoke run here.
+bench-harness:
+	cd benchmark && $(GO) test ./...
 
 # Full measurement: regenerates results/bench.json (per-item vs batch
 # ns/op for every family, windowed query latency ladder-vs-flat, server

@@ -3,6 +3,7 @@ package epsapprox
 import (
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/gen"
 )
 
@@ -66,6 +67,10 @@ func FuzzUnmarshal(f *testing.F) {
 	seed, _ := s.MarshalBinary()
 	f.Add(seed)
 	f.Add([]byte{})
+	// The hostile level tables of TestCodecRejectsHostileLevels.
+	f.Add(rawFrame(2, 1, 1, make([]int, 300)))
+	f.Add(rawFrame(2, 1, 1, append(make([]int, 64), 2)))
+	f.Add(rawFrame(2, 1, 1, append(make([]int, 63), 2)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out Summary
 		if err := out.UnmarshalBinary(data); err != nil {
@@ -75,4 +80,65 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("accepted frame violates invariants: %v", err)
 		}
 	})
+}
+
+// rawFrame encodes a rangecount frame field by field, so tests can
+// state level tables no honest encoder would produce: levels[i] is the
+// number of points sent for level i, each at the box centre.
+func rawFrame(size int, n uint64, partial int, levels []int) []byte {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	w.Int(size)
+	for _, v := range []float64{0, 0, 1, 1} {
+		w.Float64(v)
+	}
+	w.Uint64(n)
+	w.Uint64(1) // seed
+	points := func(k int) {
+		w.Int(k)
+		for ; k > 0; k-- {
+			w.Float64(0.5)
+			w.Float64(0.5)
+		}
+	}
+	points(partial)
+	w.Int(len(levels))
+	for _, k := range levels {
+		points(k)
+	}
+	return codec.EncodeFrame(codec.KindRangeCount, w.Bytes())
+}
+
+// A hostile frame used to buy 24 bytes of level table per one-byte
+// empty level it claimed, and a block at level 64 and up weighed
+// len<<level == 0, so it passed the weight check while carrying points
+// nothing accounted for. Both are rejected before anything is sized
+// by them; the deepest level that still fits is accepted.
+func TestCodecRejectsHostileLevels(t *testing.T) {
+	var s Summary
+	if err := s.UnmarshalBinary(rawFrame(2, 1, 1, make([]int, 1<<20))); err == nil {
+		t.Error("frame claiming 2^20 levels accepted")
+	}
+	weightless := make([]int, 65)
+	weightless[64] = 2
+	if err := s.UnmarshalBinary(rawFrame(2, 1, 1, weightless)); err == nil {
+		t.Error("block at level 64 (weight 2<<64 = 0) accepted")
+	}
+	wraps := make([]int, 64)
+	wraps[63] = 2
+	if err := s.UnmarshalBinary(rawFrame(2, 1, 1, wraps)); err == nil {
+		t.Error("block at level 63 of size 2 (weight 2^64) accepted")
+	}
+	deepest := make([]int, 63)
+	deepest[62] = 2
+	if err := s.UnmarshalBinary(rawFrame(2, 1<<63+1, 1, deepest)); err != nil {
+		t.Errorf("valid deepest-level frame rejected: %v", err)
+	}
+	// The regression is real: the pre-fix decoder, kept as the
+	// differential oracle, takes both weightless frames.
+	for name, levels := range map[string][]int{"level 64": weightless, "level 63": wraps} {
+		if err := new(refSummary).UnmarshalBinary(rawFrame(2, 1, 1, levels)); err != nil {
+			t.Errorf("%s: oracle decoder no longer shows the bug: %v", name, err)
+		}
+	}
 }

@@ -18,29 +18,60 @@
 // Z-order intervals, and alternation errs by at most 1 per interval.
 // Mergeability and the ε·n error shape are preserved; experiment E10
 // measures the realized discrepancy against ε·n.
+//
+// Every stored point carries its Morton key beside it, computed once
+// when the point is inserted or decoded: sorting a full partial and
+// halving two blocks compare cached integers, never recompute a key,
+// and block storage cycles through a per-summary free list, so the
+// steady-state update, merge and decode paths do not allocate.
 package epsapprox
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
 )
 
+// maxBlockSize bounds the points per block: a full partial is sorted
+// by (32-bit Morton key, 32-bit position) packed into one word.
+const maxBlockSize = 1 << 32
+
+// maxLevels bounds the block hierarchy: a block at level i weighs
+// s·2^i, which must fit the uint64 weight n.
+const maxLevels = 64
+
 // Summary is a mergeable 2-D range-counting summary. The zero value is
 // not usable; use New. Not safe for concurrent use.
 type Summary struct {
 	s       int // points per block
 	n       uint64
-	partial []gen.Point   // < s raw points at weight 1
-	blocks  [][]gen.Point // blocks[i]: nil or s points at weight 2^i, Z-order sorted
+	partial block   // < s raw points at weight 1, in arrival order
+	blocks  []block // blocks[i]: empty or s points at weight 2^i, Z-order sorted
 	rng     *gen.RNG
 	// Morton quantization box: fixed at construction so that two
 	// mergeable summaries agree on the curve.
 	box exact.Rect
+
+	free  []block  // recycled block storage
+	stage []block  // UnmarshalBinary's level table while a frame is unvalidated
+	order []uint64 // promotePartial's sort scratch
+}
+
+// block is a run of points with their cached Morton keys: keys[j] is
+// pts[j]'s Z-order index, computed once when the point is inserted or
+// decoded. A level with no block holds the zero block.
+type block struct {
+	pts  []gen.Point
+	keys []uint32
+}
+
+func (b *block) add(p gen.Point, key uint32) {
+	b.pts, b.keys = append(b.pts, p), append(b.keys, key)
 }
 
 // New returns an empty summary with block size s over the coordinate
@@ -48,8 +79,8 @@ type Summary struct {
 // counting remains exact). Two summaries merge iff they share s and
 // the box.
 func New(s int, box exact.Rect, seed uint64) *Summary {
-	if s < 1 {
-		panic("epsapprox: block size must be >= 1")
+	if s < 1 || uint64(s) > maxBlockSize {
+		panic("epsapprox: block size must be in [1, 2^32]")
 	}
 	if !(box.X1 > box.X0) || !(box.Y1 > box.Y0) {
 		panic("epsapprox: degenerate bounding box")
@@ -76,19 +107,23 @@ func (s *Summary) N() uint64 { return s.n }
 
 // Size returns the number of stored points.
 func (s *Summary) Size() int {
-	total := len(s.partial)
+	total := len(s.partial.pts)
 	for _, b := range s.blocks {
-		total += len(b)
+		total += len(b.pts)
 	}
 	return total
 }
 
 // morton maps p to its Z-order index inside the box (16 bits per axis).
-func (s *Summary) morton(p gen.Point) uint64 {
-	const bits = 16
-	qx := quantize(p.X, s.box.X0, s.box.X1, bits)
-	qy := quantize(p.Y, s.box.Y0, s.box.Y1, bits)
-	return interleave(qx) | interleave(qy)<<1
+func (s *Summary) morton(p gen.Point) uint64 { return uint64(mortonKey(s.box, p)) }
+
+// mortonKey is the Z-order index of p inside box: 16 bits per axis,
+// interleaved into 32.
+func mortonKey(box exact.Rect, p gen.Point) uint32 {
+	const axisBits = 16
+	qx := quantize(p.X, box.X0, box.X1, axisBits)
+	qy := quantize(p.Y, box.Y0, box.Y1, axisBits)
+	return uint32(interleave(qx) | interleave(qy)<<1)
 }
 
 func quantize(v, lo, hi float64, bits uint) uint32 {
@@ -114,64 +149,102 @@ func interleave(v uint32) uint64 {
 	return x
 }
 
+// getBlock returns empty block storage with room for size points
+// (the block size, or a decoded frame's before it is adopted).
+func (s *Summary) getBlock(size int) block {
+	for n := len(s.free); n > 0; n-- {
+		b := s.free[n-1]
+		s.free = s.free[:n-1]
+		// Storage recycled under a smaller block size is dropped.
+		if cap(b.pts) >= size && cap(b.keys) >= size {
+			return block{b.pts[:0], b.keys[:0]}
+		}
+	}
+	return block{make([]gen.Point, 0, size), make([]uint32, 0, size)}
+}
+
+// putBlock recycles block storage nothing references any more.
+func (s *Summary) putBlock(b block) {
+	if b.pts != nil {
+		s.free = append(s.free, b)
+	}
+}
+
 // Update inserts one point.
 func (s *Summary) Update(p gen.Point) {
 	s.n++
-	s.partial = append(s.partial, p)
-	if len(s.partial) >= s.s {
+	s.partial.add(p, mortonKey(s.box, p))
+	if len(s.partial.pts) >= s.s {
 		s.promotePartial()
 	}
 }
 
+// promotePartial turns the full partial into a level-0 block: a stable
+// sort by cached key — position breaks ties, packed under the key so
+// the sort moves single words — gathered into recycled storage.
+//
+//sketch:hotpath
 func (s *Summary) promotePartial() {
-	b := make([]gen.Point, len(s.partial))
-	copy(b, s.partial)
-	s.partial = s.partial[:0]
-	s.sortZ(b)
+	ord := s.order[:0]
+	for j, k := range s.partial.keys {
+		ord = append(ord, uint64(k)<<32|uint64(j))
+	}
+	slices.Sort(ord)
+	b := s.getBlock(s.s)
+	for _, o := range ord {
+		b.add(s.partial.pts[uint32(o)], uint32(o>>32))
+	}
+	s.order = ord[:0]
+	s.partial = block{s.partial.pts[:0], s.partial.keys[:0]}
 	s.carry(b, 0)
+	debugAssert(s, false)
 }
 
-func (s *Summary) sortZ(ps []gen.Point) {
-	sort.Slice(ps, func(i, j int) bool { return s.morton(ps[i]) < s.morton(ps[j]) })
-}
-
-func (s *Summary) carry(b []gen.Point, i int) {
+// carry places b at level i, halving it with the occupant and moving
+// up while the level is taken.
+//
+//sketch:hotpath
+func (s *Summary) carry(b block, i int) {
 	for {
 		for len(s.blocks) <= i {
-			s.blocks = append(s.blocks, nil)
+			s.blocks = append(s.blocks, block{})
 		}
-		if s.blocks[i] == nil {
+		if s.blocks[i].pts == nil {
 			s.blocks[i] = b
 			return
 		}
 		b = s.halve(s.blocks[i], b)
-		s.blocks[i] = nil
+		s.blocks[i] = block{}
 		i++
 	}
 }
 
-// halve merges two Z-sorted blocks and keeps alternate points with a
-// random offset — the low-discrepancy halving primitive.
-func (s *Summary) halve(a, b []gen.Point) []gen.Point {
-	union := make([]gen.Point, 0, len(a)+len(b))
+// halve merges two Z-sorted blocks by cached key and keeps alternate
+// points with a random offset — the low-discrepancy halving primitive.
+// The inputs' storage is recycled.
+//
+//sketch:hotpath
+func (s *Summary) halve(a, b block) block {
+	out := s.getBlock(s.s)
+	skip := s.rng.Bool()
 	ai, bi := 0, 0
-	for ai < len(a) || bi < len(b) {
-		if bi >= len(b) || (ai < len(a) && s.morton(a[ai]) <= s.morton(b[bi])) {
-			union = append(union, a[ai])
+	for ai < len(a.pts) || bi < len(b.pts) {
+		var p gen.Point
+		var k uint32
+		if bi >= len(b.pts) || (ai < len(a.pts) && a.keys[ai] <= b.keys[bi]) {
+			p, k = a.pts[ai], a.keys[ai]
 			ai++
 		} else {
-			union = append(union, b[bi])
+			p, k = b.pts[bi], b.keys[bi]
 			bi++
 		}
+		if !skip {
+			out.add(p, k)
+		}
+		skip = !skip
 	}
-	offset := 0
-	if s.rng.Bool() {
-		offset = 1
-	}
-	out := make([]gen.Point, 0, (len(union)+1)/2)
-	for i := offset; i < len(union); i += 2 {
-		out = append(out, union[i])
-	}
+	s.putBlock(a)
+	s.putBlock(b)
 	return out
 }
 
@@ -184,21 +257,28 @@ func (s *Summary) Merge(other *Summary) error {
 	if s.s != other.s || s.box != other.box {
 		return fmt.Errorf("%w: epsapprox shape", core.ErrMismatchedShape)
 	}
+	s.absorb(other)
+	debugAssert(s, true)
+	return nil
+}
+
+// absorb is Merge past the shape check.
+//
+//sketch:hotpath
+func (s *Summary) absorb(other *Summary) {
 	s.n += other.n
 	for i := len(other.blocks) - 1; i >= 0; i-- {
-		if other.blocks[i] != nil {
-			b := make([]gen.Point, len(other.blocks[i]))
-			copy(b, other.blocks[i])
-			s.carry(b, i)
+		if ob := other.blocks[i]; ob.pts != nil {
+			b := s.getBlock(s.s)
+			s.carry(block{append(b.pts, ob.pts...), append(b.keys, ob.keys...)}, i)
 		}
 	}
-	for _, p := range other.partial {
-		s.partial = append(s.partial, p)
-		if len(s.partial) >= s.s {
+	for j, p := range other.partial.pts {
+		s.partial.add(p, other.partial.keys[j])
+		if len(s.partial.pts) >= s.s {
 			s.promotePartial()
 		}
 	}
-	return nil
 }
 
 // Merged returns the merge of a and b without modifying either.
@@ -215,14 +295,14 @@ func (s *Summary) RangeCount(r exact.Rect) uint64 {
 	var c uint64
 	for i, b := range s.blocks {
 		var in uint64
-		for _, p := range b {
+		for _, p := range b.pts {
 			if r.Contains(p) {
 				in++
 			}
 		}
 		c += in << uint(i)
 	}
-	for _, p := range s.partial {
+	for _, p := range s.partial.pts {
 		if r.Contains(p) {
 			c++
 		}
@@ -235,45 +315,85 @@ func (s *Summary) RangeCount(r exact.Rect) uint64 {
 func (s *Summary) StoredWeight() uint64 {
 	var w uint64
 	for i, b := range s.blocks {
-		w += uint64(len(b)) << uint(i)
+		w += uint64(len(b.pts)) << uint(i)
 	}
-	return w + uint64(len(s.partial))
+	return w + uint64(len(s.partial.pts))
+}
+
+func (b block) clone() block {
+	return block{slices.Clone(b.pts), slices.Clone(b.keys)}
 }
 
 // Clone returns a deep copy (with a re-derived RNG).
 func (s *Summary) Clone() *Summary {
 	c := New(s.s, s.box, s.rng.Uint64())
 	c.n = s.n
-	c.partial = append([]gen.Point(nil), s.partial...)
-	c.blocks = make([][]gen.Point, len(s.blocks))
+	c.partial = s.partial.clone()
+	c.blocks = make([]block, len(s.blocks))
 	for i, b := range s.blocks {
-		if b != nil {
-			c.blocks[i] = append([]gen.Point(nil), b...)
-		}
+		c.blocks[i] = b.clone()
 	}
 	return c
 }
 
-// checkInvariants verifies structural invariants; used by tests.
+// checkInvariants verifies structural invariants against the cached
+// keys; used by tests.
 func (s *Summary) checkInvariants() error {
-	if len(s.partial) >= s.s {
-		return fmt.Errorf("partial %d >= s=%d", len(s.partial), s.s)
+	return checkShape(s.s, s.n, s.partial, s.blocks)
+}
+
+// checkShape verifies that a partial and a level table form a valid
+// summary of block size and weight n: a short partial, full Z-sorted
+// blocks, keys in step with points, and a stored weight of exactly n.
+func checkShape(size int, n uint64, partial block, blocks []block) error {
+	if len(partial.pts) >= size {
+		return fmt.Errorf("partial %d >= s=%d", len(partial.pts), size)
 	}
-	for i, b := range s.blocks {
-		if b == nil {
+	if len(partial.keys) != len(partial.pts) {
+		return fmt.Errorf("partial has %d points but %d keys", len(partial.pts), len(partial.keys))
+	}
+	weight := uint64(len(partial.pts))
+	for i, b := range blocks {
+		if b.pts == nil {
 			continue
 		}
-		if len(b) != s.s {
-			return fmt.Errorf("block %d has %d points, want %d", i, len(b), s.s)
+		if len(b.pts) != size || len(b.keys) != size {
+			return fmt.Errorf("block %d has %d points and %d keys, want %d", i, len(b.pts), len(b.keys), size)
 		}
-		for j := 1; j < len(b); j++ {
-			if s.morton(b[j-1]) > s.morton(b[j]) {
+		for j := 1; j < len(b.keys); j++ {
+			if b.keys[j-1] > b.keys[j] {
 				return fmt.Errorf("block %d not Z-sorted", i)
 			}
 		}
+		// A block at level i weighs size·2^i; neither it nor the
+		// running total may wrap the uint64 that n is compared against.
+		if bits.Len64(uint64(size))+i > 64 {
+			return fmt.Errorf("block %d overflows the weight", i)
+		}
+		var carry uint64
+		if weight, carry = bits.Add64(weight, uint64(size)<<uint(i), 0); carry != 0 {
+			return fmt.Errorf("stored weight overflows at block %d", i)
+		}
 	}
-	if s.StoredWeight() != s.n {
-		return fmt.Errorf("stored weight %d != n %d", s.StoredWeight(), s.n)
+	if weight != n {
+		return fmt.Errorf("stored weight %d != n %d", weight, n)
+	}
+	return nil
+}
+
+// checkKeys verifies every cached key against a fresh computation.
+func (s *Summary) checkKeys() error {
+	for j, p := range s.partial.pts {
+		if uint64(s.partial.keys[j]) != s.morton(p) {
+			return fmt.Errorf("partial point %d carries a stale Morton key", j)
+		}
+	}
+	for i, b := range s.blocks {
+		for j, p := range b.pts {
+			if uint64(b.keys[j]) != s.morton(p) {
+				return fmt.Errorf("block %d point %d carries a stale Morton key", i, j)
+			}
+		}
 	}
 	return nil
 }

@@ -14,10 +14,10 @@ func (d *Digest) UpdateBatch(vs []uint64) {
 		if v > max {
 			v = max
 		}
-		d.counts[leafBase+v]++
+		d.addLeaf(leafBase+v, 1)
 		d.n++
 		d.dirty++
-		if d.dirty > uint64(len(d.counts))+16 {
+		if d.dirty > uint64(d.Size())+16 {
 			d.Compress()
 		}
 	}
@@ -40,10 +40,10 @@ func (d *Digest) UpdateBatchWeighted(vs []WeightedValue) {
 		if v > max {
 			v = max
 		}
-		d.counts[leafBase+v] += wv.Weight
+		d.addLeaf(leafBase+v, wv.Weight)
 		d.n += wv.Weight
 		d.dirty++
-		if d.dirty > uint64(len(d.counts))+16 {
+		if d.dirty > uint64(d.Size())+16 {
 			d.Compress()
 		}
 	}

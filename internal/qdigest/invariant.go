@@ -6,8 +6,10 @@ package qdigest
 // invariant layer (`go test -tags sanitize`). See DESIGN.md.
 const sanitizeEnabled = true
 
-// debugAssert compresses a clone of d and panics if it violates the
-// q-digest property: positive node counts inside the tree, the
+// debugAssert panics if d's flat layout is inconsistent (body ids
+// strictly ascending, pending-leaf table and body agreeing on size),
+// then compresses a clone of d and panics if it violates the q-digest
+// property: positive node counts inside the tree, the
 // compression completeness bound c(v)+c(sibling)+c(parent) > n/k for
 // every non-root node, and total mass equal to n. This is the weight
 // bound every merge order must preserve (Agarwal et al. §3). The
@@ -16,6 +18,9 @@ const sanitizeEnabled = true
 // amortization paths than release builds (and break the batch-vs-loop
 // state-equivalence tests).
 func debugAssert(d *Digest) {
+	if err := d.checkLayout(); err != nil {
+		panic("qdigest: sanitize: " + err.Error())
+	}
 	c := d.Clone()
 	c.Compress()
 	if err := c.checkInvariants(); err != nil {

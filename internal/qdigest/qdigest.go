@@ -7,7 +7,7 @@
 //
 // The structure is a binary tree over the universe; node v covers a
 // dyadic range, the root covers everything. The digest keeps a sparse
-// map of node counts satisfying the q-digest property with threshold
+// set of node counts satisfying the q-digest property with threshold
 // t = ⌊n/k⌋:
 //
 //	(1) non-leaf nodes have count ≤ t, and
@@ -24,27 +24,62 @@
 // bounded integer universe and pays a log u factor, but is
 // deterministic; the randomized summary is comparison-based
 // (unbounded universe) and smaller. Experiment E18 measures both.
+//
+// Storage is flat. Node ids use heap numbering (root 1, children 2v
+// and 2v+1), so ascending id order is level order with siblings
+// adjacent: the body is two parallel ascending slices (ids, counts),
+// a merge is a two-pointer add of two sorted runs, and Compress is a
+// bottom-up sweep that joins each level's run with its parents' run.
+// Updates between compressions land in a small open-addressed table
+// of pending leaves (the layout package mg uses for its counters),
+// which Compress sorts and appends — leaves are the largest ids — so
+// no path walks a Go map or allocates in steady state.
 package qdigest
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 )
 
+// fibMul is the 64-bit Fibonacci hashing multiplier; see package mg.
+const fibMul = 0x9E3779B97F4A7C15
+
+// minTable is the smallest leaf-table size (a power of two).
+const minTable = 16
+
 // Digest is a q-digest over the universe [0, 2^logU). The zero value
 // is not usable; use New. Not safe for concurrent use.
 type Digest struct {
-	logU   uint8
-	k      uint64
-	n      uint64
-	counts map[uint64]uint64 // node id (1 = root) → count
+	logU uint8
+	k    uint64
+	n    uint64
+
+	// Body: node ids (1 = root) strictly ascending, counts parallel.
+	ids    []uint64
+	counts []uint64
+
+	// Pending leaves: an open-addressed table of leaf ids updated
+	// since the last flush and absent from the body (so Size is exact).
+	// tabKeys[i] == 0 marks slot i empty — no node has id 0. The table
+	// has power-of-two length; tabShift = 64 - log2(len).
+	tabKeys   []uint64
+	tabCounts []uint64
+	tabLive   int
+	tabShift  uint
+
 	// dirty counts insertions since the last compress; compression is
 	// amortized over Θ(size) updates.
 	dirty uint64
+
+	// Scratch runs reused by flush, Merge, Compress and decode.
+	sIDs, sCounts []uint64
+	tIDs, tCounts []uint64
 }
 
 // New returns an empty digest over [0, 2^logU) with compression factor
@@ -56,7 +91,7 @@ func New(logU uint8, k uint64) *Digest {
 	if k < 1 {
 		panic("qdigest: k must be >= 1")
 	}
-	return &Digest{logU: logU, k: k, counts: make(map[uint64]uint64)}
+	return &Digest{logU: logU, k: k}
 }
 
 // NewEpsilon returns a digest with rank error at most eps*n:
@@ -78,7 +113,7 @@ func (d *Digest) K() uint64 { return d.k }
 func (d *Digest) N() uint64 { return d.n }
 
 // Size returns the number of stored nodes.
-func (d *Digest) Size() int { return len(d.counts) }
+func (d *Digest) Size() int { return len(d.ids) + d.tabLive }
 
 // ErrorBound returns the current deterministic rank-error bound
 // logU·⌊n/k⌋.
@@ -86,27 +121,13 @@ func (d *Digest) ErrorBound() uint64 {
 	return uint64(d.logU) * (d.n / d.k)
 }
 
-// leaf returns the node id of value v's leaf.
-func (d *Digest) leaf(v uint64) uint64 {
-	return (uint64(1) << d.logU) + v
-}
-
 // level returns the depth of node id (root = 0).
-func level(id uint64) uint8 {
-	l := uint8(0)
-	for id > 1 {
-		id >>= 1
-		l++
-	}
-	return l
-}
+func level(id uint64) uint8 { return uint8(bits.Len64(id) - 1) }
 
-// rangeOf returns the inclusive value range covered by node id.
-func (d *Digest) rangeOf(id uint64) (lo, hi uint64) {
-	lv := level(id)
-	span := uint64(1) << (d.logU - lv)
-	lo = (id - (uint64(1) << lv)) * span
-	return lo, lo + span - 1
+// upper returns the largest value covered by node id.
+func (d *Digest) upper(id uint64) uint64 {
+	sh := d.logU - level(id)
+	return (id+1)<<sh - uint64(1)<<d.logU - 1
 }
 
 // Update adds w >= 1 occurrences of value v (clamped into the
@@ -119,59 +140,231 @@ func (d *Digest) Update(v uint64, w uint64) {
 	if v > max {
 		v = max
 	}
-	d.counts[d.leaf(v)] += w
+	d.addLeaf((uint64(1)<<d.logU)+v, w)
 	d.n += w
 	d.dirty++
-	if d.dirty > uint64(len(d.counts))+16 {
+	if d.dirty > uint64(d.Size())+16 {
 		d.Compress()
 	}
 	debugAssertSampled(d)
 }
 
+// addLeaf adds w to leaf id: in the pending table if it is there, in
+// the body if it is there, as a new pending leaf otherwise.
+//
+//sketch:hotpath
+func (d *Digest) addLeaf(id, w uint64) {
+	if len(d.tabKeys) == 0 {
+		d.growTable()
+	}
+	mask := uint64(len(d.tabKeys) - 1)
+	i := (id * fibMul) >> d.tabShift
+	for {
+		k := d.tabKeys[i]
+		if k == id {
+			d.tabCounts[i] += w
+			return
+		}
+		if k == 0 {
+			break
+		}
+		i = (i + 1) & mask
+	}
+	if j, ok := slices.BinarySearch(d.ids, id); ok {
+		d.counts[j] += w
+		return
+	}
+	if d.tabLive >= len(d.tabKeys)/2+len(d.tabKeys)/8 {
+		d.growTable()
+		mask = uint64(len(d.tabKeys) - 1)
+		i = (id * fibMul) >> d.tabShift
+		for d.tabKeys[i] != 0 {
+			i = (i + 1) & mask
+		}
+	}
+	d.tabKeys[i] = id
+	d.tabCounts[i] = w
+	d.tabLive++
+}
+
+// growTable doubles the pending-leaf table (or creates it), rehashing
+// the live entries.
+func (d *Digest) growTable() {
+	size := 2 * len(d.tabKeys)
+	if size < minTable {
+		size = minTable
+	}
+	oldKeys, oldCounts := d.tabKeys, d.tabCounts
+	buf := make([]uint64, 2*size)
+	d.tabKeys, d.tabCounts = buf[:size:size], buf[size:]
+	d.tabShift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for j, k := range oldKeys {
+		if k == 0 {
+			continue
+		}
+		i := (k * fibMul) >> d.tabShift
+		for d.tabKeys[i] != 0 {
+			i = (i + 1) & mask
+		}
+		d.tabKeys[i], d.tabCounts[i] = k, oldCounts[j]
+	}
+}
+
+// pending returns the pending count of leaf id, or 0.
+func (d *Digest) pending(id uint64) uint64 {
+	if d.tabLive == 0 {
+		return 0
+	}
+	mask := uint64(len(d.tabKeys) - 1)
+	for i := (id * fibMul) >> d.tabShift; d.tabKeys[i] != 0; i = (i + 1) & mask {
+		if d.tabKeys[i] == id {
+			return d.tabCounts[i]
+		}
+	}
+	return 0
+}
+
+// flush moves the pending leaves into the body. The table holds only
+// leaves the body lacks, so this is a sort of the pending ids and a
+// backward in-place merge into the body's tail.
+//
+//sketch:hotpath
+func (d *Digest) flush() {
+	if d.tabLive == 0 {
+		return
+	}
+	keys := d.sIDs[:0]
+	for _, k := range d.tabKeys {
+		if k != 0 {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	m := len(d.ids)
+	total := m + len(keys)
+	d.ids = slices.Grow(d.ids, len(keys))[:total]
+	d.counts = slices.Grow(d.counts, len(keys))[:total]
+	i, w := m-1, total-1
+	for j := len(keys) - 1; j >= 0; j-- {
+		k := keys[j]
+		for i >= 0 && d.ids[i] > k {
+			d.ids[w], d.counts[w] = d.ids[i], d.counts[i]
+			i--
+			w--
+		}
+		d.ids[w], d.counts[w] = k, d.pending(k)
+		w--
+	}
+	d.sIDs = keys[:0]
+	d.clearTable()
+}
+
+func (d *Digest) clearTable() {
+	if d.tabLive != 0 {
+		clear(d.tabKeys)
+		d.tabLive = 0
+	}
+}
+
 // Compress restores the q-digest property, merging under-full sibling
-// pairs into their parents bottom-up. It runs in O(size·log size).
+// pairs into their parents bottom-up. Each pass is linear in the
+// number of nodes. It leaves every node in the body: the pending-leaf
+// table is empty afterwards.
+//
+//sketch:hotpath
 func (d *Digest) Compress() {
 	d.dirty = 0
+	d.flush()
 	t := d.n / d.k
-	if t == 0 || len(d.counts) == 0 {
+	if t == 0 {
 		return
 	}
 	// Sweep levels bottom-up until a fixpoint: a pass can re-enable
 	// merges below (a parent that moved its count upward leaves its
 	// remaining child's triple under the threshold), and every merge
 	// strictly shrinks the node set, so the loop terminates quickly.
-	for {
-		merged := false
-		byLevel := make([][]uint64, d.logU+1)
-		for id := range d.counts {
-			lv := level(id)
-			byLevel[lv] = append(byLevel[lv], id)
-		}
-		for lv := int(d.logU); lv >= 1; lv-- {
-			for _, id := range byLevel[lv] {
-				c, ok := d.counts[id]
-				if !ok {
-					continue // already folded into its parent
-				}
-				sib := id ^ 1
-				parent := id >> 1
-				total := c + d.counts[sib] + d.counts[parent]
-				if total <= t {
-					_, parentExisted := d.counts[parent]
-					delete(d.counts, id)
-					delete(d.counts, sib)
-					d.counts[parent] = total
-					merged = true
-					if !parentExisted {
-						byLevel[lv-1] = append(byLevel[lv-1], parent)
-					}
-				}
+	for d.compressPass(t) {
+	}
+}
+
+// compressPass runs one bottom-up sweep and reports whether any
+// sibling group was folded into its parent. The body is consumed from
+// its tail (deepest level first); cur holds the current level's run in
+// descending id order — the body's nodes of that level plus the
+// parents the level below just created — and is joined two-pointer
+// with the body's next level up to build that level's run in turn.
+// Survivors are written back into the body's consumed tail: a fold
+// removes at least one node per parent it creates, so the write cursor
+// never overtakes the read cursor.
+//
+//sketch:hotpath
+func (d *Digest) compressPass(t uint64) bool {
+	ids, counts := d.ids, d.counts
+	curI, curC := d.sIDs[:0], d.sCounts[:0]
+	nxtI, nxtC := d.tIDs[:0], d.tCounts[:0]
+	merged := false
+	p := len(ids) // ids[:p] is not yet consumed
+	w := len(ids) // ids[w:] holds this pass's survivors
+	for p > 0 && ids[p-1]>>d.logU != 0 {
+		p--
+		curI, curC = append(curI, ids[p]), append(curC, counts[p])
+	}
+	for lv := d.logU; lv >= 1; lv-- {
+		parentLo := uint64(1) << (lv - 1)
+		nxtI, nxtC = nxtI[:0], nxtC[:0]
+		for i := 0; i < len(curI); {
+			id, c := curI[i], curC[i]
+			i++
+			var sibC uint64
+			hasSib := id&1 == 1 && i < len(curI) && curI[i] == id-1
+			if hasSib {
+				sibC = curC[i]
+				i++
+			}
+			parent := id >> 1
+			// Parents above this group's have no children on this
+			// level in this pass: they pass through unchanged.
+			for p > 0 && ids[p-1] > parent {
+				p--
+				nxtI, nxtC = append(nxtI, ids[p]), append(nxtC, counts[p])
+			}
+			var parC uint64
+			hasPar := p > 0 && ids[p-1] == parent
+			if hasPar {
+				p--
+				parC = counts[p]
+			}
+			if total := c + sibC + parC; total <= t {
+				nxtI, nxtC = append(nxtI, parent), append(nxtC, total)
+				merged = true
+				continue
+			}
+			w--
+			ids[w], counts[w] = id, c
+			if hasSib {
+				w--
+				ids[w], counts[w] = id-1, sibC
+			}
+			if hasPar {
+				nxtI, nxtC = append(nxtI, parent), append(nxtC, parC)
 			}
 		}
-		if !merged {
-			return
+		for p > 0 && ids[p-1] >= parentLo {
+			p--
+			nxtI, nxtC = append(nxtI, ids[p]), append(nxtC, counts[p])
 		}
+		curI, curC, nxtI, nxtC = nxtI, nxtC, curI, curC
 	}
+	for i, id := range curI { // the root, if present
+		w--
+		ids[w], counts[w] = id, curC[i]
+	}
+	size := copy(ids, ids[w:])
+	copy(counts, counts[w:])
+	d.ids, d.counts = ids[:size], counts[:size]
+	d.sIDs, d.sCounts, d.tIDs, d.tCounts = curI[:0], curC[:0], nxtI[:0], nxtC[:0]
+	return merged
 }
 
 // Rank estimates the number of inserted values <= v: the sum of node
@@ -180,10 +373,9 @@ func (d *Digest) Compress() {
 func (d *Digest) Rank(v uint64) uint64 {
 	d.Compress()
 	var r uint64
-	for id, c := range d.counts {
-		_, hi := d.rangeOf(id)
-		if hi <= v {
-			r += c
+	for i, id := range d.ids {
+		if d.upper(id) <= v {
+			r += d.counts[i]
 		}
 	}
 	return r
@@ -191,36 +383,45 @@ func (d *Digest) Rank(v uint64) uint64 {
 
 // Quantile returns a value whose rank is within ErrorBound() of
 // phi*N: the canonical post-order walk accumulating counts.
+//
+// Each level's run of the body is already in range order, so the
+// post-order (by upper bound, deeper nodes first) is a merge of the
+// level runs: one cursor per level, smallest upper bound next.
 func (d *Digest) Quantile(phi float64) uint64 {
 	d.Compress()
-	if len(d.counts) == 0 {
+	if len(d.ids) == 0 {
 		return 0
 	}
-	type nodeCount struct {
-		hi, lo, c uint64
-	}
-	nodes := make([]nodeCount, 0, len(d.counts))
-	for id, c := range d.counts {
-		lo, hi := d.rangeOf(id)
-		nodes = append(nodes, nodeCount{hi: hi, lo: lo, c: c})
-	}
-	// Post-order over the range tree: by upper bound, then smaller
-	// ranges (deeper nodes) first.
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].hi != nodes[j].hi {
-			return nodes[i].hi < nodes[j].hi
+	// cursor[lv] walks level lv's run, which ends at cursor[lv+1]'s
+	// starting position end[lv].
+	var cursor, end [64]int
+	for lv, i := 0, 0; lv <= int(d.logU); lv++ {
+		cursor[lv] = i
+		for i < len(d.ids) && d.ids[i]>>(lv+1) == 0 {
+			i++
 		}
-		return nodes[i].lo > nodes[j].lo
-	})
+		end[lv] = i
+	}
 	target := phi * float64(d.n)
 	var cum float64
-	for _, nc := range nodes {
-		cum += float64(nc.c)
+	var hi uint64
+	for range d.ids {
+		best := -1
+		for lv := int(d.logU); lv >= 0; lv-- {
+			if cursor[lv] == end[lv] {
+				continue
+			}
+			if h := d.upper(d.ids[cursor[lv]]); best < 0 || h < hi {
+				best, hi = lv, h
+			}
+		}
+		cum += float64(d.counts[cursor[best]])
+		cursor[best]++
 		if cum >= target {
-			return nc.hi
+			return hi
 		}
 	}
-	return nodes[len(nodes)-1].hi
+	return hi
 }
 
 // Merge folds other into d: counts add node-wise and the result is
@@ -233,13 +434,52 @@ func (d *Digest) Merge(other *Digest) error {
 	if d.logU != other.logU || d.k != other.k {
 		return fmt.Errorf("%w: qdigest logU/k", core.ErrMismatchedShape)
 	}
-	for id, c := range other.counts {
-		d.counts[id] += c
+	d.flush()
+	d.mergeBody(other.ids, other.counts)
+	if other.tabLive != 0 {
+		for i, k := range other.tabKeys {
+			if k != 0 {
+				d.addLeaf(k, other.tabCounts[i])
+			}
+		}
 	}
 	d.n += other.n
 	d.Compress()
 	debugAssert(d)
 	return nil
+}
+
+// mergeBody adds the sorted run (oi, oc) into the body node-wise: a
+// two-pointer union into scratch, which then trades places with the
+// body.
+//
+//sketch:hotpath
+func (d *Digest) mergeBody(oi, oc []uint64) {
+	ai, ac := d.ids, d.counts
+	bound := len(ai) + len(oi)
+	ri := slices.Grow(d.sIDs[:0], bound)[:bound]
+	rc := slices.Grow(d.sCounts[:0], bound)[:bound]
+	a, b, w := 0, 0, 0
+	for a < len(ai) && b < len(oi) {
+		switch x, y := ai[a], oi[b]; {
+		case x < y:
+			ri[w], rc[w] = x, ac[a]
+			a++
+		case x > y:
+			ri[w], rc[w] = y, oc[b]
+			b++
+		default:
+			ri[w], rc[w] = x, ac[a]+oc[b]
+			a++
+			b++
+		}
+		w++
+	}
+	w += copy(ri[w:], ai[a:])
+	copy(rc[w-len(ai)+a:], ac[a:])
+	w += copy(ri[w:], oi[b:])
+	copy(rc[w-len(oi)+b:], oc[b:])
+	d.ids, d.counts, d.sIDs, d.sCounts = ri[:w], rc[:w], ai[:0], ac[:0]
 }
 
 // Merged returns the merge of a and b without modifying either.
@@ -256,19 +496,67 @@ func (d *Digest) Clone() *Digest {
 	c := New(d.logU, d.k)
 	c.n = d.n
 	c.dirty = d.dirty
-	for id, v := range d.counts {
-		c.counts[id] = v
+	c.ids = slices.Clone(d.ids)
+	c.counts = slices.Clone(d.counts)
+	if d.tabLive != 0 {
+		c.tabKeys = slices.Clone(d.tabKeys)
+		c.tabCounts = slices.Clone(d.tabCounts)
+		c.tabLive, c.tabShift = d.tabLive, d.tabShift
 	}
 	return c
 }
 
-// checkInvariants verifies the q-digest property; used by tests.
-// It must be called right after Compress.
+// count returns the count stored for node id, or 0.
+func (d *Digest) count(id uint64) uint64 {
+	if j, ok := slices.BinarySearch(d.ids, id); ok {
+		return d.counts[j]
+	}
+	return d.pending(id)
+}
+
+// checkLayout verifies the flat representation: body ids strictly
+// ascending with one count each, and the pending table holding
+// exactly tabLive leaves, none of which the body also stores (the
+// body and the table must agree on Size).
+func (d *Digest) checkLayout() error {
+	if len(d.ids) != len(d.counts) {
+		return fmt.Errorf("body holds %d ids but %d counts", len(d.ids), len(d.counts))
+	}
+	for i := 1; i < len(d.ids); i++ {
+		if d.ids[i-1] >= d.ids[i] {
+			return fmt.Errorf("body ids not strictly ascending at %d", i)
+		}
+	}
+	live := 0
+	for _, k := range d.tabKeys {
+		if k == 0 {
+			continue
+		}
+		live++
+		if level(k) != d.logU {
+			return fmt.Errorf("pending node %d is not a leaf", k)
+		}
+		if _, ok := slices.BinarySearch(d.ids, k); ok {
+			return fmt.Errorf("leaf %d is both pending and in the body", k)
+		}
+	}
+	if live != d.tabLive {
+		return fmt.Errorf("pending table holds %d leaves, tabLive says %d", live, d.tabLive)
+	}
+	return nil
+}
+
+// checkInvariants verifies the layout and the q-digest property; used
+// by tests and the sanitize layer. It must be called right after
+// Compress.
 func (d *Digest) checkInvariants() error {
+	if err := d.checkLayout(); err != nil {
+		return err
+	}
 	var sum uint64
 	t := d.n / d.k
 	maxID := uint64(1) << (d.logU + 1)
-	for id, c := range d.counts {
+	check := func(id, c uint64) error {
 		if c == 0 {
 			return fmt.Errorf("zero-count node %d", id)
 		}
@@ -277,10 +565,23 @@ func (d *Digest) checkInvariants() error {
 		}
 		sum += c
 		if id == 1 {
-			continue
+			return nil
 		}
-		if total := c + d.counts[id^1] + d.counts[id>>1]; total <= t {
+		if total := c + d.count(id^1) + d.count(id>>1); total <= t {
 			return fmt.Errorf("node %d violates compression: %d <= %d", id, total, t)
+		}
+		return nil
+	}
+	for i, id := range d.ids {
+		if err := check(id, d.counts[i]); err != nil {
+			return err
+		}
+	}
+	for i, k := range d.tabKeys {
+		if k != 0 {
+			if err := check(k, d.tabCounts[i]); err != nil {
+				return err
+			}
 		}
 	}
 	if sum != d.n {
@@ -299,29 +600,34 @@ func (d *Digest) checkInvariants() error {
 // slot lock), so the mutation cannot race.
 //
 //sketch:encodemutates
+//sketch:hotpath
 func (d *Digest) MarshalBinary() ([]byte, error) {
 	d.Compress()
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
 	// Header (logU, k, n, len) plus (id, count) uvarints per node.
-	w.Grow(4*10 + len(d.counts)*2*10)
+	w.Grow(4*10 + len(d.ids)*2*10)
 	w.Int(int(d.logU))
 	w.Uint64(d.k)
 	w.Uint64(d.n)
-	ids := make([]uint64, 0, len(d.counts))
-	for id := range d.counts {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.Int(len(ids))
-	for _, id := range ids {
+	w.Int(len(d.ids))
+	for i, id := range d.ids {
 		w.Uint64(id)
+		// The committed wire schema labels this field counts[id] (the
+		// count of node id); the body stores it at id's position.
+		id := i
 		w.Uint64(d.counts[id])
 	}
 	return codec.EncodeFrame(codec.KindQDigest, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Nodes decode
+// into the receiver's scratch run, which trades places with the body
+// once the frame is validated, so a pooled decode target allocates
+// nothing in steady state and a rejected frame leaves the receiver
+// untouched.
+//
+//sketch:hotpath
 func (d *Digest) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindQDigest, data)
 	if err != nil {
@@ -336,35 +642,69 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 		return r.Err()
 	}
 	if logU < 1 || logU > 62 || k < 1 {
-		return fmt.Errorf("qdigest: invalid header (logU=%d, k=%d)", logU, k)
+		return errHeader(logU, k)
 	}
-	out := New(uint8(logU), k)
-	out.n = n
 	maxID := uint64(1) << (uint8(logU) + 1)
-	var sum uint64
+	ids := slices.Grow(d.sIDs[:0], m)
+	counts := slices.Grow(d.sCounts[:0], m)
+	var sum, prev uint64
+	ascending := true
 	for i := 0; i < m; i++ {
 		id := r.Uint64()
 		c := r.Uint64()
 		if r.Err() == nil {
 			if id < 1 || id >= maxID {
-				return fmt.Errorf("qdigest: node id %d out of tree", id)
+				return errNodeRange(id)
 			}
 			if c == 0 {
-				return fmt.Errorf("qdigest: zero-count node %d", id)
+				return errZeroCount(id)
 			}
-			if _, dup := out.counts[id]; dup {
-				return fmt.Errorf("qdigest: duplicate node %d", id)
-			}
-			out.counts[id] = c
+			ascending = ascending && id > prev
+			prev = id
+			ids, counts = append(ids, id), append(counts, c)
 			sum += c
 		}
 	}
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if sum != n {
-		return fmt.Errorf("qdigest: frame weight %d != n %d", sum, n)
+	// Canonical frames list nodes in ascending id order; any order
+	// without duplicates is accepted.
+	if !ascending {
+		sort.Sort(nodesByID{ids, counts})
+		for i := 1; i < len(ids); i++ {
+			if ids[i-1] == ids[i] {
+				return errDuplicate(ids[i])
+			}
+		}
 	}
-	*d = *out
+	if sum != n {
+		return errWeight(sum, n)
+	}
+	d.logU, d.k, d.n, d.dirty = uint8(logU), k, n, 0
+	d.ids, d.counts, d.sIDs, d.sCounts = ids, counts, d.ids[:0], d.counts[:0]
+	d.clearTable()
 	return nil
+}
+
+// Decode errors live outside UnmarshalBinary so the hot path carries
+// no fmt call.
+func errHeader(logU int, k uint64) error {
+	return fmt.Errorf("qdigest: invalid header (logU=%d, k=%d)", logU, k)
+}
+func errNodeRange(id uint64) error { return fmt.Errorf("qdigest: node id %d out of tree", id) }
+func errZeroCount(id uint64) error { return fmt.Errorf("qdigest: zero-count node %d", id) }
+func errDuplicate(id uint64) error { return fmt.Errorf("qdigest: duplicate node %d", id) }
+func errWeight(sum, n uint64) error {
+	return fmt.Errorf("qdigest: frame weight %d != n %d", sum, n)
+}
+
+// nodesByID sorts parallel (ids, counts) runs by id.
+type nodesByID struct{ ids, counts []uint64 }
+
+func (s nodesByID) Len() int           { return len(s.ids) }
+func (s nodesByID) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
+func (s nodesByID) Swap(i, j int) {
+	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
+	s.counts[i], s.counts[j] = s.counts[j], s.counts[i]
 }
