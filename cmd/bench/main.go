@@ -497,11 +497,12 @@ func serverKindSeries(clients int, dur time.Duration) ([]kindPoint, error) {
 
 // windowSeries measures the roll-up plane's query latency against
 // window length, ladder plan (the default 8×3 shape) vs flat
-// per-epoch plan over the same plane (SetMaxLevel(0), the roll-ups-off
-// baseline). The mg family keeps frames small, so the measured gap is
-// cover size — O(log n) precomputed segments vs O(n) per-epoch decodes
-// and merges — not codec weight. The series runs in -families-only
-// mode: the ladder speedup at long windows is a gated number.
+// per-epoch plan: a second, one-level plane fed the same absorbs (the
+// roll-ups-off baseline). The mg family keeps frames small, so the
+// measured gap is cover size — O(log n) precomputed segments vs O(n)
+// per-epoch decodes and merges — not codec weight. The series runs in
+// -families-only mode: the ladder speedup at long windows is a gated
+// number.
 func windowSeries(benchtime time.Duration) (*windowReport, error) {
 	ent, ok := registry.ByName("mg")
 	if !ok {
@@ -516,24 +517,40 @@ func windowSeries(benchtime time.Duration) (*windowReport, error) {
 	for i := range noEvict {
 		noEvict[i] = 1 << 30
 	}
-	p, err := window.NewPlane(ent, nil, window.Ladder{Fan: fan, Levels: levels, Horizon: noEvict})
+	// filled returns a plane of the given depth with every epoch sealed
+	// and the answer cache off.
+	filled := func(levels int) (*window.Plane, error) {
+		p, err := window.NewPlane(ent, nil, window.Ladder{Fan: fan, Levels: levels, Horizon: noEvict[:levels]})
+		if err != nil {
+			return nil, err
+		}
+		for e := 0; e < epochs; e++ {
+			if _, err := p.Absorb(ent.Example(64)); err != nil {
+				p.Close()
+				return nil, err
+			}
+			if err := p.Advance(); err != nil {
+				p.Close()
+				return nil, err
+			}
+		}
+		p.Quiesce()
+		p.SetQueryCache(false)
+		return p, nil
+	}
+	ladder, err := filled(levels)
 	if err != nil {
 		return nil, err
 	}
-	defer p.Close()
-	for e := 0; e < epochs; e++ {
-		if _, err := p.Absorb(ent.Example(64)); err != nil {
-			return nil, err
-		}
-		if err := p.Advance(); err != nil {
-			return nil, err
-		}
+	defer ladder.Close()
+	flat, err := filled(1)
+	if err != nil {
+		return nil, err
 	}
-	p.Quiesce()
-	p.SetQueryCache(false)
+	defer flat.Close()
 
 	flag.Set("test.benchtime", benchtime.String())
-	measure := func(from, to uint64) (float64, int, error) {
+	measure := func(p *window.Plane, from, to uint64) (float64, int, error) {
 		cov, err := p.Cover(from, to)
 		if err != nil {
 			return 0, 0, err
@@ -556,14 +573,11 @@ func windowSeries(benchtime time.Duration) (*windowReport, error) {
 	rep := &windowReport{Family: ent.Name(), Fan: fan, Levels: levels, Epochs: epochs}
 	for _, w := range []uint64{16, 64, 256, 1024} {
 		from, to := uint64(epochs)-w+1, uint64(epochs)
-		p.SetMaxLevel(-1)
-		ladderNs, ladderPieces, err := measure(from, to)
+		ladderNs, ladderPieces, err := measure(ladder, from, to)
 		if err != nil {
 			return nil, fmt.Errorf("window=%d ladder: %w", w, err)
 		}
-		p.SetMaxLevel(0)
-		flatNs, flatPieces, err := measure(from, to)
-		p.SetMaxLevel(-1)
+		flatNs, flatPieces, err := measure(flat, from, to)
 		if err != nil {
 			return nil, fmt.Errorf("window=%d flat: %w", w, err)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"os"
 	"os/exec"
@@ -215,5 +216,36 @@ func TestClusterProcesses(t *testing.T) {
 	// its own state is intact).
 	if _, _, err := conns[0].PullFrame("mp-" + ent.Name()); err != nil {
 		t.Fatalf("last survivor's local PULL: %v", err)
+	}
+}
+
+// TestRejectsNodeIDOutsidePeers: a daemon whose own address is not an
+// entry of -peers would serve cluster-wide answers missing its own
+// share, so it must refuse to start, naming the flags — both when
+// -node-id is wrong and when it is defaulted from an -addr that the
+// peer list spells differently.
+func TestRejectsNodeIDOutsidePeers(t *testing.T) {
+	bin := buildSummaryd(t)
+	peers := "127.0.0.1:7071,127.0.0.1:7072"
+	for _, args := range [][]string{
+		{"-addr", "127.0.0.1:0", "-node-id", "127.0.0.1:7079", "-peers", peers},
+		{"-addr", "localhost:0", "-peers", peers},
+	} {
+		// A daemon that starts anyway serves until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+		cancel()
+		if ctx.Err() == context.DeadlineExceeded {
+			t.Fatalf("summaryd %v started serving with itself missing from -peers:\n%s", args, out)
+		}
+		if err == nil {
+			t.Fatalf("summaryd %v exited 0 with itself missing from -peers:\n%s", args, out)
+		}
+		if _, exited := err.(*exec.ExitError); !exited {
+			t.Fatalf("summaryd %v: %v", args, err)
+		}
+		if !bytes.Contains(out, []byte("-node-id")) || !bytes.Contains(out, []byte("-peers")) {
+			t.Fatalf("summaryd %v: refusal does not name the flags:\n%s", args, out)
+		}
 	}
 }

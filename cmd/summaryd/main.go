@@ -18,10 +18,11 @@
 //
 // -peers enables coordinator-less cluster mode: the flag lists every
 // node's address (the same list on every node), -node-id names this
-// node's own entry, and the PULLC/QWINC commands answer cluster-wide
-// queries by fanning out to all peers and merging their snapshots —
-// ask any node, get the whole cluster's answer. There is no leader:
-// mergeable summaries make the fan-in correct from anywhere.
+// node's own entry (it must be one, spelled as in the list, or the
+// daemon refuses to start), and the PULLC/QWINC commands answer
+// cluster-wide queries by fanning out to all peers and merging their
+// snapshots — ask any node, get the whole cluster's answer. There is
+// no leader: mergeable summaries make the fan-in correct from anywhere.
 //
 // On SIGTERM or SIGINT the daemon shuts down gracefully: it stops
 // accepting connections, drains the ingest-front lanes (and seals the
@@ -90,7 +91,11 @@ func main() {
 		for i := range list {
 			list[i] = strings.TrimSpace(list[i])
 		}
-		s.SetPeers(self, list, *peerTimeout, *peerRetries)
+		if err := s.SetPeers(self, list, *peerTimeout, *peerRetries); err != nil {
+			// Serving anyway would answer PULLC/QWINC without this
+			// node's own share.
+			log.Fatalf("summaryd: -node-id (default: -addr) must be one of the -peers entries: %v", err)
+		}
 	}
 	bound, err := s.Listen(*addr)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/registry"
+	"repro/internal/window"
 )
 
 // Client speaks the summaryd protocol over one TCP connection. It is
@@ -28,23 +29,46 @@ type Client struct {
 	winTickNS   int64
 }
 
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+}
+
 // Dial connects to a summaryd server.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return newClient(conn), nil
 }
 
-// DialTimeout is Dial with a connect timeout, for callers (the peer
-// fan-out, cluster clients) that must not block on a dead address.
+// DialTimeout is Dial with a connect timeout, for callers that must
+// not block on a dead address.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return newClient(conn), nil
+}
+
+// reach starts one attempt at a cluster member: it returns c — dialing
+// addr first when c is nil — with a single deadline armed that covers
+// the dial and whatever request + reply the caller runs next, so an
+// attempt costs at most timeout however the time splits between
+// connecting and waiting. The server's fan-in closes the connection
+// afterwards; the cluster client clears the deadline and caches it.
+func reach(c *Client, addr string, timeout time.Duration) (*Client, error) {
+	deadline := time.Now().Add(timeout)
+	if c == nil {
+		conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		c = newClient(conn)
+	}
+	c.SetDeadline(deadline)
+	return c, nil
 }
 
 // SetDeadline bounds every subsequent read and write on the
@@ -59,11 +83,15 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return "server: " + e.Msg }
 
-// IsNoData reports whether err is a server reply meaning "nothing
-// held for that query" — a slot the server never saw, an empty slot,
-// or a window range nothing was sealed into — rather than a failure.
-// Fan-in readers use it to let such peers contribute nothing.
+// IsNoData reports whether err — a server's ERR reply, or the error of
+// a read answered in process — means "nothing held for that query": a
+// slot the node never saw, an empty slot, or a window range nothing was
+// sealed into, rather than a failure. Fan-in readers use it to let such
+// members contribute nothing.
 func IsNoData(err error) bool {
+	if errors.Is(err, errNoSlot) || errors.Is(err, errSlotEmpty) || errors.Is(err, window.ErrNoData) {
+		return true
+	}
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		return false
@@ -159,10 +187,10 @@ func (c *Client) PushBatch(slot, kind string, summaries []encoding.BinaryMarshal
 	return n, nil
 }
 
-// PullFrame fetches the named slot's raw encoded frame and its kind,
-// without decoding — the shape fan-in readers and relays want.
-func (c *Client) PullFrame(slot string) (string, []byte, error) {
-	fmt.Fprintf(c.w, "PULL %s\n", slot)
+// read sends q — asking for the cluster-wide answer when clusterWide
+// is set — and reads the frame reply.
+func (c *Client) read(q query, clusterWide bool) (string, []byte, error) {
+	q.writeLine(c.w, clusterWide)
 	if err := c.w.Flush(); err != nil {
 		return "", nil, err
 	}
@@ -170,9 +198,10 @@ func (c *Client) PullFrame(slot string) (string, []byte, error) {
 	if err != nil {
 		return "", nil, err
 	}
+	// The reply is "OK <kind> <len>\n<frame>".
 	fields := strings.Fields(rest)
 	if len(fields) != 2 {
-		return "", nil, fmt.Errorf("server: malformed PULL reply %q", rest)
+		return "", nil, fmt.Errorf("server: malformed frame reply %q", rest)
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil || n < 0 || n > maxFrame {
@@ -185,30 +214,43 @@ func (c *Client) PullFrame(slot string) (string, []byte, error) {
 	return fields[0], buf, nil
 }
 
-// QueryWindowFrame fetches the raw encoded frame of the slot's epoch
-// range [from, to] from a windowed server, and its kind.
-func (c *Client) QueryWindowFrame(slot string, from, to uint64) (string, []byte, error) {
-	fmt.Fprintf(c.w, "QWIN %s %d %d\n", slot, from, to)
-	if err := c.w.Flush(); err != nil {
-		return "", nil, err
+// decodeInto is the tail of every typed read: it unmarshals a fetched
+// frame into out, passing a failed fetch through.
+func decodeInto(out encoding.BinaryUnmarshaler, kind string, buf []byte, err error) (string, error) {
+	if err != nil {
+		return "", err
 	}
-	rest, err := c.readStatus()
+	return kind, out.UnmarshalBinary(buf)
+}
+
+// decodeAny is the tail of every ...Any read: the fetched frame's kind
+// tag selects the registry entry, which constructs and decodes a fresh
+// summary.
+func decodeAny(slot, kind string, buf []byte, err error) (string, any, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	fields := strings.Fields(rest)
-	if len(fields) != 2 {
-		return "", nil, fmt.Errorf("server: malformed QWIN reply %q", rest)
+	ent, err := registry.FromFrame(buf)
+	if err != nil {
+		return "", nil, fmt.Errorf("server: slot %q kind %q: %w", slot, kind, err)
 	}
-	n, err := strconv.Atoi(fields[1])
-	if err != nil || n < 0 || n > maxFrame {
-		return "", nil, fmt.Errorf("server: bad frame length %q", fields[1])
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	v, err := ent.Decode(buf)
+	if err != nil {
 		return "", nil, err
 	}
-	return fields[0], buf, nil
+	return kind, v, nil
+}
+
+// PullFrame fetches the named slot's raw encoded frame and its kind,
+// without decoding — the shape fan-in readers and relays want.
+func (c *Client) PullFrame(slot string) (string, []byte, error) {
+	return c.read(query{slot: slot}, false)
+}
+
+// QueryWindowFrame fetches the raw encoded frame of the slot's epoch
+// range [from, to] from a windowed server, and its kind.
+func (c *Client) QueryWindowFrame(slot string, from, to uint64) (string, []byte, error) {
+	return c.read(query{slot: slot, ranged: true, from: from, to: to}, false)
 }
 
 // QueryWindow decodes the merged summary of the named slot's epoch
@@ -218,10 +260,7 @@ func (c *Client) QueryWindowFrame(slot string, from, to uint64) (string, []byte,
 // server must be running windowed mode (summaryd -window).
 func (c *Client) QueryWindow(slot string, from, to uint64, out encoding.BinaryUnmarshaler) (string, error) {
 	kind, buf, err := c.QueryWindowFrame(slot, from, to)
-	if err != nil {
-		return "", err
-	}
-	return kind, out.UnmarshalBinary(buf)
+	return decodeInto(out, kind, buf, err)
 }
 
 // QueryWindowAny is QueryWindow without the caller naming the type:
@@ -229,28 +268,14 @@ func (c *Client) QueryWindow(slot string, from, to uint64, out encoding.BinaryUn
 // and decodes a fresh summary (as PullAny).
 func (c *Client) QueryWindowAny(slot string, from, to uint64) (string, any, error) {
 	kind, buf, err := c.QueryWindowFrame(slot, from, to)
-	if err != nil {
-		return "", nil, err
-	}
-	ent, err := registry.FromFrame(buf)
-	if err != nil {
-		return "", nil, fmt.Errorf("server: slot %q kind %q: %w", slot, kind, err)
-	}
-	v, err := ent.Decode(buf)
-	if err != nil {
-		return "", nil, err
-	}
-	return kind, v, nil
+	return decodeAny(slot, kind, buf, err)
 }
 
 // Pull decodes the named slot's merged summary into out, returning the
 // slot's kind.
 func (c *Client) Pull(slot string, out encoding.BinaryUnmarshaler) (string, error) {
 	kind, buf, err := c.PullFrame(slot)
-	if err != nil {
-		return "", err
-	}
-	return kind, out.UnmarshalBinary(buf)
+	return decodeInto(out, kind, buf, err)
 }
 
 // PullAny fetches and decodes the named slot's merged summary without
@@ -260,18 +285,7 @@ func (c *Client) Pull(slot string, out encoding.BinaryUnmarshaler) (string, erro
 // for kind "mg").
 func (c *Client) PullAny(slot string) (string, any, error) {
 	kind, buf, err := c.PullFrame(slot)
-	if err != nil {
-		return "", nil, err
-	}
-	ent, err := registry.FromFrame(buf)
-	if err != nil {
-		return "", nil, fmt.Errorf("server: slot %q kind %q: %w", slot, kind, err)
-	}
-	v, err := ent.Decode(buf)
-	if err != nil {
-		return "", nil, err
-	}
-	return kind, v, nil
+	return decodeAny(slot, kind, buf, err)
 }
 
 // PushTyped merges a summary into the named slot, deriving the wire
@@ -363,86 +377,40 @@ func (c *Client) Reset(slot string) error {
 	return err
 }
 
-// readFrameReply parses an "OK <kind> <len>\n<frame>" reply.
-func (c *Client) readFrameReply(cmd string) (string, []byte, error) {
-	rest, err := c.readStatus()
-	if err != nil {
-		return "", nil, err
-	}
-	fields := strings.Fields(rest)
-	if len(fields) != 2 {
-		return "", nil, fmt.Errorf("server: malformed %s reply %q", cmd, rest)
-	}
-	n, err := strconv.Atoi(fields[1])
-	if err != nil || n < 0 || n > maxFrame {
-		return "", nil, fmt.Errorf("server: bad frame length %q", fields[1])
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return "", nil, err
-	}
-	return fields[0], buf, nil
-}
-
 // PullClusterFrame fetches the cluster-wide merged frame of the named
 // slot via PULLC: the contacted node fans the read out to every peer
 // and reduces the snapshots before replying. Against a node without
 // peers it is a plain PULL.
 func (c *Client) PullClusterFrame(slot string) (string, []byte, error) {
-	fmt.Fprintf(c.w, "PULLC %s\n", slot)
-	if err := c.w.Flush(); err != nil {
-		return "", nil, err
-	}
-	return c.readFrameReply("PULLC")
+	return c.read(query{slot: slot}, true)
 }
 
 // PullCluster decodes the cluster-wide merged summary of the named
 // slot into out, returning the slot's kind.
 func (c *Client) PullCluster(slot string, out encoding.BinaryUnmarshaler) (string, error) {
 	kind, buf, err := c.PullClusterFrame(slot)
-	if err != nil {
-		return "", err
-	}
-	return kind, out.UnmarshalBinary(buf)
+	return decodeInto(out, kind, buf, err)
 }
 
 // PullClusterAny is PullCluster without the caller naming the type
 // (as PullAny).
 func (c *Client) PullClusterAny(slot string) (string, any, error) {
 	kind, buf, err := c.PullClusterFrame(slot)
-	if err != nil {
-		return "", nil, err
-	}
-	ent, err := registry.FromFrame(buf)
-	if err != nil {
-		return "", nil, fmt.Errorf("server: slot %q kind %q: %w", slot, kind, err)
-	}
-	v, err := ent.Decode(buf)
-	if err != nil {
-		return "", nil, err
-	}
-	return kind, v, nil
+	return decodeAny(slot, kind, buf, err)
 }
 
 // QueryWindowClusterFrame fetches the cluster-wide merged frame of the
 // slot's epoch range [from, to] via QWINC (epoch-0 conventions as
 // QueryWindow).
 func (c *Client) QueryWindowClusterFrame(slot string, from, to uint64) (string, []byte, error) {
-	fmt.Fprintf(c.w, "QWINC %s %d %d\n", slot, from, to)
-	if err := c.w.Flush(); err != nil {
-		return "", nil, err
-	}
-	return c.readFrameReply("QWINC")
+	return c.read(query{slot: slot, ranged: true, from: from, to: to}, true)
 }
 
 // QueryWindowCluster decodes the cluster-wide merged summary of the
 // slot's epoch range [from, to] into out, returning the slot's kind.
 func (c *Client) QueryWindowCluster(slot string, from, to uint64, out encoding.BinaryUnmarshaler) (string, error) {
 	kind, buf, err := c.QueryWindowClusterFrame(slot, from, to)
-	if err != nil {
-		return "", err
-	}
-	return kind, out.UnmarshalBinary(buf)
+	return decodeInto(out, kind, buf, err)
 }
 
 // Metrics fetches the server's METRICS counters as a name→value map:
@@ -511,25 +479,34 @@ func epochAt(t time.Time, originNS, tickNS int64) uint64 {
 	return uint64(d/tickNS) + 1
 }
 
-// QueryWindowTime decodes the merged summary of the wall-clock span
-// [from, to] into out, returning the slot's kind. The span is mapped
-// to epochs with the epoch origin and tick the server reports over
-// METRICS: the result covers every epoch that was live at any instant
-// of the span, rounded outward to epoch boundaries. A zero from means
-// "oldest retained"; a zero to means "through the live epoch". The
-// server must be running windowed mode with a tick (summaryd -window
-// -wtick), since only tick-driven epochs track wall time.
-func (c *Client) QueryWindowTime(slot string, from, to time.Time, out encoding.BinaryUnmarshaler) (string, error) {
+// epochRange maps the wall-clock span [from, to] to epochs with the
+// epoch origin and tick the server reports over METRICS: every epoch
+// that was live at any instant of the span, rounded outward to epoch
+// boundaries. A zero time stays epoch 0 — "oldest retained" for from,
+// "through the live epoch" for to.
+func (c *Client) epochRange(from, to time.Time) (fromE, toE uint64, err error) {
 	originNS, tickNS, err := c.windowClock()
 	if err != nil {
-		return "", err
+		return 0, 0, err
 	}
-	var fromE, toE uint64
 	if !from.IsZero() {
 		fromE = epochAt(from, originNS, tickNS)
 	}
 	if !to.IsZero() {
 		toE = epochAt(to, originNS, tickNS)
+	}
+	return fromE, toE, nil
+}
+
+// QueryWindowTime decodes the merged summary of the wall-clock span
+// [from, to] into out, returning the slot's kind. The span is mapped
+// to epochs by epochRange. The server must be running windowed mode
+// with a tick (summaryd -window -window-tick), since only tick-driven
+// epochs track wall time.
+func (c *Client) QueryWindowTime(slot string, from, to time.Time, out encoding.BinaryUnmarshaler) (string, error) {
+	fromE, toE, err := c.epochRange(from, to)
+	if err != nil {
+		return "", err
 	}
 	return c.QueryWindow(slot, fromE, toE, out)
 }
@@ -538,16 +515,9 @@ func (c *Client) QueryWindowTime(slot string, from, to time.Time, out encoding.B
 // QWINC. The contacted node's epoch clock maps the span; peers advance
 // on the same tick, so the range names the same span everywhere.
 func (c *Client) QueryWindowClusterTime(slot string, from, to time.Time, out encoding.BinaryUnmarshaler) (string, error) {
-	originNS, tickNS, err := c.windowClock()
+	fromE, toE, err := c.epochRange(from, to)
 	if err != nil {
 		return "", err
-	}
-	var fromE, toE uint64
-	if !from.IsZero() {
-		fromE = epochAt(from, originNS, tickNS)
-	}
-	if !to.IsZero() {
-		toE = epochAt(to, originNS, tickNS)
 	}
 	return c.QueryWindowCluster(slot, fromE, toE, out)
 }

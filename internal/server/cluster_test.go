@@ -22,10 +22,18 @@ import (
 // list, returning the list (peer order) and the live servers.
 func startPeerCluster(t *testing.T, n int, timeout time.Duration, retries int) ([]string, []*Server, func()) {
 	t.Helper()
+	return startPeerClusterWith(t, n, timeout, retries, func(*Server) {})
+}
+
+// startPeerClusterWith is startPeerCluster with every server passed
+// through configure (SetWindow, …) before it serves.
+func startPeerClusterWith(t *testing.T, n int, timeout time.Duration, retries int, configure func(*Server)) ([]string, []*Server, func()) {
+	t.Helper()
 	servers := make([]*Server, n)
 	addrs := make([]string, n)
 	for i := range servers {
 		servers[i] = New()
+		configure(servers[i])
 		addr, err := servers[i].Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +42,9 @@ func startPeerCluster(t *testing.T, n int, timeout time.Duration, retries int) (
 	}
 	done := make(chan error, n)
 	for i, s := range servers {
-		s.SetPeers(addrs[i], addrs, timeout, retries)
+		if err := s.SetPeers(addrs[i], addrs, timeout, retries); err != nil {
+			t.Fatal(err)
+		}
 		go func(s *Server) { done <- s.Serve() }(s)
 	}
 	return addrs, servers, func() {
@@ -387,9 +397,10 @@ func TestClusterPartialResultOnHungPeer(t *testing.T) {
 	if !strings.Contains(re.Msg, "1/2 peers ok") {
 		t.Fatalf("partial-result error miscounts: %q", re.Msg)
 	}
-	// One attempt at 150ms plus dial/scheduling slack: well under 2s.
-	if elapsed > 2*time.Second {
-		t.Fatalf("fan-in over a hung peer took %v: the deadline is not cutting it off", elapsed)
+	// The documented bound: (retries+1)·timeout, dial included — one
+	// attempt at 150ms here — plus scheduling slack.
+	if bound := timeout + 250*time.Millisecond; elapsed > bound {
+		t.Fatalf("fan-in over a hung peer took %v, want <= %v: the per-attempt deadline is not cutting it off", elapsed, bound)
 	}
 
 	// The same slot is still answerable node-locally.
@@ -424,7 +435,8 @@ func TestClusterDeadPeerPartialResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetPeers(addr, []string{addr, deadAddr}, 200*time.Millisecond, 1)
+	const timeout, retries = 200 * time.Millisecond, 1
+	s.SetPeers(addr, []string{addr, deadAddr}, timeout, retries)
 	done := make(chan error, 1)
 	go func() { done <- s.Serve() }()
 	defer func() {
@@ -444,9 +456,16 @@ func TestClusterDeadPeerPartialResult(t *testing.T) {
 	if _, err := c.Push("dq", "mg", sum); err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	_, _, err = c.PullClusterFrame("dq")
+	elapsed := time.Since(start)
 	if err == nil || !strings.Contains(err.Error(), "partial result") {
 		t.Fatalf("want partial-result error, got %v", err)
+	}
+	// Refused connections fail in microseconds; even if every attempt
+	// ran its deadline out the read is bounded by (retries+1)·timeout.
+	if bound := (retries+1)*timeout + 250*time.Millisecond; elapsed > bound {
+		t.Fatalf("fan-in over a dead peer took %v, want <= %v", elapsed, bound)
 	}
 
 	// The retry was attempted and counted.

@@ -4,13 +4,9 @@ import (
 	"encoding"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/registry"
 )
 
 // ClusterClient spreads one logical summaryd workload over a node
@@ -18,8 +14,8 @@ import (
 // ring (every client computes the same ring from the same node list,
 // so all writers of a slot land on one node without coordination), and
 // PullAll answers cluster-wide reads by pulling every node's snapshot
-// concurrently and reducing them client-side — the same registry-driven
-// fan-in the server's PULLC runs, minus the extra network hop.
+// concurrently and reducing them client-side — the very gather the
+// server's PULLC runs (read.go), minus the extra network hop.
 //
 // A ClusterClient is NOT safe for concurrent use: it caches one
 // connection per node and re-uses them across calls (PullAll uses each
@@ -74,184 +70,115 @@ func (cc *ClusterClient) Nodes() []string { return cc.nodes }
 func (cc *ClusterClient) Owner(slot string) string { return cc.ring.Owner(slot) }
 
 // withConn runs op on node i's cached connection, dialing on first
-// use. A transport failure (not a server ERR reply) drops the cached
-// connection and retries once on a fresh dial, so one stale socket —
-// a node restart, an idle-timeout — does not poison the client.
+// use; each attempt runs under one deadline (reach). A transport
+// failure (not a server ERR reply) drops the cached connection and
+// retries once on a fresh dial, so one stale socket — a node restart,
+// an idle-timeout — does not poison the client.
 func (cc *ClusterClient) withConn(i int, op func(*Client) error) error {
-	redialed := false
 	for {
-		c := cc.conns[i]
-		if c == nil {
-			var err error
-			c, err = DialTimeout(cc.nodes[i], cc.timeout)
-			if err != nil {
-				return fmt.Errorf("node %s: %w", cc.nodes[i], err)
-			}
-			cc.conns[i] = c
-			redialed = true
+		cached := cc.conns[i] != nil
+		c, err := reach(cc.conns[i], cc.nodes[i], cc.timeout)
+		if err != nil {
+			return err
 		}
-		c.SetDeadline(time.Now().Add(cc.timeout))
-		err := op(c)
+		cc.conns[i] = c
+		err = op(c)
 		c.SetDeadline(time.Time{})
-		if err == nil {
-			return nil
-		}
 		var re *RemoteError
-		if errors.As(err, &re) {
-			// The server answered; the connection is fine.
+		if err == nil || errors.As(err, &re) {
+			// Done, or the server answered: the connection is fine.
 			return err
 		}
 		c.conn.Close()
 		cc.conns[i] = nil
-		if redialed {
-			return fmt.Errorf("node %s: %w", cc.nodes[i], err)
+		if !cached {
+			return err
 		}
 	}
 }
 
+// toOwner runs op on the connection to the slot key's owning node,
+// naming the node in any transport failure.
+func (cc *ClusterClient) toOwner(slot string, op func(*Client) error) error {
+	i := cc.ring.OwnerIndex(slot)
+	err := cc.withConn(i, op)
+	var re *RemoteError
+	if err != nil && !errors.As(err, &re) {
+		return fmt.Errorf("node %s: %w", cc.nodes[i], err)
+	}
+	return err
+}
+
 // Push routes the summary to the slot key's owning node and merges it
 // there, returning that node's slot weight after the merge.
-func (cc *ClusterClient) Push(slot, kind string, summary encoding.BinaryMarshaler) (uint64, error) {
-	var n uint64
-	err := cc.withConn(cc.ring.OwnerIndex(slot), func(c *Client) error {
-		var err error
-		n, err = c.Push(slot, kind, summary)
-		return err
+func (cc *ClusterClient) Push(slot, kind string, summary encoding.BinaryMarshaler) (n uint64, err error) {
+	err = cc.toOwner(slot, func(c *Client) (e error) {
+		n, e = c.Push(slot, kind, summary)
+		return e
 	})
 	return n, err
 }
 
 // PushBatch routes the whole batch to the slot key's owning node with
 // PUSHB round-trips, returning that node's slot weight after the batch.
-func (cc *ClusterClient) PushBatch(slot, kind string, summaries []encoding.BinaryMarshaler) (uint64, error) {
-	var n uint64
-	err := cc.withConn(cc.ring.OwnerIndex(slot), func(c *Client) error {
-		var err error
-		n, err = c.PushBatch(slot, kind, summaries)
-		return err
+func (cc *ClusterClient) PushBatch(slot, kind string, summaries []encoding.BinaryMarshaler) (n uint64, err error) {
+	err = cc.toOwner(slot, func(c *Client) (e error) {
+		n, e = c.PushBatch(slot, kind, summaries)
+		return e
 	})
 	return n, err
 }
 
-// PullAllFrame fetches the cluster-wide merged frame of the named
-// slot: every node's PULL snapshot is read concurrently and reduced
-// client-side in node-list order (so the answer is byte-identical to
-// the server-side PULLC fan-in over the same member list). Nodes that
-// never saw the slot contribute nothing; a node that cannot be read
-// fails the whole call with a partial-result error naming it — the
-// caller is never handed an answer silently missing a node's share.
-func (cc *ClusterClient) PullAllFrame(slot string) (string, []byte, error) {
-	frames, err := cc.fanOut(func(c *Client) ([]byte, error) {
-		_, data, err := c.PullFrame(slot)
-		return data, err
+// readAll answers q cluster-wide, client-side: every node is read over
+// its cached connection (each used by exactly one of gather's
+// goroutines) and the frames reduce in node-list order, so the answer
+// is byte-identical to the server-side fan-in over the same member
+// list. Nodes holding nothing contribute nothing; a node that cannot
+// be read fails the whole call with a partial-result error naming it —
+// the caller is never handed an answer silently missing a node's share.
+func (cc *ClusterClient) readAll(q query) (string, []byte, error) {
+	kind, frame, err := gather(q, cc.nodes, func(i int) (frame []byte, err error) {
+		err = cc.withConn(i, func(c *Client) (e error) {
+			_, frame, e = c.read(q, false)
+			return e
+		})
+		return frame, err
 	})
 	if err != nil {
-		return "", nil, err
+		return "", nil, fmt.Errorf("cluster: %w", err)
 	}
-	if len(frames) == 0 {
-		return "", nil, &RemoteError{Msg: fmt.Sprintf("no such slot %q", slot)}
-	}
-	return cluster.ReduceEncoded(frames)
+	return kind, frame, nil
+}
+
+// PullAllFrame fetches the cluster-wide merged frame of the named
+// slot, reduced client-side (readAll).
+func (cc *ClusterClient) PullAllFrame(slot string) (string, []byte, error) {
+	return cc.readAll(query{slot: slot})
 }
 
 // PullAll decodes the cluster-wide merged summary of the named slot
 // into out, returning the slot's kind.
 func (cc *ClusterClient) PullAll(slot string, out encoding.BinaryUnmarshaler) (string, error) {
 	kind, buf, err := cc.PullAllFrame(slot)
-	if err != nil {
-		return "", err
-	}
-	return kind, out.UnmarshalBinary(buf)
+	return decodeInto(out, kind, buf, err)
 }
 
 // PullAllAny is PullAll without the caller naming the type (as
 // PullAny).
 func (cc *ClusterClient) PullAllAny(slot string) (string, any, error) {
 	kind, buf, err := cc.PullAllFrame(slot)
-	if err != nil {
-		return "", nil, err
-	}
-	ent, err := registry.FromFrame(buf)
-	if err != nil {
-		return "", nil, fmt.Errorf("slot %q kind %q: %w", slot, kind, err)
-	}
-	v, err := ent.Decode(buf)
-	if err != nil {
-		return "", nil, err
-	}
-	return kind, v, nil
+	return decodeAny(slot, kind, buf, err)
 }
 
 // QueryWindowAllFrame is PullAllFrame over an epoch range: every
 // node's QWIN answer for [from, to], reduced in node-list order.
 func (cc *ClusterClient) QueryWindowAllFrame(slot string, from, to uint64) (string, []byte, error) {
-	frames, err := cc.fanOut(func(c *Client) ([]byte, error) {
-		_, data, err := c.QueryWindowFrame(slot, from, to)
-		return data, err
-	})
-	if err != nil {
-		return "", nil, err
-	}
-	if len(frames) == 0 {
-		return "", nil, &RemoteError{Msg: fmt.Sprintf("window: nothing summarized in [%d, %d]", from, to)}
-	}
-	return cluster.ReduceEncoded(frames)
+	return cc.readAll(query{slot: slot, ranged: true, from: from, to: to})
 }
 
 // QueryWindowAll decodes the cluster-wide merged summary of the epoch
 // range [from, to] into out, returning the slot's kind.
 func (cc *ClusterClient) QueryWindowAll(slot string, from, to uint64, out encoding.BinaryUnmarshaler) (string, error) {
 	kind, buf, err := cc.QueryWindowAllFrame(slot, from, to)
-	if err != nil {
-		return "", err
-	}
-	return kind, out.UnmarshalBinary(buf)
-}
-
-// fanOut reads one frame per node concurrently (each node's cached
-// connection is used by exactly one goroutine), keeping node-list
-// order. No-data replies contribute nothing; any other failure fails
-// the call with every failing node named.
-func (cc *ClusterClient) fanOut(op func(*Client) ([]byte, error)) ([][]byte, error) {
-	type res struct {
-		frame []byte
-		err   error
-	}
-	results := make([]res, len(cc.nodes))
-	var wg sync.WaitGroup
-	for i := range cc.nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			err := cc.withConn(i, func(c *Client) error {
-				frame, err := op(c)
-				if err != nil {
-					return err
-				}
-				results[i].frame = frame
-				return nil
-			})
-			if err != nil && !IsNoData(err) {
-				results[i].err = err
-			}
-		}(i)
-	}
-	wg.Wait()
-	var failed []string
-	frames := make([][]byte, 0, len(cc.nodes))
-	for i, r := range results {
-		if r.err != nil {
-			failed = append(failed, fmt.Sprintf("%s: %v", cc.nodes[i], r.err))
-			continue
-		}
-		if r.frame != nil {
-			frames = append(frames, r.frame)
-		}
-	}
-	if len(failed) > 0 {
-		sort.Strings(failed)
-		return nil, fmt.Errorf("cluster: partial result (%d/%d nodes ok): %s",
-			len(cc.nodes)-len(failed), len(cc.nodes), strings.Join(failed, "; "))
-	}
-	return frames, nil
+	return decodeInto(out, kind, buf, err)
 }

@@ -14,19 +14,15 @@ import (
 	"repro/internal/window"
 )
 
-// errSlotEmpty reports a PULL of a slot that exists but holds nothing.
-var errSlotEmpty = errors.New("slot is empty")
+// errSlotEmpty reports a read of a slot that exists but holds nothing;
+// emptySlot attaches the slot name. The cluster fan-in treats it (like
+// errNoSlot) as "this peer contributes nothing".
+var errSlotEmpty = errors.New("is empty")
+
+func emptySlot(name string) error { return fmt.Errorf("slot %q %w", name, errSlotEmpty) }
 
 // errNoSlot reports an operation on a slot that was never pushed to.
 var errNoSlot = errors.New("no such slot")
-
-// emptySlotError is errSlotEmpty with the slot name attached; it
-// matches errors.Is(err, errSlotEmpty), and the cluster fan-in treats
-// it (like errNoSlot) as "this peer contributes nothing".
-type emptySlotError struct{ name string }
-
-func (e *emptySlotError) Error() string        { return fmt.Sprintf("slot %q is empty", e.name) }
-func (e *emptySlotError) Is(target error) bool { return target == errSlotEmpty }
 
 // snapshot is one epoch of a slot's encoded state. data is immutable
 // once published: concurrent PULLs write the same bytes to their own
@@ -264,6 +260,49 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 	sl.plane = pl
 }
 
+// kindMismatch reports a push of ent's family into a slot bound to
+// another. ent can be bound with summary still nil when the ingest
+// front holds the slot's only data, so the check keys on ent.
+//
+//sketch:locked
+func (sl *slot) kindMismatch(name string, ent *registry.Entry) error {
+	if sl.ent != nil && sl.ent != ent {
+		return fmt.Errorf("slot %q holds kind %q", name, sl.ent.Name())
+	}
+	return nil
+}
+
+// ingestLocked is the per-frame step every direct push runs under
+// sl.mu: bind the slot's kind on first contact, install incoming or
+// merge it in, feed the slot's roll-up plane, recycle. On a merge error
+// the slot may be partially mutated and incoming may alias its state:
+// the caller must bump the version, so no cached snapshot outlives it,
+// and incoming is left to the caller.
+//
+//sketch:locked
+func (n *Node) ingestLocked(sl *slot, ent *registry.Entry, incoming any) error {
+	install := sl.summary == nil
+	if install {
+		sl.ent = ent
+		sl.summary = incoming // ownership transfers to the slot
+		n.bindPlane(sl, ent)
+	} else if err := ent.Merge(sl.summary, incoming); err != nil {
+		return err
+	} else {
+		n.counters(ent).merges.Add(1)
+	}
+	if sl.plane != nil {
+		// AbsorbClone never takes ownership, so the slot keeps a summary
+		// it just installed.
+		_ = sl.plane.AbsorbClone(incoming)
+	}
+	if !install {
+		ent.PutScratch(incoming)
+	}
+	sl.pushes++
+	return nil
+}
+
 // Ingest decodes nothing: it takes an already-decoded summary of ent's
 // family and merges it into the named slot under the slot lock,
 // binding the slot's kind on first contact. Ownership of incoming
@@ -273,40 +312,18 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 func (n *Node) Ingest(name string, ent *registry.Entry, incoming any) (uint64, error) {
 	sl := n.getSlot(name)
 	sl.mu.Lock()
-	switch {
-	// ent can be bound with summary still nil when the ingest front
-	// holds the slot's only data, so the mismatch check keys on ent.
-	case sl.ent != nil && sl.ent != ent:
-		held := sl.ent.Name()
+	err := sl.kindMismatch(name, ent)
+	if err == nil {
+		if err = n.ingestLocked(sl, ent, incoming); err != nil {
+			err = fmt.Errorf("merge: %v", err)
+		}
+		sl.version.Add(1)
+	}
+	if err != nil {
 		sl.mu.Unlock()
 		ent.PutScratch(incoming)
-		return 0, fmt.Errorf("slot %q holds kind %q", name, held)
-	case sl.summary == nil:
-		sl.ent = ent
-		sl.summary = incoming // ownership transfers to the slot
-		n.bindPlane(sl, ent)
-		if sl.plane != nil {
-			// AbsorbClone never takes ownership, so the slot keeps the
-			// summary it just installed.
-			_ = sl.plane.AbsorbClone(incoming)
-		}
-	default:
-		if err := ent.Merge(sl.summary, incoming); err != nil {
-			// A failed merge may have partially mutated the slot;
-			// bump the version so no cached snapshot outlives it.
-			sl.version.Add(1)
-			sl.mu.Unlock()
-			ent.PutScratch(incoming)
-			return 0, fmt.Errorf("merge: %v", err)
-		}
-		n.counters(ent).merges.Add(1)
-		if sl.plane != nil {
-			_ = sl.plane.AbsorbClone(incoming)
-		}
-		ent.PutScratch(incoming)
+		return 0, err
 	}
-	sl.pushes++
-	sl.version.Add(1)
 	total := ent.N(sl.summary)
 	sl.mu.Unlock()
 	n.counters(ent).pushes.Add(1)
@@ -323,48 +340,30 @@ func (n *Node) IngestBatch(name string, ent *registry.Entry, decoded []any, toke
 	if n.frontLanes > 0 {
 		return n.ingestBatchFront(name, ent, decoded, token)
 	}
-	count := len(decoded)
 	sl := n.getSlot(name)
 	sl.mu.Lock()
-	if sl.ent != nil && sl.ent != ent {
-		held := sl.ent.Name()
-		sl.mu.Unlock()
-		for _, d := range decoded {
-			ent.PutScratch(d)
+	err := sl.kindMismatch(name, ent)
+	done := 0 // frames ingested before the first failure
+	var total uint64
+	if err == nil {
+		for ; done < len(decoded); done++ {
+			if mergeErr := n.ingestLocked(sl, ent, decoded[done]); mergeErr != nil {
+				err = fmt.Errorf("merge frame %d/%d: %v", done+1, len(decoded), mergeErr)
+				break
+			}
 		}
-		return 0, fmt.Errorf("slot %q holds kind %q", name, held)
+		sl.version.Add(1)
 	}
-	for i, incoming := range decoded {
-		if sl.summary == nil {
-			sl.ent = ent
-			sl.summary = incoming // ownership transfers to the slot
-			n.bindPlane(sl, ent)
-			if sl.plane != nil {
-				_ = sl.plane.AbsorbClone(incoming)
-			}
-		} else if err := ent.Merge(sl.summary, incoming); err != nil {
-			// Frames before i stay merged; invalidate any snapshot.
-			sl.version.Add(1)
-			sl.mu.Unlock()
-			for _, d := range decoded[i:] {
-				ent.PutScratch(d)
-			}
-			n.counters(ent).pushes.Add(uint64(i))
-			return 0, fmt.Errorf("merge frame %d/%d: %v", i+1, count, err)
-		} else {
-			n.counters(ent).merges.Add(1)
-			if sl.plane != nil {
-				_ = sl.plane.AbsorbClone(incoming)
-			}
-			ent.PutScratch(incoming)
-		}
-		sl.pushes++
+	if err == nil {
+		total = ent.N(sl.summary)
 	}
-	sl.version.Add(1)
-	total := ent.N(sl.summary)
 	sl.mu.Unlock()
-	n.counters(ent).pushes.Add(uint64(count))
-	return total, nil
+	n.counters(ent).pushes.Add(uint64(done))
+	// Frames before a failure stay merged; the rest are recycled.
+	for _, d := range decoded[done:] {
+		ent.PutScratch(d)
+	}
+	return total, err
 }
 
 // ingestBatchFront is the batch tail on nodes running the ingest
@@ -391,11 +390,10 @@ func (n *Node) ingestBatchFront(name string, ent *registry.Entry, decoded []any,
 	}
 	sl := n.getSlot(name)
 	sl.mu.Lock()
-	if sl.ent != nil && sl.ent != ent {
-		held := sl.ent.Name()
+	if err := sl.kindMismatch(name, ent); err != nil {
 		sl.mu.Unlock()
 		ent.PutScratch(folded)
-		return 0, fmt.Errorf("slot %q holds kind %q", name, held)
+		return 0, err
 	}
 	sl.ent = ent
 	sl.pushes += uint64(len(decoded))
@@ -509,9 +507,9 @@ func (n *Node) Encoded(name string) (string, []byte, error) {
 	kind, data, err := sl.encoded(n.snapCacheOff.Load())
 	if err != nil {
 		if errors.Is(err, errSlotEmpty) {
-			return "", nil, &emptySlotError{name}
+			return "", nil, emptySlot(name)
 		}
-		return "", nil, err
+		return "", nil, fmt.Errorf("encoding: %w", err)
 	}
 	if ent, entOK := registry.ByName(kind); entOK {
 		n.counters(ent).pulls.Add(1)
@@ -530,26 +528,20 @@ func (n *Node) WindowEncoded(name string, from, to uint64) (string, []byte, erro
 	}
 	n.flushFront(sl)
 	sl.mu.Lock()
-	pl := sl.plane
-	kind := ""
-	if sl.ent != nil {
-		kind = sl.ent.Name()
-	}
+	pl, ent := sl.plane, sl.ent // a plane is bound together with its kind
 	sl.mu.Unlock()
 	if pl == nil {
 		if !n.windowed {
 			return "", nil, errors.New("windowed queries disabled (start with -window)")
 		}
-		return "", nil, &emptySlotError{name}
+		return "", nil, emptySlot(name)
 	}
 	frame, err := pl.QueryEncoded(from, to)
 	if err != nil {
 		return "", nil, err
 	}
-	if ent, entOK := registry.ByName(kind); entOK {
-		n.counters(ent).pulls.Add(1)
-	}
-	return kind, frame, nil
+	n.counters(ent).pulls.Add(1)
+	return ent.Name(), frame, nil
 }
 
 // Rows returns one STAT row per slot, each formatted under its slot's

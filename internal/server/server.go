@@ -37,7 +37,23 @@
 // run over the network as a star. Peers missing the slot contribute
 // nothing; a peer that cannot be reached within the per-peer timeout
 // (after retries) turns the reply into a partial-result error naming
-// the failed peers, never a hang. See fanout.go.
+// the failed peers, never a hang.
+//
+// All four read commands are one path (read.go):
+//
+//	query → local answer | gather over the members → reduce → reply
+//
+// The command line parses into a query value that knows what differs
+// between reads (its wire line, its answer on a Node, its no-data
+// reply); it is answered from this node's own state or gathered over
+// the peer list, reduced, and written by the one frame-reply writer.
+// The cluster client's PullAll/QueryWindowAll run the same gather and
+// the same reduce client-side, reaching members over cached connections
+// instead of fresh dials, and the reduce (cluster.ReduceEncoded) is the
+// window.Reduce the roll-up plane folds its segments with. The paper's
+// theorem is why one of each suffices: a summary's guarantee survives
+// any merge tree, so it cannot matter whether the ladder, a peer or a
+// client picked it.
 //
 // Every frame on the wire is preceded by its own "<len>\n" length
 // line. PUSHB is the batch ingestion command: workers pipeline up to
@@ -148,10 +164,11 @@ func putFrame(f *frameBuf) {
 type Server struct {
 	*Node
 
-	// peer mode (SetPeers): the full cluster member list, this node's
-	// own entry, and the per-peer fan-out policy. See fanout.go.
+	// peer mode (SetPeers): the full cluster member list, the index of
+	// this node's own entry, and the per-peer fan-out policy. See
+	// read.go.
 	peers       []string
-	self        string
+	selfAt      int
 	peerTimeout time.Duration
 	peerRetries int
 
@@ -333,7 +350,7 @@ func (s *Server) handle(conn net.Conn) {
 		if len(fields) == 0 {
 			continue
 		}
-		switch strings.ToUpper(fields[0]) {
+		switch verb := strings.ToUpper(fields[0]); verb {
 		case "PUSH":
 			if !s.cmdPush(fields, r, w) {
 				return
@@ -342,14 +359,8 @@ func (s *Server) handle(conn net.Conn) {
 			if !s.cmdPushBatch(token, fields, r, w) {
 				return
 			}
-		case "PULL":
-			s.cmdPull(fields, w)
-		case "PULLC":
-			s.cmdPullCluster(fields, w)
-		case "QWIN":
-			s.cmdQueryWindow(fields, w)
-		case "QWINC":
-			s.cmdQueryWindowCluster(fields, w)
+		case "PULL", "PULLC", "QWIN", "QWINC":
+			s.cmdRead(verb, fields, w)
 		case "STAT":
 			s.cmdStat(w)
 		case "METRICS":
@@ -516,48 +527,6 @@ func (s *Server) cmdPushBatch(token uint64, fields []string, r *bufio.Reader, w 
 	}
 	fmt.Fprintf(w, "OK %d\n", n)
 	return true
-}
-
-func (s *Server) cmdPull(fields []string, w *bufio.Writer) {
-	if len(fields) != 2 {
-		fmt.Fprintf(w, "ERR usage: PULL <slot>\n")
-		return
-	}
-	kind, data, err := s.Encoded(fields[1])
-	if err != nil {
-		switch {
-		case errors.Is(err, errNoSlot), errors.Is(err, errSlotEmpty):
-			fmt.Fprintf(w, "ERR %v\n", err)
-		default:
-			fmt.Fprintf(w, "ERR encoding: %v\n", err)
-		}
-		return
-	}
-	fmt.Fprintf(w, "OK %s %d\n", kind, len(data))
-	w.Write(data)
-}
-
-// cmdQueryWindow handles QWIN <slot> <from> <to>: the slot's roll-up
-// plane answers the epoch range with a minimal precomputed-segment
-// cover (0 = oldest retained / through the live epoch).
-func (s *Server) cmdQueryWindow(fields []string, w *bufio.Writer) {
-	if len(fields) != 4 {
-		fmt.Fprintf(w, "ERR usage: QWIN <slot> <from> <to>\n")
-		return
-	}
-	from, err1 := strconv.ParseUint(fields[2], 10, 64)
-	to, err2 := strconv.ParseUint(fields[3], 10, 64)
-	if err1 != nil || err2 != nil {
-		fmt.Fprintf(w, "ERR bad epoch range %q %q\n", fields[2], fields[3])
-		return
-	}
-	kind, frame, err := s.WindowEncoded(fields[1], from, to)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return
-	}
-	fmt.Fprintf(w, "OK %s %d\n", kind, len(frame))
-	w.Write(frame)
 }
 
 func (s *Server) cmdStat(w *bufio.Writer) {

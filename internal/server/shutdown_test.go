@@ -196,3 +196,61 @@ func TestQueryWindowTime(t *testing.T) {
 		t.Fatal("QueryWindowTime succeeded against a non-windowed server")
 	}
 }
+
+// TestQueryWindowClusterTime: the wall-clock query fanned cluster-wide.
+// The contacted node's epoch clock maps the span, QWINC does the rest,
+// so a span covering the live epoch returns every node's share.
+func TestQueryWindowClusterTime(t *testing.T) {
+	windowed := func(s *Server) { s.SetWindow(window.Ladder{Fan: 4, Levels: 2}, time.Hour) }
+	addrs, _, stop := startPeerClusterWith(t, 3, 2*time.Second, 1, windowed)
+	defer stop()
+	conns := make([]*Client, len(addrs))
+	for i, a := range addrs {
+		c, err := Dial(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+		pushMG(t, c, "tw", uint64(i), 10*uint64(i+1)) // 10 + 20 + 30
+	}
+
+	// Zero times mean the full retained range, exactly as epoch zeros.
+	var got mg.Summary
+	kind, err := conns[0].QueryWindowClusterTime("tw", time.Time{}, time.Time{}, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != "mg" || got.N() != 60 {
+		t.Fatalf("QueryWindowClusterTime zero-span: kind=%q n=%d, want mg 60", kind, got.N())
+	}
+
+	// A [start-of-serving, now] span maps to the live epoch (the tick is
+	// an hour) on the contacted node's clock, whichever node is asked.
+	for i, c := range conns {
+		m, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		origin := time.Unix(0, int64(m["window.origin_unix_ns"]))
+		var span mg.Summary
+		if _, err := c.QueryWindowClusterTime("tw", origin, time.Now(), &span); err != nil {
+			t.Fatal(err)
+		}
+		if span.N() != 60 {
+			t.Fatalf("QueryWindowClusterTime live-span via node %d: n=%d, want 60", i, span.N())
+		}
+	}
+
+	// Against a non-windowed server the mapping fails before any QWINC.
+	plainAddr, plainStop := startServer(t)
+	defer plainStop()
+	pc, err := Dial(plainAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	if _, err := pc.QueryWindowClusterTime("tw", time.Time{}, time.Time{}, &mg.Summary{}); err == nil {
+		t.Fatal("QueryWindowClusterTime succeeded against a non-windowed server")
+	}
+}

@@ -130,31 +130,6 @@ func (s *Sharded[S]) Snapshot(clone func(S) S, merge func(dst, src S) error) (S,
 	return acc, nil
 }
 
-// Encoder is the slice of the registry catalog's entry the encoded
-// snapshot path needs; *registry.Entry satisfies it. Declaring the
-// interface here keeps shard a pure data-structure package with no
-// registry dependency.
-type Encoder interface {
-	Encode(v any) ([]byte, error)
-}
-
-// SnapshotEncoded takes a Snapshot and returns it as a self-describing
-// wire frame via enc — typically the family's *registry.Entry — ready
-// to PUSH to an aggregator. This is the shard-to-server hop of the
-// paper's merge topology: per-shard summaries fold locally, and only
-// the constant-size frame crosses the process boundary.
-func (s *Sharded[S]) SnapshotEncoded(enc Encoder, clone func(S) S, merge func(dst, src S) error) ([]byte, error) {
-	acc, err := s.Snapshot(clone, merge)
-	if err != nil {
-		return nil, err
-	}
-	data, err := enc.Encode(acc)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encoding snapshot: %w", err)
-	}
-	return data, nil
-}
-
 // Drain removes and returns the shard summaries, replacing them with
 // fresh ones from mk — the epoch-rotation pattern for periodic
 // flushing to an aggregator.

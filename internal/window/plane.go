@@ -4,7 +4,7 @@
 // fan-aligned block — enqueues background roll-up merges that
 // materialize the block one level up. Queries over an arbitrary
 // sealed epoch range are planned as the minimal segment cover
-// (O(log n) pieces) and reduced through mergetree.Parallel, so "p99
+// (O(log n) pieces) and reduced through Reduce, so "p99
 // over the last hour" at a 1s tick is a handful of frozen-segment
 // merges instead of ~3600 per-epoch ones. Correctness is pure
 // PODS'12 mergeability: every segment carries the single-summary
@@ -13,12 +13,16 @@
 package window
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-
-	"repro/internal/mergetree"
 )
+
+// ErrNoData reports a query whose range holds no sealed segment and no
+// live data: nothing was summarized there, as opposed to a range that
+// is malformed or evicted. Fan-in readers test for it with errors.Is to
+// let such a plane contribute nothing.
+var ErrNoData = errors.New("window: nothing summarized")
 
 // Ops is the family-erased summary surface the plane needs; the
 // registry's *Entry satisfies it, so a server (or test) hands a
@@ -65,11 +69,9 @@ type queryKey struct{ from, to uint64 }
 // to the live-mutation version, mirroring the server's PULL snapshot
 // cache: any Absorb/Update/Advance bump invalidates them.
 type queryEnt struct {
-	live     uint64 // liveVer at compute time (live ranges only)
-	hasLive  bool
-	frame    []byte
-	n        uint64
-	segments int
+	live    uint64 // liveVer at compute time (live ranges only)
+	hasLive bool
+	frame   []byte
 }
 
 // maxCachedQueries bounds the cover cache; on overflow the cache is
@@ -97,7 +99,6 @@ type Plane struct {
 
 	cache    map[queryKey]queryEnt
 	cacheOff bool
-	maxLevel int // coarsest level the planner may use
 
 	rollups    uint64
 	rollupErrs uint64
@@ -118,13 +119,12 @@ func NewPlane(ops Ops, mk func(epoch uint64) any, l Ladder) (*Plane, error) {
 		return nil, err
 	}
 	p := &Plane{
-		ops:      ops,
-		ladder:   nl,
-		mk:       mk,
-		store:    newSegStore(nl),
-		now:      1,
-		cache:    map[queryKey]queryEnt{},
-		maxLevel: nl.Levels - 1,
+		ops:    ops,
+		ladder: nl,
+		mk:     mk,
+		store:  newSegStore(nl),
+		now:    1,
+		cache:  map[queryKey]queryEnt{},
 	}
 	p.cond = sync.NewCond(&p.mu)
 	go p.rollWorker()
@@ -157,19 +157,6 @@ func (p *Plane) SetQueryCache(on bool) {
 	if !on {
 		clear(p.cache)
 	}
-	p.mu.Unlock()
-}
-
-// SetMaxLevel caps the coarsest level the planner may use; -1 resets
-// to the ladder's top. Capping at 0 forces flat per-epoch covers —
-// the roll-ups-off baseline the bench suite measures against.
-func (p *Plane) SetMaxLevel(level int) {
-	p.mu.Lock()
-	if level < 0 || level >= p.ladder.Levels {
-		level = p.ladder.Levels - 1
-	}
-	p.maxLevel = level
-	clear(p.cache)
 	p.mu.Unlock()
 }
 
@@ -291,7 +278,7 @@ func (p *Plane) Advance() error {
 	// completing both an 8-block and a 64-block) builds level 1 before
 	// level 2 consumes it.
 	if sealErr == nil {
-		for level := 1; level <= p.maxRollLevel(); level++ {
+		for level := 1; level < p.ladder.Levels; level++ {
 			span := p.ladder.span(level)
 			if sealed%span == 0 {
 				p.pending = append(p.pending, rollupJob{level: level, from: sealed - span + 1})
@@ -308,8 +295,6 @@ func (p *Plane) Advance() error {
 	p.mu.Unlock()
 	return sealErr
 }
-
-func (p *Plane) maxRollLevel() int { return p.ladder.Levels - 1 }
 
 // dropLiveEntries removes cache entries pinned to the live epoch.
 func (p *Plane) dropLiveEntries() {
@@ -340,15 +325,17 @@ func (p *Plane) rollWorker() {
 		// Gather the block's sealed children while still locked;
 		// frames are immutable so the refs stay valid unlocked.
 		childSpan := p.ladder.span(job.level - 1)
-		children := make([]*Segment, 0, p.ladder.Fan)
+		children := make([][]byte, 0, p.ladder.Fan)
+		var n uint64
 		for i := 0; i < p.ladder.Fan; i++ {
 			if seg, ok := p.store.get(job.level-1, job.from+uint64(i)*childSpan); ok {
-				children = append(children, seg)
+				children = append(children, seg.Frame)
+				n += seg.N
 			}
 		}
 		p.mu.Unlock()
 
-		seg, err := p.mergeSegments(children, job.level, job.from, job.from+p.ladder.span(job.level)-1)
+		seg, err := p.rollUp(children, n, job)
 
 		p.mu.Lock()
 		switch {
@@ -368,78 +355,20 @@ func (p *Plane) rollWorker() {
 	}
 }
 
-// mergeSegments decodes the given sealed segments into pooled scratch
-// summaries, reduces them in ascending epoch order, and re-encodes
-// the result as one segment at the target level. A nil segment (no
-// children) means the whole block was empty. Called with no lock
-// held.
-func (p *Plane) mergeSegments(segs []*Segment, level int, from, to uint64) (*Segment, error) {
-	if len(segs) == 0 {
+// rollUp reduces a block's sealed child frames (ascending epoch
+// order, total weight n) into the one segment the job asked for. A nil
+// segment (no children) means the whole block was empty. Called with
+// no lock held.
+func (p *Plane) rollUp(children [][]byte, n uint64, job rollupJob) (*Segment, error) {
+	if len(children) == 0 {
 		return nil, nil
 	}
-	acc, n, err := p.reduce(segs)
+	to := job.from + p.ladder.span(job.level) - 1
+	frame, err := ReduceEncoded(p.ops, children)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("window: rolling up level-%d segment [%d, %d]: %w", job.level, job.from, to, err)
 	}
-	frame, err := p.ops.Encode(acc)
-	p.ops.PutScratch(acc)
-	if err != nil {
-		return nil, fmt.Errorf("window: encoding level-%d segment [%d, %d]: %w", level, from, to, err)
-	}
-	return &Segment{Level: level, From: from, To: to, N: n, Frame: frame}, nil
-}
-
-// reduce decodes segs into pooled scratch summaries and folds them
-// through mergetree.Parallel's pairing reduction — inline for
-// fan-sized roll-up blocks, concurrent for the long flat covers where
-// the parallel tree pays. The caller owns the returned summary and
-// must PutScratch it; the intermediate scratch summaries are recycled
-// here.
-func (p *Plane) reduce(segs []*Segment) (any, uint64, error) {
-	var n uint64
-	parts := make([]any, len(segs))
-	for i, seg := range segs {
-		parts[i] = p.ops.GetScratch()
-		if err := p.ops.DecodeInto(parts[i], seg.Frame); err != nil {
-			for _, s := range parts[:i+1] {
-				p.ops.PutScratch(s)
-			}
-			return nil, 0, fmt.Errorf("window: decoding level-%d segment [%d, %d]: %w", seg.Level, seg.From, seg.To, err)
-		}
-		n += seg.N
-	}
-	if len(parts) == 1 {
-		return parts[0], n, nil
-	}
-	acc, err := mergetree.Parallel(parts, p.workers(len(parts)), p.ops.Merge)
-	if err != nil {
-		// Parallel may leave merged-into summaries in any state; every
-		// part except the would-be result is still safely recyclable
-		// because DecodeInto fully replaces scratch contents.
-		for _, s := range parts {
-			p.ops.PutScratch(s)
-		}
-		return nil, 0, err
-	}
-	for _, s := range parts {
-		if s != acc {
-			p.ops.PutScratch(s)
-		}
-	}
-	return acc, n, nil
-}
-
-// workers picks the mergetree.Parallel worker count: inline for
-// fan-sized roll-ups, up to GOMAXPROCS for long covers.
-func (p *Plane) workers(parts int) int {
-	w := runtime.GOMAXPROCS(0)
-	if parts <= p.ladder.Fan || w < 1 {
-		return 1
-	}
-	if w > 8 {
-		w = 8
-	}
-	return w
+	return &Segment{Level: job.level, From: job.from, To: to, N: n, Frame: frame}, nil
 }
 
 // Quiesce blocks until every queued roll-up has completed. Tests and
@@ -488,14 +417,20 @@ func (p *Plane) Cover(from, to uint64) (Cover, error) {
 	if err != nil {
 		return Cover{}, err
 	}
-	if includeLive && from == p.now {
-		return Cover{From: from, To: to}, nil
-	}
-	sealedTo := to
+	return p.planSealed(from, to, includeLive)
+}
+
+// planSealed plans the sealed part of a resolved range under p.mu: the
+// whole range, or everything before the live epoch when that is
+// included (nothing, for a live-only range).
+func (p *Plane) planSealed(from, to uint64, includeLive bool) (Cover, error) {
 	if includeLive {
-		sealedTo = p.now - 1
+		if from == p.now {
+			return Cover{From: from, To: to}, nil
+		}
+		to = p.now - 1
 	}
-	return p.store.plan(from, sealedTo, p.now, p.maxLevel)
+	return p.store.plan(from, to, p.now)
 }
 
 // resolveRange validates and normalizes a query range under p.mu:
@@ -529,7 +464,6 @@ func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 		return nil, err
 	}
 	key := queryKey{rfrom, rto}
-	now := p.now
 	liveVer := p.liveVer
 	if !p.cacheOff {
 		if e, ok := p.cache[key]; ok && (!e.hasLive || e.live == liveVer) {
@@ -539,57 +473,42 @@ func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 		}
 	}
 	p.misses++
-	sealedTo := rto
-	if includeLive {
-		sealedTo = p.now - 1
-	}
-	var cov Cover
-	if !includeLive || rfrom < p.now {
-		cov, err = p.store.plan(rfrom, sealedTo, p.now, p.maxLevel)
-		if err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
+	cov, err := p.planSealed(rfrom, rto, includeLive)
+	if err != nil {
+		p.mu.Unlock()
+		return nil, err
 	}
 	var liveFrame []byte
-	var liveN uint64
 	if includeLive && p.cur != nil && p.ops.N(p.cur) > 0 {
 		liveFrame, err = p.ops.Encode(p.cur)
 		if err != nil {
 			p.mu.Unlock()
 			return nil, fmt.Errorf("window: snapshotting live epoch: %w", err)
 		}
-		liveN = p.ops.N(p.cur)
 	}
 	p.mu.Unlock()
 
-	// Reduce outside the lock: decode every cover frame (and the live
-	// snapshot) into pooled scratch and fold.
-	pieces := cov.Segments
-	if liveFrame != nil {
-		pieces = append(append(make([]*Segment, 0, len(cov.Segments)+1), cov.Segments...),
-			&Segment{Level: 0, From: now, To: now, N: liveN, Frame: liveFrame})
+	// Reduce outside the lock: the cover's frames, then the live
+	// snapshot, in ascending epoch order.
+	pieces := make([][]byte, 0, len(cov.Segments)+1)
+	for _, seg := range cov.Segments {
+		pieces = append(pieces, seg.Frame)
 	}
-	if len(pieces) == 0 {
-		return nil, fmt.Errorf("window: nothing summarized in [%d, %d]", rfrom, rto)
+	if liveFrame != nil {
+		pieces = append(pieces, liveFrame)
 	}
 	var frame []byte
-	var n uint64
-	if len(pieces) == 1 {
+	switch len(pieces) {
+	case 0:
+		return nil, fmt.Errorf("%w in [%d, %d]", ErrNoData, rfrom, rto)
+	case 1:
 		// A single piece is already the answer; its frame is immutable
 		// and shared as-is.
-		frame, n = pieces[0].Frame, pieces[0].N
-	} else {
-		acc, rn, err := p.reduce(pieces)
-		if err != nil {
-			return nil, err
+		frame = pieces[0]
+	default:
+		if frame, err = ReduceEncoded(p.ops, pieces); err != nil {
+			return nil, fmt.Errorf("window: reducing the cover of [%d, %d]: %w", rfrom, rto, err)
 		}
-		frame, err = p.ops.Encode(acc)
-		p.ops.PutScratch(acc)
-		if err != nil {
-			return nil, fmt.Errorf("window: encoding query result: %w", err)
-		}
-		n = rn
 	}
 
 	p.mu.Lock()
@@ -597,7 +516,7 @@ func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 		if len(p.cache) >= maxCachedQueries {
 			clear(p.cache)
 		}
-		p.cache[key] = queryEnt{live: liveVer, hasLive: includeLive, frame: frame, n: n, segments: len(pieces)}
+		p.cache[key] = queryEnt{live: liveVer, hasLive: includeLive, frame: frame}
 	}
 	p.mu.Unlock()
 	return frame, nil

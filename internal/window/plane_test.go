@@ -127,27 +127,37 @@ func TestPlaneRollupLadder(t *testing.T) {
 }
 
 // A ladder query must agree exactly (in weight, and for this family
-// in bytes) with the flat per-epoch plan over the same range.
+// in bytes) with the flat per-epoch plan over the same range. The flat
+// reference is a second, one-level plane fed the same absorbs: with no
+// roll-ups, every cover it plans is one piece per epoch.
 func TestPlaneQueryMatchesFlat(t *testing.T) {
 	p, ent := mustPlane(t, "countmin", Ladder{Fan: 4, Levels: 3, Horizon: []uint64{1 << 20, 1 << 20, 1 << 20}})
+	ref, _ := mustPlane(t, "countmin", Ladder{Fan: 4, Levels: 1, Horizon: []uint64{1 << 20}})
 	weights := make([]int, 40)
 	for i := range weights {
 		weights[i] = 10*i + 7
 	}
 	sealExampleEpochs(t, p, ent, weights)
+	sealExampleEpochs(t, ref, ent, weights)
 	p.Quiesce()
 	p.SetQueryCache(false)
+	ref.SetQueryCache(false)
 
 	for _, r := range [][2]uint64{{1, 16}, {2, 37}, {5, 5}, {1, 40}} {
 		ladder, err := p.QueryEncoded(r[0], r[1])
 		if err != nil {
 			t.Fatalf("[%d,%d]: %v", r[0], r[1], err)
 		}
-		p.SetMaxLevel(0)
-		flat, err := p.QueryEncoded(r[0], r[1])
-		p.SetMaxLevel(-1)
+		flat, err := ref.QueryEncoded(r[0], r[1])
 		if err != nil {
 			t.Fatalf("[%d,%d] flat: %v", r[0], r[1], err)
+		}
+		cov, err := ref.Cover(r[0], r[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int(r[1] - r[0] + 1); len(cov.Segments) != want {
+			t.Fatalf("[%d,%d]: flat reference planned %d pieces, want %d", r[0], r[1], len(cov.Segments), want)
 		}
 		if !bytes.Equal(ladder, flat) {
 			t.Fatalf("[%d,%d]: ladder and flat frames differ (%d vs %d bytes)", r[0], r[1], len(ladder), len(flat))

@@ -30,26 +30,21 @@ func (c Cover) N() uint64 {
 // — O(log n) pieces for an n-epoch range instead of the O(n) per-epoch
 // merge chain.
 //
-// maxLevel caps the coarsest level considered (len(levels)-1 normally;
-// 0 reproduces the flat per-epoch plan the bench suite compares
-// against). A position whose level-0 block is retained but unsealed
-// was an empty epoch and is skipped; a position older than every
-// level's horizon fails with a description of the oldest answerable
-// granularity.
-func (st *segStore) plan(from, to, now uint64, maxLevel int) (Cover, error) {
+// A position whose level-0 block is retained but unsealed was an empty
+// epoch and is skipped; a position older than every level's horizon
+// fails with a description of the oldest answerable granularity.
+func (st *segStore) plan(from, to, now uint64) (Cover, error) {
 	if from < 1 || to < from {
 		return Cover{}, fmt.Errorf("window: bad epoch range [%d, %d]", from, to)
 	}
 	if to >= now {
 		return Cover{}, fmt.Errorf("window: epoch range [%d, %d] reaches past the last sealed epoch %d", from, to, now-1)
 	}
-	if maxLevel >= len(st.levels) {
-		maxLevel = len(st.levels) - 1
-	}
+	top := len(st.levels) - 1
 	cov := Cover{From: from, To: to}
 	for pos := from; pos <= to; {
 		var seg *Segment
-		for level := maxLevel; level >= 0; level-- {
+		for level := top; level >= 0; level-- {
 			span := st.ladder.span(level)
 			if (pos-1)%span != 0 || pos+span-1 > to {
 				continue // not aligned here, or overshoots the range
@@ -71,7 +66,7 @@ func (st *segStore) plan(from, to, now uint64, maxLevel int) (Cover, error) {
 		// planner skips it. With no such level, the range has aged
 		// past every retained resolution and the cover fails.
 		skipped := false
-		for level := 0; level <= maxLevel; level++ {
+		for level := 0; level <= top; level++ {
 			span := st.ladder.span(level)
 			if (pos-1)%span != 0 {
 				continue

@@ -147,29 +147,6 @@ func (w *Windowed[S]) Query(last int, clone func(S) S, merge func(dst, src S) er
 	return acc, nil
 }
 
-// Encoder is the slice of the registry catalog's entry the encoded
-// query path needs; *registry.Entry satisfies it. Declaring the
-// interface here keeps window free of a registry dependency.
-type Encoder interface {
-	Encode(v any) ([]byte, error)
-}
-
-// QueryEncoded merges the most recent `last` epochs (as Query) and
-// returns the result as a self-describing wire frame via enc —
-// typically the family's *registry.Entry — so a windowed summary can
-// be shipped to an aggregator without the caller touching the codec.
-func (w *Windowed[S]) QueryEncoded(enc Encoder, last int, clone func(S) S, merge func(dst, src S) error) ([]byte, error) {
-	acc, err := w.Query(last, clone, merge)
-	if err != nil {
-		return nil, err
-	}
-	data, err := enc.Encode(acc)
-	if err != nil {
-		return nil, fmt.Errorf("window: encoding query: %w", err)
-	}
-	return data, nil
-}
-
 // Epochs returns the retained (sequence, summary) pairs from newest to
 // oldest; used for inspection and tests.
 func (w *Windowed[S]) Epochs() []uint64 {
