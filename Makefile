@@ -2,7 +2,10 @@
 # project's own static analysis (sketchlint), the pinned third-party
 # analyzers when present, the race-enabled test suite with and without
 # the sanitize invariant layer, a short benchmark smoke pass, and the
-# benchmark harness's own tests.
+# benchmark harness's own tests. Nothing here measures: timing comes
+# from one place, `bash benchmark/run.sh` (see benchmark/README.md), as
+# end-to-end metrics per workload and kernel.* / registry.* layer rows
+# per family.
 
 GO ?= go
 
@@ -14,9 +17,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-harness bench-json bench-regress fuzz wire-snapshot wire-docs wire-golden clean
+.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-harness fuzz wire-snapshot wire-docs wire-golden loc clean
 
-check: vet build lint staticcheck govulncheck race sanitize bench-smoke bench-server bench-harness bench-regress
+check: vet build lint staticcheck govulncheck race sanitize bench-smoke bench-server bench-harness
 
 # Project-specific analyzers: the syntactic suite (mergecompat,
 # locksafe, hotpathalloc, detrand, regcomplete), the flow-sensitive
@@ -92,8 +95,8 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x ./internal/registry/
 
 # Compile-and-run smoke over the server merge-plane benchmarks (push,
-# batched push, cached and re-encode pull); one iteration each keeps it
-# a liveness check, not a measurement.
+# batched push, cached pull); one iteration each keeps it a liveness
+# check, not a measurement.
 bench-server:
 	$(GO) test -run='^$$' -bench=Server -benchtime=1x ./internal/server/
 
@@ -103,29 +106,17 @@ bench-server:
 bench-harness:
 	cd benchmark && $(GO) test ./...
 
-# Full measurement: regenerates results/bench.json (per-item vs batch
-# ns/op for every family, windowed query latency ladder-vs-flat, server
-# push/pull/merge throughput at 1-16 clients, and mergetree.Parallel
-# worker scaling).
-bench-json:
-	$(GO) run ./cmd/bench -out results/bench.json
-
-# Regression gate: measure the per-family ingest paths fresh and fail
-# if any family's batch path regressed more than 10% (or started
-# allocating) against the committed results/bench.json. Two runs,
-# gated on the per-family minimum: noise on a shared builder only ever
-# slows a run down, so the min estimates the true cost. The windowed
-# query plane gates alongside: the ladder must stay >= 5x faster than
-# the flat per-epoch plan at windows of 256+ epochs. Regenerate the
-# baseline with `make bench-json` when the benchmark machine changes.
-bench-regress:
-	$(GO) run ./cmd/bench -families-only -out /tmp/bench-fresh-1.json
-	$(GO) run ./cmd/bench -families-only -out /tmp/bench-fresh-2.json
-	$(GO) run ./cmd/benchregress -baseline results/bench.json \
-		-fresh /tmp/bench-fresh-1.json,/tmp/bench-fresh-2.json
-
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUpdateBatch -fuzztime=30s ./internal/mg/
+
+# Non-test Go lines per package directory: the per-package figures
+# CHANGES.md reports for each PR (testdata fixtures and the benchmark's
+# build cache are not source).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './.bench_build/*' \
+		-exec dirname {} \; | sort -u | while read -r d; do \
+		printf '%6d %s\n' "$$(find "$$d" -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
+	done
 
 clean:
 	$(GO) clean ./...

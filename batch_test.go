@@ -478,6 +478,59 @@ func TestBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestUpdateBatchAllocs pins the allocation behaviour of every batch
+// ingest path: once a summary has seen the stream (tables sized, scratch
+// grown), an UpdateBatch call allocates nothing. gk and the two
+// randomized quantile summaries allocate a block per buffer promotion
+// and grow their storage with n, so for them the bound is amortised:
+// fewer allocations than items.
+func TestUpdateBatchAllocs(t *testing.T) {
+	const batchLen = 1024
+	items := batchItemStream()
+	vals := batchValueStream()
+
+	onItems := func(up func([]mergesum.Item)) func(off int) {
+		return func(off int) { up(items[off : off+batchLen]) }
+	}
+	onVals := func(up func([]float64)) func(off int) {
+		return func(off int) { up(vals[off : off+batchLen]) }
+	}
+
+	for _, tc := range []struct {
+		name  string
+		batch func(off int) // one UpdateBatch call over [off, off+batchLen)
+		max   float64       // allowed allocations per call
+	}{
+		{"mg/k=64", onItems(mergesum.NewMisraGries(64).UpdateBatch), 0},
+		{"mg/k=1024", onItems(mergesum.NewMisraGries(1024).UpdateBatch), 0},
+		{"spacesaving/k=256", onItems(mergesum.NewSpaceSaving(256).UpdateBatch), 0},
+		{"countmin/w=1024,d=4", onItems(mergesum.NewCountMin(1024, 4, 1).UpdateBatch), 0},
+		{"countsketch/w=1024,d=4", onItems(mergesum.NewCountSketch(1024, 4, 1).UpdateBatch), 0},
+		{"kmv/k=1024", onItems(mergesum.NewKMV(1024, 1).UpdateBatch), 0},
+		{"hll/p=12", onItems(mergesum.NewHLL(12, 1).UpdateBatch), 0},
+		{"topk/k=64", onItems(mergesum.NewTopK(64, 512, 4, 1).UpdateBatch), 0},
+		{"bottomk/k=4096", onVals(mergesum.NewBottomK(4096, 1).UpdateBatch), 0},
+		{"gk/eps=0.01", onVals(mergesum.NewGK(0.01).UpdateBatch), batchLen - 1},
+		{"randquant/eps=0.01", onVals(mergesum.NewQuantile(0.01, 1).UpdateBatch), batchLen - 1},
+		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), batchLen - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			last := batchStreamLen - batchLen
+			for off := 0; off <= last; off += batchLen {
+				tc.batch(off)
+			}
+			off := 0
+			got := testing.AllocsPerRun(50, func() {
+				tc.batch(off)
+				off = (off + 613) % last
+			})
+			if got > tc.max {
+				t.Fatalf("UpdateBatch of %d items: %.1f allocs per call, want <= %.0f", batchLen, got, tc.max)
+			}
+		})
+	}
+}
+
 // TestShardedUpdateBatch checks that batched sharded ingestion merges
 // to the same totals as per-item sharded ingestion, and that the
 // pooled partition buffers route every index exactly once.

@@ -219,6 +219,26 @@ func TestClusterProcesses(t *testing.T) {
 	}
 }
 
+// refusal runs the daemon with a configuration it must refuse and
+// returns what it printed before exiting non-zero.
+func refusal(t *testing.T, bin string, args []string) []byte {
+	t.Helper()
+	// A daemon that starts anyway serves until killed.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+	if ctx.Err() == context.DeadlineExceeded {
+		t.Fatalf("summaryd %v started serving:\n%s", args, out)
+	}
+	if err == nil {
+		t.Fatalf("summaryd %v exited 0:\n%s", args, out)
+	}
+	if _, exited := err.(*exec.ExitError); !exited {
+		t.Fatalf("summaryd %v: %v", args, err)
+	}
+	return out
+}
+
 // TestRejectsNodeIDOutsidePeers: a daemon whose own address is not an
 // entry of -peers would serve cluster-wide answers missing its own
 // share, so it must refuse to start, naming the flags — both when
@@ -231,21 +251,25 @@ func TestRejectsNodeIDOutsidePeers(t *testing.T) {
 		{"-addr", "127.0.0.1:0", "-node-id", "127.0.0.1:7079", "-peers", peers},
 		{"-addr", "localhost:0", "-peers", peers},
 	} {
-		// A daemon that starts anyway serves until killed.
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
-		cancel()
-		if ctx.Err() == context.DeadlineExceeded {
-			t.Fatalf("summaryd %v started serving with itself missing from -peers:\n%s", args, out)
-		}
-		if err == nil {
-			t.Fatalf("summaryd %v exited 0 with itself missing from -peers:\n%s", args, out)
-		}
-		if _, exited := err.(*exec.ExitError); !exited {
-			t.Fatalf("summaryd %v: %v", args, err)
-		}
+		out := refusal(t, bin, args)
 		if !bytes.Contains(out, []byte("-node-id")) || !bytes.Contains(out, []byte("-peers")) {
 			t.Fatalf("summaryd %v: refusal does not name the flags:\n%s", args, out)
+		}
+	}
+}
+
+// TestRejectsInvalidLadder: a windowed daemon whose ladder no plane can
+// be built on would answer every QWIN "slot is empty" — which a cluster
+// fan-in counts as no data — so it must refuse to start.
+func TestRejectsInvalidLadder(t *testing.T) {
+	bin := buildSummaryd(t)
+	for _, args := range [][]string{
+		{"-addr", "127.0.0.1:0", "-window", "-window-levels", "0"},
+		{"-addr", "127.0.0.1:0", "-window", "-window-fan", "1"},
+	} {
+		out := refusal(t, bin, args)
+		if !bytes.Contains(out, []byte("-window-")) || !bytes.Contains(out, []byte("ladder")) {
+			t.Fatalf("summaryd %v: refusal does not name the ladder flags:\n%s", args, out)
 		}
 	}
 }

@@ -80,7 +80,9 @@ func main() {
 		s.SetIngestFront(*front, *frontTick)
 	}
 	if *win {
-		s.SetWindow(window.Ladder{Fan: *winFan, Levels: *winLevels}, *winTick)
+		if err := s.SetWindow(window.Ladder{Fan: *winFan, Levels: *winLevels}, *winTick); err != nil {
+			log.Fatalf("summaryd: -window-fan / -window-levels: %v", err)
+		}
 	}
 	if *peers != "" {
 		self := *nodeID

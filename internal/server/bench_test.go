@@ -10,11 +10,10 @@ import (
 )
 
 // benchServer starts a server and returns its address plus a stop
-// function; cache toggles the PULL snapshot cache.
-func benchServer(b *testing.B, cache bool) (string, func()) {
+// function.
+func benchServer(b *testing.B) (string, func()) {
 	b.Helper()
 	s := New()
-	s.SetSnapshotCache(cache)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -48,7 +47,7 @@ func seedQuantileSlot(b *testing.B, addr, slot string) {
 // BenchmarkServerPush measures the single-frame ingest path: pooled
 // frame read + off-lock decode + locked merge, one round-trip each.
 func BenchmarkServerPush(b *testing.B) {
-	addr, stop := benchServer(b, true)
+	addr, stop := benchServer(b)
 	defer stop()
 	c, err := Dial(addr)
 	if err != nil {
@@ -71,29 +70,7 @@ func BenchmarkServerPush(b *testing.B) {
 // slot is unchanged between pulls, so every request is served from the
 // epoch-cached encoding with no lock and no re-encode.
 func BenchmarkServerPullCached(b *testing.B) {
-	addr, stop := benchServer(b, true)
-	defer stop()
-	seedQuantileSlot(b, addr, "bq")
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	var out randquant.Summary
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Pull("bq", &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServerPullReencode is the pre-cache baseline: the snapshot
-// cache is disabled, so every PULL re-encodes the summary under the
-// slot lock. The cached/reencode ratio is the headline speedup of the
-// epoch cache.
-func BenchmarkServerPullReencode(b *testing.B) {
-	addr, stop := benchServer(b, false)
+	addr, stop := benchServer(b)
 	defer stop()
 	seedQuantileSlot(b, addr, "bq")
 	c, err := Dial(addr)
@@ -115,7 +92,7 @@ func BenchmarkServerPullReencode(b *testing.B) {
 // is per frame (b.N advances by the batch length).
 func BenchmarkServerPushB(b *testing.B) {
 	const batch = 64
-	addr, stop := benchServer(b, true)
+	addr, stop := benchServer(b)
 	defer stop()
 	c, err := Dial(addr)
 	if err != nil {

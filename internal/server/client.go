@@ -360,8 +360,11 @@ func (c *Client) Stat() ([]SlotInfo, error) {
 		if len(f) != 4 {
 			return nil, fmt.Errorf("server: malformed STAT row %q", line)
 		}
-		n, _ := strconv.ParseUint(f[2], 10, 64)
-		p, _ := strconv.ParseUint(f[3], 10, 64)
+		n, nErr := strconv.ParseUint(f[2], 10, 64)
+		p, pErr := strconv.ParseUint(f[3], 10, 64)
+		if nErr != nil || pErr != nil {
+			return nil, fmt.Errorf("server: malformed STAT row %q", line)
+		}
 		out = append(out, SlotInfo{Name: f[0], Kind: f[1], N: n, Pushes: p})
 	}
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,11 +73,9 @@ type slot struct {
 // bytes are unreachable the instant a push's reply is written.
 //
 //sketch:hotpath
-func (sl *slot) encoded(cacheOff bool) (string, []byte, error) {
-	if !cacheOff {
-		if snap := sl.snap.Load(); snap != nil && snap.version == sl.version.Load() {
-			return snap.kind, snap.data, nil
-		}
+func (sl *slot) encoded() (string, []byte, error) {
+	if snap := sl.snap.Load(); snap != nil && snap.version == sl.version.Load() {
+		return snap.kind, snap.data, nil
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
@@ -84,18 +83,14 @@ func (sl *slot) encoded(cacheOff bool) (string, []byte, error) {
 		return "", nil, errSlotEmpty
 	}
 	v := sl.version.Load()
-	if !cacheOff {
-		if snap := sl.snap.Load(); snap != nil && snap.version == v {
-			return snap.kind, snap.data, nil
-		}
+	if snap := sl.snap.Load(); snap != nil && snap.version == v {
+		return snap.kind, snap.data, nil
 	}
 	data, err := sl.ent.Encode(sl.summary)
 	if err != nil {
 		return "", nil, err
 	}
-	if !cacheOff {
-		sl.snap.Store(&snapshot{version: v, kind: sl.ent.Name(), data: data})
-	}
+	sl.snap.Store(&snapshot{version: v, kind: sl.ent.Name(), data: data})
 	return sl.ent.Name(), data, nil
 }
 
@@ -126,10 +121,6 @@ type SlotRow struct {
 type Node struct {
 	mu    sync.Mutex
 	slots map[string]*slot // guarded by mu
-
-	// snapCacheOff disables the PULL snapshot cache (benchmarks use it
-	// to measure the re-encode-every-call baseline).
-	snapCacheOff atomic.Bool
 
 	// frontLanes > 0 enables the per-lane ingest front for batch
 	// ingestion: batches fold into per-connection lanes and the slot
@@ -162,12 +153,6 @@ func NewNode() *Node {
 	return n
 }
 
-// SetSnapshotCache enables or disables the epoch-versioned snapshot
-// cache serving encoded reads (enabled by default). Disabling forces
-// every read to re-encode the slot under its lock — the pre-cache
-// behavior — and exists so benchmarks can measure the cache's effect.
-func (n *Node) SetSnapshotCache(on bool) { n.snapCacheOff.Store(!on) }
-
 // SetIngestFront enables the per-lane ingest front for batch ingestion
 // (off by default). With the front on, each batch is folded into a
 // single summary off any lock and parked in a per-connection lane; the
@@ -193,11 +178,22 @@ func (n *Node) SetIngestFront(lanes int, tick time.Duration) {
 // with the given ladder shape, served by QWIN. The zero Ladder selects
 // window.DefaultLadder. tick > 0 asks the serving layer to start the
 // epoch ticker; tick <= 0 leaves epoch turn-over to AdvanceWindows —
-// the deterministic shape tests use. Call before serving.
-func (n *Node) SetWindow(l window.Ladder, tick time.Duration) {
+// the deterministic shape tests use. An invalid ladder is rejected here
+// (the node stays unwindowed): bound per slot it would fail silently
+// and every QWIN would answer "slot is empty", which a cluster fan-in
+// counts as no data. Call before serving.
+func (n *Node) SetWindow(l window.Ladder, tick time.Duration) error {
+	// NewPlane is the ladder's validator; the probe binds no family and
+	// is dropped at once.
+	probe, err := window.NewPlane(nil, nil, l)
+	if err != nil {
+		return err
+	}
+	probe.Close()
 	n.windowed = true
 	n.winLadder = l
 	n.winTick = tick
+	return nil
 }
 
 // Epoch returns the node-wide live window epoch (1 before the first
@@ -252,9 +248,7 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 	}
 	pl, err := window.NewPlane(ent, nil, n.winLadder)
 	if err != nil {
-		// An invalid ladder shape fails every slot the same way; QWIN
-		// reports the missing plane.
-		return
+		return // unreachable: SetWindow validated the ladder
 	}
 	pl.StartAt(n.winEpoch.Load())
 	sl.plane = pl
@@ -504,7 +498,7 @@ func (n *Node) Encoded(name string) (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w %q", errNoSlot, name)
 	}
 	n.flushFront(sl)
-	kind, data, err := sl.encoded(n.snapCacheOff.Load())
+	kind, data, err := sl.encoded()
 	if err != nil {
 		if errors.Is(err, errSlotEmpty) {
 			return "", nil, emptySlot(name)
@@ -544,32 +538,31 @@ func (n *Node) WindowEncoded(name string, from, to uint64) (string, []byte, erro
 	return ent.Name(), frame, nil
 }
 
-// Rows returns one STAT row per slot, each formatted under its slot's
-// lock, lane-parked ingest absorbed first. The order is the slot map's
-// iteration order; the caller sorts if it needs determinism.
+// Rows returns one STAT row per slot in slot-name order, each
+// formatted under its slot's lock, lane-parked ingest absorbed first.
 func (n *Node) Rows() []SlotRow {
+	type named struct {
+		name string
+		sl   *slot
+	}
 	n.mu.Lock()
-	names := make([]string, 0, len(n.slots))
-	for name := range n.slots {
-		names = append(names, name)
+	slots := make([]named, 0, len(n.slots))
+	for name, sl := range n.slots {
+		slots = append(slots, named{name, sl})
 	}
 	n.mu.Unlock()
-	rows := make([]SlotRow, 0, len(names))
-	for _, name := range names {
-		n.mu.Lock()
-		sl := n.slots[name]
-		n.mu.Unlock()
-		row := SlotRow{Name: name, Kind: "-"}
-		if sl != nil {
-			n.flushFront(sl)
-			sl.mu.Lock()
-			if sl.summary != nil {
-				row.Kind = sl.ent.Name()
-				row.N = sl.ent.N(sl.summary)
-				row.Pushes = sl.pushes
-			}
-			sl.mu.Unlock()
+	sort.Slice(slots, func(i, j int) bool { return slots[i].name < slots[j].name })
+	rows := make([]SlotRow, 0, len(slots))
+	for _, s := range slots {
+		row := SlotRow{Name: s.name, Kind: "-"}
+		n.flushFront(s.sl)
+		s.sl.mu.Lock()
+		if s.sl.summary != nil {
+			row.Kind = s.sl.ent.Name()
+			row.N = s.sl.ent.N(s.sl.summary)
+			row.Pushes = s.sl.pushes
 		}
+		s.sl.mu.Unlock()
 		rows = append(rows, row)
 	}
 	return rows

@@ -15,7 +15,7 @@
 //	PULLC <slot>\n                → OK <kind> <len>\n<frame>   cluster-wide fan-in
 //	QWIN <slot> <from> <to>\n     → OK <kind> <len>\n<frame>
 //	QWINC <slot> <from> <to>\n    → OK <kind> <len>\n<frame>   cluster-wide fan-in
-//	STAT\n                        → OK <count>\n then "<slot> <kind> <n> <pushes>\n" each
+//	STAT\n                        → OK <count>\n then "<slot> <kind> <n> <pushes>\n" each, in slot order
 //	METRICS\n                     → OK <count>\n then "<name> <value>\n" each
 //	RESET <slot>\n                → OK 0\n              drop the slot
 //	QUIT\n                        → connection closes
@@ -89,11 +89,12 @@
 //     held together except map-lookup-then-slot-lock; sl.mu is never
 //     held while touching another slot.
 //
-// A frame-layer error (unparseable or oversized length line, short
-// read) leaves the stream position unknown, so the server reports ERR
-// and drops the connection rather than misparse frame bytes as
-// commands. Command-layer errors (unknown kind, decode failure, kind
-// mismatch) keep the connection usable.
+// A frame-layer error (a PUSH/PUSHB line of the wrong arity, an
+// unparseable or oversized length line, a line longer than the 4 KiB
+// read buffer, a short read) leaves the stream position unknown, so the
+// server reports ERR and drops the connection rather than misparse
+// frame bytes as commands. Command-layer errors (unknown kind, decode
+// failure, kind mismatch) keep the connection usable.
 //
 // Kinds: every family in the registry catalog is served — the server
 // keeps no per-kind table of its own. Kind names on the wire are the
@@ -106,6 +107,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -342,11 +344,14 @@ func (s *Server) handle(conn net.Conn) {
 	defer w.Flush()
 	for {
 		w.Flush()
-		line, err := r.ReadString('\n')
+		line, err := readLine(r)
 		if err != nil {
+			if errors.Is(err, errLineTooLong) {
+				fmt.Fprintf(w, "ERR %v\n", err)
+			}
 			return
 		}
-		fields := strings.Fields(strings.TrimSpace(line))
+		fields := strings.Fields(string(line))
 		if len(fields) == 0 {
 			continue
 		}
@@ -375,6 +380,21 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// errLineTooLong reports a command or length line that does not fit the
+// connection's read buffer; it is protocol-fatal.
+var errLineTooLong = errors.New("line too long")
+
+// readLine returns the next newline-terminated line, aliasing r's
+// buffer (valid until the next read). The buffer size (4 KiB) bounds a
+// line, so a client that never sends a newline cannot grow memory.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		return nil, errLineTooLong
+	}
+	return line, err
+}
+
 // readLengthPrefixed reads one self-delimiting summary frame preceded
 // by its length line ("<len>\n") into f's pooled buffer, returning the
 // filled slice (aliasing f.b; valid until f is recycled). The declared
@@ -385,13 +405,14 @@ func (s *Server) handle(conn net.Conn) {
 // stream position is unknown and the connection must be dropped after
 // reporting it.
 func readLengthPrefixed(r *bufio.Reader, f *frameBuf) ([]byte, error) {
-	line, err := r.ReadString('\n')
+	line, err := readLine(r)
 	if err != nil {
 		return nil, err
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(line))
+	line = bytes.TrimSpace(line)
+	n, err := strconv.Atoi(string(line))
 	if err != nil || n < 0 || n > maxFrame {
-		return nil, fmt.Errorf("bad frame length %q (max %d)", strings.TrimSpace(line), maxFrame)
+		return nil, fmt.Errorf("bad frame length %q (max %d)", line, maxFrame)
 	}
 	buf := f.b[:0]
 	for len(buf) < n {
@@ -428,8 +449,10 @@ func readLengthPrefixed(r *bufio.Reader, f *frameBuf) ([]byte, error) {
 // stream can no longer be kept in sync and the connection must drop.
 func (s *Server) cmdPush(fields []string, r *bufio.Reader, w *bufio.Writer) bool {
 	if len(fields) != 3 {
+		// The client sends its length line and frame next; their bytes
+		// must not be parsed as commands.
 		fmt.Fprintf(w, "ERR usage: PUSH <slot> <kind>\n")
-		return true
+		return false
 	}
 	name, kind := fields[1], fields[2]
 	ent, ok := registry.ByName(kind)
@@ -531,8 +554,8 @@ func (s *Server) cmdPushBatch(token uint64, fields []string, r *bufio.Reader, w 
 
 func (s *Server) cmdStat(w *bufio.Writer) {
 	// Rows are formatted outside the write loop (each under its slot's
-	// lock inside Node.Rows): the client may be slow to drain and must
-	// not stall a slot.
+	// lock inside Node.Rows, in slot-name order): the client may be slow
+	// to drain and must not stall a slot.
 	rows := s.Rows()
 	fmt.Fprintf(w, "OK %d\n", len(rows))
 	for _, row := range rows {

@@ -2,9 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -214,6 +218,18 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
+// expectHangup fails unless the server has closed the connection. The
+// connection needs a read deadline: running into it means the server
+// is still listening.
+func expectHangup(t *testing.T, r *bufio.Reader, after string) {
+	t.Helper()
+	line, err := r.ReadString('\n')
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Errorf("%s: connection stayed open (next read %q, %v)", after, line, err)
+	}
+}
+
 // Raw-socket tests for malformed input: the server must answer ERR and
 // survive.
 func TestMalformedCommands(t *testing.T) {
@@ -224,6 +240,9 @@ func TestMalformedCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// A server that keeps a connection it should drop fails the test
+	// instead of hanging it.
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	r := bufio.NewReader(conn)
 
 	send := func(s string) string {
@@ -240,9 +259,6 @@ func TestMalformedCommands(t *testing.T) {
 	if got := send("BOGUS\n"); !strings.HasPrefix(got, "ERR") {
 		t.Errorf("BOGUS → %q", got)
 	}
-	if got := send("PUSH onlyslot\n"); !strings.HasPrefix(got, "ERR") {
-		t.Errorf("short PUSH → %q", got)
-	}
 	// Garbage frame bytes of declared length: decode error, and the
 	// connection stays usable (the stream is still in sync).
 	if got := send("PUSH s mg\n4\nABCD"); !strings.HasPrefix(got, "ERR") {
@@ -250,6 +266,158 @@ func TestMalformedCommands(t *testing.T) {
 	}
 	if got := send("STAT\n"); got != "OK 0" {
 		t.Errorf("STAT after garbage → %q", got)
+	}
+	// A PUSH with the wrong arity is followed by a length line and a
+	// frame the server cannot delimit: ERR, then the connection drops.
+	if got := send("PUSH onlyslot\n"); !strings.HasPrefix(got, "ERR") {
+		t.Errorf("short PUSH → %q", got)
+	}
+	expectHangup(t, r, "short PUSH")
+}
+
+// The bytes a client sends after a PUSH the server rejected for its
+// arity are the length line and frame of that push: they must never
+// run as commands, whatever they spell.
+func TestShortPushBodyNeverExecutes(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := mg.New(4)
+	m.Update(1, 1)
+	if _, err := c.Push("victim", "mg", m); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	body := "\nRESET victim\n"
+	fmt.Fprintf(conn, "PUSH onlyslot\n%d\n%s", len(body), body)
+	r := bufio.NewReader(conn)
+	line, err := r.ReadString('\n')
+	if err != nil || !strings.HasPrefix(line, "ERR") {
+		t.Fatalf("short PUSH → %q, %v; want ERR", line, err)
+	}
+	// Once the server has hung up, everything it was going to read from
+	// this connection has been read or discarded.
+	expectHangup(t, r, "short PUSH")
+	stats, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || stats[0].Name != "victim" || stats[0].N != 1 {
+		t.Fatalf("frame bytes after a short PUSH were executed: STAT = %+v", stats)
+	}
+}
+
+// A command or length line is bounded by the connection's 4 KiB read
+// buffer: a client that streams bytes without ever sending a newline
+// gets ERR and a closed connection, and costs the server no memory
+// beyond that buffer.
+func TestUnterminatedLineIsBounded(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+
+	junk := bytes.Repeat([]byte{'x'}, 1<<20)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for _, prefix := range []string{"", "PUSH s mg\n"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			// The server hangs up mid-stream; the write error is expected.
+			conn.Write(append([]byte(prefix), junk...))
+		}()
+		r := bufio.NewReader(conn)
+		line, err := r.ReadString('\n')
+		if err != nil || !strings.HasPrefix(line, "ERR") || !strings.Contains(line, "line too long") {
+			t.Errorf("after %q + 1 MiB without newline: reply %q, %v; want ERR ... line too long", prefix, line, err)
+		}
+		expectHangup(t, r, "unterminated line")
+		conn.Close()
+		<-wrote
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	// The pre-fix reader accumulated the whole line, and kept growing
+	// it for as long as the client kept sending.
+	if grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); grew > 512<<10 {
+		t.Errorf("heap grew %d bytes after two 1 MiB unterminated lines", grew)
+	}
+}
+
+// STAT is deterministic: rows arrive sorted by slot name, so two reads
+// of an unchanged node are identical.
+func TestStatSortedAndStable(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m := mg.New(4)
+	m.Update(1, 1)
+	const slots = 12
+	for i := 0; i < slots; i++ {
+		// Pushed in an order that is neither sorted nor reverse-sorted.
+		if _, err := c.Push(fmt.Sprintf("slot-%02d", (i*5)%slots), "mg", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != slots || !reflect.DeepEqual(first, second) {
+		t.Fatalf("two STATs differ:\n%+v\n%+v", first, second)
+	}
+	if !sort.SliceIsSorted(first, func(i, j int) bool { return first[i].Name < first[j].Name }) {
+		t.Fatalf("STAT rows are not sorted by slot name: %+v", first)
+	}
+}
+
+// Client.Stat rejects a row whose counts are not numbers instead of
+// reporting them as zero.
+func TestClientStatRejectsMalformedCounts(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		bufio.NewReader(conn).ReadString('\n') // the STAT command
+		fmt.Fprintf(conn, "OK 2\nflows mg 10 2\nlat quantile many 1\n")
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if rows, err := c.Stat(); err == nil || !strings.Contains(err.Error(), "malformed STAT row") {
+		t.Fatalf("Stat over a non-numeric count = %+v, %v; want a malformed-row error", rows, err)
 	}
 }
 

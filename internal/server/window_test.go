@@ -2,11 +2,13 @@ package server
 
 import (
 	"encoding"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mg"
+	"repro/internal/registry"
 	"repro/internal/window"
 )
 
@@ -15,7 +17,9 @@ import (
 func startWindowedServer(t *testing.T, l window.Ladder, tick time.Duration) (*Server, string, func()) {
 	t.Helper()
 	s := New()
-	s.SetWindow(l, tick)
+	if err := s.SetWindow(l, tick); err != nil {
+		t.Fatal(err)
+	}
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -175,5 +179,30 @@ func TestQueryWindowWithIngestFront(t *testing.T) {
 	}
 	if got.N() != 100 {
 		t.Fatalf("QWIN [1,1] N = %d, want 100", got.N())
+	}
+}
+
+// A ladder no plane can be built on is rejected when windowed mode is
+// switched on — not swallowed per slot, where every QWIN would answer
+// "slot is empty" — and leaves the node unwindowed.
+func TestSetWindowRejectsInvalidLadder(t *testing.T) {
+	for _, l := range []window.Ladder{
+		{Fan: 8, Levels: 0},
+		{Fan: 1, Levels: 3},
+	} {
+		n := NewNode()
+		if err := n.SetWindow(l, 0); err == nil {
+			t.Errorf("SetWindow(%+v) accepted", l)
+		}
+		ent, _ := registry.ByName("mg")
+		if _, err := n.Ingest("s", ent, ent.Example(10)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := n.WindowEncoded("s", 0, 0); err == nil || !strings.Contains(err.Error(), "windowed queries disabled") {
+			t.Errorf("after rejected SetWindow(%+v): QWIN error = %v, want windowed queries disabled", l, err)
+		}
+	}
+	if err := NewNode().SetWindow(window.Ladder{}, 0); err != nil {
+		t.Errorf("zero ladder (the default shape) rejected: %v", err)
 	}
 }

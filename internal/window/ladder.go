@@ -16,7 +16,7 @@ type Ladder struct {
 	Fan int
 	// Levels is the number of resolutions including level 0. Levels
 	// == 1 disables roll-ups entirely (a flat per-epoch ring), which
-	// is the baseline the bench suite compares against.
+	// is the baseline the equivalence tests compare the ladder against.
 	Levels int
 	// Horizon[ℓ] is how many epochs of history level ℓ retains; a
 	// segment is evicted once its newest epoch falls more than

@@ -97,8 +97,7 @@ type Plane struct {
 	inRoll  bool // worker is executing a job
 	closed  bool
 
-	cache    map[queryKey]queryEnt
-	cacheOff bool
+	cache map[queryKey]queryEnt
 
 	rollups    uint64
 	rollupErrs uint64
@@ -145,17 +144,6 @@ func (p *Plane) StartAt(epoch uint64) {
 	p.mu.Lock()
 	if p.cur == nil && p.liveVer == 0 && epoch > p.now {
 		p.now = epoch
-	}
-	p.mu.Unlock()
-}
-
-// SetQueryCache enables or disables the cover-result cache (enabled
-// by default); benchmarks disable it to measure the plan+reduce path.
-func (p *Plane) SetQueryCache(on bool) {
-	p.mu.Lock()
-	p.cacheOff = !on
-	if !on {
-		clear(p.cache)
 	}
 	p.mu.Unlock()
 }
@@ -465,12 +453,10 @@ func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 	}
 	key := queryKey{rfrom, rto}
 	liveVer := p.liveVer
-	if !p.cacheOff {
-		if e, ok := p.cache[key]; ok && (!e.hasLive || e.live == liveVer) {
-			p.hits++
-			p.mu.Unlock()
-			return e.frame, nil
-		}
+	if e, ok := p.cache[key]; ok && (!e.hasLive || e.live == liveVer) {
+		p.hits++
+		p.mu.Unlock()
+		return e.frame, nil
 	}
 	p.misses++
 	cov, err := p.planSealed(rfrom, rto, includeLive)
@@ -512,7 +498,7 @@ func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 	}
 
 	p.mu.Lock()
-	if !p.cacheOff && (!includeLive || p.liveVer == liveVer) {
+	if !includeLive || p.liveVer == liveVer {
 		if len(p.cache) >= maxCachedQueries {
 			clear(p.cache)
 		}

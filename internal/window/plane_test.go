@@ -70,22 +70,23 @@ func TestLadderNormalize(t *testing.T) {
 
 // The roll-up invariant: after quiescing, every fan-aligned completed
 // block is sealed at every level, each epoch counted exactly once per
-// level — so a cover of [1, 64] is one level-2 segment, not 64.
+// level — so a cover of [1, 64] is one level-2 segment, not 64, and a
+// long window costs one piece per top-level span, not one per epoch.
 func TestPlaneRollupLadder(t *testing.T) {
 	p, ent := mustPlane(t, "mg", Ladder{Fan: 8, Levels: 3, Horizon: []uint64{1 << 20, 1 << 20, 1 << 20}})
-	weights := make([]int, 130)
+	weights := make([]int, 1024)
 	for i := range weights {
-		weights[i] = i + 1
+		weights[i] = i%16 + 1 // any non-empty epoch seals a segment
 	}
 	sealExampleEpochs(t, p, ent, weights)
 	p.Quiesce()
 
 	st := p.Stats()
-	if st.Epoch != 131 {
+	if st.Epoch != 1025 {
 		t.Fatalf("epoch = %d", st.Epoch)
 	}
-	// 130 level-0 segments, 16 complete 8-blocks, 2 complete 64-blocks.
-	want := []int{130, 16, 2}
+	// 1024 level-0 segments, 128 complete 8-blocks, 16 complete 64-blocks.
+	want := []int{1024, 128, 16}
 	for lv, n := range want {
 		if st.Segments[lv] != n {
 			t.Fatalf("level %d: %d segments, want %d (stats %+v)", lv, st.Segments[lv], n, st)
@@ -95,17 +96,31 @@ func TestPlaneRollupLadder(t *testing.T) {
 		t.Fatalf("rollup errors/pending: %+v", st)
 	}
 
-	cov, err := p.Cover(1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cov.Segments) != 1 || cov.Segments[0].Level != 2 {
-		t.Fatalf("cover [1,64] = %d pieces (first level %d), want one level-2 segment",
-			len(cov.Segments), cov.Segments[0].Level)
+	// Aligned windows are covered by top-level segments alone: if the
+	// planner stopped using coarse segments these would be 64, 256 and
+	// 1024 pieces.
+	for _, tc := range []struct{ from, to, pieces uint64 }{
+		{1, 64, 1},
+		{769, 1024, 4},
+		{1, 1024, 16},
+	} {
+		cov, err := p.Cover(tc.from, tc.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(len(cov.Segments)) != tc.pieces {
+			t.Fatalf("cover [%d,%d] = %d pieces, want %d", tc.from, tc.to, len(cov.Segments), tc.pieces)
+		}
+		for _, seg := range cov.Segments {
+			if seg.Level != 2 {
+				t.Fatalf("cover [%d,%d] uses a level-%d segment [%d,%d], want level 2 only",
+					tc.from, tc.to, seg.Level, seg.From, seg.To)
+			}
+		}
 	}
 	// [3, 100]: ragged edges decompose into O(log n) pieces, strictly
 	// fewer than the 98 per-epoch merges of the flat plan.
-	cov, err = p.Cover(3, 100)
+	cov, err := p.Cover(3, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +155,6 @@ func TestPlaneQueryMatchesFlat(t *testing.T) {
 	sealExampleEpochs(t, p, ent, weights)
 	sealExampleEpochs(t, ref, ent, weights)
 	p.Quiesce()
-	p.SetQueryCache(false)
-	ref.SetQueryCache(false)
 
 	for _, r := range [][2]uint64{{1, 16}, {2, 37}, {5, 5}, {1, 40}} {
 		ladder, err := p.QueryEncoded(r[0], r[1])
