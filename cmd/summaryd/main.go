@@ -28,7 +28,9 @@
 // accepting connections, drains the ingest-front lanes (and seals the
 // live window epoch), gives in-flight connections a grace period, and
 // exits 0 — a final PULL served during the grace period sees every
-// push that was acknowledged.
+// push that was acknowledged. In cluster mode peers keep idle
+// connections to each other between fan-ins, and nothing tells them to
+// hang up early: a draining node with such links waits its full -grace.
 //
 // Protocol documentation lives in internal/server. A quick session
 // with netcat:
@@ -111,13 +113,18 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	drained := make(chan struct{})
 	go func() {
 		<-sig
 		fmt.Println("shutting down: draining ingest lanes and sealing live epoch")
 		s.Shutdown(*grace)
+		close(drained)
 	}()
 
 	if err := s.Serve(); err != nil {
 		log.Fatal(err)
 	}
+	// Serve returns as soon as Shutdown closes the listener; the drain
+	// and the grace period are still running.
+	<-drained
 }

@@ -5,7 +5,6 @@ import (
 	"encoding"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -50,25 +49,6 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		return nil, err
 	}
 	return newClient(conn), nil
-}
-
-// reach starts one attempt at a cluster member: it returns c — dialing
-// addr first when c is nil — with a single deadline armed that covers
-// the dial and whatever request + reply the caller runs next, so an
-// attempt costs at most timeout however the time splits between
-// connecting and waiting. The server's fan-in closes the connection
-// afterwards; the cluster client clears the deadline and caches it.
-func reach(c *Client, addr string, timeout time.Duration) (*Client, error) {
-	deadline := time.Now().Add(timeout)
-	if c == nil {
-		conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		c = newClient(conn)
-	}
-	c.SetDeadline(deadline)
-	return c, nil
 }
 
 // SetDeadline bounds every subsequent read and write on the
@@ -207,8 +187,8 @@ func (c *Client) read(q query, clusterWide bool) (string, []byte, error) {
 	if err != nil || n < 0 || n > maxFrame {
 		return "", nil, fmt.Errorf("server: bad frame length %q", fields[1])
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	buf, err := readFrame(c.r, nil, n)
+	if err != nil {
 		return "", nil, err
 	}
 	return fields[0], buf, nil

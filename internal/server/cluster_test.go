@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -310,9 +312,11 @@ func TestClusterClientRouting(t *testing.T) {
 	}
 }
 
-// hungListener accepts connections and never replies — the shape of a
-// wedged peer, which only a deadline can unstick.
-func hungListener(t *testing.T) (string, func()) {
+// wedgingPeer is a stand-in peer that answers every PULL with frame
+// until wedge is called, and from then on accepts connections and reads
+// requests — on old connections and new ones — but never replies: the
+// shape of a wedged peer, which only a deadline can unstick.
+func wedgingPeer(t *testing.T, frame []byte) (addr string, wedge, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -321,6 +325,19 @@ func hungListener(t *testing.T) (string, func()) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var conns []net.Conn
+	var wedged atomic.Bool
+	serve := func(conn net.Conn) {
+		defer wg.Done()
+		r := bufio.NewReader(conn)
+		for {
+			if _, err := r.ReadString('\n'); err != nil {
+				return
+			}
+			if !wedged.Load() {
+				fmt.Fprintf(conn, "OK mg %d\n%s", len(frame), frame)
+			}
+		}
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -332,9 +349,11 @@ func hungListener(t *testing.T) (string, func()) {
 			mu.Lock()
 			conns = append(conns, conn)
 			mu.Unlock()
+			wg.Add(1)
+			go serve(conn)
 		}
 	}()
-	return ln.Addr().String(), func() {
+	return ln.Addr().String(), func() { wedged.Store(true) }, func() {
 		ln.Close()
 		mu.Lock()
 		for _, c := range conns {
@@ -348,9 +367,26 @@ func hungListener(t *testing.T) (string, func()) {
 // TestClusterPartialResultOnHungPeer: a fan-in spanning a peer that
 // accepts but never answers must come back within the timeout budget
 // as a partial-result error naming the hung peer — never a hang,
-// never a silent short answer.
+// never a silent short answer — whether the peer is reached by a fresh
+// dial or through a pooled link that worked a moment ago.
 func TestClusterPartialResultOnHungPeer(t *testing.T) {
-	hungAddr, stopHung := hungListener(t)
+	for _, pooled := range []bool{false, true} {
+		name := "fresh dial"
+		if pooled {
+			name = "pooled link"
+		}
+		t.Run(name, func(t *testing.T) { testPartialResultOnHungPeer(t, pooled) })
+	}
+}
+
+func testPartialResultOnHungPeer(t *testing.T, pooled bool) {
+	peerSum := mg.New(16)
+	peerSum.Update(2, 5)
+	peerFrame, err := peerSum.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hungAddr, wedge, stopHung := wedgingPeer(t, peerFrame)
 	defer stopHung()
 
 	const timeout = 150 * time.Millisecond
@@ -380,6 +416,19 @@ func TestClusterPartialResultOnHungPeer(t *testing.T) {
 	if _, err := c.Push("pq", "mg", sum); err != nil {
 		t.Fatal(err)
 	}
+
+	if pooled {
+		// One good fan-in leaves an idle link to the peer behind; the
+		// read below goes out on it.
+		var got mg.Summary
+		if _, err := c.PullCluster("pq", &got); err != nil || got.N() != 12 {
+			t.Fatalf("fan-in before the peer wedged: n=%d err=%v", got.N(), err)
+		}
+		if m, err := c.Metrics(); err != nil || m["peer.idle"] != 1 {
+			t.Fatalf("peer.idle = %d (err %v) after a good fan-in, want 1", m["peer.idle"], err)
+		}
+	}
+	wedge()
 
 	start := time.Now()
 	_, _, err = c.PullClusterFrame("pq")
@@ -416,6 +465,10 @@ func TestClusterPartialResultOnHungPeer(t *testing.T) {
 	}
 	if m["peer.fanouts"] == 0 || m["peer.errors"] == 0 {
 		t.Fatalf("fan-out counters missed the failure: %v", m)
+	}
+	// The link that timed out was hung up, not put back.
+	if m["peer.idle"] != 0 {
+		t.Fatalf("peer.idle = %d after a timed-out read, want 0", m["peer.idle"])
 	}
 }
 
@@ -561,5 +614,67 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if _, ok := m["window.epoch"]; ok {
 		t.Fatal("window metrics served outside windowed mode")
+	}
+	// This connection is the only one open.
+	if m["conns.open"] != 1 {
+		t.Fatalf("conns.open = %d, want 1", m["conns.open"])
+	}
+
+	// Peer mode: the fan-out counters obey their conservation laws over
+	// a cluster of this node, a live peer and a dead address — every
+	// fan-in accounts for every member, and every attempt at a remote
+	// member either dialed or rode an idle link.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close()
+	s := New()
+	self, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPeers(self, []string{self, addr, deadAddr}, 2*time.Second, 1); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve() }()
+	defer func() {
+		s.Close()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	pc, err := Dial(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	const fanIns = 5
+	for i := 0; i < fanIns; i++ {
+		if _, _, err := pc.PullClusterFrame("m1"); err == nil || !strings.Contains(err.Error(), "2/3 peers ok") {
+			t.Fatalf("fan-in over a dead member: %v", err)
+		}
+	}
+	pm, err := pc.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm["peer.fanouts"] != fanIns || pm["peer.count"] != 3 {
+		t.Fatalf("peer.fanouts = %d, peer.count = %d, want %d and 3", pm["peer.fanouts"], pm["peer.count"], fanIns)
+	}
+	if got, want := pm["peer.ok"]+pm["peer.errors"], pm["peer.fanouts"]*pm["peer.count"]; got != want {
+		t.Fatalf("peer.ok %d + peer.errors %d = %d, want fanouts x count = %d", pm["peer.ok"], pm["peer.errors"], got, want)
+	}
+	// Remote attempts: one per remote member per fan-in, plus retries.
+	attempts := pm["peer.fanouts"]*(pm["peer.count"]-1) + pm["peer.retries"]
+	if got := pm["peer.dials"] + pm["peer.reused"]; got != attempts {
+		t.Fatalf("peer.dials %d + peer.reused %d = %d, want remote attempts = %d", pm["peer.dials"], pm["peer.reused"], got, attempts)
+	}
+	// The live peer was dialed once and reused since; the dead one is
+	// dialed on every attempt and never pooled.
+	if pm["peer.reused"] != fanIns-1 || pm["peer.idle"] != 1 {
+		t.Fatalf("peer.reused = %d, peer.idle = %d, want %d and 1", pm["peer.reused"], pm["peer.idle"], fanIns-1)
 	}
 }

@@ -17,13 +17,18 @@ import (
 // concurrently and reducing them client-side — the very gather the
 // server's PULLC runs (read.go), minus the extra network hop.
 //
-// A ClusterClient is NOT safe for concurrent use: it caches one
-// connection per node and re-uses them across calls (PullAll uses each
-// from exactly one goroutine at a time). Open one per goroutine.
+// Nodes are reached as the server's fan-in reaches its peers, over
+// links kept between calls (links.go): a call costs at most timeout per
+// node, a transport failure (not a server ERR reply) closes the link,
+// and a link gone stale — a node restart, an idle-timeout — is replaced
+// by a fresh dial within the same call rather than poisoning the client.
+//
+// A ClusterClient is meant for one goroutine, which never needs more
+// than one link per node. Open one per goroutine.
 type ClusterClient struct {
 	ring    *cluster.Ring
 	nodes   []string
-	conns   []*Client // lazily dialed, index-aligned with nodes
+	links   []*links // lazily dialed, index-aligned with nodes
 	timeout time.Duration
 }
 
@@ -39,25 +44,20 @@ func DialCluster(nodes []string, timeout time.Duration) (*ClusterClient, error) 
 	if timeout <= 0 {
 		timeout = DefaultPeerTimeout
 	}
-	return &ClusterClient{
-		ring:    ring,
-		nodes:   ring.Nodes(),
-		conns:   make([]*Client, len(ring.Nodes())),
-		timeout: timeout,
-	}, nil
+	cc := &ClusterClient{ring: ring, nodes: ring.Nodes(), timeout: timeout}
+	for _, addr := range cc.nodes {
+		cc.links = append(cc.links, &links{addr: addr})
+	}
+	return cc, nil
 }
 
 // Close closes every open connection, returning the first error.
 func (cc *ClusterClient) Close() error {
 	var first error
-	for i, c := range cc.conns {
-		if c == nil {
-			continue
-		}
-		if err := c.Close(); err != nil && first == nil {
+	for _, l := range cc.links {
+		if err := l.drop(); err != nil && first == nil {
 			first = err
 		}
-		cc.conns[i] = nil
 	}
 	return first
 }
@@ -69,39 +69,11 @@ func (cc *ClusterClient) Nodes() []string { return cc.nodes }
 // Owner returns the node a slot key routes to.
 func (cc *ClusterClient) Owner(slot string) string { return cc.ring.Owner(slot) }
 
-// withConn runs op on node i's cached connection, dialing on first
-// use; each attempt runs under one deadline (reach). A transport
-// failure (not a server ERR reply) drops the cached connection and
-// retries once on a fresh dial, so one stale socket — a node restart,
-// an idle-timeout — does not poison the client.
-func (cc *ClusterClient) withConn(i int, op func(*Client) error) error {
-	for {
-		cached := cc.conns[i] != nil
-		c, err := reach(cc.conns[i], cc.nodes[i], cc.timeout)
-		if err != nil {
-			return err
-		}
-		cc.conns[i] = c
-		err = op(c)
-		c.SetDeadline(time.Time{})
-		var re *RemoteError
-		if err == nil || errors.As(err, &re) {
-			// Done, or the server answered: the connection is fine.
-			return err
-		}
-		c.conn.Close()
-		cc.conns[i] = nil
-		if !cached {
-			return err
-		}
-	}
-}
-
 // toOwner runs op on the connection to the slot key's owning node,
 // naming the node in any transport failure.
 func (cc *ClusterClient) toOwner(slot string, op func(*Client) error) error {
 	i := cc.ring.OwnerIndex(slot)
-	err := cc.withConn(i, op)
+	err := cc.links[i].do(cc.timeout, op)
 	var re *RemoteError
 	if err != nil && !errors.As(err, &re) {
 		return fmt.Errorf("node %s: %w", cc.nodes[i], err)
@@ -130,15 +102,14 @@ func (cc *ClusterClient) PushBatch(slot, kind string, summaries []encoding.Binar
 }
 
 // readAll answers q cluster-wide, client-side: every node is read over
-// its cached connection (each used by exactly one of gather's
-// goroutines) and the frames reduce in node-list order, so the answer
+// its link and the frames reduce in node-list order, so the answer
 // is byte-identical to the server-side fan-in over the same member
 // list. Nodes holding nothing contribute nothing; a node that cannot
 // be read fails the whole call with a partial-result error naming it —
 // the caller is never handed an answer silently missing a node's share.
 func (cc *ClusterClient) readAll(q query) (string, []byte, error) {
-	kind, frame, err := gather(q, cc.nodes, func(i int) (frame []byte, err error) {
-		err = cc.withConn(i, func(c *Client) (e error) {
+	kind, frame, err := gather(q, cc.nodes, 0, func(i int) (frame []byte, err error) {
+		err = cc.links[i].do(cc.timeout, func(c *Client) (e error) {
 			_, frame, e = c.read(q, false)
 			return e
 		})

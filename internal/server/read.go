@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"strconv"
@@ -49,17 +48,24 @@ func parseQuery(verb string, fields []string) (q query, clusterWide bool, err er
 }
 
 // writeLine writes the command line that asks for q, node-local or
-// cluster-wide.
-func (q query) writeLine(w io.Writer, clusterWide bool) {
-	c := ""
-	if clusterWide {
-		c = "C"
-	}
+// cluster-wide. It is appended into w's own buffer: a peer read should
+// allocate its reply frame and nothing for the request.
+func (q query) writeLine(w *bufio.Writer, clusterWide bool) {
+	b := w.AvailableBuffer()
 	if q.ranged {
-		fmt.Fprintf(w, "QWIN%s %s %d %d\n", c, q.slot, q.from, q.to)
+		b = append(b, "QWIN"...)
 	} else {
-		fmt.Fprintf(w, "PULL%s %s\n", c, q.slot)
+		b = append(b, "PULL"...)
 	}
+	if clusterWide {
+		b = append(b, 'C')
+	}
+	b = append(append(b, ' '), q.slot...)
+	if q.ranged {
+		b = strconv.AppendUint(append(b, ' '), q.from, 10)
+		b = strconv.AppendUint(append(b, ' '), q.to, 10)
+	}
+	w.Write(append(b, '\n'))
 }
 
 // local answers q from one node's own state.
@@ -80,27 +86,33 @@ func (q query) noData() error {
 }
 
 // gather answers q cluster-wide: read answers it for member i, all
-// members are read concurrently, and the frames are reduced in
-// member-list order — the order every node and client shares, which is
-// what makes the answer byte-identical wherever it is computed. How a
-// member is reached (in process, a fresh dial with a retry budget, a
-// cached connection) is the caller's policy and the only thing the
-// server's and the client's fan-in differ in. Members holding nothing
-// for q contribute nothing — that is what lets a star fan-in span nodes
-// that never saw the slot — and any other failure turns the whole
-// answer into one partial-result error naming every failed member: the
-// cluster never silently serves an answer missing a member's share.
-func gather(q query, members []string, read func(i int) ([]byte, error)) (string, []byte, error) {
+// members are read concurrently — member here on the calling goroutine,
+// once the others are under way: the server's own in-process share
+// needs no goroutine — and the frames are reduced in member-list order,
+// the order every node and client shares, which is what makes the
+// answer byte-identical wherever it is computed. Every remote member is
+// reached the same way, over a pooled link (links.do); what the server
+// adds is its own share answered in process and a retry budget
+// (readMember). Members holding nothing for q contribute nothing — that
+// is what lets a star fan-in span nodes that never saw the slot — and
+// any other failure turns the whole answer into one partial-result
+// error naming every failed member: the cluster never silently serves
+// an answer missing a member's share.
+func gather(q query, members []string, here int, read func(i int) ([]byte, error)) (string, []byte, error) {
 	frames := make([][]byte, len(members))
 	errs := make([]error, len(members))
 	var wg sync.WaitGroup
 	for i := range members {
+		if i == here {
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			frames[i], errs[i] = read(i)
 		}()
 	}
+	frames[here], errs[here] = read(here)
 	wg.Wait()
 	var failed []string
 	held := frames[:0]
@@ -123,8 +135,9 @@ func gather(q query, members []string, read func(i int) ([]byte, error)) (string
 	return cluster.ReduceEncoded(held)
 }
 
-// DefaultPeerTimeout bounds one peer read (dial + request + reply)
-// during a cluster fan-in when SetPeers is given no explicit timeout.
+// DefaultPeerTimeout bounds one attempt at a peer read (dial, if any, +
+// request + reply) during a cluster fan-in when SetPeers is given no
+// explicit timeout.
 const DefaultPeerTimeout = 2 * time.Second
 
 // SetPeers enables coordinator-less peer mode: peers is the full
@@ -136,8 +149,9 @@ const DefaultPeerTimeout = 2 * time.Second
 // and reducing the snapshots in peer-list order (gather) — any node can
 // be asked, and every node computes the same answer. timeout bounds
 // each attempt at a peer read, dial included (<= 0 selects
-// DefaultPeerTimeout); retries is the number of re-dials after a failed
-// read (< 0 selects 1). Call before Serve.
+// DefaultPeerTimeout); retries is the number of further attempts after
+// a failed one (< 0 selects 1). Connections to peers are kept between
+// reads (links.go); Close hangs them up. Call before Serve.
 //
 // self must be an entry of peers: a node that cannot find itself in the
 // list would fan in without its own share, so the configuration is
@@ -152,6 +166,10 @@ func (s *Server) SetPeers(self string, peers []string, timeout time.Duration, re
 	}
 	s.peers = slices.Clone(peers)
 	s.selfAt = at
+	s.links = make([]*links, len(peers))
+	for i, addr := range peers {
+		s.links[i] = &links{addr: addr}
+	}
 	if timeout <= 0 {
 		timeout = DefaultPeerTimeout
 	}
@@ -169,9 +187,10 @@ func (s *Server) Peers() []string { return s.peers }
 
 // readMember answers q for member i of the peer list: this node's own
 // entry from local state, any other with a single-node read over a
-// fresh connection per attempt, which keeps a half-dead socket from
-// poisoning the retry. Each attempt runs under one deadline (reach),
-// so a hung peer costs at most (retries+1)·timeout. The local share
+// pooled link. Each attempt runs under one deadline and never leaves a
+// link that failed behind for the next (links.do), so a hung peer costs
+// at most (retries+1)·timeout — the free redial after a stale link
+// spends the attempt's own deadline, not a new one. The local share
 // counts as a peer read so METRICS adds up.
 func (s *Server) readMember(q query, i int) (frame []byte, err error) {
 	if i == s.selfAt {
@@ -181,12 +200,10 @@ func (s *Server) readMember(q query, i int) (frame []byte, err error) {
 			if attempt > 0 {
 				s.fanRetries.Add(1)
 			}
-			var c *Client
-			if c, err = reach(nil, s.peers[i], s.peerTimeout); err != nil {
-				continue
-			}
-			_, frame, err = c.read(q, false)
-			c.Close()
+			err = s.links[i].do(s.peerTimeout, func(c *Client) (e error) {
+				_, frame, e = c.read(q, false)
+				return e
+			})
 			if err == nil || IsNoData(err) {
 				break
 			}
@@ -209,7 +226,7 @@ func (s *Server) cmdRead(verb string, fields []string, w *bufio.Writer) {
 		var frame []byte
 		if clusterWide && len(s.peers) > 0 {
 			s.fanouts.Add(1)
-			kind, frame, err = gather(q, s.peers, func(i int) ([]byte, error) { return s.readMember(q, i) })
+			kind, frame, err = gather(q, s.peers, s.selfAt, func(i int) ([]byte, error) { return s.readMember(q, i) })
 		} else {
 			kind, frame, err = q.local(s.Node)
 		}

@@ -37,7 +37,16 @@
 // run over the network as a star. Peers missing the slot contribute
 // nothing; a peer that cannot be reached within the per-peer timeout
 // (after retries) turns the reply into a partial-result error naming
-// the failed peers, never a hang.
+// the failed peers, never a hang. Connections to peers are kept between
+// fan-ins — a small free list of idle links per member (links.go) — so
+// a cluster read costs a round trip per peer, not a handshake: a link
+// goes back on the list only after a clean reply or a server ERR, a
+// link found stale (the peer restarted) is replaced by a fresh dial
+// within the same attempt and without spending a retry, and a member
+// read still costs at most (retries+1)·timeout. The other side of that
+// bargain: nodes hold idle inbound connections from their peers, so
+// Close hangs up everything the server holds instead of waiting for it,
+// and a Shutdown with such links open waits its whole grace period.
 //
 // All four read commands are one path (read.go):
 //
@@ -48,9 +57,9 @@
 // reply); it is answered from this node's own state or gathered over
 // the peer list, reduced, and written by the one frame-reply writer.
 // The cluster client's PullAll/QueryWindowAll run the same gather and
-// the same reduce client-side, reaching members over cached connections
-// instead of fresh dials, and the reduce (cluster.ReduceEncoded) is the
-// window.Reduce the roll-up plane folds its segments with. The paper's
+// the same reduce client-side, reaching members over the same pooled
+// links, and the reduce (cluster.ReduceEncoded) is the window.Reduce
+// the roll-up plane folds its segments with. The paper's
 // theorem is why one of each suffices: a summary's guarantee survives
 // any merge tree, so it cannot matter whether the ladder, a peer or a
 // client picked it.
@@ -127,8 +136,8 @@ import (
 // maxFrame bounds a single pushed frame (16 MiB) so a misbehaving
 // client cannot exhaust server memory with one length header. The
 // reader additionally grows its buffer only as bytes actually arrive
-// (see readLengthPrefixed), so even a header declaring the full 16 MiB
-// costs nothing until the peer really sends that much.
+// (see readFrame), so even a header declaring the full 16 MiB costs
+// nothing until the peer really sends that much.
 const maxFrame = 16 << 20
 
 // frameChunk is the read granularity for large frames: the frame
@@ -167,10 +176,12 @@ type Server struct {
 	*Node
 
 	// peer mode (SetPeers): the full cluster member list, the index of
-	// this node's own entry, and the per-peer fan-out policy. See
-	// read.go.
+	// this node's own entry, the idle connections kept to each member
+	// (index-aligned with peers, this node's own never used; see
+	// links.go), and the per-peer fan-out policy. See read.go.
 	peers       []string
 	selfAt      int
+	links       []*links
 	peerTimeout time.Duration
 	peerRetries int
 
@@ -199,6 +210,12 @@ type Server struct {
 	loopWg sync.WaitGroup // ticker goroutines, exit on closed
 	connWg sync.WaitGroup // connection handlers
 	closed chan struct{}
+
+	// conns is every accepted connection whose handler has not returned
+	// — peers park idle links here, so Close must be able to hang them
+	// up itself. nil once Close has run: nothing is accepted after it.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
 }
 
 // New returns a server with no slots.
@@ -206,6 +223,7 @@ func New() *Server {
 	return &Server{
 		Node:   NewNode(),
 		closed: make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
 	}
 }
 
@@ -253,18 +271,44 @@ func (s *Server) Serve() error {
 				return err
 			}
 		}
+		if !s.track(conn) {
+			conn.Close() // accepted as Close ran
+			continue
+		}
 		s.connWg.Add(1)
 		go func() {
 			defer s.connWg.Done()
+			defer s.untrack(conn)
 			s.handle(conn)
 		}()
 	}
 }
 
-// Close stops accepting and waits for nothing: in-flight connections
-// are abandoned to finish on their own and roll-up planes are closed
-// so their background workers exit; sealed segments stay queryable
-// until the server is dropped. For an orderly drain use Shutdown.
+// track registers an accepted connection for Close to hang up; it
+// reports false when Close has already run.
+func (s *Server) track(conn net.Conn) bool {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if s.conns == nil {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+func (s *Server) untrack(conn net.Conn) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	delete(s.conns, conn)
+}
+
+// Close stops the server now: it stops accepting, hangs up the idle
+// links it keeps to its peers and every connection it still holds —
+// clients' and the idle links its peers keep to it alike, so Serve
+// returns without waiting for anyone else to hang up first — and closes
+// the roll-up planes so their background workers exit; sealed segments
+// stay queryable until the server is dropped. For an orderly drain use
+// Shutdown.
 func (s *Server) Close() {
 	select {
 	case <-s.closed:
@@ -274,15 +318,27 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
+	for _, l := range s.links {
+		l.close()
+	}
+	s.connMu.Lock()
+	conns := s.conns
+	s.conns = nil
+	s.connMu.Unlock()
+	for conn := range conns {
+		conn.Close()
+	}
 	s.CloseSlots()
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
 // connections, absorbs every slot's lane-parked ingest, seals the live
 // window epoch (windowed servers), then waits up to grace for
-// in-flight connections to finish before closing everything. After the
-// drain the node's serveable state contains every push a reply ever
-// acknowledged — a final PULL equals the pre-shutdown state.
+// in-flight connections to finish before closing everything (Close).
+// After the drain the node's serveable state contains every push a
+// reply ever acknowledged — a final PULL equals the pre-shutdown state.
+// A connection nobody hangs up — an idle link a peer keeps to this
+// node, say — holds the wait to the full grace period.
 func (s *Server) Shutdown(grace time.Duration) {
 	s.draining.Store(true)
 	if s.ln != nil {
@@ -398,12 +454,10 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 // readLengthPrefixed reads one self-delimiting summary frame preceded
 // by its length line ("<len>\n") into f's pooled buffer, returning the
 // filled slice (aliasing f.b; valid until f is recycled). The declared
-// length is capped at maxFrame, and the buffer grows only as bytes
-// actually arrive — at most one frameChunk ahead and at most 2× the
-// received size — so a hostile length header cannot force a large
-// up-front allocation. Any error from here is protocol-fatal: the
-// stream position is unknown and the connection must be dropped after
-// reporting it.
+// length is capped at maxFrame and the buffer grows only as bytes
+// actually arrive (readFrame). Any error from here is protocol-fatal:
+// the stream position is unknown and the connection must be dropped
+// after reporting it.
 func readLengthPrefixed(r *bufio.Reader, f *frameBuf) ([]byte, error) {
 	line, err := readLine(r)
 	if err != nil {
@@ -414,32 +468,32 @@ func readLengthPrefixed(r *bufio.Reader, f *frameBuf) ([]byte, error) {
 	if err != nil || n < 0 || n > maxFrame {
 		return nil, fmt.Errorf("bad frame length %q (max %d)", line, maxFrame)
 	}
-	buf := f.b[:0]
+	buf, err := readFrame(r, f.b, n)
+	f.b = buf
+	return buf, err
+}
+
+// readFrame reads an n-byte frame into buf's storage, returning the
+// filled slice — or, with the error, what it grew to, emptied. Whoever
+// declared n is not trusted with memory: the buffer grows only as
+// bytes actually arrive — at most one frameChunk ahead and at most 2×
+// the received size — so a hostile length header cannot force a large
+// up-front allocation, from a pushing client or from a peer's reply.
+func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
 	for len(buf) < n {
-		chunk := n - len(buf)
-		if chunk > frameChunk {
-			chunk = frameChunk
-		}
+		chunk := min(n-len(buf), frameChunk)
 		start := len(buf)
 		if cap(buf) < start+chunk {
-			newCap := 2 * cap(buf)
-			if newCap < start+chunk {
-				newCap = start + chunk
-			}
-			if newCap > n {
-				newCap = n
-			}
-			nb := make([]byte, start, newCap)
+			nb := make([]byte, start, min(max(2*cap(buf), start+chunk), n))
 			copy(nb, buf)
 			buf = nb
 		}
 		buf = buf[:start+chunk]
 		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			f.b = buf[:0]
-			return nil, err
+			return buf[:0], err
 		}
 	}
-	f.b = buf
 	return buf, nil
 }
 
@@ -564,16 +618,19 @@ func (s *Server) cmdStat(w *bufio.Writer) {
 }
 
 // cmdMetrics handles METRICS: the per-kind push/pull/merge counters,
-// the peer fan-out counters (peer mode), and the window epoch origin
-// and tick (windowed mode) as "<name> <value>" rows — the first slice
-// of the observability surface, and the epoch↔wall-clock mapping
-// Client.QueryWindowTime resolves epochs against.
+// the peer fan-out and link counters (peer mode), the number of open
+// inbound connections, and the window epoch origin and tick (windowed
+// mode) as "<name> <value>" rows — the first slice of the observability
+// surface, and the epoch↔wall-clock mapping Client.QueryWindowTime
+// resolves epochs against. peer.dials + peer.reused is the number of
+// attempts made at remote members, so reused over that sum is the hit
+// rate of the idle links; peer.idle and conns.open are gauges.
 func (s *Server) cmdMetrics(w *bufio.Writer) {
 	type row struct {
 		name string
 		val  uint64
 	}
-	rows := make([]row, 0, 3*16+8)
+	rows := make([]row, 0, 3*16+12)
 	for _, ks := range s.Stats() {
 		rows = append(rows,
 			row{"kind.push." + ks.Kind, ks.Pushes},
@@ -589,7 +646,22 @@ func (s *Server) cmdMetrics(w *bufio.Writer) {
 			row{"peer.errors", s.fanPeerErr.Load()},
 			row{"peer.retries", s.fanRetries.Load()},
 		)
+		var dials, reused, idle uint64
+		for _, l := range s.links {
+			dials += l.dials.Load()
+			reused += l.reused.Load()
+			idle += uint64(l.idleCount())
+		}
+		rows = append(rows,
+			row{"peer.dials", dials},
+			row{"peer.reused", reused},
+			row{"peer.idle", idle},
+		)
 	}
+	s.connMu.Lock()
+	open := len(s.conns)
+	s.connMu.Unlock()
+	rows = append(rows, row{"conns.open", uint64(open)})
 	if s.windowed {
 		rows = append(rows,
 			row{"window.epoch", s.Epoch()},

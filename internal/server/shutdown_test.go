@@ -254,3 +254,38 @@ func TestQueryWindowClusterTime(t *testing.T) {
 		t.Fatal("QueryWindowClusterTime succeeded against a non-windowed server")
 	}
 }
+
+// TestShutdownHangsUpPeerLinks: a peer's idle link is a connection
+// nobody hangs up, so a draining node waits its whole grace period for
+// it — and then hangs it up itself, so no handler outlives Shutdown.
+func TestShutdownHangsUpPeerLinks(t *testing.T) {
+	addrs, servers, stop := startPeerCluster(t, 2, 2*time.Second, 0)
+	defer stop()
+	c, err := Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pushMG(t, c, "sd", 1, 3)
+	var got mg.Summary
+	if _, err := c.PullCluster("sd", &got); err != nil || got.N() != 3 {
+		t.Fatalf("PULLC: n=%d err=%v", got.N(), err)
+	}
+	// Node 0 now keeps an idle link to node 1.
+	const grace = 200 * time.Millisecond
+	start := time.Now()
+	servers[1].Shutdown(grace)
+	if elapsed := time.Since(start); elapsed < grace || elapsed > grace+time.Second {
+		t.Fatalf("Shutdown with an idle peer link open took %v, want about the %v grace", elapsed, grace)
+	}
+	handlers := make(chan struct{})
+	go func() {
+		servers[1].connWg.Wait()
+		close(handlers)
+	}()
+	select {
+	case <-handlers:
+	case <-time.After(time.Second):
+		t.Fatal("a connection handler outlived Shutdown: the peer's idle link was not hung up")
+	}
+}
