@@ -13,8 +13,10 @@
 //	mergesum query -type quantile -in all.q -phi 0.5,0.99
 //	mergesum inspect -type mg -in all.mg
 //
-// Summary types: mg, ss (item streams: one uint64 per line);
-// gk, quantile (value streams: one float per line).
+// Summary types build, query and inspect know: mg, ss (item streams: one
+// uint64 per line); gk, quantile (value streams: one float per line).
+// merge and push take the kind from the file's own frame tag and work
+// for every family in the registry catalog; their -type is only a check.
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"repro/internal/gk"
 	"repro/internal/mg"
 	"repro/internal/randquant"
+	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/spacesaving"
 )
@@ -72,11 +75,11 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `mergesum <gen|build|merge|query|inspect|push|pull> [flags]
   gen     -kind zipf|uniform|seq|normal|lognormal -n N [-alpha A] [-u U] [-seed S] -out FILE
   build   -type mg|ss|gk|quantile [-k K | -eps E] [-seed S] -in STREAM -out SUMMARY
-  merge   -type mg|ss|gk|quantile [-low-error] -out SUMMARY FILE...
+  merge   [-type KIND] [-low-error] -out SUMMARY FILE...                   (any registered kind)
   query   -type mg|ss [-top T] [-threshold F] -in SUMMARY
           -type gk|quantile [-phi 0.5,0.9,...] -in SUMMARY
   inspect -type mg|ss|gk|quantile -in SUMMARY
-  push    -addr HOST:PORT -slot NAME -type mg|ss|gk|quantile -in SUMMARY   (to summaryd)
+  push    -addr HOST:PORT -slot NAME [-type KIND] -in SUMMARY              (to summaryd)
   pull    -addr HOST:PORT -slot NAME -out SUMMARY                          (from summaryd)`)
 }
 
@@ -241,10 +244,27 @@ func cmdBuild(args []string) error {
 	}
 }
 
+// readFrame reads a summary file and resolves its family from the
+// frame's own kind tag; typ, when given, must name that family.
+func readFrame(path, typ string) (*registry.Entry, []byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	ent, err := registry.FromFrame(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if typ != "" && typ != ent.Name() {
+		return nil, nil, fmt.Errorf("%s holds kind %q, not %q", path, ent.Name(), typ)
+	}
+	return ent, data, nil
+}
+
 func cmdMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	typ := fs.String("type", "mg", "mg|ss|gk|quantile")
-	lowError := fs.Bool("low-error", false, "use the low-total-error merge (mg/ss)")
+	typ := fs.String("type", "", "summary kind the files must hold (default: the first file's)")
+	lowError := fs.Bool("low-error", false, "use the low-total-error merge (kinds that define one)")
 	out := fs.String("out", "", "output summary file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -253,82 +273,33 @@ func cmdMerge(args []string) error {
 	if *out == "" || len(files) == 0 {
 		return fmt.Errorf("merge: -out and at least one input file are required")
 	}
-	switch *typ {
-	case "mg":
-		acc := new(mg.Summary)
-		if err := readSummary(files[0], acc); err != nil {
-			return err
-		}
-		for _, path := range files[1:] {
-			next := new(mg.Summary)
-			if err := readSummary(path, next); err != nil {
-				return err
-			}
-			var err error
-			if *lowError {
-				err = acc.MergeLowError(next)
-			} else {
-				err = acc.Merge(next)
-			}
-			if err != nil {
-				return fmt.Errorf("merging %s: %w", path, err)
-			}
-		}
-		return writeSummary(*out, acc)
-	case "ss":
-		acc := new(spacesaving.Summary)
-		if err := readSummary(files[0], acc); err != nil {
-			return err
-		}
-		for _, path := range files[1:] {
-			next := new(spacesaving.Summary)
-			if err := readSummary(path, next); err != nil {
-				return err
-			}
-			var err error
-			if *lowError {
-				err = acc.MergeLowError(next)
-			} else {
-				err = acc.Merge(next)
-			}
-			if err != nil {
-				return fmt.Errorf("merging %s: %w", path, err)
-			}
-		}
-		return writeSummary(*out, acc)
-	case "gk":
-		acc := new(gk.Summary)
-		if err := readSummary(files[0], acc); err != nil {
-			return err
-		}
-		for _, path := range files[1:] {
-			next := new(gk.Summary)
-			if err := readSummary(path, next); err != nil {
-				return err
-			}
-			if err := acc.Merge(next); err != nil {
-				return fmt.Errorf("merging %s: %w", path, err)
-			}
-		}
-		return writeSummary(*out, acc)
-	case "quantile":
-		acc := new(randquant.Summary)
-		if err := readSummary(files[0], acc); err != nil {
-			return err
-		}
-		for _, path := range files[1:] {
-			next := new(randquant.Summary)
-			if err := readSummary(path, next); err != nil {
-				return err
-			}
-			if err := acc.Merge(next); err != nil {
-				return fmt.Errorf("merging %s: %w", path, err)
-			}
-		}
-		return writeSummary(*out, acc)
-	default:
-		return fmt.Errorf("merge: unknown type %q", *typ)
+	variant := registry.MergePODS
+	if *lowError {
+		variant = registry.MergeLowError
 	}
+	kind := *typ // "" until the first file fixes it
+	var ent *registry.Entry
+	var acc any
+	for _, path := range files {
+		next, data, err := readFrame(path, kind)
+		if err != nil {
+			return err
+		}
+		src, err := next.Decode(data)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		if acc == nil {
+			ent, acc, kind = next, src, next.Name()
+		} else if err := ent.MergeVariant(variant, acc, src); err != nil {
+			return fmt.Errorf("merging %s: %w", path, err)
+		}
+	}
+	data, err := ent.Encode(acc)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(*out, data, 0o644)
 }
 
 func parsePhis(s string) ([]float64, error) {
@@ -481,7 +452,7 @@ func cmdPush(args []string) error {
 	fs := flag.NewFlagSet("push", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7070", "summaryd address")
 	slot := fs.String("slot", "", "slot name")
-	typ := fs.String("type", "mg", "mg|ss|gk|quantile")
+	typ := fs.String("type", "", "summary kind the file must hold (default: whatever it holds)")
 	in := fs.String("in", "", "summary file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -489,23 +460,8 @@ func cmdPush(args []string) error {
 	if *slot == "" || *in == "" {
 		return fmt.Errorf("push: -slot and -in are required")
 	}
-	var s interface {
-		MarshalBinary() ([]byte, error)
-		UnmarshalBinary([]byte) error
-	}
-	switch *typ {
-	case "mg":
-		s = new(mg.Summary)
-	case "ss":
-		s = new(spacesaving.Summary)
-	case "gk":
-		s = new(gk.Summary)
-	case "quantile":
-		s = new(randquant.Summary)
-	default:
-		return fmt.Errorf("push: unknown type %q", *typ)
-	}
-	if err := readSummary(*in, s); err != nil {
+	ent, data, err := readFrame(*in, *typ)
+	if err != nil {
 		return err
 	}
 	c, err := server.Dial(*addr)
@@ -513,7 +469,7 @@ func cmdPush(args []string) error {
 		return err
 	}
 	defer c.Close()
-	n, err := c.Push(*slot, *typ, s)
+	n, err := c.Push(*slot, ent.Name(), rawFrame(data))
 	if err != nil {
 		return err
 	}
@@ -549,9 +505,11 @@ func cmdPull(args []string) error {
 	return nil
 }
 
-// rawFrame stores pulled bytes verbatim so the CLI can persist any
-// summary kind without decoding it.
+// rawFrame carries frame bytes verbatim so the CLI can push and persist
+// any summary kind without decoding it.
 type rawFrame []byte
+
+func (r rawFrame) MarshalBinary() ([]byte, error) { return r, nil }
 
 func (r *rawFrame) UnmarshalBinary(data []byte) error {
 	*r = append((*r)[:0], data...)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mg"
 	"repro/internal/randquant"
+	"repro/internal/registry"
 )
 
 // End-to-end CLI workflow: gen → split → build → merge → query,
@@ -103,6 +104,57 @@ func TestValuePipeline(t *testing.T) {
 	}
 	if q.N() != 20000 {
 		t.Fatalf("merged quantile N = %d", q.N())
+	}
+}
+
+// writeExample writes a frame of any registered kind: the CLI cannot
+// build most families, but merge and push must still carry them.
+func writeExample(t *testing.T, path, kind string, n int) *registry.Entry {
+	t.Helper()
+	ent, ok := registry.ByName(kind)
+	if !ok {
+		t.Fatalf("kind %q not registered", kind)
+	}
+	data, err := ent.Encode(ent.Example(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return ent
+}
+
+// merge takes the kind from the files' own frames, so it serves
+// families build knows nothing about; -type is only a check.
+func TestMergeAnyKind(t *testing.T) {
+	dir := t.TempDir()
+	a, b, cm := filepath.Join(dir, "a.hll"), filepath.Join(dir, "b.hll"), filepath.Join(dir, "c.countmin")
+	ent := writeExample(t, a, "hll", 500)
+	writeExample(t, b, "hll", 300)
+	writeExample(t, cm, "countmin", 100)
+	for _, extra := range [][]string{nil, {"-type", "hll"}, {"-low-error"}} {
+		out := filepath.Join(dir, "all.hll")
+		if err := cmdMerge(append(extra, "-out", out, a, b)); err != nil {
+			t.Fatalf("merge %v: %v", extra, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := ent.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ent.N(merged); got != 800 {
+			t.Fatalf("merge %v: merged hll N = %d, want 800", extra, got)
+		}
+	}
+	if err := cmdMerge([]string{"-type", "mg", "-out", filepath.Join(dir, "x"), a, b}); err == nil {
+		t.Error("-type mg accepted hll files")
+	}
+	if err := cmdMerge([]string{"-out", filepath.Join(dir, "x"), a, cm}); err == nil {
+		t.Error("merged an hll file with a countmin file")
 	}
 }
 

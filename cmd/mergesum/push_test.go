@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -57,6 +58,35 @@ func TestPushPullAgainstDaemon(t *testing.T) {
 	// The pulled file is queryable through the normal path too.
 	if err := cmdQuery([]string{"-type", "mg", "-in", out, "-top", "3"}); err != nil {
 		t.Fatal(err)
+	}
+
+	// push sends whatever kind the file holds: a family the CLI cannot
+	// build goes through without -type, and a -type that disagrees with
+	// the frame is refused before anything is sent.
+	kmvFile := filepath.Join(dir, "s.kmv")
+	ent := writeExample(t, kmvFile, "kmv", 700)
+	for i := 0; i < 2; i++ {
+		if err := cmdPush([]string{"-addr", addr, "-slot", "distinct", "-in", kmvFile}); err != nil {
+			t.Fatalf("push kmv: %v", err)
+		}
+	}
+	if err := cmdPush([]string{"-addr", addr, "-slot", "distinct", "-type", "mg", "-in", kmvFile}); err == nil {
+		t.Fatal("-type mg accepted a kmv file")
+	}
+	out = filepath.Join(dir, "merged.kmv")
+	if err := cmdPull([]string{"-addr", addr, "-slot", "distinct", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := ent.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ent.N(pulled); got != 1400 {
+		t.Fatalf("pulled kmv N = %d, want 1400", got)
 	}
 }
 

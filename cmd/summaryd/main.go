@@ -57,7 +57,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	kinds := flag.Bool("kinds", false, "print the served summary kinds and exit")
-	front := flag.Int("front", 0, "ingest-front lanes for PUSHB (0 = off, -1 = GOMAXPROCS)")
+	front := flag.Int("front", 0, "ingest-front lanes for every write, PUSH and PUSHB (0 = off, -1 = GOMAXPROCS); OK <n> is then the weight acknowledged so far")
 	frontTick := flag.Duration("front-tick", 5*time.Millisecond, "ingest-front flush interval")
 	win := flag.Bool("window", false, "enable windowed mode: per-slot roll-up planes and QWIN")
 	winTick := flag.Duration("window-tick", time.Second, "windowed-mode epoch length")

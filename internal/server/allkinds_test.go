@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding"
 	"testing"
+	"time"
 
 	"repro/internal/mg"
 	"repro/internal/registry"
+	"repro/internal/window"
 )
 
 // rawSummary adapts pre-encoded frame bytes to the Push/PushBatch
@@ -123,6 +125,103 @@ func TestAllKindsRoundTrip(t *testing.T) {
 		if r.Kind != ent.Name() || r.Pushes != 3 {
 			t.Fatalf("STAT row %+v, want kind %q pushes 3", r, ent.Name())
 		}
+	}
+}
+
+// TestPushIsPushBatchOfOne: a frame that arrives alone and a frame that
+// arrives as a batch of one take the same path, so nothing observable
+// may tell them apart — the replies, the STAT row, the METRICS deltas
+// and the pulled bytes agree for every family, on a direct node, a
+// fronted node and a windowed one (where the range read must agree too).
+func TestPushIsPushBatchOfOne(t *testing.T) {
+	flavors := []struct {
+		name  string
+		start func(t *testing.T) (string, func())
+	}{
+		{"direct", startServer},
+		{"fronted", func(t *testing.T) (string, func()) { return startFrontServer(t, 4, time.Hour) }},
+		{"windowed", func(t *testing.T) (string, func()) {
+			_, addr, stop := startWindowedServer(t, window.Ladder{}, 0)
+			return addr, stop
+		}},
+	}
+	for _, fl := range flavors {
+		t.Run(fl.name, func(t *testing.T) {
+			addr, stop := fl.start(t)
+			defer stop()
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for _, ent := range registry.Entries() {
+				kind := ent.Name()
+				rows := []string{"kind.push." + kind, "kind.merge." + kind, "kind.drop." + kind}
+				// write sends the same three frames one at a time and
+				// returns the replies and what METRICS moved by.
+				write := func(slot string, push func(f rawSummary) (uint64, error)) (replies [3]uint64, delta [3]uint64) {
+					before, err := c.Metrics()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, n := range []int{400, 300, 200} {
+						f, err := ent.Encode(ent.Example(n))
+						if err != nil {
+							t.Fatalf("%s: encode example: %v", kind, err)
+						}
+						if replies[i], err = push(f); err != nil {
+							t.Fatalf("%s: write %d into %s: %v", kind, i+1, slot, err)
+						}
+					}
+					after, err := c.Metrics()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, row := range rows {
+						delta[i] = after[row] - before[row]
+					}
+					return replies, delta
+				}
+				one, batch := "one-"+kind, "batch-"+kind
+				r1, d1 := write(one, func(f rawSummary) (uint64, error) { return c.Push(one, kind, f) })
+				r2, d2 := write(batch, func(f rawSummary) (uint64, error) {
+					return c.PushBatch(batch, kind, []encoding.BinaryMarshaler{f})
+				})
+				if r1 != r2 {
+					t.Errorf("%s: replies PUSH %v, PUSHB of one %v", kind, r1, r2)
+				}
+				if d1 != d2 || d1[0] != 3 {
+					t.Errorf("%s: METRICS %v moved by %v under PUSH, %v under PUSHB of one; want 3 pushes each", kind, rows, d1, d2)
+				}
+				_, f1, err1 := c.PullFrame(one)
+				_, f2, err2 := c.PullFrame(batch)
+				if err1 != nil || err2 != nil || !bytes.Equal(f1, f2) {
+					t.Errorf("%s: PULL differs (%d vs %d bytes; %v, %v)", kind, len(f1), len(f2), err1, err2)
+				}
+				if fl.name == "windowed" {
+					_, f1, err1 = c.QueryWindowFrame(one, 0, 0)
+					_, f2, err2 = c.QueryWindowFrame(batch, 0, 0)
+					if err1 != nil || err2 != nil || !bytes.Equal(f1, f2) {
+						t.Errorf("%s: QWIN differs (%d vs %d bytes; %v, %v)", kind, len(f1), len(f2), err1, err2)
+					}
+				}
+			}
+			stat, err := c.Stat()
+			if err != nil {
+				t.Fatal(err)
+			}
+			byName := make(map[string]SlotInfo, len(stat))
+			for _, r := range stat {
+				byName[r.Name] = r
+			}
+			for _, ent := range registry.Entries() {
+				a, b := byName["one-"+ent.Name()], byName["batch-"+ent.Name()]
+				b.Name = a.Name
+				if a != b || a.Pushes != 3 || a.Kind != ent.Name() {
+					t.Errorf("%s: STAT rows differ or are wrong: %+v vs %+v", ent.Name(), a, b)
+				}
+			}
+		})
 	}
 }
 

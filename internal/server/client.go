@@ -103,54 +103,31 @@ func (c *Client) readStatus() (string, error) {
 	return strings.TrimSpace(strings.TrimPrefix(line, "OK")), nil
 }
 
-// Push merges a summary into the named slot and returns the slot's
-// total weight after the merge.
-func (c *Client) Push(slot, kind string, summary encoding.BinaryMarshaler) (uint64, error) {
-	data, err := summary.MarshalBinary()
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(c.w, "PUSH %s %s\n%d\n", slot, kind, len(data))
-	c.w.Write(data)
-	if err := c.w.Flush(); err != nil {
-		return 0, err
-	}
-	rest, err := c.readStatus()
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseUint(rest, 10, 64)
-}
-
-// PushBatch merges every summary into the named slot with a single
-// PUSHB round-trip — all frames are pipelined behind one command line
-// and acknowledged by one reply — and returns the slot's total weight
-// after the batch. Batches longer than MaxBatch are split into
-// multiple round-trips transparently.
-func (c *Client) PushBatch(slot, kind string, summaries []encoding.BinaryMarshaler) (uint64, error) {
-	if len(summaries) == 0 {
+// push is the one sender of a write: frames go out behind a PUSH line,
+// or — batched — behind PUSHB lines of at most MaxBatch frames each, and
+// the last "OK <n>" reply is the weight acknowledged into the slot so
+// far (the merged slot's N, or its running total on a server with the
+// ingest front on). The line is appended into w's own buffer, as a
+// read's is (query.writeLine).
+func (c *Client) push(slot, kind string, batched bool, frames ...[]byte) (n uint64, err error) {
+	if len(frames) == 0 {
 		return 0, fmt.Errorf("server: empty batch")
 	}
-	var n uint64
-	for len(summaries) > 0 {
-		chunk := summaries
-		if len(chunk) > MaxBatch {
-			chunk = chunk[:MaxBatch]
+	for len(frames) > 0 {
+		chunk := frames[:min(len(frames), MaxBatch)]
+		frames = frames[len(chunk):]
+		b := append(c.w.AvailableBuffer(), "PUSH"...)
+		if batched {
+			b = append(b, 'B')
 		}
-		summaries = summaries[len(chunk):]
-		// Marshal everything before touching the wire so an encoding
-		// failure cannot leave a half-written batch on the stream.
-		frames := make([][]byte, len(chunk))
-		for i, s := range chunk {
-			data, err := s.MarshalBinary()
-			if err != nil {
-				return 0, err
-			}
-			frames[i] = data
+		b = append(append(b, ' '), slot...)
+		b = append(append(b, ' '), kind...)
+		if batched {
+			b = strconv.AppendInt(append(b, ' '), int64(len(chunk)), 10)
 		}
-		fmt.Fprintf(c.w, "PUSHB %s %s %d\n", slot, kind, len(frames))
-		for _, f := range frames {
-			fmt.Fprintf(c.w, "%d\n", len(f))
+		c.w.Write(append(b, '\n'))
+		for _, f := range chunk {
+			c.w.Write(append(strconv.AppendInt(c.w.AvailableBuffer(), int64(len(f)), 10), '\n'))
 			c.w.Write(f)
 		}
 		if err := c.w.Flush(); err != nil {
@@ -165,6 +142,44 @@ func (c *Client) PushBatch(slot, kind string, summaries []encoding.BinaryMarshal
 		}
 	}
 	return n, nil
+}
+
+// marshalAll encodes every summary of a batch. Writes marshal before
+// they touch the wire, so an encoding failure cannot leave a
+// half-written batch on the stream.
+func marshalAll(summaries []encoding.BinaryMarshaler) ([][]byte, error) {
+	frames := make([][]byte, len(summaries))
+	for i, s := range summaries {
+		data, err := s.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		frames[i] = data
+	}
+	return frames, nil
+}
+
+// Push merges a summary into the named slot and returns the slot's
+// total weight after the merge.
+func (c *Client) Push(slot, kind string, summary encoding.BinaryMarshaler) (uint64, error) {
+	data, err := summary.MarshalBinary()
+	if err != nil {
+		return 0, err
+	}
+	return c.push(slot, kind, false, data)
+}
+
+// PushBatch merges every summary into the named slot with a single
+// PUSHB round-trip — all frames are pipelined behind one command line
+// and acknowledged by one reply — and returns the slot's total weight
+// after the batch. Batches longer than MaxBatch are split into
+// multiple round-trips transparently.
+func (c *Client) PushBatch(slot, kind string, summaries []encoding.BinaryMarshaler) (uint64, error) {
+	frames, err := marshalAll(summaries)
+	if err != nil {
+		return 0, err
+	}
+	return c.push(slot, kind, true, frames...)
 }
 
 // read sends q — asking for the cluster-wide answer when clusterWide
@@ -281,16 +296,7 @@ func PushTyped[T any, PT registry.Codec[T]](c *Client, slot string, summary PT) 
 	if err != nil {
 		return 0, fmt.Errorf("server: push: %w", err)
 	}
-	fmt.Fprintf(c.w, "PUSH %s %s\n%d\n", slot, ent.Name(), len(data))
-	c.w.Write(data)
-	if err := c.w.Flush(); err != nil {
-		return 0, err
-	}
-	rest, err := c.readStatus()
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseUint(rest, 10, 64)
+	return c.push(slot, ent.Name(), false, data)
 }
 
 // PullTyped fetches the named slot's merged summary decoded into a

@@ -569,7 +569,7 @@ func TestClusterFanInSkipsEmptyPeers(t *testing.T) {
 	}
 }
 
-// TestMetricsCounters: METRICS serves the per-kind push/pull/merge
+// TestMetricsCounters: METRICS serves the per-kind push/pull/merge/drop
 // counters and they add up against a known little workload.
 func TestMetricsCounters(t *testing.T) {
 	addr, stop := startServer(t)
@@ -607,6 +607,15 @@ func TestMetricsCounters(t *testing.T) {
 	// First push adopts, the three batched frames merge.
 	if m["kind.merge.mg"] != 3 {
 		t.Fatalf("kind.merge.mg = %d, want 3", m["kind.merge.mg"])
+	}
+	// Conservation: every frame a reply acknowledged was installed into
+	// a slot (one slot here), merged on its way there, or — on a fronted
+	// node only, and never on a healthy one — dropped at flush time.
+	if drop, ok := m["kind.drop.mg"]; !ok || drop != 0 {
+		t.Fatalf("kind.drop.mg = %d (served: %v), want a row holding 0", drop, ok)
+	}
+	if got := m["kind.merge.mg"] + 1 + m["kind.drop.mg"]; got != m["kind.push.mg"] {
+		t.Fatalf("kind.merge.mg + installed + kind.drop.mg = %d, want kind.push.mg = %d", got, m["kind.push.mg"])
 	}
 	// No peers, no windows: those groups are absent entirely.
 	if _, ok := m["peer.count"]; ok {

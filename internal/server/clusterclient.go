@@ -84,8 +84,12 @@ func (cc *ClusterClient) toOwner(slot string, op func(*Client) error) error {
 // Push routes the summary to the slot key's owning node and merges it
 // there, returning that node's slot weight after the merge.
 func (cc *ClusterClient) Push(slot, kind string, summary encoding.BinaryMarshaler) (n uint64, err error) {
+	data, err := summary.MarshalBinary()
+	if err != nil {
+		return 0, err
+	}
 	err = cc.toOwner(slot, func(c *Client) (e error) {
-		n, e = c.Push(slot, kind, summary)
+		n, e = c.push(slot, kind, false, data)
 		return e
 	})
 	return n, err
@@ -94,8 +98,12 @@ func (cc *ClusterClient) Push(slot, kind string, summary encoding.BinaryMarshale
 // PushBatch routes the whole batch to the slot key's owning node with
 // PUSHB round-trips, returning that node's slot weight after the batch.
 func (cc *ClusterClient) PushBatch(slot, kind string, summaries []encoding.BinaryMarshaler) (n uint64, err error) {
+	frames, err := marshalAll(summaries)
+	if err != nil {
+		return 0, err
+	}
 	err = cc.toOwner(slot, func(c *Client) (e error) {
-		n, e = c.PushBatch(slot, kind, summaries)
+		n, e = c.push(slot, kind, true, frames...)
 		return e
 	})
 	return n, err

@@ -253,3 +253,101 @@ func TestFrontConcurrentStress(t *testing.T) {
 		}
 	}
 }
+
+// On a fronted node every write goes through the lanes, so OK <n> means
+// one thing whatever mix of PUSH and PUSHB produced it: the weight
+// acknowledged into the slot so far.
+func TestFrontMixedWriteTotals(t *testing.T) {
+	addr, stop := startFrontServer(t, 4, time.Hour)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	weigh := func(w uint64) *mg.Summary {
+		s := mg.New(16)
+		s.Update(7, w)
+		return s
+	}
+	var got [3]uint64
+	if got[0], err = c.Push("flows", "mg", weigh(100)); err != nil {
+		t.Fatal(err)
+	}
+	if got[1], err = c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{weigh(50)}); err != nil {
+		t.Fatal(err)
+	}
+	if got[2], err = c.Push("flows", "mg", weigh(10)); err != nil {
+		t.Fatal(err)
+	}
+	if want := [3]uint64{100, 150, 160}; got != want {
+		t.Fatalf("PUSH 100 / PUSHB 50 / PUSH 10 answered %v, want %v", got, want)
+	}
+	var pulled mg.Summary
+	if _, err := c.Pull("flows", &pulled); err != nil {
+		t.Fatal(err)
+	}
+	if pulled.N() != 160 {
+		t.Fatalf("PULL N = %d, want 160", pulled.N())
+	}
+}
+
+// A lane summary is acknowledged when it is parked; whether the slot can
+// absorb it is only known at flush time. One it cannot (mg k=16 into a
+// k=8 slot) must not vanish unseen: it is counted as a drop of its kind,
+// and the counters still account for every acknowledged frame.
+func TestFrontFlushDropIsCounted(t *testing.T) {
+	addr, stop := startFrontServer(t, 4, time.Hour)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	small := mg.New(8)
+	small.Update(1, 100)
+	if n, err := c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{small}); err != nil || n != 100 {
+		t.Fatalf("PUSHB k=8: n=%d err=%v, want 100", n, err)
+	}
+	var pulled mg.Summary
+	if _, err := c.Pull("flows", &pulled); err != nil { // flush: the slot is k=8 now
+		t.Fatal(err)
+	}
+	big := mg.New(16)
+	big.Update(2, 50)
+	if n, err := c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{big}); err != nil || n != 150 {
+		t.Fatalf("PUSHB k=16: n=%d err=%v, want it acknowledged as 150", n, err)
+	}
+	if _, err := c.Pull("flows", &pulled); err != nil {
+		t.Fatal(err)
+	}
+	if pulled.N() != 100 {
+		t.Fatalf("PULL N = %d, want the k=8 slot's 100", pulled.N())
+	}
+	rows, err := c.Stat()
+	if err != nil || len(rows) != 1 || rows[0].N != 100 || rows[0].Pushes != 2 {
+		t.Fatalf("STAT = %+v, %v; want one slot, n=100, both acknowledged pushes counted", rows, err)
+	}
+	m, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["kind.drop.mg"] != 1 {
+		t.Fatalf("kind.drop.mg = %d, want 1: the acknowledged k=16 write was lost unseen", m["kind.drop.mg"])
+	}
+	// Two frames acknowledged: one installed, none merged, one dropped.
+	if push, rest := m["kind.push.mg"], m["kind.merge.mg"]+1+m["kind.drop.mg"]; push != 2 || push != rest {
+		t.Fatalf("kind.push.mg = %d, merge + installed + drop = %d, want both 2", push, rest)
+	}
+
+	// A mismatch met in the lane is refused in the reply, not dropped
+	// later: with a k=16 summary parked, a k=8 write cannot join it.
+	if _, err := c.Push("flows", "mg", big); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push("flows", "mg", small); err == nil {
+		t.Fatal("k=8 write merged into a lane holding k=16")
+	}
+}

@@ -39,7 +39,7 @@ type slot struct {
 	mu      sync.Mutex
 	ent     *registry.Entry // guarded by mu; set by the first push
 	summary any             // guarded by mu
-	pushes  uint64          // guarded by mu
+	pushes  atomic.Uint64   // frames taken in
 
 	// version counts mutations. It is bumped under mu after every
 	// install/merge and read without mu by the PULL fast path, so a
@@ -49,14 +49,13 @@ type slot struct {
 	// version. Published under mu, loaded lock-free.
 	snap atomic.Pointer[snapshot]
 
-	// front is the slot's per-lane ingest front, created lazily by the
-	// first PUSHB once the node has ingest fronting enabled (see
+	// front is the slot's per-lane ingest front, created under mu by the
+	// first write once the node has ingest fronting enabled (see
 	// SetIngestFront). nil on nodes running the default direct-merge
-	// path. pushedN totals the weight absorbed through the front so the
-	// PUSHB reply stays meaningful without flushing.
-	frontOnce sync.Once
-	front     atomic.Pointer[shard.Front]
-	pushedN   atomic.Uint64
+	// path. pushedN totals the weight acknowledged into the lanes, so a
+	// fronted write's reply stays meaningful without flushing.
+	front   atomic.Pointer[shard.Front]
+	pushedN atomic.Uint64
 
 	// plane is the slot's multi-resolution roll-up plane, bound with
 	// ent on windowed nodes (SetWindow); nil otherwise. Guarded by mu
@@ -99,7 +98,8 @@ func (sl *slot) encoded() (string, []byte, error) {
 type kindCounters struct {
 	pushes atomic.Uint64 // frames ingested (PUSH + each PUSHB frame)
 	pulls  atomic.Uint64 // encoded serves (PULL, QWIN and peer fan-in reads)
-	merges atomic.Uint64 // slot-level registry merges executed
+	merges atomic.Uint64 // registry merges executed on the way into a slot
+	drops  atomic.Uint64 // acknowledged lane summaries a slot could not absorb
 }
 
 // SlotRow is one slot's STAT view.
@@ -122,9 +122,9 @@ type Node struct {
 	mu    sync.Mutex
 	slots map[string]*slot // guarded by mu
 
-	// frontLanes > 0 enables the per-lane ingest front for batch
-	// ingestion: batches fold into per-connection lanes and the slot
-	// absorbs them on the epoch tick (frontTick) or at the next read.
+	// frontLanes > 0 enables the per-lane ingest front: every write folds
+	// into a per-connection lane and the slot absorbs the lanes on the
+	// epoch tick (frontTick) or at the next read.
 	frontLanes int
 	frontTick  time.Duration
 
@@ -153,15 +153,15 @@ func NewNode() *Node {
 	return n
 }
 
-// SetIngestFront enables the per-lane ingest front for batch ingestion
-// (off by default). With the front on, each batch is folded into a
-// single summary off any lock and parked in a per-connection lane; the
+// SetIngestFront enables the per-lane ingest front (off by default).
+// With the front on, every write — one frame or a batch — is folded into
+// a single summary off any lock and parked in a per-connection lane; the
 // slot absorbs the lanes on the epoch tick (every tick) and before any
 // read, so concurrent pushers stop contending on the slot lock while
-// reads stay read-your-writes. The batch reply reports the total
-// weight pushed through the slot (monotone) instead of the merged N.
-// lanes < 1 selects GOMAXPROCS lanes; tick <= 0 selects 5ms. Call
-// before serving.
+// reads stay read-your-writes. A write's reply then reports the total
+// weight acknowledged into the slot so far (monotone) instead of the
+// merged N. lanes < 1 selects GOMAXPROCS lanes; tick <= 0 selects 5ms.
+// Call before serving.
 func (n *Node) SetIngestFront(lanes int, tick time.Duration) {
 	if lanes < 1 {
 		lanes = runtime.GOMAXPROCS(0)
@@ -254,36 +254,40 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 	sl.plane = pl
 }
 
-// kindMismatch reports a push of ent's family into a slot bound to
-// another. ent can be bound with summary still nil when the ingest
-// front holds the slot's only data, so the check keys on ent.
+// bindLocked fixes the slot's family on first contact — creating its
+// roll-up plane on windowed nodes — and rejects a push of any other
+// family. A fronted slot is bound by its first write while its only data
+// is still parked in a lane, so the check keys on ent, not on summary.
 //
 //sketch:locked
-func (sl *slot) kindMismatch(name string, ent *registry.Entry) error {
-	if sl.ent != nil && sl.ent != ent {
+func (n *Node) bindLocked(sl *slot, name string, ent *registry.Entry) error {
+	if sl.ent == nil {
+		sl.ent = ent
+		n.bindPlane(sl, ent)
+	} else if sl.ent != ent {
 		return fmt.Errorf("slot %q holds kind %q", name, sl.ent.Name())
 	}
 	return nil
 }
 
-// ingestLocked is the per-frame step every direct push runs under
-// sl.mu: bind the slot's kind on first contact, install incoming or
-// merge it in, feed the slot's roll-up plane, recycle. On a merge error
-// the slot may be partially mutated and incoming may alias its state:
-// the caller must bump the version, so no cached snapshot outlives it,
-// and incoming is left to the caller.
+// ingestLocked is the one step that puts a summary into a bound slot,
+// run under sl.mu by both ingest mechanisms — per pushed frame on the
+// direct path, per drained lane on a fronted node: install incoming or
+// merge it in, feed the slot's roll-up plane, recycle, count the merge.
+// Ownership of incoming ends here either way: after a failed merge the
+// slot may be partially mutated and incoming may alias its state, so it
+// is dropped unrecycled, and the caller must bump the version so no
+// cached snapshot outlives the attempt.
 //
 //sketch:locked
-func (n *Node) ingestLocked(sl *slot, ent *registry.Entry, incoming any) error {
+func (n *Node) ingestLocked(sl *slot, incoming any) error {
 	install := sl.summary == nil
 	if install {
-		sl.ent = ent
 		sl.summary = incoming // ownership transfers to the slot
-		n.bindPlane(sl, ent)
-	} else if err := ent.Merge(sl.summary, incoming); err != nil {
+	} else if err := sl.ent.Merge(sl.summary, incoming); err != nil {
 		return err
 	} else {
-		n.counters(ent).merges.Add(1)
+		n.counters(sl.ent).merges.Add(1)
 	}
 	if sl.plane != nil {
 		// AbsorbClone never takes ownership, so the slot keeps a summary
@@ -291,130 +295,125 @@ func (n *Node) ingestLocked(sl *slot, ent *registry.Entry, incoming any) error {
 		_ = sl.plane.AbsorbClone(incoming)
 	}
 	if !install {
-		ent.PutScratch(incoming)
+		sl.ent.PutScratch(incoming)
 	}
-	sl.pushes++
 	return nil
 }
 
-// Ingest decodes nothing: it takes an already-decoded summary of ent's
-// family and merges it into the named slot under the slot lock,
-// binding the slot's kind on first contact. Ownership of incoming
-// always transfers to the node — it is installed, recycled through the
-// registry pool, or (after a failed merge, which may alias its state)
-// dropped. Returns the slot's total weight after the merge.
-func (n *Node) Ingest(name string, ent *registry.Entry, incoming any) (uint64, error) {
-	sl := n.getSlot(name)
-	sl.mu.Lock()
-	err := sl.kindMismatch(name, ent)
-	if err == nil {
-		if err = n.ingestLocked(sl, ent, incoming); err != nil {
-			err = fmt.Errorf("merge: %v", err)
-		}
-		sl.version.Add(1)
+// countPushes tallies frames the slot has taken in, for STAT and
+// METRICS.
+func (n *Node) countPushes(sl *slot, ent *registry.Entry, frames int) {
+	sl.pushes.Add(uint64(frames))
+	n.counters(ent).pushes.Add(uint64(frames))
+}
+
+// recycle returns decoded summaries nothing took ownership of to their
+// family's scratch pool.
+func recycle(ent *registry.Entry, unused []any) {
+	for _, v := range unused {
+		ent.PutScratch(v)
 	}
-	if err != nil {
+}
+
+// Ingest is IngestBatch of one.
+func (n *Node) Ingest(name string, ent *registry.Entry, incoming any) (uint64, error) {
+	return n.IngestBatch(name, ent, []any{incoming}, 0)
+}
+
+// IngestBatch decodes nothing: it takes already-decoded summaries of
+// ent's family and gets them into the named slot, binding the slot's
+// kind on first contact — the one write path, whether the frames arrived
+// alone or in a batch. On a direct node they are absorbed one by one
+// under a single acquisition of the slot lock and the returned total is
+// the slot's weight afterwards; frames preceding a failed merge stay
+// merged and the error reports the failing index. On a node running the
+// ingest front they are parked in a lane off the slot lock (ingestFront;
+// token spreads connections across lanes) and absorbed later by the same
+// step. Ownership of every element transfers to the node: each is
+// installed, recycled through the registry pool, or (after a failed
+// merge) dropped.
+func (n *Node) IngestBatch(name string, ent *registry.Entry, decoded []any, token uint64) (uint64, error) {
+	sl := n.getSlot(name)
+	if n.frontLanes > 0 {
+		return n.ingestFront(sl, name, ent, decoded, token)
+	}
+	sl.mu.Lock()
+	if err := n.bindLocked(sl, name, ent); err != nil {
 		sl.mu.Unlock()
-		ent.PutScratch(incoming)
+		recycle(ent, decoded)
 		return 0, err
 	}
+	done := 0 // frames absorbed before the first failure
+	var err error
+	for ; done < len(decoded); done++ {
+		if err = n.ingestLocked(sl, decoded[done]); err != nil {
+			break
+		}
+	}
+	sl.version.Add(1)
 	total := ent.N(sl.summary)
 	sl.mu.Unlock()
-	n.counters(ent).pushes.Add(1)
+	n.countPushes(sl, ent, done)
+	if err != nil {
+		recycle(ent, decoded[done+1:])
+		return 0, fmt.Errorf("merge frame %d/%d: %v", done+1, len(decoded), err)
+	}
 	return total, nil
 }
 
-// IngestBatch merges a batch of already-decoded summaries into the
-// named slot under a single lock acquisition (or, on nodes running the
-// ingest front, folds them into a per-connection lane off the slot
-// lock — token spreads connections across lanes). Ownership of every
-// element transfers to the node, exactly as Ingest. Frames preceding a
-// failed merge stay merged; the error reports the failing index.
-func (n *Node) IngestBatch(name string, ent *registry.Entry, decoded []any, token uint64) (uint64, error) {
-	if n.frontLanes > 0 {
-		return n.ingestBatchFront(name, ent, decoded, token)
-	}
-	sl := n.getSlot(name)
-	sl.mu.Lock()
-	err := sl.kindMismatch(name, ent)
-	done := 0 // frames ingested before the first failure
-	var total uint64
-	if err == nil {
-		for ; done < len(decoded); done++ {
-			if mergeErr := n.ingestLocked(sl, ent, decoded[done]); mergeErr != nil {
-				err = fmt.Errorf("merge frame %d/%d: %v", done+1, len(decoded), mergeErr)
-				break
-			}
+// ingestFront is the lane mechanism: the already-decoded frames are
+// folded into one summary with no lock held, the slot binds its kind
+// under a brief critical section, and the folded summary lands in the
+// connection's front lane — so concurrent writers to the same slot
+// contend (at worst) on a lane mutex held for one merge, never on the
+// slot lock. The slot absorbs the lanes on the epoch tick or at the next
+// read (flushFront). The returned total is the weight acknowledged into
+// the slot so far — every write's reply on a fronted node, single or
+// batched — rather than the merged slot's N, which would need a flush;
+// a failed fold or lane merge acknowledges nothing.
+func (n *Node) ingestFront(sl *slot, name string, ent *registry.Entry, decoded []any, token uint64) (uint64, error) {
+	folded := decoded[0]
+	for i, d := range decoded[1:] {
+		if err := ent.Merge(folded, d); err != nil {
+			recycle(ent, decoded[i+2:])
+			return 0, fmt.Errorf("merge frame %d/%d: %v", i+2, len(decoded), err)
 		}
-		sl.version.Add(1)
-	}
-	if err == nil {
-		total = ent.N(sl.summary)
-	}
-	sl.mu.Unlock()
-	n.counters(ent).pushes.Add(uint64(done))
-	// Frames before a failure stay merged; the rest are recycled.
-	for _, d := range decoded[done:] {
 		ent.PutScratch(d)
 	}
-	return total, err
-}
-
-// ingestBatchFront is the batch tail on nodes running the ingest
-// front: the already-decoded batch is folded into one summary with no
-// lock held, the slot binds its kind under a brief critical section,
-// and the folded summary lands in the connection's front lane — so
-// concurrent pushers to the same slot contend (at worst) on a lane
-// mutex held for one merge, never on the slot lock. The slot absorbs
-// the lanes on the epoch tick or at the next read (flushFront). The
-// returned total is the weight pushed through the slot so far rather
-// than the merged slot's N, which would require a flush.
-func (n *Node) ingestBatchFront(name string, ent *registry.Entry, decoded []any, token uint64) (uint64, error) {
-	folded := decoded[0]
-	for i := 1; i < len(decoded); i++ {
-		if err := ent.Merge(folded, decoded[i]); err != nil {
-			for _, d := range decoded[i:] {
-				ent.PutScratch(d)
-			}
-			ent.PutScratch(folded)
-			return 0, fmt.Errorf("merge frame %d/%d: %v", i+1, len(decoded), err)
-		}
-		n.counters(ent).merges.Add(1)
-		ent.PutScratch(decoded[i])
-	}
-	sl := n.getSlot(name)
 	sl.mu.Lock()
-	if err := sl.kindMismatch(name, ent); err != nil {
-		sl.mu.Unlock()
+	err := n.bindLocked(sl, name, ent)
+	fr := sl.front.Load()
+	if err == nil && fr == nil {
+		fr = shard.NewFront(ent, n.frontLanes)
+		sl.front.Store(fr)
+	}
+	sl.mu.Unlock()
+	if err != nil {
 		ent.PutScratch(folded)
 		return 0, err
 	}
-	sl.ent = ent
-	sl.pushes += uint64(len(decoded))
-	n.bindPlane(sl, ent)
-	sl.mu.Unlock()
-	sl.frontOnce.Do(func() {
-		sl.front.Store(shard.NewFront(ent, n.frontLanes))
-	})
 	w := ent.N(folded)
-	consumed, err := sl.front.Load().Push(token, folded)
-	if !consumed {
-		ent.PutScratch(folded)
-	}
+	consumed, err := fr.Push(token, folded)
 	if err != nil {
 		return 0, fmt.Errorf("merge: %v", err)
 	}
-	n.counters(ent).pushes.Add(uint64(len(decoded)))
+	merges := len(decoded) - 1
+	if !consumed {
+		merges++
+		ent.PutScratch(folded)
+	}
+	n.counters(ent).merges.Add(uint64(merges))
+	n.countPushes(sl, ent, len(decoded))
 	return sl.pushedN.Add(w), nil
 }
 
 // flushFront drains the slot's ingest front (if any) and absorbs the
 // pending per-lane summaries under the slot lock, making them visible
-// to reads — and, on windowed nodes, to the slot's roll-up plane. The
-// front is keyed to one kind, so merges here cannot shape-mismatch in
-// normal operation; if one fails anyway the pending summary is dropped
-// unrecycled (a failed merge may alias its state) and the version bump
-// keeps cached snapshots from outliving the partial merge.
+// to reads — and, on windowed nodes, to the slot's roll-up plane. A lane
+// holds one family, but shape is only checked by the merge itself: a
+// lane summary the slot cannot absorb (mg k=16 into a k=8 slot) was
+// acknowledged when it was parked and is lost here, which is counted as
+// a drop of its kind rather than passed over in silence.
 func (n *Node) flushFront(sl *slot) {
 	fr := sl.front.Load()
 	if fr == nil || !fr.Dirty() {
@@ -425,28 +424,13 @@ func (n *Node) flushFront(sl *slot) {
 		return
 	}
 	sl.mu.Lock()
-	merges := uint64(0)
 	for _, p := range pending {
-		if sl.plane != nil {
-			// Absorb before the slot consumes p; the plane never takes
-			// ownership.
-			_ = sl.plane.AbsorbClone(p)
-		}
-		if sl.summary == nil {
-			sl.summary = p
-			continue
-		}
-		if err := sl.ent.Merge(sl.summary, p); err == nil {
-			merges++
-			sl.ent.PutScratch(p)
+		if n.ingestLocked(sl, p) != nil {
+			n.counters(sl.ent).drops.Add(1)
 		}
 	}
 	sl.version.Add(1)
-	ent := sl.ent
 	sl.mu.Unlock()
-	if ent != nil {
-		n.counters(ent).merges.Add(merges)
-	}
 }
 
 // FlushFronts absorbs every slot's lane-parked ingest. The serving
@@ -560,7 +544,7 @@ func (n *Node) Rows() []SlotRow {
 		if s.sl.summary != nil {
 			row.Kind = s.sl.ent.Name()
 			row.N = s.sl.ent.N(s.sl.summary)
-			row.Pushes = s.sl.pushes
+			row.Pushes = s.sl.pushes.Load()
 		}
 		s.sl.mu.Unlock()
 		rows = append(rows, row)
@@ -604,6 +588,7 @@ type KindStats struct {
 	Pushes uint64
 	Pulls  uint64
 	Merges uint64
+	Drops  uint64 // acknowledged writes lost at flush time; 0 on a healthy node
 }
 
 // Stats returns the per-kind operation tally in registry order.
@@ -617,6 +602,7 @@ func (n *Node) Stats() []KindStats {
 			Pushes: c.pushes.Load(),
 			Pulls:  c.pulls.Load(),
 			Merges: c.merges.Load(),
+			Drops:  c.drops.Load(),
 		})
 	}
 	return out

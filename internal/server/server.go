@@ -8,9 +8,9 @@
 //
 // Protocol (text commands, binary frames):
 //
-//	PUSH <slot> <kind>\n<frame>   → OK <n>\n            merge frame into slot
+//	PUSH <slot> <kind>\n<frame>   → OK <n>\n            merge frame into slot; n = slot weight acknowledged so far
 //	PUSHB <slot> <kind> <count>\n then <count> frames
-//	                              → OK <n>\n            merge all frames, one round-trip
+//	                              → OK <n>\n            PUSH of <count> frames, one round-trip
 //	PULL <slot>\n                 → OK <kind> <len>\n<frame>
 //	PULLC <slot>\n                → OK <kind> <len>\n<frame>   cluster-wide fan-in
 //	QWIN <slot> <from> <to>\n     → OK <kind> <len>\n<frame>
@@ -64,13 +64,30 @@
 // any merge tree, so it cannot matter whether the ladder, a peer or a
 // client picked it.
 //
-// Every frame on the wire is preceded by its own "<len>\n" length
-// line. PUSHB is the batch ingestion command: workers pipeline up to
-// MaxBatch frames behind one command line and receive a single reply,
-// amortizing syscall, parse and slot-lock overhead across the batch;
-// the slot lock is taken once per batch, not once per frame. Frames
-// preceding a failed decode/merge within a batch stay merged (the
-// reply reports the error).
+// Both write commands are one path too (write.go):
+//
+//	frames → decode outside any lock → direct or lane → one locked absorb → one reply
+//
+// Every frame on the wire is preceded by its own "<len>\n" length line,
+// and PUSH is PUSHB of one: a single handler reads the frames the
+// command line announces (up to MaxBatch behind one PUSHB, one reply for
+// all of them, amortizing syscall, parse and slot-lock overhead) into a
+// pooled buffer, decodes each into a pooled scratch summary with no lock
+// held, and hands them to Node.IngestBatch. From there two mechanisms
+// lead to the slot: on a direct node the frames are absorbed under one
+// acquisition of the slot lock; on a node running the ingest front
+// (SetIngestFront / summaryd -front) every write, single or batched, is
+// folded and parked in a per-connection lane and absorbed on the next
+// tick or read. Either way a summary enters the slot through the same
+// locked step (ingestLocked: install or merge, feed the roll-up plane,
+// recycle, count), and the handler's "OK <n>" means one thing: the
+// weight acknowledged into the slot so far — the merged slot's N on a
+// direct node, the running total of acknowledged pushes on a fronted one,
+// which are the same number unless a lane summary could not be absorbed
+// at flush time (METRICS counts that as kind.drop.<kind>; 0 on a healthy
+// node). Frames preceding a failed merge within a direct batch stay
+// merged (the reply reports the error and the failing frame). The client
+// mirrors this with one sender behind Push, PushBatch and PushTyped.
 //
 // Layering: all slot state — the slot table, the epoch-versioned
 // snapshot cache, the per-lane ingest front, the roll-up planes and
@@ -84,7 +101,7 @@
 //
 // Concurrency architecture (the merge plane):
 //
-//   - PUSH/PUSHB read frames into pooled buffers and decode them into
+//   - Writes read frames into a pooled buffer and decode them into
 //     pooled scratch summaries entirely outside the slot lock; only
 //     the merge itself runs under sl.mu. Steady-state ingestion
 //     allocates nothing at the framing layer.
@@ -127,7 +144,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/registry"
 	// Link the full family catalog into any binary embedding the
 	// server, so a bare daemon serves every registered kind.
 	_ "repro/internal/registry/all"
@@ -412,12 +428,8 @@ func (s *Server) handle(conn net.Conn) {
 			continue
 		}
 		switch verb := strings.ToUpper(fields[0]); verb {
-		case "PUSH":
-			if !s.cmdPush(fields, r, w) {
-				return
-			}
-		case "PUSHB":
-			if !s.cmdPushBatch(token, fields, r, w) {
+		case "PUSH", "PUSHB":
+			if !s.cmdWrite(verb, token, fields, r, w) {
 				return
 			}
 		case "PULL", "PULLC", "QWIN", "QWINC":
@@ -497,115 +509,6 @@ func readFrame(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// cmdPush handles PUSH: the frame is read into a pooled buffer and
-// decoded into a pooled scratch summary entirely outside the slot
-// lock; the node merges it under sl.mu. It returns false when the
-// stream can no longer be kept in sync and the connection must drop.
-func (s *Server) cmdPush(fields []string, r *bufio.Reader, w *bufio.Writer) bool {
-	if len(fields) != 3 {
-		// The client sends its length line and frame next; their bytes
-		// must not be parsed as commands.
-		fmt.Fprintf(w, "ERR usage: PUSH <slot> <kind>\n")
-		return false
-	}
-	name, kind := fields[1], fields[2]
-	ent, ok := registry.ByName(kind)
-	if !ok {
-		// Consume the frame so the stream stays in sync; if even that
-		// fails, the connection is beyond saving.
-		f := getFrame()
-		_, err := readLengthPrefixed(r, f)
-		putFrame(f)
-		fmt.Fprintf(w, "ERR unknown kind %q\n", kind)
-		return err == nil
-	}
-	f := getFrame()
-	frame, err := readLengthPrefixed(r, f)
-	if err != nil {
-		putFrame(f)
-		fmt.Fprintf(w, "ERR reading frame: %v\n", err)
-		return false
-	}
-	incoming := ent.GetScratch()
-	decErr := ent.DecodeInto(incoming, frame)
-	putFrame(f)
-	if decErr != nil {
-		ent.PutScratch(incoming)
-		fmt.Fprintf(w, "ERR decoding frame: %v\n", decErr)
-		return true
-	}
-	n, err := s.Ingest(name, ent, incoming)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return true
-	}
-	fmt.Fprintf(w, "OK %d\n", n)
-	return true
-}
-
-// cmdPushBatch handles PUSHB <slot> <kind> <count>: count frames are
-// read into pooled buffers and decoded into pooled scratch summaries
-// up front (outside any lock), then handed to the node, which merges
-// them under a single lock acquisition (or folds them into a front
-// lane). It returns false when the connection must be dropped because
-// the stream can no longer be kept in sync (an unparseable count or a
-// frame-layer error means we cannot know where the next command
-// starts).
-func (s *Server) cmdPushBatch(token uint64, fields []string, r *bufio.Reader, w *bufio.Writer) bool {
-	if len(fields) != 4 {
-		fmt.Fprintf(w, "ERR usage: PUSHB <slot> <kind> <count>\n")
-		return false
-	}
-	name, kind := fields[1], fields[2]
-	count, err := strconv.Atoi(fields[3])
-	if err != nil || count < 1 || count > MaxBatch {
-		fmt.Fprintf(w, "ERR bad batch count %q (want 1..%d)\n", fields[3], MaxBatch)
-		return false
-	}
-	// Read every frame first so the stream stays in sync regardless of
-	// per-frame errors below.
-	frames := make([]*frameBuf, count)
-	release := func(upto int) {
-		for i := 0; i < upto; i++ {
-			putFrame(frames[i])
-		}
-	}
-	for i := range frames {
-		frames[i] = getFrame()
-		if _, err = readLengthPrefixed(r, frames[i]); err != nil {
-			release(i + 1)
-			fmt.Fprintf(w, "ERR reading frame %d/%d: %v\n", i+1, count, err)
-			return false
-		}
-	}
-	ent, ok := registry.ByName(kind)
-	if !ok {
-		release(count)
-		fmt.Fprintf(w, "ERR unknown kind %q\n", kind)
-		return true
-	}
-	decoded := make([]any, count)
-	for i, f := range frames {
-		decoded[i] = ent.GetScratch()
-		if err = ent.DecodeInto(decoded[i], f.b); err != nil {
-			for j := 0; j <= i; j++ {
-				ent.PutScratch(decoded[j])
-			}
-			release(count)
-			fmt.Fprintf(w, "ERR decoding frame %d/%d: %v\n", i+1, count, err)
-			return true
-		}
-	}
-	release(count)
-	n, err := s.IngestBatch(name, ent, decoded, token)
-	if err != nil {
-		fmt.Fprintf(w, "ERR %v\n", err)
-		return true
-	}
-	fmt.Fprintf(w, "OK %d\n", n)
-	return true
-}
-
 func (s *Server) cmdStat(w *bufio.Writer) {
 	// Rows are formatted outside the write loop (each under its slot's
 	// lock inside Node.Rows, in slot-name order): the client may be slow
@@ -617,25 +520,29 @@ func (s *Server) cmdStat(w *bufio.Writer) {
 	}
 }
 
-// cmdMetrics handles METRICS: the per-kind push/pull/merge counters,
-// the peer fan-out and link counters (peer mode), the number of open
-// inbound connections, and the window epoch origin and tick (windowed
-// mode) as "<name> <value>" rows — the first slice of the observability
-// surface, and the epoch↔wall-clock mapping Client.QueryWindowTime
-// resolves epochs against. peer.dials + peer.reused is the number of
-// attempts made at remote members, so reused over that sum is the hit
-// rate of the idle links; peer.idle and conns.open are gauges.
+// cmdMetrics handles METRICS: the per-kind push/pull/merge/drop counters
+// (kind.push = kind.merge + summaries installed into a slot + kind.drop,
+// and kind.drop — acknowledged writes a fronted slot could not absorb at
+// flush time — is 0 on a healthy node), the peer fan-out and link
+// counters (peer mode), the number of open inbound connections, and the
+// window epoch origin and tick (windowed mode) as "<name> <value>" rows —
+// the first slice of the observability surface, and the epoch↔wall-clock
+// mapping Client.QueryWindowTime resolves epochs against. peer.dials +
+// peer.reused is the number of attempts made at remote members, so reused
+// over that sum is the hit rate of the idle links; peer.idle and
+// conns.open are gauges.
 func (s *Server) cmdMetrics(w *bufio.Writer) {
 	type row struct {
 		name string
 		val  uint64
 	}
-	rows := make([]row, 0, 3*16+12)
+	rows := make([]row, 0, 4*16+12)
 	for _, ks := range s.Stats() {
 		rows = append(rows,
 			row{"kind.push." + ks.Kind, ks.Pushes},
 			row{"kind.pull." + ks.Kind, ks.Pulls},
 			row{"kind.merge." + ks.Kind, ks.Merges},
+			row{"kind.drop." + ks.Kind, ks.Drops},
 		)
 	}
 	if len(s.peers) > 0 {

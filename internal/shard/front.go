@@ -7,12 +7,11 @@ import (
 )
 
 // Ops is the family-erased merge surface the ingest front needs: a
-// merge that folds src into dst and a weight accessor. The registry's
-// *Entry satisfies it, so a server can hand a catalog entry straight
-// to NewFront without this package importing the registry.
+// merge that folds src into dst. The registry's *Entry satisfies it, so
+// a server can hand a catalog entry straight to NewFront without this
+// package importing the registry.
 type Ops interface {
 	Merge(dst, src any) error
-	N(v any) uint64
 }
 
 // Front is a per-CPU (per-goroutine-shard) ingest front for one
@@ -29,10 +28,9 @@ type Ops interface {
 // summary per lane, so its memory footprint is bounded by lanes ×
 // summary size regardless of push rate.
 type Front struct {
-	ops     Ops
-	lanes   []frontLane
-	dirty   atomic.Int64  // number of lanes holding a pending summary
-	pushedN atomic.Uint64 // total weight absorbed, across drains
+	ops   Ops
+	lanes []frontLane
+	dirty atomic.Int64 // number of lanes holding a pending summary
 }
 
 // frontLane is one accumulation slot. The pad keeps neighbouring lanes
@@ -66,33 +64,23 @@ func (f *Front) Lanes() int { return len(f.lanes) }
 // distribution yields the same merged result up to merge order, which
 // mergeability makes guarantee-equivalent.
 func (f *Front) Push(token uint64, src any) (consumed bool, err error) {
-	n := f.ops.N(src)
 	ln := &f.lanes[token%uint64(len(f.lanes))]
 	ln.mu.Lock()
 	if ln.pending == nil {
 		ln.pending = src
 		f.dirty.Add(1) // inside the lock: a completed Push is always visible to Dirty
 		ln.mu.Unlock()
-		f.pushedN.Add(n)
 		return true, nil
 	}
 	err = f.ops.Merge(ln.pending, src)
 	ln.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	f.pushedN.Add(n)
-	return false, nil
+	return false, err
 }
 
 // Dirty reports whether any lane holds a pending summary. A false
 // return is a consistent read: every Push that completed before the
 // call is either drained or visible.
 func (f *Front) Dirty() bool { return f.dirty.Load() != 0 }
-
-// PushedN returns the total weight pushed through the front since
-// creation (monotone; draining does not reset it).
-func (f *Front) PushedN() uint64 { return f.pushedN.Load() }
 
 // Drain removes and returns every lane's pending summary. The caller
 // assumes ownership of the returned summaries and typically merges

@@ -25,8 +25,6 @@ func (o ctrOps) Merge(dst, src any) error {
 	return nil
 }
 
-func (o ctrOps) N(v any) uint64 { return *v.(*uint64) }
-
 func ctr(v uint64) *uint64 { return &v }
 
 func TestFrontPushDrainMechanics(t *testing.T) {
@@ -57,9 +55,6 @@ func TestFrontPushDrainMechanics(t *testing.T) {
 	if !f.Dirty() {
 		t.Fatal("front with pending lanes reports clean")
 	}
-	if got := f.PushedN(); got != 15 {
-		t.Fatalf("PushedN = %d, want 15", got)
-	}
 
 	out := f.Drain()
 	if len(out) != 2 {
@@ -74,9 +69,6 @@ func TestFrontPushDrainMechanics(t *testing.T) {
 	}
 	if f.Dirty() {
 		t.Fatal("front reports dirty after full drain")
-	}
-	if got := f.PushedN(); got != 15 {
-		t.Fatalf("PushedN after drain = %d, want 15 (monotone)", got)
 	}
 }
 
@@ -120,7 +112,6 @@ func TestFrontDefaultLanes(t *testing.T) {
 type mgOps struct{}
 
 func (mgOps) Merge(dst, src any) error { return dst.(*mg.Summary).Merge(src.(*mg.Summary)) }
-func (mgOps) N(v any) uint64           { return v.(*mg.Summary).N() }
 
 // TestFrontConcurrentPushDrain hammers a front from concurrent
 // producers with drains racing the pushes (run under -race), then
@@ -206,9 +197,6 @@ func TestFrontConcurrentPushDrain(t *testing.T) {
 			exact[x] += c
 			total += c
 		}
-	}
-	if got := f.PushedN(); got != total {
-		t.Fatalf("PushedN = %d, want %d", got, total)
 	}
 	if got := drained.N(); got != total {
 		t.Fatalf("merged N = %d, want %d (weight lost across drains)", got, total)
