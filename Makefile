@@ -86,12 +86,14 @@ sanitize:
 	$(GO) test -tags sanitize -race ./...
 
 # Quick compile-and-run smoke over every Update/UpdateBatch benchmark
-# (100 iterations keeps it a few seconds, not a measurement) and one
-# decode+merge of every registered family through the registry — the
-# aggregator's unit cost, which no per-family list can forget a family
-# of.
+# (100 iterations keeps it a few seconds, not a measurement), the
+# ε-kernel's interior filter on its four input shapes (three 8192-point
+# chunks each) and one decode+merge of every registered family through
+# the registry — the aggregator's unit cost, which no per-family list
+# can forget a family of.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Update -benchtime=100x .
+	$(GO) test -run='^$$' -bench=BenchmarkUpdate -benchtime=3x ./internal/kernel/
 	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x ./internal/registry/
 
 # Compile-and-run smoke over the server merge-plane benchmarks (push,
@@ -106,8 +108,12 @@ bench-server:
 bench-harness:
 	cd benchmark && $(GO) test ./...
 
+# Minimizing a newly interesting input can hold a worker for its whole
+# default minute with no executions; a second is plenty for these
+# byte programs.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzUpdateBatch -fuzztime=30s ./internal/mg/
+	$(GO) test -run='^$$' -fuzz=FuzzUpdateBatch -fuzztime=30s -fuzzminimizetime=1s ./internal/mg/
+	$(GO) test -run='^$$' -fuzz=FuzzUpdateMatchesFullScan -fuzztime=30s -fuzzminimizetime=1s ./internal/kernel/
 
 # Non-test Go lines per package directory: the per-package figures
 # CHANGES.md reports for each PR (testdata fixtures and the benchmark's

@@ -11,6 +11,7 @@ package countsketch
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/codec"
@@ -94,11 +95,24 @@ func (s *Sketch) Update(x core.Item, w uint64) {
 	}
 }
 
+// fastmod returns what the batch paths reduce a bucket hash with: for
+// h < 2^47 — every (a·x+b)>>17 — and width <= 2^17, the high word of
+// (recip·h mod 2^64)·width is exactly h % width (Lemire, Kaser, Kurz,
+// "Faster remainder by direct computation": 64 fraction bits cover a
+// 47-bit numerator and a 17-bit divisor; a power-of-two width makes
+// recip a power of two and the product a mask). Wider rows keep the
+// division.
+func (s *Sketch) fastmod() (recip uint64, wide bool) {
+	return ^uint64(0)/uint64(s.width) + 1, s.width > 1<<17
+}
+
 // UpdateBatch adds one occurrence of every item in xs. The result is
 // identical to calling Update(x, 1) for each x, but the batch path
 // walks the matrix row-major with the row's bucket and sign hash
 // parameters held in registers, amortizing per-item loads and bounds
-// checks.
+// checks, reduces the bucket hash without dividing and adds the sign
+// without branching on it: cell and sign are bit for bit what cell()
+// and sign() compute.
 //
 //sketch:hotpath
 func (s *Sketch) UpdateBatch(xs []core.Item) {
@@ -106,16 +120,17 @@ func (s *Sketch) UpdateBatch(xs []core.Item) {
 		return
 	}
 	width := uint64(s.width)
+	recip, wide := s.fastmod()
 	for i := 0; i < s.depth; i++ {
 		ai, bi, sai := s.a[i], s.b[i], s.sa[i]
 		row := s.rows[i]
 		for _, x := range xs {
-			c := ((ai*uint64(x) + bi) >> 17) % width
-			if (sai*uint64(x))>>63 == 1 {
-				row[c]--
-			} else {
-				row[c]++
+			h := (ai*uint64(x) + bi) >> 17
+			c, _ := bits.Mul64(recip*h, width)
+			if wide {
+				c = h % width
 			}
+			row[c] += 1 - 2*int64((sai*uint64(x))>>63)
 		}
 	}
 	s.n += uint64(len(xs))
@@ -137,16 +152,17 @@ func (s *Sketch) UpdateBatchWeighted(ws []core.Counter) {
 		total += c.Count
 	}
 	width := uint64(s.width)
+	recip, wide := s.fastmod()
 	for i := 0; i < s.depth; i++ {
 		ai, bi, sai := s.a[i], s.b[i], s.sa[i]
 		row := s.rows[i]
 		for _, c := range ws {
-			cell := ((ai*uint64(c.Item) + bi) >> 17) % width
-			if (sai*uint64(c.Item))>>63 == 1 {
-				row[cell] -= int64(c.Count)
-			} else {
-				row[cell] += int64(c.Count)
+			h := (ai*uint64(c.Item) + bi) >> 17
+			cell, _ := bits.Mul64(recip*h, width)
+			if wide {
+				cell = h % width
 			}
+			row[cell] += (1 - 2*int64((sai*uint64(c.Item))>>63)) * int64(c.Count)
 		}
 	}
 	s.n += total

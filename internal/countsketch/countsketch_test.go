@@ -1,6 +1,7 @@
 package countsketch
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -203,4 +204,44 @@ func TestRemoveZeroPanics(t *testing.T) {
 		}
 	}()
 	New(8, 2, 1).Remove(1, 0)
+}
+
+// The batch paths reduce the bucket hash without dividing and add the
+// sign without branching; cell by cell they must land where Update's
+// cell() and sign() do — on the canonical power-of-two width, on
+// widths that are not, on the degenerate single column, and on either
+// side of the 2^17 limit above which the division stays (at 5·2^16 the
+// multiply-high remainder is wrong for every hash of 2^46 and up).
+func TestBatchMatchesPerItem(t *testing.T) {
+	rng := gen.NewRNG(3)
+	xs := make([]core.Item, 5000)
+	ws := make([]core.Counter, len(xs))
+	for i := range xs {
+		x := core.Item(rng.Uint64())
+		switch i % 4 {
+		case 1:
+			x >>= 40 // small ids, as streams have them
+		case 2:
+			x |= 0xffff << 48
+		}
+		xs[i] = x
+		ws[i] = core.Counter{Item: x, Count: uint64(i%7) + 1}
+	}
+	for _, width := range []int{512, 500, 1, 3, 1<<17 - 1, 1 << 17, 1<<17 + 1, 5 << 16} {
+		loop, batch := New(width, 3, 9), New(width, 3, 9)
+		wloop, wbatch := New(width, 3, 9), New(width, 3, 9)
+		for i, x := range xs {
+			loop.Update(x, 1)
+			wloop.Update(x, ws[i].Count)
+		}
+		batch.UpdateBatch(xs)
+		wbatch.UpdateBatchWeighted(ws)
+		for _, pr := range [][2]*Sketch{{loop, batch}, {wloop, wbatch}} {
+			want, _ := pr[0].MarshalBinary()
+			got, _ := pr[1].MarshalBinary()
+			if !bytes.Equal(got, want) {
+				t.Errorf("width %d: batch frame differs from per-item frame", width)
+			}
+		}
+	}
 }

@@ -17,6 +17,7 @@ package gk
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -38,6 +39,7 @@ type Summary struct {
 	eps    float64
 	n      uint64
 	tuples []tuple
+	spare  []tuple   // retired tuple run: flush and Merge write into it, then swap
 	buf    []float64 // pending inserts, flushed in batch
 	bufCap int
 }
@@ -89,7 +91,7 @@ func (s *Summary) flush() {
 		return
 	}
 	sort.Float64s(s.buf)
-	out := make([]tuple, 0, len(s.tuples)+len(s.buf))
+	out := slices.Grow(s.spare[:0], len(s.tuples)+len(s.buf))
 	ti := 0
 	for _, v := range s.buf {
 		for ti < len(s.tuples) && s.tuples[ti].v < v {
@@ -112,7 +114,7 @@ func (s *Summary) flush() {
 		out = append(out, tuple{v: v, g: 1, delta: delta})
 	}
 	out = append(out, s.tuples[ti:]...)
-	s.tuples = out
+	s.tuples, s.spare = out, s.tuples
 	s.buf = s.buf[:0]
 	s.compress()
 }
@@ -258,7 +260,7 @@ func (s *Summary) Merge(other *Summary) error {
 		return nil
 	}
 	a, b := s.tuples, other.tuples
-	out := make([]tuple, 0, len(a)+len(b))
+	out := slices.Grow(s.spare[:0], len(a)+len(b))
 	ai, bi := 0, 0
 	for ai < len(a) || bi < len(b) {
 		var t tuple
@@ -285,7 +287,7 @@ func (s *Summary) Merge(other *Summary) error {
 		}
 		out = append(out, t)
 	}
-	s.tuples = out
+	s.tuples, s.spare = out, a
 	s.n += other.n
 	s.compress()
 	return nil

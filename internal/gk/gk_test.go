@@ -1,6 +1,7 @@
 package gk
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -277,6 +278,34 @@ func TestCloneAndReset(t *testing.T) {
 	s.Update(1)
 	if s.N() != 1 {
 		t.Fatal("unusable after Reset")
+	}
+}
+
+// flush and Merge write into a retained run and swap it with the tuple
+// list. A summary that carries one must stay, frame for frame, on the
+// bytes of its Clone, which starts without.
+func TestRetainedRunKeepsFrames(t *testing.T) {
+	vals := gen.UniformValues(20000, 5)
+	warm := New(0.02)
+	warm.UpdateBatch(vals[:5000])
+	for round := 0; round < 4; round++ {
+		cold := warm.Clone()
+		other := New(0.02)
+		other.UpdateBatch(vals[5000+round*1000:][:1000])
+		var frames [2][]byte
+		for i, s := range []*Summary{warm, cold} {
+			s.UpdateBatch(vals[10000+round*2000:][:2000])
+			if err := s.Merge(other); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.checkInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			frames[i], _ = s.MarshalBinary()
+		}
+		if !bytes.Equal(frames[0], frames[1]) {
+			t.Fatalf("round %d: frame depends on the retained run", round)
+		}
 	}
 }
 

@@ -45,6 +45,7 @@ func (k *Kernel) UnmarshalBinary(data []byte) error {
 	}
 	out := New(m)
 	out.n = n
+	out.trust = decoded
 	for slot := 0; slot < 2*m; slot++ {
 		if r.Bool() {
 			out.has[slot] = true

@@ -14,6 +14,18 @@
 // error never accumulates — only the fixed grid discretization
 // contributes, and it is bounded by the sin² of half the angular step
 // times the diameter-to-width ratio.
+//
+// Update does not pay the 2m dot products for every point. A point
+// inside the convex hull of what the kernel already stores is extreme
+// in no direction, and the stored extremes, read in slot order, are
+// that hull's vertices in counter-clockwise order: Update keeps the
+// polygon cached, finds the one triangle of its fan that could hold
+// the point by binary search, and scans the slots only when the point
+// is not inside that triangle by a margin far above rounding. The scan
+// remains the only thing that ever writes a slot, so slots, ties and
+// frames are exactly what scanning every point produces (ref_test.go
+// keeps the scan-everything Update as the oracle; diff_test.go holds
+// Update to its bytes).
 package kernel
 
 import (
@@ -34,7 +46,45 @@ type Kernel struct {
 	bestDot []float64   // its dot product
 	cos     []float64
 	sin     []float64
+
+	// Interior filter (see interior): hull is the stored extremes in
+	// slot order, neighbours de-duplicated — a convex polygon of seen
+	// points, counter-clockwise — as of the last rebuild; empty while
+	// no filter applies. It may lag the slots: slots only ever move
+	// outwards, so an old polygon rejects fewer points, never a wrong
+	// one.
+	hull   []gen.Point
+	scale  float64    // max |coordinate| over hull
+	margin float64    // marginRel·scale², what a triangle test must clear
+	fresh  bool       // no slot has changed since hull was built
+	trust  trustLevel // whether best[] is known to respect bestDot[]
 }
+
+// trustLevel says whether every stored point is known to lie on the
+// inner side of every slot's support value. Update and Merge keep that
+// true from an empty kernel; a decoded frame only claims it.
+type trustLevel uint8
+
+const (
+	trusted trustLevel = iota // built here by Update/Merge, or checked
+	decoded                   // points came off the wire, unchecked so far
+	refuted                   // a stored point beats a support value: no filter
+)
+
+const (
+	// marginRel·scale² is the least doubled area a rejected point must
+	// span with each side of its triangle: ≥ 3.5e-10·scale inside
+	// every side, against ~1e-15·scale² rounding in a cross product
+	// and ~3e-16·scale in a dot product.
+	marginRel = 1e-9
+	// trustRel·scale is the slack a decoded frame's support values get
+	// (another platform may round a dot product or a grid cosine the
+	// other way): far above rounding, far below the margin.
+	trustRel = 1e-12
+	// The filter is off outside this coordinate range, where scale²
+	// or a cross product would leave the normal doubles.
+	minScale, maxScale = 1e-150, 1e150
+)
 
 // New returns an empty kernel over m >= 2 grid directions (2m extreme
 // slots). Two kernels merge iff they share m.
@@ -109,22 +159,143 @@ func (k *Kernel) Size() int {
 	return c
 }
 
-// Update observes one point.
+// Update observes one point. A point strictly inside a triangle of
+// three stored extremes can win no slot and is dismissed after a
+// binary search (see interior); every other point pays the scan over
+// all 2m slots, which is also what decides every slot, so the kernel's
+// state is exactly what scanning every point would have produced.
+//
+//sketch:hotpath
 func (k *Kernel) Update(p gen.Point) {
 	k.n++
+	if k.interior(p) {
+		debugRejected(k, p)
+		return
+	}
+	changed := false
 	for i := 0; i < k.m; i++ {
 		d := p.X*k.cos[i] + p.Y*k.sin[i]
-		k.offer(i, p, d)      // +direction
-		k.offer(i+k.m, p, -d) // −direction
+		if k.offer(i, p, d) { // +direction
+			changed = true
+		}
+		if k.offer(i+k.m, p, -d) { // −direction
+			changed = true
+		}
+	}
+	if changed {
+		k.fresh = false
+	} else if !k.fresh {
+		// A scan the filter should have saved, and slots have moved
+		// since the polygon was built: now is when rebuilding pays.
+		k.rebuild()
 	}
 }
 
-func (k *Kernel) offer(slot int, p gen.Point, d float64) {
+// offer gives slot the point p with dot product d and reports whether
+// p took it; on a tie the point already there keeps the slot.
+func (k *Kernel) offer(slot int, p gen.Point, d float64) bool {
 	if !k.has[slot] || d > k.bestDot[slot] {
 		k.has[slot] = true
 		k.best[slot] = p
 		k.bestDot[slot] = d
+		return true
 	}
+	return false
+}
+
+// beats reports whether a scan would hand p a slot, with slack given
+// away to the stored support values.
+func (k *Kernel) beats(p gen.Point, slack float64) bool {
+	for i := 0; i < k.m; i++ {
+		d := p.X*k.cos[i] + p.Y*k.sin[i]
+		if !k.has[i] || d > k.bestDot[i]+slack || !k.has[i+k.m] || -d > k.bestDot[i+k.m]+slack {
+			return true
+		}
+	}
+	return false
+}
+
+// interior reports whether p provably wins no slot: it lies inside the
+// triangle (v0, v_j, v_j+1) of the cached polygon, by the margin on
+// all three sides. A point inside a triangle of three seen points has,
+// in every direction u, ⟨p,u⟩ below the largest of the three — by at
+// least its distance to the nearest side — and each slot's support
+// value is at least that. Nothing else is relied on: the binary search
+// for the wedge of v0's fan that holds p only picks which triangle to
+// try, so a polygon that rounding left slightly non-convex, or that
+// has fallen behind the slots, costs rejections, not correctness.
+//
+//sketch:hotpath
+func (k *Kernel) interior(p gen.Point) bool {
+	h := k.hull
+	if len(h) < 3 || !(math.Abs(p.X) <= k.scale && math.Abs(p.Y) <= k.scale) {
+		return false
+	}
+	v0 := h[0]
+	px, py := p.X-v0.X, p.Y-v0.Y
+	lo, hi := 1, len(h)-1
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if (h[mid].X-v0.X)*py-(h[mid].Y-v0.Y)*px >= 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	a, b := h[lo], h[hi]
+	return (a.X-v0.X)*py-(a.Y-v0.Y)*px >= k.margin &&
+		(b.X-a.X)*(p.Y-a.Y)-(b.Y-a.Y)*(p.X-a.X) >= k.margin &&
+		(v0.X-b.X)*(p.Y-b.Y)-(v0.Y-b.Y)*(p.X-b.X) >= k.margin
+}
+
+// rebuild recomputes the cached polygon from the slots, into the
+// storage it already has, and leaves it empty — no filter — while a
+// slot is still unfilled (a scan would fill it) or the polygon is not
+// usable.
+//
+//sketch:hotpath
+func (k *Kernel) rebuild() {
+	k.fresh = true
+	h, scale := k.hull[:0], 0.0
+	for slot, p := range k.best {
+		if !k.has[slot] {
+			h = h[:0]
+			break
+		}
+		if len(h) > 0 && h[len(h)-1] == p {
+			continue
+		}
+		h = append(h, p)
+		scale = math.Max(scale, math.Max(math.Abs(p.X), math.Abs(p.Y)))
+	}
+	if len(h) > 1 && h[len(h)-1] == h[0] {
+		h = h[:len(h)-1]
+	}
+	if !k.usable(h, scale) {
+		h = h[:0]
+	}
+	k.hull, k.scale, k.margin = h, scale, marginRel*scale*scale
+}
+
+// usable reports whether the polygon h of all stored points, largest
+// |coordinate| scale, may filter: it has a triangle, its coordinates
+// are finite and inside [minScale, maxScale], and its points respect
+// the support values — which a decoded frame has to show once, every
+// stored point against every slot.
+func (k *Kernel) usable(h []gen.Point, scale float64) bool {
+	if len(h) < 3 || !(scale >= minScale && scale <= maxScale) || k.trust == refuted {
+		return false
+	}
+	if k.trust == decoded {
+		for _, v := range h {
+			if k.beats(v, trustRel*scale) {
+				k.trust = refuted
+				return false
+			}
+		}
+		k.trust = trusted
+	}
+	return true
 }
 
 // Merge folds other into k: per-slot maximum, which is exact. other is
@@ -138,9 +309,12 @@ func (k *Kernel) Merge(other *Kernel) error {
 	}
 	k.n += other.n
 	for slot := range other.has {
-		if other.has[slot] {
-			k.offer(slot, other.best[slot], other.bestDot[slot])
+		if other.has[slot] && k.offer(slot, other.best[slot], other.bestDot[slot]) {
+			k.fresh = false
 		}
+	}
+	if other.trust > k.trust {
+		k.trust = other.trust
 	}
 	return nil
 }
@@ -172,20 +346,24 @@ func (k *Kernel) Points() []gen.Point {
 // never exceeds the true width and is within the grid discretization
 // error of it.
 func (k *Kernel) Width(theta float64) float64 {
-	pts := k.Points()
-	if len(pts) == 0 {
-		return 0
-	}
 	ux, uy := math.Cos(theta), math.Sin(theta)
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, p := range pts {
-		d := p.X*ux + p.Y*uy
+	seen := false
+	for slot, h := range k.has {
+		if !h {
+			continue
+		}
+		seen = true
+		d := k.best[slot].X*ux + k.best[slot].Y*uy
 		if d < lo {
 			lo = d
 		}
 		if d > hi {
 			hi = d
 		}
+	}
+	if !seen {
+		return 0
 	}
 	return hi - lo
 }
@@ -207,6 +385,7 @@ func (k *Kernel) Clone() *Kernel {
 	copy(c.has, k.has)
 	copy(c.best, k.best)
 	copy(c.bestDot, k.bestDot)
+	c.trust = k.trust
 	return c
 }
 
@@ -217,4 +396,5 @@ func (k *Kernel) Reset() {
 		k.has[i] = false
 		k.bestDot[i] = 0
 	}
+	k.hull, k.fresh, k.trust = k.hull[:0], false, trusted
 }
