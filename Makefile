@@ -90,11 +90,12 @@ sanitize:
 # ε-kernel's interior filter on its four input shapes (three 8192-point
 # chunks each) and one decode+merge of every registered family through
 # the registry — the aggregator's unit cost, which no per-family list
-# can forget a family of.
+# can forget a family of; -benchmem because its allocs/op column is the
+# steady-state figure TestDecodeMergeAllocs pins at <= 1.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Update -benchtime=100x .
 	$(GO) test -run='^$$' -bench=BenchmarkUpdate -benchtime=3x ./internal/kernel/
-	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x ./internal/registry/
+	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x -benchmem ./internal/registry/
 
 # Compile-and-run smoke over the server merge-plane benchmarks (push,
 # batched push, cached pull); one iteration each keeps it a liveness
@@ -114,6 +115,7 @@ bench-harness:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUpdateBatch -fuzztime=30s -fuzzminimizetime=1s ./internal/mg/
 	$(GO) test -run='^$$' -fuzz=FuzzUpdateMatchesFullScan -fuzztime=30s -fuzzminimizetime=1s ./internal/kernel/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeAnyFrame -fuzztime=30s -fuzzminimizetime=1s ./internal/registry/
 
 # Non-test Go lines per package directory: the per-package figures
 # CHANGES.md reports for each PR (testdata fixtures and the benchmark's

@@ -411,6 +411,9 @@ func (in *Info) classifyCall(s *Summary, call *ast.CallExpr, paramIdx map[types.
 	if _, _, ok := in.ReaderReadOp(call); ok {
 		s.ReadsWire = true
 	}
+	if _, ok := in.ReaderRunOp(call); ok {
+		s.ReadsWire = true
+	}
 
 	// RNG draws: draw-named methods on gen-package types, or any
 	// math/rand use.

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // WireClass is the on-wire width class of one codec.Buffer write or
@@ -79,6 +80,17 @@ var readerReadOps = map[string]struct {
 	"Borrow":   {WireBytes, OriginPlain},
 }
 
+// readerRunOps maps codec.Reader run reads — one call that consumes
+// len(dst) elements into its first argument — to the wire class of one
+// element. On the wire a run is what it replaces: a repeat of that
+// element over the destination's length.
+var readerRunOps = map[string]WireClass{
+	"Uint64s":  WireUvarint,
+	"Int64s":   WireUvarint,
+	"Uint8s":   WireUvarint,
+	"Float64s": WireF64,
+}
+
 // isCodecMethod reports whether the call is a method on the named
 // codec type (Buffer or Reader), matching both the real codec package
 // and fixture stand-ins named codec.
@@ -108,6 +120,43 @@ func (in *Info) ReaderReadOp(call *ast.CallExpr) (class WireClass, origin ReadOr
 		return 0, OriginPlain, false
 	}
 	return op.class, op.origin, true
+}
+
+// ReaderRunOp classifies a call as a codec.Reader run read, returning
+// the wire class of one element; the destination slice is the call's
+// first argument.
+func (in *Info) ReaderRunOp(call *ast.CallExpr) (elem WireClass, ok bool) {
+	elem, hit := readerRunOps[CalleeName(call)]
+	if !hit || len(call.Args) == 0 || !in.isCodecMethod(call, "Reader") {
+		return 0, false
+	}
+	return elem, true
+}
+
+// PassesCodec reports whether the call hands its callee a
+// *codec.Buffer or *codec.Reader (typeName) among its arguments — what
+// makes a same-package callee with wire facts a helper for the
+// caller's payload, not a codec for some other frame.
+func (in *Info) PassesCodec(call *ast.CallExpr, typeName string) bool {
+	for _, a := range call.Args {
+		p, ok := in.TypesInfo.TypeOf(a).(*types.Pointer)
+		if !ok {
+			continue
+		}
+		if n, ok := p.Elem().(*types.Named); ok && n.Obj().Name() == typeName &&
+			n.Obj().Pkg() != nil && pathIs(n.Obj().Pkg().Path(), "codec") {
+			return true
+		}
+	}
+	return false
+}
+
+// IsCodecFunc reports whether the call is the named package-level
+// function of the codec package (Resize is generic: the callee
+// resolves to its origin).
+func (in *Info) IsCodecFunc(call *ast.CallExpr, name string) bool {
+	fn := in.Callee(call)
+	return fn != nil && fn.Name() == name && RecvTypeName(fn) == "" && pathIs(pkgPathOf(fn), "codec")
 }
 
 // IsReaderCall reports whether the call is any method on codec.Reader

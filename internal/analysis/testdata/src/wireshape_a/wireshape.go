@@ -2,7 +2,8 @@
 // every asymmetry class the analyzer proves absent — width drift,
 // step-count drift, re-keyed and unvalidated loop bounds, trailing
 // length fields, unkeyed conditionals, missing Finish, unpaired
-// directions — next to a clean codec using every supported idiom.
+// directions, a run read of the wrong element kind or without a
+// validated count — next to clean codecs using every supported idiom.
 package wireshape_a
 
 import (
@@ -72,6 +73,171 @@ func (s *clean) UnmarshalBinary(data []byte) error {
 	}
 	*s = clean{flag: flag, k: k, xs: xs, cells: cells, extra: extra}
 	return nil
+}
+
+// --- clean runs: every run primitive against the encode loop it
+// replaces, each destination sized a supported way — codec.Resize of a
+// validated count, a re-slice to a range-checked header field, a
+// column of the receiver reshaped from header fields — zero
+// diagnostics ---
+
+type runs struct {
+	k     int
+	xs    []uint64
+	ds    []int64
+	regs  []uint8
+	vs    []float64
+	inner []uint8
+}
+
+func (s *runs) reshape(k int) {
+	s.k = k
+	s.regs = codec.Resize(s.regs, 1<<k)
+	s.ds = codec.Resize(s.ds, k)
+}
+
+func (s *runs) MarshalBinary() ([]byte, error) {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	w.Int(s.k)
+	w.Int(len(s.xs))
+	for _, v := range s.xs {
+		w.Uint64(v)
+	}
+	for _, d := range s.ds {
+		w.Uint64(uint64(d))
+	}
+	for _, r := range s.regs {
+		w.Uint64(uint64(r))
+	}
+	w.Int(len(s.vs))
+	for _, v := range s.vs {
+		w.Float64(v)
+	}
+	w.Int(len(s.inner))
+	for _, b := range s.inner {
+		w.Uint64(uint64(b))
+	}
+	return codec.EncodeFrame(codec.KindHLL, w.Bytes()), nil
+}
+
+func (s *runs) UnmarshalBinary(data []byte) error {
+	payload, err := codec.DecodeFrame(codec.KindHLL, data)
+	if err != nil {
+		return err
+	}
+	r := codec.NewReader(payload)
+	k := r.Int()
+	if k < 1 || k > 16 {
+		return errors.New("bad k")
+	}
+	m := r.ArrayLen(1)
+	s.xs = codec.Resize(s.xs, m)
+	r.Uint64s(s.xs)
+	s.reshape(k)
+	r.Int64s(s.ds[:k])
+	r.Uint8s(s.regs, 64)
+	nv := r.ArrayLen(8)
+	vs := codec.Resize(s.vs, nv)
+	r.Float64s(vs)
+	s.vs = vs
+	il := r.ArrayLen(1)
+	s.inner = codec.Resize(s.inner, il)
+	r.Uint8s(s.inner, 255)
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	return redecode(data)
+}
+
+// redecode reads wire bytes, but of a frame of its own: it is handed
+// no Reader, so it is not a helper for its caller's payload and adds
+// no steps there.
+func redecode(data []byte) error {
+	var fresh clean
+	return fresh.UnmarshalBinary(data)
+}
+
+// --- run of the wrong element kind: floats written, uvarints read ---
+
+type runkind struct {
+	vs []float64
+	us []uint64
+}
+
+func (s *runkind) MarshalBinary() ([]byte, error) {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	w.Int(len(s.vs))
+	for _, v := range s.vs {
+		w.Float64(v)
+	}
+	return codec.EncodeFrame(codec.KindKMV, w.Bytes()), nil
+}
+
+func (s *runkind) UnmarshalBinary(data []byte) error {
+	payload, err := codec.DecodeFrame(codec.KindKMV, data)
+	if err != nil {
+		return err
+	}
+	r := codec.NewReader(payload)
+	n := r.ArrayLen(1)
+	s.us = codec.Resize(s.us, n)
+	r.Uint64s(s.us) // want `field 1.0 \(v\): encode writes f64 but decode reads uvarint`
+	return r.Finish()
+}
+
+// --- run without its count: the length travels but is never read, and
+// a run sized from an unvalidated count ---
+
+type runcount struct {
+	xs []uint64
+}
+
+func (s *runcount) MarshalBinary() ([]byte, error) {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	w.Int(len(s.xs))
+	for _, v := range s.xs { // want `encode writes 2 wire step\(s\) at this level but decode reads 1`
+		w.Uint64(v)
+	}
+	return codec.EncodeFrame(codec.KindQDigest, w.Bytes()), nil
+}
+
+func (s *runcount) UnmarshalBinary(data []byte) error {
+	payload, err := codec.DecodeFrame(codec.KindQDigest, data)
+	if err != nil {
+		return err
+	}
+	r := codec.NewReader(payload)
+	r.Uint64s(s.xs) // want `step 0: encode is uvarint len\(xs\) but decode is repeat over col:xs`
+	return r.Finish()
+}
+
+type rununguarded struct {
+	xs []uint64
+}
+
+func (s *rununguarded) MarshalBinary() ([]byte, error) {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	w.Int(len(s.xs))
+	for _, v := range s.xs {
+		w.Uint64(v)
+	}
+	return codec.EncodeFrame(codec.KindRandQuant, w.Bytes()), nil
+}
+
+func (s *rununguarded) UnmarshalBinary(data []byte) error {
+	payload, err := codec.DecodeFrame(codec.KindRandQuant, data)
+	if err != nil {
+		return err
+	}
+	r := codec.NewReader(payload)
+	m := r.Int()
+	s.xs = codec.Resize(s.xs, m)
+	r.Uint64s(s.xs) // want `repeat 1: decode loop bound field:0 is never validated`
+	return r.Finish()
 }
 
 // --- width drift: encode writes a varint, decode reads 8 bytes ---

@@ -48,10 +48,10 @@ type extractor struct {
 	// Decode environments: read-bound variables, make()-sized locals
 	// and receiver fields, constructor-built objects with the header
 	// fields their shape depends on, and validation facts.
-	vars         map[types.Object]string // -> "field:<path>"
-	sized        map[types.Object]string // -> bound spec
-	sizedField   map[string]string       // field name -> bound spec
-	cons         map[types.Object][]string
+	vars         map[types.Object]string   // -> "field:<path>"
+	sized        map[types.Object]string   // -> bound spec
+	sizedField   map[string]string         // field name -> bound spec
+	cons         map[types.Object][]string // also: variables reshaped in place (bindShape)
 	pathOrigin   map[string]flow.ReadOrigin
 	rangeChecked map[string]bool
 	remChecked   bool
@@ -106,6 +106,9 @@ func (ex *extractor) stmt(st ast.Stmt, out *[]*Step, prefix string) {
 	switch x := st.(type) {
 	case *ast.ExprStmt:
 		ex.scanExpr(x.X, out, prefix)
+		if ex.dir == dirDecode {
+			ex.bindShape(x.X)
+		}
 	case *ast.AssignStmt:
 		ex.assign(x, out, prefix)
 	case *ast.DeclStmt:
@@ -279,16 +282,16 @@ func (ex *extractor) handleCall(call *ast.CallExpr, out *[]*Step, prefix string)
 		s := ex.emit(out, prefix, &Step{Kind: StepField, Op: class.String(), Pos: call.Pos()})
 		ex.pathOrigin[s.Path] = origin
 		return true
+	} else if elem, ok := ex.in.ReaderRunOp(call); ok {
+		// A run read is the loop it replaces: a repeat of one element
+		// over the destination's length, validated like any loop bound.
+		spec, deps := ex.rangeBound(call.Args[0])
+		rep := ex.emit(out, prefix, &Step{Kind: StepRepeat, DecBound: spec, Guard: ex.decGuard(spec, deps), Pos: call.Pos()})
+		ex.emit(&rep.Body, rep.Path+".", &Step{Kind: StepField, Op: elem.String(), Pos: call.Pos()})
+		return true
 	}
-	fn, sum := ex.in.FuncOf(call)
-	if fn == nil || sum == nil {
-		return false
-	}
-	hasFact := sum.WritesWire
-	if ex.dir == dirDecode {
-		hasFact = sum.ReadsWire
-	}
-	if !hasFact {
+	fn := ex.wireHelper(call)
+	if fn == nil {
 		return false
 	}
 	fd := ex.in.Funcs[fn]
@@ -335,15 +338,27 @@ func (ex *extractor) isWireCall(call *ast.CallExpr) bool {
 		}
 	} else if _, _, ok := ex.in.ReaderReadOp(call); ok {
 		return true
+	} else if _, ok := ex.in.ReaderRunOp(call); ok {
+		return true
 	}
+	return ex.wireHelper(call) != nil
+}
+
+// wireHelper returns the same-package function a call inlines as a
+// helper for this payload: one with wire facts in this direction that
+// is handed the payload's Buffer or Reader. A callee with wire facts
+// but no handle moves some other frame's bytes (a nested codec, a
+// sanitize assertion re-decoding the frame), not this one's.
+func (ex *extractor) wireHelper(call *ast.CallExpr) *types.Func {
 	fn, sum := ex.in.FuncOf(call)
 	if fn == nil || sum == nil {
-		return false
+		return nil
 	}
-	if ex.dir == dirEncode {
-		return sum.WritesWire
+	if ex.dir == dirEncode && sum.WritesWire && ex.in.PassesCodec(call, "Buffer") ||
+		ex.dir == dirDecode && sum.ReadsWire && ex.in.PassesCodec(call, "Reader") {
+		return fn
 	}
-	return sum.ReadsWire
+	return nil
 }
 
 // --- decode bindings and guards ---
@@ -364,7 +379,10 @@ func (ex *extractor) bindDecode(lhs, rhs ast.Expr, out *[]*Step, before int) {
 	if !ok {
 		return
 	}
-	if id, isIdent := ast.Unparen(call.Fun).(*ast.Ident); isIdent && id.Name == "make" && ex.in.Callee(call) == nil && len(call.Args) >= 2 {
+	id, isIdent := ast.Unparen(call.Fun).(*ast.Ident)
+	isMake := isIdent && id.Name == "make" && ex.in.Callee(call) == nil && len(call.Args) >= 2
+	// codec.Resize(s, n) sizes like make([]T, n), in s's storage.
+	if isMake || ex.in.IsCodecFunc(call, "Resize") && len(call.Args) == 2 {
 		sizeArg := call.Args[1]
 		if isZeroLit(sizeArg) && len(call.Args) >= 3 {
 			sizeArg = call.Args[2] // make([]T, 0, n): capacity carries the count
@@ -391,6 +409,30 @@ func (ex *extractor) bindDecode(lhs, rhs ast.Expr, out *[]*Step, before int) {
 			if obj := ex.lhsObj(lhs); obj != nil {
 				ex.cons[obj] = deps
 			}
+		}
+	}
+}
+
+// bindShape records a method call on a variable — the decoder's own
+// receiver, reshaped in place — whose arguments are header fields: the
+// shape of that variable's columns depends on those fields from here
+// on, as a constructor's result does on its arguments.
+func (ex *extractor) bindShape(e ast.Expr) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return
+	}
+	obj := ex.lhsObj(sel.X)
+	if _, isVar := obj.(*types.Var); !isVar {
+		return
+	}
+	for _, a := range call.Args {
+		if spec, _, resolved := ex.resolveBound(a); resolved && strings.HasPrefix(spec, "field:") {
+			ex.cons[obj] = append(ex.cons[obj], spec)
 		}
 	}
 }
@@ -558,6 +600,10 @@ func (ex *extractor) rangeBound(coll ast.Expr) (string, []string) {
 		if strings.HasPrefix(spec, "field:") {
 			deps = []string{spec}
 		}
+		return spec, deps
+	}
+	if sl, ok := coll.(*ast.SliceExpr); ok && sl.Low == nil && sl.High != nil && !sl.Slice3 {
+		spec, deps, _ := ex.resolveBound(sl.High) // x[:n] holds n elements
 		return spec, deps
 	}
 	if sel, ok := coll.(*ast.SelectorExpr); ok {

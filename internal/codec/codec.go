@@ -23,6 +23,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -229,24 +230,51 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread payload bytes.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
-func (r *Reader) fail() {
+// fail records err, unless an earlier error stands, and drops what is
+// left of the payload: an errored reader has nothing remaining, so the
+// reads need no error check of their own — the bounds check they make
+// anyway notices.
+func (r *Reader) fail(err error) {
 	if r.err == nil {
-		r.err = ErrTruncated
+		r.err = err
 	}
+	r.off = len(r.b)
 }
 
 // Uint64 reads a uvarint. On error it returns 0 and records the error.
+// A one-byte value — most counters, every length — is decoded before
+// anything else is looked at.
+//
+//sketch:hotpath
 func (r *Reader) Uint64() uint64 {
-	if r.err != nil {
-		return 0
+	b := r.b[r.off:] // empty once an error stands
+	if len(b) > 0 && b[0] < 0x80 {
+		r.off++
+		return uint64(b[0])
 	}
-	v, n := binary.Uvarint(r.b[r.off:])
+	var v uint64
+	var n int
+	if longUvarint(b) {
+		v, n = uvarintWord(b)
+	} else {
+		v, n = binary.Uvarint(b)
+	}
 	if n <= 0 {
-		r.fail()
+		r.fail(ErrTruncated)
 		return 0
 	}
 	r.off += n
 	return v
+}
+
+// longUvarint reports whether b opens with a uvarint of seven bytes or
+// more — a hash, a random tag, a negative counter sent as its raw bits
+// — and holds the ten bytes uvarintWord reads. Those are decoded a
+// word at a time; shorter ones by binary.Uvarint's loop, which is
+// faster up to six bytes.
+func longUvarint(b []byte) bool {
+	const six = 0x0000808080808080 // continuation bits of the first six bytes
+	return len(b) >= binary.MaxVarintLen64 && binary.LittleEndian.Uint64(b)&six == six
 }
 
 // Int reads a uvarint as an int, failing on overflow.
@@ -255,7 +283,7 @@ func (r *Reader) Int() int {
 	if r.err == nil && v > math.MaxInt32 {
 		// Structural sizes in this library are far below 2^31; a
 		// larger value indicates corruption even on 64-bit hosts.
-		r.err = fmt.Errorf("codec: implausible size %d", v)
+		r.fail(fmt.Errorf("codec: implausible size %d", v))
 		return 0
 	}
 	return int(v)
@@ -275,7 +303,7 @@ func (r *Reader) ArrayLen(minBytesPerItem int) int {
 		return 0
 	}
 	if n*minBytesPerItem > r.Remaining() {
-		r.err = fmt.Errorf("codec: array length %d exceeds remaining payload %d", n, r.Remaining())
+		r.fail(fmt.Errorf("codec: array length %d exceeds remaining payload %d", n, r.Remaining()))
 		return 0
 	}
 	return n
@@ -283,11 +311,8 @@ func (r *Reader) ArrayLen(minBytesPerItem int) int {
 
 // Bool reads a single byte as a bool.
 func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
-	}
 	if r.off >= len(r.b) {
-		r.fail()
+		r.fail(ErrTruncated)
 		return false
 	}
 	v := r.b[r.off]
@@ -297,11 +322,183 @@ func (r *Reader) Bool() bool {
 
 // Float64 reads 8 little-endian bytes as a float64.
 func (r *Reader) Float64() float64 {
-	b := r.Borrow(8)
-	if b == nil {
+	if len(r.b)-r.off < 8 {
+		r.fail(ErrTruncated)
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	v := binary.LittleEndian.Uint64(r.b[r.off:])
+	r.off += 8
+	return math.Float64frombits(v)
+}
+
+// Resize returns s with length n, reusing its storage when that has
+// room: the sizing step of a decoder that fills retained storage with
+// a run read. The elements are whatever the storage held (zero when
+// freshly allocated) — the run overwrites them. Call it only once n has
+// been validated against the payload (ArrayLen, a Remaining check), so
+// a hostile count cannot size an allocation.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// uvarintRun decodes len(dst) uvarints from the front of b into dst
+// and returns the bytes they took, or -1 when b is short or malformed.
+// The one- and two-byte encodings are decoded inline. A failed run
+// leaves dst partly written.
+func uvarintRun[T uint64 | int64](b []byte, dst []T) int {
+	i := 0
+	for j := range dst {
+		if i >= len(b) {
+			return -1
+		}
+		if c := b[i]; c < 0x80 {
+			dst[j] = T(c)
+			i++
+			continue
+		}
+		if i+1 < len(b) && b[i+1] < 0x80 {
+			dst[j] = T(b[i]&0x7f) | T(b[i+1])<<7
+			i += 2
+			continue
+		}
+		var v uint64
+		var n int
+		if longUvarint(b[i:]) {
+			v, n = uvarintWord(b[i:])
+		} else {
+			v, n = binary.Uvarint(b[i:])
+		}
+		if n <= 0 {
+			return -1
+		}
+		dst[j] = T(v)
+		i += n
+	}
+	return i
+}
+
+// uvarintWord is binary.Uvarint for len(b) >= 10, without the loop:
+// the first eight bytes are loaded as one word, the first byte with
+// its continuation bit clear gives the length, and the 7-bit groups
+// are squeezed together in three shift-and-mask steps. A negative
+// counter sent as its raw bits (ten bytes, countsketch's every other
+// cell) costs the same as a two-byte one. Returns n <= 0 on overflow,
+// as binary.Uvarint does.
+func uvarintWord(b []byte) (v uint64, n int) {
+	w := binary.LittleEndian.Uint64(b)
+	n = 8
+	if stop := ^w & 0x8080808080808080; stop != 0 {
+		n = bits.TrailingZeros64(stop)>>3 + 1
+		w &= ^uint64(0) >> (64 - 8*uint(n))
+	}
+	w &= 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+	w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+	w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+	if n < 8 || b[7] < 0x80 {
+		return w, n
+	}
+	if b[8] < 0x80 {
+		return w | uint64(b[8])<<56, 9
+	}
+	if b[9] > 1 {
+		return 0, -10 // overflows 64 bits
+	}
+	return w | uint64(b[8]&0x7f)<<56 | uint64(b[9])<<63, 10
+}
+
+// ran consumes the n bytes a run read, or records its failure (n < 0).
+func (r *Reader) ran(n int) {
+	if n < 0 {
+		r.fail(ErrTruncated)
+		return
+	}
+	r.off += n
+}
+
+// Uint64s reads a run of len(dst) uvarints into dst — what a loop of
+// Uint64 calls reads, without a call, a reader update and an error
+// check per element. On error dst is partly written and the error is
+// recorded.
+//
+//sketch:hotpath
+func (r *Reader) Uint64s(dst []uint64) { r.ran(uvarintRun(r.b[r.off:], dst)) }
+
+// Int64s is Uint64s for counters that travel as their raw
+// two's-complement bits (int64(r.Uint64()) per element).
+//
+//sketch:hotpath
+func (r *Reader) Int64s(dst []int64) { r.ran(uvarintRun(r.b[r.off:], dst)) }
+
+// Uint8s reads a run of len(dst) small uvarints, each at most max,
+// into dst: values below 128 are one byte on the wire, 128–255 two.
+// Only the canonical (shortest) encoding is accepted — Buffer.Uint64
+// emits no other — so a run whose max is below 128 is exactly len(dst)
+// bytes: borrowed, range-checked, then copied (dst is untouched if the
+// check fails). A value above max, a padded encoding or a short payload
+// fails the run; with max at 128 or above dst is then partly written.
+// The error is recorded.
+//
+//sketch:hotpath
+func (r *Reader) Uint8s(dst []uint8, max uint8) {
+	if max < 0x80 {
+		b := r.Borrow(len(dst))
+		if b == nil {
+			return
+		}
+		for _, c := range b {
+			if c > max {
+				r.fail(errSmallUvarint)
+				return
+			}
+		}
+		copy(dst, b)
+		return
+	}
+	b := r.b[r.off:] // empty once an error stands
+	i := 0
+	for j := range dst {
+		if i >= len(b) {
+			r.fail(ErrTruncated)
+			return
+		}
+		c := b[i]
+		i++
+		if c >= 0x80 {
+			// Two bytes carry 128–255 as (the value itself, 1): its low
+			// seven bits under the continuation bit, then bit seven.
+			if i >= len(b) {
+				r.fail(ErrTruncated)
+				return
+			}
+			if b[i] != 1 || c > max {
+				r.fail(errSmallUvarint)
+				return
+			}
+			i++
+		}
+		dst[j] = c
+	}
+	r.off += i
+}
+
+var errSmallUvarint = errors.New("codec: small-uvarint run holds a value out of range or not in shortest form")
+
+// Float64s reads a run of len(dst) little-endian float64s into dst
+// over one Borrow. On error dst is untouched.
+//
+//sketch:hotpath
+func (r *Reader) Float64s(dst []float64) {
+	b := r.Borrow(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for j := range dst {
+		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+	}
 }
 
 // Borrow returns the next n payload bytes without copying. The slice
@@ -318,7 +515,7 @@ func (r *Reader) Borrow(n int) []byte {
 		return nil
 	}
 	if n < 0 || n > len(r.b)-r.off {
-		r.fail()
+		r.fail(ErrTruncated)
 		return nil
 	}
 	out := r.b[r.off : r.off+n : r.off+n]

@@ -2,8 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -343,5 +346,176 @@ func TestReaderBorrow(t *testing.T) {
 	}
 	if !errors.Is(r2.Err(), ErrTruncated) {
 		t.Errorf("Err = %v, want ErrTruncated", r2.Err())
+	}
+}
+
+// TestUvarintWordMatchesUvarint: the word-at-a-time decoder is
+// binary.Uvarint on every input of ten bytes or more — value, length,
+// and the overflow verdict — over random bytes biased towards long
+// continuation runs.
+func TestUvarintWordMatchesUvarint(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 16)
+	for it := 0; it < 200000; it++ {
+		rng.Read(buf)
+		l := rng.Intn(12)
+		for k := 0; k < l; k++ {
+			buf[k] |= 0x80
+		}
+		if rng.Intn(2) == 0 {
+			buf[l] &= 0x7f
+		}
+		wantV, wantN := binary.Uvarint(buf)
+		gotV, gotN := uvarintWord(buf)
+		if wantN <= 0 {
+			if gotN > 0 {
+				t.Fatalf("%x: Uvarint fails (n=%d), uvarintWord gives %d, %d", buf, wantN, gotV, gotN)
+			}
+			continue
+		}
+		if gotV != wantV || gotN != wantN {
+			t.Fatalf("%x: want %d (%d bytes), got %d (%d bytes)", buf, wantV, wantN, gotV, gotN)
+		}
+	}
+}
+
+// TestReaderRuns: each run read returns what the loop of scalar reads
+// it replaces returns, for values of every encoded length, and is cut
+// short — one recorded error, nothing remaining — wherever the payload
+// is.
+func TestReaderRuns(t *testing.T) {
+	var vals []uint64
+	for l := 0; l < 64; l++ {
+		vals = append(vals, uint64(1)<<l, uint64(1)<<l-1, uint64(l))
+	}
+	vals = append(vals, math.MaxUint64, uint64(1<<63)+5)
+	var w Buffer
+	for _, v := range vals {
+		w.Uint64(v)
+	}
+	payload := w.Bytes()
+
+	got := make([]uint64, len(vals))
+	r := NewReader(payload)
+	r.Uint64s(got)
+	if err := r.Finish(); err != nil || !slices.Equal(got, vals) {
+		t.Fatalf("Uint64s: err %v, values equal %v", err, slices.Equal(got, vals))
+	}
+	gotI := make([]int64, len(vals))
+	r = NewReader(payload)
+	r.Int64s(gotI)
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if gotI[i] != int64(v) {
+			t.Fatalf("Int64s[%d] = %d, want %d", i, gotI[i], int64(v))
+		}
+	}
+	for cut := 0; cut < len(payload); cut++ {
+		r := NewReader(payload[:cut])
+		r.Uint64s(got)
+		if !errors.Is(r.Err(), ErrTruncated) || r.Remaining() != 0 {
+			t.Fatalf("Uint64s over %d of %d bytes: err %v, %d remaining", cut, len(payload), r.Err(), r.Remaining())
+		}
+	}
+
+	floats := []float64{0, -1.5, math.Inf(1), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	w.Reset()
+	for _, v := range floats {
+		w.Float64(v)
+	}
+	gotF := make([]float64, len(floats))
+	r = NewReader(w.Bytes())
+	r.Float64s(gotF)
+	if err := r.Finish(); err != nil || !slices.Equal(gotF, floats) {
+		t.Fatalf("Float64s: err %v, got %v", err, gotF)
+	}
+	r = NewReader(w.Bytes()[:len(w.Bytes())-1])
+	r.Float64s(gotF)
+	if !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Float64s over a short payload: err %v", r.Err())
+	}
+}
+
+// TestReaderSmallRun: the small-uvarint run reads bytes written one
+// uvarint each — one byte below 128, two from 128 to 255 — and rejects
+// a value above its maximum, a value that is not a byte at all (which a
+// byte(r.Uint64()) loop would silently cut down), and any encoding but
+// the shortest.
+func TestReaderSmallRun(t *testing.T) {
+	all := make([]uint8, 256)
+	var w Buffer
+	for i := range all {
+		all[i] = uint8(i)
+		w.Uint64(uint64(i))
+	}
+	got := make([]uint8, 256)
+	r := NewReader(w.Bytes())
+	r.Uint8s(got, 255)
+	if err := r.Finish(); err != nil || !slices.Equal(got, all) {
+		t.Fatalf("Uint8s(255): err %v", err)
+	}
+	r = NewReader(w.Bytes()[:65])
+	r.Uint8s(got[:65], 64)
+	if err := r.Finish(); err != nil || !slices.Equal(got[:65], all[:65]) {
+		t.Fatalf("Uint8s(64): err %v", err)
+	}
+	for name, tc := range map[string]struct {
+		payload []byte
+		max     uint8
+	}{
+		"above max, one byte":    {[]byte{3, 65, 3}, 64},
+		"above max, two bytes":   {[]byte{3, 0xc8, 0x01, 3}, 199},
+		"not a byte: 256 + 77":   {[]byte{0xcd, 0x02, 3, 3}, 255},
+		"not a byte: three long": {[]byte{0x80, 0x80, 0x01}, 255},
+		"padded: 5 in two bytes": {[]byte{0x85, 0x00, 3}, 64},
+		"padded, wide max":       {[]byte{0x85, 0x00, 3}, 255},
+		"short":                  {[]byte{3, 3}, 64},
+		"short, wide max":        {[]byte{3, 0xc8}, 255},
+	} {
+		r := NewReader(tc.payload)
+		r.Uint8s(make([]uint8, 3), tc.max)
+		if r.Err() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReaderErrorIsSticky: the first error stands, later reads return
+// zero values, and an errored reader has nothing remaining — which is
+// what lets the scalar fast paths skip an error check of their own.
+func TestReaderErrorIsSticky(t *testing.T) {
+	var w Buffer
+	w.Uint64(1 << 40) // implausible as a size
+	w.Uint64(7)
+	w.Float64(1.5)
+	w.Bool(true)
+	r := NewReader(w.Bytes())
+	if r.Int() != 0 || r.Err() == nil {
+		t.Fatal("implausible size accepted")
+	}
+	first := r.Err()
+	if r.Uint64() != 0 || r.Float64() != 0 || r.Bool() || r.Borrow(1) != nil || r.ArrayLen(1) != 0 {
+		t.Fatal("read after an error returned data")
+	}
+	dst := []uint64{9}
+	r.Uint64s(dst)
+	if dst[0] != 9 || r.Remaining() != 0 || r.Err() != first || r.Finish() != first {
+		t.Fatalf("after an error: dst %v, remaining %d, err %v (first was %v)", dst, r.Remaining(), r.Err(), first)
+	}
+}
+
+func TestResize(t *testing.T) {
+	s := make([]int, 3, 8)
+	s[0], s[1], s[2] = 1, 2, 3
+	if got := Resize(s, 5); len(got) != 5 || &got[0] != &s[0] {
+		t.Fatal("Resize within capacity did not reuse storage")
+	}
+	if got := Resize(s, 9); len(got) != 9 || got[0] != 0 {
+		t.Fatal("Resize beyond capacity did not allocate zeroed storage")
+	}
+	if got := Resize([]int(nil), 0); len(got) != 0 {
+		t.Fatal("Resize(nil, 0)")
 	}
 }

@@ -126,29 +126,6 @@ func TestTopCounters(t *testing.T) {
 	}
 }
 
-func TestPadAscending(t *testing.T) {
-	cs := []Counter{{7, 9}, {8, 3}}
-	got := PadAscending(cs, 4)
-	if len(got) != 4 {
-		t.Fatalf("len = %d, want 4", len(got))
-	}
-	if got[0].Count != 0 || got[1].Count != 0 {
-		t.Fatalf("padding not at front: %v", got)
-	}
-	if got[2] != (Counter{8, 3}) || got[3] != (Counter{7, 9}) {
-		t.Fatalf("tail not sorted ascending: %v", got)
-	}
-}
-
-func TestPadAscendingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PadAscending did not panic on overflow")
-		}
-	}()
-	PadAscending(make([]Counter, 3), 2)
-}
-
 // Property: sorting ascending then summing equals summing unsorted, and
 // the ascending order is actually non-decreasing.
 func TestSortCountersAscProperties(t *testing.T) {

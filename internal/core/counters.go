@@ -1,28 +1,31 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // SortCountersAsc sorts counters in ascending order of count, breaking
 // ties by item so the order is deterministic. This is the canonical
 // order used by the merge algorithms, which index the combined summary
 // "in ascending sorted order" (PODS'12 §2; supplied-text Algorithms 1-3).
 func SortCountersAsc(cs []Counter) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Count != cs[j].Count {
-			return cs[i].Count < cs[j].Count
+	slices.SortFunc(cs, func(a, b Counter) int {
+		if c := cmp.Compare(a.Count, b.Count); c != 0 {
+			return c
 		}
-		return cs[i].Item < cs[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 }
 
 // SortCountersDesc sorts counters in descending order of count with the
 // same deterministic tie-break, the order reports are printed in.
 func SortCountersDesc(cs []Counter) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Count != cs[j].Count {
-			return cs[i].Count > cs[j].Count
+	slices.SortFunc(cs, func(a, b Counter) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return cs[i].Item < cs[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 }
 
@@ -45,20 +48,5 @@ func TopCounters(cs []Counter, k int) []Counter {
 	if k < len(out) {
 		out = out[:k]
 	}
-	return out
-}
-
-// PadAscending returns cs sorted ascending and left-padded with
-// zero-count counters up to length total. The merge algorithms of the
-// supplied text assume a combined summary of exactly 2k-2 slots "padded
-// with dummy counters whose frequency is zero"; this helper implements
-// that convention. It panics if len(cs) > total.
-func PadAscending(cs []Counter, total int) []Counter {
-	if len(cs) > total {
-		panic("core: cannot pad counters beyond total")
-	}
-	out := make([]Counter, total)
-	copy(out[total-len(cs):], cs)
-	SortCountersAsc(out[total-len(cs):])
 	return out
 }

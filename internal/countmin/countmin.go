@@ -47,14 +47,24 @@ func New(width, depth int, seed uint64) *Sketch {
 	if width < 1 || depth < 1 {
 		panic("countmin: width and depth must be >= 1")
 	}
-	s := &Sketch{
-		width: width,
-		depth: depth,
-		seed:  seed,
-		cells: make([]uint64, width*depth),
-		a:     make([]uint64, depth),
-		b:     make([]uint64, depth),
+	s := &Sketch{}
+	s.reshape(width, depth, seed)
+	return s
+}
+
+// reshape gives s the geometry and hash rows of New(width, depth,
+// seed), in the storage it already has where that fits; a sketch of
+// that shape already is left alone. What the cells hold afterwards is
+// unspecified unless the storage is new: the decoder overwrites every
+// one.
+func (s *Sketch) reshape(width, depth int, seed uint64) {
+	if s.width == width && s.depth == depth && s.seed == seed {
+		return
 	}
+	s.width, s.depth, s.seed = width, depth, seed
+	s.cells = codec.Resize(s.cells, width*depth)
+	s.a = codec.Resize(s.a, depth)
+	s.b = codec.Resize(s.b, depth)
 	state := seed
 	next := func() uint64 {
 		state += 0x9e3779b97f4a7c15
@@ -67,7 +77,6 @@ func New(width, depth int, seed uint64) *Sketch {
 		s.a[i] = next() | 1 // multiplier must be odd
 		s.b[i] = next()
 	}
-	return s
 }
 
 // row returns the i-th row as a view into the backing slice.
@@ -405,7 +414,13 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindCountMin, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The frame is
+// decoded into the receiver's own storage: a sketch of the frame's
+// geometry and seed keeps its matrix and hash rows and has its cells
+// overwritten by one run read, any other receiver (the zero value
+// included) is first reshaped exactly as New would build it. A frame
+// rejected by a header or geometry check leaves the receiver untouched;
+// one that fails inside the counter run leaves it empty.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindCountMin, data)
 	if err != nil {
@@ -428,16 +443,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		// allocating attacker-controlled matrix sizes.
 		return fmt.Errorf("countmin: geometry %dx%d exceeds payload", depth, width)
 	}
-	out := New(width, depth, seed)
-	out.n = n
-	out.conservative = conservative
-	for i := range out.cells {
-		out.cells[i] = r.Uint64()
-	}
+	reused := s.width != 0
+	s.reshape(width, depth, seed)
+	s.n, s.conservative = n, conservative
+	r.Uint64s(s.cells)
 	if err := r.Finish(); err != nil {
+		s.Reset()
 		return err
 	}
-	*s = *out
+	debugAssertDecoded(s, data, reused)
 	return nil
 }
 

@@ -2,7 +2,10 @@
 
 package countmin
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // sanitizeEnabled reports whether this build carries the runtime
 // invariant layer (`go test -tags sanitize`). See DESIGN.md.
@@ -52,5 +55,24 @@ func debugAssert(s *Sketch) {
 func debugAssertSampled(s *Sketch) {
 	if s.n&1023 == 0 {
 		debugAssert(s)
+	}
+}
+
+// debugAssertDecoded panics if a reused receiver, having decoded
+// frame in place, differs anywhere from a fresh sketch decoding the
+// same frame: geometry, seed, weight, the conservative flag, every
+// cell and — what the wire does not carry — the hash rows.
+func debugAssertDecoded(s *Sketch, frame []byte, reused bool) {
+	if !reused {
+		return // also what ends the recursion: fresh is not reused
+	}
+	var fresh Sketch
+	if err := fresh.UnmarshalBinary(frame); err != nil {
+		panic(fmt.Sprintf("countmin: sanitize: fresh decode of an accepted frame failed: %v", err))
+	}
+	if s.width != fresh.width || s.depth != fresh.depth || s.seed != fresh.seed || s.n != fresh.n ||
+		s.conservative != fresh.conservative || !slices.Equal(s.cells, fresh.cells) ||
+		!slices.Equal(s.a, fresh.a) || !slices.Equal(s.b, fresh.b) {
+		panic("countmin: sanitize: reused receiver differs from a fresh decode of the same frame")
 	}
 }

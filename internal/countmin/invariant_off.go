@@ -11,3 +11,6 @@ func debugAssert(*Sketch) {}
 
 // debugAssertSampled is a no-op unless built with -tags sanitize.
 func debugAssertSampled(*Sketch) {}
+
+// debugAssertDecoded is a no-op unless built with -tags sanitize.
+func debugAssertDecoded(*Sketch, []byte, bool) {}

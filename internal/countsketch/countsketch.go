@@ -36,15 +36,25 @@ func New(width, depth int, seed uint64) *Sketch {
 	if width < 1 || depth < 1 {
 		panic("countsketch: width and depth must be >= 1")
 	}
-	s := &Sketch{
-		width: width,
-		depth: depth,
-		seed:  seed,
-		rows:  make([][]int64, depth),
-		a:     make([]uint64, depth),
-		b:     make([]uint64, depth),
-		sa:    make([]uint64, depth),
+	s := &Sketch{}
+	s.reshape(width, depth, seed)
+	return s
+}
+
+// reshape gives s the geometry and hash rows of New(width, depth,
+// seed), in the storage it already has where that fits; a sketch of
+// that shape already is left alone. What the cells hold afterwards is
+// unspecified unless the storage is new: the decoder overwrites every
+// one.
+func (s *Sketch) reshape(width, depth int, seed uint64) {
+	if s.width == width && s.depth == depth && s.seed == seed {
+		return
 	}
+	s.width, s.depth, s.seed = width, depth, seed
+	s.rows = codec.Resize(s.rows, depth)
+	s.a = codec.Resize(s.a, depth)
+	s.b = codec.Resize(s.b, depth)
+	s.sa = codec.Resize(s.sa, depth)
 	state := seed ^ 0xc3a5c85c97cb3127
 	next := func() uint64 {
 		state += 0x9e3779b97f4a7c15
@@ -54,12 +64,11 @@ func New(width, depth int, seed uint64) *Sketch {
 		return z ^ (z >> 31)
 	}
 	for i := 0; i < depth; i++ {
-		s.rows[i] = make([]int64, width)
+		s.rows[i] = codec.Resize(s.rows[i], width)
 		s.a[i] = next() | 1
 		s.b[i] = next()
 		s.sa[i] = next() | 1
 	}
-	return s
 }
 
 // Width returns the row width.
@@ -292,7 +301,14 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindCountSketch, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The frame is
+// decoded into the receiver's own storage: a sketch of the frame's
+// geometry and seed keeps its rows and hash parameters and has its
+// cells overwritten by one run read per row, any other receiver (the
+// zero value included) is first reshaped exactly as New would build
+// it. A frame rejected by a header or geometry check leaves the
+// receiver untouched; one that fails inside the counter runs leaves it
+// empty.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindCountSketch, data)
 	if err != nil {
@@ -312,17 +328,15 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if width*depth > r.Remaining() {
 		return fmt.Errorf("countsketch: geometry %dx%d exceeds payload", depth, width)
 	}
-	out := New(width, depth, seed)
-	out.n = n
+	s.reshape(width, depth, seed)
+	s.n = n
 	for i := 0; i < depth; i++ {
-		for j := 0; j < width; j++ {
-			out.rows[i][j] = int64(r.Uint64())
-		}
+		r.Int64s(s.rows[i][:width])
 	}
 	if err := r.Finish(); err != nil {
+		s.Reset()
 		return err
 	}
-	*s = *out
 	return nil
 }
 

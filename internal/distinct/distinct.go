@@ -20,6 +20,7 @@ package distinct
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
@@ -44,7 +45,12 @@ type KMV struct {
 	// hashes holds the up-to-k smallest distinct hash values seen, as
 	// a max-heap so the largest kept value is at the root.
 	hashes []uint64
+	// member indexes hashes for offer's duplicate test. A decoded
+	// summary leaves it stale until its first offer: one that is only
+	// ever merged from — every pushed frame, on an aggregator — never
+	// pays for building it.
 	member map[uint64]bool
+	stale  bool
 	n      uint64 // total updates (with multiplicity), for bookkeeping
 }
 
@@ -97,6 +103,9 @@ func (s *KMV) siftDown(i int) {
 
 // offer inserts a hash value if it belongs to the k smallest.
 func (s *KMV) offer(h uint64) {
+	if s.stale {
+		s.index()
+	}
 	if s.member[h] {
 		return
 	}
@@ -112,6 +121,19 @@ func (s *KMV) offer(h uint64) {
 		s.hashes[0] = h
 		s.siftDown(0)
 	}
+}
+
+// index rebuilds the membership map from the stored hashes.
+func (s *KMV) index() {
+	if s.member == nil {
+		// Sized by what is stored: a frame's k is not a reason to allocate.
+		s.member = make(map[uint64]bool, len(s.hashes))
+	}
+	clear(s.member)
+	for _, h := range s.hashes {
+		s.member[h] = true
+	}
+	s.stale = false
 }
 
 // Update observes one occurrence of x.
@@ -170,7 +192,7 @@ func (s *KMV) Clone() *KMV {
 	c := NewKMV(s.k, s.seed)
 	c.n = s.n
 	c.hashes = append([]uint64(nil), s.hashes...)
-	for h := range s.member {
+	for _, h := range s.hashes {
 		c.member[h] = true
 	}
 	return c
@@ -202,7 +224,12 @@ func (s *KMV) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindKMV, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The hashes
+// are read in one run into the receiver's own heap storage and the
+// membership map is left for the first offer to rebuild, so a reused
+// receiver (any k, any seed, any contents; the zero value too)
+// allocates nothing. A frame rejected by a header check leaves the
+// receiver untouched; one rejected later leaves it empty.
 func (s *KMV) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindKMV, data)
 	if err != nil {
@@ -222,19 +249,42 @@ func (s *KMV) UnmarshalBinary(data []byte) error {
 	if k < 2 || m > k {
 		return fmt.Errorf("distinct: invalid KMV frame (k=%d, m=%d)", k, m)
 	}
-	out := NewKMV(k, seed)
-	out.n = n
-	for i := 0; i < m; i++ {
-		out.offer(r.Uint64())
-	}
+	s.k, s.seed, s.n = k, seed, n
+	s.hashes = codec.Resize(s.hashes, m)
+	r.Uint64s(s.hashes)
 	if err := r.Finish(); err != nil {
+		s.reset()
 		return err
 	}
-	if out.Size() != m {
+	if !s.adopt() {
+		s.reset()
 		return fmt.Errorf("distinct: duplicate hashes in KMV frame")
 	}
-	*s = *out
 	return nil
+}
+
+// adopt turns s.hashes, as read off the wire, into the max-heap of
+// exactly those values; false if two are equal. The encoder writes
+// them ascending, and an ascending run reversed is a heap; any other
+// order is sorted first.
+func (s *KMV) adopt() bool {
+	hs := s.hashes
+	if !slices.IsSorted(hs) {
+		slices.Sort(hs)
+	}
+	for i := 1; i < len(hs); i++ {
+		if hs[i-1] == hs[i] {
+			return false
+		}
+	}
+	slices.Reverse(hs)
+	s.stale = true
+	return true
+}
+
+// reset empties s, keeping k, seed and storage.
+func (s *KMV) reset() {
+	s.n, s.hashes, s.stale = 0, s.hashes[:0], true
 }
 
 // HLL is a HyperLogLog distinct-count summary with 2^p registers.
@@ -355,7 +405,12 @@ func (s *HLL) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindHLL, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Registers are
+// at most 64, one byte each on the wire, so the register file is one
+// range-checked copy into the receiver's own storage (regrown only
+// when the precision differs). A frame rejected by a header check
+// leaves the receiver untouched; one rejected inside the register run
+// leaves it empty.
 func (s *HLL) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindHLL, data)
 	if err != nil {
@@ -377,18 +432,23 @@ func (s *HLL) UnmarshalBinary(data []byte) error {
 	if p < 4 || p > 18 {
 		return fmt.Errorf("distinct: invalid HLL precision %d", p)
 	}
-	out := NewHLL(uint8(p), seed)
-	out.n = n
-	for i := range out.regs {
-		v := r.Uint64()
-		if v > 64 {
-			return fmt.Errorf("distinct: implausible register value %d", v)
-		}
-		out.regs[i] = uint8(v)
-	}
+	reused := s.regs != nil
+	s.reshape(uint8(p), seed)
+	s.n = n
+	r.Uint8s(s.regs, 64)
 	if err := r.Finish(); err != nil {
+		s.n = 0
+		clear(s.regs)
 		return err
 	}
-	*s = *out
+	debugAssertHLLDecoded(s, data, reused)
 	return nil
+}
+
+// reshape gives s the precision, seed and register count of
+// NewHLL(p, seed), in the storage it already has where that fits. The
+// registers hold whatever they held: the decoder overwrites them all.
+func (s *HLL) reshape(p uint8, seed uint64) {
+	s.p, s.seed = p, seed
+	s.regs = codec.Resize(s.regs, 1<<p)
 }

@@ -2,7 +2,10 @@
 
 package distinct
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // sanitizeEnabled reports whether this build carries the runtime
 // invariant layer (`go test -tags sanitize`). See DESIGN.md.
@@ -11,7 +14,8 @@ const sanitizeEnabled = true
 // debugAssertKMV panics if s violates the k-minimum-values structural
 // invariants: at most k stored hashes, max-heap order (every child ≤
 // its parent, so the root is the k-th minimum), and an exact
-// membership map (no duplicates counted, no stale entries).
+// membership map (no duplicates counted, no stale entries) once it
+// has been built.
 func debugAssertKMV(s *KMV) {
 	if len(s.hashes) > s.k {
 		panic(fmt.Sprintf("distinct: sanitize: KMV holds %d hashes, cap k=%d", len(s.hashes), s.k))
@@ -21,6 +25,9 @@ func debugAssertKMV(s *KMV) {
 		if s.hashes[i] > s.hashes[parent] {
 			panic(fmt.Sprintf("distinct: sanitize: KMV heap order broken at %d", i))
 		}
+	}
+	if s.stale {
+		return // the map is rebuilt from the hashes at the next offer
 	}
 	if len(s.member) != len(s.hashes) {
 		panic(fmt.Sprintf("distinct: sanitize: KMV member map has %d entries for %d hashes", len(s.member), len(s.hashes)))
@@ -59,5 +66,21 @@ func debugAssertKMVSampled(s *KMV) {
 func debugAssertHLLSampled(s *HLL) {
 	if s.n&1023 == 0 {
 		debugAssertHLL(s)
+	}
+}
+
+// debugAssertHLLDecoded panics if a reused receiver, having decoded
+// frame in place, differs anywhere from a fresh HLL decoding the same
+// frame: precision, seed, weight or any register.
+func debugAssertHLLDecoded(s *HLL, frame []byte, reused bool) {
+	if !reused {
+		return // also what ends the recursion: fresh is not reused
+	}
+	var fresh HLL
+	if err := fresh.UnmarshalBinary(frame); err != nil {
+		panic(fmt.Sprintf("distinct: sanitize: fresh decode of an accepted HLL frame failed: %v", err))
+	}
+	if s.p != fresh.p || s.seed != fresh.seed || s.n != fresh.n || !bytes.Equal(s.regs, fresh.regs) {
+		panic("distinct: sanitize: reused HLL receiver differs from a fresh decode of the same frame")
 	}
 }

@@ -15,3 +15,5 @@ func debugAssertHLL(*HLL) {}
 func debugAssertKMVSampled(*KMV) {}
 
 func debugAssertHLLSampled(*HLL) {}
+
+func debugAssertHLLDecoded(*HLL, []byte, bool) {}

@@ -35,7 +35,11 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements
-// encoding.BinaryUnmarshaler.
+// encoding.BinaryUnmarshaler. Tuples are read into the receiver's
+// retired tuple run, which trades places with the live one once the
+// frame is validated (the idiom of flush and Merge), so a reused
+// receiver — any eps, any contents; the zero value too — allocates
+// nothing, and a rejected frame leaves it untouched.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindGK, data)
 	if err != nil {
@@ -51,22 +55,22 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	if eps <= 0 || eps >= 1 {
 		return fmt.Errorf("gk: invalid eps %v in frame", eps)
 	}
-	tuples := make([]tuple, 0, m)
+	tuples := codec.Resize(s.spare, m)[:0]
 	var sumG uint64
 	for i := 0; i < m; i++ {
 		tp := tuple{v: r.Float64(), g: r.Uint64(), delta: r.Uint64()}
 		tuples = append(tuples, tp)
 		sumG += tp.g
 	}
+	s.spare = tuples[:0]
 	if err := r.Finish(); err != nil {
 		return err
 	}
 	if sumG != n {
 		return fmt.Errorf("gk: frame weight %d != n %d", sumG, n)
 	}
-	out := New(eps)
-	out.n = n
-	out.tuples = tuples
-	*s = *out
+	s.eps, s.bufCap, s.n = eps, bufCapFor(eps), n
+	s.tuples, s.spare = tuples, s.tuples[:0]
+	s.buf = s.buf[:0]
 	return nil
 }

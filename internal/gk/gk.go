@@ -49,11 +49,13 @@ func New(eps float64) *Summary {
 	if eps <= 0 || eps >= 1 {
 		panic("gk: eps must be in (0, 1)")
 	}
-	bufCap := int(1/(2*eps)) + 1
-	if bufCap < 16 {
-		bufCap = 16
-	}
-	return &Summary{eps: eps, bufCap: bufCap}
+	return &Summary{eps: eps, bufCap: bufCapFor(eps)}
+}
+
+// bufCapFor is the pending-insert buffer size of a summary with error
+// parameter eps.
+func bufCapFor(eps float64) int {
+	return max(int(1/(2*eps))+1, 16)
 }
 
 // Epsilon returns the summary's error parameter.

@@ -27,7 +27,15 @@ func (k *Kernel) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindKernel, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. Slots are
+// written into the receiver's own arrays — every one of them, empty
+// slots zeroed — and its direction grid is recomputed only when the
+// frame's m differs, so a reused receiver (any m, any contents, a
+// cached polygon; the zero value too) allocates nothing. The interior
+// filter starts over as a fresh decode's does: no polygon, the frame's
+// points untrusted until checked. A frame rejected by a header check
+// leaves the receiver untouched; one that fails among its slots leaves
+// it empty.
 func (k *Kernel) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindKernel, data)
 	if err != nil {
@@ -43,19 +51,21 @@ func (k *Kernel) UnmarshalBinary(data []byte) error {
 		// Each slot needs at least its presence byte.
 		return fmt.Errorf("kernel: implausible direction count %d", m)
 	}
-	out := New(m)
-	out.n = n
-	out.trust = decoded
+	k.reshape(m)
+	k.n = n
 	for slot := 0; slot < 2*m; slot++ {
 		if r.Bool() {
-			out.has[slot] = true
-			out.best[slot] = gen.Point{X: r.Float64(), Y: r.Float64()}
-			out.bestDot[slot] = r.Float64()
+			k.has[slot] = true
+			k.best[slot] = gen.Point{X: r.Float64(), Y: r.Float64()}
+			k.bestDot[slot] = r.Float64()
+		} else {
+			k.has[slot], k.best[slot], k.bestDot[slot] = false, gen.Point{}, 0
 		}
 	}
 	if err := r.Finish(); err != nil {
+		k.Reset()
 		return err
 	}
-	*k = *out
+	k.hull, k.scale, k.margin, k.fresh, k.trust = k.hull[:0], 0, 0, false, decoded
 	return nil
 }

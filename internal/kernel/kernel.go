@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
@@ -92,20 +93,30 @@ func New(m int) *Kernel {
 	if m < 2 {
 		panic("kernel: need at least 2 directions")
 	}
-	k := &Kernel{
-		m:       m,
-		has:     make([]bool, 2*m),
-		best:    make([]gen.Point, 2*m),
-		bestDot: make([]float64, 2*m),
-		cos:     make([]float64, m),
-		sin:     make([]float64, m),
+	k := &Kernel{}
+	k.reshape(m)
+	return k
+}
+
+// reshape gives k the direction grid and slot count of New(m), in the
+// storage it already has where that fits; a kernel over m directions
+// already keeps its grid. What the slots hold afterwards is unspecified
+// unless the storage is new: the decoder writes every one.
+func (k *Kernel) reshape(m int) {
+	if k.m == m {
+		return
 	}
+	k.m = m
+	k.has = codec.Resize(k.has, 2*m)
+	k.best = codec.Resize(k.best, 2*m)
+	k.bestDot = codec.Resize(k.bestDot, 2*m)
+	k.cos = codec.Resize(k.cos, m)
+	k.sin = codec.Resize(k.sin, m)
 	for i := 0; i < m; i++ {
 		theta := math.Pi * float64(i) / float64(m)
 		k.cos[i] = math.Cos(theta)
 		k.sin[i] = math.Sin(theta)
 	}
-	return k
 }
 
 // NewEpsilon returns a kernel whose grid is fine enough for relative

@@ -1,6 +1,8 @@
 package mg
 
 import (
+	"fmt"
+
 	"repro/internal/codec"
 	"repro/internal/core"
 )
@@ -29,7 +31,12 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements
-// encoding.BinaryUnmarshaler.
+// encoding.BinaryUnmarshaler. Counters go straight into the receiver's
+// own table, emptied first and regrown only when the frame holds more
+// than it has room for, so a reused receiver (any k, any contents; the
+// zero value too) allocates nothing. A frame rejected by a header
+// check leaves the receiver untouched; one rejected among its counters
+// leaves it empty.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindMisraGries, data)
 	if err != nil {
@@ -40,19 +47,32 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	n := r.Uint64()
 	dec := r.Uint64()
 	m := r.ArrayLen(2)
-	cs := make([]core.Counter, 0, m)
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if k < 1 {
+		return fmt.Errorf("mg: k must be >= 1, have %d", k)
+	}
+	if m > k {
+		return fmt.Errorf("mg: %d counters exceed k=%d", m, k)
+	}
+	s.k, s.n, s.dec = k, n, dec
+	s.clearTable()
+	s.ensure(m)
 	for i := 0; i < m; i++ {
 		item := core.Item(r.Uint64())
 		count := r.Uint64()
-		cs = append(cs, core.Counter{Item: item, Count: count})
+		if r.Err() != nil {
+			break
+		}
+		if err := s.put(item, count); err != nil {
+			s.Reset()
+			return err
+		}
 	}
 	if err := r.Finish(); err != nil {
+		s.Reset()
 		return err
 	}
-	dec2, err := FromCounters(k, n, dec, cs)
-	if err != nil {
-		return err
-	}
-	*s = *dec2
 	return nil
 }

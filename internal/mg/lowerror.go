@@ -32,37 +32,49 @@ func (s *Summary) MergeLowError(other *Summary) error {
 		return core.ErrMismatchedK
 	}
 	c := s.k
-	combined := CombinedCounters(s, other)
+	// Sum pointwise in s's own table, then read the combined counters
+	// out, ascending, into scratch the summary keeps: a merge in a loop
+	// allocates nothing.
+	s.ensure(s.live + other.live)
+	for i, v := range other.counts {
+		if v != 0 {
+			s.add(core.Item(other.keys[i]), v)
+		}
+	}
+	combined := s.combined[:0]
+	for i, v := range s.counts {
+		if v != 0 {
+			combined = append(combined, core.Counter{Item: core.Item(s.keys[i]), Count: v})
+		}
+	}
+	core.SortCountersAsc(combined)
+	s.combined = combined
 	s.n += other.n
 	s.dec += other.dec
 	if len(combined) <= c {
 		// No pruning necessary: the combined summary is exact
-		// relative to its inputs.
-		s.clearTable()
-		s.ensure(len(combined))
-		for _, cc := range combined {
-			s.insertFresh(uint64(cc.Item), cc.Count)
-		}
+		// relative to its inputs, and s already holds it.
 		debugAssert(s)
 		return nil
 	}
-	// Pad at the front with zero counters to exactly 2c slots.
-	pad := core.PadAscending(combined, 2*c)
-	// cnt(i) is the 1-based C_i^f accessor over the padded array.
-	cnt := func(i int) uint64 { return pad[i-1].Count }
+	// at(i) is the 1-based C_i accessor over the combined counters
+	// padded at the front with zero counters to exactly 2c slots.
+	pad := 2*c - len(combined)
+	at := func(i int) core.Counter {
+		if i <= pad {
+			return core.Counter{}
+		}
+		return combined[i-1-pad]
+	}
 	s.clearTable()
-	s.ensure(c)
-	base := cnt(c) // C_c, the amount every surviving counter is cut by
+	base := at(c).Count // C_c, the amount every surviving counter is cut by
 	for j := 1; j <= c; j++ {
-		e := pad[c+j-1].Item
-		var f uint64
-		if j == 1 {
-			f = cnt(c+1) - base
-		} else {
-			f = cnt(c+j) - base + cnt(j-1)
+		f := at(c+j).Count - base
+		if j > 1 {
+			f += at(j - 1).Count
 		}
 		if f > 0 {
-			s.insertFresh(uint64(e), f)
+			s.insertFresh(uint64(at(c+j).Item), f)
 		}
 	}
 	// Every output counter was reduced by at most C_c relative to the

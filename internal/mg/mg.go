@@ -87,6 +87,8 @@ type Summary struct {
 	pruneBuf []uint64
 	scratchK []uint64
 	scratchC []uint64
+	// combined is MergeLowError's scratch for the sorted pointwise sum.
+	combined []core.Counter
 }
 
 // New returns an empty summary with capacity k >= 1 counters. The
@@ -244,15 +246,25 @@ func FromCounters(k int, n, dec uint64, cs []core.Counter) (*Summary, error) {
 	s.n = n
 	s.dec = dec
 	for _, c := range cs {
-		if c.Count == 0 {
-			return nil, fmt.Errorf("mg: zero count for item %d", c.Item)
+		if err := s.put(c.Item, c.Count); err != nil {
+			return nil, err
 		}
-		if s.get(c.Item) != 0 {
-			return nil, fmt.Errorf("mg: duplicate item %d", c.Item)
-		}
-		s.insertFresh(uint64(c.Item), c.Count)
 	}
 	return s, nil
+}
+
+// put inserts a counter handed in from outside (FromCounters, the
+// decoder) into a table already sized for it, rejecting a zero count
+// or an item that is already there.
+func (s *Summary) put(x core.Item, count uint64) error {
+	if count == 0 {
+		return fmt.Errorf("mg: zero count for item %d", x)
+	}
+	if s.get(x) != 0 {
+		return fmt.Errorf("mg: duplicate item %d", x)
+	}
+	s.insertFresh(uint64(x), count)
+	return nil
 }
 
 // K returns the counter capacity.

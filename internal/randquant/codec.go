@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/codec"
+	"repro/internal/gen"
 )
 
 // MarshalBinary encodes the summary. It implements
@@ -35,7 +36,14 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a summary previously encoded with
-// MarshalBinary. It implements encoding.BinaryUnmarshaler.
+// MarshalBinary. It implements encoding.BinaryUnmarshaler. The
+// receiver — in any state, the zero value included — first retires
+// every block it holds to its free list and then reads the frame's
+// partial buffer and blocks, one float run each, into that recycled
+// storage; its RNG is reseeded from the frame. A pooled decode target
+// therefore stops allocating after its first few frames. A frame
+// rejected by a header check leaves the receiver untouched; one
+// rejected later leaves it empty.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindRandQuant, data)
 	if err != nil {
@@ -54,8 +62,6 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	if size < 1 {
 		return fmt.Errorf("randquant: invalid block size %d in frame", size)
 	}
-	out := New(size, seed)
-	out.n = n
 	np := r.ArrayLen(8)
 	if r.Err() != nil {
 		return r.Err()
@@ -63,41 +69,56 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	if np >= size {
 		return fmt.Errorf("randquant: partial buffer %d exceeds block size %d", np, size)
 	}
-	for i := 0; i < np; i++ {
-		out.partial = append(out.partial, r.Float64())
+	// From here on the receiver is overwritten; whatever stops the
+	// decode short leaves it empty.
+	reused := s.rng != nil
+	s.Reset()
+	accepted := false
+	defer func() {
+		if !accepted {
+			s.Reset()
+		}
+	}()
+	s.s = size
+	if s.rng == nil {
+		s.rng = gen.NewRNG(seed)
+	} else {
+		*s.rng = *gen.NewRNG(seed)
 	}
+	s.partial = codec.Resize(s.partial, np)
+	r.Float64s(s.partial)
 	nb := r.ArrayLen(1)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	out.blocks = make([][]float64, nb)
 	for i := 0; i < nb; i++ {
 		bl := r.ArrayLen(8)
 		if r.Err() != nil {
 			return r.Err()
 		}
 		if bl == 0 {
+			s.blocks = append(s.blocks, nil)
 			continue
 		}
 		if bl != size {
 			return fmt.Errorf("randquant: block %d has %d samples, want %d", i, bl, size)
 		}
-		b := make([]float64, bl)
-		for j := range b {
-			b[j] = r.Float64()
-		}
-		if !sort.Float64sAreSorted(b) {
+		b := codec.Resize(s.spare(), bl)
+		s.blocks = append(s.blocks, b)
+		r.Float64s(b)
+		if r.Err() == nil && !sort.Float64sAreSorted(b) {
 			return fmt.Errorf("randquant: block %d not sorted", i)
 		}
-		out.blocks[i] = b
 	}
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if out.StoredWeight() != out.n {
-		return fmt.Errorf("randquant: stored weight %d != n %d", out.StoredWeight(), out.n)
+	if s.StoredWeight() != n {
+		return fmt.Errorf("randquant: stored weight %d != n %d", s.StoredWeight(), n)
 	}
-	*s = *out
+	s.n = n
+	accepted = true
+	debugAssertDecoded(s, data, reused)
 	return nil
 }
 

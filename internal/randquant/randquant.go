@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
@@ -37,6 +38,11 @@ type Summary struct {
 	partial []float64   // < s raw values at weight 1, unsorted
 	blocks  [][]float64 // blocks[i]: nil or sorted block of s samples at weight 2^i
 	rng     *gen.RNG
+	// free holds block storage nothing references any more: every
+	// carry retires two blocks for the one it makes, and a decode
+	// retires all of them, so a summary that merges or decodes in a
+	// loop stops allocating blocks once this has filled.
+	free [][]float64
 }
 
 // New returns an empty summary with block size s >= 1 and a
@@ -98,10 +104,30 @@ func (s *Summary) Update(v float64) {
 	}
 }
 
+// spare pops recycled block storage, or nil when there is none. Callers
+// size it with codec.Resize, which replaces storage that is too small
+// (recycled under a smaller block size).
+func (s *Summary) spare() []float64 {
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	b := s.free[n-1]
+	s.free = s.free[:n-1]
+	return b
+}
+
+// retire recycles block storage nothing references any more.
+func (s *Summary) retire(b []float64) {
+	if b != nil {
+		s.free = append(s.free, b)
+	}
+}
+
 // promotePartial turns the (full) partial buffer into a level-0 block
 // and cascades the carry.
 func (s *Summary) promotePartial() {
-	b := make([]float64, len(s.partial))
+	b := codec.Resize(s.spare(), len(s.partial))
 	copy(b, s.partial)
 	sort.Float64s(b)
 	s.partial = s.partial[:0]
@@ -110,6 +136,7 @@ func (s *Summary) promotePartial() {
 
 // carry places a block at level i, performing equal-weight merges up
 // the hierarchy while the slot is occupied — binary-counter addition.
+// It takes ownership of b.
 func (s *Summary) carry(b []float64, i int) {
 	for {
 		for len(s.blocks) <= i {
@@ -128,27 +155,30 @@ func (s *Summary) carry(b []float64, i int) {
 // equalMerge is the paper's §3.2 primitive: merge two sorted blocks of
 // equal sample weight into one block of half the union's length by
 // keeping alternate elements of the sorted union, starting at a random
-// offset. Both inputs must have length s.s.
+// offset. Both inputs must have length s.s; both are retired, and the
+// result is built in recycled storage without materializing the union.
 func (s *Summary) equalMerge(a, b []float64) []float64 {
-	union := make([]float64, 0, len(a)+len(b))
+	keep := 0
+	if s.rng.Bool() {
+		keep = 1
+	}
+	out := codec.Resize(s.spare(), (len(a)+len(b)+1-keep)/2)[:0]
 	ai, bi := 0, 0
-	for ai < len(a) || bi < len(b) {
+	for i := 0; ai < len(a) || bi < len(b); i++ {
+		var v float64
 		if bi >= len(b) || (ai < len(a) && a[ai] <= b[bi]) {
-			union = append(union, a[ai])
+			v = a[ai]
 			ai++
 		} else {
-			union = append(union, b[bi])
+			v = b[bi]
 			bi++
 		}
+		if i&1 == keep {
+			out = append(out, v)
+		}
 	}
-	offset := 0
-	if s.rng.Bool() {
-		offset = 1
-	}
-	out := make([]float64, 0, (len(union)+1)/2)
-	for i := offset; i < len(union); i += 2 {
-		out = append(out, union[i])
-	}
+	s.retire(a)
+	s.retire(b)
 	return out
 }
 
@@ -170,7 +200,7 @@ func (s *Summary) Merge(other *Summary) error {
 	s.n += other.n
 	for i := len(other.blocks) - 1; i >= 0; i-- {
 		if other.blocks[i] != nil {
-			b := make([]float64, len(other.blocks[i]))
+			b := codec.Resize(s.spare(), len(other.blocks[i]))
 			copy(b, other.blocks[i])
 			s.carry(b, i)
 		}
@@ -287,10 +317,13 @@ func (s *Summary) Clone() *Summary {
 }
 
 // Reset restores the summary to its freshly-constructed state (the
-// RNG keeps advancing rather than replaying).
+// RNG keeps advancing rather than replaying), keeping its storage.
 func (s *Summary) Reset() {
 	s.n = 0
 	s.partial = s.partial[:0]
+	for _, b := range s.blocks {
+		s.retire(b)
+	}
 	s.blocks = s.blocks[:0]
 }
 

@@ -12,7 +12,11 @@ import (
 // seed corpus is one encoded Example per registered family (so every
 // kind byte and payload shape is represented without naming any family
 // here), and any accepted frame must decode, re-encode to a canonical
-// fixpoint, and preserve its total weight.
+// fixpoint, and preserve its total weight. Every input is also decoded
+// into a pooled scratch summary that has seen whatever the fuzzer fed
+// it before — accepted frames, rejected ones, other parameters: it must
+// accept exactly what a fresh receiver accepts and come out the same
+// bytes.
 func FuzzDecodeAnyFrame(f *testing.F) {
 	for _, ent := range registry.Entries() {
 		for _, n := range []int{0, 16, 512} {
@@ -30,12 +34,20 @@ func FuzzDecodeAnyFrame(f *testing.F) {
 			return
 		}
 		v, err := ent.Decode(data)
+		sc := ent.GetScratch()
+		defer ent.PutScratch(sc)
+		if dirtyErr := ent.DecodeInto(sc, data); (dirtyErr == nil) != (err == nil) {
+			t.Fatalf("%s: fresh decode: %v, pooled scratch: %v", ent.Name(), err, dirtyErr)
+		}
 		if err != nil {
 			return
 		}
 		canon, err := ent.Encode(v)
 		if err != nil {
 			t.Fatalf("%s: accepted frame failed to re-encode: %v", ent.Name(), err)
+		}
+		if dirty, err := ent.Encode(sc); err != nil || !bytes.Equal(dirty, canon) {
+			t.Fatalf("%s: pooled scratch decoded to different bytes than a fresh receiver (encode error: %v)", ent.Name(), err)
 		}
 		again, err := ent.Decode(canon)
 		if err != nil {

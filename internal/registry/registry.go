@@ -3,7 +3,7 @@
 // the family's canonical name, constructors, codec, merge algorithms
 // (the PODS'12 merge and, where a family defines one, the
 // low-total-error variant), weight accessor, and a pooled scratch of
-// decode targets.
+// decode targets that keep their storage from frame to frame.
 //
 // The catalog is the single dispatch plane between the codec and
 // everything above it: the aggregation server, both binaries, the
@@ -84,9 +84,14 @@ type Entry struct {
 	mergeLow   func(dst, src any) error // nil without a distinct variant
 	n          func(any) uint64
 	owns       func(any) bool // reports a value of the family's summary type
-	// scratch pools decode targets: every merge in this module
-	// deep-copies src, so a merged-in summary can immediately be
-	// decoded into again.
+	// scratch pools decode targets, which keep their storage between
+	// frames (see DecodeInto). Two rules make that safe, both checked
+	// for every family by this package's tests: every merge in this
+	// module deep-copies src, so a merged-in summary can immediately be
+	// decoded into again without the accumulator noticing; and a
+	// summary in any state decodes the next frame as a fresh one would.
+	// What a scratch retains is bounded by sync.Pool's GC drain, not by
+	// a size knob.
 	scratch sync.Pool
 }
 
@@ -103,8 +108,14 @@ func (e *Entry) New() any { return e.newFn() }
 // deterministic updates; see Spec.Example.
 func (e *Entry) Example(n int) any { return e.example(n) }
 
-// DecodeInto fully replaces dst's contents with the decoded frame.
-// dst must come from New or GetScratch of the same entry.
+// DecodeInto fully replaces dst's contents with the decoded frame,
+// in dst's own storage where the family can. dst must come from New
+// or GetScratch of the same entry and may be in any state — the zero
+// value, other parameters, left by a failed decode, merged from,
+// partly merged into: it decodes to exactly what a fresh summary
+// would (same bytes, same later behaviour). On error dst is left
+// untouched or empty, never half-written, and can be decoded into or
+// recycled as it is.
 func (e *Entry) DecodeInto(dst any, frame []byte) error { return e.decodeInto(dst, frame) }
 
 // Decode decodes a frame into a fresh summary.
@@ -174,8 +185,11 @@ func (e *Entry) GetScratch() any {
 	return e.newFn()
 }
 
-// PutScratch recycles a decoded summary whose contents are no longer
-// referenced. Never recycle a summary something else still owns.
+// PutScratch recycles a summary whose contents are no longer
+// referenced: decoded and merged from, failed to decode, or half
+// merged into — the next DecodeInto replaces whatever it holds, and
+// reuses its storage. Never recycle a summary something else still
+// owns.
 //
 //sketch:hotpath
 func (e *Entry) PutScratch(v any) { e.scratch.Put(v) }

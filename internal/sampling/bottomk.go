@@ -235,7 +235,13 @@ func (s *BottomK) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindBottomK, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The sample is
+// read into the receiver's own heap storage (regrown only when the
+// frame holds more than it has room for) and its tag generator is
+// reseeded from the frame, so a reused receiver — any k, any contents;
+// the zero value too — allocates nothing. A frame rejected by a header
+// check leaves the receiver untouched; one that fails inside the sample
+// leaves it empty.
 func (s *BottomK) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindBottomK, data)
 	if err != nil {
@@ -255,16 +261,25 @@ func (s *BottomK) UnmarshalBinary(data []byte) error {
 	if m > k {
 		return fmt.Errorf("sampling: sample size %d exceeds k %d", m, k)
 	}
-	out := NewBottomK(k, seed)
-	out.n = n
+	s.k, s.n = k, n
+	if s.rng == nil {
+		s.rng = gen.NewRNG(seed)
+	} else {
+		*s.rng = *gen.NewRNG(seed)
+	}
+	s.keep = codec.Resize(s.keep, m)[:0]
 	for i := 0; i < m; i++ {
-		out.keep = append(out.keep, tagged{tag: r.Uint64(), v: r.Float64()})
+		s.keep = append(s.keep, tagged{tag: r.Uint64(), v: r.Float64()})
 	}
 	if err := r.Finish(); err != nil {
+		s.Reset()
 		return err
 	}
-	heap.Init(&out.keep)
-	*s = *out
+	// heap.Init, unboxed: a frame in heap order (every one the encoder
+	// writes) moves nothing.
+	for i := len(s.keep)/2 - 1; i >= 0; i-- {
+		s.keep.down(i)
+	}
 	return nil
 }
 

@@ -2,7 +2,8 @@
 
 package server
 
-// raceEnabled lets TestWriteOneAllocs allow one more allocation per
-// PUSH: under the race detector sync.Pool drops a quarter of all Puts,
-// so the pooled frame buffer and scratch summary are sometimes made anew.
+// raceEnabled lets TestWriteOneAllocs skip itself: under the race
+// detector sync.Pool drops a quarter of all Puts, so the pooled frame
+// buffer and scratch summary are sometimes made anew and an allocation
+// count pins nothing.
 const raceEnabled = true

@@ -110,11 +110,15 @@ func TestWriteWireTranscript(t *testing.T) {
 }
 
 // TestWriteOneAllocs pins the cost of the unified path where it could
-// have crept up: a PUSH through the one handler, and Node.Ingest through
-// IngestBatch, allocate no more than their dedicated versions did (10 and
-// 9 for this frame, of which decoding and the mg merge are 9; see
-// raceEnabled for the handler's 11th under -race).
+// creep up: a PUSH through the one handler allocates once (the reply
+// line's formatting) and Node.Ingest through IngestBatch not at all —
+// the pooled scratch decodes in place and the mg merge works in
+// scratch the accumulator keeps (10 and 9 before decoding did). Skipped
+// under -race: see raceEnabled.
 func TestWriteOneAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
+	}
 	ent, _ := registry.ByName("mg")
 	frame, err := ent.Encode(ent.Example(100))
 	if err != nil {
@@ -135,12 +139,8 @@ func TestWriteOneAllocs(t *testing.T) {
 		}
 		w.Flush()
 	})
-	wantHandler := 10.0
-	if raceEnabled {
-		wantHandler = 11
-	}
-	if handler > wantHandler {
-		t.Errorf("PUSH through cmdWrite: %v allocs, want <= %v", handler, wantHandler)
+	if handler > 1 {
+		t.Errorf("PUSH through cmdWrite: %v allocs, want <= 1", handler)
 	}
 
 	n := NewNode()
@@ -153,7 +153,7 @@ func TestWriteOneAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if ingest > 9 {
-		t.Errorf("decode + Node.Ingest: %v allocs, want <= 9", ingest)
+	if ingest > 0 {
+		t.Errorf("decode + Node.Ingest: %v allocs, want 0", ingest)
 	}
 }

@@ -29,7 +29,12 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements
-// encoding.BinaryUnmarshaler.
+// encoding.BinaryUnmarshaler. The counter states are staged in a
+// buffer the receiver keeps and the stream-summary structure is rebuilt
+// in the arrays it already has (see load), so a reused receiver — any
+// k, any contents; the zero value too — allocates nothing. A rejected
+// frame leaves the receiver untouched, or empty when the rejection is
+// a repeated item.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindSpaceSaving, data)
 	if err != nil {
@@ -40,7 +45,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	n := r.Uint64()
 	under := r.Uint64()
 	m := r.ArrayLen(3)
-	states := make([]CounterState, 0, m)
+	states := codec.Resize(s.stage, m)[:0]
 	for i := 0; i < m; i++ {
 		states = append(states, CounterState{
 			Item:  core.Item(r.Uint64()),
@@ -48,13 +53,9 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 			Eps:   r.Uint64(),
 		})
 	}
+	s.stage = states[:0]
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	dec, err := FromStates(k, n, under, states)
-	if err != nil {
-		return err
-	}
-	*s = *dec
-	return nil
+	return s.load(k, n, under, states)
 }

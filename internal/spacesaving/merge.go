@@ -49,10 +49,11 @@ func getCombineMap() (m map[core.Item]CounterState, release func()) {
 }
 
 // combineStates sums two state lists pointwise (shared items add both
-// counts and both certificates) and returns the result sorted
-// ascending. Accumulation runs in a pooled map; only the returned
-// slice is allocated.
-func combineStates(a, b []CounterState) []CounterState {
+// counts and both certificates) and returns the result, sorted
+// ascending, appended to dst[:0] — which may share storage with a or
+// b: both are consumed before it is written. Accumulation runs in a
+// pooled map.
+func combineStates(a, b, dst []CounterState) []CounterState {
 	m, release := getCombineMap()
 	defer release()
 	for _, st := range a {
@@ -67,12 +68,27 @@ func combineStates(a, b []CounterState) []CounterState {
 			m[st.Item] = st
 		}
 	}
-	out := make([]CounterState, 0, len(m))
+	out := dst[:0]
 	for _, st := range m {
 		out = append(out, st)
 	}
 	sortStates(out)
 	return out
+}
+
+// combineWith is the shared front half of both merges: both operands'
+// states after the minima-subtraction pre-step, summed pointwise and
+// sorted ascending, in s's own scratch (valid until the next merge or
+// decode), with n and under brought up to date.
+func (s *Summary) combineWith(other *Summary) []CounterState {
+	sa, mua := subtractMin(s.appendStates(s.stage[:0]), s.k)
+	sb, mub := subtractMin(other.appendStates(s.stage2[:0]), other.k)
+	s.stage2 = sb[:0]
+	combined := combineStates(sa, sb, sa)
+	s.stage = combined[:0]
+	s.n += other.n
+	s.under += other.under + mua + mub
+	return combined
 }
 
 // Merge folds other into s using the PODS'12 algorithm: both summaries
@@ -92,11 +108,7 @@ func (s *Summary) Merge(other *Summary) error {
 	if s.k != other.k {
 		return core.ErrMismatchedK
 	}
-	sa, mua := subtractMin(s.States(), s.k)
-	sb, mub := subtractMin(other.States(), other.k)
-	combined := combineStates(sa, sb)
-	s.n += other.n
-	s.under += other.under + mua + mub
+	combined := s.combineWith(other)
 
 	c := s.k - 1 // MG capacity after the isomorphism
 	if len(combined) > c && c > 0 {
@@ -150,23 +162,24 @@ func (s *Summary) MergeLowError(other *Summary) error {
 		return core.ErrMismatchedK
 	}
 	k := s.k
-	sa, mua := subtractMin(s.States(), s.k)
-	sb, mub := subtractMin(other.States(), other.k)
-	combined := combineStates(sa, sb)
-	s.n += other.n
-	s.under += other.under + mua + mub
+	combined := s.combineWith(other)
 
 	if len(combined) < k {
 		s.rebuild(combined)
 		debugAssert(s)
 		return nil
 	}
-	// Pad at the front with zero counters to exactly 2k−2 slots.
-	pad := make([]CounterState, 2*k-2)
-	copy(pad[2*k-2-len(combined):], combined)
-	cntAt := func(i int) CounterState { return pad[i-1] } // 1-based C_i
+	// cntAt(i) is the 1-based C_i accessor over the combined counters
+	// padded at the front with zero counters to exactly 2k−2 slots.
+	pad := 2*k - 2 - len(combined)
+	cntAt := func(i int) CounterState {
+		if i <= pad {
+			return CounterState{}
+		}
+		return combined[i-1-pad]
+	}
 
-	out := make([]CounterState, 0, k)
+	out := s.stage2[:0] // other's states are spent
 	for j := 1; j <= k; j++ {
 		st := cntAt(k - 2 + j)
 		if j >= 3 {
@@ -178,6 +191,7 @@ func (s *Summary) MergeLowError(other *Summary) error {
 			out = append(out, st)
 		}
 	}
+	s.stage2 = out[:0]
 	sortStates(out)
 	s.rebuild(out)
 	debugAssert(s)
@@ -201,7 +215,7 @@ func MergedLowError(a, b *Summary) (*Summary, error) {
 func CombinedCounters(a, b *Summary) []core.Counter {
 	sa, _ := subtractMin(a.States(), a.k)
 	sb, _ := subtractMin(b.States(), b.k)
-	combined := combineStates(sa, sb)
+	combined := combineStates(sa, sb, nil)
 	out := make([]core.Counter, len(combined))
 	for i, st := range combined {
 		out[i] = core.Counter{Item: st.Item, Count: st.Count}

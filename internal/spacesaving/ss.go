@@ -29,9 +29,10 @@
 package spacesaving
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -82,6 +83,11 @@ type Summary struct {
 	hslot  []int32
 	hmask  uint64
 	hshift uint
+
+	// stage and stage2 are state-list scratch: UnmarshalBinary stages a
+	// frame's counters in stage until they are validated; a merge lists
+	// its two operands in them and builds its result in their storage.
+	stage, stage2 []CounterState
 }
 
 // New returns an empty summary with capacity k >= 1 counters. The
@@ -102,14 +108,20 @@ func New(k int) *Summary {
 // items before growing.
 func newSized(k, occ int) *Summary {
 	s := &Summary{k: k, minB: nilIdx, maxB: nilIdx}
+	s.growTo(entryCap(k, occ))
+	return s
+}
+
+// entryCap is the entry capacity a summary with k counters starts
+// with when it is about to hold occ of them.
+func entryCap(k, occ int) int {
 	if occ < 16 {
 		occ = 16
 	}
 	if occ > k {
 		occ = k
 	}
-	s.growTo(occ)
-	return s
+	return occ
 }
 
 // growTo reallocates the entry arrays for cap monitored items,
@@ -454,20 +466,25 @@ type CounterState struct {
 
 // States returns all counter states in ascending (count, item) order.
 func (s *Summary) States() []CounterState {
-	out := make([]CounterState, 0, s.live)
+	return s.appendStates(make([]CounterState, 0, s.live))
+}
+
+// appendStates appends all counter states to dst, which must be
+// empty, and sorts them ascending by (count, item).
+func (s *Summary) appendStates(dst []CounterState) []CounterState {
 	for e := 0; e < s.live; e++ {
-		out = append(out, CounterState{Item: core.Item(s.items[e]), Count: s.counts[e], Eps: s.eps[e]})
+		dst = append(dst, CounterState{Item: core.Item(s.items[e]), Count: s.counts[e], Eps: s.eps[e]})
 	}
-	sortStates(out)
-	return out
+	sortStates(dst)
+	return dst
 }
 
 func sortStates(cs []CounterState) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Count != cs[j].Count {
-			return cs[i].Count < cs[j].Count
+	slices.SortFunc(cs, func(a, b CounterState) int {
+		if c := cmp.Compare(a.Count, b.Count); c != 0 {
+			return c
 		}
-		return cs[i].Item < cs[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
 }
 
@@ -540,34 +557,52 @@ func (s *Summary) rebuild(states []CounterState) {
 }
 
 // FromStates reconstructs a summary from explicit counter states, used
-// by the codec and by tests replaying the paper's worked examples. The
-// structure is sized for the given states (not k), so decoding a frame
-// allocates in proportion to the payload.
+// by tests replaying the paper's worked examples. The structure is
+// sized for the given states (not k).
 func FromStates(k int, n, under uint64, states []CounterState) (*Summary, error) {
+	s := &Summary{}
+	if err := s.load(k, n, under, slices.Clone(states)); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// load replaces s — in any state, the zero value included — with the
+// summary of the given header and counter states, which it sorts in
+// place. The entry arrays are kept when they have room and otherwise
+// sized for the states (not k), so decoding a frame allocates in
+// proportion to its payload. It fails on k < 1, more than k states, a
+// zero count or a repeated item; s is untouched unless the failure is
+// a repeated item, which leaves it empty.
+func (s *Summary) load(k int, n, under uint64, states []CounterState) error {
 	if k < 1 {
-		return nil, fmt.Errorf("spacesaving: k must be >= 1, have %d", k)
+		return fmt.Errorf("spacesaving: k must be >= 1, have %d", k)
 	}
 	if len(states) > k {
-		return nil, fmt.Errorf("spacesaving: %d counters exceed k=%d", len(states), k)
+		return fmt.Errorf("spacesaving: %d counters exceed k=%d", len(states), k)
 	}
-	seen := make(map[core.Item]bool, len(states))
 	for _, st := range states {
 		if st.Count == 0 {
-			return nil, fmt.Errorf("spacesaving: zero count for item %d", st.Item)
+			return fmt.Errorf("spacesaving: zero count for item %d", st.Item)
 		}
-		if seen[st.Item] {
-			return nil, fmt.Errorf("spacesaving: duplicate item %d", st.Item)
-		}
-		seen[st.Item] = true
 	}
-	s := newSized(k, len(states))
-	s.n = n
-	s.under = under
-	cp := make([]CounterState, len(states))
-	copy(cp, states)
-	sortStates(cp)
-	s.rebuild(cp)
-	return s, nil
+	sortStates(states)
+	s.k, s.n, s.under = k, n, under
+	if c := entryCap(k, len(states)); len(s.items) < c {
+		s.live = 0 // nothing to carry over
+		s.growTo(c)
+	}
+	s.rebuild(states)
+	// rebuild indexes every state; a repeated item shows as an entry
+	// the index resolves to an earlier slot.
+	for e := int32(0); e < int32(s.live); e++ {
+		if s.hfind(s.items[e]) != e {
+			item := s.items[e]
+			s.Reset()
+			return fmt.Errorf("spacesaving: duplicate item %d", item)
+		}
+	}
+	return nil
 }
 
 // checkInvariants validates the internal structure; used by tests.

@@ -30,6 +30,14 @@ type Tracker struct {
 	sketch *countmin.Sketch
 	items  map[core.Item]*candidate
 	heap   candHeap
+
+	// Retained scratch, so that decoding and merging in a loop stop
+	// allocating: candidates a rebuild displaced (reused before a new
+	// one is made), the nested sketch frame as UnmarshalBinary copied
+	// it out, and the candidate items staged for a rebuild.
+	spare []*candidate
+	inner []byte
+	cands []uint64
 }
 
 type candidate struct {
@@ -109,8 +117,20 @@ func (t *Tracker) refresh(x core.Item, est uint64) {
 		heap.Fix(&t.heap, c.index)
 		return
 	}
+	t.offer(x, est)
+}
+
+// offer gives x, which is not in the directory, its place there if est
+// earns one: a free slot, or the weakest candidate's.
+func (t *Tracker) offer(x core.Item, est uint64) {
 	if len(t.heap) < t.k {
-		c := &candidate{item: x, est: est}
+		var c *candidate
+		if n := len(t.spare); n > 0 {
+			c, t.spare = t.spare[n-1], t.spare[:n-1]
+		} else {
+			c = new(candidate)
+		}
+		c.item, c.est = x, est
 		t.items[x] = c
 		heap.Push(&t.heap, c)
 		return
@@ -164,7 +184,8 @@ func (t *Tracker) Merge(other *Tracker) error {
 	if err := t.sketch.Merge(other.sketch); err != nil {
 		return err
 	}
-	t.rebuild(append(t.candidateItems(), other.candidateItems()...))
+	t.cands = other.appendCandidates(t.appendCandidates(t.cands[:0]))
+	t.rebuild(t.cands)
 	return nil
 }
 
@@ -185,29 +206,25 @@ func (t *Tracker) candidateItems() []core.Item {
 	return out
 }
 
+// appendCandidates appends the directory's items, in heap order, to dst.
+func (t *Tracker) appendCandidates(dst []uint64) []uint64 {
+	for _, c := range t.heap {
+		dst = append(dst, uint64(c.item))
+	}
+	return dst
+}
+
 // rebuild replaces the directory with the top k of the given candidate
-// items, re-estimated against the current sketch.
-func (t *Tracker) rebuild(candidates []core.Item) {
+// items, re-estimated against the current sketch. The candidates it
+// displaces are kept for reuse.
+func (t *Tracker) rebuild(candidates []uint64) {
+	t.spare = append(t.spare, t.heap...)
 	clear(t.items)
 	t.heap = t.heap[:0]
-	for _, x := range candidates {
-		if _, dup := t.items[x]; dup {
-			continue
-		}
-		est := t.sketch.Estimate(x).Value
-		if len(t.heap) < t.k {
-			c := &candidate{item: x, est: est}
-			t.items[x] = c
-			heap.Push(&t.heap, c)
-			continue
-		}
-		if est > t.heap[0].est {
-			weakest := t.heap[0]
-			delete(t.items, weakest.item)
-			weakest.item = x
-			weakest.est = est
-			t.items[x] = weakest
-			heap.Fix(&t.heap, 0)
+	for _, raw := range candidates {
+		x := core.Item(raw)
+		if _, dup := t.items[x]; !dup {
+			t.offer(x, t.sketch.Estimate(x).Value)
 		}
 	}
 }
@@ -219,7 +236,7 @@ func (t *Tracker) Clone() *Tracker {
 		sketch: t.sketch.Clone(),
 		items:  make(map[core.Item]*candidate, len(t.items)),
 	}
-	c.rebuild(t.candidateItems())
+	c.rebuild(t.appendCandidates(nil))
 	return c
 }
 
@@ -248,7 +265,16 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindTopK, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The nested
+// sketch frame is copied out into a buffer the receiver keeps — one
+// small-uvarint run: every element must be a byte, a larger value is
+// an error, not its low eight bits — and decoded into the receiver's
+// own sketch; the candidates are staged in retained scratch and the
+// directory rebuilt from recycled entries. A reused receiver (any k,
+// any sketch geometry, any contents; the zero value too) allocates
+// nothing. A frame rejected before the nested sketch is decoded leaves
+// the receiver untouched; one whose nested frame is rejected leaves it
+// empty.
 func (t *Tracker) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindTopK, data)
 	if err != nil {
@@ -263,31 +289,31 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	if k < 1 {
 		return fmt.Errorf("topk: implausible frame header (k=%d)", k)
 	}
-	inner := make([]byte, il)
-	for i := range inner {
-		inner[i] = byte(r.Uint64())
-	}
+	t.inner = codec.Resize(t.inner, il)
+	r.Uint8s(t.inner, 255)
 	m := r.ArrayLen(1)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	items := make([]core.Item, 0, m)
-	for i := 0; i < m; i++ {
-		items = append(items, core.Item(r.Uint64()))
-	}
+	t.cands = codec.Resize(t.cands, m)
+	r.Uint64s(t.cands)
 	if err := r.Finish(); err != nil {
-		return err
-	}
-	var sk countmin.Sketch
-	if err := sk.UnmarshalBinary(inner); err != nil {
 		return err
 	}
 	if m > k {
 		return fmt.Errorf("topk: %d candidates exceed k=%d", m, k)
 	}
-	out := &Tracker{k: k, sketch: &sk, items: make(map[core.Item]*candidate, m)}
-	out.rebuild(items)
-	*t = *out
+	if t.sketch == nil {
+		t.sketch = new(countmin.Sketch)
+		t.items = make(map[core.Item]*candidate, m)
+	}
+	if err := t.sketch.UnmarshalBinary(t.inner); err != nil {
+		t.sketch.Reset()
+		t.rebuild(nil)
+		return err
+	}
+	t.k = k
+	t.rebuild(t.cands)
 	return nil
 }
 

@@ -12,10 +12,11 @@ import (
 // covers and the cluster fan-in (cluster.Reduce) all come here, so who
 // picked the merge tree (ladder, peer list, client) never changes how
 // it is folded. Every frame is decoded into a pooled scratch summary
-// and the scratch summaries are folded with mergetree.Parallel's
-// pairing reduction, a deterministic tree: the same frames in the same
-// order reduce to the same bytes on every node and at every worker
-// count. The caller owns the result and must PutScratch it; the
+// (in place: a scratch keeps its storage, and one whose decode fails
+// goes back to the pool as it is) and the scratch summaries are folded
+// with mergetree.Parallel's pairing reduction, a deterministic tree:
+// the same frames in the same order reduce to the same bytes on every
+// node and at every worker count. The caller owns the result and must PutScratch it; the
 // intermediate scratch summaries are recycled here.
 func Reduce(ops Ops, frames [][]byte) (any, error) {
 	parts := make([]any, len(frames))
@@ -31,8 +32,9 @@ func Reduce(ops Ops, frames [][]byte) (any, error) {
 	acc, err := mergetree.Parallel(parts, reduceWorkers(len(parts)), ops.Merge)
 	for _, s := range parts {
 		// On error acc is nil and every part goes back: Parallel may leave
-		// merged-into summaries in any state, but they are still safely
-		// recyclable because DecodeInto fully replaces scratch contents.
+		// merged-into summaries in any state, and that is the state
+		// DecodeInto's contract covers — a receiver with half a merge in
+		// it decodes the next frame exactly as a fresh one would.
 		if s != acc {
 			ops.PutScratch(s)
 		}
