@@ -392,7 +392,7 @@ func TestBatchEquivalence(t *testing.T) {
 			},
 			batch: func() any {
 				s := mergesum.NewQuantileHybrid(0.02, 7)
-				feedVals(func(s2 any, c []float64) { s2.(*mergesum.QuantileHybrid).UpdateBatch(c) }, s)
+				feedVals(func(s2 any, c []float64) { s2.(*mergesum.Quantile).UpdateBatch(c) }, s)
 				return quantFinger(s)
 			},
 		},
@@ -524,7 +524,7 @@ func TestUpdateBatchAllocs(t *testing.T) {
 		{"bottomk/k=4096", onVals(mergesum.NewBottomK(4096, 1).UpdateBatch), 0},
 		{"gk/eps=0.01", onVals(mergesum.NewGK(0.01).UpdateBatch), 1},
 		{"randquant/eps=0.01", onVals(mergesum.NewQuantile(0.01, 1).UpdateBatch), batchLen - 1},
-		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), batchLen - 1},
+		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), 0}, // the one type's free list
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			last := batchStreamLen - batchLen

@@ -4,12 +4,9 @@
 // pointer carries MarshalBinary, UnmarshalBinary and Merge — and any
 // package declaring one must catalog it with registry.Register in the
 // same package, so the server, the bench report and the public
-// mergesum.Decode surface pick it up automatically.
-//
-// A type that deliberately stays out of the catalog (e.g. a variant
-// sharing another family's wire tag) opts out by carrying a
-// "//sketch:unregistered" line in its doc comment, which must go on to
-// say why.
+// mergesum.Decode surface pick it up automatically. There is no
+// opt-out: a variant that shares another family's wire tag is a mode of
+// that family's type, not a second type.
 package regcomplete
 
 import (
@@ -26,9 +23,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: `flag summary families missing from the registry catalog
 
 A package exporting a type with the MarshalBinary/UnmarshalBinary/Merge
-trio must register it via registry.Register (or mark the type's doc
-comment with //sketch:unregistered and explain why); unregistered
-families silently vanish from the server, bench and Decode surfaces.`,
+trio must register it via registry.Register; unregistered families
+silently vanish from the server, bench and Decode surfaces.`,
 	Run: run,
 }
 
@@ -47,10 +43,10 @@ func run(pass *analysis.Pass) error {
 		if !hasWireTrio(named) {
 			continue
 		}
-		if registered[name] || optedOut(pass, name) {
+		if registered[name] {
 			continue
 		}
-		pass.Reportf(obj.Pos(), "type %s exports the MarshalBinary/UnmarshalBinary/Merge trio but is not cataloged via registry.Register; register the family or mark its doc comment with //sketch:unregistered", name)
+		pass.Reportf(obj.Pos(), "type %s exports the MarshalBinary/UnmarshalBinary/Merge trio but is not cataloged via registry.Register; register the family", name)
 	}
 	return nil
 }
@@ -138,36 +134,4 @@ func isRegistryPkg(pass *analysis.Pass, expr ast.Expr) bool {
 	}
 	path := pkgName.Imported().Path()
 	return path == "repro/internal/registry" || strings.HasSuffix(path, "/registry")
-}
-
-// optedOut reports whether the named type's doc comment carries the
-// //sketch:unregistered escape hatch.
-func optedOut(pass *analysis.Pass, typeName string) bool {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != typeName {
-					continue
-				}
-				doc := ts.Doc
-				if doc == nil {
-					doc = gd.Doc
-				}
-				if doc == nil {
-					continue
-				}
-				for _, c := range doc.List {
-					if strings.Contains(c.Text, "sketch:unregistered") {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
 }

@@ -1,6 +1,6 @@
 // Package regcomplete_a is the regcomplete fixture: one cataloged
-// family, one family missing its registration, one deliberately
-// unregistered variant, and one type without the full wire trio.
+// family, one family missing its registration, and one type without
+// the full wire trio.
 package regcomplete_a
 
 import (
@@ -22,16 +22,6 @@ type Bad struct{ n uint64 } // want `type Bad exports the MarshalBinary/Unmarsha
 func (b *Bad) MarshalBinary() ([]byte, error)    { return nil, nil }
 func (b *Bad) UnmarshalBinary(data []byte) error { return nil }
 func (b *Bad) Merge(src *Bad) error              { return nil }
-
-// Variant is a deliberate opt-out: it shares Good's wire tag, so it
-// cannot hold its own catalog entry.
-//
-//sketch:unregistered — decoded explicitly via the Good entry's tag.
-type Variant struct{ n uint64 }
-
-func (v *Variant) MarshalBinary() ([]byte, error)    { return nil, nil }
-func (v *Variant) UnmarshalBinary(data []byte) error { return nil }
-func (v *Variant) Merge(src *Variant) error          { return nil }
 
 // Partial lacks Merge, so it is not a family and draws no diagnostic.
 type Partial struct{}

@@ -213,7 +213,7 @@ func runE09(cfg Config) Result {
 		qe := stats.MeasureQuantiles(oracle, plain, stats.DefaultPhis)
 		tb.AddRow(n, "plain", plain.Size(), plain.Levels(), qe.MaxRel, qe.MaxRel/eps)
 
-		hybrid := randquant.NewHybridEpsilon(eps, cfg.Seed+2)
+		hybrid := randquant.NewHybridEpsilon(eps, cfg.Seed+2) // the same type, with a level budget
 		hybrid.UpdateBatch(vals)
 		qe = stats.MeasureQuantiles(oracle, hybrid, stats.DefaultPhis)
 		tb.AddRow(n, "hybrid", hybrid.Size(), hybrid.SampleLevel(), qe.MaxRel, qe.MaxRel/eps)

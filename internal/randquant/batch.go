@@ -3,10 +3,12 @@ package randquant
 import "math"
 
 // UpdateBatch inserts every value in vs. The resulting state is
-// identical to calling Update(v) for each v in order: the partial
-// buffer fills in bulk copies and level-0 promotions trigger at
-// exactly the same points, consuming the same RNG draws. NaN values
-// panic, as in Update.
+// identical to calling Update(v) for each v in order: while every
+// value is kept (ell == 0) the partial buffer fills in bulk copies and
+// promotions trigger at exactly the same points; once a bounded
+// summary samples, each value takes its acceptance draw in order. The
+// same RNG draws are consumed either way. NaN values panic, as in
+// Update, before anything is inserted.
 //
 //sketch:hotpath
 func (s *Summary) UpdateBatch(vs []float64) {
@@ -15,7 +17,7 @@ func (s *Summary) UpdateBatch(vs []float64) {
 			panic("randquant: NaN has no rank")
 		}
 	}
-	for len(vs) > 0 {
+	for len(vs) > 0 && s.ell == 0 {
 		room := s.s - len(s.partial)
 		if room <= 0 {
 			s.promotePartial()
@@ -31,24 +33,6 @@ func (s *Summary) UpdateBatch(vs []float64) {
 			s.promotePartial()
 		}
 	}
-}
-
-// UpdateBatch inserts every value in vs, identically to calling
-// Update(v) for each v in order (the same acceptance draws are
-// consumed in the same order).
-//
-//sketch:hotpath
-func (h *Hybrid) UpdateBatch(vs []float64) {
-	for _, v := range vs {
-		if math.IsNaN(v) {
-			panic("randquant: NaN has no rank")
-		}
-		h.n++
-		if h.ell > 0 {
-			if h.rng.Uint64()&((1<<uint(h.ell))-1) != 0 {
-				continue
-			}
-		}
-		h.push(v)
-	}
+	s.n += uint64(len(vs))
+	s.thin(vs, 0)
 }

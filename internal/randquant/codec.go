@@ -2,7 +2,6 @@ package randquant
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/gen"
@@ -16,9 +15,14 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 	defer codec.PutBuffer(w)
 	// Flag + header uvarints, 8 bytes per stored sample, one length
 	// uvarint per block.
-	w.Grow(1 + 4*10 + len(s.partial)*8 + len(s.blocks)*(10+s.s*8))
-	w.Bool(false) // not hybrid
+	w.Grow(1 + 6*10 + len(s.partial)*8 + len(s.blocks)*(10+s.s*8))
+	bounded := s.l > 0
+	w.Bool(bounded)
 	w.Int(s.s)
+	if bounded {
+		w.Int(s.l)
+		w.Int(s.ell)
+	}
 	w.Uint64(s.n)
 	w.Uint64(s.rng.State()) // decoded copy resumes the same stream
 	w.Int(len(s.partial))
@@ -40,9 +44,10 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // receiver — in any state, the zero value included — first retires
 // every block it holds to its free list and then reads the frame's
 // partial buffer and blocks, one float run each, into that recycled
-// storage; its RNG is reseeded from the frame. A pooled decode target
-// therefore stops allocating after its first few frames. A frame
-// rejected by a header check leaves the receiver untouched; one
+// storage; its RNG is reseeded from the frame, and its mode (plain or
+// bounded) is whatever the frame's flag byte says. A pooled decode
+// target therefore stops allocating after its first few frames. A
+// frame rejected by a header check leaves the receiver untouched; one
 // rejected later leaves it empty.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindRandQuant, data)
@@ -50,17 +55,20 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	r := codec.NewReader(payload)
-	if r.Bool() {
-		return fmt.Errorf("randquant: frame holds a hybrid summary")
-	}
+	bounded := r.Bool()
 	size := r.Int()
+	l, ell := 0, 0
+	if bounded {
+		l = r.Int()
+		ell = r.Int()
+	}
 	n := r.Uint64()
 	seed := r.Uint64()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if size < 1 {
-		return fmt.Errorf("randquant: invalid block size %d in frame", size)
+	if size < 1 || (bounded && l < 1) || ell >= maxLevels {
+		return fmt.Errorf("randquant: invalid header (s=%d,l=%d,ell=%d) in frame", size, l, ell)
 	}
 	np := r.ArrayLen(8)
 	if r.Err() != nil {
@@ -79,7 +87,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 			s.Reset()
 		}
 	}()
-	s.s = size
+	s.s, s.l, s.ell = size, l, ell
 	if s.rng == nil {
 		s.rng = gen.NewRNG(seed)
 	} else {
@@ -90,6 +98,9 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	nb := r.ArrayLen(1)
 	if r.Err() != nil {
 		return r.Err()
+	}
+	if nb > maxLevels {
+		return fmt.Errorf("randquant: %d levels in frame, at most %d", nb, maxLevels)
 	}
 	for i := 0; i < nb; i++ {
 		bl := r.ArrayLen(8)
@@ -106,117 +117,17 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		b := codec.Resize(s.spare(), bl)
 		s.blocks = append(s.blocks, b)
 		r.Float64s(b)
-		if r.Err() == nil && !sort.Float64sAreSorted(b) {
-			return fmt.Errorf("randquant: block %d not sorted", i)
-		}
 	}
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if s.StoredWeight() != n {
-		return fmt.Errorf("randquant: stored weight %d != n %d", s.StoredWeight(), n)
-	}
+	// Sortedness, no block below ell, the level budget, and exact
+	// weight while ell == 0.
 	s.n = n
+	if err := s.checkInvariants(); err != nil {
+		return fmt.Errorf("randquant: invalid frame: %w", err)
+	}
 	accepted = true
 	debugAssertDecoded(s, data, reused)
-	return nil
-}
-
-// MarshalBinary encodes the hybrid summary. It implements
-// encoding.BinaryMarshaler.
-func (h *Hybrid) MarshalBinary() ([]byte, error) {
-	w := codec.GetBuffer()
-	defer codec.PutBuffer(w)
-	w.Grow(1 + 6*10 + len(h.partial)*8 + len(h.blocks)*(10+h.s*8))
-	w.Bool(true) // hybrid
-	w.Int(h.s)
-	w.Int(h.l)
-	w.Int(h.ell)
-	w.Uint64(h.n)
-	w.Uint64(h.rng.State())
-	w.Int(len(h.partial))
-	for _, v := range h.partial {
-		w.Float64(v)
-	}
-	w.Int(len(h.blocks))
-	for _, b := range h.blocks {
-		w.Int(len(b))
-		for _, v := range b {
-			w.Float64(v)
-		}
-	}
-	return codec.EncodeFrame(codec.KindRandQuant, w.Bytes()), nil
-}
-
-// UnmarshalBinary decodes a hybrid summary. It implements
-// encoding.BinaryUnmarshaler.
-func (h *Hybrid) UnmarshalBinary(data []byte) error {
-	payload, err := codec.DecodeFrame(codec.KindRandQuant, data)
-	if err != nil {
-		return err
-	}
-	r := codec.NewReader(payload)
-	if !r.Bool() {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("randquant: frame holds a plain summary, not a hybrid")
-	}
-	size := r.Int()
-	l := r.Int()
-	ell := r.Int()
-	n := r.Uint64()
-	seed := r.Uint64()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if size < 1 || l < 1 || ell < 0 {
-		return fmt.Errorf("randquant: invalid hybrid header (s=%d,l=%d,ell=%d)", size, l, ell)
-	}
-	out := NewHybrid(size, l, seed)
-	out.ell = ell
-	out.n = n
-	np := r.ArrayLen(8)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if np >= size {
-		return fmt.Errorf("randquant: partial buffer %d exceeds block size %d", np, size)
-	}
-	for i := 0; i < np; i++ {
-		out.partial = append(out.partial, r.Float64())
-	}
-	nb := r.ArrayLen(1)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	out.blocks = make([][]float64, nb)
-	for i := 0; i < nb; i++ {
-		bl := r.ArrayLen(8)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if bl == 0 {
-			continue
-		}
-		if bl != size {
-			return fmt.Errorf("randquant: block %d has %d samples, want %d", i, bl, size)
-		}
-		b := make([]float64, bl)
-		for j := range b {
-			b[j] = r.Float64()
-		}
-		if !sort.Float64sAreSorted(b) {
-			return fmt.Errorf("randquant: block %d not sorted", i)
-		}
-		out.blocks[i] = b
-	}
-	if err := r.Finish(); err != nil {
-		return err
-	}
-	if err := out.checkInvariants(); err != nil {
-		return fmt.Errorf("randquant: decoded hybrid invalid: %w", err)
-	}
-	*h = *out
 	return nil
 }

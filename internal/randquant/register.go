@@ -6,10 +6,10 @@ import (
 	"repro/internal/registry"
 )
 
-// init catalogs the family; see internal/registry. Only Summary is
-// registered: Hybrid shares the randquant wire tag (a bool payload
-// discriminant), so it rides the same frame kind and is decoded
-// explicitly by callers that build hybrids.
+// init catalogs the family; see internal/registry. The one entry
+// carries both modes: a frame's flag byte says whether it is a plain
+// or a bounded (NewHybrid) summary, so a slot's mode is whatever its
+// first frame says, and Merge keeps the two apart.
 func init() {
 	registry.Register[Summary](codec.KindRandQuant, "quantile", registry.Spec[Summary]{
 		Example: func(n int) *Summary {

@@ -7,20 +7,17 @@ import (
 	"repro/internal/gen"
 )
 
-// TestUnmarshalReusesReceiver: a summary of any block size, holding
-// any hierarchy and free list, decodes a frame of any other block size
-// into recycled storage and is then indistinguishable from a fresh
-// decode — now, and after further updates and a merge, which draw from
-// its RNG and its free list.
+// TestUnmarshalReusesReceiver: a summary of any block size and either
+// mode, holding any hierarchy and free list, decodes a frame of any
+// other block size and mode (a receiver that last held a plain frame
+// decodes a bounded one, and the reverse) into recycled storage and is
+// then indistinguishable from a fresh decode — now, and after further
+// updates and a merge, which draw from its RNG and its free list.
 func TestUnmarshalReusesReceiver(t *testing.T) {
-	build := func(s, n int, seed uint64) *Summary {
-		q := New(s, seed)
-		for _, v := range gen.UniformValues(n, seed) {
-			q.Update(v)
-		}
-		return q
+	shapes := []*Summary{
+		filled(New(1, 1), 9, 1), filled(New(8, 2), 1000, 2), filled(New(64, 3), 5000, 3), filled(New(64, 4), 10, 4), filled(New(200, 5), 3000, 5),
+		filled(NewHybrid(8, 3, 6), 20, 6), filled(NewHybrid(8, 3, 7), 1<<15, 7), filled(NewHybrid(64, 2, 8), 1<<15, 8), filled(NewHybrid(8, 5, 9), 1<<15, 9),
 	}
-	shapes := []*Summary{build(1, 9, 1), build(8, 1000, 2), build(64, 5000, 3), build(64, 10, 4), build(200, 3000, 5)}
 	more := gen.UniformValues(1500, 11)
 	for i, from := range shapes {
 		for j, to := range shapes {
@@ -58,27 +55,34 @@ func TestUnmarshalReusesReceiver(t *testing.T) {
 	}
 }
 
-// TestMergeRecyclesBlocks: merging in a loop reaches a steady state in
-// which carries are served from the free list.
+// TestMergeRecyclesBlocks: decoding and merging in a loop reaches a
+// steady state in which blocks, carries and — in bounded mode, where
+// the receiver's exponent soon outruns the frame's — the subsampled
+// survivors are all served from the free list: the merge allocates
+// nothing, the decode at most its frame's one allocation.
 func TestMergeRecyclesBlocks(t *testing.T) {
-	dst, src := New(32, 1), New(32, 2)
-	for _, v := range gen.UniformValues(4000, 3) {
-		dst.Update(v)
-		src.Update(v)
-	}
-	for range 64 {
-		if err := dst.Merge(src); err != nil {
+	for _, m := range modes {
+		dst, frame := filled(m.new(32, 1), 4000, 3), mustMarshal(t, filled(m.new(32, 2), 4000, 3))
+		var src Summary
+		step := func() {
+			if err := src.UnmarshalBinary(frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Merge(&src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 64 {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(50, step); allocs > 1 && !sanitizeEnabled {
+			t.Fatalf("%s: steady-state decode+merge: %v allocs", m.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _ = dst.Merge(&src) }); allocs > 0 {
+			t.Fatalf("%s: steady-state merge: %v allocs", m.name, allocs)
+		}
+		if err := dst.checkInvariants(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if err := dst.Merge(src); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 0 {
-		t.Fatalf("steady-state merge: %v allocs", allocs)
-	}
-	if err := dst.checkInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

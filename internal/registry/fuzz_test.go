@@ -11,7 +11,9 @@ import (
 // FuzzDecodeAnyFrame fuzzes the catalog's frame-dispatch path: the
 // seed corpus is one encoded Example per registered family (so every
 // kind byte and payload shape is represented without naming any family
-// here), and any accepted frame must decode, re-encode to a canonical
+// here) plus, per family, the emptyRuns of its empty example — long
+// tables of one-byte elements behind every early length field — and
+// any accepted frame must decode, re-encode to a canonical
 // fixpoint, and preserve its total weight. Every input is also decoded
 // into a pooled scratch summary that has seen whatever the fuzzer fed
 // it before — accepted frames, rejected ones, other parameters: it must
@@ -25,6 +27,11 @@ func FuzzDecodeAnyFrame(f *testing.F) {
 				f.Fatalf("%s: encoding example: %v", ent.Name(), err)
 			}
 			f.Add(data)
+			if n == 0 {
+				for _, h := range emptyRuns(data) {
+					f.Add(h)
+				}
+			}
 		}
 	}
 	f.Add([]byte{})

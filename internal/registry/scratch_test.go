@@ -50,10 +50,10 @@ func payloadOf(frame []byte) []byte {
 // family, the frames a decode target must survive: cut short, checksum
 // flipped, and — behind a valid header and checksum, so that the
 // family's decoder is what meets them — the payload cut inside its
-// counter run at several depths, and every early payload byte (the
-// header fields: k, seed, geometry, flags, counts) nudged three ways.
-// Some of the nudged frames are accepted: those are frames of other
-// parameters, which is the point.
+// counter run at several depths, every early payload byte (the
+// header fields: k, seed, geometry, flags, counts) nudged three ways,
+// and emptyRuns. Some of the nudged frames are accepted: those are
+// frames of other parameters, which is the point.
 func hostileFrames(frame []byte) [][]byte {
 	payload := payloadOf(frame)
 	flipped := append([]byte(nil), frame...)
@@ -70,6 +70,22 @@ func hostileFrames(frame []byte) [][]byte {
 			mut[i] += nudge
 			out = append(out, reframe(frame, mut))
 		}
+	}
+	return append(out, emptyRuns(frame)...)
+}
+
+// emptyRuns cuts the payload at every early offset and continues it
+// with a count of 4096 and as many zero bytes: wherever the cut lands
+// on a table's length field, a table of elements that cost one byte
+// each on the wire — empty levels, absent slots, zero counters — and
+// may cost a decoder far more than that to hold. (A quantile frame's
+// level table was bounded only by such bytes; it is now 64 levels.)
+func emptyRuns(frame []byte) [][]byte {
+	payload := payloadOf(frame)
+	var out [][]byte
+	for i := 0; i <= len(payload) && i < 24; i++ {
+		mut := binary.AppendUvarint(append([]byte(nil), payload[:i]...), 4096)
+		out = append(out, reframe(frame, append(mut, make([]byte, 4096)...)))
 	}
 	return out
 }

@@ -2,9 +2,7 @@
 // quantile estimation: the mergeable bottom-k sample (every occurrence
 // draws an i.i.d. priority tag; the summary keeps the k smallest tags,
 // and merging keeps the k smallest of the union — §3.3 of the PODS'12
-// paper uses exactly this primitive to make sampling mergeable) and a
-// classic Vitter reservoir sample as the non-mergeable single-stream
-// baseline.
+// paper uses exactly this primitive to make sampling mergeable).
 //
 // A bottom-k sample of size k answers rank queries with standard error
 // about n/√k, the usual sampling trade-off the paper's quantile
@@ -284,83 +282,3 @@ func (s *BottomK) UnmarshalBinary(data []byte) error {
 }
 
 var _ core.QuantileSummary = (*BottomK)(nil)
-
-// Reservoir is a classic Vitter reservoir sample of capacity k: the
-// single-stream baseline. It deliberately has no Merge — merging
-// reservoirs correctly requires resampling machinery the bottom-k
-// scheme gets for free, which is the point of including it.
-type Reservoir struct {
-	k    int
-	n    uint64
-	vals []float64
-	rng  *gen.RNG
-}
-
-// NewReservoir returns an empty reservoir of capacity k.
-func NewReservoir(k int, seed uint64) *Reservoir {
-	if k < 1 {
-		panic("sampling: k must be >= 1")
-	}
-	return &Reservoir{k: k, rng: gen.NewRNG(seed)}
-}
-
-// K returns the capacity.
-func (s *Reservoir) K() int { return s.k }
-
-// N returns the number of observed values.
-func (s *Reservoir) N() uint64 { return s.n }
-
-// Size returns the current sample size.
-func (s *Reservoir) Size() int { return len(s.vals) }
-
-// Update observes one value.
-func (s *Reservoir) Update(v float64) {
-	s.n++
-	if len(s.vals) < s.k {
-		s.vals = append(s.vals, v)
-		return
-	}
-	// Keep with probability k/n, replacing a uniform victim.
-	if j := s.rng.Uint64n(s.n); j < uint64(s.k) {
-		s.vals[j] = v
-	}
-}
-
-// Values returns the sampled values, sorted.
-func (s *Reservoir) Values() []float64 {
-	out := append([]float64(nil), s.vals...)
-	sort.Float64s(out)
-	return out
-}
-
-// Rank estimates the number of observed values <= v.
-func (s *Reservoir) Rank(v float64) uint64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var c int
-	for _, x := range s.vals {
-		if x <= v {
-			c++
-		}
-	}
-	return uint64(float64(c) / float64(len(s.vals)) * float64(s.n))
-}
-
-// Quantile returns the sample's phi-quantile.
-func (s *Reservoir) Quantile(phi float64) float64 {
-	vals := s.Values()
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	i := int(phi * float64(len(vals)))
-	if i >= len(vals) {
-		i = len(vals) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return vals[i]
-}
-
-var _ core.QuantileSummary = (*Reservoir)(nil)

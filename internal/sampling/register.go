@@ -6,9 +6,7 @@ import (
 	"repro/internal/registry"
 )
 
-// init catalogs the family; see internal/registry. Reservoir is
-// deliberately absent: it is the non-mergeable baseline and has no
-// codec.
+// init catalogs the family; see internal/registry.
 func init() {
 	registry.Register[BottomK](codec.KindBottomK, "bottomk", registry.Spec[BottomK]{
 		Example: func(n int) *BottomK {

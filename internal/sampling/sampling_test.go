@@ -11,9 +11,8 @@ import (
 
 func TestNewPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"bottomk":   func() { NewBottomK(0, 1) },
-		"reservoir": func() { NewReservoir(0, 1) },
-		"nan":       func() { NewBottomK(4, 1).Update(math.NaN()) },
+		"bottomk": func() { NewBottomK(0, 1) },
+		"nan":     func() { NewBottomK(4, 1).Update(math.NaN()) },
 	} {
 		func() {
 			defer func() {
@@ -229,52 +228,5 @@ func TestBottomKCodecRoundTrip(t *testing.T) {
 	data[len(data)-5] ^= 0xff
 	if err := got.UnmarshalBinary(data); err == nil {
 		t.Fatal("corrupted frame accepted")
-	}
-}
-
-func TestReservoirBasics(t *testing.T) {
-	s := NewReservoir(10, 1)
-	for _, v := range gen.UniformValues(10000, 3) {
-		s.Update(v)
-	}
-	if s.Size() != 10 || s.N() != 10000 {
-		t.Fatalf("Size=%d N=%d", s.Size(), s.N())
-	}
-	if q := s.Quantile(0.5); q < 0 || q >= 1 {
-		t.Errorf("Quantile(0.5) = %v outside value range", q)
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each element should be kept with probability ~k/n; check the
-	// mean sampled value is ~0.5 over many repetitions.
-	var sum float64
-	const reps = 200
-	for r := 0; r < reps; r++ {
-		s := NewReservoir(20, uint64(r))
-		for _, v := range gen.UniformValues(2000, uint64(r)+1000) {
-			s.Update(v)
-		}
-		for _, v := range s.Values() {
-			sum += v
-		}
-	}
-	mean := sum / (20 * reps)
-	if math.Abs(mean-0.5) > 0.02 {
-		t.Errorf("reservoir mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestReservoirSmall(t *testing.T) {
-	s := NewReservoir(100, 1)
-	if !math.IsNaN(s.Quantile(0.5)) {
-		t.Error("empty reservoir quantile should be NaN")
-	}
-	if s.Rank(1) != 0 {
-		t.Error("empty reservoir rank should be 0")
-	}
-	s.Update(3)
-	if r := s.Rank(3); r != 1 {
-		t.Errorf("Rank(3) = %d", r)
 	}
 }

@@ -21,7 +21,8 @@
 //     MergeLowError (the follow-up's closed-form, smaller total error).
 //   - NewGK — deterministic quantiles, one-way mergeable.
 //   - NewQuantile, NewQuantileHybrid — the paper's randomized fully
-//     mergeable quantile summaries.
+//     mergeable quantile summary, with every level kept or with a
+//     level budget that makes its size independent of n.
 //   - NewCountMin, NewCountSketch — linear sketches (trivially
 //     mergeable baselines).
 //   - NewBottomK — mergeable uniform sample.
@@ -78,10 +79,9 @@ type (
 	SpaceSaving = spacesaving.Summary
 	// GK is the Greenwald–Khanna quantile summary.
 	GK = gk.Summary
-	// Quantile is the randomized fully mergeable quantile summary.
+	// Quantile is the randomized fully mergeable quantile summary, in
+	// either of its modes (see NewQuantile and NewQuantileHybrid).
 	Quantile = randquant.Summary
-	// QuantileHybrid is the sampling hybrid with size independent of n.
-	QuantileHybrid = randquant.Hybrid
 	// CountMin is the Count-Min sketch.
 	CountMin = countmin.Sketch
 	// CountSketch is the Count-Sketch.
@@ -155,9 +155,10 @@ func NewGK(eps float64) *GK { return gk.New(eps) }
 // sized for rank error eps*n (w.h.p.) under arbitrary merging.
 func NewQuantile(eps float64, seed uint64) *Quantile { return randquant.NewEpsilon(eps, seed) }
 
-// NewQuantileHybrid returns the hybrid variant whose size is
-// independent of the stream length.
-func NewQuantileHybrid(eps float64, seed uint64) *QuantileHybrid {
+// NewQuantileHybrid returns a Quantile in bounded mode: low levels are
+// replaced by sampling, so its size is independent of the stream
+// length. It merges only with other bounded summaries of the same eps.
+func NewQuantileHybrid(eps float64, seed uint64) *Quantile {
 	return randquant.NewHybridEpsilon(eps, seed)
 }
 
