@@ -88,13 +88,17 @@ sanitize:
 # Quick compile-and-run smoke over every Update/UpdateBatch benchmark
 # (100 iterations keeps it a few seconds, not a measurement), the
 # ε-kernel's interior filter on its four input shapes (three 8192-point
-# chunks each) and one decode+merge of every registered family through
-# the registry — the aggregator's unit cost, which no per-family list
-# can forget a family of; -benchmem because its allocs/op column is the
-# steady-state figure TestDecodeMergeAllocs pins at <= 1.
+# chunks each), the sort kernel against slices.Sort on rotating inputs,
+# the q-digest's edge report and aggregator merge, and one decode+merge
+# of every registered family through the registry — the aggregator's
+# unit cost, which no per-family list can forget a family of; -benchmem
+# because its allocs/op column is the steady-state figure
+# TestDecodeMergeAllocs pins at <= 1.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Update -benchtime=100x .
 	$(GO) test -run='^$$' -bench=BenchmarkUpdate -benchtime=3x ./internal/kernel/
+	$(GO) test -run='^$$' -bench=SortKernel -benchtime=100x ./internal/core/
+	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem ./internal/qdigest/
 	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x -benchmem ./internal/registry/
 
 # Compile-and-run smoke over the server merge-plane benchmarks (push,

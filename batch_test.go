@@ -48,6 +48,14 @@ func chunks(n int) []int {
 	return out
 }
 
+// qdFP captures what the q-digest guarantee speaks about.
+type qdFP struct {
+	n, bound uint64
+	ranks    []uint64 // Rank of each of qdQueries
+}
+
+var qdQueries = []uint64{10, 100, 1000, 60000}
+
 func TestBatchEquivalence(t *testing.T) {
 	type variant struct {
 		name string
@@ -134,6 +142,13 @@ func TestBatchEquivalence(t *testing.T) {
 		}
 	}
 
+	qdFinger := func(s *mergesum.QDigest) any {
+		fp := qdFP{n: s.N(), bound: s.ErrorBound()}
+		for _, q := range qdQueries {
+			fp.ranks = append(fp.ranks, s.Rank(q))
+		}
+		return fp
+	}
 	ssFinger := func(s *mergesum.SpaceSaving) any {
 		return fmt.Sprintf("n=%d under=%d states=%v", s.N(), s.UnderBound(), s.States())
 	}
@@ -397,17 +412,17 @@ func TestBatchEquivalence(t *testing.T) {
 			},
 		},
 		{
+			// Guarantee-equivalent, like mg: a batch is ingested as sorted
+			// runs with the compressions between them, so the node set
+			// differs from the loop's; N, the error bound and the rank
+			// guarantee against the exact oracle do not.
 			name: "qdigest",
 			loop: func() any {
 				s := mergesum.NewQDigest(16, 0.01)
 				for _, x := range items {
 					s.Update(uint64(x), 1)
 				}
-				ranks := make([]uint64, 0, 4)
-				for _, q := range []uint64{10, 100, 1000, 60000} {
-					ranks = append(ranks, s.Rank(q))
-				}
-				return fmt.Sprintf("n=%d ranks=%v", s.N(), ranks)
+				return qdFinger(s)
 			},
 			batch: func() any {
 				s := mergesum.NewQDigest(16, 0.01)
@@ -420,11 +435,25 @@ func TestBatchEquivalence(t *testing.T) {
 					s.UpdateBatch(chunk)
 					done += c
 				}
-				ranks := make([]uint64, 0, 4)
-				for _, q := range []uint64{10, 100, 1000, 60000} {
-					ranks = append(ranks, s.Rank(q))
+				return qdFinger(s)
+			},
+			guarantee: func(t *testing.T, loopFP, batchFP any) {
+				itemVals := make([]float64, len(items))
+				for i, x := range items {
+					itemVals[i] = float64(x)
 				}
-				return fmt.Sprintf("n=%d ranks=%v", s.N(), ranks)
+				truth := exact.QuantilesOf(itemVals)
+				for name, fp := range map[string]qdFP{"loop": loopFP.(qdFP), "batch": batchFP.(qdFP)} {
+					if fp.n != truth.N() || fp.bound != loopFP.(qdFP).bound {
+						t.Fatalf("%s: n=%d bound=%d, want n=%d and the loop's bound %d", name, fp.n, fp.bound, truth.N(), loopFP.(qdFP).bound)
+					}
+					for i, q := range qdQueries {
+						want := truth.Rank(float64(q))
+						if got := fp.ranks[i]; got > want || want-got > fp.bound {
+							t.Fatalf("%s: Rank(%d) = %d, exact %d, bound %d", name, q, got, want, fp.bound)
+						}
+					}
+				}
 			},
 		},
 		{
@@ -507,6 +536,18 @@ func TestUpdateBatchAllocs(t *testing.T) {
 	onVals := func(up func([]float64)) func(off int) {
 		return func(off int) { up(vals[off : off+batchLen]) }
 	}
+	uvals := make([]uint64, len(items))
+	for i, x := range items {
+		uvals[i] = uint64(x) * 7919 % (1 << 16) // spread over the q-digest's universe
+	}
+	onUvals := func(up func([]uint64)) func(off int) {
+		return func(off int) { up(uvals[off : off+batchLen]) }
+	}
+	// One value ahead of the batches, so that N is never a multiple of
+	// 1024 when a batch ends: that is where a sanitize build samples its
+	// assertion, which clones the digest.
+	qd := mergesum.NewQDigest(16, 0.01)
+	qd.Update(0, 1)
 
 	for _, tc := range []struct {
 		name  string
@@ -522,6 +563,7 @@ func TestUpdateBatchAllocs(t *testing.T) {
 		{"hll/p=12", onItems(mergesum.NewHLL(12, 1).UpdateBatch), 0},
 		{"topk/k=64", onItems(mergesum.NewTopK(64, 512, 4, 1).UpdateBatch), 0},
 		{"bottomk/k=4096", onVals(mergesum.NewBottomK(4096, 1).UpdateBatch), 0},
+		{"qdigest/logU=16", onUvals(qd.UpdateBatch), 0}, // sort runs, body and compress scratch retained
 		{"gk/eps=0.01", onVals(mergesum.NewGK(0.01).UpdateBatch), 1},
 		{"randquant/eps=0.01", onVals(mergesum.NewQuantile(0.01, 1).UpdateBatch), batchLen - 1},
 		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), 0}, // the one type's free list
@@ -538,6 +580,48 @@ func TestUpdateBatchAllocs(t *testing.T) {
 			})
 			if got > tc.max {
 				t.Fatalf("UpdateBatch of %d items: %.1f allocs per call, want <= %.0f", batchLen, got, tc.max)
+			}
+		})
+	}
+}
+
+// TestWarmPromoteAllocs pins the block promotion of the three families
+// that buffer and sort — the quantile summary, the range counter, GK —
+// at zero allocations once warm: the sort scratch lives on the summary
+// and block storage comes off its free list. Each summary is first fed
+// 16 blocks (one level-4 block stored, the rest of its storage free),
+// then measured over calls of one block each: block counts 17–24, which
+// never hold more blocks at once than the warm-up did.
+func TestWarmPromoteAllocs(t *testing.T) {
+	vals := batchValueStream()
+	pts := gen.UniformPoints(batchStreamLen, 99)
+	box := mergesum.Rect{X0: 0, Y0: 0, X1: 1, Y1: 1}
+
+	q := mergesum.NewQuantile(0.05, 1)
+	rc := mergesum.NewRangeCounter(0.2, box, 1)
+	g := mergesum.NewGK(0.01)
+	const gkBlock = 64 // above GK's pending-insert buffer at eps=0.01: a flush per call
+	for _, tc := range []struct {
+		name  string
+		block int
+		feed  func(lo, hi int)
+	}{
+		{"quantile", q.BlockSize(), func(lo, hi int) { q.UpdateBatch(vals[lo:hi]) }},
+		{"rangecount", rc.BlockSize(), func(lo, hi int) {
+			for _, p := range pts[lo:hi] {
+				rc.Update(p)
+			}
+		}},
+		{"gk", gkBlock, func(lo, hi int) { g.UpdateBatch(vals[lo:hi]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.feed(0, 16*tc.block)
+			at := 16 * tc.block
+			if got := testing.AllocsPerRun(7, func() {
+				tc.feed(at, at+tc.block)
+				at += tc.block
+			}); got != 0 {
+				t.Fatalf("promoting a block of %d on a warm summary: %.1f allocs per block, want 0", tc.block, got)
 			}
 		})
 	}

@@ -3,7 +3,8 @@
 // step-count drift, re-keyed and unvalidated loop bounds, trailing
 // length fields, unkeyed conditionals, missing Finish, unpaired
 // directions, a run read of the wrong element kind or without a
-// validated count — next to clean codecs using every supported idiom.
+// validated count — next to clean codecs using every supported idiom
+// (run reads of single elements and of fixed-width records among them).
 package wireshape_a
 
 import (
@@ -88,6 +89,8 @@ type runs struct {
 	regs  []uint8
 	vs    []float64
 	inner []uint8
+	pts   [][2]float64
+	xy    []float64
 }
 
 func (s *runs) reshape(k int) {
@@ -118,6 +121,11 @@ func (s *runs) MarshalBinary() ([]byte, error) {
 	for _, b := range s.inner {
 		w.Uint64(uint64(b))
 	}
+	w.Int(len(s.pts))
+	for _, p := range s.pts {
+		w.Float64(p[0])
+		w.Float64(p[1])
+	}
 	return codec.EncodeFrame(codec.KindHLL, w.Bytes()), nil
 }
 
@@ -144,6 +152,10 @@ func (s *runs) UnmarshalBinary(data []byte) error {
 	il := r.ArrayLen(1)
 	s.inner = codec.Resize(s.inner, il)
 	r.Uint8s(s.inner, 255)
+	// A run into x[:2*n] is n records of two elements each.
+	np := r.ArrayLen(16)
+	s.xy = codec.Resize(s.xy, 2*np)
+	r.Float64s(s.xy[:2*np])
 	if err := r.Finish(); err != nil {
 		return err
 	}

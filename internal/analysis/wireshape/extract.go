@@ -284,10 +284,14 @@ func (ex *extractor) handleCall(call *ast.CallExpr, out *[]*Step, prefix string)
 		return true
 	} else if elem, ok := ex.in.ReaderRunOp(call); ok {
 		// A run read is the loop it replaces: a repeat of one element
-		// over the destination's length, validated like any loop bound.
-		spec, deps := ex.rangeBound(call.Args[0])
+		// over the destination's length — or, into x[:k*n], of k
+		// elements over n — validated like any loop bound.
+		dst, width := runGroups(call.Args[0])
+		spec, deps := ex.rangeBound(dst)
 		rep := ex.emit(out, prefix, &Step{Kind: StepRepeat, DecBound: spec, Guard: ex.decGuard(spec, deps), Pos: call.Pos()})
-		ex.emit(&rep.Body, rep.Path+".", &Step{Kind: StepField, Op: elem.String(), Pos: call.Pos()})
+		for i := 0; i < width; i++ {
+			ex.emit(&rep.Body, rep.Path+".", &Step{Kind: StepField, Op: elem.String(), Pos: call.Pos()})
+		}
 		return true
 	}
 	fn := ex.wireHelper(call)
@@ -312,6 +316,29 @@ func (ex *extractor) handleCall(call *ast.CallExpr, out *[]*Step, prefix string)
 	ex.depth--
 	ex.recvName = saved
 	return true
+}
+
+// runGroups splits a run destination of the form x[:k*n] or x[:n*k],
+// k an integer literal, into x[:n] and the group width k: the run
+// reads n records of k elements each (a point's coordinates, say).
+// Any other destination is one element wide.
+func runGroups(dst ast.Expr) (ast.Expr, int) {
+	sl, ok := ast.Unparen(dst).(*ast.SliceExpr)
+	if !ok || sl.Low != nil || sl.High == nil || sl.Slice3 {
+		return dst, 1
+	}
+	mul, ok := ast.Unparen(sl.High).(*ast.BinaryExpr)
+	if !ok || mul.Op != token.MUL {
+		return dst, 1
+	}
+	for _, f := range [2][2]ast.Expr{{mul.X, mul.Y}, {mul.Y, mul.X}} {
+		if lit, ok := ast.Unparen(f[0]).(*ast.BasicLit); ok && lit.Kind == token.INT {
+			if k, err := strconv.Atoi(lit.Value); err == nil && k >= 1 {
+				return &ast.SliceExpr{X: sl.X, Lbrack: sl.Lbrack, High: f[1], Rbrack: sl.Rbrack}, k
+			}
+		}
+	}
+	return dst, 1
 }
 
 // hasWireOps reports whether the subtree performs any wire operation,

@@ -90,11 +90,12 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	if np >= size {
 		return errPartial(np, size)
 	}
+	// Scratch and blocks are sized only by counts ArrayLen has checked
+	// against the bytes left: the header's size alone reserves nothing.
 	partial = s.getBlock(np)
-	for i := 0; i < np; i++ {
-		p := gen.Point{X: r.Float64(), Y: r.Float64()}
-		partial.add(p, mortonKey(box, p))
-	}
+	s.coords = codec.Resize(s.coords, 2*np)
+	r.Float64s(s.coords[:2*np])
+	partial.addCoords(box, s.coords)
 	nb := r.ArrayLen(1)
 	if r.Err() != nil {
 		return r.Err()
@@ -117,11 +118,10 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		if bl != size {
 			return errBlock(i, bl, size)
 		}
-		b := s.getBlock(size)
-		for j := 0; j < bl; j++ {
-			p := gen.Point{X: r.Float64(), Y: r.Float64()}
-			b.add(p, mortonKey(box, p))
-		}
+		b := s.getBlock(bl)
+		s.coords = codec.Resize(s.coords, 2*bl)
+		r.Float64s(s.coords[:2*bl])
+		b.addCoords(box, s.coords)
 		blocks = append(blocks, b)
 	}
 	if err := r.Finish(); err != nil {

@@ -1,6 +1,7 @@
 package epsapprox
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -71,6 +72,8 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(rawFrame(2, 1, 1, make([]int, 300)))
 	f.Add(rawFrame(2, 1, 1, append(make([]int, 64), 2)))
 	f.Add(rawFrame(2, 1, 1, append(make([]int, 63), 2)))
+	// TestDecodeNotSizedByHeader's: a huge block size and no points.
+	f.Add(rawFrame(1<<28, 0, 0, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out Summary
 		if err := out.UnmarshalBinary(data); err != nil {
@@ -139,6 +142,48 @@ func TestCodecRejectsHostileLevels(t *testing.T) {
 	for name, levels := range map[string][]int{"level 64": weightless, "level 63": wraps} {
 		if err := new(refSummary).UnmarshalBinary(rawFrame(2, 1, 1, levels)); err != nil {
 			t.Errorf("%s: oracle decoder no longer shows the bug: %v", name, err)
+		}
+	}
+}
+
+// The header's block size is bounded only by what Reader.Int takes
+// (2^31-1), and a frame that claims a huge one need not send a single
+// point: nothing the decoder retains — blocks, the read run — may be
+// sized by it. Frames with no points at all and with a few in the
+// partial are both accepted, on a fresh receiver and on one whose
+// scratch has served honest frames. (Smallest size first and fatal on
+// the first excess, so a decoder that does size by the header fails
+// here on 64 MiB, not on 32 GiB.)
+func TestDecodeNotSizedByHeader(t *testing.T) {
+	honest := New(8, unitBox, 1)
+	for _, p := range gen.UniformPoints(200, 2) {
+		honest.Update(p)
+	}
+	warm, _ := honest.MarshalBinary()
+	for _, size := range []int{1 << 22, 1 << 28, 1<<31 - 1} {
+		for _, partial := range []int{0, 3} {
+			frame := rawFrame(size, uint64(partial), partial, nil)
+			for _, how := range []string{"fresh", "warm"} {
+				var s Summary
+				if how == "warm" {
+					if err := s.UnmarshalBinary(warm); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := s.UnmarshalBinary(frame)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("size %d, partial %d, %s: %v", size, partial, how, err)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+					t.Fatalf("size %d, partial %d, %s receiver: decode allocated %d bytes for a %d-byte frame", size, partial, how, got, len(frame))
+				}
+				if s.s != size || s.N() != uint64(partial) {
+					t.Errorf("size %d, partial %d, %s: decoded s=%d n=%d", size, partial, how, s.s, s.N())
+				}
+			}
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -57,9 +58,10 @@ type Summary struct {
 	// mergeable summaries agree on the curve.
 	box exact.Rect
 
-	free  []block  // recycled block storage
-	stage []block  // UnmarshalBinary's level table while a frame is unvalidated
-	order []uint64 // promotePartial's sort scratch
+	free   []block   // recycled block storage
+	stage  []block   // UnmarshalBinary's level table while a frame is unvalidated
+	coords []float64 // UnmarshalBinary's read run: one block's x, y pairs
+	order  []uint64  // promotePartial's sort run and the kernel's scratch
 }
 
 // block is a run of points with their cached Morton keys: keys[j] is
@@ -72,6 +74,19 @@ type block struct {
 
 func (b *block) add(p gen.Point, key uint32) {
 	b.pts, b.keys = append(b.pts, p), append(b.keys, key)
+}
+
+// addCoords appends the points whose coordinates xy lists as x, y
+// pairs, keying each inside box. The block must have room for them.
+//
+//sketch:hotpath
+func (b *block) addCoords(box exact.Rect, xy []float64) {
+	at := len(b.pts)
+	b.pts, b.keys = b.pts[:at+len(xy)/2], b.keys[:at+len(xy)/2]
+	for j := range b.pts[at:] {
+		p := gen.Point{X: xy[2*j], Y: xy[2*j+1]}
+		b.pts[at+j], b.keys[at+j] = p, mortonKey(box, p)
+	}
 }
 
 // New returns an empty summary with block size s over the coordinate
@@ -180,48 +195,62 @@ func (s *Summary) Update(p gen.Point) {
 }
 
 // promotePartial turns the full partial into a level-0 block: a stable
-// sort by cached key — position breaks ties, packed under the key so
-// the sort moves single words — gathered into recycled storage.
+// radix sort on the cached keys — each packed over its point's position,
+// which rides along as payload and so breaks ties by arrival — gathered
+// into recycled storage.
 //
 //sketch:hotpath
 func (s *Summary) promotePartial() {
-	ord := s.order[:0]
+	n := len(s.partial.keys)
+	s.order = codec.Resize(s.order, 2*n)
+	ord := s.order[:n]
 	for j, k := range s.partial.keys {
-		ord = append(ord, uint64(k)<<32|uint64(j))
+		ord[j] = uint64(k)<<32 | uint64(j)
 	}
-	slices.Sort(ord)
+	core.SortKeys(ord, s.order[n:], 32, 64)
 	b := s.getBlock(s.s)
 	for _, o := range ord {
 		b.add(s.partial.pts[uint32(o)], uint32(o>>32))
 	}
-	s.order = ord[:0]
 	s.partial = block{s.partial.pts[:0], s.partial.keys[:0]}
-	s.carry(b, 0)
+	s.carry(b, 0, true)
 	debugAssert(s, false)
 }
 
 // carry places b at level i, halving it with the occupant and moving
-// up while the level is taken.
+// up while the level is taken. An owned b is the summary's to keep or
+// recycle; a borrowed one (another summary's block) is only read — it
+// is halved where it lies, and copied only if its level is free.
 //
 //sketch:hotpath
-func (s *Summary) carry(b block, i int) {
+func (s *Summary) carry(b block, i int, owned bool) {
 	for {
 		for len(s.blocks) <= i {
 			s.blocks = append(s.blocks, block{})
 		}
-		if s.blocks[i].pts == nil {
+		occ := s.blocks[i]
+		if occ.pts == nil {
+			if !owned {
+				c := s.getBlock(s.s)
+				b = block{append(c.pts, b.pts...), append(c.keys, b.keys...)}
+			}
 			s.blocks[i] = b
 			return
 		}
-		b = s.halve(s.blocks[i], b)
 		s.blocks[i] = block{}
+		out := s.halve(occ, b)
+		s.putBlock(occ)
+		if owned {
+			s.putBlock(b)
+		}
+		b, owned = out, true
 		i++
 	}
 }
 
 // halve merges two Z-sorted blocks by cached key and keeps alternate
 // points with a random offset — the low-discrepancy halving primitive.
-// The inputs' storage is recycled.
+// The inputs are only read; the result is built in recycled storage.
 //
 //sketch:hotpath
 func (s *Summary) halve(a, b block) block {
@@ -243,8 +272,6 @@ func (s *Summary) halve(a, b block) block {
 		}
 		skip = !skip
 	}
-	s.putBlock(a)
-	s.putBlock(b)
 	return out
 }
 
@@ -269,8 +296,7 @@ func (s *Summary) absorb(other *Summary) {
 	s.n += other.n
 	for i := len(other.blocks) - 1; i >= 0; i-- {
 		if ob := other.blocks[i]; ob.pts != nil {
-			b := s.getBlock(s.s)
-			s.carry(block{append(b.pts, ob.pts...), append(b.keys, ob.keys...)}, i)
+			s.carry(ob, i, false)
 		}
 	}
 	for j, p := range other.partial.pts {

@@ -215,3 +215,41 @@ func TestMortonOrdering(t *testing.T) {
 		t.Errorf("clamped high morton %b != corner %b", hi, s.morton(gen.Point{X: 1, Y: 1}))
 	}
 }
+
+// halve is a stable merge: on equal Morton keys the occupant's points
+// come before the incoming block's, and absorbing another summary's
+// block takes the same order as carrying a copy of it.
+func TestHalveTiesKeepOccupantFirst(t *testing.T) {
+	// Four points of one Morton cell, told apart by their coordinates.
+	pts := []gen.Point{{X: 0.5, Y: 0.5}, {X: 0.5 + 1e-9, Y: 0.5}, {X: 0.5, Y: 0.5 + 1e-9}, {X: 0.5 + 1e-9, Y: 0.5 + 1e-9}}
+	if k := mortonKey(unitBox, pts[0]); k != mortonKey(unitBox, pts[1]) || k != mortonKey(unitBox, pts[2]) || k != mortonKey(unitBox, pts[3]) {
+		t.Fatal("test points fall in different Morton cells")
+	}
+	check := func(name string, s *Summary) {
+		t.Helper()
+		if len(s.blocks) != 2 || s.blocks[0].pts != nil || len(s.blocks[1].pts) != 2 {
+			t.Fatalf("%s: expected one level-1 block, have %d levels", name, len(s.blocks))
+		}
+		got := s.blocks[1].pts
+		if !(got[0] == pts[0] && got[1] == pts[2]) && !(got[0] == pts[1] && got[1] == pts[3]) {
+			t.Fatalf("%s: halving kept %v; with the occupant first it keeps points 0,2 or 1,3 of %v", name, got, pts)
+		}
+	}
+	for seed := uint64(1); seed <= 8; seed++ { // both offsets of the alternation
+		s := New(2, unitBox, seed)
+		for _, p := range pts {
+			s.Update(p)
+		}
+		check("carry", s)
+
+		a, b := New(2, unitBox, seed), New(2, unitBox, seed+100)
+		a.Update(pts[0])
+		a.Update(pts[1])
+		b.Update(pts[2])
+		b.Update(pts[3])
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		check("absorb", a)
+	}
+}

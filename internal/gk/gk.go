@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 )
 
@@ -42,6 +42,7 @@ type Summary struct {
 	spare  []tuple   // retired tuple run: flush and Merge write into it, then swap
 	buf    []float64 // pending inserts, flushed in batch
 	bufCap int
+	keys   []uint64 // flush's sort scratch
 }
 
 // New returns an empty summary with rank-error parameter eps in (0,1).
@@ -87,12 +88,17 @@ func (s *Summary) threshold() uint64 {
 }
 
 // flush drains the insert buffer into the tuple list (one sorted
-// sweep, equivalent to sequential GK inserts) and compresses.
+// sweep, equivalent to sequential GK inserts) and compresses. The
+// buffer is sorted by core.SortFloats: −0 before +0, whichever came
+// first.
+//
+//sketch:hotpath
 func (s *Summary) flush() {
 	if len(s.buf) == 0 {
 		return
 	}
-	sort.Float64s(s.buf)
+	s.keys = codec.Resize(s.keys, 2*len(s.buf))
+	core.SortFloats(s.buf, s.keys)
 	out := slices.Grow(s.spare[:0], len(s.tuples)+len(s.buf))
 	ti := 0
 	for _, v := range s.buf {

@@ -31,6 +31,63 @@ func TestNaNPanics(t *testing.T) {
 	New(0.1).Update(math.NaN())
 }
 
+// A NaN anywhere in a batch panics before any value is buffered, so it
+// never reaches the flush's sort.
+func TestNaNBatchPanicsFirst(t *testing.T) {
+	s := New(0.1)
+	s.UpdateBatch([]float64{3, 1, 2})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NaN in a batch did not panic")
+			}
+		}()
+		s.UpdateBatch([]float64{4, 5, math.NaN(), 6})
+	}()
+	if s.N() != 3 || s.Size() != 3 {
+		t.Fatalf("rejected batch left n=%d size=%d, want 3 and 3", s.N(), s.Size())
+	}
+}
+
+// The flush sorts by core.SortFloats: infinities take the ends, and
+// the two zeros of one buffer land as −0 then +0 whichever arrived
+// first, so the encoded frame does not depend on their arrival order.
+// (sort.Float64s left equal values in an order of its own choosing.)
+func TestInfinitiesAndZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	frames := make([][]byte, 2)
+	for i, vs := range [][]float64{
+		{1, 0, math.Inf(1), negZero, -1, math.Inf(-1), negZero, 0},
+		{1, negZero, math.Inf(1), 0, -1, math.Inf(-1), 0, negZero},
+	} {
+		s := New(0.1)
+		s.UpdateBatch(vs)
+		if lo, hi := s.Quantile(0), s.Quantile(1); !math.IsInf(lo, -1) || !math.IsInf(hi, 1) {
+			t.Fatalf("extremes are %v and %v, want -Inf and +Inf", lo, hi)
+		}
+		if err := s.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		var zeros []float64
+		for _, tp := range s.tuples {
+			if tp.v == 0 {
+				zeros = append(zeros, tp.v)
+			}
+		}
+		if len(zeros) != 4 || !math.Signbit(zeros[0]) || !math.Signbit(zeros[1]) || math.Signbit(zeros[2]) || math.Signbit(zeros[3]) {
+			t.Fatalf("zeros stored as %v, want -0 -0 0 0", zeros)
+		}
+		frame, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = frame
+	}
+	if !bytes.Equal(frames[0], frames[1]) {
+		t.Fatal("the zeros' arrival order changed the frame")
+	}
+}
+
 func TestEmpty(t *testing.T) {
 	s := New(0.1)
 	if s.N() != 0 || s.Size() != 0 {

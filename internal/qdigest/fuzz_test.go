@@ -1,6 +1,7 @@
 package qdigest
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/gen"
@@ -28,17 +29,21 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzMergeRoundTrip builds two compatible digests from the fuzzed
 // byte streams, merges them, and checks the result keeps the q-digest
-// property and survives a codec round-trip unchanged.
+// property, encodes to the bytes of the oracle's loop-to-fixpoint
+// Compress, and survives a codec round-trip unchanged.
 func FuzzMergeRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 200}, []byte{5})
 	f.Add([]byte{}, []byte{0, 0, 255})
 	f.Fuzz(func(t *testing.T, ra, rb []byte) {
 		a, b := New(8, 5), New(8, 5)
+		refA, refB := newRef(8, 5), newRef(8, 5)
 		for _, v := range ra {
 			a.Update(uint64(v), 1)
+			refA.Update(uint64(v), 1)
 		}
 		for _, v := range rb {
 			b.Update(uint64(v), 1)
+			refB.Update(uint64(v), 1)
 		}
 		n := a.N() + b.N()
 		if err := a.Merge(b); err != nil {
@@ -53,6 +58,12 @@ func FuzzMergeRoundTrip(f *testing.F) {
 		data, err := a.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := refA.Merge(refB); err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := refA.MarshalBinary(); !bytes.Equal(data, want) {
+			t.Fatal("merged frame differs from the fixpoint oracle's")
 		}
 		var got Digest
 		if err := got.UnmarshalBinary(data); err != nil {

@@ -30,10 +30,12 @@
 // adjacent: the body is two parallel ascending slices (ids, counts),
 // a merge is a two-pointer add of two sorted runs, and Compress is a
 // bottom-up sweep that joins each level's run with its parents' run.
-// Updates between compressions land in a small open-addressed table
-// of pending leaves (the layout package mg uses for its counters),
-// which Compress sorts and appends — leaves are the largest ids — so
-// no path walks a Go map or allocates in steady state.
+// Single updates between compressions land in a small open-addressed
+// table of pending leaves (the layout package mg uses for its
+// counters), which Compress sorts and appends — leaves are the largest
+// ids; a batch is sorted into a run of its own and merged like another
+// digest's body (batch.go). Every sort is core.SortKeys, and no path
+// walks a Go map or allocates in steady state.
 package qdigest
 
 import (
@@ -73,14 +75,26 @@ type Digest struct {
 	tabLive   int
 	tabShift  uint
 
-	// dirty counts insertions since the last compress; compression is
-	// amortized over Θ(size) updates.
+	// dirty counts insertions since the last compress and base is the
+	// size that compress left: the next one is due once dirty exceeds
+	// base+compressSlack, so compression is amortized over Θ(size)
+	// updates and no Update or UpdateBatch returns with more than
+	// 2·base+compressSlack+1 nodes.
 	dirty uint64
+	base  int
+	// clean: the body is at Compress's fixpoint and nothing has touched
+	// the digest since, so Compress has nothing to do.
+	clean bool
 
-	// Scratch runs reused by flush, Merge, Compress and decode.
+	// Scratch runs reused by flush, the batch path, Merge, Compress and
+	// decode.
 	sIDs, sCounts []uint64
 	tIDs, tCounts []uint64
 }
+
+// compressSlack keeps a near-empty digest from compressing on every
+// update.
+const compressSlack = 16
 
 // New returns an empty digest over [0, 2^logU) with compression factor
 // k: rank error is at most logU·⌊n/k⌋. logU must be in [1, 62], k >= 1.
@@ -124,6 +138,14 @@ func (d *Digest) ErrorBound() uint64 {
 // level returns the depth of node id (root = 0).
 func level(id uint64) uint8 { return uint8(bits.Len64(id) - 1) }
 
+// leaf returns the id of the leaf that counts value v, clamped into
+// the universe.
+//
+//sketch:hotpath
+func (d *Digest) leaf(v uint64) uint64 {
+	return uint64(1)<<d.logU + min(v, uint64(1)<<d.logU-1)
+}
+
 // upper returns the largest value covered by node id.
 func (d *Digest) upper(id uint64) uint64 {
 	sh := d.logU - level(id)
@@ -136,17 +158,23 @@ func (d *Digest) Update(v uint64, w uint64) {
 	if w == 0 {
 		panic("qdigest: zero-weight update")
 	}
-	max := (uint64(1) << d.logU) - 1
-	if v > max {
-		v = max
-	}
-	d.addLeaf((uint64(1)<<d.logU)+v, w)
+	d.addLeaf(d.leaf(v), w)
 	d.n += w
-	d.dirty++
-	if d.dirty > uint64(d.Size())+16 {
+	d.inserted(1)
+	debugAssertSampled(d)
+}
+
+// inserted counts m insertions and compresses when one is due. Growth
+// is measured against the size the last Compress left, not the current
+// one: a stream of distinct values grows the size with every insertion,
+// and a trigger that chases it never fires.
+//
+//sketch:hotpath
+func (d *Digest) inserted(m int) {
+	d.dirty += uint64(m)
+	if d.dirty > uint64(d.base)+compressSlack {
 		d.Compress()
 	}
-	debugAssertSampled(d)
 }
 
 // addLeaf adds w to leaf id: in the pending table if it is there, in
@@ -154,6 +182,7 @@ func (d *Digest) Update(v uint64, w uint64) {
 //
 //sketch:hotpath
 func (d *Digest) addLeaf(id, w uint64) {
+	d.clean = false
 	if len(d.tabKeys) == 0 {
 		d.growTable()
 	}
@@ -240,7 +269,8 @@ func (d *Digest) flush() {
 			keys = append(keys, k)
 		}
 	}
-	slices.Sort(keys)
+	d.tIDs = slices.Grow(d.tIDs[:0], len(keys))
+	core.SortKeys(keys, d.tIDs[:len(keys)], 0, uint(d.logU))
 	m := len(d.ids)
 	total := m + len(keys)
 	d.ids = slices.Grow(d.ids, len(keys))[:total]
@@ -270,40 +300,59 @@ func (d *Digest) clearTable() {
 // Compress restores the q-digest property, merging under-full sibling
 // pairs into their parents bottom-up. Each pass is linear in the
 // number of nodes. It leaves every node in the body: the pending-leaf
-// table is empty afterwards.
+// table is empty afterwards. On a digest nothing has touched since the
+// last Compress it returns at once.
 //
 //sketch:hotpath
 func (d *Digest) Compress() {
-	d.dirty = 0
-	d.flush()
-	t := d.n / d.k
-	if t == 0 {
+	if d.clean {
 		return
 	}
-	// Sweep levels bottom-up until a fixpoint: a pass can re-enable
-	// merges below (a parent that moved its count upward leaves its
-	// remaining child's triple under the threshold), and every merge
-	// strictly shrinks the node set, so the loop terminates quickly.
-	for d.compressPass(t) {
+	d.dirty = 0
+	d.flush()
+	if t := d.n / d.k; t != 0 {
+		// Sweep levels bottom-up while a pass reports that it re-enabled
+		// a merge below it; every merge strictly shrinks the node set,
+		// so the loop terminates quickly (one pass, nearly always).
+		for d.compressPass(t) {
+		}
 	}
+	d.base = len(d.ids)
+	d.clean = true
 }
 
-// compressPass runs one bottom-up sweep and reports whether any
-// sibling group was folded into its parent. The body is consumed from
-// its tail (deepest level first); cur holds the current level's run in
-// descending id order — the body's nodes of that level plus the
-// parents the level below just created — and is joined two-pointer
-// with the body's next level up to build that level's run in turn.
-// Survivors are written back into the body's consumed tail: a fold
-// removes at least one node per parent it creates, so the write cursor
-// never overtakes the read cursor.
+// propped marks, in a level run, a node whose children survived this
+// pass only because of its count: without it their pair is within the
+// threshold. Node ids stay below 2^63, so the bit is free.
+const propped = 1 << 63
+
+// compressPass runs one bottom-up sweep and reports whether another is
+// needed. The body is consumed from its tail (deepest level first); cur
+// holds the current level's run in descending id order — the body's
+// nodes of that level plus the parents the level below just created —
+// and is joined two-pointer with the body's next level up to build that
+// level's run in turn. Survivors are written back into the body's
+// consumed tail: a fold removes at least one node per parent it
+// creates, so the write cursor never overtakes the read cursor.
+//
+// When the sweep ends, every node left was examined with its sibling
+// and parent and found over the threshold, with its own and its
+// sibling's final counts. Only the parent's count can have changed
+// since — to zero, by the parent being folded upward one level later —
+// so the q-digest property can fail only at the children of a propped
+// node that was folded, and does fail there: that is what the pass
+// reports, and a pass that reports false has reached the fixpoint
+// without a sweep to verify it.
 //
 //sketch:hotpath
 func (d *Digest) compressPass(t uint64) bool {
 	ids, counts := d.ids, d.counts
-	curI, curC := d.sIDs[:0], d.sCounts[:0]
-	nxtI, nxtC := d.tIDs[:0], d.tCounts[:0]
-	merged := false
+	// A level's run holds at most every node: sized once, the runs
+	// never grow inside the sweep.
+	n := len(ids)
+	curI, curC := slices.Grow(d.sIDs[:0], n), slices.Grow(d.sCounts[:0], n)
+	nxtI, nxtC := slices.Grow(d.tIDs[:0], n), slices.Grow(d.tCounts[:0], n)
+	again := false
 	p := len(ids) // ids[:p] is not yet consumed
 	w := len(ids) // ids[w:] holds this pass's survivors
 	for p > 0 && ids[p-1]>>d.logU != 0 {
@@ -314,12 +363,14 @@ func (d *Digest) compressPass(t uint64) bool {
 		parentLo := uint64(1) << (lv - 1)
 		nxtI, nxtC = nxtI[:0], nxtC[:0]
 		for i := 0; i < len(curI); {
-			id, c := curI[i], curC[i]
+			id, c := curI[i]&^propped, curC[i]
+			prop := curI[i]&propped != 0
 			i++
 			var sibC uint64
-			hasSib := id&1 == 1 && i < len(curI) && curI[i] == id-1
+			hasSib := id&1 == 1 && i < len(curI) && curI[i]&^propped == id-1
 			if hasSib {
 				sibC = curC[i]
+				prop = prop || curI[i]&propped != 0
 				i++
 			}
 			parent := id >> 1
@@ -335,9 +386,10 @@ func (d *Digest) compressPass(t uint64) bool {
 				p--
 				parC = counts[p]
 			}
-			if total := c + sibC + parC; total <= t {
+			pair := c + sibC
+			if total := pair + parC; total <= t {
 				nxtI, nxtC = append(nxtI, parent), append(nxtC, total)
-				merged = true
+				again = again || prop
 				continue
 			}
 			w--
@@ -347,6 +399,9 @@ func (d *Digest) compressPass(t uint64) bool {
 				ids[w], counts[w] = id-1, sibC
 			}
 			if hasPar {
+				if pair <= t {
+					parent |= propped
+				}
 				nxtI, nxtC = append(nxtI, parent), append(nxtC, parC)
 			}
 		}
@@ -358,13 +413,13 @@ func (d *Digest) compressPass(t uint64) bool {
 	}
 	for i, id := range curI { // the root, if present
 		w--
-		ids[w], counts[w] = id, curC[i]
+		ids[w], counts[w] = id&^propped, curC[i]
 	}
 	size := copy(ids, ids[w:])
 	copy(counts, counts[w:])
 	d.ids, d.counts = ids[:size], counts[:size]
 	d.sIDs, d.sCounts, d.tIDs, d.tCounts = curI[:0], curC[:0], nxtI[:0], nxtC[:0]
-	return merged
+	return again
 }
 
 // Rank estimates the number of inserted values <= v: the sum of node
@@ -455,6 +510,7 @@ func (d *Digest) Merge(other *Digest) error {
 //
 //sketch:hotpath
 func (d *Digest) mergeBody(oi, oc []uint64) {
+	d.clean = false
 	ai, ac := d.ids, d.counts
 	bound := len(ai) + len(oi)
 	ri := slices.Grow(d.sIDs[:0], bound)[:bound]
@@ -495,7 +551,7 @@ func Merged(a, b *Digest) (*Digest, error) {
 func (d *Digest) Clone() *Digest {
 	c := New(d.logU, d.k)
 	c.n = d.n
-	c.dirty = d.dirty
+	c.dirty, c.base, c.clean = d.dirty, d.base, d.clean
 	c.ids = slices.Clone(d.ids)
 	c.counts = slices.Clone(d.counts)
 	if d.tabLive != 0 {
@@ -681,7 +737,8 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	if sum != n {
 		return errWeight(sum, n)
 	}
-	d.logU, d.k, d.n, d.dirty = uint8(logU), k, n, 0
+	d.logU, d.k, d.n = uint8(logU), k, n
+	d.dirty, d.base, d.clean = 0, len(ids), false
 	d.ids, d.counts, d.sIDs, d.sCounts = ids, counts, d.ids[:0], d.counts[:0]
 	d.clearTable()
 	return nil

@@ -9,16 +9,30 @@ import (
 )
 
 // refDigest is the map-based q-digest this package shipped before the
-// flat layout, kept verbatim as the differential oracle: the flat
-// Digest must reproduce its encoded bytes after every operation.
+// flat layout, kept as the differential oracle: the flat Digest must
+// reproduce its encoded bytes after every operation. It states the
+// compress schedule (when a compression is due, and that a batch is
+// ingested a run of batchRun values at a time) in the plainest terms,
+// and its Compress is the loop to a pass that merges nothing — the
+// fixpoint Digest.Compress must reach without the closing pass.
 type refDigest struct {
 	logU   uint8
 	k      uint64
 	n      uint64
 	counts map[uint64]uint64 // node id (1 = root) → count
-	// dirty counts insertions since the last compress; compression is
-	// amortized over Θ(size) updates.
+	// dirty counts insertions since the last compress, base the size it
+	// left; compression is amortized over Θ(size) updates.
 	dirty uint64
+	base  int
+}
+
+// inserted counts m insertions and compresses when more have arrived
+// than the last compress left nodes (plus the slack).
+func (d *refDigest) inserted(m int) {
+	d.dirty += uint64(m)
+	if d.dirty > uint64(d.base)+compressSlack {
+		d.Compress()
+	}
 }
 
 // New returns an empty digest over [0, 2^logU) with compression factor
@@ -71,16 +85,14 @@ func (d *refDigest) Update(v uint64, w uint64) {
 	}
 	d.counts[d.leaf(v)] += w
 	d.n += w
-	d.dirty++
-	if d.dirty > uint64(len(d.counts))+16 {
-		d.Compress()
-	}
+	d.inserted(1)
 }
 
 // Compress restores the q-digest property, merging under-full sibling
 // pairs into their parents bottom-up. It runs in O(size·log size).
 func (d *refDigest) Compress() {
 	d.dirty = 0
+	defer func() { d.base = len(d.counts) }()
 	t := d.n / d.k
 	if t == 0 || len(d.counts) == 0 {
 		return
@@ -194,7 +206,7 @@ func (d *refDigest) Merge(other *refDigest) error {
 func (d *refDigest) Clone() *refDigest {
 	c := newRef(d.logU, d.k)
 	c.n = d.n
-	c.dirty = d.dirty
+	c.dirty, c.base = d.dirty, d.base
 	for id, v := range d.counts {
 		c.counts[id] = v
 	}
@@ -249,7 +261,7 @@ func (d *refDigest) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("qdigest: invalid header (logU=%d, k=%d)", logU, k)
 	}
 	out := newRef(uint8(logU), k)
-	out.n = n
+	out.n, out.base = n, m
 	maxID := uint64(1) << (uint8(logU) + 1)
 	var sum uint64
 	for i := 0; i < m; i++ {
@@ -280,45 +292,37 @@ func (d *refDigest) UnmarshalBinary(data []byte) error {
 }
 
 // UpdateBatch adds one occurrence of every value in vs (each clamped
-// into the universe). The resulting state is identical to calling
-// Update(v, 1) for each v in order: the amortized compression triggers
-// at exactly the same points, but the leaf base and clamp bound are
-// hoisted out of the loop.
+// into the universe), batchRun values at a time with one compression
+// check after each run.
 func (d *refDigest) UpdateBatch(vs []uint64) {
 	max := (uint64(1) << d.logU) - 1
-	leafBase := uint64(1) << d.logU
-	for _, v := range vs {
-		if v > max {
-			v = max
+	for len(vs) > 0 {
+		m := min(len(vs), batchRun)
+		for _, v := range vs[:m] {
+			d.counts[d.leaf(min(v, max))]++
 		}
-		d.counts[leafBase+v]++
-		d.n++
-		d.dirty++
-		if d.dirty > uint64(len(d.counts))+16 {
-			d.Compress()
-		}
+		d.n += uint64(m)
+		d.inserted(m)
+		vs = vs[m:]
 	}
 }
 
-// UpdateBatchWeighted adds Count occurrences of every value in vs,
-// where each element pairs a universe value with its weight. All
-// weights must be >= 1.
+// UpdateBatchWeighted adds Weight occurrences of every Value in vs,
+// in runs as UpdateBatch does. All weights must be >= 1.
 func (d *refDigest) UpdateBatchWeighted(vs []WeightedValue) {
 	max := (uint64(1) << d.logU) - 1
-	leafBase := uint64(1) << d.logU
 	for _, wv := range vs {
 		if wv.Weight == 0 {
 			panic("qdigest: zero-weight update")
 		}
-		v := wv.Value
-		if v > max {
-			v = max
+	}
+	for len(vs) > 0 {
+		m := min(len(vs), batchRun)
+		for _, wv := range vs[:m] {
+			d.counts[d.leaf(min(wv.Value, max))] += wv.Weight
+			d.n += wv.Weight
 		}
-		d.counts[leafBase+v] += wv.Weight
-		d.n += wv.Weight
-		d.dirty++
-		if d.dirty > uint64(len(d.counts))+16 {
-			d.Compress()
-		}
+		d.inserted(m)
+		vs = vs[m:]
 	}
 }

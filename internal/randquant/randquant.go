@@ -62,6 +62,7 @@ type Summary struct {
 	// retires all of them, so a summary that merges or decodes in a
 	// loop stops allocating blocks once this has filled.
 	free [][]float64
+	keys []uint64 // promote's sort scratch: a block's keys and the kernel's run
 }
 
 // New returns an empty summary with block size s >= 1 and a
@@ -183,12 +184,16 @@ func (s *Summary) retire(b []float64) {
 }
 
 // promote turns the first s samples of the partial buffer into a
-// level-ell block and cascades the carry.
+// level-ell block — sorted by core.SortFloats, which puts −0 before +0
+// where < would leave them in either order — and cascades the carry.
+//
+//sketch:hotpath
 func (s *Summary) promote() {
 	b := codec.Resize(s.spare(), s.s)
 	copy(b, s.partial)
 	s.partial = append(s.partial[:0], s.partial[s.s:]...)
-	sort.Float64s(b)
+	s.keys = codec.Resize(s.keys, 2*s.s)
+	core.SortFloats(b, s.keys)
 	s.carry(b, s.ell)
 }
 

@@ -52,6 +52,51 @@ func rankError(oracle *exact.Quantiles, got float64, phi float64, n int) uint64 
 	return trueRank - target
 }
 
+// A block is sorted by core.SortFloats: infinities at the ends, −0
+// before +0 whichever arrived first — so the zeros' arrival order
+// inside one block does not reach the frame — and a NaN is refused
+// before a batch inserts anything.
+func TestBlockOrdersInfinitiesAndZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	frames := make([][]byte, 2)
+	for i, vs := range [][]float64{
+		{1, 0, math.Inf(1), negZero, -1, math.Inf(-1), negZero, 0},
+		{1, negZero, math.Inf(1), 0, -1, math.Inf(-1), 0, negZero},
+	} {
+		s := New(len(vs), 1)
+		s.UpdateBatch(vs)
+		want := []float64{math.Inf(-1), -1, negZero, negZero, 0, 0, 1, math.Inf(1)}
+		if len(s.partial) != 0 || len(s.blocks) != 1 {
+			t.Fatalf("expected one promoted block, have partial %d and %d levels", len(s.partial), len(s.blocks))
+		}
+		for j, v := range s.blocks[0] {
+			if math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("block sorted as %v, want %v", s.blocks[0], want)
+			}
+		}
+		frame, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = frame
+	}
+	if !bytes.Equal(frames[0], frames[1]) {
+		t.Fatal("the zeros' arrival order changed the frame")
+	}
+	s := New(4, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NaN in a batch did not panic")
+			}
+		}()
+		s.UpdateBatch([]float64{1, 2, math.NaN(), 3, 4})
+	}()
+	if s.N() != 0 || s.Size() != 0 {
+		t.Fatalf("rejected batch left n=%d size=%d", s.N(), s.Size())
+	}
+}
+
 func TestNewPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"s=0":        func() { New(0, 1) },

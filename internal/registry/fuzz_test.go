@@ -13,7 +13,8 @@ import (
 // kind byte and payload shape is represented without naming any family
 // here) plus, per family, the emptyRuns of its empty example — long
 // tables of one-byte elements behind every early length field — and
-// any accepted frame must decode, re-encode to a canonical
+// its bigClaims — a structure of 2^28 elements claimed by every early
+// size field, with none sent — and any accepted frame must decode, re-encode to a canonical
 // fixpoint, and preserve its total weight. Every input is also decoded
 // into a pooled scratch summary that has seen whatever the fuzzer fed
 // it before — accepted frames, rejected ones, other parameters: it must
@@ -29,6 +30,9 @@ func FuzzDecodeAnyFrame(f *testing.F) {
 			f.Add(data)
 			if n == 0 {
 				for _, h := range emptyRuns(data) {
+					f.Add(h)
+				}
+				for _, h := range bigClaims(data) {
 					f.Add(h)
 				}
 			}

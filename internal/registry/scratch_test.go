@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"repro/internal/registry"
@@ -52,8 +53,8 @@ func payloadOf(frame []byte) []byte {
 // family's decoder is what meets them — the payload cut inside its
 // counter run at several depths, every early payload byte (the
 // header fields: k, seed, geometry, flags, counts) nudged three ways,
-// and emptyRuns. Some of the nudged frames are accepted: those are
-// frames of other parameters, which is the point.
+// emptyRuns and bigClaims. Some of the nudged frames are accepted:
+// those are frames of other parameters, which is the point.
 func hostileFrames(frame []byte) [][]byte {
 	payload := payloadOf(frame)
 	flipped := append([]byte(nil), frame...)
@@ -71,7 +72,8 @@ func hostileFrames(frame []byte) [][]byte {
 			out = append(out, reframe(frame, mut))
 		}
 	}
-	return append(out, emptyRuns(frame)...)
+	out = append(out, emptyRuns(frame)...)
+	return append(out, bigClaims(frame)...)
 }
 
 // emptyRuns cuts the payload at every early offset and continues it
@@ -88,6 +90,55 @@ func emptyRuns(frame []byte) [][]byte {
 		out = append(out, reframe(frame, append(mut, make([]byte, 4096)...)))
 	}
 	return out
+}
+
+// bigClaims replaces the uvarint that starts at each early payload
+// offset in turn with 2^28: wherever that is a size field — a block
+// size, a k, a width — a header that claims a structure of 2^28
+// elements without sending one. (A rangecount frame's block size once
+// sized the decoder's read run: 4 GiB for 51 bytes.)
+func bigClaims(frame []byte) [][]byte {
+	payload := payloadOf(frame)
+	var out [][]byte
+	for i := 0; i < len(payload) && i < 24; i++ {
+		_, n := binary.Uvarint(payload[i:])
+		if n <= 0 {
+			continue
+		}
+		mut := binary.AppendUvarint(append([]byte(nil), payload[:i]...), 1<<28)
+		out = append(out, reframe(frame, append(mut, payload[i+n:]...)))
+	}
+	return out
+}
+
+// TestHostileFramesAllocateLittle: a frame buys retained storage with
+// bytes it sends, not with numbers in its header. Every hostile frame
+// derived from each family's empty and small examples — a few hundred
+// bytes to 8 KiB each — is decoded into a fresh receiver and into
+// pooled scratch, accepted or not, within 1 MiB of allocation.
+func TestHostileFramesAllocateLittle(t *testing.T) {
+	for _, ent := range registry.Entries() {
+		t.Run(ent.Name(), func(t *testing.T) {
+			for _, n := range []int{0, 16} {
+				for i, h := range hostileFrames(mustEncode(t, ent, ent.Example(n))) {
+					sc := ent.GetScratch()
+					for how, decode := range map[string]func(){
+						"fresh receiver": func() { _, _ = ent.Decode(h) },
+						"pooled scratch": func() { _ = ent.DecodeInto(sc, h) },
+					} {
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						decode()
+						runtime.ReadMemStats(&after)
+						if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+							t.Fatalf("Example(%d), hostile frame %d (%d bytes), %s: decoding allocated %d bytes", n, i, len(h), how, got)
+						}
+					}
+					ent.PutScratch(sc)
+				}
+			}
+		})
+	}
 }
 
 // TestDecodeIntoDirtyScratch is the differential test of the decode

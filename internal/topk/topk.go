@@ -250,8 +250,9 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
 	// Inner frame bytes cost up to two uvarint bytes each; directory
-	// items up to ten.
-	w.Grow(3*10 + len(inner)*2 + t.k*2*10)
+	// items up to ten. Sized by the candidates held, not by k: a
+	// decoded frame may claim any k and hold none.
+	w.Grow(3*10 + len(inner)*2 + len(t.heap)*10)
 	w.Int(t.k)
 	w.Int(len(inner))
 	for _, b := range inner {
