@@ -101,16 +101,14 @@ func ExampleWindowed() {
 	})
 	for epoch := 0; epoch < 5; epoch++ {
 		if epoch > 0 {
-			w.Advance()
+			if err := w.Advance(); err != nil {
+				panic(err)
+			}
 		}
 		hot := mergesum.Item(epoch) // each epoch has its own hot item
-		for i := 0; i < 100; i++ {
-			w.Current().Update(hot, 1)
-		}
+		w.Update(func(s *mergesum.MisraGries) { s.Update(hot, 100) })
 	}
-	q, err := w.Query(2,
-		func(s *mergesum.MisraGries) *mergesum.MisraGries { return s.Clone() },
-		(*mergesum.MisraGries).Merge)
+	q, err := w.Query(2)
 	if err != nil {
 		panic(err)
 	}

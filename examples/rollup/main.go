@@ -3,11 +3,13 @@
 // over time; every "minute" the window advances, and dashboards ask
 // for the heavy hitters and the latency p99 over the last 1, 5 and 15
 // minutes. Each window answer is assembled by merging the retained
-// epoch summaries — no per-window state is ever maintained — and is
-// verified against exact computation over the same window.
+// epochs' sealed summaries with the live one — no per-window state is
+// ever maintained — and is verified against exact computation over the
+// same window.
 package main
 
 import (
+	"errors"
 	"fmt"
 
 	mergesum "repro"
@@ -37,8 +39,9 @@ func main() {
 
 	for m := 0; m < minutes; m++ {
 		if m > 0 {
-			freqW.Advance()
-			latW.Advance()
+			if err := errors.Join(freqW.Advance(), latW.Advance()); err != nil {
+				panic(err)
+			}
 		}
 		// Hot keys drift: the Zipf permutation changes every 10 min.
 		z := gen.NewZipf(5000, 1.4, uint64(m/10)+1)
@@ -50,8 +53,8 @@ func main() {
 		}
 		lats := gen.LogNormalValues(perMinute, mu, 0.5, uint64(m)+100)
 
-		freqW.Current().UpdateBatch(keys)
-		latW.Current().UpdateBatch(lats)
+		freqW.Update(func(s *mergesum.MisraGries) { s.UpdateBatch(keys) })
+		latW.Update(func(s *mergesum.Quantile) { s.UpdateBatch(lats) })
 		keyEpochs = append(keyEpochs, keys)
 		latEpochs = append(latEpochs, lats)
 	}
@@ -59,15 +62,11 @@ func main() {
 	fmt.Printf("after %d minutes (%d events/min, retaining %d epochs):\n\n", minutes, perMinute, retain)
 	fmt.Printf("%-8s %-14s %-22s %-12s %-12s\n", "window", "top key", "estimate [interval]", "p99 est", "p99 exact")
 	for _, lastN := range []int{1, 5, 15} {
-		fq, err := freqW.Query(lastN,
-			func(s *mergesum.MisraGries) *mergesum.MisraGries { return s.Clone() },
-			(*mergesum.MisraGries).Merge)
+		fq, err := freqW.Query(lastN)
 		if err != nil {
 			panic(err)
 		}
-		lq, err := latW.Query(lastN,
-			func(s *mergesum.Quantile) *mergesum.Quantile { return s.Clone() },
-			(*mergesum.Quantile).Merge)
+		lq, err := latW.Query(lastN)
 		if err != nil {
 			panic(err)
 		}

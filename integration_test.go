@@ -173,8 +173,9 @@ func TestEndToEndPipeline(t *testing.T) {
 // the sliding window the way they are designed to stack: workers
 // ingest into a Sharded summary; at each epoch boundary the shards are
 // Drained, folded into one epoch summary with mg.MergeMany semantics
-// (via MergeSequential), and stored in the Windowed ring; window
-// queries then merge epochs. Every layer is pure mergeability.
+// (via MergeSequential), and merged into the Windowed view's live
+// epoch; window queries then merge epochs. Every layer is pure
+// mergeability.
 func TestConcurrentShardedWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration soak skipped in -short mode")
@@ -193,7 +194,9 @@ func TestConcurrentShardedWindow(t *testing.T) {
 
 	for e := 0; e < epochs; e++ {
 		if e > 0 {
-			w.Advance()
+			if err := w.Advance(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		truth := exact.NewFreqTable()
 		truthByEpoch[e] = truth
@@ -222,15 +225,14 @@ func TestConcurrentShardedWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Current().Merge(epochSummary); err != nil {
+		w.Update(func(cur *mergesum.MisraGries) { err = cur.Merge(epochSummary) })
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for _, lastN := range []int{1, 2, 4} {
-		q, err := w.Query(lastN,
-			func(s *mergesum.MisraGries) *mergesum.MisraGries { return s.Clone() },
-			(*mergesum.MisraGries).Merge)
+		q, err := w.Query(lastN)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -458,6 +458,15 @@ func isIOPkg(path string) bool {
 	return strings.HasPrefix(path, "net/")
 }
 
+// lockflowOK reports whether fn's declaration carries lockflow's
+// opt-out. The annotation says "what this function does is meant to run
+// under its callers' locks", so the function's Blocking fact stops
+// there instead of tainting those callers — otherwise the one argued
+// exception would have to be repeated up every call chain.
+func (in *Info) lockflowOK(fn *types.Func) bool {
+	return HasAnnotation(in.Funcs[fn], "//sketch:lockflow-ok")
+}
+
 // noteBlocking records a blocking fact, keeping the most severe class.
 func (s *Summary) noteBlocking(class, via string, pos token.Pos) {
 	if blockingRank[class] > blockingRank[s.Blocking] {
@@ -509,7 +518,7 @@ func (in *Info) propagate(fn *types.Func, fd *ast.FuncDecl) bool {
 			if cs.ReadsWire && !s.ReadsWire {
 				s.ReadsWire, changed = true, true
 			}
-			if cs.Blocking != "" && blockingRank[cs.Blocking] > blockingRank[s.Blocking] {
+			if cs.Blocking != "" && !in.lockflowOK(callee) && blockingRank[cs.Blocking] > blockingRank[s.Blocking] {
 				via := callee.Name()
 				if cs.BlockingVia != "" {
 					via += " → " + cs.BlockingVia

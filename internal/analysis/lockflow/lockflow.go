@@ -21,7 +21,10 @@
 // folded within the package). Encode is deliberately not banned: the
 // snapshot cache encodes under the slot lock by design, and encoding
 // writes to a pooled in-memory buffer. A function may opt out with a
-// `//sketch:lockflow-ok` doc-comment line.
+// `//sketch:lockflow-ok` doc-comment line: its body is not checked, and
+// callers that hold a lock across a call to it are not tainted by what
+// it does (the taint stops at the annotation; the callers' own bodies
+// stay checked).
 package lockflow
 
 import (
@@ -43,14 +46,19 @@ var Analyzer = &analysis.Analyzer{
 Carries a may-held lock set through each function and reports decode,
 I/O, channel and pool-get operations reachable while a mutex is held,
 including through same-package helpers. Opt out per function with
-//sketch:lockflow-ok.`,
+//sketch:lockflow-ok, which also clears the function for locked callers.`,
 	Run: run,
 }
+
+// optOut exempts a function's body and, at its call sites, clears
+// locked callers of what it does (flow's summary table stops the
+// taint at the same annotation).
+const optOut = "//sketch:lockflow-ok"
 
 func run(pass *analysis.Pass) error {
 	in := flow.Of(pass)
 	for _, fd := range in.Funcs {
-		if flow.HasAnnotation(fd, "//sketch:lockflow-ok") {
+		if flow.HasAnnotation(fd, optOut) {
 			continue
 		}
 		c := &checker{in: in, pass: pass, reported: map[string]bool{}}
@@ -243,7 +251,7 @@ func (c *checker) classify(call *ast.CallExpr) (class string, sev analysis.Sever
 	}
 
 	// Same-package callees through the summary table.
-	if callee, cs := c.in.FuncOf(call); cs != nil && cs.Blocking != "" {
+	if callee, cs := c.in.FuncOf(call); cs != nil && cs.Blocking != "" && !flow.HasAnnotation(c.in.Funcs[callee], optOut) {
 		via := callee.Name()
 		if cs.BlockingVia != "" {
 			via += " → " + cs.BlockingVia

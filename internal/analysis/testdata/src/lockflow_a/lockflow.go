@@ -142,3 +142,35 @@ func cleanMergeUnderLock(p *plane, src *mergeable) {
 	}
 	p.cur.Merge(src)
 }
+
+// rollUpLocked is the window-plane roll-up shape: a decode that is
+// argued to belong under the lock (the block must be stored before its
+// seal is visible). The annotation clears the body and stops the taint
+// here, so the locked caller below is clean for this call — and only
+// for this call.
+//
+//sketch:lockflow-ok
+func rollUpLocked(data []byte) error {
+	_, err := codec.DecodeFrame(codec.KindGK, data)
+	return err
+}
+
+// cleanAnnotatedCallee holds the lock across the annotated helper (no
+// report) and across an unannotated one that reaches it through a
+// plain wrapper (no report either: the taint stopped at the
+// annotation). Its own body stays checked: the direct decode is still
+// a violation.
+func cleanAnnotatedCallee(sl *slot, data []byte) error {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if err := rollUpLocked(data); err != nil {
+		return err
+	}
+	if err := viaAnnotated(data); err != nil {
+		return err
+	}
+	_, err := codec.DecodeFrame(codec.KindGK, data) // want `decode \(DecodeFrame\) while holding sl.mu`
+	return err
+}
+
+func viaAnnotated(data []byte) error { return rollUpLocked(data) }

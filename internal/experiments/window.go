@@ -32,21 +32,22 @@ func runE17(cfg Config) Result {
 	streams := make([][]core.Item, 0, epochs)
 	for e := 0; e < epochs; e++ {
 		if e > 0 {
-			w.Advance()
+			if err := w.Advance(); err != nil {
+				panic(err)
+			}
 		}
 		// The item distribution drifts across epochs: heavy items of
 		// epoch e are light in epoch e+3, so windows genuinely differ.
 		stream := gen.NewZipf(perEpoch/10, 1.4, cfg.Seed+uint64(e%3)*7+uint64(e)).Stream(perEpoch)
 		streams = append(streams, stream)
-		cur := w.Current()
-		for _, x := range stream {
-			cur.Update(x, 1)
-		}
+		w.Update(func(cur *mg.Summary) {
+			for _, x := range stream {
+				cur.Update(x, 1)
+			}
+		})
 	}
 	for _, last := range lasts {
-		q, err := w.Query(last,
-			func(s *mg.Summary) *mg.Summary { return s.Clone() },
-			(*mg.Summary).Merge)
+		q, err := w.Query(last)
 		if err != nil {
 			panic(err)
 		}

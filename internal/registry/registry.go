@@ -24,6 +24,7 @@ package registry
 import (
 	"encoding"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"repro/internal/codec"
@@ -84,6 +85,7 @@ type Entry struct {
 	mergeLow   func(dst, src any) error // nil without a distinct variant
 	n          func(any) uint64
 	owns       func(any) bool // reports a value of the family's summary type
+	typ        reflect.Type   // the summary's pointer type, *T
 	// scratch pools decode targets, which keep their storage between
 	// frames (see DecodeInto). Two rules make that safe, both checked
 	// for every family by this package's tests: every merge in this
@@ -227,6 +229,7 @@ func Register[T any, PT Codec[T]](kind codec.Kind, name string, spec Spec[T]) {
 		mergePODS:  func(d, s any) error { return spec.Merge(d.(*T), s.(*T)) },
 		n:          func(v any) uint64 { return spec.N(v.(*T)) },
 		owns:       func(v any) bool { p, ok := v.(*T); return ok && p != nil },
+		typ:        reflect.TypeFor[*T](),
 	}
 	if spec.MergeLowError != nil {
 		e.mergeLow = func(d, s any) error { return spec.MergeLowError(d.(*T), s.(*T)) }
@@ -247,6 +250,19 @@ func ByKind(k codec.Kind) (*Entry, bool) {
 func ByName(name string) (*Entry, bool) {
 	e, ok := byName[name]
 	return e, ok
+}
+
+// ByType returns the entry whose summary type is S — the pointer type
+// the family registered, e.g. *mg.Summary — for callers that hold the
+// type and not the name (the typed window view).
+func ByType[S any]() (*Entry, bool) {
+	typ := reflect.TypeFor[S]()
+	for _, e := range byKind {
+		if e != nil && e.typ == typ {
+			return e, true
+		}
+	}
+	return nil, false
 }
 
 // Entries returns every registered entry in ascending tag order.

@@ -228,6 +228,86 @@ func TestClusterWindowReads(t *testing.T) {
 	}
 }
 
+// TestClusterWindowCanonical: a QWINC over a sealed range, asked right
+// after the seal that completes a roll-up block on every node — no wait
+// and no retry, there is nothing to wait for — is byte-identical from
+// every node for all 13 kinds, and is exactly the member-order reduce of
+// each node's canonical answer: two loose epochs and that node's block,
+// folded from its own four epoch frames.
+func TestClusterWindowCanonical(t *testing.T) {
+	ladder := window.Ladder{Fan: 4, Levels: 2}
+	addrs, servers, stop := startPeerClusterWith(t, 3, 2*time.Second, 1, func(s *Server) { s.SetWindow(ladder, 0) })
+	defer stop()
+	var conns []*Client
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for _, addr := range addrs {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c)
+	}
+	// Eight epochs: the last seal closes block [5,8], so [3,8] is two
+	// loose epochs and a block nested inside one reduce.
+	for epoch := 1; epoch <= 8; epoch++ {
+		for _, ent := range registry.Entries() {
+			for node, c := range conns {
+				f, err := ent.Encode(ent.Example(97*epoch + 211*node + 40))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Push("cc-"+ent.Name(), ent.Name(), rawSummary(f)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, s := range servers {
+			s.AdvanceWindows()
+		}
+	}
+	for _, ent := range registry.Entries() {
+		t.Run(ent.Name(), func(t *testing.T) {
+			slot := "cc-" + ent.Name()
+			reduce := func(frames ...[]byte) []byte {
+				f, err := window.ReduceEncoded(ent, frames)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			var want [][]byte // per node: the canonical answer for [3,8]
+			for _, c := range conns {
+				var epochs [][]byte // [e, e] is one level-0 piece, returned as sealed
+				for e := uint64(3); e <= 8; e++ {
+					_, f, err := c.QueryWindowFrame(slot, e, e)
+					if err != nil {
+						t.Fatal(err)
+					}
+					epochs = append(epochs, f)
+				}
+				want = append(want, reduce(epochs[0], epochs[1], reduce(epochs[2:]...)))
+			}
+			_, canonical, err := cluster.ReduceEncoded(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range conns {
+				_, got, err := c.QueryWindowClusterFrame(slot, 3, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, canonical) {
+					t.Fatalf("node %d answers QWINC [3,8] with %d bytes, the canonical fold has %d", i, len(got), len(canonical))
+				}
+			}
+		})
+	}
+}
+
 // TestClusterWindowPartialResult: QWINC over a dead peer is the same
 // partial-result error PULLC gives, naming the peer.
 func TestClusterWindowPartialResult(t *testing.T) {

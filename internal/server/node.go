@@ -141,6 +141,9 @@ type Node struct {
 	// so one wall-clock origin + tick maps times to epochs for every
 	// slot regardless of when the slot first appeared.
 	winEpoch atomic.Uint64
+	// sealErrs counts plane Advances that returned an error — a seal or
+	// a roll-up that failed — for METRICS (window.seal_errors).
+	sealErrs atomic.Uint64
 
 	// stats is the per-kind operation tally, indexed by wire tag.
 	stats [codec.KindCount]kindCounters
@@ -183,13 +186,9 @@ func (n *Node) SetIngestFront(lanes int, tick time.Duration) {
 // and every QWIN would answer "slot is empty", which a cluster fan-in
 // counts as no data. Call before serving.
 func (n *Node) SetWindow(l window.Ladder, tick time.Duration) error {
-	// NewPlane is the ladder's validator; the probe binds no family and
-	// is dropped at once.
-	probe, err := window.NewPlane(nil, nil, l)
-	if err != nil {
+	if err := l.Validate(); err != nil {
 		return err
 	}
-	probe.Close()
 	n.windowed = true
 	n.winLadder = l
 	n.winTick = tick
@@ -442,21 +441,22 @@ func (n *Node) FlushFronts() {
 	}
 }
 
-// AdvanceWindows seals the live epoch of every windowed slot's plane,
-// absorbing lane-parked ingest first so front-mode pushes land in the
-// epoch that was open when they arrived, and advances the node-wide
-// epoch sequence. The epoch ticker calls this every tick; tests call
-// it directly for deterministic epochs.
+// AdvanceWindows seals the live epoch of every windowed slot's plane
+// (roll-ups included: they are part of the seal), absorbing lane-parked
+// ingest first so front-mode pushes land in the epoch that was open
+// when they arrived, and advances the node-wide epoch sequence. The
+// epoch ticker calls this every tick; tests call it directly for
+// deterministic epochs.
 func (n *Node) AdvanceWindows() {
 	for _, sl := range n.snapshotSlots() {
 		n.flushFront(sl)
 		sl.mu.Lock()
 		pl := sl.plane
 		sl.mu.Unlock()
-		if pl != nil {
-			// A seal error is retained in the plane's own stats; the
-			// epoch still turns over.
-			_ = pl.Advance()
+		// The plane's epoch turns over even when sealing or rolling up
+		// fails; nothing retains the error but this count.
+		if pl != nil && pl.Advance() != nil {
+			n.sealErrs.Add(1)
 		}
 	}
 	n.winEpoch.Add(1)
@@ -552,35 +552,17 @@ func (n *Node) Rows() []SlotRow {
 	return rows
 }
 
-// Reset drops the named slot, stopping its roll-up worker; its history
-// dies with the slot.
+// Reset drops the named slot; its window history dies with it.
 func (n *Node) Reset(name string) {
 	n.mu.Lock()
-	sl := n.slots[name]
 	delete(n.slots, name)
 	n.mu.Unlock()
-	if sl != nil {
-		sl.mu.Lock()
-		if sl.plane != nil {
-			sl.plane.Close()
-		}
-		sl.mu.Unlock()
-	}
 }
 
-// CloseSlots stops every slot's roll-up worker. Sealed segments stay
-// queryable until the node is dropped.
-func (n *Node) CloseSlots() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, sl := range n.slots {
-		sl.mu.Lock()
-		if sl.plane != nil {
-			sl.plane.Close()
-		}
-		sl.mu.Unlock()
-	}
-}
+// CloseSlots does nothing: planes own nothing to stop. Kept only
+// because benchmark/probe.go and benchmark/wl_window.go call it
+// (ROADMAP item 1 deletes it with them).
+func (n *Node) CloseSlots() {}
 
 // KindStats is one family's METRICS view.
 type KindStats struct {

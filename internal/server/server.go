@@ -321,10 +321,9 @@ func (s *Server) untrack(conn net.Conn) {
 // Close stops the server now: it stops accepting, hangs up the idle
 // links it keeps to its peers and every connection it still holds —
 // clients' and the idle links its peers keep to it alike, so Serve
-// returns without waiting for anyone else to hang up first — and closes
-// the roll-up planes so their background workers exit; sealed segments
-// stay queryable until the server is dropped. For an orderly drain use
-// Shutdown.
+// returns without waiting for anyone else to hang up first. Slots and
+// their roll-up planes own nothing to stop and stay readable until the
+// server is dropped. For an orderly drain use Shutdown.
 func (s *Server) Close() {
 	select {
 	case <-s.closed:
@@ -344,7 +343,6 @@ func (s *Server) Close() {
 	for conn := range conns {
 		conn.Close()
 	}
-	s.CloseSlots()
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
@@ -574,6 +572,7 @@ func (s *Server) cmdMetrics(w *bufio.Writer) {
 			row{"window.epoch", s.Epoch()},
 			row{"window.origin_unix_ns", uint64(s.winOrigin.Load())},
 			row{"window.tick_ns", uint64(s.winTick)},
+			row{"window.seal_errors", s.sealErrs.Load()},
 		)
 	}
 	fmt.Fprintf(w, "OK %d\n", len(rows))

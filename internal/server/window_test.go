@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -204,5 +205,71 @@ func TestSetWindowRejectsInvalidLadder(t *testing.T) {
 	}
 	if err := NewNode().SetWindow(window.Ladder{}, 0); err != nil {
 		t.Errorf("zero ladder (the default shape) rejected: %v", err)
+	}
+}
+
+// refusingEntry is a registry entry whose Encode can be made to fail.
+type refusingEntry struct {
+	*registry.Entry
+	refuse bool
+}
+
+func (r *refusingEntry) Encode(v any) ([]byte, error) {
+	if r.refuse {
+		return nil, errors.New("encode refused")
+	}
+	return r.Entry.Encode(v)
+}
+
+// TestSealErrorsReachMetrics: a plane whose seal fails is counted by
+// the node and served as window.seal_errors — 0 on a healthy node — and
+// the epoch turns over all the same.
+func TestSealErrorsReachMetrics(t *testing.T) {
+	s, addr, stop := startWindowedServer(t, window.Ladder{Fan: 4, Levels: 2}, 0)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sealErrors := func() uint64 {
+		t.Helper()
+		m, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, ok := m["window.seal_errors"]
+		if !ok {
+			t.Fatal("window.seal_errors not served by a windowed node")
+		}
+		return n
+	}
+	pushMG(t, c, "flows", 1, 10)
+	s.AdvanceWindows()
+	if n := sealErrors(); n != 0 {
+		t.Fatalf("window.seal_errors = %d on a healthy node", n)
+	}
+
+	// Swap the slot's plane for one over an entry that refuses to encode.
+	ent, _ := registry.ByName("mg")
+	bad := &refusingEntry{Entry: ent}
+	pl, err := window.NewPlane(bad, nil, window.Ladder{Fan: 4, Levels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.StartAt(s.Epoch())
+	sl := s.getSlot("flows")
+	sl.mu.Lock()
+	sl.plane = pl
+	sl.mu.Unlock()
+	pushMG(t, c, "flows", 2, 5)
+	bad.refuse = true
+	s.AdvanceWindows()
+	bad.refuse = false
+	if n := sealErrors(); n != 1 {
+		t.Fatalf("window.seal_errors = %d after one failed seal, want 1", n)
+	}
+	if pl.Epoch() != s.Epoch() {
+		t.Fatalf("plane epoch %d fell behind the node's %d after a failed seal", pl.Epoch(), s.Epoch())
 	}
 }

@@ -5,8 +5,8 @@ import "fmt"
 // Ladder is the shape of a multi-resolution roll-up plane: Levels
 // geometric resolutions where a level-ℓ segment summarizes Fan^ℓ
 // consecutive epochs. Level 0 holds one sealed segment per epoch;
-// sealing the last epoch of a fan-aligned block enqueues a roll-up
-// merge that materializes the block's summary one level up. With the
+// sealing the last epoch of a fan-aligned block rolls the block up: its
+// summary is materialized one level up as part of that seal. With the
 // default 8×3 ladder a segment covers 1, 8 or 64 epochs — at a 1s
 // epoch tick, roughly per-second, coarse-minute and coarse-hour
 // resolutions.
@@ -42,10 +42,15 @@ func (l Ladder) span(level int) uint64 {
 
 // DefaultHorizon is the retention applied when Horizon does not name
 // a level: each level keeps 4·Fan of its own segments' worth of
-// epochs, so roll-up sources always outlive the merge that consumes
-// them and covers can mix a level with its neighbours near the edges.
+// epochs, so covers can mix a level with its neighbours near the edges.
 func (l Ladder) DefaultHorizon(level int) uint64 {
 	return 4 * uint64(l.Fan) * l.span(level)
+}
+
+// Validate reports whether NewPlane accepts the shape.
+func (l Ladder) Validate() error {
+	_, err := l.normalize()
+	return err
 }
 
 // normalize validates the shape and fills unset horizons.
@@ -80,7 +85,7 @@ func (l Ladder) normalize() (Ladder, error) {
 // Segment is one sealed, immutable piece of the plane: the encoded
 // summary of epochs [From, To] at the given level. Frame bytes are
 // never mutated after sealing, so segments are shared freely between
-// the store, the planner, in-flight roll-ups and the query cache.
+// the store, the planner, roll-ups and the query cache.
 type Segment struct {
 	Level    int
 	From, To uint64 // inclusive epoch range, To-From+1 == span(Level)

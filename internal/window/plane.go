@@ -1,15 +1,18 @@
-// Multi-resolution roll-up plane. A Plane owns a live epoch summary
-// and a Ladder of sealed, encoded segments: Advance seals the live
-// epoch into a level-0 segment and — whenever that completes a
-// fan-aligned block — enqueues background roll-up merges that
-// materialize the block one level up. Queries over an arbitrary
-// sealed epoch range are planned as the minimal segment cover
-// (O(log n) pieces) and reduced through Reduce, so "p99
-// over the last hour" at a 1s tick is a handful of frozen-segment
-// merges instead of ~3600 per-epoch ones. Correctness is pure
-// PODS'12 mergeability: every segment carries the single-summary
-// guarantee over its epochs' stream, for any merge order and any
-// roll-up topology.
+// Package window turns any mergeable summary into a windowed summary
+// over tumbling epochs, with one engine: the multi-resolution roll-up
+// plane. A Plane owns a live epoch summary and a Ladder of sealed,
+// encoded segments: Advance seals the live epoch into a level-0
+// segment and — whenever that completes a fan-aligned block — rolls
+// the block up one level, before the seal is visible to any query, so
+// the sealed set is always complete and an answer is a function of the
+// query and what was written, never of timing. Queries over an
+// arbitrary sealed epoch range are planned as the minimal segment
+// cover (O(log n) pieces) and reduced through Reduce, so "p99 over the
+// last hour" at a 1s tick is a handful of frozen-segment merges
+// instead of ~3600 per-epoch ones. Windowed is the typed library view
+// over a one-level plane. Correctness is pure PODS'12 mergeability:
+// every segment carries the single-summary guarantee over its epochs'
+// stream, for any merge order and any roll-up topology.
 package window
 
 import (
@@ -24,12 +27,10 @@ import (
 // let such a plane contribute nothing.
 var ErrNoData = errors.New("window: nothing summarized")
 
-// Ops is the family-erased summary surface the plane needs; the
-// registry's *Entry satisfies it, so a server (or test) hands a
-// catalog entry straight to NewPlane and the whole plane is
-// registry-driven — every registered family gets multi-resolution
-// windows with zero per-family code. Declaring the interface here
-// keeps window free of a registry dependency.
+// Ops is the family-erased summary surface the plane and Reduce need;
+// the registry's *Entry satisfies it, so a server hands a catalog
+// entry straight to NewPlane and every registered family gets
+// multi-resolution windows with zero per-family code.
 type Ops interface {
 	Name() string
 	New() any
@@ -45,29 +46,20 @@ type Ops interface {
 type PlaneStats struct {
 	Epoch       uint64 // live epoch sequence number
 	Segments    []int  // sealed segments per level
-	Pending     int    // queued roll-up jobs
-	Rollups     uint64 // roll-up merges completed
-	RollupErrs  uint64 // roll-up merges dropped on error
 	CacheHits   uint64
 	CacheMisses uint64
-}
-
-// rollupJob asks the background worker to materialize the level
-// segment covering [from, from+span-1] from its level-1 children.
-type rollupJob struct {
-	level int
-	from  uint64
 }
 
 // queryKey identifies one planned cover in the result cache.
 type queryKey struct{ from, to uint64 }
 
-// queryEnt is one cached query result. Fully-sealed ranges are
-// immutable — segments never change after sealing, so the merged
-// frame stays the correct answer for its range as long as it is
-// cached. Ranges that include the live epoch are additionally pinned
-// to the live-mutation version, mirroring the server's PULL snapshot
-// cache: any Absorb/Update/Advance bump invalidates them.
+// queryEnt is one cached query result. A fully-sealed range is
+// immutable — Advance stores everything a seal adds before any query
+// can see the seal, and a cover is a function of the stored set — so
+// its merged frame is the answer, cached or recomputed. Ranges that
+// include the live epoch are additionally pinned to the live-mutation
+// version, mirroring the server's PULL snapshot cache: any
+// Absorb/Update/Advance bump invalidates them.
 type queryEnt struct {
 	live    uint64 // liveVer at compute time (live ranges only)
 	hasLive bool
@@ -80,58 +72,44 @@ type queryEnt struct {
 const maxCachedQueries = 128
 
 // Plane is a multi-resolution windowed summary. It is safe for
-// concurrent use: Absorb/Update/Advance/Query may race each other and
-// the background roll-up worker.
+// concurrent use: Absorb/Update/Advance/Query may race each other. It
+// owns no goroutine and needs no shutdown: drop it and it is gone.
 type Plane struct {
 	ops    Ops
 	ladder Ladder
 	mk     func(epoch uint64) any // optional live-epoch constructor
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signals the worker and Quiesce; set once at construction
 	store   *segStore
 	cur     any    // live epoch summary; nil until first Absorb/Update
 	now     uint64 // live epoch sequence number, starts at 1
 	liveVer uint64 // bumps on every live-epoch mutation and Advance
-	pending []rollupJob
-	inRoll  bool // worker is executing a job
-	closed  bool
 
 	cache map[queryKey]queryEnt
 
-	rollups    uint64
-	rollupErrs uint64
-	lastErr    error
-	hits       uint64
-	misses     uint64
+	hits   uint64
+	misses uint64
 }
 
-// NewPlane returns a running plane over the given summary surface and
-// ladder shape. mk constructs the live epoch's summary on first
-// update and may be nil when every summary arrives through Absorb
-// (the server's shape: the first absorbed summary becomes the live
-// accumulator). The zero Ladder selects DefaultLadder. The background
-// roll-up worker starts immediately; Close stops it.
+// NewPlane returns a plane over the given summary surface and ladder
+// shape. mk constructs the live epoch's summary on first update and
+// may be nil when every summary arrives through Absorb (the server's
+// shape: the first absorbed summary becomes the live accumulator). The
+// zero Ladder selects DefaultLadder.
 func NewPlane(ops Ops, mk func(epoch uint64) any, l Ladder) (*Plane, error) {
 	nl, err := l.normalize()
 	if err != nil {
 		return nil, err
 	}
-	p := &Plane{
+	return &Plane{
 		ops:    ops,
 		ladder: nl,
 		mk:     mk,
 		store:  newSegStore(nl),
 		now:    1,
 		cache:  map[queryKey]queryEnt{},
-	}
-	p.cond = sync.NewCond(&p.mu)
-	go p.rollWorker()
-	return p, nil
+	}, nil
 }
-
-// Ladder returns the normalized ladder shape.
-func (p *Plane) Ladder() Ladder { return p.ladder }
 
 // StartAt aligns a fresh plane's live epoch with an external epoch
 // sequence: a plane bound to a slot after its server has already
@@ -174,35 +152,26 @@ func (p *Plane) Update(f func(cur any)) {
 // Absorb folds an already-built summary into the live epoch: the
 // first summary becomes the live accumulator (ownership transfers to
 // the plane and consumed is true), later ones are merged in and may
-// be recycled by the caller. This merge runs under the window lock by
-// design — it is the documented-legal critical-section shape (see the
-// lockflow fixture): merging is pure in-memory folding with no
-// decode, I/O or blocking, exactly like the ingest front's
-// lane-absorb path.
+// be recycled by the caller. The merge runs under the plane lock by
+// design — the legal critical-section shape of the lockflow fixture:
+// pure in-memory folding, no decode, I/O or blocking.
 func (p *Plane) Absorb(src any) (consumed bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.liveVer++ // whatever happens: a failed merge may have half-mutated the live summary
 	if p.cur == nil {
 		p.cur = src
-		p.liveVer++
 		return true, nil
 	}
-	if err := p.ops.Merge(p.cur, src); err != nil {
-		p.liveVer++ // a failed merge may have partially mutated the live summary
-		return false, err
-	}
-	p.liveVer++
-	return false, nil
+	return false, p.ops.Merge(p.cur, src)
 }
 
 // AbsorbClone folds src into the live epoch without ever taking
 // ownership: the caller keeps src (and may keep mutating or recycle
 // it). When the live accumulator does not exist yet, src is cloned by
-// a codec roundtrip — outside the lock, per the lock discipline's
-// no-decode-under-mutex rule — and the clone adopts src's shape the
-// way the server's slots adopt their first push's. The cold path runs
-// once per plane lifetime plus once per epoch turn-over; every other
-// call is Absorb's plain merge-under-the-window-lock.
+// a codec roundtrip — outside the lock — and the clone adopts src's
+// shape the way the server's slots adopt their first push's. That cold
+// path runs once per epoch; every other call is Absorb's plain merge.
 func (p *Plane) AbsorbClone(src any) error {
 	p.mu.Lock()
 	if p.cur != nil {
@@ -232,154 +201,110 @@ func (p *Plane) AbsorbClone(src any) error {
 }
 
 // Advance seals the live epoch as a level-0 segment (empty epochs
-// seal nothing), enqueues the roll-up merges the seal completes, and
-// opens the next epoch. Encoding the sealed summary happens under the
-// plane lock — the same deliberate choice as the server's snapshot
-// cache: encode writes to a pooled in-memory buffer and keeps the
-// seal atomic with the epoch turn-over.
+// seal nothing), rolls up — finest level first — every fan-aligned
+// block that seal completes, and opens the next epoch, all under the
+// plane lock: no query sees a seal without its roll-ups, so the
+// planner's "coarsest available segment" is the canonical aligned
+// cover and a sealed range reduces through the same merge tree — to
+// the same bytes — on every read, cached or not, on every node that
+// saw the same writes. Encoding under the lock is the same deliberate
+// choice as the server's snapshot cache: it writes to a pooled
+// in-memory buffer and keeps the seal atomic with the turn-over.
+//
+// The epoch turns over whatever fails, and every failure is returned
+// (joined). A failed seal loses that epoch; the blocks it closes are
+// still built from the epochs that did seal, which is all there will
+// ever be of them. A failed roll-up stops the cascade: no coarser
+// block is built over a hole its finer segments still fill.
 func (p *Plane) Advance() error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	sealed := p.now
-	var sealErr error
-	if p.cur != nil && p.ops.N(p.cur) > 0 {
-		frame, err := p.ops.Encode(p.cur)
-		if err != nil {
-			sealErr = fmt.Errorf("window: sealing epoch %d: %w", sealed, err)
-		} else {
-			seg := &Segment{Level: 0, From: sealed, To: sealed, N: p.ops.N(p.cur), Frame: frame}
-			if err := p.store.put(seg); err != nil {
-				sealErr = err
+	var sealErr, rollErr error
+	if p.cur != nil {
+		if n := p.ops.N(p.cur); n > 0 {
+			frame, err := p.ops.Encode(p.cur)
+			if err == nil {
+				err = p.store.put(&Segment{Level: 0, From: sealed, To: sealed, N: n, Frame: frame})
+			}
+			if err != nil {
+				sealErr = fmt.Errorf("window: sealing epoch %d: %w", sealed, err)
 			}
 		}
-	}
-	// The live summary is recycled through the registry pool: the
-	// sealed frame fully captures it, and scratch targets are fully
-	// replaced by DecodeInto.
-	if p.cur != nil {
+		// Recycled through the registry pool: the sealed frame captures
+		// it, and DecodeInto fully replaces a scratch target.
 		p.ops.PutScratch(p.cur)
 		p.cur = nil
 	}
 	p.now++
 	p.liveVer++
-	// A seal that completes a fan-aligned block enqueues its roll-up;
-	// jobs are queued finest-first so a cascading boundary (epoch 64
-	// completing both an 8-block and a 64-block) builds level 1 before
-	// level 2 consumes it.
-	if sealErr == nil {
-		for level := 1; level < p.ladder.Levels; level++ {
-			span := p.ladder.span(level)
-			if sealed%span == 0 {
-				p.pending = append(p.pending, rollupJob{level: level, from: sealed - span + 1})
-			}
+	// Spans nest, so the levels this seal closes a block at are a
+	// prefix; finest first, because a cascading boundary (epoch 64 closes
+	// an 8-block and a 64-block) builds level 2 from the level-1 segment
+	// it just stored.
+	for level := 1; level < p.ladder.Levels; level++ {
+		span := p.ladder.span(level)
+		if sealed%span != 0 {
+			break
+		}
+		if rollErr = p.rollUp(level, sealed-span+1); rollErr != nil {
+			break
 		}
 	}
 	p.store.evict(p.now)
-	if len(p.cache) > 0 {
-		// Live-range entries are now stale; sealed-range entries stay
-		// correct but cheap to drop with them.
-		p.dropLiveEntries()
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	return sealErr
-}
-
-// dropLiveEntries removes cache entries pinned to the live epoch.
-func (p *Plane) dropLiveEntries() {
+	// Live-range answers are stale now; sealed-range ones stay correct.
 	for k, e := range p.cache {
 		if e.hasLive {
 			delete(p.cache, k)
 		}
 	}
+	return errors.Join(sealErr, rollErr)
 }
 
-// rollWorker is the background roll-up goroutine: it pops queued jobs
-// and materializes coarse segments, doing all decode/merge/encode
-// work outside the plane lock so sealing and queries never wait on a
-// roll-up.
-func (p *Plane) rollWorker() {
-	p.mu.Lock()
-	for {
-		for len(p.pending) == 0 && !p.closed {
-			p.cond.Wait()
+// rollUp stores the level segment covering [from, from+span-1],
+// reduced from its sealed level-1 children in ascending epoch order; a
+// block with no sealed child was empty and stores nothing. Called by
+// Advance with p.mu held, and the one place a decode under that lock is
+// the design: the block has to be stored before the seal completing it
+// is visible, or a sealed range's answer depends on who got there
+// first. The hold is one block's fold — ≤ Fan decode+merges and an
+// encode: ≈ 45–85 µs for small mg frames, ≲ 0.8 ms for eight
+// aggregator-size qdigest frames — once per Fan epochs per level, and
+// it blocks only this plane's writers and cache-missing window reads;
+// PULL never takes this lock.
+//
+//sketch:lockflow-ok
+func (p *Plane) rollUp(level int, from uint64) error {
+	childSpan := p.ladder.span(level - 1)
+	children := make([][]byte, 0, p.ladder.Fan)
+	var n uint64
+	for i := 0; i < p.ladder.Fan; i++ {
+		if seg, ok := p.store.get(level-1, from+uint64(i)*childSpan); ok {
+			children = append(children, seg.Frame)
+			n += seg.N
 		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		job := p.pending[0]
-		p.pending = p.pending[1:]
-		p.inRoll = true
-		// Gather the block's sealed children while still locked;
-		// frames are immutable so the refs stay valid unlocked.
-		childSpan := p.ladder.span(job.level - 1)
-		children := make([][]byte, 0, p.ladder.Fan)
-		var n uint64
-		for i := 0; i < p.ladder.Fan; i++ {
-			if seg, ok := p.store.get(job.level-1, job.from+uint64(i)*childSpan); ok {
-				children = append(children, seg.Frame)
-				n += seg.N
-			}
-		}
-		p.mu.Unlock()
-
-		seg, err := p.rollUp(children, n, job)
-
-		p.mu.Lock()
-		switch {
-		case err != nil:
-			p.rollupErrs++
-			p.lastErr = err
-		case seg != nil:
-			if putErr := p.store.put(seg); putErr != nil {
-				p.rollupErrs++
-				p.lastErr = putErr
-			} else {
-				p.rollups++
-			}
-		}
-		p.inRoll = false
-		p.cond.Broadcast()
 	}
-}
-
-// rollUp reduces a block's sealed child frames (ascending epoch
-// order, total weight n) into the one segment the job asked for. A nil
-// segment (no children) means the whole block was empty. Called with
-// no lock held.
-func (p *Plane) rollUp(children [][]byte, n uint64, job rollupJob) (*Segment, error) {
 	if len(children) == 0 {
-		return nil, nil
+		return nil
 	}
-	to := job.from + p.ladder.span(job.level) - 1
+	to := from + p.ladder.span(level) - 1
 	frame, err := ReduceEncoded(p.ops, children)
+	if err == nil {
+		err = p.store.put(&Segment{Level: level, From: from, To: to, N: n, Frame: frame})
+	}
 	if err != nil {
-		return nil, fmt.Errorf("window: rolling up level-%d segment [%d, %d]: %w", job.level, job.from, to, err)
+		return fmt.Errorf("window: rolling up level-%d segment [%d, %d]: %w", level, from, to, err)
 	}
-	return &Segment{Level: job.level, From: job.from, To: to, N: n, Frame: frame}, nil
+	return nil
 }
 
-// Quiesce blocks until every queued roll-up has completed. Tests and
-// benchmarks use it to observe a deterministic ladder; production
-// callers never need it (queries are correct against whatever is
-// sealed, falling back to finer segments while a roll-up is in
-// flight).
-func (p *Plane) Quiesce() {
-	p.mu.Lock()
-	for (len(p.pending) > 0 || p.inRoll) && !p.closed {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
+// Quiesce does nothing — there is no background roll-up to wait for —
+// and exists only because benchmark/probe.go calls it and benchmark/
+// changes in benchmark PRs alone (ROADMAP item 1 deletes both).
+func (p *Plane) Quiesce() {}
 
-// Close stops the background worker. Pending roll-ups are abandoned;
-// sealed segments remain queryable.
-func (p *Plane) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
+// Close does nothing: a plane owns no goroutine. Kept like Quiesce.
+func (p *Plane) Close() {}
 
 // Stats snapshots the plane's counters.
 func (p *Plane) Stats() PlaneStats {
@@ -388,9 +313,6 @@ func (p *Plane) Stats() PlaneStats {
 	return PlaneStats{
 		Epoch:       p.now,
 		Segments:    p.store.count(),
-		Pending:     len(p.pending),
-		Rollups:     p.rollups,
-		RollupErrs:  p.rollupErrs,
 		CacheHits:   p.hits,
 		CacheMisses: p.misses,
 	}
@@ -445,7 +367,18 @@ func (p *Plane) resolveRange(from, to uint64) (rfrom, rto uint64, includeLive bo
 // Encode path — identical bound-wise to merging it directly, and it
 // keeps every decode outside the critical section.
 func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
+	return p.queryEncoded(from, to, 0)
+}
+
+// queryEncoded is QueryEncoded with one more way to name the range:
+// last > 0 selects the most recent `last` epochs, live one included —
+// resolved under the lock, so a racing Advance cannot slide the window
+// off its oldest epoch between a read of the clock and the plan.
+func (p *Plane) queryEncoded(from, to, last uint64) ([]byte, error) {
 	p.mu.Lock()
+	if last > 0 {
+		from, to = p.now-min(last, p.now)+1, p.now
+	}
 	rfrom, rto, includeLive, err := p.resolveRange(from, to)
 	if err != nil {
 		p.mu.Unlock()
@@ -510,8 +443,10 @@ func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 
 // Query reduces the cover of [from, to] and returns a freshly decoded
 // summary the caller owns.
-func (p *Plane) Query(from, to uint64) (any, error) {
-	frame, err := p.QueryEncoded(from, to)
+func (p *Plane) Query(from, to uint64) (any, error) { return p.query(from, to, 0) }
+
+func (p *Plane) query(from, to, last uint64) (any, error) {
+	frame, err := p.queryEncoded(from, to, last)
 	if err != nil {
 		return nil, err
 	}

@@ -10,25 +10,16 @@ type Cover struct {
 	Segments []*Segment
 }
 
-// N sums the covered segments' weights.
-func (c Cover) N() uint64 {
-	var n uint64
-	for _, s := range c.Segments {
-		n += s.N
-	}
-	return n
-}
-
 // plan decomposes the sealed epoch range [from, to] into the minimal
-// cover of available segments: at each position it takes the sealed
-// segment of the coarsest level that (a) starts aligned at the
-// position and (b) ends inside the range. Because every level
-// partitions the timeline into fan^ℓ-aligned blocks, any exact cover
-// must break at the block boundaries this greedy walk breaks at, so
-// the greedy choice of the coarsest available segment is minimal. The
-// walk is O(pieces · levels) with at most ~2·(fan−1) pieces per level
-// — O(log n) pieces for an n-epoch range instead of the O(n) per-epoch
-// merge chain.
+// cover of stored segments: at each position it takes the segment of
+// the coarsest level that (a) starts aligned at the position and (b)
+// ends inside the range. Every level partitions the timeline into
+// fan^ℓ-aligned blocks, so any exact cover must break where this
+// greedy walk breaks and the coarsest choice is minimal; and Advance
+// stores a block with the seal that completes it, so "stored" means
+// "non-empty" and the cover is the canonical aligned decomposition — a
+// function of the range and what was written. O(pieces · levels), at
+// most ~2·(fan−1) pieces per level: O(log n) for an n-epoch range.
 //
 // A position whose level-0 block is retained but unsealed was an empty
 // epoch and is skipped; a position older than every level's horizon

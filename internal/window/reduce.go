@@ -16,8 +16,8 @@ import (
 // goes back to the pool as it is) and the scratch summaries are folded
 // with mergetree.Parallel's pairing reduction, a deterministic tree:
 // the same frames in the same order reduce to the same bytes on every
-// node and at every worker count. The caller owns the result and must PutScratch it; the
-// intermediate scratch summaries are recycled here.
+// node and at every worker count. The caller owns the result and must
+// PutScratch it; the intermediates are recycled here.
 func Reduce(ops Ops, frames [][]byte) (any, error) {
 	parts := make([]any, len(frames))
 	for i, f := range frames {

@@ -13,37 +13,66 @@ import (
 
 func newMG(uint64) *mg.Summary { return mg.New(32) }
 
-func cloneMG(s *mg.Summary) *mg.Summary { return s.Clone() }
-
-func TestNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
-		}
-	}()
-	New(0, newMG)
+// addMG puts weight n of item x into the view's live epoch.
+func addMG(w *Windowed[*mg.Summary], x core.Item, n uint64) {
+	w.Update(func(s *mg.Summary) { s.Update(x, n) })
 }
 
+func mustAdvance[S any](t testing.TB, w *Windowed[S]) {
+	t.Helper()
+	if err := w.Advance(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustQuery[S any](t testing.TB, w *Windowed[S], last int) S {
+	t.Helper()
+	q, err := w.Query(last)
+	if err != nil {
+		t.Fatalf("last=%d: %v", last, err)
+	}
+	return q
+}
+
+func TestNewPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"capacity 0":        func() { New(0, newMG) },
+		"unregistered type": func() { New(3, func(uint64) *int { return new(int) }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("New with %s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// Epochs rotate out of the window: with capacity 3 at epoch 6 only
+// epochs 4, 5 and 6 are left, however much of the window is asked for.
 func TestEpochRotation(t *testing.T) {
 	w := New(3, newMG)
 	if w.Epoch() != 1 || w.Capacity() != 3 {
 		t.Fatalf("epoch=%d capacity=%d", w.Epoch(), w.Capacity())
 	}
-	for i := 0; i < 5; i++ {
-		w.Advance()
+	for e := uint64(1); e <= 6; e++ {
+		if e > 1 {
+			mustAdvance(t, w)
+		}
+		addMG(w, core.Item(e), 1<<e) // epoch e weighs 2^e
 	}
 	if w.Epoch() != 6 {
 		t.Fatalf("epoch = %d", w.Epoch())
 	}
-	got := w.Epochs()
-	want := []uint64{6, 5, 4}
-	if len(got) != len(want) {
-		t.Fatalf("Epochs = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Epochs = %v, want %v", got, want)
+	for last, want := range map[int]uint64{1: 1 << 6, 2: 1<<6 + 1<<5, 3: 1<<6 + 1<<5 + 1<<4, 6: 1<<6 + 1<<5 + 1<<4} {
+		if n := mustQuery(t, w, last).N(); n != want {
+			t.Fatalf("last=%d: N = %d, want %d", last, n, want)
 		}
+	}
+	if got := w.p.Stats().Segments[0]; got != 2 {
+		t.Fatalf("%d sealed epochs retained behind the live one, want 2", got)
 	}
 }
 
@@ -57,20 +86,18 @@ func TestWindowQueryMatchesWindowStream(t *testing.T) {
 	streams := make([][]core.Item, 0, epochs)
 	for e := 0; e < epochs; e++ {
 		if e > 0 {
-			w.Advance()
+			mustAdvance(t, w)
 		}
 		stream := gen.NewZipf(300, 1.3, uint64(e)+1).Stream(perEpoch)
 		streams = append(streams, stream)
-		cur := w.Current()
-		for _, x := range stream {
-			cur.Update(x, 1)
-		}
+		w.Update(func(cur *mg.Summary) {
+			for _, x := range stream {
+				cur.Update(x, 1)
+			}
+		})
 	}
 	for _, last := range []int{1, 2, 4} {
-		q, err := w.Query(last, cloneMG, (*mg.Summary).Merge)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := mustQuery(t, w, last)
 		if q.N() != uint64(last*perEpoch) {
 			t.Fatalf("last=%d: N=%d, want %d", last, q.N(), last*perEpoch)
 		}
@@ -92,40 +119,41 @@ func TestWindowQueryMatchesWindowStream(t *testing.T) {
 	}
 }
 
-// Querying must not disturb the retained epochs (clone semantics).
+// Querying must not disturb the retained epochs, and the caller owns
+// what it gets: mutating an answer changes neither the window nor the
+// next answer.
 func TestQueryIsNonDestructive(t *testing.T) {
 	w := New(3, newMG)
-	w.Current().Update(1, 5)
-	w.Advance()
-	w.Current().Update(2, 7)
-	before := w.Current().N()
-	if _, err := w.Query(2, cloneMG, (*mg.Summary).Merge); err != nil {
-		t.Fatal(err)
+	addMG(w, 1, 5)
+	mustAdvance(t, w)
+	addMG(w, 2, 7)
+	q1 := mustQuery(t, w, 2)
+	if q1.N() != 12 {
+		t.Fatalf("N = %d, want 12", q1.N())
 	}
-	if w.Current().N() != before {
-		t.Fatal("query modified the current epoch")
+	q1.Update(3, 100)
+	if n := mustQuery(t, w, 1).N(); n != 7 {
+		t.Fatalf("live epoch N = %d after a query, want 7", n)
 	}
-	q2, err := w.Query(2, cloneMG, (*mg.Summary).Merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2.N() != 12 {
-		t.Fatalf("repeat query N = %d, want 12", q2.N())
+	if n := mustQuery(t, w, 2).N(); n != 12 {
+		t.Fatalf("repeat query N = %d, want 12", n)
 	}
 }
 
 func TestQueryClamping(t *testing.T) {
 	w := New(2, newMG)
-	w.Current().Update(1, 3)
+	addMG(w, 1, 3)
 	// last larger than capacity and smaller than 1 both clamp.
 	for _, last := range []int{-1, 0, 1, 2, 99} {
-		q, err := w.Query(last, cloneMG, (*mg.Summary).Merge)
-		if err != nil {
-			t.Fatalf("last=%d: %v", last, err)
+		if n := mustQuery(t, w, last).N(); n != 3 {
+			t.Fatalf("last=%d: N=%d", last, n)
 		}
-		if q.N() != 3 {
-			t.Fatalf("last=%d: N=%d", last, q.N())
-		}
+	}
+	// A window nothing was written in is an empty summary, not an error.
+	mustAdvance(t, w)
+	mustAdvance(t, w)
+	if n := mustQuery(t, w, 2).N(); n != 0 {
+		t.Fatalf("empty window N = %d", n)
 	}
 }
 
@@ -134,22 +162,15 @@ func TestWindowWithQuantiles(t *testing.T) {
 	var last2 []float64
 	for e := 0; e < 6; e++ {
 		if e > 0 {
-			w.Advance()
+			mustAdvance(t, w)
 		}
 		vals := gen.UniformValues(4000, uint64(e)+10)
-		for _, v := range vals {
-			w.Current().Update(v)
-		}
+		w.Update(func(s *randquant.Summary) { s.UpdateBatch(vals) })
 		if e >= 4 {
 			last2 = append(last2, vals...)
 		}
 	}
-	q, err := w.Query(2,
-		func(s *randquant.Summary) *randquant.Summary { return s.Clone() },
-		(*randquant.Summary).Merge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := mustQuery(t, w, 2)
 	if q.N() != uint64(len(last2)) {
 		t.Fatalf("N = %d, want %d", q.N(), len(last2))
 	}
@@ -172,28 +193,22 @@ func TestPropertyWindowWeights(t *testing.T) {
 		epochWeights := make([]uint64, 0, len(weights)+1)
 		for i, wt := range weights {
 			if i > 0 {
-				w.Advance()
+				mustAdvance(t, w)
 			}
 			n := uint64(wt%9) + 1
-			w.Current().Update(core.Item(i), n)
+			addMG(w, core.Item(i), n)
 			epochWeights = append(epochWeights, n)
 		}
 		if len(epochWeights) == 0 {
-			w.Current().Update(0, 1)
+			addMG(w, 0, 1)
 			epochWeights = append(epochWeights, 1)
 		}
 		last := int(lastRaw%8) + 1
-		got, err := w.Query(last, cloneMG, (*mg.Summary).Merge)
+		got, err := w.Query(last)
 		if err != nil {
 			return false
 		}
-		eff := last
-		if eff > capacity {
-			eff = capacity
-		}
-		if eff > len(epochWeights) {
-			eff = len(epochWeights)
-		}
+		eff := min(last, capacity, len(epochWeights))
 		var want uint64
 		for _, n := range epochWeights[len(epochWeights)-eff:] {
 			want += n
@@ -202,5 +217,73 @@ func TestPropertyWindowWeights(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A repeated window query is an answer-cache hit while nothing changes
+// — no re-merge of the sealed epochs — and an update to the live epoch
+// or an Advance is never hidden by the cache.
+func TestWindowedQueryMemoization(t *testing.T) {
+	w := New(8, newMG)
+	for e := 0; e < 5; e++ {
+		addMG(w, 1, 10)
+		if e < 4 {
+			mustAdvance(t, w)
+		}
+	}
+	if n := mustQuery(t, w, 5).N(); n != 50 {
+		t.Fatalf("N = %d, want 50", n)
+	}
+	st := w.p.Stats()
+	if n := mustQuery(t, w, 5).N(); n != 50 {
+		t.Fatalf("repeat N = %d, want 50", n)
+	}
+	if got := w.p.Stats(); got.CacheHits != st.CacheHits+1 || got.CacheMisses != st.CacheMisses {
+		t.Fatalf("repeat query: cache %+v → %+v, want one more hit and no miss", st, got)
+	}
+
+	addMG(w, 2, 7)
+	if n := mustQuery(t, w, 5).N(); n != 57 {
+		t.Fatalf("post-update N = %d, want 57", n)
+	}
+	mustAdvance(t, w)
+	if n := mustQuery(t, w, 5).N(); n != 47 {
+		t.Fatalf("post-advance N = %d, want 47 (four sealed epochs of the five)", n)
+	}
+}
+
+// Window lengths are cached independently of each other.
+func TestWindowedQueryMemoPerLength(t *testing.T) {
+	w := New(8, newMG)
+	for e := 0; e < 6; e++ {
+		addMG(w, 1, 1)
+		if e < 5 {
+			mustAdvance(t, w)
+		}
+	}
+	for _, last := range []int{1, 3, 6, 3, 1} {
+		if n := mustQuery(t, w, last).N(); n != uint64(last) {
+			t.Fatalf("last=%d: N = %d", last, n)
+		}
+	}
+}
+
+func BenchmarkWindowedQueryMemoized(b *testing.B) {
+	w := New(64, newMG)
+	for e := 0; e < 64; e++ {
+		w.Update(func(s *mg.Summary) {
+			for i := 0; i < 100; i++ {
+				s.Update(core.Item(i), 1)
+			}
+		})
+		if e < 63 {
+			mustAdvance(b, w)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := w.Query(64); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -111,12 +111,16 @@ type Sharded[S any] = shard.Sharded[S]
 // NewSharded returns a Sharded with p shards built by mk.
 func NewSharded[S any](p int, mk func(shard int) S) *Sharded[S] { return shard.New(p, mk) }
 
-// Windowed turns any mergeable summary into a sliding-window summary
-// over tumbling epochs; window queries merge the retained epochs.
+// Windowed turns any summary type of this package into a
+// sliding-window summary over tumbling epochs: Update feeds the live
+// epoch, Advance seals it, Query(last) merges the most recent epochs.
+// It is a typed view over the roll-up plane summaryd serves windows
+// from, safe for concurrent use, with nothing to close.
 type Windowed[S any] = window.Windowed[S]
 
 // NewWindowed returns a Windowed retaining the most recent capacity
-// epochs, built by mk.
+// epochs (the live one included), each started by mk. S must be one of
+// this package's summary pointer types.
 func NewWindowed[S any](capacity int, mk func(epoch uint64) S) *Windowed[S] {
 	return window.New(capacity, mk)
 }
