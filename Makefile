@@ -89,15 +89,18 @@ sanitize:
 # (100 iterations keeps it a few seconds, not a measurement), the
 # ε-kernel's interior filter on its four input shapes (three 8192-point
 # chunks each), the sort kernel against slices.Sort on rotating inputs,
-# the q-digest's edge report and aggregator merge, and one decode+merge
-# of every registered family through the registry — the aggregator's
-# unit cost, which no per-family list can forget a family of; -benchmem
-# because its allocs/op column is the steady-state figure
+# the q-digest's edge report and aggregator merge, the edge report of
+# the three families whose batches collapse (and the collapse kernel
+# under them: 8192 Zipf items over 2048 keys, rotating chunks), and one
+# decode+merge of every registered family through the registry — the
+# aggregator's unit cost, which no per-family list can forget a family
+# of; -benchmem because its allocs/op column is the steady-state figure
 # TestDecodeMergeAllocs pins at <= 1.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Update -benchtime=100x .
 	$(GO) test -run='^$$' -bench=BenchmarkUpdate -benchtime=3x ./internal/kernel/
 	$(GO) test -run='^$$' -bench=SortKernel -benchtime=100x ./internal/core/
+	$(GO) test -run='^$$' -bench=UpdateBatch -benchtime=10x -benchmem ./internal/core/ ./internal/spacesaving/ ./internal/topk/ ./internal/distinct/
 	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem ./internal/qdigest/
 	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x -benchmem ./internal/registry/
 

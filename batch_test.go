@@ -4,14 +4,20 @@
 package mergesum_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	mergesum "repro"
+	"repro/internal/codec"
 	"repro/internal/exact"
 	"repro/internal/gen"
+	"repro/internal/qdigest"
 	"repro/internal/shard"
+	"repro/internal/spacesaving"
 )
 
 const batchStreamLen = 20000
@@ -55,6 +61,27 @@ type qdFP struct {
 }
 
 var qdQueries = []uint64{10, 100, 1000, 60000}
+
+// nestedSketch returns the Count-Min frame a top-k frame carries.
+func nestedSketch(t *testing.T, s *mergesum.TopK) []byte {
+	t.Helper()
+	frame, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.DecodeFrame(codec.KindTopK, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := codec.NewReader(payload)
+	r.Int() // k
+	inner := make([]byte, r.ArrayLen(1))
+	r.Uint8s(inner, 255)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return inner
+}
 
 func TestBatchEquivalence(t *testing.T) {
 	type variant struct {
@@ -149,8 +176,58 @@ func TestBatchEquivalence(t *testing.T) {
 		}
 		return fp
 	}
+	// ssFP captures what the SpaceSaving guarantee speaks about.
+	type ssFP struct {
+		n, under uint64
+		k        int
+		states   []spacesaving.CounterState
+	}
 	ssFinger := func(s *mergesum.SpaceSaving) any {
-		return fmt.Sprintf("n=%d under=%d states=%v", s.N(), s.UnderBound(), s.States())
+		return ssFP{n: s.N(), under: s.UnderBound(), k: s.K(), states: s.States()}
+	}
+	// The batch collapses each run into weighted updates, lightest first:
+	// guarantee-equivalent to the loop. Same N and UnderBound, at most k
+	// counters, no item undercounted (monitored: f ≤ count + under;
+	// unmonitored: f ≤ min + under), count − eps ≤ f for every counter,
+	// and the counts sum to N once k items are monitored, so min ≤ N/k.
+	ssGuarantee := func(truth *exact.FreqTable) func(t *testing.T, loopFP, batchFP any) {
+		return func(t *testing.T, loopAny, fpAny any) {
+			loop, fp := loopAny.(ssFP), fpAny.(ssFP)
+			if fp.n != truth.N() || fp.n != loop.n || fp.under != loop.under {
+				t.Fatalf("batch n=%d under=%d, loop n=%d under=%d, truth n=%d", fp.n, fp.under, loop.n, loop.under, truth.N())
+			}
+			if len(fp.states) > fp.k {
+				t.Fatalf("batch holds %d counters, k=%d", len(fp.states), fp.k)
+			}
+			var sum, least uint64
+			held := make(map[mergesum.Item]spacesaving.CounterState)
+			for i, st := range fp.states {
+				held[st.Item] = st
+				sum += st.Count
+				if i == 0 {
+					least = st.Count
+				}
+			}
+			if len(fp.states) == fp.k && (sum != fp.n || least > mergesum.SSBound(fp.n, fp.k)) {
+				t.Fatalf("full batch summary: counts sum to %d (n=%d), min %d (n/k=%d)", sum, fp.n, least, mergesum.SSBound(fp.n, fp.k))
+			}
+			for _, c := range truth.Counters() {
+				st, ok := held[c.Item]
+				switch {
+				case ok && st.Count+fp.under < c.Count:
+					t.Fatalf("item %d: count %d + under %d undercounts true %d", c.Item, st.Count, fp.under, c.Count)
+				case ok && st.Count-st.Eps > c.Count:
+					t.Fatalf("item %d: count %d − eps %d exceeds true %d", c.Item, st.Count, st.Eps, c.Count)
+				case !ok && least+fp.under < c.Count:
+					t.Fatalf("unmonitored item %d: min %d + under %d undercounts true %d", c.Item, least, fp.under, c.Count)
+				}
+			}
+			for x := range held {
+				if truth.Count(x) == 0 {
+					t.Fatalf("batch monitors item %d, which never occurred", x)
+				}
+			}
+		}
 	}
 	cmFinger := func(s *mergesum.CountMin) any {
 		data, err := s.MarshalBinary()
@@ -165,6 +242,54 @@ func TestBatchEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		return string(data)
+	}
+	// topkFP: N, the nested Count-Min frame (the sketch's cells), every
+	// stream item's final estimate, and the directory.
+	type topkFP struct {
+		n      uint64
+		sketch []byte
+		est    map[mergesum.Item]uint64
+		top    []mergesum.Counter
+	}
+	topkFinger := func(s *mergesum.TopK) any {
+		fp := topkFP{n: s.N(), sketch: nestedSketch(t, s), est: make(map[mergesum.Item]uint64), top: s.Top()}
+		for _, c := range freq.Counters() {
+			fp.est[c.Item] = s.Estimate(c.Item).Value
+		}
+		return fp
+	}
+	// The batch updates the sketch linearly, so its cells are the loop's
+	// byte for byte; the directory is re-ranked against the final
+	// sketch, so it holds the top k of (loop directory ∪ distinct inputs)
+	// by final estimate — ties either way — each entry carrying that
+	// estimate.
+	topkGuarantee := func(t *testing.T, loopAny, fpAny any) {
+		loop, fp := loopAny.(topkFP), fpAny.(topkFP)
+		if fp.n != loop.n || !bytes.Equal(fp.sketch, loop.sketch) {
+			t.Fatalf("batch n=%d, loop n=%d, or the sketch cells differ", fp.n, loop.n)
+		}
+		for _, c := range loop.top {
+			if _, ok := fp.est[c.Item]; !ok {
+				t.Fatalf("loop directory item %d is not an input", c.Item)
+			}
+		}
+		var all []uint64
+		for _, e := range fp.est {
+			all = append(all, e)
+		}
+		slices.Sort(all)
+		slices.Reverse(all)
+		want := all[:min(len(all), 32)]
+		var got []uint64
+		for _, c := range fp.top {
+			if fp.est[c.Item] != c.Count {
+				t.Fatalf("directory item %d carries %d, final estimate %d", c.Item, c.Count, fp.est[c.Item])
+			}
+			got = append(got, c.Count)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("batch directory estimates %v, want the top %d of the inputs' %v", got, len(want), want)
+		}
 	}
 	quantFinger := func(s interface {
 		N() uint64
@@ -235,6 +360,7 @@ func TestBatchEquivalence(t *testing.T) {
 				feedItems(func(s2 any, c []mergesum.Item) { s2.(*mergesum.SpaceSaving).UpdateBatch(c) }, s)
 				return ssFinger(s)
 			},
+			guarantee: ssGuarantee(freq),
 		},
 		{
 			name: "spacesaving/weighted",
@@ -250,6 +376,7 @@ func TestBatchEquivalence(t *testing.T) {
 				feedWeighted(func(s2 any, c []mergesum.Counter) { s2.(*mergesum.SpaceSaving).UpdateBatchWeighted(c) }, s)
 				return ssFinger(s)
 			},
+			guarantee: ssGuarantee(wfreq),
 		},
 		{
 			name: "countmin/unit",
@@ -463,13 +590,14 @@ func TestBatchEquivalence(t *testing.T) {
 				for _, x := range items {
 					s.Update(x, 1)
 				}
-				return fmt.Sprintf("n=%d top=%v", s.N(), s.Top())
+				return topkFinger(s)
 			},
 			batch: func() any {
 				s := mergesum.NewTopK(32, 512, 4, 7)
 				feedItems(func(s2 any, c []mergesum.Item) { s2.(*mergesum.TopK).UpdateBatch(c) }, s)
-				return fmt.Sprintf("n=%d top=%v", s.N(), s.Top())
+				return topkFinger(s)
 			},
+			guarantee: topkGuarantee,
 		},
 		{
 			name: "topk/weighted",
@@ -478,13 +606,14 @@ func TestBatchEquivalence(t *testing.T) {
 				for _, c := range weighted {
 					s.Update(c.Item, c.Count)
 				}
-				return fmt.Sprintf("n=%d top=%v", s.N(), s.Top())
+				return topkFinger(s)
 			},
 			batch: func() any {
 				s := mergesum.NewTopK(32, 512, 4, 7)
 				feedWeighted(func(s2 any, c []mergesum.Counter) { s2.(*mergesum.TopK).UpdateBatchWeighted(c) }, s)
-				return fmt.Sprintf("n=%d top=%v", s.N(), s.Top())
+				return topkFinger(s)
 			},
+			guarantee: topkGuarantee,
 		},
 		{
 			name: "bottomk",
@@ -556,12 +685,12 @@ func TestUpdateBatchAllocs(t *testing.T) {
 	}{
 		{"mg/k=64", onItems(mergesum.NewMisraGries(64).UpdateBatch), 0},
 		{"mg/k=1024", onItems(mergesum.NewMisraGries(1024).UpdateBatch), 0},
-		{"spacesaving/k=256", onItems(mergesum.NewSpaceSaving(256).UpdateBatch), 0},
+		{"spacesaving/k=256", onItems(mergesum.NewSpaceSaving(256).UpdateBatch), 0}, // pooled collapse
 		{"countmin/w=1024,d=4", onItems(mergesum.NewCountMin(1024, 4, 1).UpdateBatch), 0},
 		{"countsketch/w=1024,d=4", onItems(mergesum.NewCountSketch(1024, 4, 1).UpdateBatch), 0},
 		{"kmv/k=1024", onItems(mergesum.NewKMV(1024, 1).UpdateBatch), 0},
 		{"hll/p=12", onItems(mergesum.NewHLL(12, 1).UpdateBatch), 0},
-		{"topk/k=64", onItems(mergesum.NewTopK(64, 512, 4, 1).UpdateBatch), 0},
+		{"topk/k=64", onItems(mergesum.NewTopK(64, 512, 4, 1).UpdateBatch), 0}, // pooled collapse
 		{"bottomk/k=4096", onVals(mergesum.NewBottomK(4096, 1).UpdateBatch), 0},
 		{"qdigest/logU=16", onUvals(qd.UpdateBatch), 0}, // sort runs, body and compress scratch retained
 		{"gk/eps=0.01", onVals(mergesum.NewGK(0.01).UpdateBatch), 1},
@@ -569,6 +698,9 @@ func TestUpdateBatchAllocs(t *testing.T) {
 		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), 0}, // the one type's free list
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled && (strings.HasPrefix(tc.name, "spacesaving") || strings.HasPrefix(tc.name, "topk")) {
+				t.Skip("the race detector drops pooled values at random")
+			}
 			last := batchStreamLen - batchLen
 			for off := 0; off <= last; off += batchLen {
 				tc.batch(off)
@@ -580,6 +712,91 @@ func TestUpdateBatchAllocs(t *testing.T) {
 			})
 			if got > tc.max {
 				t.Fatalf("UpdateBatch of %d items: %.1f allocs per call, want <= %.0f", batchLen, got, tc.max)
+			}
+		})
+	}
+
+	// An edge report builds every summary fresh for one 8192-record
+	// chunk: the three families whose batches collapse allocate nothing
+	// there beyond what their constructor did — the collapse table and
+	// sort scratch are pooled; buckets, directory, heap and membership
+	// set are sized by New.
+	chunk := gen.NewZipf(2048, 1.1, 5).Stream(8192)
+	for _, tc := range []struct {
+		name  string
+		fresh func() func([]mergesum.Item) // New, returning its UpdateBatch
+	}{
+		{"spacesaving/fresh,k=64", func() func([]mergesum.Item) { return mergesum.NewSpaceSaving(64).UpdateBatch }},
+		{"topk/fresh,k=16", func() func([]mergesum.Item) { return mergesum.NewTopK(16, 512, 4, 11).UpdateBatch }},
+		{"kmv/fresh,k=256", func() func([]mergesum.Item) { return mergesum.NewKMV(256, 9).UpdateBatch }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled {
+				t.Skip("the race detector drops pooled values at random")
+			}
+			tc.fresh()(chunk) // warm the pool
+			built := testing.AllocsPerRun(20, func() { tc.fresh() })
+			fed := testing.AllocsPerRun(20, func() { tc.fresh()(chunk) })
+			if fed > built {
+				t.Fatalf("New + UpdateBatch of %d items: %.1f allocs; New alone: %.1f", len(chunk), fed, built)
+			}
+		})
+	}
+}
+
+// TestWeightedBatchValidatesFirst: a zero weight anywhere in a weighted
+// batch panics before the batch touches the summary, for every family
+// with a weighted batch — recovered, the summary encodes as before.
+func TestWeightedBatchValidatesFirst(t *testing.T) {
+	items := batchItemStream()[:3000]
+	bad := []mergesum.Counter{{Item: 1, Count: 5}, {Item: 2, Count: 3}, {Item: 3, Count: 0}, {Item: 4, Count: 1}}
+	type summary interface{ MarshalBinary() ([]byte, error) }
+	mgS, ssS := mergesum.NewMisraGries(8), mergesum.NewSpaceSaving(8)
+	cmS, csS := mergesum.NewCountMin(64, 3, 1), mergesum.NewCountSketch(64, 3, 1)
+	tkS, qdS := mergesum.NewTopK(4, 64, 3, 1), mergesum.NewQDigest(16, 0.05)
+	for _, x := range items {
+		mgS.Update(x, 1)
+		ssS.Update(x, 1)
+		cmS.Update(x, 1)
+		csS.Update(x, 1)
+		tkS.Update(x, 1)
+		qdS.Update(uint64(x), 1)
+	}
+	qbad := make([]qdigest.WeightedValue, len(bad))
+	for i, c := range bad {
+		qbad[i] = qdigest.WeightedValue{Value: uint64(c.Item), Weight: c.Count}
+	}
+	for _, tc := range []struct {
+		name string
+		s    summary
+		feed func()
+	}{
+		{"mg", mgS, func() { mgS.UpdateBatchWeighted(bad) }},
+		{"spacesaving", ssS, func() { ssS.UpdateBatchWeighted(bad) }},
+		{"countmin", cmS, func() { cmS.UpdateBatchWeighted(bad) }},
+		{"countsketch", csS, func() { csS.UpdateBatchWeighted(bad) }},
+		{"topk", tkS, func() { tkS.UpdateBatchWeighted(bad) }},
+		{"qdigest", qdS, func() { qdS.UpdateBatchWeighted(qbad) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, err := tc.s.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("zero weight accepted")
+					}
+				}()
+				tc.feed()
+			}()
+			after, err := tc.s.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("the batch changed the summary before it panicked")
 			}
 		})
 	}

@@ -45,11 +45,12 @@ type KMV struct {
 	// hashes holds the up-to-k smallest distinct hash values seen, as
 	// a max-heap so the largest kept value is at the root.
 	hashes []uint64
-	// member indexes hashes for offer's duplicate test. A decoded
-	// summary leaves it stale until its first offer: one that is only
+	// member indexes hashes for offer's duplicate test, which runs only
+	// for a value below the k-th minimum once k are kept. A decoded
+	// summary leaves it stale until an offer needs it: one that is only
 	// ever merged from — every pushed frame, on an aggregator — never
 	// pays for building it.
-	member map[uint64]bool
+	member hashSet
 	stale  bool
 	n      uint64 // total updates (with multiplicity), for bookkeeping
 }
@@ -60,7 +61,9 @@ func NewKMV(k int, seed uint64) *KMV {
 	if k < 2 {
 		panic("distinct: KMV needs k >= 2")
 	}
-	return &KMV{k: k, seed: seed, member: make(map[uint64]bool, k)}
+	s := &KMV{k: k, seed: seed, hashes: make([]uint64, 0, k)}
+	s.member.reset(k)
+	return s
 }
 
 // K returns the capacity.
@@ -101,37 +104,37 @@ func (s *KMV) siftDown(i int) {
 	}
 }
 
-// offer inserts a hash value if it belongs to the k smallest.
+// offer inserts a hash value if it belongs to the k smallest. Once k
+// are kept, a value at or above the k-th minimum is turned away before
+// the membership lookup — on a long stream, almost every value.
 func (s *KMV) offer(h uint64) {
+	full := len(s.hashes) >= s.k
+	if full && h >= s.hashes[0] {
+		return
+	}
 	if s.stale {
 		s.index()
 	}
-	if s.member[h] {
+	if s.member.has(h) {
 		return
 	}
-	if len(s.hashes) < s.k {
-		s.member[h] = true
-		s.hashes = append(s.hashes, h)
-		s.siftUp(len(s.hashes) - 1)
-		return
-	}
-	if h < s.hashes[0] {
-		delete(s.member, s.hashes[0])
-		s.member[h] = true
+	if full {
+		s.member.remove(s.hashes[0])
 		s.hashes[0] = h
 		s.siftDown(0)
+	} else {
+		s.hashes = append(s.hashes, h)
+		s.siftUp(len(s.hashes) - 1)
 	}
+	s.member.add(h)
 }
 
-// index rebuilds the membership map from the stored hashes.
+// index rebuilds the membership set from the stored hashes, sized by
+// what is stored: a frame's k is not a reason to allocate.
 func (s *KMV) index() {
-	if s.member == nil {
-		// Sized by what is stored: a frame's k is not a reason to allocate.
-		s.member = make(map[uint64]bool, len(s.hashes))
-	}
-	clear(s.member)
+	s.member.reset(len(s.hashes))
 	for _, h := range s.hashes {
-		s.member[h] = true
+		s.member.add(h)
 	}
 	s.stale = false
 }
@@ -191,10 +194,8 @@ func MergedKMV(a, b *KMV) (*KMV, error) {
 func (s *KMV) Clone() *KMV {
 	c := NewKMV(s.k, s.seed)
 	c.n = s.n
-	c.hashes = append([]uint64(nil), s.hashes...)
-	for _, h := range s.hashes {
-		c.member[h] = true
-	}
+	c.hashes = append(c.hashes, s.hashes...)
+	c.stale = true
 	return c
 }
 
@@ -226,7 +227,7 @@ func (s *KMV) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The hashes
 // are read in one run into the receiver's own heap storage and the
-// membership map is left for the first offer to rebuild, so a reused
+// membership set is left for the first offer to rebuild, so a reused
 // receiver (any k, any seed, any contents; the zero value too)
 // allocates nothing. A frame rejected by a header check leaves the
 // receiver untouched; one rejected later leaves it empty.

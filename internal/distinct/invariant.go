@@ -14,7 +14,7 @@ const sanitizeEnabled = true
 // debugAssertKMV panics if s violates the k-minimum-values structural
 // invariants: at most k stored hashes, max-heap order (every child ≤
 // its parent, so the root is the k-th minimum), and an exact
-// membership map (no duplicates counted, no stale entries) once it
+// membership set (no duplicates counted, no stale entries) once it
 // has been built.
 func debugAssertKMV(s *KMV) {
 	if len(s.hashes) > s.k {
@@ -27,14 +27,14 @@ func debugAssertKMV(s *KMV) {
 		}
 	}
 	if s.stale {
-		return // the map is rebuilt from the hashes at the next offer
+		return // the set is rebuilt from the hashes when an offer needs it
 	}
-	if len(s.member) != len(s.hashes) {
-		panic(fmt.Sprintf("distinct: sanitize: KMV member map has %d entries for %d hashes", len(s.member), len(s.hashes)))
+	if s.member.size() != len(s.hashes) {
+		panic(fmt.Sprintf("distinct: sanitize: KMV member set has %d entries for %d hashes", s.member.size(), len(s.hashes)))
 	}
 	for _, h := range s.hashes {
-		if !s.member[h] {
-			panic(fmt.Sprintf("distinct: sanitize: KMV hash %#x missing from member map", h))
+		if !s.member.has(h) {
+			panic(fmt.Sprintf("distinct: sanitize: KMV hash %#x missing from member set", h))
 		}
 	}
 }

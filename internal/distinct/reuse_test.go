@@ -10,7 +10,7 @@ import (
 )
 
 // TestUnmarshalReusesReceiver: an HLL of any precision and seed, and a
-// KMV of any k and seed (with or without its membership map built),
+// KMV of any k and seed (with or without its membership set built),
 // decodes a frame of any other into its own storage and is then
 // indistinguishable from a fresh decode, now and after further updates.
 func TestUnmarshalReusesReceiver(t *testing.T) {
@@ -101,7 +101,7 @@ func TestKMVFrameKDoesNotSizeAllocation(t *testing.T) {
 	if err := s.UnmarshalBinary(frame); err != nil {
 		t.Fatal(err)
 	}
-	s.Update(1) // builds the membership map
+	s.Update(1) // builds the membership set
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 		t.Fatalf("decoding a 3-hash frame claiming k=2^30 allocated %d bytes", grew)

@@ -95,15 +95,15 @@ func runE02(cfg Config) Result {
 		truth := exact.FreqOf(stream)
 		parts := gen.PartitionByHash(stream, sites, func(x core.Item) uint64 { return uint64(x) * 0x9e3779b1 })
 		for _, k := range ks {
-			// Isomorphism check on the unmerged whole stream. SS's batch
-			// path is state-identical to its per-item path, but MG must
-			// stay per-item here: the SS-min == MG isomorphism is stated
-			// for the per-item MG pruning schedule, and MG's UpdateBatch
-			// defers pruning (guarantee-equivalent, not state-identical).
+			// Isomorphism check on the unmerged whole stream, both sides
+			// per item: the SS-min == MG theorem is about the unit-update
+			// algorithms, and both batch paths are guarantee-equivalent,
+			// not state-identical (MG defers pruning, SS collapses the
+			// batch into weighted updates).
 			ssWhole := spacesaving.New(k)
-			ssWhole.UpdateBatch(stream)
 			mgWhole := mg.New(k - 1)
 			for _, x := range stream {
+				ssWhole.Update(x, 1)
 				mgWhole.Update(x, 1)
 			}
 			iso := true

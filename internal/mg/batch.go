@@ -65,22 +65,25 @@ func (s *Summary) UpdateBatch(xs []core.Item) {
 }
 
 // UpdateBatchWeighted adds Count occurrences of every Item in ws, the
-// weighted variant of UpdateBatch. All weights must be >= 1.
+// weighted variant of UpdateBatch. All weights must be >= 1; a zero
+// weight panics before anything is added.
 //
 //sketch:hotpath
 func (s *Summary) UpdateBatchWeighted(ws []core.Counter) {
-	if len(ws) == 0 {
-		return
-	}
-	limit := s.k + pruneSlack(s.k)
-	s.ensure(limit + 1)
-	keys, counts, mask, shift := s.keys, s.counts, s.mask, s.shift
 	var total uint64
 	for _, c := range ws {
 		if c.Count == 0 {
 			panic("mg: zero-weight update")
 		}
 		total += c.Count
+	}
+	if len(ws) == 0 {
+		return
+	}
+	limit := s.k + pruneSlack(s.k)
+	s.ensure(limit + 1)
+	keys, counts, mask, shift := s.keys, s.counts, s.mask, s.shift
+	for _, c := range ws {
 		key := uint64(c.Item)
 		i := (key * fibMul) >> shift
 		for {

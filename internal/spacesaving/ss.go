@@ -127,8 +127,8 @@ func entryCap(k, occ int) int {
 // growTo reallocates the entry arrays for cap monitored items,
 // preserving contents, and rebuilds the hash index at load <= 1/2.
 func (s *Summary) growTo(cap int) {
-	ubuf := make([]uint64, 3*cap)
-	lbuf := make([]int32, 3*cap)
+	ubuf := make([]uint64, 4*cap)
+	lbuf := make([]int32, 8*cap)
 	copy(ubuf[0*cap:], s.items)
 	copy(ubuf[1*cap:], s.counts)
 	copy(ubuf[2*cap:], s.eps)
@@ -137,10 +137,20 @@ func (s *Summary) growTo(cap int) {
 	copy(lbuf[2*cap:], s.enext)
 	s.items = ubuf[0*cap : 1*cap : 1*cap]
 	s.counts = ubuf[1*cap : 2*cap : 2*cap]
-	s.eps = ubuf[2*cap:]
+	s.eps = ubuf[2*cap : 3*cap : 3*cap]
 	s.ebkt = lbuf[0*cap : 1*cap : 1*cap]
 	s.eprev = lbuf[1*cap : 2*cap : 2*cap]
-	s.enext = lbuf[2*cap:]
+	s.enext = lbuf[2*cap : 3*cap : 3*cap]
+	// A bucket slot is only ever added when the free list is empty, so
+	// there are never more of them than monitored entries: the bucket
+	// arrays share the two allocations at capacity cap, and a summary
+	// fed its first k items allocates nothing beyond what New did.
+	s.bcnt = append(ubuf[3*cap:3*cap:4*cap], s.bcnt...)
+	s.bhead = append(lbuf[3*cap:3*cap:4*cap], s.bhead...)
+	s.btail = append(lbuf[4*cap:4*cap:5*cap], s.btail...)
+	s.bprev = append(lbuf[5*cap:5*cap:6*cap], s.bprev...)
+	s.bnext = append(lbuf[6*cap:6*cap:7*cap], s.bnext...)
+	s.bfree = append(lbuf[7*cap:7*cap:8*cap], s.bfree...)
 
 	hsize := 16
 	for hsize < 2*cap {

@@ -1,6 +1,7 @@
 package spacesaving
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -218,6 +219,30 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrowKeepsBuckets: a clone starts with entry arrays sized for
+// what it holds (16 here), and they grow as items arrive; the bucket
+// arrays share their allocations and must come along intact — the
+// clone ends exactly where the original, which never grew, does.
+func TestGrowKeepsBuckets(t *testing.T) {
+	s := New(200)
+	for x := 0; x < 10; x++ {
+		s.Update(core.Item(x), uint64(x+1))
+	}
+	c := s.Clone()
+	rng := gen.NewRNG(3)
+	for i := 0; i < 3000; i++ {
+		x, w := core.Item(rng.Intn(400)), uint64(rng.Intn(3)+1)
+		s.Update(x, w)
+		c.Update(x, w)
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := fmt.Sprint(s.States()), fmt.Sprint(c.States()); a != b {
+		t.Fatalf("grown clone diverged:\n%s\n%s", a, b)
 	}
 }
 

@@ -15,7 +15,6 @@
 package topk
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/codec"
@@ -28,38 +27,18 @@ import (
 type Tracker struct {
 	k      int
 	sketch *countmin.Sketch
-	items  map[core.Item]*candidate
-	heap   candHeap
+	// The directory: a min-heap on estimates over two parallel arrays —
+	// the root is the weakest candidate, first to be displaced — laid
+	// out exactly as container/heap would lay it out, so frames list
+	// their candidates in the order they always did.
+	items []core.Item
+	ests  []uint64
 
-	// Retained scratch, so that decoding and merging in a loop stop
-	// allocating: candidates a rebuild displaced (reused before a new
-	// one is made), the nested sketch frame as UnmarshalBinary copied
-	// it out, and the candidate items staged for a rebuild.
-	spare []*candidate
+	// Retained scratch, so that decoding in a loop stops allocating: the
+	// nested sketch frame as UnmarshalBinary copied it out, and the
+	// candidate items staged for a rebuild.
 	inner []byte
 	cands []uint64
-}
-
-type candidate struct {
-	item  core.Item
-	est   uint64
-	index int
-}
-
-// candHeap is a min-heap on estimates: the root is the weakest
-// candidate, first to be displaced.
-type candHeap []*candidate
-
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].est < h[j].est }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *candHeap) Push(x interface{}) { c := x.(*candidate); c.index = len(*h); *h = append(*h, c) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	*h = old[:n-1]
-	return c
 }
 
 // New returns a tracker keeping the top k items over a Count-Min
@@ -72,7 +51,8 @@ func New(k, width, depth int, seed uint64) *Tracker {
 	return &Tracker{
 		k:      k,
 		sketch: countmin.New(width, depth, seed),
-		items:  make(map[core.Item]*candidate, k),
+		items:  make([]core.Item, 0, k),
+		ests:   make([]uint64, 0, k),
 	}
 }
 
@@ -82,67 +62,143 @@ func (t *Tracker) K() int { return t.k }
 // N returns the total weight observed.
 func (t *Tracker) N() uint64 { return t.sketch.N() }
 
-// Update adds w >= 1 occurrences of x and refreshes the directory.
-// The sketch update and the directory's estimate refresh share one
-// pass over the sketch rows (countmin.UpdateAndEstimate).
+// Update adds w >= 1 occurrences of x and refreshes x's place in the
+// directory. The sketch update and the estimate share one pass over the
+// sketch rows (countmin.UpdateAndEstimate); finding x in the directory
+// is a scan of its at most k items.
 func (t *Tracker) Update(x core.Item, w uint64) {
 	est := t.sketch.UpdateAndEstimate(x, w)
-	t.refresh(x, est)
+	for i, y := range t.items {
+		if y == x {
+			t.ests[i] = est
+			t.fix(i)
+			return
+		}
+	}
+	t.offer(x, est)
 }
 
-// UpdateBatch adds one occurrence of every item in xs and refreshes
-// the directory, identically to calling Update(x, 1) for each x.
+// UpdateBatch adds one occurrence of every item in xs. The sketch is
+// updated by countmin.UpdateBatch — linear, so its cells are exactly
+// the Update loop's — and the directory is then re-ranked against the
+// final sketch over the old directory plus the batch's distinct items
+// (core.Collapse), which is the rule Merge uses: the top k of those
+// candidates by final estimate survive. That is guarantee-equivalent to
+// the loop, not state-identical: the loop ranks each item by its
+// estimate at the moment it arrived. A batch pays per distinct key for
+// its directory, not per record.
 //
 //sketch:hotpath
 func (t *Tracker) UpdateBatch(xs []core.Item) {
-	for _, x := range xs {
-		t.refresh(x, t.sketch.UpdateAndEstimate(x, 1))
+	t.sketch.UpdateBatch(xs)
+	for len(xs) > 0 {
+		run := xs[:min(len(xs), core.CollapseRun)]
+		xs = xs[len(run):]
+		t.rerank(t.items, run)
 	}
 }
 
 // UpdateBatchWeighted adds Count occurrences of every Item in ws, the
-// weighted variant of UpdateBatch. All weights must be >= 1.
+// weighted variant of UpdateBatch, under the same contract. All weights
+// must be >= 1; a zero weight panics before anything is added.
 //
 //sketch:hotpath
 func (t *Tracker) UpdateBatchWeighted(ws []core.Counter) {
 	for _, c := range ws {
-		t.refresh(c.Item, t.sketch.UpdateAndEstimate(c.Item, c.Count))
+		if c.Count == 0 {
+			panic("topk: zero-weight update")
+		}
 	}
+	t.sketch.UpdateBatchWeighted(ws)
+	c := core.GetCollapse()
+	for len(ws) > 0 {
+		run := ws[:min(len(ws), core.CollapseRun)]
+		ws = ws[len(run):]
+		c.AddItems(t.items)
+		for _, w := range run {
+			c.Add(w.Item, 1) // only the distinct items matter here
+		}
+		t.rebuild(c)
+	}
+	core.PutCollapse(c)
 }
 
-// refresh installs x's fresh estimate into the top-k directory.
-func (t *Tracker) refresh(x core.Item, est uint64) {
-	if c, ok := t.items[x]; ok {
-		c.est = est
-		heap.Fix(&t.heap, c.index)
-		return
+// rerank rebuilds the directory from the distinct items of a, then b.
+func (t *Tracker) rerank(a, b []core.Item) {
+	c := core.GetCollapse()
+	c.AddItems(a)
+	c.AddItems(b)
+	t.rebuild(c)
+	core.PutCollapse(c)
+}
+
+// rebuild replaces the directory with the top k of c's distinct items,
+// in c's order, each re-estimated against the current sketch; ties at
+// the boundary go to the earlier item. It empties c.
+func (t *Tracker) rebuild(c *core.Collapse) {
+	t.items, t.ests = t.items[:0], t.ests[:0]
+	for _, p := range c.Pairs() {
+		t.offer(p.Item, t.sketch.Estimate(p.Item).Value)
 	}
-	t.offer(x, est)
+	c.Reset()
 }
 
 // offer gives x, which is not in the directory, its place there if est
 // earns one: a free slot, or the weakest candidate's.
 func (t *Tracker) offer(x core.Item, est uint64) {
-	if len(t.heap) < t.k {
-		var c *candidate
-		if n := len(t.spare); n > 0 {
-			c, t.spare = t.spare[n-1], t.spare[:n-1]
-		} else {
-			c = new(candidate)
-		}
-		c.item, c.est = x, est
-		t.items[x] = c
-		heap.Push(&t.heap, c)
+	if len(t.items) < t.k {
+		t.items = append(t.items, x)
+		t.ests = append(t.ests, est)
+		t.up(len(t.items) - 1)
 		return
 	}
-	if est > t.heap[0].est {
-		weakest := t.heap[0]
-		delete(t.items, weakest.item)
-		weakest.item = x
-		weakest.est = est
-		t.items[x] = weakest
-		heap.Fix(&t.heap, 0)
+	if est > t.ests[0] {
+		t.items[0], t.ests[0] = x, est
+		t.fix(0)
 	}
+}
+
+// fix, up and down are container/heap's Fix, up and down on the
+// directory's estimates, comparison for comparison and swap for swap.
+func (t *Tracker) fix(i int) {
+	if !t.down(i) {
+		t.up(i)
+	}
+}
+
+func (t *Tracker) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if t.ests[j] >= t.ests[i] {
+			return
+		}
+		t.swap(i, j)
+		j = i
+	}
+}
+
+func (t *Tracker) down(i0 int) bool {
+	i, n := i0, len(t.ests)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && t.ests[j2] < t.ests[j] {
+			j = j2
+		}
+		if t.ests[j] >= t.ests[i] {
+			break
+		}
+		t.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (t *Tracker) swap(i, j int) {
+	t.items[i], t.items[j] = t.items[j], t.items[i]
+	t.ests[i], t.ests[j] = t.ests[j], t.ests[i]
 }
 
 // Estimate answers a point query via the underlying sketch.
@@ -150,9 +206,9 @@ func (t *Tracker) Estimate(x core.Item) core.Estimate { return t.sketch.Estimate
 
 // Top returns the current directory in descending estimate order.
 func (t *Tracker) Top() []core.Counter {
-	out := make([]core.Counter, 0, len(t.heap))
-	for _, c := range t.heap {
-		out = append(out, core.Counter{Item: c.item, Count: c.est})
+	out := make([]core.Counter, 0, len(t.items))
+	for i, x := range t.items {
+		out = append(out, core.Counter{Item: x, Count: t.ests[i]})
 	}
 	core.SortCountersDesc(out)
 	return out
@@ -162,9 +218,9 @@ func (t *Tracker) Top() []core.Counter {
 // threshold, descending.
 func (t *Tracker) HeavyHitters(threshold uint64) []core.Counter {
 	var out []core.Counter
-	for _, c := range t.heap {
-		if c.est >= threshold {
-			out = append(out, core.Counter{Item: c.item, Count: c.est})
+	for i, x := range t.items {
+		if t.ests[i] >= threshold {
+			out = append(out, core.Counter{Item: x, Count: t.ests[i]})
 		}
 	}
 	core.SortCountersDesc(out)
@@ -184,8 +240,7 @@ func (t *Tracker) Merge(other *Tracker) error {
 	if err := t.sketch.Merge(other.sketch); err != nil {
 		return err
 	}
-	t.cands = other.appendCandidates(t.appendCandidates(t.cands[:0]))
-	t.rebuild(t.cands)
+	t.rerank(t.items, other.items)
 	return nil
 }
 
@@ -198,45 +253,10 @@ func Merged(a, b *Tracker) (*Tracker, error) {
 	return out, nil
 }
 
-func (t *Tracker) candidateItems() []core.Item {
-	out := make([]core.Item, 0, len(t.heap))
-	for _, c := range t.heap {
-		out = append(out, c.item)
-	}
-	return out
-}
-
-// appendCandidates appends the directory's items, in heap order, to dst.
-func (t *Tracker) appendCandidates(dst []uint64) []uint64 {
-	for _, c := range t.heap {
-		dst = append(dst, uint64(c.item))
-	}
-	return dst
-}
-
-// rebuild replaces the directory with the top k of the given candidate
-// items, re-estimated against the current sketch. The candidates it
-// displaces are kept for reuse.
-func (t *Tracker) rebuild(candidates []uint64) {
-	t.spare = append(t.spare, t.heap...)
-	clear(t.items)
-	t.heap = t.heap[:0]
-	for _, raw := range candidates {
-		x := core.Item(raw)
-		if _, dup := t.items[x]; !dup {
-			t.offer(x, t.sketch.Estimate(x).Value)
-		}
-	}
-}
-
 // Clone returns a deep copy.
 func (t *Tracker) Clone() *Tracker {
-	c := &Tracker{
-		k:      t.k,
-		sketch: t.sketch.Clone(),
-		items:  make(map[core.Item]*candidate, len(t.items)),
-	}
-	c.rebuild(t.appendCandidates(nil))
+	c := &Tracker{k: t.k, sketch: t.sketch.Clone()}
+	c.rerank(t.items, nil)
 	return c
 }
 
@@ -252,15 +272,14 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 	// Inner frame bytes cost up to two uvarint bytes each; directory
 	// items up to ten. Sized by the candidates held, not by k: a
 	// decoded frame may claim any k and hold none.
-	w.Grow(3*10 + len(inner)*2 + len(t.heap)*10)
+	w.Grow(3*10 + len(inner)*2 + len(t.items)*10)
 	w.Int(t.k)
 	w.Int(len(inner))
 	for _, b := range inner {
 		w.Uint64(uint64(b))
 	}
-	items := t.candidateItems()
-	w.Int(len(items))
-	for _, x := range items {
+	w.Int(len(t.items))
+	for _, x := range t.items {
 		w.Uint64(uint64(x))
 	}
 	return codec.EncodeFrame(codec.KindTopK, w.Bytes()), nil
@@ -271,9 +290,9 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 // small-uvarint run: every element must be a byte, a larger value is
 // an error, not its low eight bits — and decoded into the receiver's
 // own sketch; the candidates are staged in retained scratch and the
-// directory rebuilt from recycled entries. A reused receiver (any k,
-// any sketch geometry, any contents; the zero value too) allocates
-// nothing. A frame rejected before the nested sketch is decoded leaves
+// directory rebuilt in its own arrays, a repeated candidate once. A
+// reused receiver (any k, any sketch geometry, any contents; the zero
+// value too) allocates nothing. A frame rejected before the nested sketch is decoded leaves
 // the receiver untouched; one whose nested frame is rejected leaves it
 // empty.
 func (t *Tracker) UnmarshalBinary(data []byte) error {
@@ -306,15 +325,19 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	}
 	if t.sketch == nil {
 		t.sketch = new(countmin.Sketch)
-		t.items = make(map[core.Item]*candidate, m)
 	}
 	if err := t.sketch.UnmarshalBinary(t.inner); err != nil {
 		t.sketch.Reset()
-		t.rebuild(nil)
+		t.items, t.ests = t.items[:0], t.ests[:0]
 		return err
 	}
 	t.k = k
-	t.rebuild(t.cands)
+	c := core.GetCollapse()
+	for _, x := range t.cands {
+		c.Add(core.Item(x), 1)
+	}
+	t.rebuild(c)
+	core.PutCollapse(c)
 	return nil
 }
 
