@@ -89,19 +89,20 @@ sanitize:
 # (100 iterations keeps it a few seconds, not a measurement), the
 # ε-kernel's interior filter on its four input shapes (three 8192-point
 # chunks each), the sort kernel against slices.Sort on rotating inputs,
-# the q-digest's edge report and aggregator merge, the edge report of
-# the three families whose batches collapse (and the collapse kernel
-# under them: 8192 Zipf items over 2048 keys, rotating chunks), and one
-# decode+merge of every registered family through the registry — the
-# aggregator's unit cost, which no per-family list can forget a family
-# of; -benchmem because its allocs/op column is the steady-state figure
-# TestDecodeMergeAllocs pins at <= 1.
+# the q-digest's and the ε-approximation's edge report and aggregator
+# merge, the edge report of GK and of the three families whose batches
+# collapse (and the collapse kernel under them: 8192 Zipf items over
+# 2048 keys, rotating chunks), and one decode+merge of every registered
+# family through the registry — the aggregator's unit cost, which no
+# per-family list can forget a family of; -benchmem because its
+# allocs/op column is the steady-state figure TestDecodeMergeAllocs pins
+# at <= 1.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Update -benchtime=100x .
 	$(GO) test -run='^$$' -bench=BenchmarkUpdate -benchtime=3x ./internal/kernel/
 	$(GO) test -run='^$$' -bench=SortKernel -benchtime=100x ./internal/core/
-	$(GO) test -run='^$$' -bench=UpdateBatch -benchtime=10x -benchmem ./internal/core/ ./internal/spacesaving/ ./internal/topk/ ./internal/distinct/
-	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem ./internal/qdigest/
+	$(GO) test -run='^$$' -bench=UpdateBatch -benchtime=10x -benchmem ./internal/core/ ./internal/gk/ ./internal/spacesaving/ ./internal/topk/ ./internal/distinct/
+	$(GO) test -run='^$$' -bench=. -benchtime=10x -benchmem ./internal/qdigest/ ./internal/epsapprox/
 	$(GO) test -run='^$$' -bench=RegistryDecodeMerge -benchtime=1x -benchmem ./internal/registry/
 
 # Compile-and-run smoke over the server merge-plane benchmarks (push,
@@ -122,6 +123,7 @@ bench-harness:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUpdateBatch -fuzztime=30s -fuzzminimizetime=1s ./internal/mg/
 	$(GO) test -run='^$$' -fuzz=FuzzUpdateMatchesFullScan -fuzztime=30s -fuzzminimizetime=1s ./internal/kernel/
+	$(GO) test -run='^$$' -fuzz=FuzzFlushMatchesTwoPass -fuzztime=30s -fuzzminimizetime=1s ./internal/gk/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAnyFrame -fuzztime=30s -fuzzminimizetime=1s ./internal/registry/
 
 # Non-test Go lines per package directory: the per-package figures

@@ -3,6 +3,7 @@ package epsapprox
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -189,6 +190,60 @@ func FuzzDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestHalveMatchesBranchy holds the branch-free halve to the branchy
+// one on operands a summary never hands it — unequal lengths, so the
+// merge loop ends with one operand's tail and the output size depends
+// on the draw — under both draws of the alternation, with ties across
+// the operands. Points and keys must match bit for bit.
+func TestHalveMatchesBranchy(t *testing.T) {
+	// keyed returns n points whose sorted keys are drawn from [lo, hi);
+	// each point names its operand and position, in coordinates that
+	// use every mantissa bit.
+	keyed := func(n int, lo, hi uint32, tag float64) block {
+		rng := gen.NewRNG(uint64(n)*31 + uint64(lo))
+		b := block{make([]gen.Point, n), make([]uint32, n)}
+		for j := range b.keys {
+			b.keys[j] = lo + uint32(rng.Uint64()%uint64(hi-lo))
+		}
+		slices.Sort(b.keys)
+		for j := range b.pts {
+			b.pts[j] = gen.Point{X: tag + rng.Float64(), Y: float64(j) / 3}
+		}
+		return b
+	}
+	seedFor := func(skip bool) uint64 {
+		for seed := uint64(1); ; seed++ {
+			if gen.NewRNG(seed).Bool() == skip {
+				return seed
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		a, b block
+	}{
+		{"a's tail, odd total", keyed(9, 0, 40, 1), keyed(4, 0, 20, 2)},
+		{"b's tail, odd total", keyed(4, 0, 20, 1), keyed(9, 10, 40, 2)},
+		{"a's tail, even total", keyed(300, 0, 64, 1), keyed(18, 0, 32, 2)},
+		{"b's tail, even total", keyed(7, 5, 10, 1), keyed(11, 0, 64, 2)},
+		{"one side empty", keyed(5, 0, 8, 1), block{}},
+		{"other side empty", block{}, keyed(6, 0, 8, 2)},
+	} {
+		for _, skip := range []bool{false, true} {
+			got, want := New(8, unitBox, seedFor(skip)), New(8, unitBox, seedFor(skip))
+			g, w := got.halve(tc.a, tc.b), refHalve(want, tc.a, tc.b)
+			if len(g.pts) != len(w.pts) || len(g.keys) != len(w.keys) {
+				t.Fatalf("%s, skip=%v: kept %d points, the branchy halve %d", tc.name, skip, len(g.pts), len(w.pts))
+			}
+			for j := range w.pts {
+				if g.pts[j] != w.pts[j] || g.keys[j] != w.keys[j] {
+					t.Fatalf("%s, skip=%v: point %d is %v/%d, want %v/%d", tc.name, skip, j, g.pts[j], g.keys[j], w.pts[j], w.keys[j])
+				}
+			}
+		}
+	}
 }
 
 // TestOracleOnUniformStream holds the two implementations together on

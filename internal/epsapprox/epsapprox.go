@@ -252,27 +252,59 @@ func (s *Summary) carry(b block, i int, owned bool) {
 // points with a random offset — the low-discrepancy halving primitive.
 // The inputs are only read; the result is built in recycled storage.
 //
+// No branch depends on the keys: a branch there mispredicts on about
+// every other point of a block the predictor has never seen. The
+// output is sized once — (|a|+|b|+1−skip)/2 points, skip being the
+// rng.Bool() draw — and the merge loop writes every point it takes to
+// out[w], moving w on only for a kept one, so a dropped point is
+// overwritten by the next; the operand is picked by a select on the
+// two keys (ties to a). While both operands have points another one
+// follows, so w never reaches the end there; the one tail left is then
+// copied every other point in a plain loop.
+//
 //sketch:hotpath
 func (s *Summary) halve(a, b block) block {
-	out := s.getBlock(s.s)
-	skip := s.rng.Bool()
-	ai, bi := 0, 0
-	for ai < len(a.pts) || bi < len(b.pts) {
-		var p gen.Point
-		var k uint32
-		if bi >= len(b.pts) || (ai < len(a.pts) && a.keys[ai] <= b.keys[bi]) {
-			p, k = a.pts[ai], a.keys[ai]
-			ai++
-		} else {
-			p, k = b.pts[bi], b.keys[bi]
-			bi++
+	keep := 1
+	if s.rng.Bool() {
+		keep = 0
+	}
+	size := (len(a.pts) + len(b.pts) + keep) / 2
+	out := s.getBlock(size)
+	out.pts, out.keys = out.pts[:size], out.keys[:size]
+	ai, bi, w := 0, 0, 0
+	for ai < len(a.pts) && bi < len(b.pts) {
+		ka, kb, pa, pb := a.keys[ai], b.keys[bi], a.pts[ai], b.pts[bi]
+		fromA := 0
+		if ka <= kb {
+			fromA = 1 // a SETcc, not a branch
 		}
-		if !skip {
-			out.add(p, k)
-		}
-		skip = !skip
+		// The point is selected by mask on its bits: the compiler will
+		// not turn a select of a float, or of a pointer it then loads
+		// through, into a conditional move.
+		m := -uint64(fromA)
+		out.pts[w] = gen.Point{X: sel(m, pa.X, pb.X), Y: sel(m, pa.Y, pb.Y)}
+		out.keys[w] = min(ka, kb)
+		w += keep
+		keep ^= 1
+		ai += fromA
+		bi += 1 - fromA
+	}
+	tail := block{a.pts[ai:], a.keys[ai:]} // at most one tail is left
+	if bi < len(b.pts) {
+		tail = block{b.pts[bi:], b.keys[bi:]}
+	}
+	for j := 1 - keep; j < len(tail.pts); j += 2 {
+		out.pts[w], out.keys[w] = tail.pts[j], tail.keys[j]
+		w++
 	}
 	return out
+}
+
+// sel returns x where the mask m is all ones and y where it is zero,
+// bit for bit.
+func sel(m uint64, x, y float64) float64 {
+	xb, yb := math.Float64bits(x), math.Float64bits(y)
+	return math.Float64frombits(yb ^ (xb^yb)&m)
 }
 
 // Merge folds other into s; summaries must share block size and box.

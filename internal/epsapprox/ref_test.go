@@ -26,6 +26,31 @@ type refSummary struct {
 	box exact.Rect
 }
 
+// refHalve is Summary.halve as it shipped before its merge loop lost
+// its branches — one branch on the keys per point, one on the
+// alternation — kept as the oracle for the branch-free version.
+func refHalve(s *Summary, a, b block) block {
+	out := s.getBlock(s.s)
+	skip := s.rng.Bool()
+	ai, bi := 0, 0
+	for ai < len(a.pts) || bi < len(b.pts) {
+		var p gen.Point
+		var k uint32
+		if bi >= len(b.pts) || (ai < len(a.pts) && a.keys[ai] <= b.keys[bi]) {
+			p, k = a.pts[ai], a.keys[ai]
+			ai++
+		} else {
+			p, k = b.pts[bi], b.keys[bi]
+			bi++
+		}
+		if !skip {
+			out.add(p, k)
+		}
+		skip = !skip
+	}
+	return out
+}
+
 // New returns an empty summary with block size s over the coordinate
 // bounding box (points outside are clamped for curve ordering only;
 // counting remains exact). Two summaries merge iff they share s and

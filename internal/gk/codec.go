@@ -39,7 +39,10 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // retired tuple run, which trades places with the live one once the
 // frame is validated (the idiom of flush and Merge), so a reused
 // receiver — any eps, any contents; the zero value too — allocates
-// nothing, and a rejected frame leaves it untouched.
+// nothing, and a rejected frame leaves it untouched. A frame is held to
+// the invariants the sweeps in flush, Merge and the queries assume
+// (checkTuples): a NaN or decreasing value, g = 0 or g+Δ above
+// ⌊2εn⌋+1 is rejected, as is a weight other than n.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindGK, data)
 	if err != nil {
@@ -56,15 +59,16 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("gk: invalid eps %v in frame", eps)
 	}
 	tuples := codec.Resize(s.spare, m)[:0]
-	var sumG uint64
 	for i := 0; i < m; i++ {
-		tp := tuple{v: r.Float64(), g: r.Uint64(), delta: r.Uint64()}
-		tuples = append(tuples, tp)
-		sumG += tp.g
+		tuples = append(tuples, tuple{v: r.Float64(), g: r.Uint64(), delta: r.Uint64()})
 	}
 	s.spare = tuples[:0]
 	if err := r.Finish(); err != nil {
 		return err
+	}
+	sumG, err := checkTuples(tuples, threshold(eps, n))
+	if err != nil {
+		return fmt.Errorf("gk: invalid frame: %w", err)
 	}
 	if sumG != n {
 		return fmt.Errorf("gk: frame weight %d != n %d", sumG, n)

@@ -17,6 +17,7 @@ package gk
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/codec"
@@ -83,14 +84,23 @@ func (s *Summary) Update(v float64) {
 }
 
 // threshold is the compress/insert bound floor(2*eps*n).
-func (s *Summary) threshold() uint64 {
-	return uint64(2 * s.eps * float64(s.n))
+func threshold(eps float64, n uint64) uint64 {
+	return uint64(2 * eps * float64(n))
 }
 
-// flush drains the insert buffer into the tuple list (one sorted
-// sweep, equivalent to sequential GK inserts) and compresses. The
-// buffer is sorted by core.SortFloats: −0 before +0, whichever came
-// first.
+// flush drains the insert buffer into the tuple list and compresses,
+// in one sweep from the right. The buffer is sorted by core.SortFloats
+// (−0 before +0, whichever came first) and merged with the tuples from
+// their largest end, a new value landing before the old tuples it does
+// not exceed. A new value takes Δ = g+Δ−1 of the old tuple to its
+// right (the standard GK insert), or 0 when it is index 0 of the merged
+// run (a new minimum) or has no old tuple to its right (a new maximum).
+// Each element is settled as the sweep produces it, by compress's
+// rule: it folds into the kept tuple to its right (head) when
+// g + head.g + head.Δ ≤ ⌊2εn⌋, and the first and last elements always
+// stay. These are the decisions, in the same order, of an insert sweep
+// followed by compress (ref_test.go keeps that two-pass flush as the
+// oracle) — made in one pass over the run instead of two.
 //
 //sketch:hotpath
 func (s *Summary) flush() {
@@ -99,32 +109,43 @@ func (s *Summary) flush() {
 	}
 	s.keys = codec.Resize(s.keys, 2*len(s.buf))
 	core.SortFloats(s.buf, s.keys)
-	out := slices.Grow(s.spare[:0], len(s.tuples)+len(s.buf))
-	ti := 0
-	for _, v := range s.buf {
-		for ti < len(s.tuples) && s.tuples[ti].v < v {
-			out = append(out, s.tuples[ti])
-			ti++
-		}
-		var delta uint64
-		if len(out) == 0 && ti == 0 {
-			delta = 0 // new minimum: exact
-		} else if ti >= len(s.tuples) {
-			delta = 0 // new maximum: exact
-		} else {
-			// Standard GK insert before tuple ti.
-			next := s.tuples[ti]
-			delta = next.g + next.delta
-			if delta > 0 {
-				delta--
+	old, buf := s.tuples, s.buf
+	run := len(old) + len(buf)
+	out := slices.Grow(s.spare[:0], run)[:run]
+	thr := threshold(s.eps, s.n)
+	ti, bi, w := len(old)-1, len(buf)-1, run // w: write index, walking left
+	var head tuple
+	for i := run - 1; i >= 0; i-- {
+		var e tuple
+		if ti < 0 || (bi >= 0 && old[ti].v < buf[bi]) {
+			e = tuple{v: buf[bi], g: 1}
+			if i > 0 && ti+1 < len(old) {
+				next := old[ti+1]
+				if e.delta = next.g + next.delta; e.delta > 0 {
+					e.delta--
+				}
 			}
+			bi--
+		} else {
+			e = old[ti]
+			ti--
 		}
-		out = append(out, tuple{v: v, g: 1, delta: delta})
+		switch {
+		case i == run-1: // the last element is the first head
+		case i > 0 && e.g+head.g+head.delta <= thr:
+			head.g += e.g
+			continue
+		default:
+			w--
+			out[w] = head
+		}
+		head = e
 	}
-	out = append(out, s.tuples[ti:]...)
-	s.tuples, s.spare = out, s.tuples
+	w--
+	out[w] = head
+	s.tuples, s.spare = out[:copy(out, out[w:])], old
 	s.buf = s.buf[:0]
-	s.compress()
+	debugAssert(s)
 }
 
 // compress merges adjacent tuples whose combined uncertainty fits the
@@ -134,7 +155,7 @@ func (s *Summary) compress() {
 	if len(s.tuples) < 3 {
 		return
 	}
-	thr := s.threshold()
+	thr := threshold(s.eps, s.n)
 	out := s.tuples
 	w := len(out) - 1 // write index, walking left
 	for i := len(out) - 2; i >= 1; i-- {
@@ -265,6 +286,7 @@ func (s *Summary) Merge(other *Summary) error {
 	if len(s.tuples) == 0 {
 		s.tuples = append(s.tuples[:0], other.tuples...)
 		s.n += other.n
+		debugAssert(s)
 		return nil
 	}
 	a, b := s.tuples, other.tuples
@@ -298,6 +320,7 @@ func (s *Summary) Merge(other *Summary) error {
 	s.tuples, s.spare = out, a
 	s.n += other.n
 	s.compress()
+	debugAssert(s)
 	return nil
 }
 
@@ -326,26 +349,42 @@ func (s *Summary) Reset() {
 	s.buf = s.buf[:0]
 }
 
-// checkInvariants verifies the GK invariants; used by tests.
+// checkInvariants verifies the GK invariants; used by tests and the
+// sanitize layer.
 func (s *Summary) checkInvariants() error {
-	var sumG uint64
-	thr := s.threshold()
-	for i, t := range s.tuples {
-		if t.g == 0 {
-			return fmt.Errorf("tuple %d has g=0", i)
-		}
-		if i > 0 && t.v < s.tuples[i-1].v {
-			return fmt.Errorf("tuples not sorted at %d", i)
-		}
-		if t.g+t.delta > thr+1 {
-			return fmt.Errorf("tuple %d violates g+delta<=2εn: %d+%d > %d", i, t.g, t.delta, thr)
-		}
-		sumG += t.g
+	sumG, err := checkTuples(s.tuples, threshold(s.eps, s.n))
+	if err != nil {
+		return err
 	}
 	if sumG+uint64(len(s.buf)) != s.n {
 		return fmt.Errorf("Σg=%d + buf=%d != n=%d", sumG, len(s.buf), s.n)
 	}
 	return nil
+}
+
+// checkTuples verifies what every sweep over a tuple list relies on —
+// values ascending and none of them NaN (every comparison with NaN is
+// false, so an order check alone lets one through), every g ≥ 1, every
+// g+Δ ≤ thr+1 — and returns Σg. The sums are taken without wrapping, so
+// no frame gets a huge g or Δ past them.
+func checkTuples(ts []tuple, thr uint64) (uint64, error) {
+	var sumG, carry uint64
+	for i, t := range ts {
+		switch {
+		case math.IsNaN(t.v):
+			return 0, fmt.Errorf("tuple %d has a NaN value", i)
+		case i > 0 && t.v < ts[i-1].v:
+			return 0, fmt.Errorf("tuples not sorted at %d", i)
+		case t.g == 0:
+			return 0, fmt.Errorf("tuple %d has g=0", i)
+		case t.g > thr+1 || t.delta > thr+1-t.g:
+			return 0, fmt.Errorf("tuple %d violates g+delta<=2εn+1: %d+%d > %d+1", i, t.g, t.delta, thr)
+		}
+		if sumG, carry = bits.Add64(sumG, t.g, 0); carry != 0 {
+			return 0, fmt.Errorf("Σg overflows at tuple %d", i)
+		}
+	}
+	return sumG, nil
 }
 
 var _ core.QuantileSummary = (*Summary)(nil)

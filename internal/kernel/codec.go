@@ -32,8 +32,8 @@ func (k *Kernel) MarshalBinary() ([]byte, error) {
 // slots zeroed — and its direction grid is recomputed only when the
 // frame's m differs, so a reused receiver (any m, any contents, a
 // cached polygon; the zero value too) allocates nothing. The interior
-// filter starts over as a fresh decode's does: no polygon, the frame's
-// points untrusted until checked. A frame rejected by a header check
+// filter starts over as a fresh decode's does: no polygon and no box,
+// the frame's points untrusted until checked. A frame rejected by a header check
 // leaves the receiver untouched; one that fails among its slots leaves
 // it empty.
 func (k *Kernel) UnmarshalBinary(data []byte) error {
@@ -66,6 +66,6 @@ func (k *Kernel) UnmarshalBinary(data []byte) error {
 		k.Reset()
 		return err
 	}
-	k.hull, k.scale, k.margin, k.fresh, k.trust = k.hull[:0], 0, 0, false, decoded
+	k.hull, k.box, k.scale, k.margin, k.fresh, k.trust = k.hull[:0], box{}, 0, 0, false, decoded
 	return nil
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -10,19 +11,42 @@ import (
 
 // pair drives a kernel under test and the full-scan oracle through the
 // same operations; after each one the two must encode to the same
-// bytes. rejected counts the points the interior filter dismissed.
+// bytes, and a box the kernel holds must have four corners that pass
+// the triangle test. rejected counts the points the interior filter
+// dismissed, boxed those of them the box did.
 type pair struct {
-	t         testing.TB
-	got, want *Kernel
-	rejected  int
+	t               testing.TB
+	got, want       *Kernel
+	rejected, boxed int
 }
 
 func newPair(t testing.TB, m int) *pair {
 	return &pair{t: t, got: New(m), want: New(m)}
 }
 
+// boxCornersPass reports whether k has no box, or a box whose four
+// corners each pass interior's triangle test — what the box's
+// soundness rests on.
+func boxCornersPass(k *Kernel) bool {
+	b := k.box
+	if b == (box{}) {
+		return true
+	}
+	k.box = box{}
+	defer func() { k.box = b }()
+	for _, c := range []gen.Point{{X: b.x0, Y: b.y0}, {X: b.x1, Y: b.y0}, {X: b.x1, Y: b.y1}, {X: b.x0, Y: b.y1}} {
+		if !k.interior(c) {
+			return false
+		}
+	}
+	return true
+}
+
 func (pr *pair) check(op string) {
 	pr.t.Helper()
+	if !boxCornersPass(pr.got) {
+		pr.t.Fatalf("after %s (n=%d): a corner of box %+v fails the triangle test", op, pr.want.n, pr.got.box)
+	}
 	g, err := pr.got.MarshalBinary()
 	if err != nil {
 		pr.t.Fatal(err)
@@ -41,6 +65,9 @@ func (pr *pair) update(pts ...gen.Point) {
 	for _, p := range pts {
 		if pr.got.interior(p) {
 			pr.rejected++
+		}
+		if pr.got.box.holds(p) {
+			pr.boxed++
 		}
 		pr.got.Update(p)
 		refUpdate(pr.want, p)
@@ -125,30 +152,34 @@ func TestUpdateMatchesFullScan(t *testing.T) {
 		name    string
 		pts     []gen.Point
 		engaged bool // most of the stream's second half must be filtered out
+		boxed   bool // ... three quarters of it by the box
 	}{
-		{"uniform", uniform, true},
-		{"ring", gen.RingPoints(n, 1, 0, 2), false},
-		{"ring-noisy", gen.RingPoints(n, 1, 0.05, 2), true},
-		{"gaussian", gen.GaussianPoints(n, 3, 0.5, math.Pi/7, 3), true},
-		{"clustered", gen.ClusteredPoints(n, 5, 0.02, 5), true},
-		{"collinear", collinear, false},
-		{"duplicates", duplicates, false},
-		{"inf-nan", wild, false},
-		{"nan-first", append([]gen.Point{{X: nan, Y: 1}}, uniform[:300]...), false},
-		{"1e150", scaled(uniform, 1e150), true},
-		{"1e-150", scaled(uniform, 1e-150), false},
-		{"1e160", scaled(uniform, 1e160), false},
-		{"1e-160", scaled(uniform, 1e-160), false},
-		{"mixed-scale", append(scaled(uniform[:500], 1e-200), uniform[:500]...), false},
+		{"uniform", uniform, true, true},
+		{"ring", gen.RingPoints(n, 1, 0, 2), false, false},
+		{"ring-noisy", gen.RingPoints(n, 1, 0.05, 2), true, false},
+		{"gaussian", gen.GaussianPoints(n, 3, 0.5, math.Pi/7, 3), true, false},
+		{"clustered", gen.ClusteredPoints(n, 5, 0.02, 5), true, false},
+		{"collinear", collinear, false, false},
+		{"duplicates", duplicates, false, false},
+		{"inf-nan", wild, false, false},
+		{"nan-first", append([]gen.Point{{X: nan, Y: 1}}, uniform[:300]...), false, false},
+		{"1e150", scaled(uniform, 1e150), true, true},
+		{"1e-150", scaled(uniform, 1e-150), false, false},
+		{"1e160", scaled(uniform, 1e160), false, false},
+		{"1e-160", scaled(uniform, 1e-160), false, false},
+		{"mixed-scale", append(scaled(uniform[:500], 1e-200), uniform[:500]...), false, false},
 	} {
 		for _, m := range []int{2, 7, 126} {
 			pr := newPair(t, m)
 			half := len(tc.pts) / 2
 			pr.update(tc.pts[:half]...)
-			pr.rejected = 0
+			pr.rejected, pr.boxed = 0, 0
 			pr.update(tc.pts[half:]...)
 			if tc.engaged && m == 126 && pr.rejected < (len(tc.pts)-half)*8/10 {
 				t.Errorf("%s m=%d: filter dismissed %d of %d points", tc.name, m, pr.rejected, len(tc.pts)-half)
+			}
+			if tc.boxed && m == 126 && pr.boxed < (len(tc.pts)-half)*3/4 {
+				t.Errorf("%s m=%d: box dismissed %d of %d points", tc.name, m, pr.boxed, len(tc.pts)-half)
 			}
 		}
 	}
@@ -218,6 +249,85 @@ func TestUpdateOnInconsistentFrame(t *testing.T) {
 	}
 }
 
+// The box lives and dies with the polygon: a decode and a Reset leave
+// the kernel without one, and a kernel holding a frame whose stored
+// points beat its support values never fits one again — decoded, it
+// starts without a box; merged, it keeps its old one (as safe as the
+// old polygon) only until the rebuild that refutes the frame.
+func TestBoxFollowsPolygon(t *testing.T) {
+	engaged := func() *Kernel {
+		k := NewEpsilon(0.1)
+		for _, p := range gen.UniformPoints(4000, 1) {
+			k.Update(p)
+		}
+		if k.box == (box{}) {
+			t.Fatal("no box after a uniform stream")
+		}
+		return k
+	}
+	k := engaged()
+	frame, err := k.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.UnmarshalBinary(frame); err != nil {
+		t.Fatal(err)
+	}
+	if k.box != (box{}) {
+		t.Error("the box survives UnmarshalBinary")
+	}
+	k = engaged()
+	k.Reset()
+	if k.box != (box{}) {
+		t.Error("the box survives Reset")
+	}
+
+	// A frame of far points that claims honest support only in slot 0:
+	// its points beat every other support value it sends, and a kernel
+	// that merges it stores one that beats its own.
+	liar := NewEpsilon(0.1)
+	for _, p := range scaled(gen.UniformPoints(200, 5), 10) {
+		refUpdate(liar, p)
+	}
+	for slot := 1; slot < len(liar.bestDot); slot++ {
+		liar.bestDot[slot] = -1e6
+	}
+	lie, err := liar.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for via, arrive := range map[string]func() *Kernel{
+		"decoded": func() *Kernel {
+			k := engaged()
+			if err := k.UnmarshalBinary(lie); err != nil {
+				t.Fatal(err)
+			}
+			return k
+		},
+		"merged": func() *Kernel {
+			k, in := engaged(), new(Kernel)
+			if err := in.UnmarshalBinary(lie); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.Merge(in); err != nil {
+				t.Fatal(err)
+			}
+			return k
+		},
+	} {
+		k := arrive()
+		for i, p := range append(gen.UniformPoints(4000, 2), gen.RingPoints(500, 1, 0.2, 3)...) {
+			k.Update(p)
+			if k.box != (box{}) && (via == "decoded" || k.trust == refuted) {
+				t.Fatalf("%s: a box after update %d (trust %d)", via, i, k.trust)
+			}
+		}
+		if k.trust != refuted {
+			t.Errorf("%s: the frame was never refuted", via)
+		}
+	}
+}
+
 // FuzzUpdateMatchesFullScan runs a byte program — updates on a coarse
 // lattice (ties, duplicates, collinear runs), special coordinates,
 // merges, decodes, clones, resets — against the full-scan oracle.
@@ -228,6 +338,13 @@ func FuzzUpdateMatchesFullScan(f *testing.F) {
 		6, 2, 128, 128, 7, 0, 3, 120, 120, 5, 2, 90, 90, 160, 170, 0, 128, 128})
 	f.Add([]byte{4, 0, 1, 4, 2, 3, 0, 1, 1, 5, 3, 9, 9, 200, 7, 70, 70, 0, 50, 50, 7, 0, 7, 1})
 	f.Add([]byte{})
+	// A square and a diamond, each followed by interior points its box
+	// takes, again after a decode (which drops the box) and a reset.
+	inner := []byte{0, 128, 128, 1, 100, 140, 2, 150, 110, 3, 90, 170, 0, 170, 90, 1, 110, 150, 2, 128, 129}
+	square := []byte{0, 0, 0, 1, 255, 0, 2, 255, 255, 3, 0, 255}
+	diamond := []byte{0, 128, 8, 1, 248, 128, 2, 128, 248, 3, 8, 128}
+	f.Add(slices.Concat(square, inner, inner, []byte{6}, inner, inner, []byte{7, 1}, diamond, inner, inner))
+	f.Add(slices.Concat(diamond, inner, inner, []byte{5, 3, 0, 0, 255, 255, 128, 0}, inner, []byte{6}, inner, inner))
 	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e150, -1e150, 1e-150, 0, 1e300}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		next := func() byte {

@@ -19,13 +19,16 @@
 // inside the convex hull of what the kernel already stores is extreme
 // in no direction, and the stored extremes, read in slot order, are
 // that hull's vertices in counter-clockwise order: Update keeps the
-// polygon cached, finds the one triangle of its fan that could hold
-// the point by binary search, and scans the slots only when the point
-// is not inside that triangle by a margin far above rounding. The scan
-// remains the only thing that ever writes a slot, so slots, ties and
-// frames are exactly what scanning every point produces (ref_test.go
-// keeps the scan-everything Update as the oracle; diff_test.go holds
-// Update to its bytes).
+// polygon cached, with an axis-aligned box inside it whose corners are
+// each inside the polygon by a margin far above rounding. A point
+// strictly inside the box is dismissed after four comparisons; any
+// other point goes on to the one triangle of the polygon's fan that
+// could hold it, found by binary search, and the slots are scanned
+// only when the point is not inside that triangle by the margin. The
+// scan remains the only thing that ever writes a slot, so slots, ties
+// and frames are exactly what scanning every point produces
+// (ref_test.go keeps the scan-everything Update as the oracle;
+// diff_test.go holds Update to its bytes).
 package kernel
 
 import (
@@ -55,10 +58,31 @@ type Kernel struct {
 	// outwards, so an old polygon rejects fewer points, never a wrong
 	// one.
 	hull   []gen.Point
+	box    box        // inside hull, each corner by the margin; empty with hull
 	scale  float64    // max |coordinate| over hull
 	margin float64    // marginRel·scale², what a triangle test must clear
 	fresh  bool       // no slot has changed since hull was built
 	trust  trustLevel // whether best[] is known to respect bestDot[]
+}
+
+// box is an axis-aligned rectangle, open on every side; the zero value
+// holds no point (NaN coordinates fall outside every box too).
+type box struct{ x0, y0, x1, y1 float64 }
+
+// holds reports whether p is strictly inside b. Its four comparisons
+// are and-ed without short-circuiting, into one branch: on a ring,
+// where about half the points pass the x test and then fail the y
+// test, a branch per comparison would mispredict on them.
+func (b box) holds(p gen.Point) bool {
+	return bit(b.x0 < p.X)&bit(p.X < b.x1)&bit(b.y0 < p.Y)&bit(p.Y < b.y1) != 0
+}
+
+// bit is 1 for true and 0 for false; it compiles to a SETcc.
+func bit(c bool) uint8 {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // trustLevel says whether every stored point is known to lie on the
@@ -170,11 +194,12 @@ func (k *Kernel) Size() int {
 	return c
 }
 
-// Update observes one point. A point strictly inside a triangle of
-// three stored extremes can win no slot and is dismissed after a
-// binary search (see interior); every other point pays the scan over
-// all 2m slots, which is also what decides every slot, so the kernel's
-// state is exactly what scanning every point would have produced.
+// Update observes one point. A point strictly inside the cached box,
+// or inside a triangle of three stored extremes, can win no slot and
+// is dismissed after four comparisons or a binary search (see
+// interior); every other point pays the scan over all 2m slots, which
+// is also what decides every slot, so the kernel's state is exactly
+// what scanning every point would have produced.
 //
 //sketch:hotpath
 func (k *Kernel) Update(p gen.Point) {
@@ -226,18 +251,27 @@ func (k *Kernel) beats(p gen.Point, slack float64) bool {
 	return false
 }
 
-// interior reports whether p provably wins no slot: it lies inside the
-// triangle (v0, v_j, v_j+1) of the cached polygon, by the margin on
-// all three sides. A point inside a triangle of three seen points has,
-// in every direction u, ⟨p,u⟩ below the largest of the three — by at
-// least its distance to the nearest side — and each slot's support
-// value is at least that. Nothing else is relied on: the binary search
-// for the wedge of v0's fan that holds p only picks which triangle to
-// try, so a polygon that rounding left slightly non-convex, or that
-// has fallen behind the slots, costs rejections, not correctness.
+// interior reports whether p provably wins no slot: it lies strictly
+// inside the cached box, or inside the triangle (v0, v_j, v_j+1) of
+// the cached polygon by the margin on all three sides. A point inside
+// a triangle of three seen points has, in every direction u, ⟨p,u⟩
+// below the largest of the three — by at least its distance to the
+// nearest side — and each slot's support value is at least that. A
+// point inside the box is a convex combination of its four corners, so
+// ⟨p,u⟩ is at most the largest corner's, and each corner passed the
+// triangle test when the box was kept. Nothing else is relied on: the
+// binary search for the wedge of v0's fan that holds p only picks
+// which triangle to try, so a polygon that rounding left slightly
+// non-convex, or that has fallen behind the slots, costs rejections,
+// not correctness. The box is the cheap first try: four comparisons,
+// and a branch the predictor gets right whenever most points land in
+// it, where the binary search mispredicts on about every point.
 //
 //sketch:hotpath
 func (k *Kernel) interior(p gen.Point) bool {
+	if k.box.holds(p) {
+		return true
+	}
 	h := k.hull
 	if len(h) < 3 || !(math.Abs(p.X) <= k.scale && math.Abs(p.Y) <= k.scale) {
 		return false
@@ -260,9 +294,9 @@ func (k *Kernel) interior(p gen.Point) bool {
 }
 
 // rebuild recomputes the cached polygon from the slots, into the
-// storage it already has, and leaves it empty — no filter — while a
-// slot is still unfilled (a scan would fill it) or the polygon is not
-// usable.
+// storage it already has, and its box; it leaves both empty — no
+// filter — while a slot is still unfilled (a scan would fill it) or the
+// polygon is not usable.
 //
 //sketch:hotpath
 func (k *Kernel) rebuild() {
@@ -285,7 +319,48 @@ func (k *Kernel) rebuild() {
 	if !k.usable(h, scale) {
 		h = h[:0]
 	}
-	k.hull, k.scale, k.margin = h, scale, marginRel*scale*scale
+	k.hull, k.scale, k.margin, k.box = h, scale, marginRel*scale*scale, box{}
+	if len(h) > 0 {
+		k.box = k.fitBox()
+	}
+}
+
+// fitBox returns the box of the polygon's bounding-box centre and
+// aspect ratio, scaled to the largest that fits the polygon and then
+// shrunk by 0.1 % — or the empty box unless each of its four corners
+// passes interior's triangle test, which is what the box's soundness
+// rests on; the arithmetic before that only proposes a box. For each
+// edge a→b of the counter-clockwise polygon, with outward normal
+// n = (b.Y−a.Y, a.X−b.X), the box c ± λ·(wx, wy) stays on the inner
+// side iff λ·(|nx|·wx + |ny|·wy) ≤ ⟨n, a−c⟩, the centre's slack.
+//
+//sketch:hotpath
+func (k *Kernel) fitBox() box {
+	h := k.hull
+	lo, hi := h[0], h[0]
+	for _, v := range h[1:] {
+		lo.X, lo.Y = math.Min(lo.X, v.X), math.Min(lo.Y, v.Y)
+		hi.X, hi.Y = math.Max(hi.X, v.X), math.Max(hi.Y, v.Y)
+	}
+	cx, cy, wx, wy := (lo.X+hi.X)/2, (lo.Y+hi.Y)/2, (hi.X-lo.X)/2, (hi.Y-lo.Y)/2
+	lambda, a := math.Inf(1), h[len(h)-1]
+	for _, b := range h {
+		nx, ny := b.Y-a.Y, a.X-b.X
+		slack := nx*(a.X-cx) + ny*(a.Y-cy)
+		if !(slack > 0) {
+			return box{} // the centre is not inside this edge
+		}
+		lambda = math.Min(lambda, slack/(math.Abs(nx)*wx+math.Abs(ny)*wy))
+		a = b
+	}
+	lambda *= 0.999
+	bx := box{cx - lambda*wx, cy - lambda*wy, cx + lambda*wx, cy + lambda*wy}
+	for _, c := range [4]gen.Point{{X: bx.x0, Y: bx.y0}, {X: bx.x1, Y: bx.y0}, {X: bx.x1, Y: bx.y1}, {X: bx.x0, Y: bx.y1}} {
+		if !k.interior(c) { // k.box is empty here: this is the triangle test
+			return box{}
+		}
+	}
+	return bx
 }
 
 // usable reports whether the polygon h of all stored points, largest
@@ -407,5 +482,5 @@ func (k *Kernel) Reset() {
 		k.has[i] = false
 		k.bestDot[i] = 0
 	}
-	k.hull, k.fresh, k.trust = k.hull[:0], false, trusted
+	k.hull, k.box, k.fresh, k.trust = k.hull[:0], box{}, false, trusted
 }
