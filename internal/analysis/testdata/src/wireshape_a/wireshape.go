@@ -3,8 +3,9 @@
 // step-count drift, re-keyed and unvalidated loop bounds, trailing
 // length fields, unkeyed conditionals, missing Finish, unpaired
 // directions, a run read of the wrong element kind or without a
-// validated count — next to clean codecs using every supported idiom
-// (run reads of single elements and of fixed-width records among them).
+// validated count, a chunked run whose loop skips records — next to
+// clean codecs using every supported idiom (run reads of single
+// elements and of fixed-width records, whole or in chunks, among them).
 package wireshape_a
 
 import (
@@ -91,6 +92,7 @@ type runs struct {
 	inner []uint8
 	pts   [][2]float64
 	xy    []float64
+	ps    [][2]uint64
 }
 
 func (s *runs) reshape(k int) {
@@ -126,6 +128,11 @@ func (s *runs) MarshalBinary() ([]byte, error) {
 		w.Float64(p[0])
 		w.Float64(p[1])
 	}
+	w.Int(len(s.ps))
+	for _, p := range s.ps {
+		w.Uint64(p[0])
+		w.Uint64(p[1])
+	}
 	return codec.EncodeFrame(codec.KindHLL, w.Bytes()), nil
 }
 
@@ -156,6 +163,18 @@ func (s *runs) UnmarshalBinary(data []byte) error {
 	np := r.ArrayLen(16)
 	s.xy = codec.Resize(s.xy, 2*np)
 	r.Float64s(s.xy[:2*np])
+	// The same run read in chunks through a buffer: a loop whose counter
+	// advances by the records each chunk reads.
+	nps := r.ArrayLen(2)
+	s.ps = codec.Resize(s.ps, nps)
+	var buf [8]uint64
+	for j, c := 0, 0; j < nps; j += c {
+		c = min(nps-j, len(buf)/2)
+		r.Uint64s(buf[:2*c])
+		for i := range c {
+			s.ps[j+i] = [2]uint64{buf[2*i], buf[2*i+1]}
+		}
+	}
 	if err := r.Finish(); err != nil {
 		return err
 	}
@@ -249,6 +268,39 @@ func (s *rununguarded) UnmarshalBinary(data []byte) error {
 	m := r.Int()
 	s.xs = codec.Resize(s.xs, m)
 	r.Uint64s(s.xs) // want `repeat 1: decode loop bound field:0 is never validated`
+	return r.Finish()
+}
+
+// --- chunked run whose loop does not count what it reads: the counter
+// moves by one record per chunk of up to four ---
+
+type runchunk struct {
+	ps [][2]uint64
+}
+
+func (s *runchunk) MarshalBinary() ([]byte, error) {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	w.Int(len(s.ps))
+	for _, p := range s.ps {
+		w.Uint64(p[0])
+		w.Uint64(p[1]) // want `encode writes 2 wire step\(s\) at this level but decode reads 1`
+	}
+	return codec.EncodeFrame(codec.KindBottomK, w.Bytes()), nil
+}
+
+func (s *runchunk) UnmarshalBinary(data []byte) error {
+	payload, err := codec.DecodeFrame(codec.KindBottomK, data)
+	if err != nil {
+		return err
+	}
+	r := codec.NewReader(payload)
+	n := r.ArrayLen(2)
+	var buf [8]uint64
+	for j, c := 0, 0; j < n; j++ {
+		c = min(n-j, len(buf)/2)
+		r.Uint64s(buf[:2*c]) // want `step 1.0: encode is uvarint p\[0\] but decode is repeat over expr:c`
+	}
 	return r.Finish()
 }
 

@@ -217,7 +217,61 @@ func (ex *extractor) forStmt(x *ast.ForStmt, out *[]*Step, prefix string) {
 		ex.errf(x.Pos(), "wire loop without a recognizable `i < bound` condition")
 		spec = "expr:?"
 	}
+	if call, elem, width, ok := ex.chunkedRun(x); ok {
+		ex.emitRun(out, prefix, call.Pos(), spec, ex.decGuard(spec, deps), elem, width)
+		return
+	}
 	ex.emitRepeat(out, prefix, x.Pos(), spec, deps, x.Body)
+}
+
+// chunkedRun recognizes a decode loop that reads one run in chunks,
+//
+//	for j, c := 0, 0; j < n; j += c {
+//		c = min(n-j, len(buf)/2)
+//		r.Uint64s(buf[:2*c])
+//		...
+//	}
+//
+// whose only wire operation is a run read of c records and whose
+// counter advances by that same c: it reads n records, as one run into
+// x[:2*n] would, and is that run's repeat over the loop's bound.
+func (ex *extractor) chunkedRun(x *ast.ForStmt) (call *ast.CallExpr, elem flow.WireClass, width int, ok bool) {
+	post, isAssign := x.Post.(*ast.AssignStmt)
+	cond, isCmp := ast.Unparen(x.Cond).(*ast.BinaryExpr)
+	if ex.dir != dirDecode || !isAssign || !isCmp || post.Tok != token.ADD_ASSIGN || len(post.Lhs) != 1 ||
+		ex.render(post.Lhs[0]) != ex.render(cond.X) {
+		return nil, 0, 0, false
+	}
+	calls := 0
+	ast.Inspect(x.Body, func(n ast.Node) bool {
+		if c, isCall := n.(*ast.CallExpr); isCall && ex.isWireCall(c) {
+			calls++
+			call = c
+			return false
+		}
+		return true
+	})
+	if calls != 1 {
+		return nil, 0, 0, false
+	}
+	elem, isRun := ex.in.ReaderRunOp(call)
+	if !isRun {
+		return nil, 0, 0, false
+	}
+	dst, width := runGroups(call.Args[0])
+	sl, isSlice := ast.Unparen(dst).(*ast.SliceExpr)
+	if !isSlice || sl.High == nil || ex.render(sl.High) != ex.render(post.Rhs[0]) {
+		return nil, 0, 0, false
+	}
+	return call, elem, width, true
+}
+
+// emitRun emits a run read: a repeat over spec of width elements.
+func (ex *extractor) emitRun(out *[]*Step, prefix string, pos token.Pos, spec, guard string, elem flow.WireClass, width int) {
+	rep := ex.emit(out, prefix, &Step{Kind: StepRepeat, DecBound: spec, Guard: guard, Pos: pos})
+	for i := 0; i < width; i++ {
+		ex.emit(&rep.Body, rep.Path+".", &Step{Kind: StepField, Op: elem.String(), Pos: pos})
+	}
 }
 
 func (ex *extractor) rangeStmt(x *ast.RangeStmt, out *[]*Step, prefix string) {
@@ -288,10 +342,7 @@ func (ex *extractor) handleCall(call *ast.CallExpr, out *[]*Step, prefix string)
 		// elements over n — validated like any loop bound.
 		dst, width := runGroups(call.Args[0])
 		spec, deps := ex.rangeBound(dst)
-		rep := ex.emit(out, prefix, &Step{Kind: StepRepeat, DecBound: spec, Guard: ex.decGuard(spec, deps), Pos: call.Pos()})
-		for i := 0; i < width; i++ {
-			ex.emit(&rep.Body, rep.Path+".", &Step{Kind: StepField, Op: elem.String(), Pos: call.Pos()})
-		}
+		ex.emitRun(out, prefix, call.Pos(), spec, ex.decGuard(spec, deps), elem, width)
 		return true
 	}
 	fn := ex.wireHelper(call)

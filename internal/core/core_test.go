@@ -82,7 +82,7 @@ func TestHeavyThreshold(t *testing.T) {
 
 func TestSortCountersAsc(t *testing.T) {
 	cs := []Counter{{3, 5}, {1, 2}, {2, 5}, {9, 1}}
-	SortCountersAsc(cs)
+	SortCountersAsc(cs, nil)
 	want := []Counter{{9, 1}, {1, 2}, {2, 5}, {3, 5}}
 	for i := range want {
 		if cs[i] != want[i] {
@@ -139,7 +139,7 @@ func TestSortCountersAscProperties(t *testing.T) {
 			cs[i] = Counter{Item(items[i]), counts[i] % 1000}
 		}
 		before := TotalCount(cs)
-		SortCountersAsc(cs)
+		SortCountersAsc(cs, nil)
 		if TotalCount(cs) != before {
 			return false
 		}

@@ -243,3 +243,73 @@ func BenchmarkSortKernel(b *testing.B) {
 		})
 	}
 }
+
+// SortCountersAsc matches a comparison sort by (count, item) on every
+// shape its packed keys can take: both sides of the radix cutoff, counts
+// narrow enough to share a word with the index and so wide they lose
+// bits to it, few distinct counts (long ties settled by item), and
+// counts that tie on their kept bits but differ below them.
+func TestSortCountersAscMatchesComparison(t *testing.T) {
+	rng := xorshift(11)
+	counts := map[string]func() uint64{
+		"narrow": func() uint64 { return rng.next() >> 44 },
+		"wide":   func() uint64 { return rng.next() },
+		"ties":   func() uint64 { return rng.next() % 3 },
+		"low":    func() uint64 { return 1<<63 | rng.next()%5 },
+		"zero":   func() uint64 { return 0 },
+	}
+	for name, count := range counts {
+		for _, n := range []int{0, 1, 2, 5, 47, 48, 128, 129, 1000} {
+			cs := make([]Counter, n)
+			for i := range cs {
+				cs[i] = Counter{Item(rng.next() % 64), count()}
+			}
+			want := slices.Clone(cs)
+			slices.SortFunc(want, func(a, b Counter) int {
+				return cmp.Or(cmp.Compare(a.Count, b.Count), cmp.Compare(a.Item, b.Item))
+			})
+			SortCountersAsc(cs, nil)
+			if !slices.Equal(cs, want) {
+				t.Fatalf("%s, n=%d: %v, want %v", name, n, cs, want)
+			}
+		}
+	}
+}
+
+func TestSortCountersAscAllocs(t *testing.T) {
+	rng := xorshift(5)
+	small, large := make([]Counter, 128), make([]Counter, 1024)
+	scratch := make([]uint64, 2*len(large))
+	if n := testing.AllocsPerRun(20, func() {
+		for i := range large {
+			large[i] = Counter{Item(rng.next()), rng.next() >> 40}
+		}
+		copy(small, large)
+		SortCountersAsc(small, nil)
+		SortCountersAsc(large, scratch)
+	}); n != 0 {
+		t.Fatalf("SortCountersAsc allocates %v times per call, want 0", n)
+	}
+}
+
+// BenchmarkSortCountersAsc sorts the combined counters of a
+// low-total-error merge, 16, 32 and 128 of them, a fresh array each time.
+func BenchmarkSortCountersAsc(b *testing.B) {
+	for _, n := range []int{16, 32, 128} {
+		rng := xorshift(7)
+		pool := make([][]Counter, 1024)
+		for p := range pool {
+			pool[p] = make([]Counter, n)
+			for i := range pool[p] {
+				pool[p][i] = Counter{Item(rng.next()), 1 + rng.next()>>52}
+			}
+		}
+		work, scratch := make([]Counter, n), make([]uint64, 2*n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(work, pool[i%len(pool)])
+				SortCountersAsc(work, scratch)
+			}
+		})
+	}
+}

@@ -1,6 +1,8 @@
 package mg
 
 import (
+	"slices"
+
 	"repro/internal/core"
 )
 
@@ -47,7 +49,8 @@ func (s *Summary) MergeLowError(other *Summary) error {
 			combined = append(combined, core.Counter{Item: core.Item(s.keys[i]), Count: v})
 		}
 	}
-	core.SortCountersAsc(combined)
+	s.pruneBuf = slices.Grow(s.pruneBuf[:0], 2*len(combined))[:2*len(combined)]
+	core.SortCountersAsc(combined, s.pruneBuf)
 	s.combined = combined
 	s.n += other.n
 	s.dec += other.dec

@@ -80,10 +80,10 @@ type Summary struct {
 	shift  uint
 	growAt int
 
-	// pruneBuf is scratch for prune's count selection; scratchK and
-	// scratchC stage prune survivors during table rebuilds. All are
-	// reused across prunes so the hot ingestion path stays
-	// allocation-free.
+	// pruneBuf is scratch for prune's count selection and for
+	// MergeLowError's sort; scratchK and scratchC stage prune survivors
+	// during table rebuilds. All are reused across prunes so the hot
+	// ingestion path stays allocation-free.
 	pruneBuf []uint64
 	scratchK []uint64
 	scratchC []uint64
@@ -344,7 +344,7 @@ func (s *Summary) Counters() []core.Counter {
 			out = append(out, core.Counter{Item: core.Item(s.keys[i]), Count: c})
 		}
 	}
-	core.SortCountersAsc(out)
+	core.SortCountersAsc(out, nil)
 	return out
 }
 

@@ -3,6 +3,7 @@ package qdigest
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{2, 4, 5, 7}
 	d.counts = []uint64{5, 3, 3, 100}
 	d.n = 111
-	if d.compressPass(d.n/d.k) != true {
+	if sweep(d) == 0 {
 		t.Fatal("first pass folded a propping parent but asks for no second pass")
 	}
 	if want := []uint64{1, 4, 5, 7}; !slices.Equal(d.ids, want) {
@@ -160,7 +161,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{2, 3, 4, 5, 7}
 	d.counts = []uint64{5, 1, 3, 3, 100}
 	d.n = 112
-	if !d.compressPass(d.n / d.k) {
+	if sweep(d) == 0 {
 		t.Fatal("a propping sibling was folded but the pass asks for no second pass")
 	}
 	d.Compress()
@@ -173,7 +174,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{2, 3, 4, 5, 7}
 	d.counts = []uint64{5, 6, 3, 3, 94}
 	d.n = 111
-	if d.compressPass(d.n / d.k) {
+	if sweep(d) != 0 {
 		t.Fatal("nothing propped was folded, yet the pass asks for another")
 	}
 	if err := d.checkInvariants(); err != nil {
@@ -185,11 +186,44 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{3, 7}
 	d.counts = []uint64{1, 100}
 	d.n = 101
-	if d.compressPass(d.n / d.k) {
+	if sweep(d) != 0 {
 		t.Fatal("the folded parent propped nothing, yet the pass asks for another")
 	}
 	if err := d.checkInvariants(); err != nil {
 		t.Fatalf("one pass was not enough: %v", err)
+	}
+	// A cascade, t = 10: leaves 16 and 17 (3 + 3) stay under node 8 (5);
+	// node 8 then folds alone into a new 4, 4 into a new 2 and 2 into
+	// the root (2 + 5). The confined pass re-creates 8 from the leaves
+	// and must follow the chain up: the pair of 8 (6) has no parent
+	// left, folds into a new 4, and that into a new 2, which stands on
+	// the root (6 + 7 > 10).
+	d = New(4, 11)
+	d.ids = []uint64{1, 8, 16, 17, 31}
+	d.counts = []uint64{2, 5, 3, 3, 98}
+	d.n = 111
+	var re [2 * reCap]uint64
+	if r := d.compressPass(d.n/d.k, &re); r != 1 || re[0] != 4 {
+		t.Fatalf("the sweep listed %v, want the fold under [4]", re[:min(r, reCap)])
+	}
+	if wantI, wantC := []uint64{1, 16, 17, 31}, []uint64{7, 3, 3, 98}; !slices.Equal(d.ids, wantI) || !slices.Equal(d.counts, wantC) {
+		t.Fatalf("after the sweep %v / %v, want %v / %v", d.ids, d.counts, wantI, wantC)
+	}
+	if r := d.repass(d.n/d.k, &re, 1); r != 0 {
+		t.Fatalf("the confined pass listed %v, want nothing", re[:min(r, reCap)])
+	}
+	if wantI, wantC := []uint64{1, 2, 31}, []uint64{7, 6, 98}; !slices.Equal(d.ids, wantI) || !slices.Equal(d.counts, wantC) {
+		t.Fatalf("after the confined pass %v / %v, want %v / %v", d.ids, d.counts, wantI, wantC)
+	}
+	if err := d.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	ref := newRef(4, 11)
+	ref.counts = map[uint64]uint64{1: 2, 8: 5, 16: 3, 17: 3, 31: 98}
+	ref.n = 111
+	ref.Compress()
+	if !maps.Equal(ref.counts, map[uint64]uint64{1: 7, 2: 6, 31: 98}) {
+		t.Fatalf("the oracle compresses to %v", ref.counts)
 	}
 }
 
@@ -237,4 +271,11 @@ func TestCleanDigestSkipsCompress(t *testing.T) {
 			t.Fatalf("after %s: %v", name, err)
 		}
 	}
+}
+
+// sweep runs one whole-body pass on d and returns the number of nodes
+// it re-enabled.
+func sweep(d *Digest) int {
+	var re [2 * reCap]uint64
+	return d.compressPass(d.n/d.k, &re)
 }

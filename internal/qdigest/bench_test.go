@@ -1,6 +1,7 @@
 package qdigest
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -19,6 +20,22 @@ func edgeChunks(n, ln int) [][]uint64 {
 		}
 	}
 	return out
+}
+
+// edgeFrames returns the frames of n edge digests of ln values each:
+// what an aggregator merges.
+func edgeFrames(tb testing.TB, n, ln int) [][]byte {
+	var frames [][]byte
+	for _, ch := range edgeChunks(n, ln) {
+		d := NewEpsilon(16, 0.02)
+		d.UpdateBatch(ch)
+		frame, err := d.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	return frames
 }
 
 // BenchmarkUpdateBatch is one edge report's q-digest: a fresh digest,
@@ -45,29 +62,86 @@ func BenchmarkUpdateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMerge is the aggregator's step: a decoded edge frame merged
-// into a long-lived accumulator.
+// BenchmarkCompress times Compress alone on the state an edge batch
+// leaves before it: a fresh digest holding one 8192-value log-normal
+// batch as ~6,000 uncompressed leaves, one of 24 such states per
+// iteration.
+func BenchmarkCompress(b *testing.B) {
+	type state struct{ ids, counts []uint64 }
+	var states []state
+	for _, ch := range edgeChunks(24, 8192) {
+		d := NewEpsilon(16, 0.02)
+		ids, counts := d.leafRun(len(ch))
+		for i, v := range ch {
+			ids[i] = d.leaf(v)
+		}
+		slices.Sort(ids)
+		r := 0
+		for i := 0; i < len(ids); {
+			j := i + 1
+			for j < len(ids) && ids[j] == ids[i] {
+				j++
+			}
+			ids[r], counts[r] = ids[i], uint64(j-i)
+			r++
+			i = j
+		}
+		states = append(states, state{slices.Clone(ids[:r]), slices.Clone(counts[:r])})
+	}
+	b.Run("edge", func(b *testing.B) {
+		b.ReportAllocs()
+		d := NewEpsilon(16, 0.02)
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := states[i%len(states)]
+			d.ids = append(d.ids[:0], s.ids...)
+			d.counts = append(d.counts[:0], s.counts...)
+			d.n, d.clean = 8192, false
+			b.StartTimer()
+			d.Compress()
+		}
+	})
+}
+
+// BenchmarkMerge is the aggregator's step, a decoded edge frame merged
+// into a slot. "accumulator" merges into one long-lived digest, which
+// almost always compresses in one pass; "round" is what a merge_heavy
+// slot sees: a fresh digest absorbing 8 frames × 152 pushes, the 8
+// rotating round by round through 24.
 func BenchmarkMerge(b *testing.B) {
 	var srcs []*Digest
-	for _, ch := range edgeChunks(9, 4096) {
-		d := NewEpsilon(16, 0.02)
-		d.UpdateBatch(ch)
-		frame, err := d.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, frame := range edgeFrames(b, 24, 4096) {
 		src := new(Digest)
 		if err := src.UnmarshalBinary(frame); err != nil {
 			b.Fatal(err)
 		}
 		srcs = append(srcs, src)
 	}
-	dst := srcs[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dst.Merge(srcs[1+i%(len(srcs)-1)]); err != nil {
-			b.Fatal(err)
+	b.Run("accumulator", func(b *testing.B) {
+		dst := srcs[0].Clone()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := dst.Merge(srcs[1+i%(len(srcs)-1)]); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("round", func(b *testing.B) {
+		const perRound = 8 * 152
+		var dst *Digest
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			round, j := i/perRound, i%perRound
+			if j == 0 {
+				b.StopTimer()
+				dst = NewEpsilon(16, 0.02)
+				b.StartTimer()
+			}
+			if err := dst.Merge(srcs[(8*round+j%8)%len(srcs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/merge")
+	})
 }

@@ -210,6 +210,51 @@ func FuzzDifferential(f *testing.F) {
 	})
 }
 
+// The programs above batch at most 48 values, so they never reach the
+// sweep at edge scale (~6,000 leaves) or the multi-pass merges of a
+// young slot. Two fixed scenarios do, byte-identical to the oracle after
+// every step: fresh digests each taking one 8192-value log-normal batch
+// (ε = 0.02, logU = 16), and one served round — a fresh slot absorbing
+// 8 decoded edge frames 152 times over, as a merge_heavy slot does.
+func TestDifferentialAtScale(t *testing.T) {
+	k := NewEpsilon(16, 0.02).K()
+	t.Run("edge batch", func(t *testing.T) {
+		for i, ch := range edgeChunks(4, 8192) {
+			dp := &diffPair{got: New(16, k), ref: newRef(16, k)}
+			dp.got.UpdateBatch(ch)
+			dp.ref.UpdateBatch(ch)
+			dp.check(t, i, "edge batch")
+		}
+	})
+	t.Run("served round", func(t *testing.T) {
+		rounds := 152
+		if testing.Short() {
+			rounds = 20
+		}
+		frames := edgeFrames(t, 8, 4096)
+		srcs, refs := make([]*Digest, len(frames)), make([]*refDigest, len(frames))
+		for i, frame := range frames {
+			srcs[i], refs[i] = new(Digest), new(refDigest)
+			if err := srcs[i].UnmarshalBinary(frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := refs[i].UnmarshalBinary(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dp := &diffPair{got: New(16, k), ref: newRef(16, k)}
+		for step := range rounds * len(frames) {
+			if err := dp.got.Merge(srcs[step%len(srcs)]); err != nil {
+				t.Fatal(err)
+			}
+			if err := dp.ref.Merge(refs[step%len(refs)]); err != nil {
+				t.Fatal(err)
+			}
+			dp.check(t, step, "merge")
+		}
+	})
+}
+
 // An unsorted frame is not canonical but stays decodable: the decoder
 // sorts it, and still rejects duplicates.
 func TestUnmarshalUnsortedFrame(t *testing.T) {

@@ -297,131 +297,6 @@ func (d *Digest) clearTable() {
 	}
 }
 
-// Compress restores the q-digest property, merging under-full sibling
-// pairs into their parents bottom-up. Each pass is linear in the
-// number of nodes. It leaves every node in the body: the pending-leaf
-// table is empty afterwards. On a digest nothing has touched since the
-// last Compress it returns at once.
-//
-//sketch:hotpath
-func (d *Digest) Compress() {
-	if d.clean {
-		return
-	}
-	d.dirty = 0
-	d.flush()
-	if t := d.n / d.k; t != 0 {
-		// Sweep levels bottom-up while a pass reports that it re-enabled
-		// a merge below it; every merge strictly shrinks the node set,
-		// so the loop terminates quickly (one pass, nearly always).
-		for d.compressPass(t) {
-		}
-	}
-	d.base = len(d.ids)
-	d.clean = true
-}
-
-// propped marks, in a level run, a node whose children survived this
-// pass only because of its count: without it their pair is within the
-// threshold. Node ids stay below 2^63, so the bit is free.
-const propped = 1 << 63
-
-// compressPass runs one bottom-up sweep and reports whether another is
-// needed. The body is consumed from its tail (deepest level first); cur
-// holds the current level's run in descending id order — the body's
-// nodes of that level plus the parents the level below just created —
-// and is joined two-pointer with the body's next level up to build that
-// level's run in turn. Survivors are written back into the body's
-// consumed tail: a fold removes at least one node per parent it
-// creates, so the write cursor never overtakes the read cursor.
-//
-// When the sweep ends, every node left was examined with its sibling
-// and parent and found over the threshold, with its own and its
-// sibling's final counts. Only the parent's count can have changed
-// since — to zero, by the parent being folded upward one level later —
-// so the q-digest property can fail only at the children of a propped
-// node that was folded, and does fail there: that is what the pass
-// reports, and a pass that reports false has reached the fixpoint
-// without a sweep to verify it.
-//
-//sketch:hotpath
-func (d *Digest) compressPass(t uint64) bool {
-	ids, counts := d.ids, d.counts
-	// A level's run holds at most every node: sized once, the runs
-	// never grow inside the sweep.
-	n := len(ids)
-	curI, curC := slices.Grow(d.sIDs[:0], n), slices.Grow(d.sCounts[:0], n)
-	nxtI, nxtC := slices.Grow(d.tIDs[:0], n), slices.Grow(d.tCounts[:0], n)
-	again := false
-	p := len(ids) // ids[:p] is not yet consumed
-	w := len(ids) // ids[w:] holds this pass's survivors
-	for p > 0 && ids[p-1]>>d.logU != 0 {
-		p--
-		curI, curC = append(curI, ids[p]), append(curC, counts[p])
-	}
-	for lv := d.logU; lv >= 1; lv-- {
-		parentLo := uint64(1) << (lv - 1)
-		nxtI, nxtC = nxtI[:0], nxtC[:0]
-		for i := 0; i < len(curI); {
-			id, c := curI[i]&^propped, curC[i]
-			prop := curI[i]&propped != 0
-			i++
-			var sibC uint64
-			hasSib := id&1 == 1 && i < len(curI) && curI[i]&^propped == id-1
-			if hasSib {
-				sibC = curC[i]
-				prop = prop || curI[i]&propped != 0
-				i++
-			}
-			parent := id >> 1
-			// Parents above this group's have no children on this
-			// level in this pass: they pass through unchanged.
-			for p > 0 && ids[p-1] > parent {
-				p--
-				nxtI, nxtC = append(nxtI, ids[p]), append(nxtC, counts[p])
-			}
-			var parC uint64
-			hasPar := p > 0 && ids[p-1] == parent
-			if hasPar {
-				p--
-				parC = counts[p]
-			}
-			pair := c + sibC
-			if total := pair + parC; total <= t {
-				nxtI, nxtC = append(nxtI, parent), append(nxtC, total)
-				again = again || prop
-				continue
-			}
-			w--
-			ids[w], counts[w] = id, c
-			if hasSib {
-				w--
-				ids[w], counts[w] = id-1, sibC
-			}
-			if hasPar {
-				if pair <= t {
-					parent |= propped
-				}
-				nxtI, nxtC = append(nxtI, parent), append(nxtC, parC)
-			}
-		}
-		for p > 0 && ids[p-1] >= parentLo {
-			p--
-			nxtI, nxtC = append(nxtI, ids[p]), append(nxtC, counts[p])
-		}
-		curI, curC, nxtI, nxtC = nxtI, nxtC, curI, curC
-	}
-	for i, id := range curI { // the root, if present
-		w--
-		ids[w], counts[w] = id&^propped, curC[i]
-	}
-	size := copy(ids, ids[w:])
-	copy(counts, counts[w:])
-	d.ids, d.counts = ids[:size], counts[:size]
-	d.sIDs, d.sCounts, d.tIDs, d.tCounts = curI[:0], curC[:0], nxtI[:0], nxtC[:0]
-	return again
-}
-
 // Rank estimates the number of inserted values <= v: the sum of node
 // counts whose ranges lie entirely at or below v. The estimate never
 // exceeds the true rank and undershoots by at most ErrorBound().
@@ -701,24 +576,30 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 		return errHeader(logU, k)
 	}
 	maxID := uint64(1) << (uint8(logU) + 1)
-	ids := slices.Grow(d.sIDs[:0], m)
-	counts := slices.Grow(d.sCounts[:0], m)
-	var sum, prev uint64
-	ascending := true
-	for i := 0; i < m; i++ {
-		id := r.Uint64()
-		c := r.Uint64()
-		if r.Err() == nil {
-			if id < 1 || id >= maxID {
+	ids := slices.Grow(d.sIDs[:0], m)[:m]
+	counts := slices.Grow(d.sCounts[:0], m)[:m]
+	var sum, prev, unsorted uint64
+	// The nodes are read as runs of (id, count) pairs into a buffer on
+	// the stack, and checked a run at a time.
+	var buf [256]uint64
+	for j, c := 0, 0; j < m; j += c {
+		c = min(m-j, len(buf)/2)
+		r.Uint64s(buf[:2*c])
+		if r.Err() != nil {
+			break
+		}
+		for i := range c {
+			id, cnt := buf[2*i], buf[2*i+1]
+			if id-1 >= maxID-1 {
 				return errNodeRange(id)
 			}
-			if c == 0 {
+			if cnt == 0 {
 				return errZeroCount(id)
 			}
-			ascending = ascending && id > prev
+			unsorted |= bit(id <= prev)
 			prev = id
-			ids, counts = append(ids, id), append(counts, c)
-			sum += c
+			ids[j+i], counts[j+i] = id, cnt
+			sum += cnt
 		}
 	}
 	if err := r.Finish(); err != nil {
@@ -726,7 +607,7 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	}
 	// Canonical frames list nodes in ascending id order; any order
 	// without duplicates is accepted.
-	if !ascending {
+	if unsorted != 0 {
 		sort.Sort(nodesByID{ids, counts})
 		for i := 1; i < len(ids); i++ {
 			if ids[i-1] == ids[i] {

@@ -128,7 +128,7 @@ func (s *HeapSummary) Counters() []core.Counter {
 	for _, e := range s.heap {
 		out = append(out, core.Counter{Item: e.item, Count: e.count})
 	}
-	core.SortCountersAsc(out)
+	core.SortCountersAsc(out, nil)
 	return out
 }
 

@@ -29,7 +29,6 @@
 package spacesaving
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -461,7 +460,7 @@ func (s *Summary) Counters() []core.Counter {
 	for e := 0; e < s.live; e++ {
 		out = append(out, core.Counter{Item: core.Item(s.items[e]), Count: s.counts[e]})
 	}
-	core.SortCountersAsc(out)
+	core.SortCountersAsc(out, nil)
 	return out
 }
 
@@ -489,13 +488,26 @@ func (s *Summary) appendStates(dst []CounterState) []CounterState {
 	return dst
 }
 
+// sortStates sorts cs ascending by (count, item) as core.SortCountersAsc
+// sorts counters, in a buffer on the stack up to 128 states.
 func sortStates(cs []CounterState) {
-	slices.SortFunc(cs, func(a, b CounterState) int {
-		if c := cmp.Compare(a.Count, b.Count); c != 0 {
-			return c
+	n := len(cs)
+	var buf [256]uint64
+	scratch := slices.Grow(buf[:0], 2*n)[:2*n]
+	keys := scratch[:n]
+	for i, c := range cs {
+		keys[i] = c.Count
+	}
+	core.CountOrder(keys, scratch[n:])
+	core.Permute(cs, keys)
+	for i := 1; i < n; i++ {
+		x := cs[i]
+		j := i
+		for ; j > 0 && (cs[j-1].Count > x.Count || cs[j-1].Count == x.Count && cs[j-1].Item > x.Item); j-- {
+			cs[j] = cs[j-1]
 		}
-		return cmp.Compare(a.Item, b.Item)
-	})
+		cs[j] = x
+	}
 }
 
 // HeavyHitters returns every monitored item whose estimate interval
