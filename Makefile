@@ -125,6 +125,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUpdateMatchesFullScan -fuzztime=30s -fuzzminimizetime=1s ./internal/kernel/
 	$(GO) test -run='^$$' -fuzz=FuzzFlushMatchesTwoPass -fuzztime=30s -fuzzminimizetime=1s ./internal/gk/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeAnyFrame -fuzztime=30s -fuzzminimizetime=1s ./internal/registry/
+	$(GO) test -run='^$$' -fuzz=FuzzIndex -fuzztime=30s -fuzzminimizetime=1s ./internal/core/
 
 # Non-test Go lines per package directory: the per-package figures
 # CHANGES.md reports for each PR (testdata fixtures and the benchmark's

@@ -10,9 +10,10 @@ import (
 
 // Reduce merges encoded summary frames of one family into a single
 // summary through window.Reduce — the one frame reduce, shared with the
-// roll-up plane: registry scratch pool → DecodeInto → the deterministic
-// mergetree.Parallel pairing tree, so a fan-in computed by any node
-// over the same frame order is byte-identical — and returns the
+// roll-up plane: each frame decoded into registry scratch and folded
+// into a deterministic binary-counter tree as it arrives, so a fan-in
+// computed by any node over the same frame order is byte-identical —
+// and returns the
 // surviving summary together with its catalog entry, resolved from the
 // first frame's kind tag. The caller owns the result and should recycle
 // it with ent.PutScratch when done.

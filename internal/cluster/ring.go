@@ -1,12 +1,11 @@
 // Package cluster holds the topology-free pieces of the multi-node
 // aggregation plane: a consistent-hash ring routing slot keys to
 // nodes, and the registry-driven fan-in reduction that merges encoded
-// peer snapshots through mergetree.Parallel. Neither half touches the
-// network — the server's peer mode and the cluster client both build
-// on them — and neither holds any per-family code: the PODS'12
-// theorem says the merge is correct over any topology, so the same
-// pairing reduction that serves the in-process merge tree serves the
-// network one.
+// peer snapshots through window.Reduce, the one frame reduce. Neither
+// half touches the network — the server's peer mode and the cluster
+// client both build on them — and neither holds any per-family code:
+// the PODS'12 theorem says the merge is correct over any topology, so
+// the fold that rolls up a node's epochs serves the network too.
 package cluster
 
 import (

@@ -46,11 +46,12 @@ type KMV struct {
 	// a max-heap so the largest kept value is at the root.
 	hashes []uint64
 	// member indexes hashes for offer's duplicate test, which runs only
-	// for a value below the k-th minimum once k are kept. A decoded
+	// for a value below the k-th minimum once k are kept; a key's
+	// position is unused, since only membership is asked. A decoded
 	// summary leaves it stale until an offer needs it: one that is only
 	// ever merged from — every pushed frame, on an aggregator — never
 	// pays for building it.
-	member hashSet
+	member core.Index
 	stale  bool
 	n      uint64 // total updates (with multiplicity), for bookkeeping
 }
@@ -62,7 +63,7 @@ func NewKMV(k int, seed uint64) *KMV {
 		panic("distinct: KMV needs k >= 2")
 	}
 	s := &KMV{k: k, seed: seed, hashes: make([]uint64, 0, k)}
-	s.member.reset(k)
+	s.member.Reset(k + 1) // k kept values and the newcomer that evicts one
 	return s
 }
 
@@ -115,26 +116,32 @@ func (s *KMV) offer(h uint64) {
 	if s.stale {
 		s.index()
 	}
-	if s.member.has(h) {
+	if s.member.Room() == 0 {
+		s.member.Reserve(len(s.hashes) + 1)
+	}
+	i, p := s.member.Slot(h)
+	if p >= 0 {
 		return
 	}
+	s.member.Put(i, h, 0) // one probe for h: in before the evicted root leaves
 	if full {
-		s.member.remove(s.hashes[0])
+		s.member.Delete(s.hashes[0])
 		s.hashes[0] = h
 		s.siftDown(0)
 	} else {
 		s.hashes = append(s.hashes, h)
 		s.siftUp(len(s.hashes) - 1)
 	}
-	s.member.add(h)
 }
 
 // index rebuilds the membership set from the stored hashes, sized by
-// what is stored: a frame's k is not a reason to allocate.
+// what is stored (and one newcomer): a frame's k is not a reason to
+// allocate.
 func (s *KMV) index() {
-	s.member.reset(len(s.hashes))
+	s.member.Reset(len(s.hashes) + 1)
 	for _, h := range s.hashes {
-		s.member.add(h)
+		i, _ := s.member.Slot(h) // distinct, and Reset made room for all
+		s.member.Put(i, h, 0)
 	}
 	s.stale = false
 }

@@ -29,11 +29,14 @@ func debugAssertKMV(s *KMV) {
 	if s.stale {
 		return // the set is rebuilt from the hashes when an offer needs it
 	}
-	if s.member.size() != len(s.hashes) {
-		panic(fmt.Sprintf("distinct: sanitize: KMV member set has %d entries for %d hashes", s.member.size(), len(s.hashes)))
+	if err := s.member.Check(); err != nil {
+		panic("distinct: sanitize: KMV member set: " + err.Error())
+	}
+	if s.member.Len() != len(s.hashes) {
+		panic(fmt.Sprintf("distinct: sanitize: KMV member set has %d entries for %d hashes", s.member.Len(), len(s.hashes)))
 	}
 	for _, h := range s.hashes {
-		if !s.member.has(h) {
+		if s.member.Find(h) < 0 {
 			panic(fmt.Sprintf("distinct: sanitize: KMV hash %#x missing from member set", h))
 		}
 	}

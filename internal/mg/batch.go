@@ -32,33 +32,14 @@ func (s *Summary) UpdateBatch(xs []core.Item) {
 	}
 	limit := s.k + pruneSlack(s.k)
 	s.ensure(limit + 1)
-	keys, counts, mask, shift := s.keys, s.counts, s.mask, s.shift
 	for _, x := range xs {
-		// Inlined add(x, 1) against hoisted table views: the table
-		// cannot grow mid-batch because prune keeps live <= limit+1
-		// and ensure sized it for that.
-		key := uint64(x)
-		i := (key * fibMul) >> shift
-		for {
-			c := counts[i]
-			if c == 0 {
-				keys[i] = key
-				counts[i] = 1
-				s.live++
-				break
-			}
-			if keys[i] == key {
-				counts[i] = c + 1
-				break
-			}
-			i = (i + 1) & mask
-		}
-		if s.live > limit {
+		s.bump(uint64(x), 1)
+		if len(s.items) > limit {
 			s.prune()
 		}
 	}
 	s.n += uint64(len(xs))
-	if s.live > s.k {
+	if len(s.items) > s.k {
 		s.prune()
 	}
 	debugAssert(s)
@@ -82,30 +63,14 @@ func (s *Summary) UpdateBatchWeighted(ws []core.Counter) {
 	}
 	limit := s.k + pruneSlack(s.k)
 	s.ensure(limit + 1)
-	keys, counts, mask, shift := s.keys, s.counts, s.mask, s.shift
 	for _, c := range ws {
-		key := uint64(c.Item)
-		i := (key * fibMul) >> shift
-		for {
-			cv := counts[i]
-			if cv == 0 {
-				keys[i] = key
-				counts[i] = c.Count
-				s.live++
-				break
-			}
-			if keys[i] == key {
-				counts[i] = cv + c.Count
-				break
-			}
-			i = (i + 1) & mask
-		}
-		if s.live > limit {
+		s.bump(uint64(c.Item), c.Count)
+		if len(s.items) > limit {
 			s.prune()
 		}
 	}
 	s.n += total
-	if s.live > s.k {
+	if len(s.items) > s.k {
 		s.prune()
 	}
 	debugAssert(s)

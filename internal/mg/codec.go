@@ -16,7 +16,7 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 	defer codec.PutBuffer(w)
 	// Worst-case uvarint sizing: header (k, n, dec, len) plus two
 	// uvarints per counter.
-	w.Grow(4*10 + s.live*2*10)
+	w.Grow(4*10 + len(s.items)*2*10)
 	w.Int(s.k)
 	w.Uint64(s.n)
 	w.Uint64(s.dec)
@@ -32,7 +32,7 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements
 // encoding.BinaryUnmarshaler. Counters go straight into the receiver's
-// own table, emptied first and regrown only when the frame holds more
+// own storage, emptied first and regrown only when the frame holds more
 // than it has room for, so a reused receiver (any k, any contents; the
 // zero value too) allocates nothing. A frame rejected by a header
 // check leaves the receiver untouched; one rejected among its counters

@@ -26,26 +26,26 @@ const sanitizeEnabled = true
 // after an update, merge, or batch completes — not mid-batch, where
 // deferred pruning intentionally lets the map overshoot k.
 func debugAssert(s *Summary) {
-	if s.live > s.k {
-		panic(fmt.Sprintf("mg: sanitize: %d counters exceed k=%d", s.live, s.k))
+	if len(s.items) > s.k {
+		panic(fmt.Sprintf("mg: sanitize: %d counters exceed k=%d", len(s.items), s.k))
+	}
+	if err := s.index.Check(); err != nil {
+		panic("mg: sanitize: " + err.Error())
+	}
+	if len(s.counts) != len(s.items) || s.index.Len() != len(s.items) {
+		panic(fmt.Sprintf("mg: sanitize: %d items, %d counts, %d indexed", len(s.items), len(s.counts), s.index.Len()))
 	}
 	var sum uint64
-	live := 0
 	for i, v := range s.counts {
 		if v == 0 {
-			continue
+			panic(fmt.Sprintf("mg: sanitize: item %d has count 0", s.items[i]))
 		}
-		live++
 		sum += v
-		// The slot must be reachable by probing for its own key, or
-		// lookups would silently duplicate the counter.
-		if got := s.get(core.Item(s.keys[i])); got != v {
-			panic(fmt.Sprintf("mg: sanitize: slot %d (item %d, count %d) unreachable by probe (get=%d)",
-				i, s.keys[i], v, got))
+		// Each counter must be found at its own position, or lookups
+		// would silently duplicate it.
+		if p := s.index.Find(s.items[i]); p != int32(i) {
+			panic(fmt.Sprintf("mg: sanitize: item %d at %d is indexed at %d", s.items[i], i, p))
 		}
-	}
-	if live != s.live {
-		panic(fmt.Sprintf("mg: sanitize: live=%d but %d occupied slots", s.live, live))
 	}
 	if sum > s.n {
 		panic(fmt.Sprintf("mg: sanitize: monitored mass %d exceeds n=%d (overestimation)", sum, s.n))

@@ -37,17 +37,13 @@ func (s *Summary) MergeLowError(other *Summary) error {
 	// Sum pointwise in s's own table, then read the combined counters
 	// out, ascending, into scratch the summary keeps: a merge in a loop
 	// allocates nothing.
-	s.ensure(s.live + other.live)
-	for i, v := range other.counts {
-		if v != 0 {
-			s.add(core.Item(other.keys[i]), v)
-		}
+	s.ensure(len(s.items) + len(other.items))
+	for i, x := range other.items {
+		s.add(core.Item(x), other.counts[i])
 	}
 	combined := s.combined[:0]
-	for i, v := range s.counts {
-		if v != 0 {
-			combined = append(combined, core.Counter{Item: core.Item(s.keys[i]), Count: v})
-		}
+	for i, x := range s.items {
+		combined = append(combined, core.Counter{Item: core.Item(x), Count: s.counts[i]})
 	}
 	s.pruneBuf = slices.Grow(s.pruneBuf[:0], 2*len(combined))[:2*len(combined)]
 	core.SortCountersAsc(combined, s.pruneBuf)
@@ -77,7 +73,7 @@ func (s *Summary) MergeLowError(other *Summary) error {
 			f += at(j - 1).Count
 		}
 		if f > 0 {
-			s.insertFresh(uint64(at(c+j).Item), f)
+			s.add(at(c+j).Item, f)
 		}
 	}
 	// Every output counter was reduced by at most C_c relative to the

@@ -19,11 +19,9 @@ func (s *Summary) Merge(other *Summary) error {
 	if s.k != other.k {
 		return core.ErrMismatchedK
 	}
-	s.ensure(s.live + other.live)
-	for i, c := range other.counts {
-		if c != 0 {
-			s.add(core.Item(other.keys[i]), c)
-		}
+	s.ensure(len(s.items) + len(other.items))
+	for i, x := range other.items {
+		s.add(core.Item(x), other.counts[i])
 	}
 	s.n += other.n
 	s.dec += other.dec
@@ -65,16 +63,11 @@ func combineAccumulator(occ int) (acc *Summary, release func()) {
 // accumulation runs in a pooled scratch table; only the returned slice
 // is allocated.
 func CombinedCounters(a, b *Summary) []core.Counter {
-	acc, release := combineAccumulator(a.live + b.live)
+	acc, release := combineAccumulator(len(a.items) + len(b.items))
 	defer release()
-	for i, c := range a.counts {
-		if c != 0 {
-			acc.add(core.Item(a.keys[i]), c)
-		}
-	}
-	for i, c := range b.counts {
-		if c != 0 {
-			acc.add(core.Item(b.keys[i]), c)
+	for _, s := range []*Summary{a, b} {
+		for i, x := range s.items {
+			acc.add(core.Item(x), s.counts[i])
 		}
 	}
 	return acc.Counters()

@@ -22,41 +22,22 @@
 //     would produce, via closed-form equations. Same bound, same O(k)
 //     cost, strictly smaller total error except in degenerate cases.
 //
-// The counter store is a flat open-addressed hash table in
-// structure-of-arrays layout (keys and counts are two views of a single
-// contiguous backing slice), so the ingestion hot path walks dense
-// cache lines instead of chasing map buckets — the high-performance
-// frequent-items layout of Anderson et al. (see PAPERS.md). Counts
-// double as occupancy: a slot with count 0 is empty, which the MG
-// invariant (monitored counts are strictly positive) makes safe.
+// The counters are two dense runs, items and counts, over a core.Index
+// from item to position — the frequent-items layout of Anderson et al.
+// (see PAPERS.md): the ingestion hot path probes one flat table and
+// bumps a count in a dense array, with no map buckets to chase, and a
+// prune compacts the runs in place.
 package mg
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/core"
 )
 
-// fibMul is the 64-bit Fibonacci hashing multiplier (the odd integer
-// nearest 2^64/φ); taking the high bits of key*fibMul spreads dense and
-// strided item spaces evenly across power-of-two tables.
-const fibMul = 0x9E3779B97F4A7C15
-
-// tableSizeFor returns the power-of-two slot count for a table that
-// must hold occ live counters at load factor <= 5/8.
-func tableSizeFor(occ int) int {
-	need := occ*8/5 + 1
-	if need < 16 {
-		need = 16
-	}
-	return 1 << bits.Len(uint(need-1))
-}
-
-// maxOcc is the table occupancy high-water mark for a summary with k
-// counters: the batch path defers pruning until k+pruneSlack(k) = 2k
-// counters are live, and the prune itself triggers one insert past the
-// limit.
+// maxOcc is the counter high-water mark for a summary with k counters:
+// the batch path defers pruning until k+pruneSlack(k) = 2k counters are
+// live, and the prune itself triggers one insert past the limit.
 func maxOcc(k int) int { return 2*k + 2 }
 
 // Summary is a Misra–Gries summary. The zero value is not usable; use
@@ -69,47 +50,31 @@ type Summary struct {
 	// MG invariant is dec ≤ n/(k+1).
 	dec uint64
 
-	// Open-addressed counter table. keys and counts are equal-length
-	// views of one backing allocation; counts[i] == 0 marks slot i
-	// empty. live is the number of occupied slots, mask = len-1 and
-	// shift = 64-log2(len) serve the Fibonacci probe sequence.
-	keys   []uint64
+	// items and counts are the monitored counters, parallel and dense;
+	// index maps each item to its position. Counts are strictly
+	// positive.
+	items  []uint64
 	counts []uint64
-	live   int
-	mask   uint64
-	shift  uint
-	growAt int
+	index  core.Index
 
 	// pruneBuf is scratch for prune's count selection and for
-	// MergeLowError's sort; scratchK and scratchC stage prune survivors
-	// during table rebuilds. All are reused across prunes so the hot
-	// ingestion path stays allocation-free.
+	// MergeLowError's sort, reused so the hot ingestion path stays
+	// allocation-free.
 	pruneBuf []uint64
-	scratchK []uint64
-	scratchC []uint64
 	// combined is MergeLowError's scratch for the sorted pointwise sum.
 	combined []core.Counter
 }
 
 // New returns an empty summary with capacity k >= 1 counters. The
-// counter table is sized eagerly for the batch path's full deferred-
+// counter storage is sized eagerly for the batch path's full deferred-
 // prune footprint (up to 2k live counters) unless k is very large, in
 // which case it starts small and grows on demand.
 func New(k int) *Summary {
-	if k < 1 {
-		panic("mg: k must be >= 1")
-	}
-	s := &Summary{k: k}
-	occ := maxOcc(k)
-	if occ > 1<<12 {
-		occ = 1 << 12
-	}
-	s.ensure(occ)
-	return s
+	return newSized(k, min(maxOcc(k), 1<<12))
 }
 
-// newSized returns a summary whose table holds occ counters without
-// growing; used by decode and merge paths that know their footprint.
+// newSized returns a summary that holds occ counters without growing;
+// used by decode and merge paths that know their footprint.
 func newSized(k, occ int) *Summary {
 	if k < 1 {
 		panic("mg: k must be >= 1")
@@ -119,101 +84,54 @@ func newSized(k, occ int) *Summary {
 	return s
 }
 
-// ensure guarantees the table can hold occ live counters at the target
-// load factor, rehashing into a larger table if needed.
+// ensure makes room for occ counters without growing.
 func (s *Summary) ensure(occ int) {
-	size := tableSizeFor(occ)
-	if len(s.counts) >= size {
+	s.index.Reserve(occ)
+	if cap(s.items) < occ {
+		buf := make([]uint64, 2*occ)
+		s.items = append(buf[:0:occ], s.items...)
+		s.counts = append(buf[occ:occ], s.counts...)
+	}
+}
+
+// add adds w to x's counter, inserting it if absent; the index grows
+// when it is full.
+func (s *Summary) add(x core.Item, w uint64) {
+	if s.index.Room() == 0 {
+		s.index.Reserve(len(s.items) + 1)
+	}
+	s.bump(uint64(x), w)
+}
+
+// bump adds w to key's counter through one probe, appending a counter
+// when key is new; the index must have room for it. The batch paths
+// size the storage and the index for their whole deferred-prune
+// footprint (limit+1 counters: a prune follows as soon as there are
+// more than limit) first, so they call it directly and nothing grows.
+func (s *Summary) bump(key, w uint64) {
+	i, p := s.index.Slot(key)
+	if p >= 0 {
+		s.counts[p] += w
 		return
 	}
-	oldKeys, oldCounts := s.keys, s.counts
-	buf := make([]uint64, 2*size)
-	s.keys = buf[:size:size]
-	s.counts = buf[size:]
-	s.mask = uint64(size - 1)
-	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	s.growAt = size/2 + size/8
-	s.live = 0
-	for i, c := range oldCounts {
-		if c != 0 {
-			s.insertFresh(oldKeys[i], c)
-		}
-	}
-}
-
-// insertFresh inserts a key known to be absent from the table. The
-// caller has already sized the table for the new occupancy.
-func (s *Summary) insertFresh(key, count uint64) {
-	i := (key * fibMul) >> s.shift
-	for s.counts[i] != 0 {
-		i = (i + 1) & s.mask
-	}
-	s.keys[i] = key
-	s.counts[i] = count
-	s.live++
-}
-
-// add adds w to x's counter, inserting it if absent. The table grows
-// before an insert would exceed the load limit; lookups of present
-// keys never trigger growth, so iterating one summary while adding
-// into another (or itself) is safe as long as no new keys appear.
-func (s *Summary) add(x core.Item, w uint64) {
-	key := uint64(x)
-	i := (key * fibMul) >> s.shift
-	for {
-		c := s.counts[i]
-		if c == 0 {
-			if s.live >= s.growAt {
-				s.ensure(len(s.counts)) // tableSizeFor(size) = 2*size: force a doubling
-				s.insertFresh(key, w)
-				return
-			}
-			s.keys[i] = key
-			s.counts[i] = w
-			s.live++
-			return
-		}
-		if s.keys[i] == key {
-			s.counts[i] = c + w
-			return
-		}
-		i = (i + 1) & s.mask
-	}
+	s.index.Put(i, key, int32(len(s.items)))
+	s.items = append(s.items, key)
+	s.counts = append(s.counts, w)
 }
 
 // get returns x's counter, or 0 if x is not monitored.
 func (s *Summary) get(x core.Item) uint64 {
-	if s.live == 0 {
-		return 0
+	if p := s.index.Find(uint64(x)); p >= 0 {
+		return s.counts[p]
 	}
-	key := uint64(x)
-	i := (key * fibMul) >> s.shift
-	for {
-		c := s.counts[i]
-		if c == 0 {
-			return 0
-		}
-		if s.keys[i] == key {
-			return c
-		}
-		i = (i + 1) & s.mask
-	}
+	return 0
 }
 
-// forEach calls f for every monitored (item, count) pair in table slot
-// order. f must not insert into the table.
-func (s *Summary) forEach(f func(x core.Item, c uint64)) {
-	for i, c := range s.counts {
-		if c != 0 {
-			f(core.Item(s.keys[i]), c)
-		}
-	}
-}
-
-// clearTable empties the counter table without shrinking it.
+// clearTable empties the counters, keeping the index sized for all the
+// counters their storage holds.
 func (s *Summary) clearTable() {
-	clear(s.counts)
-	s.live = 0
+	s.index.Reset(cap(s.items))
+	s.items, s.counts = s.items[:0], s.counts[:0]
 }
 
 // NewEpsilon returns a summary sized for frequency error at most eps*n,
@@ -254,16 +172,18 @@ func FromCounters(k int, n, dec uint64, cs []core.Counter) (*Summary, error) {
 }
 
 // put inserts a counter handed in from outside (FromCounters, the
-// decoder) into a table already sized for it, rejecting a zero count
-// or an item that is already there.
+// decoder), rejecting a zero count or an item that is already there.
+// A rejected item has been added to its counter: both callers drop the
+// summary on error.
 func (s *Summary) put(x core.Item, count uint64) error {
 	if count == 0 {
 		return fmt.Errorf("mg: zero count for item %d", x)
 	}
-	if s.get(x) != 0 {
+	n := len(s.items)
+	s.add(x, count)
+	if len(s.items) == n {
 		return fmt.Errorf("mg: duplicate item %d", x)
 	}
-	s.insertFresh(uint64(x), count)
 	return nil
 }
 
@@ -274,7 +194,7 @@ func (s *Summary) K() int { return s.k }
 func (s *Summary) N() uint64 { return s.n }
 
 // Len returns the number of monitored items (<= K).
-func (s *Summary) Len() int { return s.live }
+func (s *Summary) Len() int { return len(s.items) }
 
 // ErrorBound returns the realized undercount bound: for every item,
 // f(x) − Estimate(x).Value <= ErrorBound(). It is always <= n/(k+1).
@@ -287,44 +207,35 @@ func (s *Summary) Update(x core.Item, w uint64) {
 	}
 	s.n += w
 	s.add(x, w)
-	if s.live > s.k {
+	if len(s.items) > s.k {
 		s.prune()
 	}
 	debugAssertSampled(s)
 }
 
-// prune restores live <= k by subtracting the (k+1)-th largest count
+// prune restores Len() <= k by subtracting the (k+1)-th largest count
 // from every counter and discarding non-positive ones — the PODS'12
 // reduction. It increases dec by the subtracted amount. Survivors are
-// staged in scratch and reinserted, so the table stays densely probed
-// with no tombstones.
+// compacted in place and re-indexed.
 func (s *Summary) prune() {
-	m := s.live
+	m := len(s.items)
 	if m <= s.k {
 		return
 	}
 	// The (k+1)-th largest is the (m-k)-th smallest.
-	vals := s.pruneBuf[:0]
-	for _, c := range s.counts {
-		if c != 0 {
-			vals = append(vals, c)
-		}
-	}
+	vals := append(s.pruneBuf[:0], s.counts...)
 	s.pruneBuf = vals
 	cut := selectKth(vals, m-s.k-1)
-	sk, sc := s.scratchK[:0], s.scratchC[:0]
+	s.index.Reset(cap(s.items))
+	w := 0
 	for i, c := range s.counts {
 		if c > cut {
-			sk = append(sk, s.keys[i])
-			sc = append(sc, c-cut)
+			s.items[w], s.counts[w] = s.items[i], c-cut
+			s.index.Insert(s.items[w], int32(w))
+			w++
 		}
-		s.counts[i] = 0
 	}
-	s.scratchK, s.scratchC = sk, sc
-	s.live = 0
-	for j, key := range sk {
-		s.insertFresh(key, sc[j])
-	}
+	s.items, s.counts = s.items[:w], s.counts[:w]
 	s.dec += cut
 }
 
@@ -338,11 +249,9 @@ func (s *Summary) Estimate(x core.Item) core.Estimate {
 // Counters returns the monitored (item, count) pairs in ascending count
 // order (ties by item). The slice is freshly allocated.
 func (s *Summary) Counters() []core.Counter {
-	out := make([]core.Counter, 0, s.live)
-	for i, c := range s.counts {
-		if c != 0 {
-			out = append(out, core.Counter{Item: core.Item(s.keys[i]), Count: c})
-		}
+	out := make([]core.Counter, len(s.items))
+	for i, x := range s.items {
+		out[i] = core.Counter{Item: core.Item(x), Count: s.counts[i]}
 	}
 	core.SortCountersAsc(out, nil)
 	return out
@@ -355,8 +264,8 @@ func (s *Summary) Counters() []core.Counter {
 func (s *Summary) HeavyHitters(threshold uint64) []core.Counter {
 	var out []core.Counter
 	for i, c := range s.counts {
-		if c != 0 && c+s.dec >= threshold {
-			out = append(out, core.Counter{Item: core.Item(s.keys[i]), Count: c})
+		if c+s.dec >= threshold {
+			out = append(out, core.Counter{Item: core.Item(s.items[i]), Count: c})
 		}
 	}
 	core.SortCountersDesc(out)
@@ -365,13 +274,11 @@ func (s *Summary) HeavyHitters(threshold uint64) []core.Counter {
 
 // Clone returns a deep copy.
 func (s *Summary) Clone() *Summary {
-	c := newSized(s.k, s.live)
+	c := newSized(s.k, len(s.items))
 	c.n = s.n
 	c.dec = s.dec
-	for i, v := range s.counts {
-		if v != 0 {
-			c.insertFresh(s.keys[i], v)
-		}
+	for i, x := range s.items {
+		c.add(core.Item(x), s.counts[i])
 	}
 	return c
 }

@@ -26,16 +26,14 @@ func MergeMany(summaries []*Summary) (*Summary, error) {
 		if s.k != k {
 			return nil, core.ErrMismatchedK
 		}
-		total += s.live
+		total += len(s.items)
 	}
 	// Size the accumulator table once for the full transient footprint
 	// (up to Σ live counters stay live until the single final prune).
 	out := newSized(k, total)
 	for _, s := range summaries {
-		for i, c := range s.counts {
-			if c != 0 {
-				out.add(core.Item(s.keys[i]), c)
-			}
+		for i, x := range s.items {
+			out.add(core.Item(x), s.counts[i])
 		}
 		out.n += s.n
 		out.dec += s.dec

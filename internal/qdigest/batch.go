@@ -12,7 +12,7 @@ import (
 // (leaf id, count) run, which is merged into the body in one
 // two-pointer union — the step Merge performs on another digest's body
 // — followed by at most one Compress under the rule Update follows.
-// The pending-leaf table is not involved (it is flushed first, so that
+// The pending leaves are not involved (it is flushed first, so that
 // a leaf is never both pending and in the body).
 //
 // The contract is guarantee-equivalence with the loop of Update calls,

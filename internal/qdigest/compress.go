@@ -7,7 +7,7 @@ import (
 
 // Compress restores the q-digest property, merging under-full sibling
 // pairs into their parents bottom-up. It leaves every node in the body:
-// the pending-leaf table is empty afterwards. On a digest nothing has
+// the pending run is empty afterwards. On a digest nothing has
 // touched since the last Compress it returns at once.
 //
 // The first pass sweeps the whole body (compressPass). It is the only

@@ -7,7 +7,7 @@ package qdigest
 const sanitizeEnabled = true
 
 // debugAssert panics if d's flat layout is inconsistent (body ids
-// strictly ascending, pending-leaf table and body agreeing on size),
+// strictly ascending, pending run and body agreeing on size),
 // then compresses a clone of d and panics if it violates the q-digest
 // property: positive node counts inside the tree, the
 // compression completeness bound c(v)+c(sibling)+c(parent) > n/k for

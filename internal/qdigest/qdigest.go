@@ -30,11 +30,10 @@
 // adjacent: the body is two parallel ascending slices (ids, counts),
 // a merge is a two-pointer add of two sorted runs, and Compress is a
 // bottom-up sweep that joins each level's run with its parents' run.
-// Single updates between compressions land in a small open-addressed
-// table of pending leaves (the layout package mg uses for its
-// counters), which Compress sorts and appends — leaves are the largest
-// ids; a batch is sorted into a run of its own and merged like another
-// digest's body (batch.go). Every sort is core.SortKeys, and no path
+// Single updates between compressions land in a dense run of pending
+// leaves, found through a core.Index, which Compress sorts and appends —
+// leaves are the largest ids; a batch is sorted into a run of its own
+// and merged like another digest's body (batch.go). Every sort is core.SortKeys, and no path
 // walks a Go map or allocates in steady state.
 package qdigest
 
@@ -49,12 +48,6 @@ import (
 	"repro/internal/core"
 )
 
-// fibMul is the 64-bit Fibonacci hashing multiplier; see package mg.
-const fibMul = 0x9E3779B97F4A7C15
-
-// minTable is the smallest leaf-table size (a power of two).
-const minTable = 16
-
 // Digest is a q-digest over the universe [0, 2^logU). The zero value
 // is not usable; use New. Not safe for concurrent use.
 type Digest struct {
@@ -66,14 +59,11 @@ type Digest struct {
 	ids    []uint64
 	counts []uint64
 
-	// Pending leaves: an open-addressed table of leaf ids updated
-	// since the last flush and absent from the body (so Size is exact).
-	// tabKeys[i] == 0 marks slot i empty — no node has id 0. The table
-	// has power-of-two length; tabShift = 64 - log2(len).
-	tabKeys   []uint64
-	tabCounts []uint64
-	tabLive   int
-	tabShift  uint
+	// Pending leaves: the leaves updated since the last flush and absent
+	// from the body (so Size is exact), as a dense run (pendIDs,
+	// pendCounts) in order of arrival, indexed by leaf id.
+	pendIDs, pendCounts []uint64
+	pend                core.Index
 
 	// dirty counts insertions since the last compress and base is the
 	// size that compress left: the next one is due once dirty exceeds
@@ -127,7 +117,7 @@ func (d *Digest) K() uint64 { return d.k }
 func (d *Digest) N() uint64 { return d.n }
 
 // Size returns the number of stored nodes.
-func (d *Digest) Size() int { return len(d.ids) + d.tabLive }
+func (d *Digest) Size() int { return len(d.ids) + len(d.pendIDs) }
 
 // ErrorBound returns the current deterministic rank-error bound
 // logU·⌊n/k⌋.
@@ -177,98 +167,40 @@ func (d *Digest) inserted(m int) {
 	}
 }
 
-// addLeaf adds w to leaf id: in the pending table if it is there, in
-// the body if it is there, as a new pending leaf otherwise.
+// addLeaf adds w to leaf id: in the pending run if it is there, in the
+// body if it is there, as a new pending leaf otherwise, through one
+// probe of the index (grown first when it is full).
 //
 //sketch:hotpath
 func (d *Digest) addLeaf(id, w uint64) {
 	d.clean = false
-	if len(d.tabKeys) == 0 {
-		d.growTable()
+	if d.pend.Room() == 0 {
+		d.pend.Reserve(len(d.pendIDs) + 1)
 	}
-	mask := uint64(len(d.tabKeys) - 1)
-	i := (id * fibMul) >> d.tabShift
-	for {
-		k := d.tabKeys[i]
-		if k == id {
-			d.tabCounts[i] += w
-			return
-		}
-		if k == 0 {
-			break
-		}
-		i = (i + 1) & mask
+	i, p := d.pend.Slot(id)
+	if p >= 0 {
+		d.pendCounts[p] += w
+		return
 	}
 	if j, ok := slices.BinarySearch(d.ids, id); ok {
 		d.counts[j] += w
 		return
 	}
-	if d.tabLive >= len(d.tabKeys)/2+len(d.tabKeys)/8 {
-		d.growTable()
-		mask = uint64(len(d.tabKeys) - 1)
-		i = (id * fibMul) >> d.tabShift
-		for d.tabKeys[i] != 0 {
-			i = (i + 1) & mask
-		}
-	}
-	d.tabKeys[i] = id
-	d.tabCounts[i] = w
-	d.tabLive++
+	d.pend.Put(i, id, int32(len(d.pendIDs)))
+	d.pendIDs = append(d.pendIDs, id)
+	d.pendCounts = append(d.pendCounts, w)
 }
 
-// growTable doubles the pending-leaf table (or creates it), rehashing
-// the live entries.
-func (d *Digest) growTable() {
-	size := 2 * len(d.tabKeys)
-	if size < minTable {
-		size = minTable
-	}
-	oldKeys, oldCounts := d.tabKeys, d.tabCounts
-	buf := make([]uint64, 2*size)
-	d.tabKeys, d.tabCounts = buf[:size:size], buf[size:]
-	d.tabShift = uint(64 - bits.TrailingZeros(uint(size)))
-	mask := uint64(size - 1)
-	for j, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		i := (k * fibMul) >> d.tabShift
-		for d.tabKeys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		d.tabKeys[i], d.tabCounts[i] = k, oldCounts[j]
-	}
-}
-
-// pending returns the pending count of leaf id, or 0.
-func (d *Digest) pending(id uint64) uint64 {
-	if d.tabLive == 0 {
-		return 0
-	}
-	mask := uint64(len(d.tabKeys) - 1)
-	for i := (id * fibMul) >> d.tabShift; d.tabKeys[i] != 0; i = (i + 1) & mask {
-		if d.tabKeys[i] == id {
-			return d.tabCounts[i]
-		}
-	}
-	return 0
-}
-
-// flush moves the pending leaves into the body. The table holds only
-// leaves the body lacks, so this is a sort of the pending ids and a
-// backward in-place merge into the body's tail.
+// flush moves the pending leaves into the body. The run holds only
+// leaves the body lacks, so this is a sort of a copy of the pending
+// ids and a backward in-place merge into the body's tail.
 //
 //sketch:hotpath
 func (d *Digest) flush() {
-	if d.tabLive == 0 {
+	if len(d.pendIDs) == 0 {
 		return
 	}
-	keys := d.sIDs[:0]
-	for _, k := range d.tabKeys {
-		if k != 0 {
-			keys = append(keys, k)
-		}
-	}
+	keys := append(d.sIDs[:0], d.pendIDs...)
 	d.tIDs = slices.Grow(d.tIDs[:0], len(keys))
 	core.SortKeys(keys, d.tIDs[:len(keys)], 0, uint(d.logU))
 	m := len(d.ids)
@@ -283,17 +215,19 @@ func (d *Digest) flush() {
 			i--
 			w--
 		}
-		d.ids[w], d.counts[w] = k, d.pending(k)
+		d.ids[w], d.counts[w] = k, d.pendCounts[d.pend.Find(k)]
 		w--
 	}
 	d.sIDs = keys[:0]
-	d.clearTable()
+	d.clearPending()
 }
 
-func (d *Digest) clearTable() {
-	if d.tabLive != 0 {
-		clear(d.tabKeys)
-		d.tabLive = 0
+// clearPending empties the pending run, keeping the index sized for as
+// many leaves as it held.
+func (d *Digest) clearPending() {
+	if len(d.pendIDs) != 0 {
+		d.pend.Reset(len(d.pendIDs))
+		d.pendIDs, d.pendCounts = d.pendIDs[:0], d.pendCounts[:0]
 	}
 }
 
@@ -366,12 +300,8 @@ func (d *Digest) Merge(other *Digest) error {
 	}
 	d.flush()
 	d.mergeBody(other.ids, other.counts)
-	if other.tabLive != 0 {
-		for i, k := range other.tabKeys {
-			if k != 0 {
-				d.addLeaf(k, other.tabCounts[i])
-			}
-		}
+	for i, id := range other.pendIDs {
+		d.addLeaf(id, other.pendCounts[i])
 	}
 	d.n += other.n
 	d.Compress()
@@ -429,10 +359,10 @@ func (d *Digest) Clone() *Digest {
 	c.dirty, c.base, c.clean = d.dirty, d.base, d.clean
 	c.ids = slices.Clone(d.ids)
 	c.counts = slices.Clone(d.counts)
-	if d.tabLive != 0 {
-		c.tabKeys = slices.Clone(d.tabKeys)
-		c.tabCounts = slices.Clone(d.tabCounts)
-		c.tabLive, c.tabShift = d.tabLive, d.tabShift
+	c.pendIDs = slices.Clone(d.pendIDs)
+	c.pendCounts = slices.Clone(d.pendCounts)
+	for i, id := range c.pendIDs {
+		c.pend.Insert(id, int32(i))
 	}
 	return c
 }
@@ -442,13 +372,16 @@ func (d *Digest) count(id uint64) uint64 {
 	if j, ok := slices.BinarySearch(d.ids, id); ok {
 		return d.counts[j]
 	}
-	return d.pending(id)
+	if p := d.pend.Find(id); p >= 0 {
+		return d.pendCounts[p]
+	}
+	return 0
 }
 
 // checkLayout verifies the flat representation: body ids strictly
-// ascending with one count each, and the pending table holding
-// exactly tabLive leaves, none of which the body also stores (the
-// body and the table must agree on Size).
+// ascending with one count each, and the pending run holding leaves
+// only, none of which the body also stores (the body and the run must
+// agree on Size), each found at its own position by a sound index.
 func (d *Digest) checkLayout() error {
 	if len(d.ids) != len(d.counts) {
 		return fmt.Errorf("body holds %d ids but %d counts", len(d.ids), len(d.counts))
@@ -458,21 +391,22 @@ func (d *Digest) checkLayout() error {
 			return fmt.Errorf("body ids not strictly ascending at %d", i)
 		}
 	}
-	live := 0
-	for _, k := range d.tabKeys {
-		if k == 0 {
-			continue
-		}
-		live++
+	if err := d.pend.Check(); err != nil {
+		return err
+	}
+	if len(d.pendIDs) != len(d.pendCounts) || d.pend.Len() != len(d.pendIDs) {
+		return fmt.Errorf("pending run of %d ids and %d counts, indexed %d", len(d.pendIDs), len(d.pendCounts), d.pend.Len())
+	}
+	for i, k := range d.pendIDs {
 		if level(k) != d.logU {
 			return fmt.Errorf("pending node %d is not a leaf", k)
 		}
 		if _, ok := slices.BinarySearch(d.ids, k); ok {
 			return fmt.Errorf("leaf %d is both pending and in the body", k)
 		}
-	}
-	if live != d.tabLive {
-		return fmt.Errorf("pending table holds %d leaves, tabLive says %d", live, d.tabLive)
+		if p := d.pend.Find(k); p != int32(i) {
+			return fmt.Errorf("pending leaf %d at %d is indexed at %d", k, i, p)
+		}
 	}
 	return nil
 }
@@ -508,11 +442,9 @@ func (d *Digest) checkInvariants() error {
 			return err
 		}
 	}
-	for i, k := range d.tabKeys {
-		if k != 0 {
-			if err := check(k, d.tabCounts[i]); err != nil {
-				return err
-			}
+	for i, k := range d.pendIDs {
+		if err := check(k, d.pendCounts[i]); err != nil {
+			return err
 		}
 	}
 	if sum != d.n {
@@ -621,7 +553,7 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	d.logU, d.k, d.n = uint8(logU), k, n
 	d.dirty, d.base, d.clean = 0, len(ids), false
 	d.ids, d.counts, d.sIDs, d.sCounts = ids, counts, d.ids[:0], d.counts[:0]
-	d.clearTable()
+	d.clearPending()
 	return nil
 }
 

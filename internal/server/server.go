@@ -32,7 +32,7 @@
 // peer mode (SetPeers / summaryd -peers), the node PULLs the slot's
 // encoded snapshot from every peer concurrently, reduces the peer
 // partials together with its own local state through the registry's
-// decode-into-scratch path and mergetree.Parallel (cluster.Reduce),
+// decode-into-scratch path and the one frame reduce (cluster.Reduce),
 // and replies with the merged frame — the paper's topology-free merge
 // run over the network as a star. Peers missing the slot contribute
 // nothing; a peer that cannot be reached within the per-peer timeout

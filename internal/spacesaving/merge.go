@@ -1,8 +1,6 @@
 package spacesaving
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/mg"
 )
@@ -28,50 +26,32 @@ func subtractMin(states []CounterState, k int) ([]CounterState, uint64) {
 	return out, mu
 }
 
-// combinePool recycles the pointwise-sum accumulator map across
-// merges, so the merge plane does not allocate a fresh map of size
-// len(a)+len(b) on every fold.
-var combinePool = sync.Pool{
-	New: func() any {
-		m := make(map[core.Item]CounterState, 64)
-		return &m
-	},
-}
-
-// getCombineMap borrows an empty accumulator map from combinePool;
-// release clears it and returns it.
-func getCombineMap() (m map[core.Item]CounterState, release func()) {
-	mp := combinePool.Get().(*map[core.Item]CounterState)
-	return *mp, func() {
-		clear(*mp)
-		combinePool.Put(mp)
-	}
-}
-
-// combineStates sums two state lists pointwise (shared items add both
-// counts and both certificates) and returns the result, sorted
-// ascending, appended to dst[:0] — which may share storage with a or
-// b: both are consumed before it is written. Accumulation runs in a
-// pooled map.
-func combineStates(a, b, dst []CounterState) []CounterState {
-	m, release := getCombineMap()
-	defer release()
-	for _, st := range a {
-		m[st.Item] = st
-	}
+// addStates sums b into a pointwise — a shared item adds both counts
+// and both certificates, an item new to a is appended — and returns the
+// result, in a's storage. idx must index a (item → position), with room
+// for b's items, and is kept indexing the result. a may be b[:0]: each
+// state is read before the one write that can land on it.
+func addStates(idx *core.Index, a, b []CounterState) []CounterState {
 	for _, st := range b {
-		if prev, ok := m[st.Item]; ok {
-			prev.Count += st.Count
-			prev.Eps += st.Eps
-			m[st.Item] = prev
-		} else {
-			m[st.Item] = st
+		i, p := idx.Slot(uint64(st.Item))
+		if p >= 0 {
+			a[p].Count += st.Count
+			a[p].Eps += st.Eps
+			continue
 		}
+		idx.Put(i, uint64(st.Item), int32(len(a)))
+		a = append(a, st)
 	}
-	out := dst[:0]
-	for _, st := range m {
-		out = append(out, st)
-	}
+	return a
+}
+
+// combineStates sums two state lists pointwise and returns the result,
+// sorted ascending, in a's storage, with idx (scratch) indexing it.
+// The sort orders states totally, so which list an item came from, and
+// where, leaves no trace.
+func combineStates(idx *core.Index, a, b []CounterState) []CounterState {
+	idx.Reset(len(a) + len(b))
+	out := addStates(idx, addStates(idx, a[:0], a), b)
 	sortStates(out)
 	return out
 }
@@ -79,12 +59,13 @@ func combineStates(a, b, dst []CounterState) []CounterState {
 // combineWith is the shared front half of both merges: both operands'
 // states after the minima-subtraction pre-step, summed pointwise and
 // sorted ascending, in s's own scratch (valid until the next merge or
-// decode), with n and under brought up to date.
+// decode), with n and under brought up to date. s's index is the
+// combine's scratch: the rebuild that follows every combine resets it.
 func (s *Summary) combineWith(other *Summary) []CounterState {
 	sa, mua := subtractMin(s.appendStates(s.stage[:0]), s.k)
 	sb, mub := subtractMin(other.appendStates(s.stage2[:0]), other.k)
 	s.stage2 = sb[:0]
-	combined := combineStates(sa, sb, sa)
+	combined := combineStates(&s.index, sa, sb)
 	s.stage = combined[:0]
 	s.n += other.n
 	s.under += other.under + mua + mub
@@ -215,7 +196,8 @@ func MergedLowError(a, b *Summary) (*Summary, error) {
 func CombinedCounters(a, b *Summary) []core.Counter {
 	sa, _ := subtractMin(a.States(), a.k)
 	sb, _ := subtractMin(b.States(), b.k)
-	combined := combineStates(sa, sb, nil)
+	var idx core.Index
+	combined := combineStates(&idx, sa, sb)
 	out := make([]core.Counter, len(combined))
 	for i, st := range combined {
 		out[i] = core.Counter{Item: st.Item, Count: st.Count}
@@ -231,13 +213,17 @@ func CombinedCounters(a, b *Summary) []core.Counter {
 // and contributes combined(x) − merged(x). Matches the E_T metric of
 // the supplied text's §5.2 (which neglects the shared minima terms).
 func TotalMergeError(combined []core.Counter, merged *Summary) uint64 {
-	byItem := make(map[core.Item]uint64, len(combined))
-	for _, c := range combined {
-		byItem[c.Item] = c.Count
+	var idx core.Index
+	idx.Reset(len(combined))
+	for i, c := range combined {
+		idx.Insert(uint64(c.Item), int32(i))
 	}
 	var te uint64
 	for _, c := range merged.Counters() {
-		cv := byItem[c.Item]
+		var cv uint64
+		if p := idx.Find(uint64(c.Item)); p >= 0 {
+			cv = combined[p].Count
+		}
 		if c.Count >= cv {
 			te += c.Count - cv
 		} else {

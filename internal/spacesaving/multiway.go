@@ -18,8 +18,8 @@ func MergeMany(summaries []*Summary) (*Summary, error) {
 	}
 	k := summaries[0].k
 	out := New(k)
-	combined, release := getCombineMap()
-	defer release()
+	var idx core.Index
+	var states []CounterState
 	for _, s := range summaries {
 		if s == nil {
 			return nil, core.ErrNilSummary
@@ -27,22 +27,11 @@ func MergeMany(summaries []*Summary) (*Summary, error) {
 		if s.k != k {
 			return nil, core.ErrMismatchedK
 		}
-		states, mu := subtractMin(s.States(), s.k)
+		sub, mu := subtractMin(s.States(), s.k)
 		out.n += s.n
 		out.under += s.under + mu
-		for _, st := range states {
-			if prev, ok := combined[st.Item]; ok {
-				prev.Count += st.Count
-				prev.Eps += st.Eps
-				combined[st.Item] = prev
-			} else {
-				combined[st.Item] = st
-			}
-		}
-	}
-	states := make([]CounterState, 0, len(combined))
-	for _, st := range combined {
-		states = append(states, st)
+		idx.Reserve(len(states) + len(sub))
+		states = addStates(&idx, states, sub)
 	}
 	sortStates(states)
 

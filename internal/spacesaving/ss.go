@@ -21,25 +21,18 @@
 // The stream-summary structure is stored flat, in structure-of-arrays
 // layout: items, counts and the eps certificates are three views of a
 // single contiguous backing slice, entries and buckets link to each
-// other by int32 index instead of pointer, and the item lookup is an
-// open-addressed hash table over a dense slot space — the
-// cache-conscious frequent-items layout of Anderson et al. (see
-// PAPERS.md). The update algorithm itself is the classic one; only the
+// other by int32 index instead of pointer, and the item lookup is a
+// core.Index over the dense slot space — the cache-conscious
+// frequent-items layout of Anderson et al. (see PAPERS.md). The update algorithm itself is the classic one; only the
 // memory it walks changed.
 package spacesaving
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/core"
 )
-
-// fibMul is the 64-bit Fibonacci hashing multiplier; taking the high
-// bits of key*fibMul spreads dense and strided item spaces evenly
-// across power-of-two tables.
-const fibMul = 0x9E3779B97F4A7C15
 
 // nilIdx is the index-space null for entry and bucket links.
 const nilIdx = int32(-1)
@@ -76,12 +69,8 @@ type Summary struct {
 	minB  int32 // ascending bucket list
 	maxB  int32
 
-	// item -> entry slot open-addressed index; hslot[i] == nilIdx
-	// marks an empty hash slot.
-	hkeys  []uint64
-	hslot  []int32
-	hmask  uint64
-	hshift uint
+	// index maps each monitored item to its entry slot.
+	index core.Index
 
 	// stage and stage2 are state-list scratch: UnmarshalBinary stages a
 	// frame's counters in stage until they are validated; a merge lists
@@ -124,7 +113,7 @@ func entryCap(k, occ int) int {
 }
 
 // growTo reallocates the entry arrays for cap monitored items,
-// preserving contents, and rebuilds the hash index at load <= 1/2.
+// preserving contents, and makes room in the index for as many items.
 func (s *Summary) growTo(cap int) {
 	ubuf := make([]uint64, 4*cap)
 	lbuf := make([]int32, 8*cap)
@@ -151,20 +140,7 @@ func (s *Summary) growTo(cap int) {
 	s.bnext = append(lbuf[6*cap:6*cap:7*cap], s.bnext...)
 	s.bfree = append(lbuf[7*cap:7*cap:8*cap], s.bfree...)
 
-	hsize := 16
-	for hsize < 2*cap {
-		hsize <<= 1
-	}
-	s.hkeys = make([]uint64, hsize)
-	s.hslot = make([]int32, hsize)
-	for i := range s.hslot {
-		s.hslot[i] = nilIdx
-	}
-	s.hmask = uint64(hsize - 1)
-	s.hshift = uint(64 - bits.TrailingZeros(uint(hsize)))
-	for e := 0; e < s.live; e++ {
-		s.hinsert(s.items[e], int32(e))
-	}
+	s.index.Reserve(cap)
 }
 
 // growEntries doubles the entry capacity, bounded by k.
@@ -174,64 +150,6 @@ func (s *Summary) growEntries() {
 		cap = s.k
 	}
 	s.growTo(cap)
-}
-
-// hfind returns the entry slot monitoring key, or nilIdx.
-func (s *Summary) hfind(key uint64) int32 {
-	i := (key * fibMul) >> s.hshift
-	for {
-		e := s.hslot[i]
-		if e == nilIdx {
-			return nilIdx
-		}
-		if s.hkeys[i] == key {
-			return e
-		}
-		i = (i + 1) & s.hmask
-	}
-}
-
-// hinsert indexes key -> slot; key must be absent.
-func (s *Summary) hinsert(key uint64, slot int32) {
-	i := (key * fibMul) >> s.hshift
-	for s.hslot[i] != nilIdx {
-		i = (i + 1) & s.hmask
-	}
-	s.hkeys[i] = key
-	s.hslot[i] = slot
-}
-
-// hdelete removes key from the index with backward-shift deletion, so
-// probe chains stay tombstone-free.
-func (s *Summary) hdelete(key uint64) {
-	mask := s.hmask
-	i := (key * fibMul) >> s.hshift
-	for {
-		if s.hslot[i] == nilIdx {
-			return
-		}
-		if s.hkeys[i] == key {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	j := i
-	for {
-		j = (j + 1) & mask
-		if s.hslot[j] == nilIdx {
-			break
-		}
-		// Move j's occupant back to the hole iff its home position
-		// precedes the hole in probe order (the occupant stays
-		// reachable either way, but the hole must not split a chain).
-		h := (s.hkeys[j] * fibMul) >> s.hshift
-		if ((j - h) & mask) >= ((j - i) & mask) {
-			s.hkeys[i] = s.hkeys[j]
-			s.hslot[i] = s.hslot[j]
-			i = j
-		}
-	}
-	s.hslot[i] = nilIdx
 }
 
 // NewEpsilon returns a summary sized for overestimation at most eps*n,
@@ -285,20 +203,22 @@ func (s *Summary) Update(x core.Item, w uint64) {
 func (s *Summary) update(x core.Item, w uint64) {
 	s.n += w
 	key := uint64(x)
-	if e := s.hfind(key); e != nilIdx {
+	i, e := s.index.Slot(key)
+	if e != nilIdx {
 		s.increase(e, w)
 		return
 	}
 	if s.live < s.k {
 		if s.live == len(s.items) {
 			s.growEntries()
+			i, _ = s.index.Slot(key)
 		}
 		e := int32(s.live)
 		s.live++
 		s.items[e] = key
 		s.counts[e] = w
 		s.eps[e] = 0
-		s.hinsert(key, e)
+		s.index.Put(i, key, e) // the index has room for every entry slot
 		s.placeFrom(s.minB, e, w)
 		return
 	}
@@ -309,11 +229,12 @@ func (s *Summary) update(x core.Item, w uint64) {
 	victim := s.bhead[vb]
 	minCount := s.bcnt[vb]
 	s.unlink(victim)
-	s.hdelete(s.items[victim])
+	s.index.Delete(s.items[victim])
 	s.items[victim] = key
 	s.counts[victim] = minCount + w
 	s.eps[victim] = minCount
-	s.hinsert(key, victim)
+	i, _ = s.index.Slot(key) // the delete may have moved key's empty slot
+	s.index.Put(i, key, victim)
 	s.placeFrom(s.minB, victim, minCount+w)
 }
 
@@ -442,7 +363,7 @@ func (s *Summary) removeEmptyBucket(b int32) int32 {
 // Estimate answers a point query. For monitored items the interval is
 // [count−eps, count+under]; for unmonitored items [0, min+under].
 func (s *Summary) Estimate(x core.Item) core.Estimate {
-	if e := s.hfind(uint64(x)); e != nilIdx {
+	if e := s.index.Find(uint64(x)); e != nilIdx {
 		cnt, ep := s.counts[e], s.eps[e]
 		lo := uint64(0)
 		if cnt > ep {
@@ -542,7 +463,7 @@ func (s *Summary) Reset() {
 	s.clearStructure()
 }
 
-// clearStructure empties the entry, bucket and hash storage without
+// clearStructure empties the entry, bucket and index storage without
 // shrinking it. n and under are left alone.
 func (s *Summary) clearStructure() {
 	s.live = 0
@@ -553,9 +474,7 @@ func (s *Summary) clearStructure() {
 	s.bprev = s.bprev[:0]
 	s.bnext = s.bnext[:0]
 	s.bfree = s.bfree[:0]
-	for i := range s.hslot {
-		s.hslot[i] = nilIdx
-	}
+	s.index.Reset(len(s.items))
 }
 
 // rebuild replaces the structure contents with the given states, which
@@ -572,7 +491,7 @@ func (s *Summary) rebuild(states []CounterState) {
 		s.items[e] = uint64(st.Item)
 		s.counts[e] = st.Count
 		s.eps[e] = st.Eps
-		s.hinsert(uint64(st.Item), e)
+		s.index.Insert(uint64(st.Item), e)
 		s.placeFrom(hint, e, st.Count)
 		hint = s.ebkt[e]
 	}
@@ -618,7 +537,7 @@ func (s *Summary) load(k int, n, under uint64, states []CounterState) error {
 	// rebuild indexes every state; a repeated item shows as an entry
 	// the index resolves to an earlier slot.
 	for e := int32(0); e < int32(s.live); e++ {
-		if s.hfind(s.items[e]) != e {
+		if s.index.Find(s.items[e]) != e {
 			item := s.items[e]
 			s.Reset()
 			return fmt.Errorf("spacesaving: duplicate item %d", item)
@@ -655,7 +574,7 @@ func (s *Summary) checkInvariants() error {
 			if int(e) >= s.live {
 				return fmt.Errorf("entry slot %d beyond live=%d", e, s.live)
 			}
-			if s.hfind(s.items[e]) != e {
+			if s.index.Find(s.items[e]) != e {
 				return fmt.Errorf("hash does not resolve item %d to slot %d", s.items[e], e)
 			}
 			seen++
@@ -672,14 +591,11 @@ func (s *Summary) checkInvariants() error {
 	if seen != s.live {
 		return fmt.Errorf("bucket entries %d != live %d", seen, s.live)
 	}
-	occupied := 0
-	for _, sl := range s.hslot {
-		if sl != nilIdx {
-			occupied++
-		}
+	if err := s.index.Check(); err != nil {
+		return err
 	}
-	if occupied != s.live {
-		return fmt.Errorf("hash occupancy %d != live %d", occupied, s.live)
+	if s.index.Len() != s.live {
+		return fmt.Errorf("index holds %d items, live %d", s.index.Len(), s.live)
 	}
 	if s.live > s.k {
 		return fmt.Errorf("size %d exceeds k=%d", s.live, s.k)

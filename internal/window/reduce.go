@@ -1,48 +1,71 @@
 package window
 
-import (
-	"fmt"
-	"runtime"
-
-	"repro/internal/mergetree"
-)
+import "fmt"
 
 // Reduce merges encoded frames of one family into a single summary —
 // the one frame reduce the system has: the plane's roll-ups and query
 // covers and the cluster fan-in (cluster.Reduce) all come here, so who
 // picked the merge tree (ladder, peer list, client) never changes how
-// it is folded. Every frame is decoded into a pooled scratch summary
-// (in place: a scratch keeps its storage, and one whose decode fails
-// goes back to the pool as it is) and the scratch summaries are folded
-// with mergetree.Parallel's pairing reduction, a deterministic tree:
-// the same frames in the same order reduce to the same bytes on every
-// node and at every worker count. The caller owns the result and must
-// PutScratch it; the intermediates are recycled here.
+// it is folded. It folds as it decodes, on the calling goroutine: frame
+// i is decoded into a pooled scratch summary (in place: a scratch keeps
+// its storage, and one whose decode fails goes back to the pool as it
+// is) and pushed on a stack of partial folds; while the top two cover
+// equal numbers of frames, the right one is merged into the left. At
+// the end the stack folds right to left. That is the binary-counter
+// tree of the paper's logarithmic technique (§3.2), and the tree of a
+// round-by-round pairing — (2i, 2i+1) into 2i, an odd survivor carried
+// — so the same frames in the same order reduce to the same bytes on
+// every node, with at most ⌈log2 n⌉+1 summaries decoded at once. The
+// caller owns the result and must PutScratch it; the intermediates are
+// recycled here.
 func Reduce(ops Ops, frames [][]byte) (any, error) {
-	parts := make([]any, len(frames))
+	type fold struct {
+		s      any
+		frames int // how many frames s covers
+	}
+	var buf [16]fold
+	stack := buf[:0]
+	// release hands every summary on the stack back, a merged-into one
+	// and one whose decode failed too: that is the state DecodeInto's
+	// contract covers — a receiver with half a merge in it decodes the
+	// next frame exactly as a fresh one would.
+	release := func(err error) (any, error) {
+		for _, f := range stack {
+			ops.PutScratch(f.s)
+		}
+		return nil, err
+	}
+	// mergeTop folds the top of the stack into the summary under it.
+	mergeTop := func() error {
+		top := len(stack) - 1
+		if err := ops.Merge(stack[top-1].s, stack[top].s); err != nil {
+			return fmt.Errorf("merging %d frames (%s): %w", len(frames), ops.Name(), err)
+		}
+		ops.PutScratch(stack[top].s)
+		stack[top-1].frames += stack[top].frames
+		stack = stack[:top]
+		return nil
+	}
 	for i, f := range frames {
-		parts[i] = ops.GetScratch()
-		if err := ops.DecodeInto(parts[i], f); err != nil {
-			for _, s := range parts[:i+1] {
-				ops.PutScratch(s)
+		stack = append(stack, fold{s: ops.GetScratch(), frames: 1})
+		if err := ops.DecodeInto(stack[len(stack)-1].s, f); err != nil {
+			return release(fmt.Errorf("decoding frame %d/%d (%s): %w", i+1, len(frames), ops.Name(), err))
+		}
+		for len(stack) > 1 && stack[len(stack)-2].frames == stack[len(stack)-1].frames {
+			if err := mergeTop(); err != nil {
+				return release(err)
 			}
-			return nil, fmt.Errorf("decoding frame %d/%d (%s): %w", i+1, len(frames), ops.Name(), err)
 		}
 	}
-	acc, err := mergetree.Parallel(parts, reduceWorkers(len(parts)), ops.Merge)
-	for _, s := range parts {
-		// On error acc is nil and every part goes back: Parallel may leave
-		// merged-into summaries in any state, and that is the state
-		// DecodeInto's contract covers — a receiver with half a merge in
-		// it decodes the next frame exactly as a fresh one would.
-		if s != acc {
-			ops.PutScratch(s)
+	if len(stack) == 0 {
+		return nil, fmt.Errorf("merging 0 frames (%s): nothing to reduce", ops.Name())
+	}
+	for len(stack) > 1 {
+		if err := mergeTop(); err != nil {
+			return release(err)
 		}
 	}
-	if err != nil {
-		return nil, fmt.Errorf("merging %d frames (%s): %w", len(frames), ops.Name(), err)
-	}
-	return acc, nil
+	return stack[0].s, nil
 }
 
 // ReduceEncoded is Reduce re-encoded: the merged summary as one wire
@@ -56,19 +79,4 @@ func ReduceEncoded(ops Ops, frames [][]byte) ([]byte, error) {
 	frame, err := ops.Encode(acc)
 	ops.PutScratch(acc)
 	return frame, err
-}
-
-// inlineParts is the piece count up to which a reduction runs on the
-// calling goroutine: DefaultLadder's fan, so fan-sized roll-up blocks
-// and small-cluster fan-ins pay no goroutine or barrier cost.
-const inlineParts = 8
-
-// reduceWorkers picks the mergetree.Parallel worker count: inline up
-// to inlineParts pieces, up to GOMAXPROCS (capped at 8) for the long
-// flat covers where the parallel tree pays.
-func reduceWorkers(parts int) int {
-	if parts <= inlineParts {
-		return 1
-	}
-	return min(runtime.GOMAXPROCS(0), 8)
 }
