@@ -17,40 +17,24 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-harness fuzz wire-snapshot wire-docs wire-golden loc clean
+.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-harness fuzz wire-golden loc clean
 
 check: vet build lint staticcheck govulncheck race sanitize bench-smoke bench-server bench-harness
 
-# Project-specific analyzers: the syntactic suite (mergecompat,
-# locksafe, hotpathalloc, detrand, regcomplete), the flow-sensitive
-# suite (poollife, encodepure, lockflow), and the wire-schema suite
-# (wireshape symmetry proofs, wirecompat snapshot gate); any
-# diagnostic fails the build. Linting runs with the sanitize tag so
-# the invariant layer itself is analyzed. Each package is parsed and
-# type-checked once for all ten passes (the loader caches by
-# directory, the flow passes share one IR build per package), so the
-# shared load dominates and analysis time is noise (`sketchlint
-# -timing` itemizes it).
+# Project-specific analyzers: the two passes that catch bugs no test,
+# -race run or sanitize assertion catches (DESIGN.md §7 is the mutation
+# audit that kept them): lockflow (no decode, I/O or blocking under a
+# lock) and mergecompat (no dropped merge error). Any diagnostic fails
+# the build. Linting runs with the sanitize tag so the invariant layer
+# itself is analyzed.
 lint:
 	$(GO) run ./cmd/sketchlint
 
-# Regenerate the committed wire-schema snapshots under
-# internal/analysis/wireshape/schemas/ from the current codecs. Run
-# this deliberately after an intentional wire-format change; the
-# wirecompat pass (part of `make lint`) fails on any breaking drift
-# between the codecs and these files. Refuses while encode/decode
-# symmetry errors are open.
-wire-snapshot:
-	$(GO) run ./cmd/sketchlint -wire-snapshot
-
-# Re-render DESIGN.md's wire-format appendix from the committed
-# schemas (between the wireshape markers).
-wire-docs:
-	$(GO) run ./cmd/sketchlint -wire-docs
-
 # Regenerate the golden wire corpus under internal/codec/testdata/
 # golden/: one committed frame per registered family. The corpus test
-# fails on any byte-level drift until this is rerun deliberately.
+# fails on any byte-level drift until this is rerun deliberately; with
+# each codec's round-trip and hostile-frame tests it is what pins the
+# wire format.
 wire-golden:
 	$(GO) test ./internal/codec/ -run TestGoldenCorpus -update-golden
 
@@ -96,7 +80,7 @@ sanitize:
 # family through the registry — the aggregator's unit cost, which no
 # per-family list can forget a family of; -benchmem because its
 # allocs/op column is the steady-state figure TestDecodeMergeAllocs pins
-# at <= 1.
+# at 0.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Update -benchtime=100x .
 	$(GO) test -run='^$$' -bench=BenchmarkUpdate -benchtime=3x ./internal/kernel/

@@ -672,11 +672,33 @@ func TestUpdateBatchAllocs(t *testing.T) {
 	onUvals := func(up func([]uint64)) func(off int) {
 		return func(off int) { up(uvals[off : off+batchLen]) }
 	}
+	weighted := make([]mergesum.Counter, len(items))
+	for i, x := range items {
+		weighted[i] = mergesum.Counter{Item: x, Count: uint64(i%7 + 1)}
+	}
+	onWeighted := func(up func([]mergesum.Counter)) func(off int) {
+		return func(off int) { up(weighted[off : off+batchLen]) }
+	}
+	qweighted := make([]qdigest.WeightedValue, len(uvals))
+	for i, v := range uvals {
+		qweighted[i] = qdigest.WeightedValue{Value: v, Weight: uint64(i%7 + 1)}
+	}
 	// One value ahead of the batches, so that N is never a multiple of
 	// 1024 when a batch ends: that is where a sanitize build samples its
 	// assertion, which clones the digest.
-	qd := mergesum.NewQDigest(16, 0.01)
+	qd, qdw, qdu := mergesum.NewQDigest(16, 0.01), mergesum.NewQDigest(16, 0.01), mergesum.NewQDigest(16, 0.01)
 	qd.Update(0, 1)
+	qdw.Update(0, 1)
+	qdu.Update(0, 1)
+	sharded := mergesum.NewSharded(8, func(int) *mergesum.MisraGries { return mergesum.NewMisraGries(64) })
+	shardBatch := func(off int) {
+		chunk := items[off : off+batchLen]
+		sharded.UpdateBatch(len(chunk), func(i int) uint64 { return uint64(chunk[i]) }, func(s *mergesum.MisraGries, idxs []int) {
+			for _, i := range idxs {
+				s.Update(chunk[i], 1)
+			}
+		})
+	}
 
 	for _, tc := range []struct {
 		name  string
@@ -696,10 +718,25 @@ func TestUpdateBatchAllocs(t *testing.T) {
 		{"gk/eps=0.01", onVals(mergesum.NewGK(0.01).UpdateBatch), 1},
 		{"randquant/eps=0.01", onVals(mergesum.NewQuantile(0.01, 1).UpdateBatch), batchLen - 1},
 		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), 0}, // the one type's free list
+		{"mg/weighted,k=64", onWeighted(mergesum.NewMisraGries(64).UpdateBatchWeighted), 0},
+		{"spacesaving/weighted,k=256", onWeighted(mergesum.NewSpaceSaving(256).UpdateBatchWeighted), 0},
+		{"countmin/weighted,w=1024,d=4", onWeighted(mergesum.NewCountMin(1024, 4, 1).UpdateBatchWeighted), 0},
+		{"countsketch/weighted,w=1024,d=4", onWeighted(mergesum.NewCountSketch(1024, 4, 1).UpdateBatchWeighted), 0},
+		{"topk/weighted,k=64", onWeighted(mergesum.NewTopK(64, 512, 4, 1).UpdateBatchWeighted), 0},
+		{"qdigest/weighted,logU=16", func(off int) { qdw.UpdateBatchWeighted(qweighted[off : off+batchLen]) }, 0},
+		{"qdigest/per-item,logU=16", func(off int) {
+			for _, v := range uvals[off : off+batchLen] {
+				qdu.Update(v, 1)
+			}
+		}, 0},
+		{"sharded/mg,p=8", shardBatch, 1}, // pooled partitions; the one is the slice header Put into the pool
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if raceEnabled && (strings.HasPrefix(tc.name, "spacesaving") || strings.HasPrefix(tc.name, "topk")) {
+			if raceEnabled && (strings.HasPrefix(tc.name, "spacesaving") || strings.HasPrefix(tc.name, "topk") || strings.HasPrefix(tc.name, "sharded")) {
 				t.Skip("the race detector drops pooled values at random")
+			}
+			if sanitizeEnabled && strings.Contains(tc.name, "per-item") {
+				t.Skip("a sanitize build clones the digest for its sampled per-item check")
 			}
 			last := batchStreamLen - batchLen
 			for off := 0; off <= last; off += batchLen {

@@ -1,114 +1,42 @@
 // Command sketchlint is the repository's static-analysis multichecker:
-// it runs the custom sketch-correctness analyzers — the syntactic
-// suite (mergecompat, locksafe, hotpathalloc, detrand, regcomplete),
-// the flow-sensitive suite (poollife, encodepure, lockflow) and the
-// wire-schema suite (wireshape, wirecompat) — over every package of
-// the module and exits nonzero on failing diagnostics. It is the fast
-// inner loop of `make lint` and part of `make check`.
+// it runs the two custom passes that catch bugs no test, -race run or
+// sanitize assertion catches — lockflow (no decode, I/O or blocking
+// under a lock) and mergecompat (no dropped merge error) — over every
+// package of the module and exits nonzero on any diagnostic. It is the
+// fast inner loop of `make lint` and part of `make check`.
 //
 // Usage:
 //
-//	sketchlint [-tags sanitize] [-json] [-fail-on error|warning|none]
-//	           [-only a,b] [-skip a,b] [-timing] [dir ...]
-//	sketchlint -wire-snapshot | -wire-docs
+//	sketchlint [dir ...]
 //
 // With no arguments the whole module is checked (the "./..." of the
 // suite); testdata and result trees are skipped. Packages are loaded
-// with the sanitize build tag by default so the invariant layer is
-// linted, not its no-op stubs. Each package is parsed and
-// type-checked once (the loader caches by directory) and every
-// analyzer runs over that one load; the flow analyzers additionally
-// share one flow-IR build per package, and wireshape/wirecompat share
-// one schema extraction.
+// with the sanitize build tag so the invariant layer is linted, not
+// its no-op stubs. Each package is parsed and type-checked once (the
+// loader caches by directory) and both passes run over that one load.
 //
-// -json emits one JSON object per line ({"file","line","col",
-// "analyzer","severity","message"}) for CI consumers; -fail-on sets
-// the severity that makes the exit code nonzero (default "warning":
-// any diagnostic fails, preserving the historical behavior; "error"
-// admits warnings; "none" always exits 0 but still prints). -only and
-// -skip select analyzers by name; -timing appends per-analyzer
-// wall-time totals to the output.
-//
-// -wire-snapshot regenerates the committed wire-schema snapshots
-// under internal/analysis/wireshape/schemas (refusing while any
-// encode/decode symmetry error is open); -wire-docs re-renders the
-// DESIGN.md wire-format appendix from those snapshots. Both are
-// normally invoked through `make wire-snapshot` / `make wire-docs`.
-//
-// Exit codes: 0 clean, 1 diagnostics at or above -fail-on, 2 load or
-// internal error.
+// Exit codes: 0 clean, 1 diagnostics, 2 load or internal error.
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/detrand"
-	"repro/internal/analysis/encodepure"
-	"repro/internal/analysis/hotpathalloc"
 	"repro/internal/analysis/lockflow"
-	"repro/internal/analysis/locksafe"
 	"repro/internal/analysis/mergecompat"
-	"repro/internal/analysis/poollife"
-	"repro/internal/analysis/regcomplete"
-	"repro/internal/analysis/wireshape"
 )
 
-var analyzers = []*analysis.Analyzer{
-	mergecompat.Analyzer,
-	locksafe.Analyzer,
-	hotpathalloc.Analyzer,
-	detrand.Analyzer,
-	regcomplete.Analyzer,
-	poollife.Analyzer,
-	encodepure.Analyzer,
-	lockflow.Analyzer,
-	wireshape.Analyzer,
-	wireshape.CompatAnalyzer,
-}
+var analyzers = []*analysis.Analyzer{mergecompat.Analyzer, lockflow.Analyzer}
+
+var errDiagnostics = errors.New("diagnostics reported")
 
 func main() {
-	tags := flag.String("tags", "sanitize", "comma-separated build tags to lint under")
-	list := flag.Bool("help-analyzers", false, "print the analyzer docs and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON, one object per line")
-	failOn := flag.String("fail-on", "warning", "lowest severity that fails the run: error, warning or none")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default all)")
-	skip := flag.String("skip", "", "comma-separated analyzer names to skip")
-	timing := flag.Bool("timing", false, "report per-analyzer wall time")
-	wireSnapshot := flag.Bool("wire-snapshot", false, "regenerate the committed wire-schema snapshots and exit")
-	wireDocs := flag.Bool("wire-docs", false, "re-render the DESIGN.md wire-format appendix from the committed schemas and exit")
-	flag.Parse()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%s: %s\n\n", a.Name, a.Doc)
-		}
-		return
-	}
-	var err error
-	switch {
-	case *wireSnapshot:
-		err = snapshotMain(os.Stdout, strings.Split(*tags, ","))
-	case *wireDocs:
-		err = docsMain(os.Stdout)
-	default:
-		err = run(os.Stdout, flag.Args(), options{
-			tags:    strings.Split(*tags, ","),
-			jsonOut: *jsonOut,
-			failOn:  *failOn,
-			only:    *only,
-			skip:    *skip,
-			timing:  *timing,
-		})
-	}
-	if err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		if err == errDiagnostics {
 			os.Exit(1)
 		}
@@ -117,164 +45,37 @@ func main() {
 	}
 }
 
-var errDiagnostics = fmt.Errorf("diagnostics reported")
-
-// options are the run-mode knobs of the multichecker.
-type options struct {
-	tags    []string
-	jsonOut bool
-	failOn  string
-	only    string
-	skip    string
-	timing  bool
-}
-
-// jsonDiag is the -json wire shape of one diagnostic. Every field is
-// always populated: analyzer and severity are set by the framework on
-// every Diagnostic, and the test suite pins this shape.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"`
-	Message  string `json:"message"`
-}
-
-// selectAnalyzers applies -only/-skip to the analyzer list.
-func selectAnalyzers(only, skip string) ([]*analysis.Analyzer, error) {
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range analyzers {
-		byName[a.Name] = a
-	}
-	names := func(csv string) ([]string, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		var out []string
-		for _, n := range strings.Split(csv, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if byName[n] == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (see -help-analyzers)", n)
-			}
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	onlyNames, err := names(only)
-	if err != nil {
-		return nil, err
-	}
-	skipNames, err := names(skip)
-	if err != nil {
-		return nil, err
-	}
-	skipped := map[string]bool{}
-	for _, n := range skipNames {
-		skipped[n] = true
-	}
-	selected := analyzers
-	if len(onlyNames) > 0 {
-		selected = nil
-		for _, a := range analyzers { // preserve registration order
-			for _, n := range onlyNames {
-				if a.Name == n {
-					selected = append(selected, a)
-					break
-				}
-			}
-		}
-	}
-	var out []*analysis.Analyzer
-	for _, a := range selected {
-		if !skipped[a.Name] {
-			out = append(out, a)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analyzer selection left nothing to run")
-	}
-	return out, nil
-}
-
-func run(w io.Writer, args []string, opts options) error {
-	var failAt analysis.Severity
-	switch opts.failOn {
-	case "error":
-		failAt = analysis.SeverityError
-	case "warning":
-		failAt = analysis.SeverityWarning
-	case "none":
-		failAt = analysis.Severity(-1)
-	default:
-		return fmt.Errorf("invalid -fail-on %q (want error, warning or none)", opts.failOn)
-	}
-	active, err := selectAnalyzers(opts.only, opts.skip)
-	if err != nil {
-		return err
-	}
-
+// run lints dirs (the whole module when there are none), writes one
+// line per diagnostic to w, and returns errDiagnostics if there was any.
+func run(w io.Writer, dirs []string) error {
 	cwd, err := os.Getwd()
 	if err != nil {
 		return err
 	}
-	loader, err := analysis.NewLoader(cwd, opts.tags...)
+	loader, err := analysis.NewLoader(cwd, "sanitize")
 	if err != nil {
 		return err
 	}
-	wireshape.SchemaDir = filepath.Join(loader.ModuleRoot(), "internal", "analysis", "wireshape", "schemas")
-
-	wholeModule := len(args) == 0
-	dirs := args
-	if wholeModule {
+	if len(dirs) == 0 {
 		if dirs, err = loader.ModulePackageDirs(); err != nil {
 			return err
 		}
 	}
 	sort.Strings(dirs)
 
-	enc := json.NewEncoder(w)
 	failing := false
-	timings := map[string]time.Duration{}
-	emit := func(file string, line, col int, d analysis.Diagnostic) error {
-		if opts.jsonOut {
-			return enc.Encode(jsonDiag{
-				File:     file,
-				Line:     line,
-				Col:      col,
-				Analyzer: d.Analyzer,
-				Severity: d.Severity.String(),
-				Message:  d.Message,
-			})
-		}
-		_, err := fmt.Fprintf(w, "%s:%d:%d: %s: %s: %s\n", file, line, col, d.Severity, d.Analyzer, d.Message)
-		return err
-	}
-
-	runCompat := false
-	var loadTime time.Duration
 	for _, dir := range dirs {
-		t0 := time.Now()
 		pkg, err := loader.Load(dir)
-		loadTime += time.Since(t0)
 		if err != nil {
 			return err
 		}
 		for _, terr := range pkg.TypeErrors {
 			return fmt.Errorf("%s does not type-check: %v", pkg.Path, terr)
 		}
-		for _, a := range active {
-			t0 := time.Now()
+		for _, a := range analyzers {
 			diags, err := analysis.Run(a, pkg)
-			timings[a.Name] += time.Since(t0)
 			if err != nil {
 				return err
-			}
-			if a.Name == wireshape.CompatAnalyzer.Name {
-				runCompat = true
 			}
 			for _, d := range diags {
 				pos := pkg.Fset.Position(d.Pos)
@@ -282,209 +83,15 @@ func run(w io.Writer, args []string, opts options) error {
 				if rerr != nil {
 					rel = pos.Filename
 				}
-				if err := emit(rel, pos.Line, pos.Column, d); err != nil {
+				if _, err := fmt.Fprintf(w, "%s:%d:%d: %s: %s\n", rel, pos.Line, pos.Column, d.Analyzer, d.Message); err != nil {
 					return err
 				}
-				// Severities order error(0) < warning(1); a diagnostic
-				// fails the run when it is at least as severe as the
-				// threshold.
-				if failAt >= 0 && d.Severity <= failAt {
-					failing = true
-				}
-			}
-		}
-	}
-
-	// Committed schemas whose kind no longer exists anywhere in the
-	// module are only visible across packages, so the driver checks
-	// them after a whole-module wirecompat run.
-	if wholeModule && runCompat {
-		orphans, err := orphanSchemas(loader, dirs)
-		if err != nil {
-			return err
-		}
-		for _, o := range orphans {
-			d := analysis.Diagnostic{Analyzer: wireshape.CompatAnalyzer.Name, Message: o.msg}
-			if err := emit(o.file, 1, 1, d); err != nil {
-				return err
-			}
-			if failAt >= analysis.SeverityError {
 				failing = true
 			}
-		}
-	}
-
-	if opts.timing {
-		names := make([]string, 0, len(timings))
-		for n := range timings {
-			names = append(names, n)
-		}
-		sort.Slice(names, func(i, j int) bool { return timings[names[i]] > timings[names[j]] })
-		fmt.Fprintf(w, "timing: load+typecheck %s\n", loadTime.Round(time.Millisecond))
-		for _, n := range names {
-			fmt.Fprintf(w, "timing: %s %s\n", n, timings[n].Round(time.Millisecond))
 		}
 	}
 	if failing {
 		return errDiagnostics
 	}
-	return nil
-}
-
-type orphan struct {
-	file string
-	msg  string
-}
-
-// orphanSchemas lists committed .schema files whose kind no codec in
-// the module encodes anymore.
-func orphanSchemas(loader *analysis.Loader, dirs []string) ([]orphan, error) {
-	entries, err := os.ReadDir(wireshape.SchemaDir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	live := map[string]bool{}
-	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range wireshape.ExtractPackage(pkg).Schemas {
-			live[s.Name] = true
-		}
-	}
-	var out []orphan
-	for _, e := range entries {
-		name, ok := strings.CutSuffix(e.Name(), ".schema")
-		if !ok || live[name] {
-			continue
-		}
-		rel, rerr := filepath.Rel(loader.ModuleRoot(), filepath.Join(wireshape.SchemaDir, e.Name()))
-		if rerr != nil {
-			rel = e.Name()
-		}
-		out = append(out, orphan{file: rel, msg: fmt.Sprintf(
-			"committed schema %s matches no codec in the module — remove it via `make wire-snapshot` if the kind was retired", e.Name())})
-	}
-	return out, nil
-}
-
-// loadModule loads every package of the module, failing on type
-// errors, and returns the loader plus packages (shared by the
-// wire-snapshot and wire-docs modes).
-func loadModule(tags []string) (*analysis.Loader, []*analysis.Package, error) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		return nil, nil, err
-	}
-	loader, err := analysis.NewLoader(cwd, tags...)
-	if err != nil {
-		return nil, nil, err
-	}
-	dirs, err := loader.ModulePackageDirs()
-	if err != nil {
-		return nil, nil, err
-	}
-	sort.Strings(dirs)
-	var pkgs []*analysis.Package
-	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, terr := range pkg.TypeErrors {
-			return nil, nil, fmt.Errorf("%s does not type-check: %v", pkg.Path, terr)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return loader, pkgs, nil
-}
-
-// snapshotMain implements -wire-snapshot: extract every codec schema
-// in the module and rewrite the committed snapshots, refusing while
-// symmetry errors are open.
-func snapshotMain(w io.Writer, tags []string) error {
-	loader, pkgs, err := loadModule(tags)
-	if err != nil {
-		return err
-	}
-	var results []*wireshape.Result
-	broken := false
-	for _, pkg := range pkgs {
-		res := wireshape.ExtractPackage(pkg)
-		results = append(results, res)
-		for _, a := range res.Asyms {
-			pos := pkg.Fset.Position(a.Pos)
-			rel, rerr := filepath.Rel(loader.ModuleRoot(), pos.Filename)
-			if rerr != nil {
-				rel = pos.Filename
-			}
-			fmt.Fprintf(w, "%s:%d:%d: wireshape: %s\n", rel, pos.Line, pos.Column, a.Msg)
-			broken = true
-		}
-	}
-	if broken {
-		return fmt.Errorf("refusing to snapshot with open symmetry errors (above)")
-	}
-	dir := filepath.Join(loader.ModuleRoot(), "internal", "analysis", "wireshape", "schemas")
-	changed, err := wireshape.WriteSnapshots(dir, results)
-	if err != nil {
-		return err
-	}
-	if len(changed) == 0 {
-		fmt.Fprintln(w, "wire-snapshot: schemas up to date")
-		return nil
-	}
-	for _, f := range changed {
-		fmt.Fprintln(w, "wire-snapshot:", f)
-	}
-	return nil
-}
-
-// DESIGN.md markers the rendered appendix is spliced between.
-const (
-	docsBegin = "<!-- wireshape:begin — generated by `make wire-docs`; do not edit by hand -->"
-	docsEnd   = "<!-- wireshape:end -->"
-)
-
-// docsMain implements -wire-docs: re-render the DESIGN.md wire-format
-// appendix from the committed schemas.
-func docsMain(w io.Writer) error {
-	cwd, err := os.Getwd()
-	if err != nil {
-		return err
-	}
-	loader, err := analysis.NewLoader(cwd)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Join(loader.ModuleRoot(), "internal", "analysis", "wireshape", "schemas")
-	rendered, err := wireshape.RenderDocs(dir)
-	if err != nil {
-		return err
-	}
-	designPath := filepath.Join(loader.ModuleRoot(), "DESIGN.md")
-	design, err := os.ReadFile(designPath)
-	if err != nil {
-		return err
-	}
-	text := string(design)
-	begin := strings.Index(text, docsBegin)
-	end := strings.Index(text, docsEnd)
-	if begin < 0 || end < 0 || end < begin {
-		return fmt.Errorf("DESIGN.md is missing the %q / %q markers", docsBegin, docsEnd)
-	}
-	updated := text[:begin+len(docsBegin)] + "\n\n" + rendered + "\n" + text[end:]
-	if updated == text {
-		fmt.Fprintln(w, "wire-docs: DESIGN.md up to date")
-		return nil
-	}
-	if err := os.WriteFile(designPath, []byte(updated), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "wire-docs: DESIGN.md appendix updated")
 	return nil
 }

@@ -4,14 +4,12 @@
 // Diagnostic) on top of the standard library only, so the sketchlint
 // suite builds offline with no external dependencies.
 //
-// The framework exists because the mergeability guarantee of Agarwal
-// et al. (PODS 2012) rests on contracts the Go type system cannot
-// express — merge operands must share the error parameter (k, ε,
-// width/depth, hash seed), guarded state must be accessed under its
-// lock, hot ingestion paths must stay allocation-free and
-// deterministic. The analyzers in the subpackages (mergecompat,
-// locksafe, hotpathalloc, detrand) machine-check those contracts on
-// every `make lint` / `make check`.
+// It hosts the two passes that catch bugs no test, -race run or
+// sanitize assertion catches (DESIGN.md §7 records the mutation audit
+// that kept them): lockflow keeps critical sections free of decode,
+// I/O and blocking, and mergecompat keeps every caller of a Merge from
+// dropping its error — a silently failed merge leaves the aggregate
+// claiming a guarantee it does not have.
 //
 // Analyzers receive a fully parsed and type-checked package (see
 // Loader) and report Diagnostics; cmd/sketchlint is the multichecker
@@ -28,12 +26,10 @@ import (
 	"sort"
 )
 
-// Analyzer describes one static-analysis pass: a name, a doc string
-// shown by `sketchlint -help`, and the Run function applied to each
-// package.
+// Analyzer describes one static-analysis pass: a name, a doc string,
+// and the Run function applied to each package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags. It must
-	// be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 
 	// Doc is the analyzer's documentation: one summary line, a blank
@@ -46,30 +42,11 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// Severity grades a finding. Most analyzers report errors (contract
-// violations); flow analyzers downgrade perf-class findings (a pool
-// Get under a lock can miss and allocate, but cannot corrupt state)
-// to warnings, which `sketchlint -fail-on` can admit or reject.
-type Severity int
-
-const (
-	SeverityError Severity = iota
-	SeverityWarning
-)
-
-func (s Severity) String() string {
-	if s == SeverityWarning {
-		return "warning"
-	}
-	return "error"
-}
-
 // Diagnostic is one finding at a source position.
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	Severity Severity
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -85,30 +62,15 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// PkgPath is the package's module-qualified import path (e.g.
-	// "repro/internal/mg"); fixture packages get a path rooted in
-	// their testdata directory.
-	PkgPath string
-
 	diagnostics []Diagnostic
 }
 
-// Reportf records an error-severity finding at pos.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diagnostics = append(p.diagnostics, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Warnf records a warning-severity finding at pos.
-func (p *Pass) Warnf(pos token.Pos, format string, args ...any) {
-	p.diagnostics = append(p.diagnostics, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Severity: SeverityWarning,
 	})
 }
 
@@ -121,7 +83,6 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
-		PkgPath:   pkg.Path,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

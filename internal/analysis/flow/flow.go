@@ -1,38 +1,24 @@
-// Package flow is the shared SSA-lite dataflow layer under the
-// flow-sensitive sketchlint analyzers (poollife, encodepure,
-// lockflow). It stays stdlib-only, like the analysis framework it
-// extends, and provides three things:
+// Package flow is the dataflow layer under the lockflow analyzer. It
+// stays stdlib-only, like the analysis framework it extends, and
+// provides two things:
 //
 //   - a structured abstract interpreter (Interp) that walks a
 //     function body in execution order — forking at branches, joining
 //     at merge points, running loop bodies to a two-pass fixpoint,
-//     and applying deferred calls at every exit — so client analyzers
-//     see per-path abstract states instead of raw syntax;
+//     and applying deferred calls at every exit — so the analyzer sees
+//     per-path abstract states instead of raw syntax;
 //
 //   - per-function summaries (Summary) giving one-level
-//     interprocedural facts: does a function hand out pooled values,
-//     release a parameter back to a pool, return an alias of a
-//     parameter, write its receiver, draw randomness, touch the
-//     clock, or perform a blocking/allocation-heavy operation. The
-//     summaries are computed once per package with a bounded worklist
-//     fixpoint, so in-package helper chains are folded into the facts
-//     a caller-side analyzer consults;
-//
-//   - local value numbering (client-side via Info's resolution
-//     helpers): expressions that must denote the same runtime value —
-//     an ident, its parenthesized/asserted/sliced forms, and known
-//     alias-returning methods — resolve to one root, which is what
-//     lets poollife track a pooled buffer through w.Bytes() slices
-//     and Borrow-style views.
-//
-// Everything here is deliberately conservative in the direction that
-// keeps the live tree quiet: unknown calls neither release nor alias
-// tracked values, values stored into local containers or captured by
-// non-go closures leave the tracked domain, and facts only cross
-// function boundaries through the summary table.
+//     interprocedural facts: does a function perform a blocking or
+//     allocation-heavy operation (decode, I/O, channel, sleep, pool
+//     Get), directly or through a same-package helper. The summaries
+//     are computed once per package with a bounded worklist fixpoint,
+//     so in-package helper chains are folded into the fact a locked
+//     caller consults.
 package flow
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -42,30 +28,44 @@ import (
 	"repro/internal/analysis"
 )
 
-// Info is the flow IR of one type-checked package: the function table,
-// the summary table, and the resolution helpers every flow analyzer
-// shares. Build it with Of; it is cached per package so the three
-// analyzers pay for one construction, not three.
+// Info is the flow IR of one type-checked package: the function table
+// and the summary table. Build it with Of.
 type Info struct {
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
-	PkgPath   string
 
 	// Funcs maps each declared function or method object to its
 	// declaration. Function literals are not entered here; the
 	// interpreter treats them as opaque values.
 	Funcs map[*types.Func]*ast.FuncDecl
 
-	// Summaries holds the per-function interprocedural facts, keyed
+	// summaries holds the per-function interprocedural facts, keyed
 	// like Funcs.
-	Summaries map[*types.Func]*Summary
+	summaries map[*types.Func]*Summary
 }
 
-// cache holds one Info per type-checked package. The sketchlint
-// driver runs analyzers sequentially but analysistest may run in
-// parallel subtests, so access is locked.
+// Summary is one function's interprocedural fact row.
+type Summary struct {
+	// Blocking classifies the heaviest lock-hostile operation the
+	// function performs, directly or through a same-package callee:
+	// "" (none), "pool Get", "sleep", "channel operation", "I/O" or
+	// "decode".
+	Blocking string
+	// BlockingVia names the callee chain for diagnostics ("" when the
+	// operation is in the function itself).
+	BlockingVia string
+}
+
+// blockingRank orders classes so the fixpoint keeps the most severe.
+var blockingRank = map[string]int{"": 0, "pool Get": 1, "sleep": 2, "channel operation": 3, "I/O": 4, "decode": 5}
+
+// LockflowOK is the opt-out annotation: "what this function does is
+// meant to run under its callers' locks". Its Blocking fact stops there
+// instead of tainting those callers — otherwise the one argued exception
+// would have to be repeated up every call chain.
+const LockflowOK = "//sketch:lockflow-ok"
+
+// cache holds one Info per type-checked package; analysistest may run
+// in parallel subtests, so access is locked.
 var (
 	cacheMu sync.Mutex
 	cache   = map[*types.Package]*Info{}
@@ -79,13 +79,9 @@ func Of(pass *analysis.Pass) *Info {
 		return in
 	}
 	in := &Info{
-		Fset:      pass.Fset,
-		Files:     pass.Files,
-		Pkg:       pass.Pkg,
 		TypesInfo: pass.TypesInfo,
-		PkgPath:   pass.PkgPath,
 		Funcs:     map[*types.Func]*ast.FuncDecl{},
-		Summaries: map[*types.Func]*Summary{},
+		summaries: map[*types.Func]*Summary{},
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -118,8 +114,6 @@ func (in *Info) Callee(call *ast.CallExpr) *types.Func {
 		if base, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
 			id = base
 		}
-	default:
-		return nil
 	}
 	if id == nil {
 		return nil
@@ -128,10 +122,9 @@ func (in *Info) Callee(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// CalleeName returns the bare name of the called function or method,
-// resolving through neither summaries nor types: the syntactic name
-// used by class checks that must also work across packages ("Decode",
-// "GetScratch", "Lock").
+// CalleeName returns the bare name of the called function or method:
+// the syntactic name used by class checks that must also work across
+// packages ("Decode", "GetScratch", "Lock").
 func CalleeName(call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -140,45 +133,6 @@ func CalleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// RecvRoot returns the root identifier of the callee's receiver chain
-// for a method call (sel.X of the selector, unwrapped), or nil for
-// plain function calls.
-func RecvRoot(call *ast.CallExpr) *ast.Ident {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return RootIdent(sel.X)
-}
-
-// RootIdent unwraps parens, unary &/*, index, slice, selector and
-// type-assertion expressions down to the base identifier, or nil when
-// the expression is not rooted in one (a call result, a literal).
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.TypeAssertExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // FuncOf returns the *types.Func a call resolves to only when it is
@@ -192,24 +146,7 @@ func (in *Info) FuncOf(call *ast.CallExpr) (*types.Func, *Summary) {
 	// Generic methods resolve to the instantiated object; summaries
 	// are keyed by the declared origin.
 	fn = fn.Origin()
-	sum := in.Summaries[fn]
-	return fn, sum
-}
-
-// pkgPathOf returns the import path of the package declaring fn, or
-// "" for builtins.
-func pkgPathOf(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
-
-// pathIs reports whether path is exactly name or ends in "/name" —
-// how the analyzers match both the real repro packages and their
-// fixture stand-ins.
-func pathIs(path, name string) bool {
-	return path == name || strings.HasSuffix(path, "/"+name)
+	return fn, in.summaries[fn]
 }
 
 // HasAnnotation reports whether the function's doc comment carries
@@ -226,63 +163,12 @@ func HasAnnotation(fd *ast.FuncDecl, ann string) bool {
 	return false
 }
 
-// RecvIdent returns the receiver identifier of a method declaration,
-// or nil for functions and anonymous receivers.
-func RecvIdent(fd *ast.FuncDecl) *ast.Ident {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	id := fd.Recv.List[0].Names[0]
-	if id.Name == "_" {
-		return nil
-	}
-	return id
-}
-
-// ObjOf resolves an identifier to its object through either the Defs
-// or Uses map.
-func (in *Info) ObjOf(id *ast.Ident) types.Object {
-	if obj := in.TypesInfo.Uses[id]; obj != nil {
-		return obj
-	}
-	return in.TypesInfo.Defs[id]
-}
-
-// IsMapType reports whether the expression's type is a map.
-func (in *Info) IsMapType(e ast.Expr) bool {
-	tv, ok := in.TypesInfo.Types[e]
-	if !ok || tv.Type == nil {
-		return false
-	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
-	return isMap
-}
-
-// RecvTypePkgPath returns the import path of the package declaring
-// the method's receiver named type ("" when unresolvable). Used to
-// classify draw methods (gen.RNG) and I/O methods (net, bufio).
-func RecvTypePkgPath(fn *types.Func) string {
+// RecvType returns the import path and bare name of the method's
+// receiver named type ("" when unresolvable).
+func RecvType(fn *types.Func) (pkg, name string) {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj() == nil || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path()
-}
-
-// RecvTypeName returns the bare name of the method's receiver named
-// type ("" when unresolvable).
-func RecvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
+		return "", ""
 	}
 	t := sig.Recv().Type()
 	if p, ok := t.(*types.Pointer); ok {
@@ -290,7 +176,161 @@ func RecvTypeName(fn *types.Func) string {
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj() == nil {
-		return ""
+		return "", ""
 	}
-	return named.Obj().Name()
+	if named.Obj().Pkg() != nil {
+		pkg = named.Obj().Pkg().Path()
+	}
+	return pkg, named.Obj().Name()
+}
+
+// IsDirectPoolGet reports whether the call is a direct pool
+// acquisition: codec.GetBuffer, any GetScratch method, or
+// sync.Pool.Get.
+func (in *Info) IsDirectPoolGet(call *ast.CallExpr) bool {
+	switch CalleeName(call) {
+	case "GetScratch":
+		return true
+	case "GetBuffer":
+		fn := in.Callee(call)
+		return fn != nil && fn.Pkg() != nil && (fn.Pkg().Path() == "codec" || strings.HasSuffix(fn.Pkg().Path(), "/codec"))
+	case "Get":
+		fn := in.Callee(call)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+			return false
+		}
+		_, recv := RecvType(fn)
+		return recv == "Pool"
+	}
+	return false
+}
+
+// Op classifies one call by what it does itself (not through a
+// summary): a blocking class and a detail for diagnostics, or "" when
+// the call is none of decode, I/O, sleep or pool Get.
+func (in *Info) Op(call *ast.CallExpr) (class, detail string) {
+	name := CalleeName(call)
+	switch name {
+	case "Decode", "DecodeInto", "UnmarshalBinary", "DecodeFrame", "ReadFrame":
+		return "decode", "(" + name + ")"
+	}
+	if in.IsDirectPoolGet(call) {
+		return "pool Get", "(a miss allocates)"
+	}
+	fn := in.Callee(call)
+	if fn == nil || fn.Pkg() == nil {
+		return "", ""
+	}
+	pkg := fn.Pkg().Path()
+	recvPkg, _ := RecvType(fn)
+	switch {
+	case pkg == "fmt" && strings.HasPrefix(name, "Fprint"):
+		return "I/O", "(fmt." + name + ")"
+	case isIOPkg(pkg):
+		return "I/O", fmt.Sprintf("(%s.%s)", pkg, name)
+	case isIOPkg(recvPkg):
+		return "I/O", fmt.Sprintf("(%s.%s)", recvPkg, name)
+	case pkg == "time" && name == "Sleep":
+		return "sleep", ""
+	}
+	return "", ""
+}
+
+// isIOPkg reports packages whose calls can reach a syscall or block
+// on a peer.
+func isIOPkg(path string) bool {
+	switch path {
+	case "io", "os", "net", "bufio", "io/ioutil":
+		return true
+	}
+	return strings.HasPrefix(path, "net/")
+}
+
+// buildSummaries computes the package's summary table: local facts
+// first, then a bounded fixpoint folding same-package callee facts
+// into callers.
+func (in *Info) buildSummaries() {
+	for fn, fd := range in.Funcs {
+		in.summaries[fn] = in.localSummary(fd)
+	}
+	// Propagate through same-package calls until stable. The call
+	// graph is small (one package); 10 rounds bounds pathological
+	// cycles.
+	for round := 0; round < 10; round++ {
+		changed := false
+		for fn, fd := range in.Funcs {
+			if in.propagate(in.summaries[fn], fd) {
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+}
+
+// localSummary extracts the fact visible in one function body alone.
+func (in *Info) localSummary(fd *ast.FuncDecl) *Summary {
+	s := &Summary{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CallExpr:
+			class, _ := in.Op(x)
+			s.note(class, "")
+		case *ast.SendStmt, *ast.SelectStmt:
+			s.note("channel operation", "")
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW {
+				s.note("channel operation", "")
+			}
+		case *ast.RangeStmt:
+			if tv, ok := in.TypesInfo.Types[x.X]; ok && tv.Type != nil {
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					s.note("channel operation", "")
+				}
+			}
+		}
+		return true
+	})
+	return s
+}
+
+// note records a blocking fact, keeping the most severe class; reports
+// whether it changed the summary.
+func (s *Summary) note(class, via string) bool {
+	if blockingRank[class] <= blockingRank[s.Blocking] {
+		return false
+	}
+	s.Blocking, s.BlockingVia = class, via
+	return true
+}
+
+// propagate folds direct same-package callees' facts into s; reports
+// whether anything changed.
+func (in *Info) propagate(s *Summary, fd *ast.FuncDecl) bool {
+	changed := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee, cs := in.FuncOf(call)
+		if cs == nil || cs == s || cs.Blocking == "" || HasAnnotation(in.Funcs[callee], LockflowOK) {
+			return true
+		}
+		if s.note(cs.Blocking, cs.Via(callee)) {
+			changed = true
+		}
+		return true
+	})
+	return changed
+}
+
+// Via names the call chain from a call of callee, whose summary cs is,
+// down to its blocking operation ("helper → decodeAll").
+func (cs *Summary) Via(callee *types.Func) string {
+	if cs.BlockingVia == "" {
+		return callee.Name()
+	}
+	return callee.Name() + " → " + cs.BlockingVia
 }

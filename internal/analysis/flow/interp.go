@@ -20,13 +20,6 @@ type Client interface {
 	// an exit. Nodes never contain nested statements, but may contain
 	// function literals, which the engine does not descend into.
 	Transfer(st any, n ast.Node) any
-	// Refine narrows st under a branch condition's outcome. Return st
-	// unchanged if the condition carries no information.
-	Refine(st any, cond ast.Expr, taken bool) any
-	// AtExit observes the state at one function exit, after deferred
-	// calls have been replayed. ret is nil when the body falls off
-	// the end.
-	AtExit(st any, ret *ast.ReturnStmt)
 }
 
 // RangeBind is the synthetic event the engine emits once per modeled
@@ -39,7 +32,7 @@ func (r RangeBind) Pos() token.Pos { return r.R.Pos() }
 func (r RangeBind) End() token.Pos { return r.R.X.End() }
 
 // DeferredCall wraps a deferred call replayed at a function exit, in
-// LIFO order, before AtExit runs.
+// LIFO order.
 type DeferredCall struct{ Call *ast.CallExpr }
 
 func (d DeferredCall) Pos() token.Pos { return d.Call.Pos() }
@@ -76,7 +69,7 @@ func (ip *Interp) join(a, b *path) {
 	}
 	a.st = ip.Client.Join(a.st, b.st)
 	// Defers differing across paths is rare (a conditional defer);
-	// keep the union so releases are never lost at exits.
+	// keep the union so unlocks are never lost at exits.
 	for _, d := range b.defers {
 		found := false
 		for _, e := range a.defers {
@@ -114,27 +107,27 @@ type loopCtx struct {
 	isSwitch bool
 }
 
-// Run interprets the function body starting from init. AtExit fires
-// for every return statement and for the fall-off-the-end exit.
+// Run interprets the function body starting from init, replaying the
+// deferred calls at every return statement and at the
+// fall-off-the-end exit.
 func (ip *Interp) Run(fd *ast.FuncDecl, init any) {
 	p := &path{st: init}
-	ip.execBlock(p, fd.Body, nil, "")
-	ip.exit(p, nil)
+	ip.execBlock(p, fd.Body, nil)
+	ip.exit(p)
 }
 
-// exit replays the path's defers (LIFO) and reports the exit state.
-func (ip *Interp) exit(p *path, ret *ast.ReturnStmt) {
+// exit replays the path's defers (LIFO) and ends the path.
+func (ip *Interp) exit(p *path) {
 	if p.dead {
 		return
 	}
 	for i := len(p.defers) - 1; i >= 0; i-- {
 		p.st = ip.Client.Transfer(p.st, DeferredCall{Call: p.defers[i]})
 	}
-	ip.Client.AtExit(p.st, ret)
 	p.dead = true
 }
 
-func (ip *Interp) execBlock(p *path, b *ast.BlockStmt, stack []*loopCtx, label string) {
+func (ip *Interp) execBlock(p *path, b *ast.BlockStmt, stack []*loopCtx) {
 	if b == nil {
 		return
 	}
@@ -144,7 +137,6 @@ func (ip *Interp) execBlock(p *path, b *ast.BlockStmt, stack []*loopCtx, label s
 		}
 		ip.exec(p, s, stack, "")
 	}
-	_ = label
 }
 
 func (ip *Interp) exec(p *path, stmt ast.Stmt, stack []*loopCtx, label string) {
@@ -153,7 +145,7 @@ func (ip *Interp) exec(p *path, stmt ast.Stmt, stack []*loopCtx, label string) {
 	}
 	switch s := stmt.(type) {
 	case *ast.BlockStmt:
-		ip.execBlock(p, s, stack, "")
+		ip.execBlock(p, s, stack)
 
 	case *ast.ExprStmt:
 		p.st = ip.Client.Transfer(p.st, s.X)
@@ -166,7 +158,7 @@ func (ip *Interp) exec(p *path, stmt ast.Stmt, stack []*loopCtx, label string) {
 
 	case *ast.ReturnStmt:
 		p.st = ip.Client.Transfer(p.st, s)
-		ip.exit(p, s)
+		ip.exit(p)
 
 	case *ast.DeferStmt:
 		p.defers = append(p.defers, s.Call)
@@ -177,9 +169,7 @@ func (ip *Interp) exec(p *path, stmt ast.Stmt, stack []*loopCtx, label string) {
 		}
 		p.st = ip.Client.Transfer(p.st, s.Cond)
 		els := ip.fork(p)
-		p.st = ip.Client.Refine(p.st, s.Cond, true)
-		ip.execBlock(p, s.Body, stack, "")
-		els.st = ip.Client.Refine(els.st, s.Cond, false)
+		ip.execBlock(p, s.Body, stack)
 		if s.Else != nil {
 			ip.exec(els, s.Else, stack, "")
 		}
@@ -202,17 +192,17 @@ func (ip *Interp) exec(p *path, stmt ast.Stmt, stack []*loopCtx, label string) {
 		if s.Tag != nil {
 			p.st = ip.Client.Transfer(p.st, s.Tag)
 		}
-		ip.execSwitch(p, s.Body, stack, label, nil)
+		ip.execSwitch(p, s.Body, stack, label)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			ip.exec(p, s.Init, stack, "")
 		}
 		p.st = ip.Client.Transfer(p.st, s.Assign)
-		ip.execSwitch(p, s.Body, stack, label, nil)
+		ip.execSwitch(p, s.Body, stack, label)
 
 	case *ast.SelectStmt:
-		ip.execSwitch(p, s.Body, stack, label, nil)
+		ip.execSwitch(p, s.Body, stack, label)
 
 	case *ast.BranchStmt:
 		switch s.Tok {
@@ -246,7 +236,7 @@ func (ip *Interp) exec(p *path, stmt ast.Stmt, stack []*loopCtx, label string) {
 
 // execLoop models a for/range loop: the body runs twice from the
 // joined entry state (enough for facts one iteration apart, e.g. a
-// Put in iteration n observed by a use in n+1), and the state after
+// lock taken in iteration n and still held in n+1), and the state after
 // the loop joins every way out — the zero-iteration path, the
 // condition turning false, and breaks.
 func (ip *Interp) execLoop(p *path, stack []*loopCtx, label string, cond ast.Expr, rng *ast.RangeStmt, body *ast.BlockStmt, post ast.Stmt) {
@@ -264,12 +254,11 @@ func (ip *Interp) execLoop(p *path, stack []*loopCtx, label string, cond ast.Exp
 		}
 		if cond != nil {
 			cur.st = ip.Client.Transfer(cur.st, cond)
-			cur.st = ip.Client.Refine(cur.st, cond, true)
 		}
 		if rng != nil {
 			cur.st = ip.Client.Transfer(cur.st, RangeBind{R: rng})
 		}
-		ip.execBlock(cur, body, inner, "")
+		ip.execBlock(cur, body, inner)
 		if cont.any {
 			other := &path{st: cont.st, defers: cur.defers}
 			ip.join(cur, other)
@@ -291,9 +280,6 @@ func (ip *Interp) execLoop(p *path, stack []*loopCtx, label string, cond ast.Exp
 	if brk.any {
 		ip.join(after, &path{st: brk.st, defers: after.defers})
 	}
-	if cond != nil && !after.dead {
-		after.st = ip.Client.Refine(after.st, cond, false)
-	}
 	*p = *after
 }
 
@@ -301,7 +287,7 @@ func (ip *Interp) execLoop(p *path, stack []*loopCtx, label string, cond ast.Exp
 // forks from the entry state; fallthrough chains a clause's end state
 // into the next clause; a missing default contributes the untouched
 // entry state. Break inside a clause targets the switch itself.
-func (ip *Interp) execSwitch(p *path, body *ast.BlockStmt, stack []*loopCtx, label string, _ *collector) {
+func (ip *Interp) execSwitch(p *path, body *ast.BlockStmt, stack []*loopCtx, label string) {
 	brk := &collector{}
 	ctx := &loopCtx{label: label, brk: brk, isSwitch: true}
 	inner := append(stack, ctx)
@@ -391,7 +377,7 @@ func findCtx(stack []*loopCtx, label *ast.Ident, isBreak bool) *loopCtx {
 
 // isNoReturnCall reports whether the expression statement is a call
 // that never returns (panic, os.Exit, runtime.Goexit, log.Fatal*):
-// states on such paths never reach an exit check.
+// such paths never reach an exit.
 func isNoReturnCall(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

@@ -16,9 +16,7 @@ import (
 // Package is one parsed, type-checked package as the analyzers see it.
 type Package struct {
 	// Path is the module-qualified import path ("repro/internal/mg").
-	Path string
-	// Dir is the absolute directory the package was loaded from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -35,17 +33,7 @@ type Package struct {
 // through the stdlib source importer (works offline), and results are
 // cached per directory.
 type Loader struct {
-	Fset *token.FileSet
-
-	// BuildTags are extra build constraints satisfied while selecting
-	// files; the sketchlint driver sets "sanitize" so the invariant
-	// layer is linted rather than its no-op stubs.
-	BuildTags []string
-
-	// IncludeTests selects _test.go files in the loaded package
-	// itself (never in its dependencies).
-	IncludeTests bool
-
+	fset       *token.FileSet
 	moduleRoot string
 	modulePath string
 	ctx        build.Context
@@ -55,6 +43,7 @@ type Loader struct {
 }
 
 // NewLoader returns a loader rooted at the module containing dir.
+// Files are selected as under `go build -tags` with the given tags.
 func NewLoader(dir string, tags ...string) (*Loader, error) {
 	root, path, err := findModule(dir)
 	if err != nil {
@@ -64,8 +53,7 @@ func NewLoader(dir string, tags ...string) (*Loader, error) {
 	ctx := build.Default
 	ctx.BuildTags = append(ctx.BuildTags, tags...)
 	return &Loader{
-		Fset:       fset,
-		BuildTags:  tags,
+		fset:       fset,
 		moduleRoot: root,
 		modulePath: path,
 		ctx:        ctx,
@@ -77,9 +65,6 @@ func NewLoader(dir string, tags ...string) (*Loader, error) {
 
 // ModuleRoot returns the absolute path of the module root directory.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
-
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
 
 // findModule walks up from dir to the nearest go.mod and reports the
 // module root directory and module path.
@@ -125,14 +110,9 @@ func (l *Loader) Load(dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
 	}
-	names := append([]string(nil), bp.GoFiles...)
-	if l.IncludeTests {
-		names = append(names, bp.TestGoFiles...)
-	}
-
 	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(abs, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(abs, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: parsing %s: %w", name, err)
 		}
@@ -144,8 +124,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 
 	pkg := &Package{
 		Path: l.pathFor(abs),
-		Dir:  abs,
-		Fset: l.Fset,
+		Fset: l.fset,
 		Info: &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
@@ -161,7 +140,7 @@ func (l *Loader) Load(dir string) (*Package, error) {
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	// Check returns the package even on errors; TypeErrors records them.
-	pkg.Types, _ = conf.Check(pkg.Path, l.Fset, files, pkg.Info)
+	pkg.Types, _ = conf.Check(pkg.Path, l.fset, files, pkg.Info)
 	pkg.Files = files
 	l.cache[abs] = pkg
 	return pkg, nil
@@ -187,11 +166,7 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 	l := (*Loader)(li)
 	if path == l.modulePath || strings.HasPrefix(path, l.modulePath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modulePath), "/")
-		// Dependencies are always loaded without test files.
-		saved := l.IncludeTests
-		l.IncludeTests = false
 		pkg, err := l.Load(filepath.Join(l.moduleRoot, filepath.FromSlash(rel)))
-		l.IncludeTests = saved
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,5 @@
 // Package lockflow defines an Analyzer that checks what happens while
-// a lock is held. locksafe proves guarded fields are accessed under
-// their mutex; lockflow proves the critical sections stay cheap.
+// a lock is held: it proves the critical sections stay cheap.
 //
 // The merge plane's slot locks and the ingest front's lane locks sit
 // on every hot path: one decode, one blocking write or one channel
@@ -14,7 +13,7 @@
 //   - I/O (fmt.Fprint*, io/os/net/bufio calls) — may block on a peer,
 //   - channel operations (send, receive, select, time.Sleep) — may
 //     block indefinitely,
-//   - pool Gets (warning severity) — a miss allocates under the lock.
+//   - pool Gets — a miss allocates under the lock.
 //
 // Same-package callees are classified through the summary table, so a
 // helper that decodes taints its callers one level up (transitively
@@ -50,18 +49,16 @@ including through same-package helpers. Opt out per function with
 	Run: run,
 }
 
-// optOut exempts a function's body and, at its call sites, clears
-// locked callers of what it does (flow's summary table stops the
-// taint at the same annotation).
-const optOut = "//sketch:lockflow-ok"
-
+// run checks every function but those carrying flow.LockflowOK; that
+// annotation also clears, at its call sites, locked callers of what the
+// function does (flow's summary table stops the taint there).
 func run(pass *analysis.Pass) error {
 	in := flow.Of(pass)
 	for _, fd := range in.Funcs {
-		if flow.HasAnnotation(fd, optOut) {
+		if flow.HasAnnotation(fd, flow.LockflowOK) {
 			continue
 		}
-		c := &checker{in: in, pass: pass, reported: map[string]bool{}}
+		c := &checker{in: in, pass: pass, reported: map[token.Pos]bool{}}
 		ip := &flow.Interp{Client: c}
 		ip.Run(fd, lockSet{})
 	}
@@ -75,20 +72,7 @@ type lockSet map[string]token.Pos
 type checker struct {
 	in       *flow.Info
 	pass     *analysis.Pass
-	reported map[string]bool
-}
-
-func (c *checker) report(pos token.Pos, sev analysis.Severity, format string, args ...any) {
-	k := fmt.Sprintf("%d", pos)
-	if c.reported[k] {
-		return
-	}
-	c.reported[k] = true
-	if sev == analysis.SeverityWarning {
-		c.pass.Warnf(pos, format, args...)
-	} else {
-		c.pass.Reportf(pos, format, args...)
-	}
+	reported map[token.Pos]bool
 }
 
 func (c *checker) Copy(st any) any {
@@ -112,10 +96,6 @@ func (c *checker) Join(a, b any) any {
 	return sa
 }
 
-func (c *checker) Refine(st any, cond ast.Expr, taken bool) any { return st }
-
-func (c *checker) AtExit(st any, ret *ast.ReturnStmt) {}
-
 func (c *checker) Transfer(st any, n ast.Node) any {
 	s := st.(lockSet)
 	switch x := n.(type) {
@@ -125,12 +105,12 @@ func (c *checker) Transfer(st any, n ast.Node) any {
 	case flow.RangeBind:
 		if tv, ok := c.in.TypesInfo.Types[x.R.X]; ok && tv.Type != nil {
 			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				c.reportHeld(s, x.R.Pos(), "channel receive", analysis.SeverityError, "")
+				c.reportHeld(s, x.R.Pos(), "channel receive", "")
 			}
 		}
 		return s
 	case *ast.SendStmt:
-		c.reportHeld(s, x.Pos(), "channel send", analysis.SeverityError, "")
+		c.reportHeld(s, x.Pos(), "channel send", "")
 		return s
 	case *ast.GoStmt:
 		// The spawned goroutine runs outside this critical section;
@@ -147,7 +127,7 @@ func (c *checker) Transfer(st any, n ast.Node) any {
 				return false
 			case *ast.UnaryExpr:
 				if x.Op == token.ARROW {
-					c.reportHeld(s, x.Pos(), "channel receive", analysis.SeverityError, "")
+					c.reportHeld(s, x.Pos(), "channel receive", "")
 				}
 			case *ast.CallExpr:
 				c.lockOp(s, x)
@@ -172,18 +152,19 @@ func (c *checker) lockOp(s lockSet, call *ast.CallExpr) {
 		}
 		return
 	}
-	class, sev, detail := c.classify(call)
+	class, detail := c.classify(call)
 	if class == "" {
 		return
 	}
-	c.reportHeld(s, call.Pos(), class, sev, detail)
+	c.reportHeld(s, call.Pos(), class, detail)
 }
 
 // reportHeld reports an operation if any lock may be held.
-func (c *checker) reportHeld(s lockSet, pos token.Pos, class string, sev analysis.Severity, detail string) {
-	if len(s) == 0 {
+func (c *checker) reportHeld(s lockSet, pos token.Pos, class, detail string) {
+	if len(s) == 0 || c.reported[pos] {
 		return
 	}
+	c.reported[pos] = true
 	keys := make([]string, 0, len(s))
 	for k := range s {
 		keys = append(keys, k)
@@ -196,7 +177,7 @@ func (c *checker) reportHeld(s lockSet, pos token.Pos, class string, sev analysi
 	if detail != "" {
 		detail = " " + detail
 	}
-	c.report(pos, sev, "%s%s while holding %s", class, detail, held)
+	c.pass.Reportf(pos, "%s%s while holding %s", class, detail, held)
 }
 
 // mutexOp recognizes sync.Mutex/RWMutex transitions and returns the
@@ -212,7 +193,7 @@ func (c *checker) mutexOp(call *ast.CallExpr) (key, op string, ok bool) {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", "", false
 	}
-	switch flow.RecvTypeName(fn) {
+	switch _, recv := flow.RecvType(fn); recv {
 	case "Mutex", "RWMutex":
 	default:
 		return "", "", false
@@ -224,56 +205,14 @@ func (c *checker) mutexOp(call *ast.CallExpr) (key, op string, ok bool) {
 	return types.ExprString(sel.X), name, true
 }
 
-// classify buckets one call into a banned-under-lock class.
-func (c *checker) classify(call *ast.CallExpr) (class string, sev analysis.Severity, detail string) {
-	name := flow.CalleeName(call)
-	fn := c.in.Callee(call)
-	pkg := ""
-	if fn != nil && fn.Pkg() != nil {
-		pkg = fn.Pkg().Path()
+// classify buckets one call into a banned-under-lock class: what the
+// call does itself, or what a same-package callee does (summary table).
+func (c *checker) classify(call *ast.CallExpr) (class, detail string) {
+	if class, detail := c.in.Op(call); class != "" {
+		return class, detail
 	}
-
-	switch name {
-	case "Decode", "DecodeInto", "UnmarshalBinary", "DecodeFrame", "ReadFrame":
-		return "decode", analysis.SeverityError, fmt.Sprintf("(%s)", name)
+	if callee, cs := c.in.FuncOf(call); cs != nil && cs.Blocking != "" && !flow.HasAnnotation(c.in.Funcs[callee], flow.LockflowOK) {
+		return cs.Blocking, "(via " + cs.Via(callee) + ")"
 	}
-	switch {
-	case fn != nil && pkg == "fmt" && len(name) > 6 && name[:6] == "Fprint":
-		return "I/O", analysis.SeverityError, fmt.Sprintf("(fmt.%s)", name)
-	case fn != nil && isIOPkg(pkg):
-		return "I/O", analysis.SeverityError, fmt.Sprintf("(%s.%s)", pkg, name)
-	case fn != nil && isIOPkg(flow.RecvTypePkgPath(fn)):
-		return "I/O", analysis.SeverityError, fmt.Sprintf("(%s.%s)", flow.RecvTypePkgPath(fn), name)
-	case fn != nil && pkg == "time" && name == "Sleep":
-		return "sleep", analysis.SeverityError, ""
-	case c.in.IsDirectPoolGet(call):
-		return "pool Get", analysis.SeverityWarning, "(a miss allocates)"
-	}
-
-	// Same-package callees through the summary table.
-	if callee, cs := c.in.FuncOf(call); cs != nil && cs.Blocking != "" && !flow.HasAnnotation(c.in.Funcs[callee], optOut) {
-		via := callee.Name()
-		if cs.BlockingVia != "" {
-			via += " → " + cs.BlockingVia
-		}
-		sev := analysis.SeverityError
-		class := cs.Blocking
-		if class == "pool-get" {
-			class, sev = "pool Get", analysis.SeverityWarning
-		}
-		if class == "channel" {
-			class = "channel operation"
-		}
-		return class, sev, fmt.Sprintf("(via %s)", via)
-	}
-	return "", 0, ""
-}
-
-// isIOPkg mirrors the summary table's I/O package classification.
-func isIOPkg(path string) bool {
-	switch path {
-	case "io", "os", "net", "bufio", "io/ioutil":
-		return true
-	}
-	return len(path) > 4 && path[:4] == "net/"
+	return "", ""
 }

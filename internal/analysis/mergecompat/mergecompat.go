@@ -1,13 +1,10 @@
-// Package mergecompat checks the merge-compatibility contract of the
-// mergeable-summaries library (PODS 2012): S(D1, ε) ⊎ S(D2, ε) is
-// only defined when both operands carry the same error parameter, so
-//
-//  1. every exported Merge/MergeLowError-shaped method must validate
-//     operand compatibility (nil operand, k, ε, width/depth, seed…)
-//     and return an error *before* mutating receiver state, and
-//  2. no call site may drop the error those methods return — a
-//     silently failed merge leaves the aggregate claiming a guarantee
-//     it does not have.
+// Package mergecompat checks the call sites of the mergeable-summaries
+// merge (PODS 2012): S(D1, ε) ⊎ S(D2, ε) is only defined when both
+// operands carry the same error parameter, and a Merge says so by
+// returning an error. No call site may drop that error — a silently
+// failed merge leaves the aggregate claiming a guarantee it does not
+// have. (That each Merge checks its operand before it mutates the
+// receiver is a test's job: TestIncompatibleMergeLeavesReceiver.)
 package mergecompat
 
 import (
@@ -20,129 +17,53 @@ import (
 // Analyzer is the mergecompat pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "mergecompat",
-	Doc: `check merge methods validate operand compatibility and callers keep the error
+	Doc: `check that callers keep the error a merge returns
 
-A method named Merge or MergeLowError with a pointer receiver and an
-error result must contain a compatibility check (an if statement
-returning a non-nil error) before the first statement that mutates the
-receiver. Any statement-level call of such a method whose error result
-is discarded (expression statement, go/defer, or assignment to blank
-identifiers only) is reported.`,
+Any statement-level call of a Merge or MergeLowError method with an
+error result whose error is discarded (expression statement, go/defer,
+or assignment to blank identifiers only) is reported.`,
 	Run: run,
 }
 
 // mergeNames are the method names covered by the contract.
 var mergeNames = map[string]bool{"Merge": true, "MergeLowError": true}
 
+// run reports every dropped merge error.
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok {
-				checkMergeDecl(pass, fd)
-			}
-		}
-		checkCallSites(pass, f)
-	}
-	return nil
-}
-
-// checkMergeDecl enforces rule 1 on one function declaration.
-func checkMergeDecl(pass *analysis.Pass, fd *ast.FuncDecl) {
-	if fd.Recv == nil || fd.Body == nil || !mergeNames[fd.Name.Name] || !returnsError(pass, fd) {
-		return
-	}
-	recv := receiverIdent(fd)
-	if recv == "" || recv == "_" {
-		return
-	}
-	validated := false
-	var firstMutation ast.Node
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if firstMutation != nil {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			// An if body that returns a non-nil error counts as the
-			// compatibility gate, wherever its condition looks.
-			if !validated && ifReturnsError(pass, n) {
-				validated = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if rootIs(lhs, recv) {
-					firstMutation = n
-					return false
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ExprStmt:
+				if call := mergeCall(pass, n.X); call != nil {
+					pass.Reportf(call.Pos(), "result of %s is dropped: a failed merge voids the summary's guarantee; handle the error", callName(call))
 				}
-			}
-		case *ast.IncDecStmt:
-			if rootIs(n.X, recv) {
-				firstMutation = n
-				return false
-			}
-		}
-		return true
-	})
-	if firstMutation != nil && !validated {
-		pass.Reportf(firstMutation.Pos(),
-			"%s mutates receiver %q before validating operand compatibility; check parameters (nil, k/ε/geometry/seed) and return an error first", fd.Name.Name, recv)
-		return
-	}
-	if !validated && firstMutation == nil && mutatesViaCalls(fd, recv) {
-		pass.Reportf(fd.Name.Pos(),
-			"%s never validates operand compatibility before mutating the receiver through method calls", fd.Name.Name)
-	}
-}
-
-// mutatesViaCalls reports whether the body calls methods on the
-// receiver (the only remaining way a merge can mutate it).
-func mutatesViaCalls(fd *ast.FuncDecl, recv string) bool {
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && rootIs(sel.X, recv) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// checkCallSites enforces rule 2 over one file.
-func checkCallSites(pass *analysis.Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ExprStmt:
-			if call := mergeCall(pass, n.X); call != nil {
-				pass.Reportf(call.Pos(), "result of %s is dropped: a failed merge voids the summary's guarantee; handle the error", callName(call))
-			}
-		case *ast.GoStmt:
-			if call := mergeCall(pass, n.Call); call != nil {
-				pass.Reportf(call.Pos(), "result of %s is dropped by go statement", callName(call))
-			}
-		case *ast.DeferStmt:
-			if call := mergeCall(pass, n.Call); call != nil {
-				pass.Reportf(call.Pos(), "result of %s is dropped by defer statement", callName(call))
-			}
-		case *ast.AssignStmt:
-			if len(n.Rhs) != 1 {
-				return true
-			}
-			call := mergeCall(pass, n.Rhs[0])
-			if call == nil {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
+			case *ast.GoStmt:
+				if call := mergeCall(pass, n.Call); call != nil {
+					pass.Reportf(call.Pos(), "result of %s is dropped by go statement", callName(call))
+				}
+			case *ast.DeferStmt:
+				if call := mergeCall(pass, n.Call); call != nil {
+					pass.Reportf(call.Pos(), "result of %s is dropped by defer statement", callName(call))
+				}
+			case *ast.AssignStmt:
+				if len(n.Rhs) != 1 {
 					return true
 				}
+				call := mergeCall(pass, n.Rhs[0])
+				if call == nil {
+					return true
+				}
+				for _, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
+						return true
+					}
+				}
+				pass.Reportf(call.Pos(), "result of %s is assigned to the blank identifier; a failed merge voids the summary's guarantee", callName(call))
 			}
-			pass.Reportf(call.Pos(), "result of %s is assigned to the blank identifier; a failed merge voids the summary's guarantee", callName(call))
-		}
-		return true
-	})
+			return true
+		})
+	}
+	return nil
 }
 
 // mergeCall returns e as a *ast.CallExpr if it is a call of a
@@ -170,81 +91,6 @@ func callName(call *ast.CallExpr) string {
 	return "merge"
 }
 
-// returnsError reports whether fd's results include the error type.
-func returnsError(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if fd.Type.Results == nil {
-		return false
-	}
-	for _, r := range fd.Type.Results.List {
-		if tv, ok := pass.TypesInfo.Types[r.Type]; ok && tv.Type != nil && isErrorType(tv.Type) {
-			return true
-		}
-		if id, ok := r.Type.(*ast.Ident); ok && id.Name == "error" {
-			return true
-		}
-	}
-	return false
-}
-
 func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// ifReturnsError reports whether the if statement (or its else arms)
-// directly returns a non-nil error expression.
-func ifReturnsError(pass *analysis.Pass, n *ast.IfStmt) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		ret, ok := m.(*ast.ReturnStmt)
-		if !ok || found {
-			return !found
-		}
-		for _, res := range ret.Results {
-			if id, ok := res.(*ast.Ident); ok && id.Name == "nil" {
-				continue
-			}
-			if tv, ok := pass.TypesInfo.Types[res]; ok && tv.Type != nil && isErrorType(tv.Type) {
-				found = true
-				return false
-			}
-			// Fall back to shape when type info is missing: a call or
-			// selector in error position of a single-result return.
-			switch res.(type) {
-			case *ast.CallExpr, *ast.SelectorExpr, *ast.Ident:
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// receiverIdent returns the receiver's identifier name.
-func receiverIdent(fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
-		return ""
-	}
-	return fd.Recv.List[0].Names[0].Name
-}
-
-// rootIs reports whether the selector/index chain e is rooted at an
-// identifier named name (s.field, s.field[i], s.a.b …).
-func rootIs(e ast.Expr, name string) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x.Name == name
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return false
-		}
-	}
 }

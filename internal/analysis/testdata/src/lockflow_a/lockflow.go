@@ -36,6 +36,7 @@ func decodeUnderLock(sl *slot, data []byte) error {
 func ioUnderLock(sl *slot, w *bufio.Writer) {
 	sl.mu.Lock()
 	fmt.Fprintf(w, "OK %d\n", sl.pushes) // want `I/O \(fmt.Fprintf\) while holding sl.mu`
+	fmt.Fprint(w, sl.pushes)             // want `I/O \(fmt.Fprint\) while holding sl.mu`
 	sl.mu.Unlock()
 }
 
@@ -47,7 +48,7 @@ func sendUnderLock(sl *slot, data []byte) {
 }
 
 // poolGetUnderLock acquires scratch under the lock: a miss allocates
-// while every other pusher waits (warning severity).
+// while every other pusher waits.
 func poolGetUnderLock(sl *slot) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()

@@ -1,13 +1,12 @@
-// Package mergecompat_a is the mergecompat fixture: summaries whose
-// Merge methods do and do not validate operand compatibility, and
-// call sites that keep or drop the merge error.
+// Package mergecompat_a is the mergecompat fixture: call sites that
+// keep or drop the merge error.
 package mergecompat_a
 
 import "errors"
 
 var errMismatch = errors.New("mismatched k")
 
-// Good validates before mutating.
+// Good is a summary whose Merge checks its operand.
 type Good struct {
 	k int
 	n uint64
@@ -21,31 +20,6 @@ func (g *Good) Merge(other *Good) error {
 		return errMismatch
 	}
 	g.n += other.n
-	return nil
-}
-
-// BadNoCheck mutates the receiver with no compatibility gate.
-type BadNoCheck struct {
-	k int
-	n uint64
-}
-
-func (b *BadNoCheck) Merge(other *BadNoCheck) error {
-	b.n += other.n // want `mutates receiver "b" before validating operand compatibility`
-	return nil
-}
-
-// BadLateCheck mutates first and validates after the damage is done.
-type BadLateCheck struct {
-	k int
-	n uint64
-}
-
-func (b *BadLateCheck) MergeLowError(other *BadLateCheck) error {
-	b.n += other.n // want `mutates receiver "b" before validating operand compatibility`
-	if b.k != other.k {
-		return errMismatch
-	}
 	return nil
 }
 

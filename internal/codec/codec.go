@@ -146,8 +146,6 @@ var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 // GetBuffer returns an empty pooled Buffer. Pair with PutBuffer after
 // the payload has been copied out (EncodeFrame copies), so per-encode
 // payload scratch is reused instead of reallocated.
-//
-//sketch:hotpath
 func GetBuffer() *Buffer {
 	return bufferPool.Get().(*Buffer)
 }
@@ -155,8 +153,6 @@ func GetBuffer() *Buffer {
 // PutBuffer resets w and returns it to the pool. Buffers above the
 // size-class cap are dropped. The caller must not touch w (or any
 // slice obtained from w.Bytes()) afterwards.
-//
-//sketch:hotpath
 func PutBuffer(w *Buffer) {
 	if w == nil || cap(w.b) > maxPooledBuffer {
 		return
@@ -177,8 +173,6 @@ func (w *Buffer) Reset() { w.b = w.b[:0] }
 // Grow ensures capacity for at least n more bytes — the pre-sized
 // encode hint: a marshaller that knows its payload size writes with at
 // most one (re)allocation instead of log-many append doublings.
-//
-//sketch:hotpath
 func (w *Buffer) Grow(n int) {
 	if n <= cap(w.b)-len(w.b) {
 		return
@@ -244,8 +238,6 @@ func (r *Reader) fail(err error) {
 // Uint64 reads a uvarint. On error it returns 0 and records the error.
 // A one-byte value — most counters, every length — is decoded before
 // anything else is looked at.
-//
-//sketch:hotpath
 func (r *Reader) Uint64() uint64 {
 	b := r.b[r.off:] // empty once an error stands
 	if len(b) > 0 && b[0] < 0x80 {
@@ -423,14 +415,10 @@ func (r *Reader) ran(n int) {
 // Uint64 calls reads, without a call, a reader update and an error
 // check per element. On error dst is partly written and the error is
 // recorded.
-//
-//sketch:hotpath
 func (r *Reader) Uint64s(dst []uint64) { r.ran(uvarintRun(r.b[r.off:], dst)) }
 
 // Int64s is Uint64s for counters that travel as their raw
 // two's-complement bits (int64(r.Uint64()) per element).
-//
-//sketch:hotpath
 func (r *Reader) Int64s(dst []int64) { r.ran(uvarintRun(r.b[r.off:], dst)) }
 
 // Uint8s reads a run of len(dst) small uvarints, each at most max,
@@ -441,8 +429,6 @@ func (r *Reader) Int64s(dst []int64) { r.ran(uvarintRun(r.b[r.off:], dst)) }
 // check fails). A value above max, a padded encoding or a short payload
 // fails the run; with max at 128 or above dst is then partly written.
 // The error is recorded.
-//
-//sketch:hotpath
 func (r *Reader) Uint8s(dst []uint8, max uint8) {
 	if max < 0x80 {
 		b := r.Borrow(len(dst))
@@ -489,8 +475,6 @@ var errSmallUvarint = errors.New("codec: small-uvarint run holds a value out of 
 
 // Float64s reads a run of len(dst) little-endian float64s into dst
 // over one Borrow. On error dst is untouched.
-//
-//sketch:hotpath
 func (r *Reader) Float64s(dst []float64) {
 	b := r.Borrow(8 * len(dst))
 	if b == nil {
@@ -508,8 +492,6 @@ func (r *Reader) Float64s(dst []float64) {
 // read primitive for fixed-width runs (raw register arrays, packed
 // floats); pooled frame buffers stay poolable because nothing durable
 // aliases them.
-//
-//sketch:hotpath
 func (r *Reader) Borrow(n int) []byte {
 	if r.err != nil {
 		return nil

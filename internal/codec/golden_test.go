@@ -2,8 +2,8 @@
 // regenerated only by `make wire-golden`. The corpus pins the wire
 // bytes themselves — a codec change that survives the round-trip
 // tests but shifts the encoding (field order, widths, varint vs
-// fixed) still fails here, the dynamic complement to the static
-// wireshape/wirecompat schema gate.
+// fixed) still fails here. With each codec's round-trip tests and the
+// registry's hostile-frame tests, this is what pins the wire format.
 //
 // The file lives in package codec_test (external) so it can enumerate
 // the registry without an import cycle: families import codec, the

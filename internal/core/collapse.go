@@ -80,8 +80,6 @@ func (c *Collapse) Add(x Item, w uint64) {
 // index is sized up front for a quarter of the items being new, and an
 // item adds at most one key, so a run of items no longer than the
 // index's room needs no growth check.
-//
-//sketch:hotpath
 func (c *Collapse) AddItems(xs []Item) {
 	pairs, index := c.pairs, c.index
 	for len(xs) > 0 {

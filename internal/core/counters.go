@@ -15,8 +15,6 @@ import (
 // (nil too) is replaced by a buffer on the stack, which holds 128
 // counters, or past that by a fresh one. Records move once, by CountOrder
 // and Permute, and an insertion pass orders what the packed keys tie.
-//
-//sketch:hotpath
 func SortCountersAsc(cs []Counter, scratch []uint64) {
 	n := len(cs)
 	if len(scratch) < 2*n {
@@ -47,8 +45,6 @@ func SortCountersAsc(cs []Counter, scratch []uint64) {
 // order, and the caller settles them (and equal counts) by its full
 // order in one insertion pass, which costs a pass when nothing ties.
 // scratch must hold len(keys) words.
-//
-//sketch:hotpath
 func CountOrder(keys, scratch []uint64) {
 	n := len(keys)
 	if n == 0 {
@@ -72,8 +68,6 @@ func CountOrder(keys, scratch []uint64) {
 // Permute puts xs in the order CountOrder returned: xs[order[i]] goes
 // to position i. It follows each cycle of the permutation once, marking
 // the positions it fills in order, so records move in place.
-//
-//sketch:hotpath
 func Permute[T any](xs []T, order []uint64) {
 	for i := range order {
 		if order[i] == uint64(i) {

@@ -19,8 +19,6 @@ const radixCutoff = 48
 // through their order — a comparison sort on the same words pays a
 // branch miss per comparison whenever the input is new to the branch
 // predictor, which on a summary's hot path is every call.
-//
-//sketch:hotpath
 func SortKeys(keys, scratch []uint64, lo, hi uint) {
 	n := len(keys)
 	width := hi - lo
@@ -93,24 +91,18 @@ func SortKeys(keys, scratch []uint64, lo, hi uint) {
 // side of their sign bit. Distinct bit patterns get distinct keys (−0
 // sorts before +0, where < calls them equal) and KeyFloat inverts the
 // map exactly.
-//
-//sketch:hotpath
 func FloatKey(v float64) uint64 {
 	b := math.Float64bits(v)
 	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // KeyFloat is the inverse of FloatKey.
-//
-//sketch:hotpath
 func KeyFloat(k uint64) float64 {
 	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
 }
 
 // SortFloats sorts vs ascending in FloatKey order through SortKeys.
 // scratch must hold at least 2·len(vs) words; nothing is allocated.
-//
-//sketch:hotpath
 func SortFloats(vs []float64, scratch []uint64) {
 	n := len(vs)
 	keys := scratch[:n]

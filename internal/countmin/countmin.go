@@ -210,8 +210,6 @@ func (s *Sketch) UpdateAndEstimate(x core.Item, w uint64) uint64 {
 // path walks the matrix row-major with the row's hash parameters held
 // in registers, hashes unrolled four items at a time, and no division
 // in the column reduction.
-//
-//sketch:hotpath
 func (s *Sketch) UpdateBatch(xs []core.Item) {
 	if len(xs) == 0 {
 		return
@@ -250,8 +248,6 @@ func (s *Sketch) UpdateBatch(xs []core.Item) {
 
 // UpdateBatchWeighted adds Count occurrences of every Item in ws, the
 // weighted variant of UpdateBatch. All weights must be >= 1.
-//
-//sketch:hotpath
 func (s *Sketch) UpdateBatchWeighted(ws []core.Counter) {
 	if len(ws) == 0 {
 		return

@@ -122,8 +122,6 @@ func (s *Sketch) fastmod() (recip uint64, wide bool) {
 // checks, reduces the bucket hash without dividing and adds the sign
 // without branching on it: cell and sign are bit for bit what cell()
 // and sign() compute.
-//
-//sketch:hotpath
 func (s *Sketch) UpdateBatch(xs []core.Item) {
 	if len(xs) == 0 {
 		return
@@ -147,8 +145,6 @@ func (s *Sketch) UpdateBatch(xs []core.Item) {
 
 // UpdateBatchWeighted adds Count occurrences of every Item in ws, the
 // weighted variant of UpdateBatch. All weights must be >= 1.
-//
-//sketch:hotpath
 func (s *Sketch) UpdateBatchWeighted(ws []core.Counter) {
 	if len(ws) == 0 {
 		return

@@ -8,8 +8,6 @@ import (
 
 // UpdateBatch observes one occurrence of every item in xs. The state
 // is identical to calling Update(x) for each x in order.
-//
-//sketch:hotpath
 func (s *KMV) UpdateBatch(xs []core.Item) {
 	seed := s.seed
 	for _, x := range xs {
@@ -23,8 +21,6 @@ func (s *KMV) UpdateBatch(xs []core.Item) {
 // is identical to calling Update(x) for each x: the batch path inlines
 // the hash and leading-zero computation with the precision and
 // register slice held in registers.
-//
-//sketch:hotpath
 func (s *HLL) UpdateBatch(xs []core.Item) {
 	p := uint(s.p)
 	seed := s.seed

@@ -49,8 +49,6 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // previous blocks join the free list in their turn. A pooled decode
 // target therefore stops allocating after its first few frames, and a
 // rejected frame leaves the receiver's contents untouched.
-//
-//sketch:hotpath
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindRangeCount, data)
 	if err != nil {

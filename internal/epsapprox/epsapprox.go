@@ -78,8 +78,6 @@ func (b *block) add(p gen.Point, key uint32) {
 
 // addCoords appends the points whose coordinates xy lists as x, y
 // pairs, keying each inside box. The block must have room for them.
-//
-//sketch:hotpath
 func (b *block) addCoords(box exact.Rect, xy []float64) {
 	at := len(b.pts)
 	b.pts, b.keys = b.pts[:at+len(xy)/2], b.keys[:at+len(xy)/2]
@@ -198,8 +196,6 @@ func (s *Summary) Update(p gen.Point) {
 // radix sort on the cached keys — each packed over its point's position,
 // which rides along as payload and so breaks ties by arrival — gathered
 // into recycled storage.
-//
-//sketch:hotpath
 func (s *Summary) promotePartial() {
 	n := len(s.partial.keys)
 	s.order = codec.Resize(s.order, 2*n)
@@ -221,8 +217,6 @@ func (s *Summary) promotePartial() {
 // up while the level is taken. An owned b is the summary's to keep or
 // recycle; a borrowed one (another summary's block) is only read — it
 // is halved where it lies, and copied only if its level is free.
-//
-//sketch:hotpath
 func (s *Summary) carry(b block, i int, owned bool) {
 	for {
 		for len(s.blocks) <= i {
@@ -261,8 +255,6 @@ func (s *Summary) carry(b block, i int, owned bool) {
 // two keys (ties to a). While both operands have points another one
 // follows, so w never reaches the end there; the one tail left is then
 // copied every other point in a plain loop.
-//
-//sketch:hotpath
 func (s *Summary) halve(a, b block) block {
 	keep := 1
 	if s.rng.Bool() {
@@ -322,8 +314,6 @@ func (s *Summary) Merge(other *Summary) error {
 }
 
 // absorb is Merge past the shape check.
-//
-//sketch:hotpath
 func (s *Summary) absorb(other *Summary) {
 	s.n += other.n
 	for i := len(other.blocks) - 1; i >= 0; i-- {

@@ -16,8 +16,10 @@
 // given (seed, parameters) pair — across runs, platforms, and Go
 // releases. Nothing in this package reads math/rand's global state,
 // time, or any other ambient source, and nothing else in this module
-// may: this package is the module's only sanctioned randomness source,
-// a boundary enforced by the detrand analyzer in cmd/sketchlint.
+// may: this package is the module's only sanctioned randomness source.
+// Tests that pin seeded bytes hold that boundary (the golden wire
+// corpus, the quantile summary's committed frames and reuse tests): a
+// draw from any other source makes a seeded run unrepeatable.
 // Callers that need independent streams derive them by passing
 // distinct seeds, never by sharing an RNG across goroutines (RNG is
 // not safe for concurrent use).

@@ -7,8 +7,6 @@ import "math"
 // pending-insert buffer in bulk copies and flushes trigger at exactly
 // the same points, so the amortized sorted-sweep insertion sees the
 // same batches. NaN values panic, as in Update.
-//
-//sketch:hotpath
 func (s *Summary) UpdateBatch(vs []float64) {
 	for _, v := range vs {
 		if math.IsNaN(v) {

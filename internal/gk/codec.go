@@ -14,8 +14,6 @@ import (
 // tuple list before it is serialized, and flushing twice is a no-op.
 // Callers hold exclusive access during encode (the merge plane
 // encodes under the slot lock), so the mutation cannot race.
-//
-//sketch:encodemutates
 func (s *Summary) MarshalBinary() ([]byte, error) {
 	s.flush()
 	w := codec.GetBuffer()

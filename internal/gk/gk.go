@@ -101,8 +101,6 @@ func threshold(eps float64, n uint64) uint64 {
 // stay. These are the decisions, in the same order, of an insert sweep
 // followed by compress (ref_test.go keeps that two-pass flush as the
 // oracle) — made in one pass over the run instead of two.
-//
-//sketch:hotpath
 func (s *Summary) flush() {
 	if len(s.buf) == 0 {
 		return

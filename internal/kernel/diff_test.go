@@ -394,3 +394,33 @@ func TestWidthAllocatesNothing(t *testing.T) {
 		t.Fatalf("Width: %v allocs per call, want 0", a)
 	}
 }
+
+// TestUpdateAllocatesNothing pins the per-point Update of a warm kernel
+// at zero allocations, over points of every fate: dismissed by the box
+// or by a triangle, and scanned — some of those take a slot, and the
+// polygon and box are rebuilt into the storage they already have. Each
+// run resets the kernel and feeds it 2000 points, so the rebuilds of a
+// kernel growing from empty happen in every run, and an allocation
+// there shows through AllocsPerRun's average.
+func TestUpdateAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pts  []gen.Point
+	}{
+		{"uniform", gen.UniformPoints(2000, 1)},
+		{"gaussian", gen.GaussianPoints(2000, 1, 0.3, 0.5, 2)},
+		{"ring", gen.RingPoints(2000, 1, 0.05, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewEpsilon(0.1)
+			if a := testing.AllocsPerRun(20, func() {
+				k.Reset()
+				for _, p := range tc.pts {
+					k.Update(p)
+				}
+			}); a != 0 {
+				t.Fatalf("Reset and 2000 Updates: %v allocs, want 0", a)
+			}
+		})
+	}
+}

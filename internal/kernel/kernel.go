@@ -200,8 +200,6 @@ func (k *Kernel) Size() int {
 // interior); every other point pays the scan over all 2m slots, which
 // is also what decides every slot, so the kernel's state is exactly
 // what scanning every point would have produced.
-//
-//sketch:hotpath
 func (k *Kernel) Update(p gen.Point) {
 	k.n++
 	if k.interior(p) {
@@ -266,8 +264,6 @@ func (k *Kernel) beats(p gen.Point, slack float64) bool {
 // not correctness. The box is the cheap first try: four comparisons,
 // and a branch the predictor gets right whenever most points land in
 // it, where the binary search mispredicts on about every point.
-//
-//sketch:hotpath
 func (k *Kernel) interior(p gen.Point) bool {
 	if k.box.holds(p) {
 		return true
@@ -297,8 +293,6 @@ func (k *Kernel) interior(p gen.Point) bool {
 // storage it already has, and its box; it leaves both empty — no
 // filter — while a slot is still unfilled (a scan would fill it) or the
 // polygon is not usable.
-//
-//sketch:hotpath
 func (k *Kernel) rebuild() {
 	k.fresh = true
 	h, scale := k.hull[:0], 0.0
@@ -333,8 +327,6 @@ func (k *Kernel) rebuild() {
 // edge a→b of the counter-clockwise polygon, with outward normal
 // n = (b.Y−a.Y, a.X−b.X), the box c ± λ·(wx, wy) stays on the inner
 // side iff λ·(|nx|·wx + |ny|·wy) ≤ ⟨n, a−c⟩, the centre's slack.
-//
-//sketch:hotpath
 func (k *Kernel) fitBox() box {
 	h := k.hull
 	lo, hi := h[0], h[0]

@@ -179,8 +179,6 @@ func Parallel[S any](parts []S, workers int, merge MergeFunc[S]) (S, error) {
 // runs past pairs or a failure is flagged. Claiming is a single atomic
 // add; the slots of a claimed pair are touched by exactly one worker,
 // so the round needs no further synchronization.
-//
-//sketch:hotpath
 func mergeRound[S any](buf []S, pairs int, next *atomic.Int64, failed *atomic.Bool, merge MergeFunc[S], record func(error)) {
 	for !failed.Load() {
 		i := next.Add(1) - 1

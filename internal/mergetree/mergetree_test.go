@@ -278,3 +278,24 @@ func TestParallelTreeShape(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelAllocs pins what Parallel allocates: its buffer and error
+// recorder, and per round it runs on goroutines, the goroutines — never
+// anything per merge or per claimed pair. 64 parts on two workers run
+// five such rounds.
+func TestParallelAllocs(t *testing.T) {
+	vals := make([]int, 64)
+	parts := make([]*int, 64)
+	merge := func(a, b *int) error { *a += *b; return nil }
+	if allocs := testing.AllocsPerRun(50, func() {
+		for i := range parts {
+			vals[i] = 1
+			parts[i] = &vals[i]
+		}
+		if s, err := Parallel(parts, 2, merge); err != nil || *s != 64 {
+			t.Fatalf("Parallel = %v, %v; want 64", *s, err)
+		}
+	}); allocs > 25 {
+		t.Fatalf("Parallel over 64 parts on 2 workers: %v allocs, want <= 25", allocs)
+	}
+}

@@ -24,8 +24,6 @@ func pruneSlack(k int) int {
 // most ErrorBound() ≤ n/(k+1). The summary state may differ from the
 // per-item loop's because pruning is deferred across the batch (see
 // pruneSlack).
-//
-//sketch:hotpath
 func (s *Summary) UpdateBatch(xs []core.Item) {
 	if len(xs) == 0 {
 		return
@@ -48,8 +46,6 @@ func (s *Summary) UpdateBatch(xs []core.Item) {
 // UpdateBatchWeighted adds Count occurrences of every Item in ws, the
 // weighted variant of UpdateBatch. All weights must be >= 1; a zero
 // weight panics before anything is added.
-//
-//sketch:hotpath
 func (s *Summary) UpdateBatchWeighted(ws []core.Counter) {
 	var total uint64
 	for _, c := range ws {

@@ -30,8 +30,6 @@ const batchRun = 8192
 
 // UpdateBatch adds one occurrence of every value in vs (each clamped
 // into the universe).
-//
-//sketch:hotpath
 func (d *Digest) UpdateBatch(vs []uint64) {
 	for len(vs) > 0 {
 		m := min(len(vs), batchRun)
@@ -60,8 +58,6 @@ func (d *Digest) UpdateBatch(vs []uint64) {
 // UpdateBatchWeighted adds Weight occurrences of every Value in vs
 // (each clamped into the universe). All weights must be >= 1; a zero
 // weight panics before anything is added.
-//
-//sketch:hotpath
 func (d *Digest) UpdateBatchWeighted(vs []WeightedValue) {
 	for _, wv := range vs {
 		if wv.Weight == 0 {
@@ -94,8 +90,6 @@ func (d *Digest) UpdateBatchWeighted(vs []WeightedValue) {
 // length m that last until ingest is done with them: they are the t
 // runs, which flush (called here, first) and Compress (called by
 // ingest, last) use and mergeBody does not.
-//
-//sketch:hotpath
 func (d *Digest) leafRun(m int) (ids, counts []uint64) {
 	d.flush()
 	d.tIDs = slices.Grow(d.tIDs[:0], m)
@@ -105,8 +99,6 @@ func (d *Digest) leafRun(m int) (ids, counts []uint64) {
 
 // ingest adds the ascending run (ids, counts) of total weight and m
 // insertions to the body, and compresses if that is due.
-//
-//sketch:hotpath
 func (d *Digest) ingest(ids, counts []uint64, weight uint64, m int) {
 	d.mergeBody(ids, counts)
 	d.n += weight

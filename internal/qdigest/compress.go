@@ -19,8 +19,6 @@ import (
 // holding their children up, and each pass names those nodes, so every
 // later pass (repass) visits only their children and the chains of
 // ancestors the folds there change.
-//
-//sketch:hotpath
 func (d *Digest) Compress() {
 	if d.clean {
 		return
@@ -90,8 +88,6 @@ func bit(c bool) uint64 {
 // folded, and does fail there. The parents of those folds are listed in
 // re (up to reCap of them) and the pass returns how many there were: 0
 // means the fixpoint is reached without a sweep to verify it.
-//
-//sketch:hotpath
 func (d *Digest) compressPass(t uint64, re *[2 * reCap]uint64) int {
 	ids, counts := d.ids, d.counts
 	n := len(ids)

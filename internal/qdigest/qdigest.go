@@ -130,8 +130,6 @@ func level(id uint64) uint8 { return uint8(bits.Len64(id) - 1) }
 
 // leaf returns the id of the leaf that counts value v, clamped into
 // the universe.
-//
-//sketch:hotpath
 func (d *Digest) leaf(v uint64) uint64 {
 	return uint64(1)<<d.logU + min(v, uint64(1)<<d.logU-1)
 }
@@ -158,8 +156,6 @@ func (d *Digest) Update(v uint64, w uint64) {
 // is measured against the size the last Compress left, not the current
 // one: a stream of distinct values grows the size with every insertion,
 // and a trigger that chases it never fires.
-//
-//sketch:hotpath
 func (d *Digest) inserted(m int) {
 	d.dirty += uint64(m)
 	if d.dirty > uint64(d.base)+compressSlack {
@@ -170,8 +166,6 @@ func (d *Digest) inserted(m int) {
 // addLeaf adds w to leaf id: in the pending run if it is there, in the
 // body if it is there, as a new pending leaf otherwise, through one
 // probe of the index (grown first when it is full).
-//
-//sketch:hotpath
 func (d *Digest) addLeaf(id, w uint64) {
 	d.clean = false
 	if d.pend.Room() == 0 {
@@ -194,8 +188,6 @@ func (d *Digest) addLeaf(id, w uint64) {
 // flush moves the pending leaves into the body. The run holds only
 // leaves the body lacks, so this is a sort of a copy of the pending
 // ids and a backward in-place merge into the body's tail.
-//
-//sketch:hotpath
 func (d *Digest) flush() {
 	if len(d.pendIDs) == 0 {
 		return
@@ -312,8 +304,6 @@ func (d *Digest) Merge(other *Digest) error {
 // mergeBody adds the sorted run (oi, oc) into the body node-wise: a
 // two-pointer union into scratch, which then trades places with the
 // body.
-//
-//sketch:hotpath
 func (d *Digest) mergeBody(oi, oc []uint64) {
 	d.clean = false
 	ai, ac := d.ids, d.counts
@@ -461,9 +451,6 @@ func (d *Digest) checkInvariants() error {
 // compressing an already-compressed digest is a no-op. Callers hold
 // exclusive access during encode (the merge plane encodes under the
 // slot lock), so the mutation cannot race.
-//
-//sketch:encodemutates
-//sketch:hotpath
 func (d *Digest) MarshalBinary() ([]byte, error) {
 	d.Compress()
 	w := codec.GetBuffer()
@@ -489,8 +476,6 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 // once the frame is validated, so a pooled decode target allocates
 // nothing in steady state and a rejected frame leaves the receiver
 // untouched.
-//
-//sketch:hotpath
 func (d *Digest) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindQDigest, data)
 	if err != nil {

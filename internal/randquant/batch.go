@@ -9,8 +9,6 @@ import "math"
 // summary samples, each value takes its acceptance draw in order. The
 // same RNG draws are consumed either way. NaN values panic, as in
 // Update, before anything is inserted.
-//
-//sketch:hotpath
 func (s *Summary) UpdateBatch(vs []float64) {
 	for _, v := range vs {
 		if math.IsNaN(v) {

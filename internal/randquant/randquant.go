@@ -186,8 +186,6 @@ func (s *Summary) retire(b []float64) {
 // promote turns the first s samples of the partial buffer into a
 // level-ell block — sorted by core.SortFloats, which puts −0 before +0
 // where < would leave them in either order — and cascades the carry.
-//
-//sketch:hotpath
 func (s *Summary) promote() {
 	b := codec.Resize(s.spare(), s.s)
 	copy(b, s.partial)

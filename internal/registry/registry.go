@@ -11,10 +11,10 @@
 // mergesum.Decode/Kinds API all resolve families here instead of
 // keeping their own per-kind tables. Each family package registers
 // itself in an init with one Register call, compile-time-checked
-// against the wire interfaces; the regcomplete analyzer in
-// cmd/sketchlint flags a family that exports a codec but forgets the
-// registration. Package all links every family into a binary that
-// wants the full catalog without importing families directly.
+// against the wire interfaces; TestCatalogComplete fails when a codec
+// kind has no registration. Package all links every family into a
+// binary that wants the full catalog without importing families
+// directly.
 //
 // Registration happens only during package init (Go serializes inits
 // and publishes them before main), so the catalog is read-only at
@@ -178,8 +178,6 @@ func (e *Entry) Variants() []string {
 func (e *Entry) N(v any) uint64 { return e.n(v) }
 
 // GetScratch returns a pooled decode target of this family.
-//
-//sketch:hotpath
 func (e *Entry) GetScratch() any {
 	if v := e.scratch.Get(); v != nil {
 		return v
@@ -192,8 +190,6 @@ func (e *Entry) GetScratch() any {
 // merged into — the next DecodeInto replaces whatever it holds, and
 // reuses its storage. Never recycle a summary something else still
 // owns.
-//
-//sketch:hotpath
 func (e *Entry) PutScratch(v any) { e.scratch.Put(v) }
 
 var (

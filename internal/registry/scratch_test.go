@@ -53,8 +53,8 @@ func payloadOf(frame []byte) []byte {
 // family's decoder is what meets them — the payload cut inside its
 // counter run at several depths, every early payload byte (the
 // header fields: k, seed, geometry, flags, counts) nudged three ways,
-// emptyRuns and bigClaims. Some of the nudged frames are accepted:
-// those are frames of other parameters, which is the point.
+// emptyRuns, bigClaims and bigHeaders. Some of the nudged frames are
+// accepted: those are frames of other parameters, which is the point.
 func hostileFrames(frame []byte) [][]byte {
 	payload := payloadOf(frame)
 	flipped := append([]byte(nil), frame...)
@@ -73,7 +73,8 @@ func hostileFrames(frame []byte) [][]byte {
 		}
 	}
 	out = append(out, emptyRuns(frame)...)
-	return append(out, bigClaims(frame)...)
+	out = append(out, bigClaims(frame)...)
+	return append(out, bigHeaders(frame)...)
 }
 
 // emptyRuns cuts the payload at every early offset and continues it
@@ -109,6 +110,55 @@ func bigClaims(frame []byte) [][]byte {
 		out = append(out, reframe(frame, append(mut, payload[i+n:]...)))
 	}
 	return out
+}
+
+// bigHeaders is bigClaims for size fields a decoder checks against each
+// other (a counter count against k, a width against a depth): from each
+// early payload offset, each of the next six uvarints claims 2^22 at
+// once, so a check of one claim against another passes. (An mg decoder
+// that read its counter count without ArrayLen's bound against the
+// bytes left sized its table by it.) 2^22 rather than 2^28 keeps such a
+// decoder's table at tens of MiB: the test fails instead of the machine.
+func bigHeaders(frame []byte) [][]byte {
+	payload := payloadOf(frame)
+	var out [][]byte
+	for i := 0; i < len(payload) && i < 24; i++ {
+		mut, j := append([]byte(nil), payload[:i]...), i
+		for fields := 0; fields < 6 && j < len(payload); fields++ {
+			_, n := binary.Uvarint(payload[j:])
+			if n <= 0 {
+				break
+			}
+			mut = binary.AppendUvarint(mut, 1<<22)
+			j += n
+		}
+		if j > i {
+			out = append(out, reframe(frame, append(mut, payload[j:]...)))
+		}
+	}
+	return out
+}
+
+// TestDecodeRejectsTrailingBytes: a payload is exactly what its decoder
+// reads. One byte more behind a valid header and checksum is a frame of
+// no summary, and both decode paths must say so.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	for _, ent := range registry.Entries() {
+		t.Run(ent.Name(), func(t *testing.T) {
+			for _, n := range []int{0, 16} {
+				frame := mustEncode(t, ent, ent.Example(n))
+				long := reframe(frame, append(append([]byte(nil), payloadOf(frame)...), 0))
+				if _, err := ent.Decode(long); err == nil {
+					t.Errorf("Example(%d) + one payload byte: Decode accepted it", n)
+				}
+				sc := ent.GetScratch()
+				if err := ent.DecodeInto(sc, long); err == nil {
+					t.Errorf("Example(%d) + one payload byte: DecodeInto accepted it", n)
+				}
+				ent.PutScratch(sc)
+			}
+		})
+	}
 }
 
 // TestHostileFramesAllocateLittle: a frame buys retained storage with
@@ -252,12 +302,15 @@ func TestScratchNeverAliasesAccumulator(t *testing.T) {
 }
 
 // TestDecodeMergeAllocs pins the aggregator's unit step — pooled
-// scratch, DecodeInto, Merge, back to the pool — at no more than one
-// allocation for every family, with the pool and the accumulator warm
+// scratch, DecodeInto, Merge, back to the pool — at zero allocations
+// for every family, with the pool and the accumulator warm
 // (BenchmarkRegistryDecodeMerge reports the same step's bytes and time).
 func TestDecodeMergeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
+	}
+	if sanitizeEnabled {
+		t.Skip("the sanitize layer's checks allocate by design")
 	}
 	for _, ent := range registry.Entries() {
 		t.Run(ent.Name(), func(t *testing.T) {
@@ -281,8 +334,32 @@ func TestDecodeMergeAllocs(t *testing.T) {
 			for range 4 * len(frames) {
 				step()
 			}
-			if allocs := testing.AllocsPerRun(100, step); allocs > 1 {
-				t.Errorf("decode+merge: %v allocs per frame, want <= 1", allocs)
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Errorf("decode+merge: %v allocs per frame, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestEncodeAllocs pins what a warm Encode allocates: the frame it
+// returns, plus the sorted view a few encoders build first (mg's and
+// topk's counter list, ss's counter states, kmv's hashes). The payload
+// is built in a pooled buffer, so a payload that outgrows it, or a
+// buffer that misses the pool, shows here.
+func TestEncodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: the payload buffer is sometimes made anew")
+	}
+	if sanitizeEnabled {
+		t.Skip("the sanitize layer's checks allocate by design")
+	}
+	views := map[string]float64{"mg": 1, "ss": 1, "topk": 1, "kmv": 3}
+	for _, ent := range registry.Entries() {
+		t.Run(ent.Name(), func(t *testing.T) {
+			v := ent.Example(12000)
+			mustEncode(t, ent, v)
+			if allocs, want := testing.AllocsPerRun(100, func() { mustEncode(t, ent, v) }), 1+views[ent.Name()]; allocs != want {
+				t.Errorf("encode: %v allocs, want %v", allocs, want)
 			}
 		})
 	}

@@ -6,8 +6,6 @@ import "math"
 // identical to calling Update(v) for each v in order (the same tag
 // draws are consumed in the same order, and the concrete sift helpers
 // replay container/heap's moves exactly).
-//
-//sketch:hotpath
 func (s *BottomK) UpdateBatch(vs []float64) {
 	for _, v := range vs {
 		if math.IsNaN(v) {

@@ -70,8 +70,6 @@ type slot struct {
 // before unlocking. Invalidation rule: a snapshot is valid only while
 // its version matches the slot's; pushes bump the version, so stale
 // bytes are unreachable the instant a push's reply is written.
-//
-//sketch:hotpath
 func (sl *slot) encoded() (string, []byte, error) {
 	if snap := sl.snap.Load(); snap != nil && snap.version == sl.version.Load() {
 		return snap.kind, snap.data, nil
@@ -257,8 +255,6 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 // roll-up plane on windowed nodes — and rejects a push of any other
 // family. A fronted slot is bound by its first write while its only data
 // is still parked in a lane, so the check keys on ent, not on summary.
-//
-//sketch:locked
 func (n *Node) bindLocked(sl *slot, name string, ent *registry.Entry) error {
 	if sl.ent == nil {
 		sl.ent = ent
@@ -277,8 +273,6 @@ func (n *Node) bindLocked(sl *slot, name string, ent *registry.Entry) error {
 // slot may be partially mutated and incoming may alias its state, so it
 // is dropped unrecycled, and the caller must bump the version so no
 // cached snapshot outlives the attempt.
-//
-//sketch:locked
 func (n *Node) ingestLocked(sl *slot, incoming any) error {
 	install := sl.summary == nil
 	if install {

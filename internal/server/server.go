@@ -173,10 +173,8 @@ const maxPooledFrame = 1 << 20
 
 var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
 
-//sketch:hotpath
 func getFrame() *frameBuf { return framePool.Get().(*frameBuf) }
 
-//sketch:hotpath
 func putFrame(f *frameBuf) {
 	if cap(f.b) > maxPooledFrame {
 		f.b = nil

@@ -157,3 +157,41 @@ func TestWriteOneAllocs(t *testing.T) {
 		t.Errorf("decode + Node.Ingest: %v allocs, want 0", ingest)
 	}
 }
+
+// TestPullAllocs pins the PULL path's encode cache: a PULL of a slot
+// nothing was pushed into since the last PULL returns the cached frame
+// and allocates nothing; one after a push encodes the slot once: the
+// frame, mg's sorted counter list and the cache entry.
+func TestPullAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
+	}
+	ent, _ := registry.ByName("mg")
+	frame, err := ent.Encode(ent.Example(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode()
+	push := func() {
+		sc := ent.GetScratch()
+		if err := ent.DecodeInto(sc, frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Ingest("s", ent, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull := func() {
+		if _, _, err := n.Encoded("s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push()
+	pull()
+	if hit := testing.AllocsPerRun(200, pull); hit != 0 {
+		t.Errorf("PULL of an unchanged slot: %v allocs, want 0", hit)
+	}
+	if miss := testing.AllocsPerRun(200, func() { push(); pull() }); miss != 3 {
+		t.Errorf("PUSH then PULL: %v allocs, want 3", miss)
+	}
+}

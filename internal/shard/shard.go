@@ -31,8 +31,6 @@ type Sharded[S any] struct {
 // New returns a Sharded with p shards built by mk (called once per
 // shard index). The receiver is unpublished until New returns, so no
 // locks are needed while filling the shards.
-//
-//sketch:locked
 func New[S any](p int, mk func(shard int) S) *Sharded[S] {
 	if p < 1 {
 		panic("shard: need at least one shard")
@@ -78,8 +76,6 @@ func (s *Sharded[S]) UpdateAny(token uint64, f func(S)) {
 // The partition buffers are pooled, so steady-state batches allocate
 // nothing beyond what apply does. The idxs slice passed to apply is
 // only valid during the call.
-//
-//sketch:hotpath
 func (s *Sharded[S]) UpdateBatch(n int, key func(i int) uint64, apply func(shard S, idxs []int)) {
 	if n <= 0 {
 		return

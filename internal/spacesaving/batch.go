@@ -16,8 +16,6 @@ import "repro/internal/core"
 // lands above all counts held, eviction is oldest-first, and exactly
 // the run's k heaviest items are left monitored. An edge report pays
 // per distinct key (about 1,150 in 8192 records), not per record.
-//
-//sketch:hotpath
 func (s *Summary) UpdateBatch(xs []core.Item) {
 	c := core.GetCollapse()
 	for len(xs) > 0 {
@@ -35,8 +33,6 @@ func (s *Summary) UpdateBatch(xs []core.Item) {
 // weights are summed within a run and applied once, lightest first.
 // All weights must be >= 1; a zero weight panics before anything is
 // added.
-//
-//sketch:hotpath
 func (s *Summary) UpdateBatchWeighted(ws []core.Counter) {
 	for _, c := range ws {
 		if c.Count == 0 {

@@ -87,8 +87,6 @@ func (t *Tracker) Update(x core.Item, w uint64) {
 // the loop, not state-identical: the loop ranks each item by its
 // estimate at the moment it arrived. A batch pays per distinct key for
 // its directory, not per record.
-//
-//sketch:hotpath
 func (t *Tracker) UpdateBatch(xs []core.Item) {
 	t.sketch.UpdateBatch(xs)
 	for len(xs) > 0 {
@@ -101,8 +99,6 @@ func (t *Tracker) UpdateBatch(xs []core.Item) {
 // UpdateBatchWeighted adds Count occurrences of every Item in ws, the
 // weighted variant of UpdateBatch, under the same contract. All weights
 // must be >= 1; a zero weight panics before anything is added.
-//
-//sketch:hotpath
 func (t *Tracker) UpdateBatchWeighted(ws []core.Counter) {
 	for _, c := range ws {
 		if c.Count == 0 {
