@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding"
 	"errors"
 	"fmt"
@@ -28,8 +29,10 @@ type Client struct {
 	winTickNS   int64
 }
 
+// newClient wraps conn in frameChunk buffers, the server's size, so a
+// request or reply up to that size crosses in one write and one read.
 func newClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	return &Client{conn: conn, r: bufio.NewReaderSize(conn, frameChunk), w: bufio.NewWriterSize(conn, frameChunk)}
 }
 
 // Dial connects to a summaryd server.
@@ -88,19 +91,38 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-func (c *Client) readStatus() (string, error) {
-	line, err := c.r.ReadString('\n')
+// readStatus reads a reply's status line and returns what follows its
+// "OK", aliasing c.r's buffer (valid until the next read). The line is
+// bounded as the server bounds its own (readLine): a reply that never
+// ends its line is a transport error, not an accumulator.
+func (c *Client) readStatus() ([]byte, error) {
+	line, err := readLine(c.r)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR ") {
-		return "", &RemoteError{Msg: strings.TrimPrefix(line, "ERR ")}
+	line = bytes.TrimSpace(line)
+	if msg, ok := bytes.CutPrefix(line, []byte("ERR ")); ok {
+		return nil, &RemoteError{Msg: string(msg)}
 	}
-	if !strings.HasPrefix(line, "OK") {
-		return "", fmt.Errorf("server: malformed reply %q", line)
+	rest, ok := bytes.CutPrefix(line, []byte("OK"))
+	if !ok {
+		return nil, fmt.Errorf("server: malformed reply %q", line)
 	}
-	return strings.TrimSpace(strings.TrimPrefix(line, "OK")), nil
+	return bytes.TrimSpace(rest), nil
+}
+
+// readRow reads one STAT or METRICS row as its whitespace-separated
+// fields, of which it wants exactly want.
+func (c *Client) readRow(what string, want int) ([][]byte, error) {
+	line, err := readLine(c.r)
+	if err != nil {
+		return nil, err
+	}
+	f := bytes.Fields(line)
+	if len(f) != want {
+		return nil, fmt.Errorf("server: malformed %s row %q", what, bytes.TrimSpace(line))
+	}
+	return f, nil
 }
 
 // push is the one sender of a write: frames go out behind a PUSH line,
@@ -137,7 +159,7 @@ func (c *Client) push(slot, kind string, batched bool, frames ...[]byte) (n uint
 		if err != nil {
 			return 0, err
 		}
-		if n, err = strconv.ParseUint(rest, 10, 64); err != nil {
+		if n, err = strconv.ParseUint(string(rest), 10, 64); err != nil {
 			return 0, err
 		}
 	}
@@ -194,19 +216,21 @@ func (c *Client) read(q query, clusterWide bool) (string, []byte, error) {
 		return "", nil, err
 	}
 	// The reply is "OK <kind> <len>\n<frame>".
-	fields := strings.Fields(rest)
-	if len(fields) != 2 {
+	kind, length, ok := bytes.Cut(rest, []byte(" "))
+	if !ok {
 		return "", nil, fmt.Errorf("server: malformed frame reply %q", rest)
 	}
-	n, err := strconv.Atoi(fields[1])
+	length = bytes.TrimSpace(length)
+	n, err := strconv.Atoi(string(length))
 	if err != nil || n < 0 || n > maxFrame {
-		return "", nil, fmt.Errorf("server: bad frame length %q", fields[1])
+		return "", nil, fmt.Errorf("server: bad frame length %q", length)
 	}
+	k := string(kind) // before readFrame reads over the line
 	buf, err := readFrame(c.r, nil, n)
 	if err != nil {
 		return "", nil, err
 	}
-	return fields[0], buf, nil
+	return k, buf, nil
 }
 
 // decodeInto is the tail of every typed read: it unmarshals a fetched
@@ -332,26 +356,22 @@ func (c *Client) Stat() ([]SlotInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := strconv.Atoi(rest)
+	count, err := strconv.Atoi(string(rest))
 	if err != nil || count < 0 {
 		return nil, fmt.Errorf("server: malformed STAT count %q", rest)
 	}
 	out := make([]SlotInfo, 0, count)
 	for i := 0; i < count; i++ {
-		line, err := c.r.ReadString('\n')
+		f, err := c.readRow("STAT", 4)
 		if err != nil {
 			return nil, err
 		}
-		f := strings.Fields(strings.TrimSpace(line))
-		if len(f) != 4 {
-			return nil, fmt.Errorf("server: malformed STAT row %q", line)
-		}
-		n, nErr := strconv.ParseUint(f[2], 10, 64)
-		p, pErr := strconv.ParseUint(f[3], 10, 64)
+		n, nErr := strconv.ParseUint(string(f[2]), 10, 64)
+		p, pErr := strconv.ParseUint(string(f[3]), 10, 64)
 		if nErr != nil || pErr != nil {
-			return nil, fmt.Errorf("server: malformed STAT row %q", line)
+			return nil, fmt.Errorf("server: malformed STAT row %q", f)
 		}
-		out = append(out, SlotInfo{Name: f[0], Kind: f[1], N: n, Pushes: p})
+		out = append(out, SlotInfo{Name: string(f[0]), Kind: string(f[1]), N: n, Pushes: p})
 	}
 	return out, nil
 }
@@ -414,25 +434,21 @@ func (c *Client) Metrics() (map[string]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := strconv.Atoi(rest)
+	count, err := strconv.Atoi(string(rest))
 	if err != nil || count < 0 {
 		return nil, fmt.Errorf("server: malformed METRICS count %q", rest)
 	}
 	out := make(map[string]uint64, count)
 	for i := 0; i < count; i++ {
-		line, err := c.r.ReadString('\n')
+		f, err := c.readRow("METRICS", 2)
 		if err != nil {
 			return nil, err
 		}
-		f := strings.Fields(strings.TrimSpace(line))
-		if len(f) != 2 {
-			return nil, fmt.Errorf("server: malformed METRICS row %q", line)
-		}
-		v, err := strconv.ParseUint(f[1], 10, 64)
+		v, err := strconv.ParseUint(string(f[1]), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("server: malformed METRICS value %q", line)
+			return nil, fmt.Errorf("server: malformed METRICS value %q", f)
 		}
-		out[f[0]] = v
+		out[string(f[0])] = v
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -331,5 +332,63 @@ func TestClientReadHostileLength(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*frameChunk {
 		t.Fatalf("reading a short reply behind a %d-byte header allocated %d bytes", maxFrame, grew)
+	}
+}
+
+// TestClientStatusLineIsBounded: a peer answering with bytes and no
+// newline costs the reader one buffer, not everything it streams until
+// the deadline — a PULLC fan-in reads every member's reply this way.
+// The overlong line is a transport error: the link is hung up, not put
+// back on the free list.
+func TestClientStatusLineIsBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	junk := bytes.Repeat([]byte{'x'}, 1<<20)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, 64)
+				conn.Read(buf) // the PULL line
+				conn.Write(junk)
+			}()
+		}
+	}()
+
+	c, err := DialTimeout(ln.Addr().String(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, frame, err := c.PullFrame("x")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("1 MiB without a newline passed for a status line (%d bytes returned)", len(frame))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*frameChunk {
+		t.Fatalf("reading 1 MiB without a newline allocated %d bytes", grew)
+	}
+
+	l := &links{addr: ln.Addr().String()}
+	defer l.close()
+	err = l.do(10*time.Second, func(c *Client) error {
+		_, _, e := c.PullFrame("x")
+		return e
+	})
+	if !errors.Is(err, errLineTooLong) {
+		t.Fatalf("links.do over an unterminated reply: %v, want %v", err, errLineTooLong)
+	}
+	if n := l.idleCount(); n != 0 {
+		t.Fatalf("the link that read an unterminated reply went back on the free list (%d idle)", n)
 	}
 }

@@ -115,9 +115,15 @@
 //     held together except map-lookup-then-slot-lock; sl.mu is never
 //     held while touching another slot.
 //
+// Both ends hold frameChunk (64 KiB) connection buffers, so a message up
+// to that size — a PUSHB of aggregator-size frames, a frame reply —
+// crosses in one write and one read. A server connection keeps only its
+// reader between commands; its reply writer comes from a pool per
+// command.
+//
 // A frame-layer error (a PUSH/PUSHB line of the wrong arity, an
-// unparseable or oversized length line, a line longer than the 4 KiB
-// read buffer, a short read) leaves the stream position unknown, so the
+// unparseable or oversized length line, a line longer than maxLine
+// (4 KiB), a short read) leaves the stream position unknown, so the
 // server reports ERR and drops the connection rather than misparse
 // frame bytes as commands. Command-layer errors (unknown kind, decode
 // failure, kind mismatch) keep the connection usable.
@@ -404,56 +410,80 @@ func (s *Server) flushLoop() {
 	}
 }
 
+// writerPool holds the connections' reply writers. A connection takes
+// one per command, once the command line is in, and puts it back after
+// the reply is flushed: an idle connection pins only its reader.
+var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, frameChunk) }}
+
+// handle serves one connection. Both of its buffers are frameChunk
+// bytes, so a message up to that size crosses in one read and one
+// write.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	token := s.connSeq.Add(1)
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	defer w.Flush()
+	r := bufio.NewReaderSize(conn, frameChunk)
 	for {
-		w.Flush()
 		line, err := readLine(r)
+		if err != nil && !errors.Is(err, errLineTooLong) {
+			return
+		}
+		w := writerPool.Get().(*bufio.Writer)
+		w.Reset(conn)
+		keep := false
 		if err != nil {
-			if errors.Is(err, errLineTooLong) {
-				fmt.Fprintf(w, "ERR %v\n", err)
-			}
-			return
+			fmt.Fprintf(w, "ERR %v\n", err)
+		} else {
+			keep = s.command(token, line, r, w)
 		}
-		fields := strings.Fields(string(line))
-		if len(fields) == 0 {
-			continue
-		}
-		switch verb := strings.ToUpper(fields[0]); verb {
-		case "PUSH", "PUSHB":
-			if !s.cmdWrite(verb, token, fields, r, w) {
-				return
-			}
-		case "PULL", "PULLC", "QWIN", "QWINC":
-			s.cmdRead(verb, fields, w)
-		case "STAT":
-			s.cmdStat(w)
-		case "METRICS":
-			s.cmdMetrics(w)
-		case "RESET":
-			s.cmdReset(fields, w)
-		case "QUIT":
+		w.Flush()
+		w.Reset(nil) // the pool must not pin the connection
+		writerPool.Put(w)
+		if !keep {
 			return
-		default:
-			fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
 		}
 	}
 }
 
-// errLineTooLong reports a command or length line that does not fit the
-// connection's read buffer; it is protocol-fatal.
+// command runs one command line, writing its reply into w; it returns
+// false when the connection must drop.
+func (s *Server) command(token uint64, line []byte, r *bufio.Reader, w *bufio.Writer) bool {
+	fields := strings.Fields(string(line))
+	if len(fields) == 0 {
+		return true
+	}
+	switch verb := strings.ToUpper(fields[0]); verb {
+	case "PUSH", "PUSHB":
+		return s.cmdWrite(verb, token, fields, r, w)
+	case "PULL", "PULLC", "QWIN", "QWINC":
+		s.cmdRead(verb, fields, w)
+	case "STAT":
+		s.cmdStat(w)
+	case "METRICS":
+		s.cmdMetrics(w)
+	case "RESET":
+		s.cmdReset(fields, w)
+	case "QUIT":
+		return false
+	default:
+		fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
+	}
+	return true
+}
+
+// maxLine bounds a command, length or status line, newline included.
+const maxLine = 4 << 10
+
+// errLineTooLong reports a line longer than maxLine; it is
+// protocol-fatal.
 var errLineTooLong = errors.New("line too long")
 
 // readLine returns the next newline-terminated line, aliasing r's
-// buffer (valid until the next read). The buffer size (4 KiB) bounds a
-// line, so a client that never sends a newline cannot grow memory.
+// buffer (valid until the next read). A line is bounded by maxLine, and
+// a peer that never sends a newline by r's buffer, so neither grows
+// memory.
 func readLine(r *bufio.Reader) ([]byte, error) {
 	line, err := r.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
+	if errors.Is(err, bufio.ErrBufferFull) || len(line) > maxLine {
 		return nil, errLineTooLong
 	}
 	return line, err

@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mg"
 	"repro/internal/randquant"
+	"repro/internal/registry"
 )
 
 // startServer returns a running server's address and a stop function.
@@ -317,10 +318,11 @@ func TestShortPushBodyNeverExecutes(t *testing.T) {
 	}
 }
 
-// A command or length line is bounded by the connection's 4 KiB read
-// buffer: a client that streams bytes without ever sending a newline
-// gets ERR and a closed connection, and costs the server no memory
-// beyond that buffer.
+// A command or length line is bounded by maxLine (4 KiB, newline
+// included), whatever the connection's buffer size: a line one byte
+// longer gets ERR and a closed connection, terminated or not, and a
+// client that streams bytes without ever sending a newline costs the
+// server no memory beyond its read buffer.
 func TestUnterminatedLineIsBounded(t *testing.T) {
 	addr, stop := startServer(t)
 	defer stop()
@@ -356,6 +358,47 @@ func TestUnterminatedLineIsBounded(t *testing.T) {
 	// it for as long as the client kept sending.
 	if grew := int64(m1.HeapAlloc) - int64(m0.HeapAlloc); grew > 512<<10 {
 		t.Errorf("heap grew %d bytes after two 1 MiB unterminated lines", grew)
+	}
+
+	// Terminated lines: maxLine bytes pass, one more is refused. The
+	// padding is leading whitespace, which both parsers skip.
+	ent, _ := registry.ByName("mg")
+	frame, err := ent.Encode(ent.Example(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := func(s string, n int) string { return strings.Repeat(" ", n-len(s)-1) + s + "\n" }
+	length := fmt.Sprint(len(frame))
+	for _, tc := range []struct {
+		name, payload string
+		ok            bool
+	}{
+		{"command line of maxLine", pad("STAT", maxLine), true},
+		{"command line of maxLine+1", pad("STAT", maxLine+1), false},
+		{"length line of maxLine", "PUSH s mg\n" + pad(length, maxLine) + string(frame), true},
+		{"length line of maxLine+1", "PUSH s mg\n" + pad(length, maxLine+1) + string(frame), false},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write([]byte(tc.payload)); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		line, err := r.ReadString('\n')
+		if tc.ok {
+			if err != nil || !strings.HasPrefix(line, "OK") {
+				t.Errorf("%s: reply %q, %v; want OK", tc.name, line, err)
+			}
+		} else {
+			if err != nil || !strings.HasPrefix(line, "ERR") || !strings.Contains(line, "line too long") {
+				t.Errorf("%s: reply %q, %v; want ERR line too long", tc.name, line, err)
+			}
+			expectHangup(t, r, tc.name)
+		}
+		conn.Close()
 	}
 }
 

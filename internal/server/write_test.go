@@ -111,10 +111,11 @@ func TestWriteWireTranscript(t *testing.T) {
 
 // TestWriteOneAllocs pins the cost of the unified path where it could
 // creep up: a PUSH through the one handler allocates once (the reply
-// line's formatting) and Node.Ingest through IngestBatch not at all —
-// the pooled scratch decodes in place and the mg merge works in
-// scratch the accumulator keeps (10 and 9 before decoding did). Skipped
-// under -race: see raceEnabled.
+// line's formatting), three times through the connection loop, and
+// Node.Ingest through IngestBatch not at all — the pooled scratch
+// decodes in place and the mg merge works in scratch the accumulator
+// keeps (10 and 9 before decoding did). Skipped under -race: see
+// raceEnabled.
 func TestWriteOneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
@@ -141,6 +142,30 @@ func TestWriteOneAllocs(t *testing.T) {
 	})
 	if handler > 1 {
 		t.Errorf("PUSH through cmdWrite: %v allocs, want <= 1", handler)
+	}
+
+	// Through the real handler loop, the command line's parse and the
+	// pooled reply writer ride along. A PUSH costs three allocations —
+	// the line's string, its fields and the reply's formatting — and a
+	// connection two more, its reader and the reader's buffer: the reply
+	// writer's Get and Put allocate nothing.
+	const pushes = 64
+	script := bytes.Repeat(append([]byte("PUSH s mg\n"), body...), pushes)
+	conn := &countConn{}
+	serve := func(script []byte) func() {
+		return func() {
+			conn.script(script)
+			s.handle(conn)
+		}
+	}
+	one := testing.AllocsPerRun(50, serve(script[:len(script)/pushes]))
+	all := testing.AllocsPerRun(50, serve(script))
+	perPush := (all - one) / (pushes - 1)
+	if perPush > 3 {
+		t.Errorf("PUSH through handle: %v allocs, want <= 3", perPush)
+	}
+	if perConn := one - perPush; perConn > 2 {
+		t.Errorf("a connection through handle: %v allocs beside its PUSH, want <= 2", perConn)
 	}
 
 	n := NewNode()
