@@ -16,7 +16,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/qdigest"
-	"repro/internal/shard"
 	"repro/internal/spacesaving"
 )
 
@@ -690,15 +689,6 @@ func TestUpdateBatchAllocs(t *testing.T) {
 	qd.Update(0, 1)
 	qdw.Update(0, 1)
 	qdu.Update(0, 1)
-	sharded := mergesum.NewSharded(8, func(int) *mergesum.MisraGries { return mergesum.NewMisraGries(64) })
-	shardBatch := func(off int) {
-		chunk := items[off : off+batchLen]
-		sharded.UpdateBatch(len(chunk), func(i int) uint64 { return uint64(chunk[i]) }, func(s *mergesum.MisraGries, idxs []int) {
-			for _, i := range idxs {
-				s.Update(chunk[i], 1)
-			}
-		})
-	}
 
 	for _, tc := range []struct {
 		name  string
@@ -729,10 +719,9 @@ func TestUpdateBatchAllocs(t *testing.T) {
 				qdu.Update(v, 1)
 			}
 		}, 0},
-		{"sharded/mg,p=8", shardBatch, 1}, // pooled partitions; the one is the slice header Put into the pool
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if raceEnabled && (strings.HasPrefix(tc.name, "spacesaving") || strings.HasPrefix(tc.name, "topk") || strings.HasPrefix(tc.name, "sharded")) {
+			if raceEnabled && (strings.HasPrefix(tc.name, "spacesaving") || strings.HasPrefix(tc.name, "topk")) {
 				t.Skip("the race detector drops pooled values at random")
 			}
 			if sanitizeEnabled && strings.Contains(tc.name, "per-item") {
@@ -878,53 +867,5 @@ func TestWarmPromoteAllocs(t *testing.T) {
 				t.Fatalf("promoting a block of %d on a warm summary: %.1f allocs per block, want 0", tc.block, got)
 			}
 		})
-	}
-}
-
-// TestShardedUpdateBatch checks that batched sharded ingestion merges
-// to the same totals as per-item sharded ingestion, and that the
-// pooled partition buffers route every index exactly once.
-func TestShardedUpdateBatch(t *testing.T) {
-	items := batchItemStream()
-
-	mkSharded := func() *shard.Sharded[*mergesum.MisraGries] {
-		return shard.New(8, func(int) *mergesum.MisraGries { return mergesum.NewMisraGries(64) })
-	}
-
-	perItem := mkSharded()
-	for _, x := range items {
-		perItem.Update(uint64(x), func(s *mergesum.MisraGries) { s.Update(x, 1) })
-	}
-
-	batched := mkSharded()
-	done := 0
-	for _, c := range chunks(len(items)) {
-		chunk := items[done : done+c]
-		batched.UpdateBatch(len(chunk),
-			func(i int) uint64 { return uint64(chunk[i]) },
-			func(s *mergesum.MisraGries, idxs []int) {
-				for _, i := range idxs {
-					s.Update(chunk[i], 1)
-				}
-			})
-		done += c
-	}
-
-	clone := func(s *mergesum.MisraGries) *mergesum.MisraGries { return s.Clone() }
-	merge := func(dst, src *mergesum.MisraGries) error { return dst.Merge(src) }
-	a, err := perItem.Snapshot(clone, merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := batched.Snapshot(clone, merge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != b.N() || a.N() != uint64(len(items)) {
-		t.Fatalf("per-item N=%d batched N=%d, want %d", a.N(), b.N(), len(items))
-	}
-	// Same routing => per-shard summaries saw identical substreams.
-	if got, want := fmt.Sprint(b.Counters()), fmt.Sprint(a.Counters()); got != want {
-		t.Fatalf("batched merge differs:\nper-item: %s\nbatched:  %s", want, got)
 	}
 }

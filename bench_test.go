@@ -15,7 +15,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/spacesaving"
 )
 
@@ -505,120 +504,6 @@ func BenchmarkTopKUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Update(stream[i%len(stream)], 1)
 	}
-}
-
-// Sharded concurrent ingestion: how much does contention cost across
-// worker counts? (Run with -cpu to sweep GOMAXPROCS.)
-func BenchmarkShardedIngest(b *testing.B) {
-	stream := zipfStream()
-	sh := shard.New(16, func(int) *mergesum.MisraGries { return mergesum.NewMisraGries(256) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			x := stream[i%len(stream)]
-			sh.Update(uint64(x), func(s *mergesum.MisraGries) { s.Update(x, 1) })
-			i++
-		}
-	})
-}
-
-// Sharded batched ingestion: items are buffered per goroutine and
-// pushed through Sharded.UpdateBatch, paying one lock acquisition per
-// shard per batch instead of one per item. ns/op is per item, directly
-// comparable to BenchmarkShardedIngest.
-func BenchmarkShardedIngestBatch(b *testing.B) {
-	for _, p := range []int{8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", p), func(b *testing.B) {
-			stream := zipfStream()
-			sh := shard.New(p, func(int) *mergesum.MisraGries { return mergesum.NewMisraGries(256) })
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				buf := make([]mergesum.Item, 0, benchBatchLen)
-				scratch := make([]mergesum.Item, 0, benchBatchLen)
-				i := 0
-				flush := func() {
-					if len(buf) == 0 {
-						return
-					}
-					sh.UpdateBatch(len(buf),
-						func(j int) uint64 { return uint64(buf[j]) },
-						func(s *mergesum.MisraGries, idxs []int) {
-							scratch = scratch[:0]
-							for _, j := range idxs {
-								scratch = append(scratch, buf[j])
-							}
-							s.UpdateBatch(scratch)
-						})
-					buf = buf[:0]
-				}
-				for pb.Next() {
-					buf = append(buf, stream[i%len(stream)])
-					i++
-					if len(buf) == benchBatchLen {
-						flush()
-					}
-				}
-				flush()
-			})
-		})
-	}
-}
-
-// Sharded distinct counting: HLL shards keyed by the raw item. The
-// batch path's win is largest here because HLL.UpdateBatch hoists the
-// seed and register slice out of the loop on top of the amortized
-// locking.
-func BenchmarkShardedHLLIngest(b *testing.B) {
-	stream := zipfStream()
-	sh := shard.New(8, func(int) *mergesum.HLL { return mergesum.NewHLL(12, 1) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			x := stream[i%len(stream)]
-			sh.Update(uint64(x), func(s *mergesum.HLL) { s.Update(x) })
-			i++
-		}
-	})
-}
-
-func BenchmarkShardedHLLIngestBatch(b *testing.B) {
-	stream := zipfStream()
-	sh := shard.New(8, func(int) *mergesum.HLL { return mergesum.NewHLL(12, 1) })
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		buf := make([]mergesum.Item, 0, benchBatchLen)
-		scratch := make([]mergesum.Item, 0, benchBatchLen)
-		i := 0
-		flush := func() {
-			if len(buf) == 0 {
-				return
-			}
-			sh.UpdateBatch(len(buf),
-				func(j int) uint64 { return uint64(buf[j]) },
-				func(s *mergesum.HLL, idxs []int) {
-					scratch = scratch[:0]
-					for _, j := range idxs {
-						scratch = append(scratch, buf[j])
-					}
-					s.UpdateBatch(scratch)
-				})
-			buf = buf[:0]
-		}
-		for pb.Next() {
-			buf = append(buf, stream[i%len(stream)])
-			i++
-			if len(buf) == benchBatchLen {
-				flush()
-			}
-		}
-		flush()
-	})
 }
 
 // Server round-trip: one PUSH of a k=256 MG summary into a live

@@ -493,25 +493,19 @@ func cmdPull(args []string) error {
 		return err
 	}
 	defer c.Close()
-	var raw rawFrame
-	kind, err := c.Pull(*slot, &raw)
+	kind, frame, err := c.PullFrame(*slot)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
+	if err := os.WriteFile(*out, frame, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("pulled slot %s (kind %s, %d bytes) into %s\n", *slot, kind, len(raw), *out)
+	fmt.Printf("pulled slot %s (kind %s, %d bytes) into %s\n", *slot, kind, len(frame), *out)
 	return nil
 }
 
-// rawFrame carries frame bytes verbatim so the CLI can push and persist
-// any summary kind without decoding it.
+// rawFrame carries frame bytes verbatim so the CLI can push any summary
+// kind without decoding it.
 type rawFrame []byte
 
 func (r rawFrame) MarshalBinary() ([]byte, error) { return r, nil }
-
-func (r *rawFrame) UnmarshalBinary(data []byte) error {
-	*r = append((*r)[:0], data...)
-	return nil
-}

@@ -1,6 +1,7 @@
 package mergesum_test
 
 import (
+	"encoding"
 	"sync"
 	"testing"
 
@@ -9,8 +10,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/window"
 )
 
 // TestEndToEndPipeline drives the whole stack at moderate scale: a
@@ -101,18 +100,24 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	pull := func(slot string, out encoding.BinaryUnmarshaler) {
+		t.Helper()
+		_, frame, err := c.PullFrame(slot)
+		if err == nil {
+			err = out.UnmarshalBinary(frame)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// Heavy hitters: both counter summaries must cover all true HHs.
 	threshold := mergesum.HeavyThreshold(n, 200)
 	trueHH := itemTruth.HeavyHitters(threshold)
 	var mgM mergesum.MisraGries
-	if _, err := c.Pull("flows.mg", &mgM); err != nil {
-		t.Fatal(err)
-	}
+	pull("flows.mg", &mgM)
 	var ssM mergesum.SpaceSaving
-	if _, err := c.Pull("flows.ss", &ssM); err != nil {
-		t.Fatal(err)
-	}
+	pull("flows.ss", &ssM)
 	if mgM.N() != n || ssM.N() != n {
 		t.Fatalf("pulled N: mg=%d ss=%d", mgM.N(), ssM.N())
 	}
@@ -127,9 +132,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Quantiles within eps.
 	var qM mergesum.Quantile
-	if _, err := c.Pull("lat.q", &qM); err != nil {
-		t.Fatal(err)
-	}
+	pull("lat.q", &qM)
 	for _, phi := range []float64{0.5, 0.95, 0.99} {
 		got := qM.Quantile(phi)
 		rank := valOracle.Rank(got)
@@ -145,9 +148,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Distinct count within 5%.
 	var hllM mergesum.HLL
-	if _, err := c.Pull("users.hll", &hllM); err != nil {
-		t.Fatal(err)
-	}
+	pull("users.hll", &hllM)
 	est := hllM.Estimate()
 	trueD := float64(itemTruth.Distinct())
 	if est < trueD*0.95 || est > trueD*1.05 {
@@ -165,88 +166,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	for _, st := range stats {
 		if st.Pushes != sites {
 			t.Errorf("slot %s has %d pushes, want %d", st.Name, st.Pushes, sites)
-		}
-	}
-}
-
-// TestConcurrentShardedWindow composes the concurrency wrapper with
-// the sliding window the way they are designed to stack: workers
-// ingest into a Sharded summary; at each epoch boundary the shards are
-// Drained, folded into one epoch summary with mg.MergeMany semantics
-// (via MergeSequential), and merged into the Windowed view's live
-// epoch; window queries then merge epochs. Every layer is pure
-// mergeability.
-func TestConcurrentShardedWindow(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration soak skipped in -short mode")
-	}
-	const (
-		epochs   = 6
-		retain   = 4
-		workers  = 4
-		perEpoch = 8000
-		k        = 64
-	)
-	mkShard := func(int) *mergesum.MisraGries { return mergesum.NewMisraGries(k) }
-	sh := shard.New(workers, mkShard)
-	w := window.New(retain, func(uint64) *mergesum.MisraGries { return mergesum.NewMisraGries(k) })
-	truthByEpoch := make([]*exact.FreqTable, epochs)
-
-	for e := 0; e < epochs; e++ {
-		if e > 0 {
-			if err := w.Advance(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		truth := exact.NewFreqTable()
-		truthByEpoch[e] = truth
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				stream := gen.NewZipf(500, 1.4, uint64(e*10+id)+1).Stream(perEpoch / workers)
-				local := exact.NewFreqTable()
-				for _, x := range stream {
-					sh.Update(uint64(x), func(s *mergesum.MisraGries) { s.Update(x, 1) })
-					local.Add(x, 1)
-				}
-				mu.Lock()
-				truth.Merge(local)
-				mu.Unlock()
-			}(wk)
-		}
-		wg.Wait()
-		// Epoch boundary: drain the shards and fold them into the
-		// window's current epoch.
-		drained := sh.Drain(mkShard)
-		epochSummary, err := mergesum.MergeSequential(drained, (*mergesum.MisraGries).Merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.Update(func(cur *mergesum.MisraGries) { err = cur.Merge(epochSummary) })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	for _, lastN := range []int{1, 2, 4} {
-		q, err := w.Query(lastN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.N() != uint64(lastN*perEpoch) {
-			t.Fatalf("lastN=%d: N=%d, want %d", lastN, q.N(), lastN*perEpoch)
-		}
-		truth := exact.NewFreqTable()
-		for e := epochs - lastN; e < epochs; e++ {
-			truth.Merge(truthByEpoch[e])
-		}
-		for _, c := range truth.Counters()[:5] {
-			if e := q.Estimate(c.Item); !e.Contains(c.Count) {
-				t.Errorf("lastN=%d: interval %v misses %d for item %d", lastN, e, c.Count, c.Item)
-			}
 		}
 	}
 }

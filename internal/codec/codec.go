@@ -60,7 +60,7 @@ const KindCount = int(KindTopK) + 1
 // kindNames maps tags to the canonical wire names declared by
 // registry registrations (RegisterKindName). The codec package itself
 // assigns no names: the registry is the single source of truth, and
-// this table is merely its projection for String/KindByName. Writes
+// this table is merely its projection for String. Writes
 // happen only during package init (family registrations), reads only
 // afterwards, so no lock is needed.
 var kindNames = map[Kind]string{}
@@ -85,24 +85,6 @@ func RegisterKindName(k Kind, name string) {
 	}
 	kindNames[k] = name
 	kindByName[name] = k
-}
-
-// KindByName returns the kind tag registered under the canonical wire
-// name, or (KindInvalid, false) when no family claims it.
-func KindByName(name string) (Kind, bool) {
-	k, ok := kindByName[name]
-	return k, ok
-}
-
-// RegisteredKinds returns the registered tags in ascending order.
-func RegisteredKinds() []Kind {
-	out := make([]Kind, 0, len(kindNames))
-	for k := Kind(1); int(k) < KindCount; k++ {
-		if _, ok := kindNames[k]; ok {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 func (k Kind) String() string {
@@ -595,14 +577,11 @@ func decodeFramePrefix(kind Kind, data []byte) (payload, rest []byte, err error)
 	return data[off:end], data[end+4:], nil
 }
 
-// WriteFrame writes a complete frame to w, preceded by nothing: the
-// frame is self-delimiting, so frames can be concatenated on a stream.
-func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
-	_, err := w.Write(EncodeFrame(kind, payload))
-	return err
-}
-
-// ReadFrame reads exactly one frame of the given kind from r.
+// ReadFrame reads exactly one frame of the given kind from r. Frames
+// are self-delimiting, so EncodeFrame outputs concatenated on a stream
+// read back one by one. The body grows only as its bytes arrive: a
+// header declaring more than the stream carries costs what was sent,
+// not what was declared.
 func ReadFrame(r io.Reader, kind Kind) ([]byte, error) {
 	head := make([]byte, len(magic)+2)
 	if _, err := io.ReadFull(r, head); err != nil {
@@ -639,12 +618,14 @@ func ReadFrame(r io.Reader, kind Kind) ([]byte, error) {
 	if plen > 1<<31 {
 		return nil, fmt.Errorf("codec: implausible payload length %d", plen)
 	}
-	body := make([]byte, plen+4)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := io.ReadAll(io.LimitReader(r, int64(plen)+4))
+	if err != nil {
 		return nil, err
 	}
-	full := append(head, lenBuf...)
-	full = append(full, body...)
+	if uint64(len(body)) < plen+4 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	full := append(append(head, lenBuf...), body...)
 	payload, _, err := decodeFramePrefix(kind, full)
 	if err != nil {
 		return nil, err

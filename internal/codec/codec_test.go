@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -166,12 +168,8 @@ func TestFrameTrailing(t *testing.T) {
 
 func TestStreamFrames(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindGK, []byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&buf, KindGK, []byte("two, longer payload")); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(EncodeFrame(KindGK, []byte("one")))
+	buf.Write(EncodeFrame(KindGK, []byte("two, longer payload")))
 	p1, err := ReadFrame(&buf, KindGK)
 	if err != nil {
 		t.Fatalf("ReadFrame #1: %v", err)
@@ -192,12 +190,28 @@ func TestStreamFrames(t *testing.T) {
 }
 
 func TestStreamFrameWrongKind(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindCountMin, []byte("p")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFrame(&buf, KindGK); !errors.Is(err, ErrWrongKind) {
+	buf := bytes.NewReader(EncodeFrame(KindCountMin, []byte("p")))
+	if _, err := ReadFrame(buf, KindGK); !errors.Is(err, ErrWrongKind) {
 		t.Fatalf("err = %v, want ErrWrongKind", err)
+	}
+}
+
+// TestStreamFrameHostileLength: a header declaring a 2 GiB payload in
+// front of three bytes and EOF is a truncated frame, and reading it
+// allocates for the bytes that came, not for the length declared.
+func TestStreamFrameHostileLength(t *testing.T) {
+	hostile := append([]byte(magic), Version, byte(KindMisraGries))
+	hostile = binary.AppendUvarint(hostile, 1<<31)
+	hostile = append(hostile, 1, 2, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(hostile), KindMisraGries)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte stream declaring 2 GiB allocated %d bytes", len(hostile), got)
 	}
 }
 
@@ -245,11 +259,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err != nil || !bytes.Equal(got, payload) {
 			return false
 		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, kind, payload); err != nil {
-			return false
-		}
-		got2, err := ReadFrame(&buf, kind)
+		got2, err := ReadFrame(bytes.NewReader(frame), kind)
 		return err == nil && bytes.Equal(got2, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -84,21 +84,6 @@ func (s *Sketch) row(i int) []uint64 {
 	return s.cells[i*s.width : (i+1)*s.width : (i+1)*s.width]
 }
 
-// NewEpsilonDelta returns a sketch with error at most eps*n per point
-// query with probability 1-delta: width = ceil(2/eps), depth =
-// ceil(log2(1/delta)).
-func NewEpsilonDelta(eps, delta float64, seed uint64) *Sketch {
-	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
-		panic("countmin: eps and delta must be in (0, 1)")
-	}
-	width := int(2/eps + 0.9999999)
-	depth := 1
-	for p := 0.5; p > delta; p *= 0.5 {
-		depth++
-	}
-	return New(width, depth, seed)
-}
-
 // SetConservative switches the sketch to conservative updating
 // (increment only the cells that equal the current minimum estimate),
 // which reduces overestimation on skewed streams. Conservative
@@ -349,15 +334,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 	s.n += other.n
 	debugAssert(s)
 	return nil
-}
-
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Sketch) (*Sketch, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // HeavyHittersOver returns the candidates whose estimate reaches

@@ -12,8 +12,6 @@ func TestNewPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"width":       func() { New(0, 2, 1) },
 		"depth":       func() { New(2, 0, 1) },
-		"eps":         func() { NewEpsilonDelta(0, 0.1, 1) },
-		"delta":       func() { NewEpsilonDelta(0.1, 0, 1) },
 		"zero-weight": func() { New(8, 2, 1).Update(1, 0) },
 	} {
 		func() {
@@ -50,7 +48,7 @@ func TestErrorWithinExpectedScale(t *testing.T) {
 	stream := gen.NewZipf(5000, 1.3, 11).Stream(n)
 	truth := exact.FreqOf(stream)
 	eps := 0.01
-	s := NewEpsilonDelta(eps, 0.01, 5)
+	s := New(200, 7, 5) // width 2/ε, depth ⌈log2(1/δ)⌉ for δ = 0.01
 	for _, x := range stream {
 		s.Update(x, 1)
 	}

@@ -235,15 +235,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Sketch) (*Sketch, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // HeavyHittersOver returns the candidates whose estimate reaches
 // threshold, in descending estimate order.
 func (s *Sketch) HeavyHittersOver(candidates []core.Item, threshold uint64) []core.Counter {

@@ -188,15 +188,6 @@ func (s *KMV) Merge(other *KMV) error {
 	return nil
 }
 
-// MergedKMV returns the merge of a and b without modifying either.
-func MergedKMV(a, b *KMV) (*KMV, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Clone returns a deep copy.
 func (s *KMV) Clone() *KMV {
 	c := NewKMV(s.k, s.seed)
@@ -377,15 +368,6 @@ func (s *HLL) Merge(other *HLL) error {
 	}
 	debugAssertHLL(s)
 	return nil
-}
-
-// MergedHLL returns the merge of a and b without modifying either.
-func MergedHLL(a, b *HLL) (*HLL, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Clone returns a deep copy.

@@ -329,15 +329,6 @@ func (s *Summary) absorb(other *Summary) {
 	}
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Summary) (*Summary, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RangeCount estimates the number of summarized points inside r.
 func (s *Summary) RangeCount(r exact.Rect) uint64 {
 	var c uint64

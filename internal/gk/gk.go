@@ -322,15 +322,6 @@ func (s *Summary) Merge(other *Summary) error {
 	return nil
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Summary) (*Summary, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Clone returns a deep copy.
 func (s *Summary) Clone() *Summary {
 	c := New(s.eps)

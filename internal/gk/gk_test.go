@@ -306,15 +306,15 @@ func TestMergedDoesNotModifyInputs(t *testing.T) {
 		}
 	}
 	an, bn := a.N(), b.N()
-	m, err := Merged(a, b)
-	if err != nil {
+	m := a.Clone()
+	if err := m.Merge(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.N() != an || b.N() != bn {
-		t.Fatal("Merged modified an input")
+		t.Fatal("merging into a clone modified an input")
 	}
 	if m.N() != an+bn {
-		t.Fatal("Merged N wrong")
+		t.Fatal("merged clone N wrong")
 	}
 }
 

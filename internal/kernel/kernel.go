@@ -397,15 +397,6 @@ func (k *Kernel) Merge(other *Kernel) error {
 	return nil
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Kernel) (*Kernel, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Points returns the stored extreme points (deduplicated).
 func (k *Kernel) Points() []gen.Point {
 	seen := make(map[gen.Point]bool)

@@ -92,15 +92,3 @@ func TotalMergeError(combined []core.Counter, merged *Summary) uint64 {
 	}
 	return te
 }
-
-// DroppedMergeError complements TotalMergeError: the combined weight of
-// items the merge dropped entirely.
-func DroppedMergeError(combined []core.Counter, merged *Summary) uint64 {
-	var te uint64
-	for _, c := range combined {
-		if merged.get(c.Item) == 0 {
-			te += c.Count
-		}
-	}
-	return te
-}

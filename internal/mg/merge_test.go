@@ -237,17 +237,3 @@ func TestCombinedCounters(t *testing.T) {
 		}
 	}
 }
-
-func TestDroppedMergeError(t *testing.T) {
-	s1 := mustFrom(t, 4, []core.Counter{{Item: 2, Count: 4}, {Item: 3, Count: 11}, {Item: 4, Count: 22}, {Item: 5, Count: 33}})
-	s2 := mustFrom(t, 4, []core.Counter{{Item: 7, Count: 10}, {Item: 8, Count: 20}, {Item: 9, Count: 30}, {Item: 10, Count: 40}})
-	combined := CombinedCounters(s1, s2)
-	m, err := Merged(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Items 2,7,3,8 are dropped: 4+10+11+20 = 45.
-	if got := DroppedMergeError(combined, m); got != 45 {
-		t.Errorf("DroppedMergeError = %d, want 45", got)
-	}
-}

@@ -333,15 +333,6 @@ func (d *Digest) mergeBody(oi, oc []uint64) {
 	d.ids, d.counts, d.sIDs, d.sCounts = ri[:w], rc[:w], ai[:0], ac[:0]
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Digest) (*Digest, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Clone returns a deep copy.
 func (d *Digest) Clone() *Digest {
 	c := New(d.logU, d.k)

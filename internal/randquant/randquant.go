@@ -337,15 +337,6 @@ func (s *Summary) thin(vs []float64, level int) {
 	}
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Summary) (*Summary, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Rank estimates the number of inserted values <= v: the weighted
 // count of stored samples <= v. The estimator is unbiased and within
 // εn w.h.p. for NewEpsilon summaries.

@@ -162,10 +162,6 @@ func (e *Entry) checkOperands(dst, src any) error {
 	return nil
 }
 
-// HasLowError reports whether the family defines a distinct
-// low-total-error merge.
-func (e *Entry) HasLowError() bool { return e.mergeLow != nil }
-
 // Variants names the selectable merge algorithms, default first.
 func (e *Entry) Variants() []string {
 	if e.mergeLow != nil {

@@ -36,9 +36,6 @@ func TestCatalogComplete(t *testing.T) {
 		if k.String() != ent.Name() {
 			t.Fatalf("codec name %q != registry name %q", k.String(), ent.Name())
 		}
-		if gotK, ok := codec.KindByName(ent.Name()); !ok || gotK != k {
-			t.Fatalf("codec.KindByName(%q) = %v, %v", ent.Name(), gotK, ok)
-		}
 
 		frame, err := ent.Encode(ent.Example(32))
 		if err != nil {
@@ -167,13 +164,14 @@ func TestMergeOfDecodedEqualsOriginals(t *testing.T) {
 	}
 }
 
-// TestMergeVariants checks the variant plumbing: families declaring a
-// low-error merge expose both algorithms and default to low-error;
-// families without one report exactly the PODS'12 merge.
+// TestMergeVariants checks the variant plumbing: the two families
+// declaring a low-error merge (mg and ss) expose both algorithms and
+// default to low-error; every other family reports exactly the PODS'12
+// merge.
 func TestMergeVariants(t *testing.T) {
 	for _, ent := range registry.Entries() {
 		variants := ent.Variants()
-		if ent.HasLowError() {
+		if ent.Name() == "mg" || ent.Name() == "ss" {
 			if len(variants) != 2 || variants[0] != "low-error" || variants[1] != "pods12" {
 				t.Fatalf("%s: Variants() = %v", ent.Name(), variants)
 			}

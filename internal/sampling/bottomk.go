@@ -152,15 +152,6 @@ func (s *BottomK) Merge(other *BottomK) error {
 	return nil
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *BottomK) (*BottomK, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Values returns the sampled values, sorted.
 func (s *BottomK) Values() []float64 {
 	out := make([]float64, len(s.keep))

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mg"
 	"repro/internal/registry"
 	"repro/internal/window"
 )
@@ -93,16 +92,17 @@ func TestAllKindsRoundTrip(t *testing.T) {
 				t.Fatalf("pulled frame differs from local fold (%d vs %d bytes)", len(got), len(want))
 			}
 
-			// PullAny decodes without the caller naming the type.
-			kind, v, err := c.PullAny(slot)
-			if err != nil {
-				t.Fatalf("PullAny: %v", err)
+			// The frame's kind tag alone selects the family that decodes it.
+			fent, err := registry.FromFrame(got)
+			if err != nil || fent != ent {
+				t.Fatalf("registry.FromFrame = (%v, %v), want %s", fent, err, ent.Name())
 			}
-			if kind != ent.Name() || v == nil {
-				t.Fatalf("PullAny = (%q, %T)", kind, v)
+			v, err := fent.Decode(got)
+			if err != nil {
+				t.Fatalf("decoding the pulled frame: %v", err)
 			}
 			if gotN := ent.N(v); gotN != ent.N(local) {
-				t.Fatalf("PullAny n = %d, want %d", gotN, ent.N(local))
+				t.Fatalf("decoded n = %d, want %d", gotN, ent.N(local))
 			}
 		})
 	}
@@ -222,43 +222,5 @@ func TestPushIsPushBatchOfOne(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestTypedClientHelpers covers PushTyped/PullTyped: the kind string is
-// derived from the frame, never spelled by the caller.
-func TestTypedClientHelpers(t *testing.T) {
-	addr, stop := startServer(t)
-	defer stop()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	s := mg.New(16)
-	s.Update(3, 40)
-	s.Update(5, 10)
-	if _, err := PushTyped(c, "typed", s); err != nil {
-		t.Fatal(err)
-	}
-	s2 := mg.New(16)
-	s2.Update(3, 60)
-	if n, err := PushTyped(c, "typed", s2); err != nil || n != 110 {
-		t.Fatalf("PushTyped: n=%d err=%v", n, err)
-	}
-
-	got, err := PullTyped[mg.Summary](c, "typed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != 110 || got.Estimate(3).Value != 100 {
-		t.Fatalf("PullTyped summary wrong: n=%d", got.N())
-	}
-
-	// Pulling the slot as a different registered type must fail loudly
-	// via the codec kind check.
-	if _, err := PullTyped[mg.Summary](c, "nosuch"); err == nil {
-		t.Fatal("PullTyped on missing slot succeeded")
 	}
 }

@@ -41,7 +41,7 @@ func TestPushBatchRoundTrip(t *testing.T) {
 	}
 
 	var got mg.Summary
-	if _, err := c.Pull("flows", &got); err != nil {
+	if _, err := decoded(&got)(c.PullFrame("flows")); err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != want {
@@ -175,7 +175,7 @@ func TestConcurrentPushStress(t *testing.T) {
 	}
 	defer c.Close()
 	var merged mg.Summary
-	if _, err := c.Pull("stress", &merged); err != nil {
+	if _, err := decoded(&merged)(c.PullFrame("stress")); err != nil {
 		t.Fatal(err)
 	}
 	want := uint64(workers * rounds * perBatch * itemWeight)

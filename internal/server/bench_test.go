@@ -81,7 +81,7 @@ func BenchmarkServerPullCached(b *testing.B) {
 	var out randquant.Summary
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Pull("bq", &out); err != nil {
+		if _, err := decoded(&out)(c.PullFrame("bq")); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,17 +81,17 @@ func TestBoundedQuantileServed(t *testing.T) {
 
 	for i, c := range conns {
 		var all, sealed randquant.Summary
-		if _, err := c.Pull("lat", &all); err != nil {
+		if _, err := decoded(&all)(c.PullFrame("lat")); err != nil {
 			t.Fatalf("PULL via node %d: %v", i, err)
 		}
 		isBounded("PULL", &all, perNode[i])
 		// Every sealed epoch, answered from the ladder's rolled-up
 		// segments; and a sub-range of them.
-		if _, err := c.QueryWindow("lat", 1, epochs, &sealed); err != nil {
+		if _, err := decoded(&sealed)(c.QueryWindowFrame("lat", 1, epochs)); err != nil {
 			t.Fatalf("QWIN via node %d: %v", i, err)
 		}
 		isBounded("QWIN", &sealed, perNode[i])
-		if _, err := c.QueryWindow("lat", 5, 12, &sealed); err != nil {
+		if _, err := decoded(&sealed)(c.QueryWindowFrame("lat", 5, 12)); err != nil {
 			t.Fatalf("QWIN via node %d: %v", i, err)
 		}
 		isBounded("QWIN [5,12]", &sealed, perNode[i]*8/epochs)
@@ -148,18 +148,18 @@ func TestBoundedQuantileServed(t *testing.T) {
 		servers[0].AdvanceWindows()
 		if e == 0 || e == 63 {
 			var q randquant.Summary
-			if _, err := conns[0].Pull("long-plain", &q); err != nil {
+			if _, err := decoded(&q)(conns[0].PullFrame("long-plain")); err != nil {
 				t.Fatal(err)
 			}
 			levelsAt[e/63] = q.Levels()
 		}
 	}
 	var all, history randquant.Summary
-	if _, err := conns[0].Pull("long", &all); err != nil {
+	if _, err := decoded(&all)(conns[0].PullFrame("long")); err != nil {
 		t.Fatal(err)
 	}
 	isBounded("long-lived PULL", &all, 1<<22)
-	if _, err := conns[0].QueryWindow("long", epochs+1, epochs+64, &history); err != nil {
+	if _, err := decoded(&history)(conns[0].QueryWindowFrame("long", epochs+1, epochs+64)); err != nil {
 		t.Fatal(err)
 	}
 	isBounded("long-lived QWIN", &history, 1<<22)

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/registry"
 	"repro/internal/window"
 )
 
@@ -23,7 +22,7 @@ type Client struct {
 	w    *bufio.Writer
 
 	// Wall-clock→epoch mapping, lazily fetched from METRICS for
-	// QueryWindowTime and cached for the connection's lifetime (the
+	// Epochs and cached for the connection's lifetime (the
 	// origin and tick are fixed at server start).
 	winOriginNS int64
 	winTickNS   int64
@@ -233,33 +232,6 @@ func (c *Client) read(q query, clusterWide bool) (string, []byte, error) {
 	return k, buf, nil
 }
 
-// decodeInto is the tail of every typed read: it unmarshals a fetched
-// frame into out, passing a failed fetch through.
-func decodeInto(out encoding.BinaryUnmarshaler, kind string, buf []byte, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return kind, out.UnmarshalBinary(buf)
-}
-
-// decodeAny is the tail of every ...Any read: the fetched frame's kind
-// tag selects the registry entry, which constructs and decodes a fresh
-// summary.
-func decodeAny(slot, kind string, buf []byte, err error) (string, any, error) {
-	if err != nil {
-		return "", nil, err
-	}
-	ent, err := registry.FromFrame(buf)
-	if err != nil {
-		return "", nil, fmt.Errorf("server: slot %q kind %q: %w", slot, kind, err)
-	}
-	v, err := ent.Decode(buf)
-	if err != nil {
-		return "", nil, err
-	}
-	return kind, v, nil
-}
-
 // PullFrame fetches the named slot's raw encoded frame and its kind,
 // without decoding — the shape fan-in readers and relays want.
 func (c *Client) PullFrame(slot string) (string, []byte, error) {
@@ -267,75 +239,12 @@ func (c *Client) PullFrame(slot string) (string, []byte, error) {
 }
 
 // QueryWindowFrame fetches the raw encoded frame of the slot's epoch
-// range [from, to] from a windowed server, and its kind.
+// range [from, to] from a windowed server (summaryd -window), and its
+// kind. Epoch 0 means "oldest retained" for from and "through the live
+// epoch" for to, so QueryWindowFrame(slot, 0, 0) is the
+// all-retained-history query; Epochs maps a wall-clock span to a range.
 func (c *Client) QueryWindowFrame(slot string, from, to uint64) (string, []byte, error) {
 	return c.read(query{slot: slot, ranged: true, from: from, to: to}, false)
-}
-
-// QueryWindow decodes the merged summary of the named slot's epoch
-// range [from, to] into out, returning the slot's kind. Epoch 0 means
-// "oldest retained" for from and "through the live epoch" for to, so
-// QueryWindow(slot, 0, 0, out) is the all-retained-history query. The
-// server must be running windowed mode (summaryd -window).
-func (c *Client) QueryWindow(slot string, from, to uint64, out encoding.BinaryUnmarshaler) (string, error) {
-	kind, buf, err := c.QueryWindowFrame(slot, from, to)
-	return decodeInto(out, kind, buf, err)
-}
-
-// QueryWindowAny is QueryWindow without the caller naming the type:
-// the frame's kind tag selects the registry entry, which constructs
-// and decodes a fresh summary (as PullAny).
-func (c *Client) QueryWindowAny(slot string, from, to uint64) (string, any, error) {
-	kind, buf, err := c.QueryWindowFrame(slot, from, to)
-	return decodeAny(slot, kind, buf, err)
-}
-
-// Pull decodes the named slot's merged summary into out, returning the
-// slot's kind.
-func (c *Client) Pull(slot string, out encoding.BinaryUnmarshaler) (string, error) {
-	kind, buf, err := c.PullFrame(slot)
-	return decodeInto(out, kind, buf, err)
-}
-
-// PullAny fetches and decodes the named slot's merged summary without
-// the caller naming its type: the frame's kind tag selects the registry
-// entry, which constructs and decodes a fresh summary. The returned
-// value's dynamic type is the family's summary pointer (e.g. *mg.Summary
-// for kind "mg").
-func (c *Client) PullAny(slot string) (string, any, error) {
-	kind, buf, err := c.PullFrame(slot)
-	return decodeAny(slot, kind, buf, err)
-}
-
-// PushTyped merges a summary into the named slot, deriving the wire
-// kind from the summary's own frame via the registry — callers never
-// spell kind strings. It returns the slot's total weight after the
-// merge.
-func PushTyped[T any, PT registry.Codec[T]](c *Client, slot string, summary PT) (uint64, error) {
-	data, err := summary.MarshalBinary()
-	if err != nil {
-		return 0, err
-	}
-	ent, err := registry.FromFrame(data)
-	if err != nil {
-		return 0, fmt.Errorf("server: push: %w", err)
-	}
-	return c.push(slot, ent.Name(), false, data)
-}
-
-// PullTyped fetches the named slot's merged summary decoded into a
-// fresh *T. The slot must hold T's registered kind; a mismatch is
-// reported by the codec layer's kind check, not a silent misparse.
-func PullTyped[T any, PT registry.Codec[T]](c *Client, slot string) (*T, error) {
-	_, buf, err := c.PullFrame(slot)
-	if err != nil {
-		return nil, err
-	}
-	out := new(T)
-	if err := PT(out).UnmarshalBinary(buf); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SlotInfo is one STAT row.
@@ -394,32 +303,11 @@ func (c *Client) PullClusterFrame(slot string) (string, []byte, error) {
 	return c.read(query{slot: slot}, true)
 }
 
-// PullCluster decodes the cluster-wide merged summary of the named
-// slot into out, returning the slot's kind.
-func (c *Client) PullCluster(slot string, out encoding.BinaryUnmarshaler) (string, error) {
-	kind, buf, err := c.PullClusterFrame(slot)
-	return decodeInto(out, kind, buf, err)
-}
-
-// PullClusterAny is PullCluster without the caller naming the type
-// (as PullAny).
-func (c *Client) PullClusterAny(slot string) (string, any, error) {
-	kind, buf, err := c.PullClusterFrame(slot)
-	return decodeAny(slot, kind, buf, err)
-}
-
 // QueryWindowClusterFrame fetches the cluster-wide merged frame of the
 // slot's epoch range [from, to] via QWINC (epoch-0 conventions as
-// QueryWindow).
+// QueryWindowFrame).
 func (c *Client) QueryWindowClusterFrame(slot string, from, to uint64) (string, []byte, error) {
 	return c.read(query{slot: slot, ranged: true, from: from, to: to}, true)
-}
-
-// QueryWindowCluster decodes the cluster-wide merged summary of the
-// slot's epoch range [from, to] into out, returning the slot's kind.
-func (c *Client) QueryWindowCluster(slot string, from, to uint64, out encoding.BinaryUnmarshaler) (string, error) {
-	kind, buf, err := c.QueryWindowClusterFrame(slot, from, to)
-	return decodeInto(out, kind, buf, err)
 }
 
 // Metrics fetches the server's METRICS counters as a name→value map:
@@ -484,12 +372,16 @@ func epochAt(t time.Time, originNS, tickNS int64) uint64 {
 	return uint64(d/tickNS) + 1
 }
 
-// epochRange maps the wall-clock span [from, to] to epochs with the
-// epoch origin and tick the server reports over METRICS: every epoch
-// that was live at any instant of the span, rounded outward to epoch
+// Epochs maps the wall-clock span [from, to] to the epoch range that
+// QueryWindowFrame and QueryWindowClusterFrame take, with the epoch
+// origin and tick the server reports over METRICS: every epoch that
+// was live at any instant of the span, rounded outward to epoch
 // boundaries. A zero time stays epoch 0 — "oldest retained" for from,
-// "through the live epoch" for to.
-func (c *Client) epochRange(from, to time.Time) (fromE, toE uint64, err error) {
+// "through the live epoch" for to. The server must be running windowed
+// mode with a tick (summaryd -window -window-tick), since only
+// tick-driven epochs track wall time; peers of a cluster advance on the
+// same tick, so the range names the same span on every node.
+func (c *Client) Epochs(from, to time.Time) (fromE, toE uint64, err error) {
 	originNS, tickNS, err := c.windowClock()
 	if err != nil {
 		return 0, 0, err
@@ -501,28 +393,4 @@ func (c *Client) epochRange(from, to time.Time) (fromE, toE uint64, err error) {
 		toE = epochAt(to, originNS, tickNS)
 	}
 	return fromE, toE, nil
-}
-
-// QueryWindowTime decodes the merged summary of the wall-clock span
-// [from, to] into out, returning the slot's kind. The span is mapped
-// to epochs by epochRange. The server must be running windowed mode
-// with a tick (summaryd -window -window-tick), since only tick-driven
-// epochs track wall time.
-func (c *Client) QueryWindowTime(slot string, from, to time.Time, out encoding.BinaryUnmarshaler) (string, error) {
-	fromE, toE, err := c.epochRange(from, to)
-	if err != nil {
-		return "", err
-	}
-	return c.QueryWindow(slot, fromE, toE, out)
-}
-
-// QueryWindowClusterTime is QueryWindowTime fanned cluster-wide via
-// QWINC. The contacted node's epoch clock maps the span; peers advance
-// on the same tick, so the range names the same span everywhere.
-func (c *Client) QueryWindowClusterTime(slot string, from, to time.Time, out encoding.BinaryUnmarshaler) (string, error) {
-	fromE, toE, err := c.epochRange(from, to)
-	if err != nil {
-		return "", err
-	}
-	return c.QueryWindowCluster(slot, fromE, toE, out)
 }

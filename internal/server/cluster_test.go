@@ -218,7 +218,7 @@ func TestClusterFanInAllKinds(t *testing.T) {
 
 // TestClusterClientRouting: the consistent-hash router sends every
 // push of a slot to one owning node — checked against each node's
-// STAT — and PullAll reassembles the cluster view of any slot from
+// STAT — and PullAllFrame reassembles the cluster view of any slot from
 // any mix of nodes.
 func TestClusterClientRouting(t *testing.T) {
 	addrs, _, stop := startPeerCluster(t, 3, 2*time.Second, 1)
@@ -268,19 +268,19 @@ func TestClusterClientRouting(t *testing.T) {
 		}
 	}
 
-	// PullAll finds each slot wherever it lives.
+	// PullAllFrame finds each slot wherever it lives.
 	for i := 0; i < slots; i++ {
 		slot := fmt.Sprintf("route-%d", i)
 		var got mg.Summary
-		if _, err := cc.PullAll(slot, &got); err != nil {
-			t.Fatalf("PullAll(%q): %v", slot, err)
+		if _, err := decoded(&got)(cc.PullAllFrame(slot)); err != nil {
+			t.Fatalf("PullAllFrame(%q): %v", slot, err)
 		}
 		if got.N() != 10 {
-			t.Fatalf("PullAll(%q) N = %d, want 10", slot, got.N())
+			t.Fatalf("PullAllFrame(%q) N = %d, want 10", slot, got.N())
 		}
 	}
 
-	// A star-sharded slot: PullAll equals the server-side PULLC.
+	// A star-sharded slot: PullAllFrame equals the server-side PULLC.
 	for i, addr := range addrs {
 		c, err := Dial(addr)
 		if err != nil {
@@ -307,7 +307,7 @@ func TestClusterClientRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(clientFrame, serverFrame) {
-		t.Fatalf("client-side PullAll and server-side PULLC disagree (%d vs %d bytes)",
+		t.Fatalf("client-side PullAllFrame and server-side PULLC disagree (%d vs %d bytes)",
 			len(clientFrame), len(serverFrame))
 	}
 }
@@ -421,7 +421,7 @@ func testPartialResultOnHungPeer(t *testing.T, pooled bool) {
 		// One good fan-in leaves an idle link to the peer behind; the
 		// read below goes out on it.
 		var got mg.Summary
-		if _, err := c.PullCluster("pq", &got); err != nil || got.N() != 12 {
+		if _, err := decoded(&got)(c.PullClusterFrame("pq")); err != nil || got.N() != 12 {
 			t.Fatalf("fan-in before the peer wedged: n=%d err=%v", got.N(), err)
 		}
 		if m, err := c.Metrics(); err != nil || m["peer.idle"] != 1 {
@@ -454,7 +454,7 @@ func testPartialResultOnHungPeer(t *testing.T, pooled bool) {
 
 	// The same slot is still answerable node-locally.
 	var got mg.Summary
-	if _, err := c.Pull("pq", &got); err != nil || got.N() != 7 {
+	if _, err := decoded(&got)(c.PullFrame("pq")); err != nil || got.N() != 7 {
 		t.Fatalf("local PULL after failed fan-in: n=%d err=%v", got.N(), err)
 	}
 
@@ -557,7 +557,7 @@ func TestClusterFanInSkipsEmptyPeers(t *testing.T) {
 	}
 	defer c1.Close()
 	var got mg.Summary
-	if _, err := c1.PullCluster("lone", &got); err != nil {
+	if _, err := decoded(&got)(c1.PullClusterFrame("lone")); err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 42 {
@@ -590,7 +590,7 @@ func TestMetricsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out mg.Summary
-	if _, err := c.Pull("m1", &out); err != nil {
+	if _, err := decoded(&out)(c.PullFrame("m1")); err != nil {
 		t.Fatal(err)
 	}
 

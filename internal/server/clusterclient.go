@@ -13,7 +13,7 @@ import (
 // list: pushes are routed to the slot key's owner on a consistent-hash
 // ring (every client computes the same ring from the same node list,
 // so all writers of a slot land on one node without coordination), and
-// PullAll answers cluster-wide reads by pulling every node's snapshot
+// PullAllFrame answers cluster-wide reads by pulling every node's snapshot
 // concurrently and reducing them client-side — the very gather the
 // server's PULLC runs (read.go), minus the extra network hop.
 //
@@ -135,29 +135,8 @@ func (cc *ClusterClient) PullAllFrame(slot string) (string, []byte, error) {
 	return cc.readAll(query{slot: slot})
 }
 
-// PullAll decodes the cluster-wide merged summary of the named slot
-// into out, returning the slot's kind.
-func (cc *ClusterClient) PullAll(slot string, out encoding.BinaryUnmarshaler) (string, error) {
-	kind, buf, err := cc.PullAllFrame(slot)
-	return decodeInto(out, kind, buf, err)
-}
-
-// PullAllAny is PullAll without the caller naming the type (as
-// PullAny).
-func (cc *ClusterClient) PullAllAny(slot string) (string, any, error) {
-	kind, buf, err := cc.PullAllFrame(slot)
-	return decodeAny(slot, kind, buf, err)
-}
-
 // QueryWindowAllFrame is PullAllFrame over an epoch range: every
 // node's QWIN answer for [from, to], reduced in node-list order.
 func (cc *ClusterClient) QueryWindowAllFrame(slot string, from, to uint64) (string, []byte, error) {
 	return cc.readAll(query{slot: slot, ranged: true, from: from, to: to})
-}
-
-// QueryWindowAll decodes the cluster-wide merged summary of the epoch
-// range [from, to] into out, returning the slot's kind.
-func (cc *ClusterClient) QueryWindowAll(slot string, from, to uint64, out encoding.BinaryUnmarshaler) (string, error) {
-	kind, buf, err := cc.QueryWindowAllFrame(slot, from, to)
-	return decodeInto(out, kind, buf, err)
 }

@@ -57,8 +57,8 @@ func foldShapeInsensitive(t *testing.T, ent *registry.Entry, frames [][]byte, fa
 // each shape of read — the whole slot, a sealed epoch range, all
 // retained epochs: the server-side fan-in (PULLC / QWINC) answers
 // byte-identically from every node, the ClusterClient's client-side
-// fan-in (PullAll / QueryWindowAll) computes the same bytes, and both
-// equal cluster.ReduceEncoded of the three single-node answers in
+// fan-in (PullAllFrame / QueryWindowAllFrame) computes the same bytes,
+// and both equal cluster.ReduceEncoded of the three single-node answers in
 // member order. Against a single node that ingested everything: exact
 // weight always, exact bytes for fold-shape-insensitive families.
 func TestClusterWindowReads(t *testing.T) {
@@ -209,7 +209,7 @@ func TestClusterWindowReads(t *testing.T) {
 	}
 	_, _, srvErr := conns[1].QueryWindowClusterFrame("cw-mg", 5, 5)
 	_, _, cliErr := cc.QueryWindowAllFrame("cw-mg", 5, 5)
-	for side, err := range map[string]error{"QWINC": srvErr, "QueryWindowAll": cliErr} {
+	for side, err := range map[string]error{"QWINC": srvErr, "QueryWindowAllFrame": cliErr} {
 		if !IsNoData(err) {
 			t.Fatalf("%s over an empty range: got %v, want a no-data error", side, err)
 		}
@@ -221,7 +221,7 @@ func TestClusterWindowReads(t *testing.T) {
 	// PULLC's missing-slot text is untouched, on both sides.
 	_, _, srvErr = conns[1].PullClusterFrame("nowhere")
 	_, _, cliErr = cc.PullAllFrame("nowhere")
-	for side, err := range map[string]error{"PULLC": srvErr, "PullAll": cliErr} {
+	for side, err := range map[string]error{"PULLC": srvErr, "PullAllFrame": cliErr} {
 		if !IsNoData(err) || !strings.Contains(err.Error(), `no such slot "nowhere"`) {
 			t.Fatalf("%s of a slot nobody holds: %v", side, err)
 		}
@@ -343,7 +343,7 @@ func TestClusterWindowPartialResult(t *testing.T) {
 	pushMG(t, c, "wq", 1, 5)
 	s.AdvanceWindows()
 
-	_, err = c.QueryWindowCluster("wq", 1, 1, &mg.Summary{})
+	_, err = decoded(&mg.Summary{})(c.QueryWindowClusterFrame("wq", 1, 1))
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("want a server ERR reply, got %v", err)
@@ -353,7 +353,7 @@ func TestClusterWindowPartialResult(t *testing.T) {
 	}
 	// The node's own share of the range is still there to read.
 	var got mg.Summary
-	if _, err := c.QueryWindow("wq", 1, 1, &got); err != nil || got.N() != 5 {
+	if _, err := decoded(&got)(c.QueryWindowFrame("wq", 1, 1)); err != nil || got.N() != 5 {
 		t.Fatalf("local QWIN after failed fan-in: n=%d err=%v", got.N(), err)
 	}
 }

@@ -56,7 +56,7 @@ func TestFrontReadYourWrites(t *testing.T) {
 	}
 
 	var got mg.Summary
-	if _, err := c.Pull("flows", &got); err != nil {
+	if _, err := decoded(&got)(c.PullFrame("flows")); err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 150 || got.Estimate(7).Value != 100 || got.Estimate(9).Value != 50 {
@@ -209,7 +209,7 @@ func TestFrontConcurrentStress(t *testing.T) {
 			default:
 			}
 			var got mg.Summary
-			if _, err := c.Pull("stress", &got); err != nil {
+			if _, err := decoded(&got)(c.PullFrame("stress")); err != nil {
 				continue // slot may not exist yet
 			}
 			mu.Lock()
@@ -233,7 +233,7 @@ func TestFrontConcurrentStress(t *testing.T) {
 	}
 	defer c.Close()
 	var got mg.Summary
-	if _, err := c.Pull("stress", &got); err != nil {
+	if _, err := decoded(&got)(c.PullFrame("stress")); err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != total {
@@ -285,7 +285,7 @@ func TestFrontMixedWriteTotals(t *testing.T) {
 		t.Fatalf("PUSH 100 / PUSHB 50 / PUSH 10 answered %v, want %v", got, want)
 	}
 	var pulled mg.Summary
-	if _, err := c.Pull("flows", &pulled); err != nil {
+	if _, err := decoded(&pulled)(c.PullFrame("flows")); err != nil {
 		t.Fatal(err)
 	}
 	if pulled.N() != 160 {
@@ -312,7 +312,7 @@ func TestFrontFlushDropIsCounted(t *testing.T) {
 		t.Fatalf("PUSHB k=8: n=%d err=%v, want 100", n, err)
 	}
 	var pulled mg.Summary
-	if _, err := c.Pull("flows", &pulled); err != nil { // flush: the slot is k=8 now
+	if _, err := decoded(&pulled)(c.PullFrame("flows")); err != nil { // flush: the slot is k=8 now
 		t.Fatal(err)
 	}
 	big := mg.New(16)
@@ -320,7 +320,7 @@ func TestFrontFlushDropIsCounted(t *testing.T) {
 	if n, err := c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{big}); err != nil || n != 150 {
 		t.Fatalf("PUSHB k=16: n=%d err=%v, want it acknowledged as 150", n, err)
 	}
-	if _, err := c.Pull("flows", &pulled); err != nil {
+	if _, err := decoded(&pulled)(c.PullFrame("flows")); err != nil {
 		t.Fatal(err)
 	}
 	if pulled.N() != 100 {

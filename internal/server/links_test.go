@@ -67,7 +67,7 @@ func TestClusterLinksReused(t *testing.T) {
 	const reads = 100
 	for i := 0; i < reads; i++ {
 		var got mg.Summary
-		if _, err := conns[0].PullCluster("hot", &got); err != nil || got.N() != 30 {
+		if _, err := decoded(&got)(conns[0].PullClusterFrame("hot")); err != nil || got.N() != 30 {
 			t.Fatalf("PULLC %d: n=%d err=%v", i, got.N(), err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestClusterLinkRedialAfterPeerRestart(t *testing.T) {
 	}
 	pushTo(7)
 	var got mg.Summary
-	if _, err := c.PullCluster("rs", &got); err != nil || got.N() != 12 {
+	if _, err := decoded(&got)(c.PullClusterFrame("rs")); err != nil || got.N() != 12 {
 		t.Fatalf("PULLC before restart: n=%d err=%v", got.N(), err)
 	}
 
@@ -153,7 +153,7 @@ func TestClusterLinkRedialAfterPeerRestart(t *testing.T) {
 	if before["peer.idle"] != 1 {
 		t.Fatalf("peer.idle = %d before the stale read, want the 1 stale link", before["peer.idle"])
 	}
-	if _, err := c.PullCluster("rs", &got); err != nil || got.N() != 105 {
+	if _, err := decoded(&got)(c.PullClusterFrame("rs")); err != nil || got.N() != 105 {
 		t.Fatalf("PULLC after peer restart: n=%d err=%v", got.N(), err)
 	}
 	after, err := c.Metrics()
@@ -271,7 +271,7 @@ func TestClusterStopOneAtATime(t *testing.T) {
 	}
 	for i, c := range conns {
 		var got mg.Summary
-		if _, err := c.PullCluster("td", &got); err != nil || got.N() != n {
+		if _, err := decoded(&got)(c.PullClusterFrame("td")); err != nil || got.N() != n {
 			t.Fatalf("PULLC via node %d: n=%d err=%v", i, got.N(), err)
 		}
 	}

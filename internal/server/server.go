@@ -56,10 +56,10 @@
 // between reads (its wire line, its answer on a Node, its no-data
 // reply); it is answered from this node's own state or gathered over
 // the peer list, reduced, and written by the one frame-reply writer.
-// The cluster client's PullAll/QueryWindowAll run the same gather and
-// the same reduce client-side, reaching members over the same pooled
-// links, and the reduce (cluster.ReduceEncoded) is the window.Reduce
-// the roll-up plane folds its segments with. The paper's
+// The cluster client's PullAllFrame/QueryWindowAllFrame run the same
+// gather and the same reduce client-side, reaching members over the
+// same pooled links, and the reduce (cluster.ReduceEncoded) is the
+// window.Reduce the roll-up plane folds its segments with. The paper's
 // theorem is why one of each suffices: a summary's guarantee survives
 // any merge tree, so it cannot matter whether the ladder, a peer or a
 // client picked it.
@@ -87,7 +87,7 @@
 // at flush time (METRICS counts that as kind.drop.<kind>; 0 on a healthy
 // node). Frames preceding a failed merge within a direct batch stay
 // merged (the reply reports the error and the failing frame). The client
-// mirrors this with one sender behind Push, PushBatch and PushTyped.
+// mirrors this with one sender behind Push and PushBatch.
 //
 // Layering: all slot state — the slot table, the epoch-versioned
 // snapshot cache, the per-lane ingest front, the roll-up planes and
@@ -214,7 +214,7 @@ type Server struct {
 	// winOrigin is the wall-clock instant epoch 1 began (Serve time on
 	// windowed servers), unix nanoseconds; 0 until serving. With
 	// winTick it is the epoch↔wall-clock mapping METRICS reports and
-	// Client.QueryWindowTime uses.
+	// Client.Epochs uses.
 	winOrigin atomic.Int64
 
 	// connSeq hands each connection a token that spreads its pushes
@@ -553,7 +553,7 @@ func (s *Server) cmdStat(w *bufio.Writer) {
 // counters (peer mode), the number of open inbound connections, and the
 // window epoch origin and tick (windowed mode) as "<name> <value>" rows —
 // the first slice of the observability surface, and the epoch↔wall-clock
-// mapping Client.QueryWindowTime resolves epochs against. peer.dials +
+// mapping Client.Epochs resolves epochs against. peer.dials +
 // peer.reused is the number of attempts made at remote members, so reused
 // over that sum is the hit rate of the idle links; peer.idle and
 // conns.open are gauges.

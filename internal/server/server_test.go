@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding"
 	"errors"
 	"fmt"
 	"net"
@@ -21,6 +22,18 @@ import (
 	"repro/internal/randquant"
 	"repro/internal/registry"
 )
+
+// decoded unmarshals the frame a read returns into out and passes the
+// read's kind through, so decoded(&s)(c.PullFrame(slot)) is a typed
+// pull; a failed read is returned as is.
+func decoded(out encoding.BinaryUnmarshaler) func(kind string, frame []byte, err error) (string, error) {
+	return func(kind string, frame []byte, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return kind, out.UnmarshalBinary(frame)
+	}
+}
 
 // startServer returns a running server's address and a stop function.
 func startServer(t *testing.T) (string, func()) {
@@ -62,7 +75,7 @@ func TestPushPullRoundTrip(t *testing.T) {
 	}
 
 	var got mg.Summary
-	kind, err := c.Pull("flows", &got)
+	kind, err := decoded(&got)(c.PullFrame("flows"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +133,7 @@ func TestConcurrentWorkers(t *testing.T) {
 	}
 	defer c.Close()
 	var merged mg.Summary
-	if _, err := c.Pull("agg", &merged); err != nil {
+	if _, err := decoded(&merged)(c.PullFrame("agg")); err != nil {
 		t.Fatal(err)
 	}
 	n := uint64(workers * perWorker)
@@ -172,7 +185,7 @@ func TestMultipleKindsAndSlots(t *testing.T) {
 		t.Fatal("kind mismatch accepted")
 	}
 	var back randquant.Summary
-	if _, err := c.Pull("lat", &back); err != nil {
+	if _, err := decoded(&back)(c.PullFrame("lat")); err != nil {
 		t.Fatal(err)
 	}
 	if back.N() != 5000 {
@@ -190,7 +203,7 @@ func TestMultipleKindsAndSlots(t *testing.T) {
 	if err := c.Reset("lat"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Pull("lat", &back); err == nil {
+	if _, err := decoded(&back)(c.PullFrame("lat")); err == nil {
 		t.Fatal("pull after reset succeeded")
 	}
 }
@@ -210,7 +223,7 @@ func TestProtocolErrors(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 	var out mg.Summary
-	if _, err := c.Pull("missing", &out); err == nil {
+	if _, err := decoded(&out)(c.PullFrame("missing")); err == nil {
 		t.Error("missing slot pull succeeded")
 	}
 	// The connection must still be usable after errors.

@@ -131,7 +131,7 @@ func TestShutdownSealsLiveEpoch(t *testing.T) {
 	// Epoch 1 is sealed now; the final windowed query on the open
 	// connection must serve it.
 	var got mg.Summary
-	if _, err := c.QueryWindow("w", 1, 1, &got); err != nil {
+	if _, err := decoded(&got)(c.QueryWindowFrame("w", 1, 1)); err != nil {
 		t.Fatalf("QWIN over the sealed shutdown epoch: %v", err)
 	}
 	if got.N() != 42 {
@@ -146,9 +146,8 @@ func TestShutdownSealsLiveEpoch(t *testing.T) {
 // TestQueryWindowTime: wall-clock queries resolve through the epoch
 // origin and tick the server reports over METRICS.
 func TestQueryWindowTime(t *testing.T) {
-	s, addr, stop := startWindowedServer(t, window.Ladder{Fan: 4, Levels: 2}, time.Hour)
+	_, addr, stop := startWindowedServer(t, window.Ladder{Fan: 4, Levels: 2}, time.Hour)
 	defer stop()
-	_ = s
 
 	c, err := Dial(addr)
 	if err != nil {
@@ -158,13 +157,17 @@ func TestQueryWindowTime(t *testing.T) {
 	pushMG(t, c, "tw", 5, 17)
 
 	// Zero times mean the full retained range, exactly as epoch zeros.
+	from, to, err := c.Epochs(time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got mg.Summary
-	kind, err := c.QueryWindowTime("tw", time.Time{}, time.Time{}, &got)
+	kind, err := decoded(&got)(c.QueryWindowFrame("tw", from, to))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind != "mg" || got.N() != 17 {
-		t.Fatalf("QueryWindowTime zero-span: kind=%q n=%d", kind, got.N())
+		t.Fatalf("zero-span query: kind=%q n=%d", kind, got.N())
 	}
 
 	// A [start-of-serving, now] span covers the live epoch (the tick
@@ -174,26 +177,15 @@ func TestQueryWindowTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	origin := time.Unix(0, int64(m["window.origin_unix_ns"]))
+	if from, to, err = c.Epochs(origin, time.Now()); err != nil {
+		t.Fatal(err)
+	}
 	var got2 mg.Summary
-	if _, err := c.QueryWindowTime("tw", origin, time.Now(), &got2); err != nil {
+	if _, err := decoded(&got2)(c.QueryWindowFrame("tw", from, to)); err != nil {
 		t.Fatal(err)
 	}
 	if got2.N() != 17 {
-		t.Fatalf("QueryWindowTime live-span n=%d, want 17", got2.N())
-	}
-
-	// Against a non-windowed server the mapping fails with the
-	// canonical disabled-windows message.
-	plainAddr, plainStop := startServer(t)
-	defer plainStop()
-	pc, err := Dial(plainAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	var out mg.Summary
-	if _, err := pc.QueryWindowTime("tw", time.Time{}, time.Time{}, &out); err == nil {
-		t.Fatal("QueryWindowTime succeeded against a non-windowed server")
+		t.Fatalf("live-span query n=%d, want 17", got2.N())
 	}
 }
 
@@ -216,13 +208,17 @@ func TestQueryWindowClusterTime(t *testing.T) {
 	}
 
 	// Zero times mean the full retained range, exactly as epoch zeros.
+	from, to, err := conns[0].Epochs(time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var got mg.Summary
-	kind, err := conns[0].QueryWindowClusterTime("tw", time.Time{}, time.Time{}, &got)
+	kind, err := decoded(&got)(conns[0].QueryWindowClusterFrame("tw", from, to))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kind != "mg" || got.N() != 60 {
-		t.Fatalf("QueryWindowClusterTime zero-span: kind=%q n=%d, want mg 60", kind, got.N())
+		t.Fatalf("cluster zero-span query: kind=%q n=%d, want mg 60", kind, got.N())
 	}
 
 	// A [start-of-serving, now] span maps to the live epoch (the tick is
@@ -233,16 +229,58 @@ func TestQueryWindowClusterTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		origin := time.Unix(0, int64(m["window.origin_unix_ns"]))
+		from, to, err := c.Epochs(origin, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
 		var span mg.Summary
-		if _, err := c.QueryWindowClusterTime("tw", origin, time.Now(), &span); err != nil {
+		if _, err := decoded(&span)(c.QueryWindowClusterFrame("tw", from, to)); err != nil {
 			t.Fatal(err)
 		}
 		if span.N() != 60 {
-			t.Fatalf("QueryWindowClusterTime live-span via node %d: n=%d, want 60", i, span.N())
+			t.Fatalf("cluster live-span query via node %d: n=%d, want 60", i, span.N())
+		}
+	}
+}
+
+// TestEpochs pins the wall-clock→epoch mapping at its edges: epoch
+// k+1 spans [origin + k·tick, origin + (k+1)·tick), an instant before
+// the origin is epoch 1, and a zero time stays epoch 0. Against a
+// non-windowed server the mapping fails, so a wall-clock read fails
+// before any QWIN or QWINC is sent.
+func TestEpochs(t *testing.T) {
+	const tick = time.Hour
+	_, addr, stop := startWindowedServer(t, window.Ladder{Fan: 4, Levels: 2}, tick)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := time.Unix(0, int64(m["window.origin_unix_ns"]))
+
+	for _, tc := range []struct {
+		name             string
+		from, to         time.Time
+		wantFrom, wantTo uint64
+	}{
+		{"zero times stay epoch 0", time.Time{}, time.Time{}, 0, 0},
+		{"zero from, timed to", time.Time{}, origin.Add(3 * tick), 0, 4},
+		{"timed from, zero to", origin.Add(2 * tick), time.Time{}, 3, 0},
+		{"before the origin is epoch 1", origin.Add(-time.Nanosecond), origin.Add(-5 * tick), 1, 1},
+		{"the origin starts epoch 1", origin, origin.Add(tick - time.Nanosecond), 1, 1},
+		{"origin + k·tick starts epoch k+1", origin.Add(tick), origin.Add(7 * tick), 2, 8},
+	} {
+		from, to, err := c.Epochs(tc.from, tc.to)
+		if err != nil || from != tc.wantFrom || to != tc.wantTo {
+			t.Errorf("%s: Epochs = (%d, %d, %v), want (%d, %d)", tc.name, from, to, err, tc.wantFrom, tc.wantTo)
 		}
 	}
 
-	// Against a non-windowed server the mapping fails before any QWINC.
 	plainAddr, plainStop := startServer(t)
 	defer plainStop()
 	pc, err := Dial(plainAddr)
@@ -250,8 +288,8 @@ func TestQueryWindowClusterTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pc.Close()
-	if _, err := pc.QueryWindowClusterTime("tw", time.Time{}, time.Time{}, &mg.Summary{}); err == nil {
-		t.Fatal("QueryWindowClusterTime succeeded against a non-windowed server")
+	if _, _, err := pc.Epochs(time.Now(), time.Now()); err == nil {
+		t.Fatal("Epochs succeeded against a non-windowed server")
 	}
 }
 
@@ -268,7 +306,7 @@ func TestShutdownHangsUpPeerLinks(t *testing.T) {
 	defer c.Close()
 	pushMG(t, c, "sd", 1, 3)
 	var got mg.Summary
-	if _, err := c.PullCluster("sd", &got); err != nil || got.N() != 3 {
+	if _, err := decoded(&got)(c.PullClusterFrame("sd")); err != nil || got.N() != 3 {
 		t.Fatalf("PULLC: n=%d err=%v", got.N(), err)
 	}
 	// Node 0 now keeps an idle link to node 1.

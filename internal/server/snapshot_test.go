@@ -29,7 +29,7 @@ func TestSnapshotCacheCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got mg.Summary
-	if _, err := c.Pull("coh", &got); err != nil { // caches epoch 1
+	if _, err := decoded(&got)(c.PullFrame("coh")); err != nil { // caches epoch 1
 		t.Fatal(err)
 	}
 	if got.N() != 1 {
@@ -38,7 +38,7 @@ func TestSnapshotCacheCoherence(t *testing.T) {
 	if _, err := c.Push("coh", "mg", one); err != nil { // version bump
 		t.Fatal(err)
 	}
-	if _, err := c.Pull("coh", &got); err != nil {
+	if _, err := decoded(&got)(c.PullFrame("coh")); err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 2 {
@@ -69,7 +69,7 @@ func TestSnapshotCacheCoherence(t *testing.T) {
 					return
 				}
 				var out mg.Summary
-				if _, err := c.Pull("coh2", &out); err != nil {
+				if _, err := decoded(&out)(c.PullFrame("coh2")); err != nil {
 					t.Errorf("pusher %d pull: %v", id, err)
 					return
 				}
@@ -127,7 +127,7 @@ func TestConcurrentPushPullReset(t *testing.T) {
 			defer c.Close()
 			for i := 0; i < rounds; i++ {
 				var out mg.Summary
-				_, err := c.Pull("chaos", &out)
+				_, err := decoded(&out)(c.PullFrame("chaos"))
 				if err == nil {
 					continue
 				}

@@ -62,7 +62,7 @@ func TestQueryWindowRoundTrip(t *testing.T) {
 
 	// Full history through the live epoch.
 	var got mg.Summary
-	kind, err := c.QueryWindow("flows", 0, 0, &got)
+	kind, err := decoded(&got)(c.QueryWindowFrame("flows", 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,25 +75,33 @@ func TestQueryWindowRoundTrip(t *testing.T) {
 
 	// Sealed sub-range only.
 	var mid mg.Summary
-	if _, err := c.QueryWindow("flows", 2, 3, &mid); err != nil {
+	if _, err := decoded(&mid)(c.QueryWindowFrame("flows", 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if mid.N() != 500 {
 		t.Fatalf("QWIN [2,3] N = %d, want 500", mid.N())
 	}
 
-	// The registry-dispatched variant agrees.
-	_, v, err := c.QueryWindowAny("flows", 2, 3)
+	// The registry-dispatched decode agrees.
+	_, frame, err := c.QueryWindowFrame("flows", 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, err := registry.FromFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ent.Decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.(*mg.Summary).N() != 500 {
-		t.Fatalf("QueryWindowAny N = %d, want 500", v.(*mg.Summary).N())
+		t.Fatalf("registry-decoded QWIN N = %d, want 500", v.(*mg.Summary).N())
 	}
 
 	// PULL still serves the all-time summary, unchanged by windowing.
 	var all mg.Summary
-	if _, err := c.Pull("flows", &all); err != nil {
+	if _, err := decoded(&all)(c.PullFrame("flows")); err != nil {
 		t.Fatal(err)
 	}
 	if all.N() != 650 {
@@ -110,17 +118,17 @@ func TestQueryWindowErrors(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.QueryWindow("ghost", 0, 0, &mg.Summary{}); err == nil {
+	if _, err := decoded(&mg.Summary{})(c.QueryWindowFrame("ghost", 0, 0)); err == nil {
 		t.Fatal("QWIN on a missing slot succeeded")
 	}
 	pushMG(t, c, "flows", 1, 10)
 	s.AdvanceWindows()
-	if _, err := c.QueryWindow("flows", 3, 2, &mg.Summary{}); err == nil {
+	if _, err := decoded(&mg.Summary{})(c.QueryWindowFrame("flows", 3, 2)); err == nil {
 		t.Fatal("QWIN with an inverted range succeeded")
 	}
 	// A range past the last sealed epoch that excludes the live epoch
 	// has nothing to answer with.
-	if _, err := c.QueryWindow("flows", 2, 2, &mg.Summary{}); err == nil {
+	if _, err := decoded(&mg.Summary{})(c.QueryWindowFrame("flows", 2, 2)); err == nil {
 		t.Fatal("QWIN over an unsealed empty epoch succeeded")
 	}
 }
@@ -134,7 +142,7 @@ func TestQueryWindowDisabled(t *testing.T) {
 	}
 	defer c.Close()
 	pushMG(t, c, "flows", 1, 10)
-	if _, err := c.QueryWindow("flows", 0, 0, &mg.Summary{}); err == nil {
+	if _, err := decoded(&mg.Summary{})(c.QueryWindowFrame("flows", 0, 0)); err == nil {
 		t.Fatal("QWIN succeeded on a non-windowed server")
 	}
 }
@@ -175,7 +183,7 @@ func TestQueryWindowWithIngestFront(t *testing.T) {
 	s.AdvanceWindows() // flushes lanes into the plane, then seals
 
 	var got mg.Summary
-	if _, err := c.QueryWindow("flows", 1, 1, &got); err != nil {
+	if _, err := decoded(&got)(c.QueryWindowFrame("flows", 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != 100 {

@@ -56,8 +56,8 @@ func recordingProxy(t *testing.T, addr string) (proxyAddr string, wait func() (s
 
 // TestWriteWireTranscript pins the write side of the protocol byte for
 // byte, as recorded before the senders were unified: the request bytes
-// of Push, PushBatch (including the split of a batch longer than
-// MaxBatch) and PushTyped, and the server's success replies.
+// of Push and PushBatch (including the split of a batch longer than
+// MaxBatch), and the server's success replies.
 func TestWriteWireTranscript(t *testing.T) {
 	addr, stop := startServer(t)
 	defer stop()
@@ -80,7 +80,7 @@ func TestWriteWireTranscript(t *testing.T) {
 	if _, err := c.PushBatch("s", "mg", []encoding.BinaryMarshaler{a, b}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PushTyped(c, "s", b); err != nil {
+	if _, err := c.Push("s", "mg", b); err != nil {
 		t.Fatal(err)
 	}
 	big := make([]encoding.BinaryMarshaler, MaxBatch+2)

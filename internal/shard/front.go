@@ -1,3 +1,10 @@
+// Package shard is summaryd's ingest front: concurrent producers fold
+// incoming summaries into per-lane pending accumulators, and the
+// target's owner drains the lanes into the target. This is the
+// intra-process mirror of the paper's distributed story — the reason
+// it works at all is mergeability: a target that absorbs the lanes'
+// merged pushes carries the same guarantee as one that merged every
+// push directly.
 package shard
 
 import (

@@ -240,15 +240,6 @@ func (t *Tracker) Merge(other *Tracker) error {
 	return nil
 }
 
-// Merged returns the merge of a and b without modifying either.
-func Merged(a, b *Tracker) (*Tracker, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Clone returns a deep copy.
 func (t *Tracker) Clone() *Tracker {
 	c := &Tracker{k: t.k, sketch: t.sketch.Clone()}

@@ -123,8 +123,8 @@ func TestMergedDoesNotModifyInputs(t *testing.T) {
 	a, b := New(4, 64, 2, 1), New(4, 64, 2, 1)
 	a.Update(1, 5)
 	b.Update(2, 7)
-	m, err := Merged(a, b)
-	if err != nil {
+	m := a.Clone()
+	if err := m.Merge(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.N() != 5 || b.N() != 7 || m.N() != 12 {

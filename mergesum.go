@@ -51,7 +51,6 @@ import (
 	"repro/internal/qdigest"
 	"repro/internal/randquant"
 	"repro/internal/sampling"
-	"repro/internal/shard"
 	"repro/internal/spacesaving"
 	"repro/internal/topk"
 	"repro/internal/window"
@@ -102,14 +101,6 @@ type (
 	// summary (the paper's §3 comparison point).
 	QDigest = qdigest.Digest
 )
-
-// Sharded fans concurrent updates over per-shard summaries; snapshots
-// merge the shards, which is sound exactly because the summaries are
-// mergeable.
-type Sharded[S any] = shard.Sharded[S]
-
-// NewSharded returns a Sharded with p shards built by mk.
-func NewSharded[S any](p int, mk func(shard int) S) *Sharded[S] { return shard.New(p, mk) }
 
 // Windowed turns any summary type of this package into a
 // sliding-window summary over tumbling epochs: Update feeds the live
