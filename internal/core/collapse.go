@@ -103,9 +103,10 @@ func (c *Collapse) AddItems(xs []Item) {
 // of first occurrence, through the stable radix kernel (SortKeys) on
 // (count, index) words. Pairs itself is left as it was. The result is
 // c's own, valid as long as Pairs'. Counts from 2^(64−b) up, b the bits
-// of a pair index (b ≤ 16 within CollapseRun), sort as equals: only
-// weighted batches reach them, and for the callers the order is a matter
-// of error, never of correctness.
+// of a pair index (b ≤ 16 within CollapseRun), sort as equals. No
+// caller comes near them (each adds one per item, so a count is at most
+// the run's length), and for the callers the order is a matter of
+// error, never of correctness.
 func (c *Collapse) Ascending() []Counter {
 	n := len(c.pairs)
 	c.sorted = c.sorted[:0]

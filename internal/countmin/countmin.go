@@ -9,7 +9,9 @@
 // vector, so merging is cell-wise addition — at the price of a log(1/δ)
 // size factor and only probabilistic error, which is exactly the
 // trade-off the deterministic counter summaries (packages mg and
-// spacesaving) avoid.
+// spacesaving) avoid. Every update adds its weight to one cell per
+// row, so that addition is exact (R8); the frame's flag byte that
+// follows the header is reserved and must be 0.
 //
 // The matrix is stored as one contiguous backing slice in row-major
 // order, so a batch update streams through memory instead of chasing
@@ -28,17 +30,12 @@ import (
 // Sketch is a Count-Min sketch. The zero value is not usable; use New.
 // Sketches are not safe for concurrent use.
 type Sketch struct {
-	width        int
-	depth        int
-	seed         uint64
-	n            uint64
-	cells        []uint64 // depth*width counters, row-major
-	a, b         []uint64 // per-row multiply-shift hash parameters
-	conservative bool
-	// scratch holds one column index per row so an item's cells are
-	// hashed once and reused (conservative updates, UpdateAndEstimate,
-	// batch paths). Lazily allocated; never shared between sketches.
-	scratch []int
+	width int
+	depth int
+	seed  uint64
+	n     uint64
+	cells []uint64 // depth*width counters, row-major
+	a, b  []uint64 // per-row multiply-shift hash parameters
 }
 
 // New returns an empty sketch with the given geometry. Two sketches
@@ -84,14 +81,6 @@ func (s *Sketch) row(i int) []uint64 {
 	return s.cells[i*s.width : (i+1)*s.width : (i+1)*s.width]
 }
 
-// SetConservative switches the sketch to conservative updating
-// (increment only the cells that equal the current minimum estimate),
-// which reduces overestimation on skewed streams. Conservative
-// sketches remain point-query-compatible but are no longer linear, so
-// merging them is an upper-bound approximation (still never
-// underestimates).
-func (s *Sketch) SetConservative(on bool) { s.conservative = on }
-
 // Width returns the row width.
 func (s *Sketch) Width() int { return s.width }
 
@@ -116,53 +105,12 @@ func (s *Sketch) Update(x core.Item, w uint64) {
 		panic("countmin: zero-weight update")
 	}
 	s.n += w
-	if !s.conservative {
-		width := uint64(s.width)
-		for i := 0; i < s.depth; i++ {
-			hi, _ := bits.Mul64(s.a[i]*uint64(x)+s.b[i], width)
-			s.cells[uint64(i)*width+hi] += w
-		}
-		debugAssertSampled(s)
-		return
-	}
-	s.conservativeUpdate(x, w)
-	debugAssertSampled(s)
-}
-
-// cells fills the scratch buffer with x's column index in every row and
-// returns it. The buffer is reused across calls, so each item is hashed
-// only once even when its cells are read and then written.
-func (s *Sketch) cellIdx(x core.Item) []int {
-	if cap(s.scratch) < s.depth {
-		s.scratch = make([]int, s.depth)
-	}
-	idx := s.scratch[:s.depth]
 	width := uint64(s.width)
 	for i := 0; i < s.depth; i++ {
 		hi, _ := bits.Mul64(s.a[i]*uint64(x)+s.b[i], width)
-		idx[i] = int(hi)
+		s.cells[uint64(i)*width+hi] += w
 	}
-	return idx
-}
-
-// conservativeUpdate raises every cell of x to at most est+w and
-// returns the new estimate (which is exactly est+w: the minimum cell is
-// raised to the target and no cell ends below it). It does not touch n.
-func (s *Sketch) conservativeUpdate(x core.Item, w uint64) uint64 {
-	idx := s.cellIdx(x)
-	min := s.cells[idx[0]]
-	for i := 1; i < s.depth; i++ {
-		if v := s.cells[i*s.width+idx[i]]; v < min {
-			min = v
-		}
-	}
-	target := min + w
-	for i := 0; i < s.depth; i++ {
-		if c := i*s.width + idx[i]; s.cells[c] < target {
-			s.cells[c] = target
-		}
-	}
-	return target
+	debugAssertSampled(s)
 }
 
 // UpdateAndEstimate adds w >= 1 occurrences of x and returns the point
@@ -174,20 +122,15 @@ func (s *Sketch) UpdateAndEstimate(x core.Item, w uint64) uint64 {
 		panic("countmin: zero-weight update")
 	}
 	s.n += w
-	if s.conservative {
-		return s.conservativeUpdate(x, w)
-	}
-	idx := s.cellIdx(x)
-	s.cells[idx[0]] += w
-	min := s.cells[idx[0]]
-	for i := 1; i < s.depth; i++ {
-		c := i*s.width + idx[i]
+	width := uint64(s.width)
+	est := ^uint64(0)
+	for i := 0; i < s.depth; i++ {
+		hi, _ := bits.Mul64(s.a[i]*uint64(x)+s.b[i], width)
+		c := uint64(i)*width + hi
 		s.cells[c] += w
-		if v := s.cells[c]; v < min {
-			min = v
-		}
+		est = min(est, s.cells[c])
 	}
-	return min
+	return est
 }
 
 // UpdateBatch adds one occurrence of every item in xs. The result is
@@ -197,14 +140,6 @@ func (s *Sketch) UpdateAndEstimate(x core.Item, w uint64) uint64 {
 // in the column reduction.
 func (s *Sketch) UpdateBatch(xs []core.Item) {
 	if len(xs) == 0 {
-		return
-	}
-	if s.conservative {
-		for _, x := range xs {
-			s.conservativeUpdate(x, 1)
-		}
-		s.n += uint64(len(xs))
-		debugAssert(s)
 		return
 	}
 	width := uint64(s.width)
@@ -231,75 +166,6 @@ func (s *Sketch) UpdateBatch(xs []core.Item) {
 	debugAssert(s)
 }
 
-// UpdateBatchWeighted adds Count occurrences of every Item in ws, the
-// weighted variant of UpdateBatch. All weights must be >= 1.
-func (s *Sketch) UpdateBatchWeighted(ws []core.Counter) {
-	if len(ws) == 0 {
-		return
-	}
-	var total uint64
-	for _, c := range ws {
-		if c.Count == 0 {
-			panic("countmin: zero-weight update")
-		}
-		total += c.Count
-	}
-	if s.conservative {
-		for _, c := range ws {
-			s.conservativeUpdate(c.Item, c.Count)
-		}
-		s.n += total
-		debugAssert(s)
-		return
-	}
-	width := uint64(s.width)
-	for i := 0; i < s.depth; i++ {
-		ai, bi := s.a[i], s.b[i]
-		row := s.row(i)
-		j := 0
-		for ; j+2 <= len(ws); j += 2 {
-			c0, _ := bits.Mul64(ai*uint64(ws[j].Item)+bi, width)
-			c1, _ := bits.Mul64(ai*uint64(ws[j+1].Item)+bi, width)
-			row[c0] += ws[j].Count
-			row[c1] += ws[j+1].Count
-		}
-		if j < len(ws) {
-			c, _ := bits.Mul64(ai*uint64(ws[j].Item)+bi, width)
-			row[c] += ws[j].Count
-		}
-	}
-	s.n += total
-	debugAssert(s)
-}
-
-// Remove subtracts w occurrences of x — the strict-turnstile model,
-// where deletions never exceed prior insertions of the same item. As
-// long as the caller honours that contract the no-underestimate
-// guarantee is preserved (each cell's surplus from other items only
-// shrinks); violating it makes estimates meaningless, and cells are
-// clamped at zero rather than wrapping. Conservative-update sketches
-// are not linear and cannot support deletions; Remove panics on them.
-func (s *Sketch) Remove(x core.Item, w uint64) {
-	if w == 0 {
-		panic("countmin: zero-weight remove")
-	}
-	if s.conservative {
-		panic("countmin: conservative sketches do not support Remove")
-	}
-	if w > s.n {
-		w = s.n
-	}
-	s.n -= w
-	for i := 0; i < s.depth; i++ {
-		c := i*s.width + s.cell(i, x)
-		if s.cells[c] >= w {
-			s.cells[c] -= w
-		} else {
-			s.cells[c] = 0
-		}
-	}
-}
-
 func (s *Sketch) estimate(x core.Item) uint64 {
 	min := s.cells[s.cell(0, x)]
 	for i := 1; i < s.depth; i++ {
@@ -319,8 +185,7 @@ func (s *Sketch) Estimate(x core.Item) core.Estimate {
 }
 
 // Merge adds other cell-wise into s. Sketches must share geometry and
-// seed. For conservative sketches the result remains a valid upper
-// bound but may overestimate more than a directly-built sketch.
+// seed.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil {
 		return core.ErrNilSummary
@@ -336,26 +201,10 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// HeavyHittersOver returns the candidates whose estimate reaches
-// threshold, in descending estimate order. Because the sketch has no
-// item directory, callers supply the candidate set (e.g. the stream's
-// universe or a tracked top-k list).
-func (s *Sketch) HeavyHittersOver(candidates []core.Item, threshold uint64) []core.Counter {
-	var out []core.Counter
-	for _, x := range candidates {
-		if v := s.estimate(x); v >= threshold {
-			out = append(out, core.Counter{Item: x, Count: v})
-		}
-	}
-	core.SortCountersDesc(out)
-	return out
-}
-
 // Clone returns a deep copy.
 func (s *Sketch) Clone() *Sketch {
 	c := New(s.width, s.depth, s.seed)
 	c.n = s.n
-	c.conservative = s.conservative
 	copy(c.cells, s.cells)
 	return c
 }
@@ -379,7 +228,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w.Int(s.depth)
 	w.Uint64(s.seed)
 	w.Uint64(s.n)
-	w.Bool(s.conservative)
+	w.Bool(false) // reserved flag byte: always 0 (DESIGN.md §8)
 	for _, v := range s.cells {
 		w.Uint64(v)
 	}
@@ -403,9 +252,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	depth := r.Int()
 	seed := r.Uint64()
 	n := r.Uint64()
-	conservative := r.Bool()
+	flagged := r.Bool()
 	if r.Err() != nil {
 		return r.Err()
+	}
+	if flagged {
+		// The byte once marked a conservative-update sketch, whose cells
+		// are not a linear image of the stream and so cannot be added.
+		return fmt.Errorf("countmin: reserved flag byte set")
 	}
 	if width < 1 || depth < 1 || width*depth > 1<<28 {
 		return fmt.Errorf("countmin: implausible geometry %dx%d", depth, width)
@@ -417,7 +271,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	reused := s.width != 0
 	s.reshape(width, depth, seed)
-	s.n, s.conservative = n, conservative
+	s.n = n
 	r.Uint64s(s.cells)
 	if err := r.Finish(); err != nil {
 		s.Reset()

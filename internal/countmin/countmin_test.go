@@ -1,8 +1,10 @@
 package countmin
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -63,31 +65,6 @@ func TestErrorWithinExpectedScale(t *testing.T) {
 	}
 }
 
-func TestConservativeNoWorse(t *testing.T) {
-	const n = 50000
-	stream := gen.NewZipf(2000, 1.2, 9).Stream(n)
-	plain := New(128, 4, 3)
-	cons := New(128, 4, 3)
-	cons.SetConservative(true)
-	for _, x := range stream {
-		plain.Update(x, 1)
-		cons.Update(x, 1)
-	}
-	truth := exact.FreqOf(stream)
-	var plainErr, consErr uint64
-	for _, c := range truth.Counters() {
-		plainErr += plain.Estimate(c.Item).Value - c.Count
-		cv := cons.Estimate(c.Item).Value
-		if cv < c.Count {
-			t.Fatalf("conservative underestimated %d: %d < %d", c.Item, cv, c.Count)
-		}
-		consErr += cv - c.Count
-	}
-	if consErr > plainErr {
-		t.Errorf("conservative total error %d > plain %d", consErr, plainErr)
-	}
-}
-
 func TestMergeEqualsWholeStream(t *testing.T) {
 	const n = 60000
 	stream := gen.NewZipf(1000, 1.4, 2).Stream(n)
@@ -130,32 +107,6 @@ func TestMergeMismatched(t *testing.T) {
 	}
 }
 
-func TestHeavyHittersOver(t *testing.T) {
-	const n = 50000
-	z := gen.NewZipf(1000, 1.5, 4)
-	stream := z.Stream(n)
-	truth := exact.FreqOf(stream)
-	s := New(1024, 4, 8)
-	for _, x := range stream {
-		s.Update(x, 1)
-	}
-	threshold := core.HeavyThreshold(n, 100)
-	candidates := make([]core.Item, 0, 1000)
-	for i := 1; i <= 1000; i++ {
-		candidates = append(candidates, z.ItemForRank(i))
-	}
-	got := s.HeavyHittersOver(candidates, threshold)
-	set := make(map[core.Item]bool)
-	for _, c := range got {
-		set[c.Item] = true
-	}
-	for _, c := range truth.HeavyHitters(threshold) {
-		if !set[c.Item] {
-			t.Errorf("true heavy hitter %d missing", c.Item)
-		}
-	}
-}
-
 func TestCloneAndReset(t *testing.T) {
 	s := New(64, 2, 1)
 	s.Update(1, 10)
@@ -172,7 +123,6 @@ func TestCloneAndReset(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	s := New(128, 4, 9)
-	s.SetConservative(true)
 	for _, x := range gen.NewZipf(500, 1.1, 6).Stream(20000) {
 		s.Update(x, 1)
 	}
@@ -198,69 +148,42 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRemoveStrictTurnstile(t *testing.T) {
-	s := New(256, 4, 1)
-	s.Update(1, 100)
-	s.Update(2, 50)
-	s.Remove(1, 40)
-	if s.N() != 110 {
-		t.Fatalf("N = %d", s.N())
+// flaggedFrame spells s's frame by hand with the reserved flag byte set
+// to 1, as a conservative-update sketch once encoded itself.
+func flaggedFrame(s *Sketch, flag bool) []byte {
+	var w codec.Buffer
+	w.Int(s.width)
+	w.Int(s.depth)
+	w.Uint64(s.seed)
+	w.Uint64(s.n)
+	w.Bool(flag)
+	for _, v := range s.cells {
+		w.Uint64(v)
 	}
-	if est := s.Estimate(1).Value; est < 60 {
-		t.Errorf("Estimate(1) = %d underestimates after remove", est)
-	}
-	if est := s.Estimate(2).Value; est < 50 {
-		t.Errorf("Estimate(2) = %d damaged by unrelated remove", est)
-	}
-	// Full deletion drives the estimate to its collision floor.
-	s.Remove(1, 60)
-	if est := s.Estimate(2).Value; est < 50 {
-		t.Errorf("Estimate(2) = %d after full deletion of 1", est)
-	}
+	return codec.EncodeFrame(codec.KindCountMin, w.Bytes())
 }
 
-func TestRemovePanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero weight": func() { New(8, 2, 1).Remove(1, 0) },
-		"conservative": func() {
-			s := New(8, 2, 1)
-			s.SetConservative(true)
-			s.Update(1, 1)
-			s.Remove(1, 1)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
+// TestFlagByteRejected: the frame's flag byte is reserved and must be
+// 0. A frame with it set carries cells that are no linear image of a
+// stream, and adding them would break Merge (R8) without an error, so
+// the decoder refuses it and leaves the receiver as it was.
+func TestFlagByteRejected(t *testing.T) {
+	src := New(64, 3, 5)
+	src.UpdateBatch(gen.NewZipf(300, 1.1, 5).Stream(4000))
+	plain, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// Turnstile linearity: insert a stream, delete a sub-stream, and the
-// sketch equals the sketch of the difference.
-func TestRemoveLinearity(t *testing.T) {
-	stream := gen.NewZipf(500, 1.2, 9).Stream(20000)
-	full := New(512, 4, 2)
-	for _, x := range stream {
-		full.Update(x, 1)
+	if !bytes.Equal(flaggedFrame(src, false), plain) {
+		t.Fatal("flaggedFrame does not spell the encoder's layout")
 	}
-	for _, x := range stream[:5000] {
-		full.Remove(x, 1)
+	recv := New(64, 3, 5)
+	recv.UpdateBatch(gen.NewZipf(300, 1.1, 6).Stream(1000))
+	before, _ := recv.MarshalBinary()
+	if err := recv.UnmarshalBinary(flaggedFrame(src, true)); err == nil {
+		t.Fatal("frame with the flag byte set accepted")
 	}
-	direct := New(512, 4, 2)
-	for _, x := range stream[5000:] {
-		direct.Update(x, 1)
-	}
-	if full.N() != direct.N() {
-		t.Fatalf("N: %d vs %d", full.N(), direct.N())
-	}
-	for x := core.Item(0); x < 500; x++ {
-		if full.Estimate(x) != direct.Estimate(x) {
-			t.Fatalf("estimate of %d differs: %v vs %v", x, full.Estimate(x), direct.Estimate(x))
-		}
+	if after, _ := recv.MarshalBinary(); !bytes.Equal(after, before) {
+		t.Fatal("rejected frame changed the receiver")
 	}
 }

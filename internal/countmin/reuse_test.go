@@ -9,21 +9,19 @@ import (
 	"repro/internal/gen"
 )
 
-// TestUnmarshalReusesReceiver: a sketch of any geometry and seed,
-// conservative or not, decodes a frame of any other into its own
-// storage and is then indistinguishable from a fresh decode — bytes
+// TestUnmarshalReusesReceiver: a sketch of any geometry and seed
+// decodes a frame of any other into its own storage and is then indistinguishable from a fresh decode — bytes
 // now, and bytes and estimates after further updates, which is where
 // hash rows left over from the old seed or depth would show.
 func TestUnmarshalReusesReceiver(t *testing.T) {
-	build := func(width, depth int, seed uint64, conservative bool) *Sketch {
+	build := func(width, depth int, seed uint64) *Sketch {
 		s := New(width, depth, seed)
-		s.SetConservative(conservative)
 		s.UpdateBatch(gen.NewZipf(300, 1.1, seed).Stream(2000))
 		return s
 	}
 	shapes := []*Sketch{
-		build(64, 3, 1, false), build(64, 3, 2, false), build(64, 5, 1, true),
-		build(200, 2, 9, false), build(8, 1, 1, false),
+		build(64, 3, 1), build(64, 3, 2), build(64, 5, 1),
+		build(200, 2, 9), build(8, 1, 1),
 	}
 	more := gen.NewZipf(300, 1.1, 77).Stream(500)
 	for i, from := range shapes {
@@ -33,7 +31,6 @@ func TestUnmarshalReusesReceiver(t *testing.T) {
 				t.Fatal(err)
 			}
 			reused, fresh := from.Clone(), new(Sketch)
-			reused.SetConservative(from.conservative)
 			if err := reused.UnmarshalBinary(frame); err != nil {
 				t.Fatal(err)
 			}

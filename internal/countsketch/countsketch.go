@@ -104,7 +104,7 @@ func (s *Sketch) Update(x core.Item, w uint64) {
 	}
 }
 
-// fastmod returns what the batch paths reduce a bucket hash with: for
+// fastmod returns what the batch path reduces a bucket hash with: for
 // h < 2^47 — every (a·x+b)>>17 — and width <= 2^17, the high word of
 // (recip·h mod 2^64)·width is exactly h % width (Lemire, Kaser, Kurz,
 // "Faster remainder by direct computation": 64 fraction bits cover a
@@ -141,54 +141,6 @@ func (s *Sketch) UpdateBatch(xs []core.Item) {
 		}
 	}
 	s.n += uint64(len(xs))
-}
-
-// UpdateBatchWeighted adds Count occurrences of every Item in ws, the
-// weighted variant of UpdateBatch. All weights must be >= 1.
-func (s *Sketch) UpdateBatchWeighted(ws []core.Counter) {
-	if len(ws) == 0 {
-		return
-	}
-	var total uint64
-	for _, c := range ws {
-		if c.Count == 0 {
-			panic("countsketch: zero-weight update")
-		}
-		total += c.Count
-	}
-	width := uint64(s.width)
-	recip, wide := s.fastmod()
-	for i := 0; i < s.depth; i++ {
-		ai, bi, sai := s.a[i], s.b[i], s.sa[i]
-		row := s.rows[i]
-		for _, c := range ws {
-			h := (ai*uint64(c.Item) + bi) >> 17
-			cell, _ := bits.Mul64(recip*h, width)
-			if wide {
-				cell = h % width
-			}
-			row[cell] += (1 - 2*int64((sai*uint64(c.Item))>>63)) * int64(c.Count)
-		}
-	}
-	s.n += total
-}
-
-// Remove subtracts w occurrences of x. Count-Sketch is a signed linear
-// sketch, so deletions are exact (general turnstile model): Remove is
-// Update with negated weight and even over-deletions keep the sketch
-// a faithful linear image of the (now signed) frequency vector.
-func (s *Sketch) Remove(x core.Item, w uint64) {
-	if w == 0 {
-		panic("countsketch: zero-weight remove")
-	}
-	if w > s.n {
-		s.n = 0
-	} else {
-		s.n -= w
-	}
-	for i := 0; i < s.depth; i++ {
-		s.rows[i][s.cell(i, x)] -= s.sign(i, x) * int64(w)
-	}
 }
 
 // estimate returns the median-of-rows signed estimate, clamped at 0.
@@ -233,19 +185,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 	}
 	s.n += other.n
 	return nil
-}
-
-// HeavyHittersOver returns the candidates whose estimate reaches
-// threshold, in descending estimate order.
-func (s *Sketch) HeavyHittersOver(candidates []core.Item, threshold uint64) []core.Counter {
-	var out []core.Counter
-	for _, x := range candidates {
-		if v := s.estimate(x); v >= threshold {
-			out = append(out, core.Counter{Item: x, Count: v})
-		}
-	}
-	core.SortCountersDesc(out)
-	return out
 }
 
 // Clone returns a deep copy.

@@ -107,32 +107,6 @@ func TestMergeMismatched(t *testing.T) {
 	}
 }
 
-func TestHeavyHittersOver(t *testing.T) {
-	const n = 50000
-	z := gen.NewZipf(1000, 1.5, 4)
-	stream := z.Stream(n)
-	truth := exact.FreqOf(stream)
-	s := New(1024, 5, 8)
-	for _, x := range stream {
-		s.Update(x, 1)
-	}
-	threshold := core.HeavyThreshold(n, 100)
-	candidates := make([]core.Item, 0, 1000)
-	for i := 1; i <= 1000; i++ {
-		candidates = append(candidates, z.ItemForRank(i))
-	}
-	got := s.HeavyHittersOver(candidates, threshold)
-	set := make(map[core.Item]bool)
-	for _, c := range got {
-		set[c.Item] = true
-	}
-	for _, c := range truth.HeavyHitters(threshold) {
-		if !set[c.Item] {
-			t.Errorf("true heavy hitter %d (count %d) missing", c.Item, c.Count)
-		}
-	}
-}
-
 func TestCloneAndReset(t *testing.T) {
 	s := New(64, 3, 1)
 	s.Update(1, 10)
@@ -174,40 +148,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRemoveTurnstile(t *testing.T) {
-	s := New(512, 5, 3)
-	stream := gen.NewZipf(300, 1.3, 4).Stream(20000)
-	for _, x := range stream {
-		s.Update(x, 1)
-	}
-	for _, x := range stream[:8000] {
-		s.Remove(x, 1)
-	}
-	direct := New(512, 5, 3)
-	for _, x := range stream[8000:] {
-		direct.Update(x, 1)
-	}
-	if s.N() != direct.N() {
-		t.Fatalf("N: %d vs %d", s.N(), direct.N())
-	}
-	for x := core.Item(0); x < 300; x++ {
-		if s.Estimate(x) != direct.Estimate(x) {
-			t.Fatalf("estimate of %d differs after deletions", x)
-		}
-	}
-}
-
-func TestRemoveZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-weight remove did not panic")
-		}
-	}()
-	New(8, 2, 1).Remove(1, 0)
-}
-
-// The batch paths reduce the bucket hash without dividing and add the
-// sign without branching; cell by cell they must land where Update's
+// The batch path reduces the bucket hash without dividing and adds the
+// sign without branching; cell by cell it must land where Update's
 // cell() and sign() do — on the canonical power-of-two width, on
 // widths that are not, on the degenerate single column, and on either
 // side of the 2^17 limit above which the division stays (at 5·2^16 the
@@ -215,7 +157,6 @@ func TestRemoveZeroPanics(t *testing.T) {
 func TestBatchMatchesPerItem(t *testing.T) {
 	rng := gen.NewRNG(3)
 	xs := make([]core.Item, 5000)
-	ws := make([]core.Counter, len(xs))
 	for i := range xs {
 		x := core.Item(rng.Uint64())
 		switch i % 4 {
@@ -225,23 +166,17 @@ func TestBatchMatchesPerItem(t *testing.T) {
 			x |= 0xffff << 48
 		}
 		xs[i] = x
-		ws[i] = core.Counter{Item: x, Count: uint64(i%7) + 1}
 	}
 	for _, width := range []int{512, 500, 1, 3, 1<<17 - 1, 1 << 17, 1<<17 + 1, 5 << 16} {
 		loop, batch := New(width, 3, 9), New(width, 3, 9)
-		wloop, wbatch := New(width, 3, 9), New(width, 3, 9)
-		for i, x := range xs {
+		for _, x := range xs {
 			loop.Update(x, 1)
-			wloop.Update(x, ws[i].Count)
 		}
 		batch.UpdateBatch(xs)
-		wbatch.UpdateBatchWeighted(ws)
-		for _, pr := range [][2]*Sketch{{loop, batch}, {wloop, wbatch}} {
-			want, _ := pr[0].MarshalBinary()
-			got, _ := pr[1].MarshalBinary()
-			if !bytes.Equal(got, want) {
-				t.Errorf("width %d: batch frame differs from per-item frame", width)
-			}
+		want, _ := loop.MarshalBinary()
+		got, _ := batch.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Errorf("width %d: batch frame differs from per-item frame", width)
 		}
 	}
 }

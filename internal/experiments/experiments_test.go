@@ -56,6 +56,26 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
+// Output is a function of (n, seed): E03 and E13, which once ranged
+// over a map for their rows, must render the same text run after run.
+func TestRowOrderDeterministic(t *testing.T) {
+	for _, id := range []string{"E03", "E13"} {
+		e, _ := ByID(id)
+		var first string
+		for run := 0; run < 20; run++ {
+			var out strings.Builder
+			for _, tb := range e.Run(quickCfg()).Tables {
+				out.WriteString(tb.String())
+			}
+			if run == 0 {
+				first = out.String()
+			} else if out.String() != first {
+				t.Fatalf("%s: run %d renders\n%s\nrun 0 rendered\n%s", id, run, out.String(), first)
+			}
+		}
+	}
+}
+
 // E01's key property: ratio column (realized error / bound) <= 1 and
 // violations == 0 on every row.
 func TestE01BoundHolds(t *testing.T) {

@@ -181,12 +181,15 @@ func runE03(cfg Config) Result {
 		if err != nil {
 			panic(err)
 		}
-		for name, reported := range map[string][]core.Counter{
-			"mg": mgMerged.HeavyHitters(threshold),
-			"ss": ssMerged.HeavyHitters(threshold),
+		for _, row := range []struct {
+			name     string
+			reported []core.Counter
+		}{
+			{"mg", mgMerged.HeavyHitters(threshold)},
+			{"ss", ssMerged.HeavyHitters(threshold)},
 		} {
-			r := stats.MeasureRecall(trueHH, reported)
-			tb.AddRow(alpha, name, len(trueHH), len(reported), r.RecallRate(), r.PrecisionRate(), r.F1())
+			r := stats.MeasureRecall(trueHH, row.reported)
+			tb.AddRow(alpha, row.name, len(trueHH), len(row.reported), r.RecallRate(), r.PrecisionRate(), r.F1())
 		}
 	}
 	return Result{

@@ -42,32 +42,3 @@ func (s *Summary) UpdateBatch(xs []core.Item) {
 	}
 	debugAssert(s)
 }
-
-// UpdateBatchWeighted adds Count occurrences of every Item in ws, the
-// weighted variant of UpdateBatch. All weights must be >= 1; a zero
-// weight panics before anything is added.
-func (s *Summary) UpdateBatchWeighted(ws []core.Counter) {
-	var total uint64
-	for _, c := range ws {
-		if c.Count == 0 {
-			panic("mg: zero-weight update")
-		}
-		total += c.Count
-	}
-	if len(ws) == 0 {
-		return
-	}
-	limit := s.k + pruneSlack(s.k)
-	s.ensure(limit + 1)
-	for _, c := range ws {
-		s.bump(uint64(c.Item), c.Count)
-		if len(s.items) > limit {
-			s.prune()
-		}
-	}
-	s.n += total
-	if len(s.items) > s.k {
-		s.prune()
-	}
-	debugAssert(s)
-}

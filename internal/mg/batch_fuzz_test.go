@@ -7,8 +7,9 @@ import (
 )
 
 // FuzzUpdateBatch feeds the same random weighted stream to a per-item
-// summary and a batched summary (with fuzz-chosen k and batch
-// boundaries) and checks guarantee-equivalence: identical n, at most k
+// summary, as Update(x, w), and to a batched summary, each record
+// expanded into w unit items (with fuzz-chosen k and batch boundaries),
+// and checks guarantee-equivalence: identical n, at most k
 // counters, no overestimation, undercount within ErrorBound, and
 // ErrorBound within the theorem's n/(k+1).
 func FuzzUpdateBatch(f *testing.F) {
@@ -22,12 +23,16 @@ func FuzzUpdateBatch(f *testing.F) {
 		// Derive a weighted stream from the fuzz bytes: item from the
 		// byte, weight from a cheap mix of seed and position.
 		stream := make([]core.Counter, len(data))
+		var units []core.Item
 		truth := make(map[core.Item]uint64, 64)
 		var n uint64
 		for i, b := range data {
 			x := core.Item(b % 50)
 			w := (seed+uint64(i)*2654435761)%9 + 1
 			stream[i] = core.Counter{Item: x, Count: w}
+			for range w {
+				units = append(units, x)
+			}
 			truth[x] += w
 			n += w
 		}
@@ -37,12 +42,8 @@ func FuzzUpdateBatch(f *testing.F) {
 			loop.Update(c.Item, c.Count)
 		}
 		batch := New(k)
-		for i := 0; i < len(stream); i += chunk {
-			end := i + chunk
-			if end > len(stream) {
-				end = len(stream)
-			}
-			batch.UpdateBatchWeighted(stream[i:end])
+		for i := 0; i < len(units); i += chunk {
+			batch.UpdateBatch(units[i:min(i+chunk, len(units))])
 		}
 
 		for name, s := range map[string]*Summary{"loop": loop, "batch": batch} {

@@ -49,65 +49,21 @@ func (d *Digest) UpdateBatch(vs []uint64) {
 			r++
 			i = j
 		}
-		d.ingest(ids[:r], counts[:r], uint64(m), m)
-		vs = vs[m:]
-	}
-	debugAssertSampled(d)
-}
-
-// UpdateBatchWeighted adds Weight occurrences of every Value in vs
-// (each clamped into the universe). All weights must be >= 1; a zero
-// weight panics before anything is added.
-func (d *Digest) UpdateBatchWeighted(vs []WeightedValue) {
-	for _, wv := range vs {
-		if wv.Weight == 0 {
-			panic("qdigest: zero-weight update")
-		}
-	}
-	for len(vs) > 0 {
-		m := min(len(vs), batchRun)
-		ids, counts := d.leafRun(m)
-		for i, wv := range vs[:m] {
-			ids[i] = d.leaf(wv.Value)
-		}
-		core.SortKeys(ids, counts, 0, uint(d.logU))
-		ids = slices.Compact(ids)
-		counts = counts[:len(ids)]
-		clear(counts)
-		var total uint64
-		for _, wv := range vs[:m] {
-			j, _ := slices.BinarySearch(ids, d.leaf(wv.Value))
-			counts[j] += wv.Weight
-			total += wv.Weight
-		}
-		d.ingest(ids, counts, total, m)
+		d.mergeBody(ids[:r], counts[:r])
+		d.n += uint64(m)
+		d.inserted(m) // compresses if that is due
 		vs = vs[m:]
 	}
 	debugAssertSampled(d)
 }
 
 // leafRun flushes the pending leaves and returns two scratch runs of
-// length m that last until ingest is done with them: they are the t
-// runs, which flush (called here, first) and Compress (called by
-// ingest, last) use and mergeBody does not.
+// length m that last until the run is merged into the body: they are
+// the t runs, which flush (called here, first) and Compress (called by
+// inserted, last) use and mergeBody does not.
 func (d *Digest) leafRun(m int) (ids, counts []uint64) {
 	d.flush()
 	d.tIDs = slices.Grow(d.tIDs[:0], m)
 	d.tCounts = slices.Grow(d.tCounts[:0], m)
 	return d.tIDs[:m], d.tCounts[:m]
-}
-
-// ingest adds the ascending run (ids, counts) of total weight and m
-// insertions to the body, and compresses if that is due.
-func (d *Digest) ingest(ids, counts []uint64, weight uint64, m int) {
-	d.mergeBody(ids, counts)
-	d.n += weight
-	d.inserted(m)
-}
-
-// WeightedValue pairs a universe value with an update weight for
-// UpdateBatchWeighted.
-type WeightedValue struct {
-	Value  uint64
-	Weight uint64
 }

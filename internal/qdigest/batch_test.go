@@ -1,7 +1,6 @@
 package qdigest
 
 import (
-	"bytes"
 	"fmt"
 	"maps"
 	"slices"
@@ -54,7 +53,7 @@ func TestDistinctStreamStaysBounded(t *testing.T) {
 }
 
 // Batches longer than one sorted run, with pending leaves from single
-// updates in between, against the oracle's plain statement of the same
+// updates in between and runs of heavy weighted updates between them, against the oracle's plain statement of the same
 // schedule: identical bytes after every call.
 func TestBatchRunsMatchOracle(t *testing.T) {
 	for _, sh := range []struct {
@@ -86,48 +85,14 @@ func TestBatchRunsMatchOracle(t *testing.T) {
 				dp.got.UpdateBatch(vs)
 				dp.ref.UpdateBatch(vs)
 			} else {
-				ws := make([]WeightedValue, c)
-				for i := range ws {
-					ws[i] = WeightedValue{Value: value(), Weight: rng.Uint64n(1000) + 1}
+				for range c {
+					v, w := value(), rng.Uint64n(1000)+1
+					dp.got.Update(v, w)
+					dp.ref.Update(v, w)
 				}
-				dp.got.UpdateBatchWeighted(ws)
-				dp.ref.UpdateBatchWeighted(ws)
 			}
 			dp.check(t, step, fmt.Sprintf("batch of %d at logU=%d", c, sh.logU))
 		}
-	}
-}
-
-// A zero weight anywhere in a weighted batch panics before any value
-// is added.
-func TestUpdateBatchWeightedValidatesFirst(t *testing.T) {
-	d := New(16, 8)
-	d.UpdateBatch([]uint64{1, 2, 3, 40000})
-	before, err := d.Clone().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The zero sits in the batch's second sorted run: checking run by
-	// run would have ingested the first.
-	ws := make([]WeightedValue, batchRun+4)
-	for i := range ws {
-		ws[i] = WeightedValue{Value: uint64(i), Weight: 2}
-	}
-	ws[batchRun+2].Weight = 0
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("zero weight accepted")
-			}
-		}()
-		d.UpdateBatchWeighted(ws)
-	}()
-	after, err := d.Clone().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N() != 4 || !bytes.Equal(before, after) {
-		t.Fatalf("a rejected batch changed the digest: n=%d", d.N())
 	}
 }
 

@@ -106,12 +106,11 @@ func runDiff(t *testing.T, logU uint8, k uint64, prog []byte) {
 			dp.ref.UpdateBatch(vs)
 		case 2:
 			op = "weighted"
-			vs := make([]WeightedValue, p.byte()%48)
-			for i := range vs {
-				vs[i] = WeightedValue{Value: p.value(logU), Weight: uint64(p.byte())<<(p.byte()%20) + 1}
+			for range p.byte() % 48 {
+				v, w := p.value(logU), uint64(p.byte())<<(p.byte()%20)+1
+				dp.got.Update(v, w)
+				dp.ref.Update(v, w)
 			}
-			dp.got.UpdateBatchWeighted(vs)
-			dp.ref.UpdateBatchWeighted(vs)
 		case 3:
 			op = "merge"
 			if err := dp.got.Merge(other.got); err != nil {

@@ -306,23 +306,3 @@ func (d *refDigest) UpdateBatch(vs []uint64) {
 		vs = vs[m:]
 	}
 }
-
-// UpdateBatchWeighted adds Weight occurrences of every Value in vs,
-// in runs as UpdateBatch does. All weights must be >= 1.
-func (d *refDigest) UpdateBatchWeighted(vs []WeightedValue) {
-	max := (uint64(1) << d.logU) - 1
-	for _, wv := range vs {
-		if wv.Weight == 0 {
-			panic("qdigest: zero-weight update")
-		}
-	}
-	for len(vs) > 0 {
-		m := min(len(vs), batchRun)
-		for _, wv := range vs[:m] {
-			d.counts[d.leaf(min(wv.Value, max))] += wv.Weight
-			d.n += wv.Weight
-		}
-		d.inserted(m)
-		vs = vs[m:]
-	}
-}

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/codec"
+	"repro/internal/countmin"
+	"repro/internal/gen"
 	"repro/internal/mg"
 	"repro/internal/registry"
 )
@@ -218,5 +221,54 @@ func TestPullAllocs(t *testing.T) {
 	}
 	if miss := testing.AllocsPerRun(200, func() { push(); pull() }); miss != 3 {
 		t.Errorf("PUSH then PULL: %v allocs, want 3", miss)
+	}
+}
+
+// TestWriteRejectsFlaggedCountMin: a Count-Min frame whose reserved
+// flag byte is set (what a conservative-update sketch once encoded) is
+// not a linear image of a stream, and adding it to a slot would break
+// the slot's merge without an error. PUSH answers ERR and the slot's
+// bytes stay what they were.
+func TestWriteRejectsFlaggedCountMin(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	s := countmin.New(64, 4, 3)
+	s.UpdateBatch(gen.NewZipf(500, 1.1, 3).Stream(10000))
+	if _, err := c.Push("cm", "countmin", s); err != nil {
+		t.Fatal(err)
+	}
+	_, before, err := c.PullFrame("cm")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Set the byte after the width, depth, seed and weight fields.
+	frame, _ := s.MarshalBinary()
+	payload, err := codec.DecodeFrame(codec.KindCountMin, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := codec.NewReader(payload)
+	r.Int()
+	r.Int()
+	r.Uint64()
+	r.Uint64()
+	flag := len(payload) - r.Remaining()
+	if r.Err() != nil || payload[flag] != 0 {
+		t.Fatalf("flag byte at %d reads %d (%v), want 0", flag, payload[flag], r.Err())
+	}
+	payload = bytes.Clone(payload)
+	payload[flag] = 1
+	if _, err := c.Push("cm", "countmin", rawSummary(codec.EncodeFrame(codec.KindCountMin, payload))); err == nil {
+		t.Fatal("flagged Count-Min frame accepted")
+	}
+	if _, after, err := c.PullFrame("cm"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused push changed the slot (%v)", err)
 	}
 }

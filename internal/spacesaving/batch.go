@@ -22,41 +22,11 @@ func (s *Summary) UpdateBatch(xs []core.Item) {
 		run := xs[:min(len(xs), core.CollapseRun)]
 		xs = xs[len(run):]
 		c.AddItems(run)
-		s.apply(c)
+		for _, p := range c.Ascending() {
+			s.update(p.Item, p.Count)
+		}
+		c.Reset()
 	}
 	core.PutCollapse(c)
 	debugAssert(s)
-}
-
-// UpdateBatchWeighted adds Count occurrences of every Item in ws, the
-// weighted variant of UpdateBatch, with the same contract: an item's
-// weights are summed within a run and applied once, lightest first.
-// All weights must be >= 1; a zero weight panics before anything is
-// added.
-func (s *Summary) UpdateBatchWeighted(ws []core.Counter) {
-	for _, c := range ws {
-		if c.Count == 0 {
-			panic("spacesaving: zero-weight update")
-		}
-	}
-	c := core.GetCollapse()
-	for len(ws) > 0 {
-		run := ws[:min(len(ws), core.CollapseRun)]
-		ws = ws[len(run):]
-		for _, w := range run {
-			c.Add(w.Item, w.Count)
-		}
-		s.apply(c)
-	}
-	core.PutCollapse(c)
-	debugAssert(s)
-}
-
-// apply folds c's pairs into s in ascending order of count and empties
-// c for the next run.
-func (s *Summary) apply(c *core.Collapse) {
-	for _, p := range c.Ascending() {
-		s.update(p.Item, p.Count)
-	}
-	c.Reset()
 }

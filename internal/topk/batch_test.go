@@ -11,61 +11,50 @@ import (
 	"repro/internal/gen"
 )
 
-// TestBatchReranks holds every UpdateBatch / UpdateBatchWeighted call
-// to its contract: the sketch is the Update loop's byte for byte, and
-// the directory is the top k of (directory before the call ∪ the
-// call's items) by estimate against the final sketch — as a multiset of
-// estimates, since ties at the boundary may go either way — each entry
-// carrying its final estimate.
+// TestBatchReranks holds every UpdateBatch call to its contract: the
+// sketch is the Update loop's byte for byte, and the directory is the
+// top k of (directory before the call ∪ the call's items) by estimate
+// against the final sketch — as a multiset of estimates, since ties at
+// the boundary may go either way — each entry carrying its final
+// estimate.
 func TestBatchReranks(t *testing.T) {
 	stream := gen.NewZipf(3000, 1.1, 4).Stream(30000)
-	for _, weighted := range []bool{false, true} {
-		tr, ref := New(24, 256, 4, 9), countmin.New(256, 4, 9)
-		for off, size := 0, 1; off < len(stream); off, size = off+size, size*3+1 {
-			xs := stream[off:min(len(stream), off+size)]
-			cands := slices.Clone(tr.items)
-			if weighted {
-				ws := make([]core.Counter, len(xs))
-				for i, x := range xs {
-					ws[i] = core.Counter{Item: x, Count: uint64(i%5) + 1}
-					ref.Update(x, ws[i].Count)
-				}
-				tr.UpdateBatchWeighted(ws)
-			} else {
-				for _, x := range xs {
-					ref.Update(x, 1)
-				}
-				tr.UpdateBatch(xs)
-			}
-			cands = append(cands, xs...)
-			a, _ := tr.sketch.MarshalBinary()
-			b, _ := ref.MarshalBinary()
-			if !bytes.Equal(a, b) {
-				t.Fatalf("weighted=%v, after %d items: sketch differs from the Update loop's", weighted, off+len(xs))
-			}
-			var all []uint64
-			seen := make(map[core.Item]bool)
-			for _, x := range cands {
-				if !seen[x] {
-					seen[x] = true
-					all = append(all, ref.Estimate(x).Value)
-				}
-			}
-			slices.Sort(all)
-			slices.Reverse(all)
-			want := all[:min(len(all), tr.k)]
-			var got []uint64
-			for _, c := range tr.Top() {
-				if !seen[c.Item] || c.Count != ref.Estimate(c.Item).Value {
-					t.Fatalf("weighted=%v: directory entry %v is not a candidate at its final estimate", weighted, c)
-				}
-				got = append(got, c.Count)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("weighted=%v, after %d items: directory %v, want the top %v", weighted, off+len(xs), got, want)
-			}
-			checkHeap(t, tr)
+	tr, ref := New(24, 256, 4, 9), countmin.New(256, 4, 9)
+	for off, size := 0, 1; off < len(stream); off, size = off+size, size*3+1 {
+		xs := stream[off:min(len(stream), off+size)]
+		cands := slices.Clone(tr.items)
+		for _, x := range xs {
+			ref.Update(x, 1)
 		}
+		tr.UpdateBatch(xs)
+		cands = append(cands, xs...)
+		a, _ := tr.sketch.MarshalBinary()
+		b, _ := ref.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("after %d items: sketch differs from the Update loop's", off+len(xs))
+		}
+		var all []uint64
+		seen := make(map[core.Item]bool)
+		for _, x := range cands {
+			if !seen[x] {
+				seen[x] = true
+				all = append(all, ref.Estimate(x).Value)
+			}
+		}
+		slices.Sort(all)
+		slices.Reverse(all)
+		want := all[:min(len(all), tr.k)]
+		var got []uint64
+		for _, c := range tr.Top() {
+			if !seen[c.Item] || c.Count != ref.Estimate(c.Item).Value {
+				t.Fatalf("directory entry %v is not a candidate at its final estimate", c)
+			}
+			got = append(got, c.Count)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %d items: directory %v, want the top %v", off+len(xs), got, want)
+		}
+		checkHeap(t, tr)
 	}
 }
 

@@ -96,29 +96,6 @@ func (t *Tracker) UpdateBatch(xs []core.Item) {
 	}
 }
 
-// UpdateBatchWeighted adds Count occurrences of every Item in ws, the
-// weighted variant of UpdateBatch, under the same contract. All weights
-// must be >= 1; a zero weight panics before anything is added.
-func (t *Tracker) UpdateBatchWeighted(ws []core.Counter) {
-	for _, c := range ws {
-		if c.Count == 0 {
-			panic("topk: zero-weight update")
-		}
-	}
-	t.sketch.UpdateBatchWeighted(ws)
-	c := core.GetCollapse()
-	for len(ws) > 0 {
-		run := ws[:min(len(ws), core.CollapseRun)]
-		ws = ws[len(run):]
-		c.AddItems(t.items)
-		for _, w := range run {
-			c.Add(w.Item, 1) // only the distinct items matter here
-		}
-		t.rebuild(c)
-	}
-	core.PutCollapse(c)
-}
-
 // rerank rebuilds the directory from the distinct items of a, then b.
 func (t *Tracker) rerank(a, b []core.Item) {
 	c := core.GetCollapse()
