@@ -8,7 +8,7 @@
 //
 //	mergesum gen   -kind zipf -n 100000 -alpha 1.2 -u 5000 -seed 1 -out stream.txt
 //	mergesum build -type mg -k 64 -in stream.txt -out s1.mg
-//	mergesum merge -type mg -low-error -out all.mg s1.mg s2.mg s3.mg
+//	mergesum merge -type mg -out all.mg s1.mg s2.mg s3.mg
 //	mergesum query -type mg -in all.mg -top 10
 //	mergesum query -type quantile -in all.q -phi 0.5,0.99
 //	mergesum inspect -type mg -in all.mg
@@ -17,6 +17,8 @@
 // uint64 per line); gk, quantile (value streams: one float per line).
 // merge and push take the kind from the file's own frame tag and work
 // for every family in the registry catalog; their -type is only a check.
+// merge folds with the family's one registered merge, the one summaryd
+// runs, so merging files byte-equals pushing them into one slot.
 package main
 
 import (
@@ -75,7 +77,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `mergesum <gen|build|merge|query|inspect|push|pull> [flags]
   gen     -kind zipf|uniform|seq|normal|lognormal -n N [-alpha A] [-u U] [-seed S] -out FILE
   build   -type mg|ss|gk|quantile [-k K | -eps E] [-seed S] -in STREAM -out SUMMARY
-  merge   [-type KIND] [-low-error] -out SUMMARY FILE...                   (any registered kind)
+  merge   [-type KIND] -out SUMMARY FILE...                                (any registered kind)
   query   -type mg|ss [-top T] [-threshold F] -in SUMMARY
           -type gk|quantile [-phi 0.5,0.9,...] -in SUMMARY
   inspect -type mg|ss|gk|quantile -in SUMMARY
@@ -264,7 +266,6 @@ func readFrame(path, typ string) (*registry.Entry, []byte, error) {
 func cmdMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	typ := fs.String("type", "", "summary kind the files must hold (default: the first file's)")
-	lowError := fs.Bool("low-error", false, "use the low-total-error merge (kinds that define one)")
 	out := fs.String("out", "", "output summary file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -272,10 +273,6 @@ func cmdMerge(args []string) error {
 	files := fs.Args()
 	if *out == "" || len(files) == 0 {
 		return fmt.Errorf("merge: -out and at least one input file are required")
-	}
-	variant := registry.MergePODS
-	if *lowError {
-		variant = registry.MergeLowError
 	}
 	kind := *typ // "" until the first file fixes it
 	var ent *registry.Entry
@@ -291,7 +288,7 @@ func cmdMerge(args []string) error {
 		}
 		if acc == nil {
 			ent, acc, kind = next, src, next.Name()
-		} else if err := ent.MergeVariant(variant, acc, src); err != nil {
+		} else if err := ent.Merge(acc, src); err != nil {
 			return fmt.Errorf("merging %s: %w", path, err)
 		}
 	}

@@ -50,7 +50,7 @@ func TestItemPipeline(t *testing.T) {
 			sums = append(sums, out)
 		}
 		merged := filepath.Join(dir, "all."+typ)
-		args := []string{"-type", typ, "-low-error", "-out", merged}
+		args := []string{"-type", typ, "-out", merged}
 		if err := cmdMerge(append(args, sums...)); err != nil {
 			t.Fatalf("%s merge: %v", typ, err)
 		}
@@ -133,7 +133,7 @@ func TestMergeAnyKind(t *testing.T) {
 	ent := writeExample(t, a, "hll", 500)
 	writeExample(t, b, "hll", 300)
 	writeExample(t, cm, "countmin", 100)
-	for _, extra := range [][]string{nil, {"-type", "hll"}, {"-low-error"}} {
+	for _, extra := range [][]string{nil, {"-type", "hll"}} {
 		out := filepath.Join(dir, "all.hll")
 		if err := cmdMerge(append(extra, "-out", out, a, b)); err != nil {
 			t.Fatalf("merge %v: %v", extra, err)

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/mg"
+	"repro/internal/registry"
 	"repro/internal/server"
 )
 
@@ -87,6 +90,38 @@ func TestPushPullAgainstDaemon(t *testing.T) {
 	}
 	if got := ent.N(pulled); got != 1400 {
 		t.Fatalf("pulled kmv N = %d, want 1400", got)
+	}
+
+	// The CLI folds as the daemon does: for every registered kind,
+	// merging three files byte-equals pushing them into one slot and
+	// pulling it back.
+	for _, ent := range registry.Entries() {
+		kind := ent.Name()
+		var files []string
+		for i, n := range []int{3000, 2000, 1000} {
+			f := filepath.Join(dir, fmt.Sprintf("fold%d.%s", i, kind))
+			writeExample(t, f, kind, n)
+			files = append(files, f)
+			if err := cmdPush([]string{"-addr", addr, "-slot", "fold-" + kind, "-in", f}); err != nil {
+				t.Fatalf("push %s: %v", f, err)
+			}
+		}
+		merged := filepath.Join(dir, "merged."+kind)
+		if err := cmdMerge(append([]string{"-out", merged}, files...)); err != nil {
+			t.Fatalf("merge %s: %v", kind, err)
+		}
+		pulled := filepath.Join(dir, "pulled."+kind)
+		if err := cmdPull([]string{"-addr", addr, "-slot", "fold-" + kind, "-out", pulled}); err != nil {
+			t.Fatal(err)
+		}
+		a, errA := os.ReadFile(merged)
+		b, errB := os.ReadFile(pulled)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: mergesum merge (%d bytes) differs from the daemon's PUSH…PULL fold (%d bytes)", kind, len(a), len(b))
+		}
 	}
 }
 

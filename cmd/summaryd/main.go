@@ -25,10 +25,10 @@
 // no leader: mergeable summaries make the fan-in correct from anywhere.
 //
 // On SIGTERM or SIGINT the daemon shuts down gracefully: it stops
-// accepting connections, drains the ingest-front lanes (and seals the
-// live window epoch), gives in-flight connections a grace period, and
-// exits 0 — a final PULL served during the grace period sees every
-// push that was acknowledged. In cluster mode peers keep idle
+// accepting connections, seals the live window epoch (-window), gives
+// in-flight connections a grace period, and exits 0 — a final PULL
+// served during the grace period sees every push that was acknowledged,
+// since a push is merged into its slot before its reply is sent. In cluster mode peers keep idle
 // connections to each other between fan-ins, and nothing tells them to
 // hang up early: a draining node with such links waits its full -grace.
 //
@@ -57,8 +57,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7070", "listen address")
 	kinds := flag.Bool("kinds", false, "print the served summary kinds and exit")
-	front := flag.Int("front", 0, "ingest-front lanes for every write, PUSH and PUSHB (0 = off, -1 = GOMAXPROCS); OK <n> is then the weight acknowledged so far")
-	frontTick := flag.Duration("front-tick", 5*time.Millisecond, "ingest-front flush interval")
 	win := flag.Bool("window", false, "enable windowed mode: per-slot roll-up planes and QWIN")
 	winTick := flag.Duration("window-tick", time.Second, "windowed-mode epoch length")
 	winFan := flag.Int("window-fan", 8, "roll-up fan-in (epochs per next-level segment)")
@@ -72,15 +70,12 @@ func main() {
 
 	if *kinds {
 		for _, ent := range registry.Entries() {
-			fmt.Printf("%-12s tag %-2d merges %s\n", ent.Name(), ent.Kind(), strings.Join(ent.Variants(), ","))
+			fmt.Printf("%-12s tag %d\n", ent.Name(), ent.Kind())
 		}
 		return
 	}
 
 	s := server.New()
-	if *front != 0 {
-		s.SetIngestFront(*front, *frontTick)
-	}
 	if *win {
 		if err := s.SetWindow(window.Ladder{Fan: *winFan, Levels: *winLevels}, *winTick); err != nil {
 			log.Fatalf("summaryd: -window-fan / -window-levels: %v", err)
@@ -116,7 +111,7 @@ func main() {
 	drained := make(chan struct{})
 	go func() {
 		<-sig
-		fmt.Println("shutting down: draining ingest lanes and sealing live epoch")
+		fmt.Println("shutting down: sealing the live window epoch and draining connections")
 		s.Shutdown(*grace)
 		close(drained)
 	}()

@@ -1,11 +1,11 @@
 // Package lockflow defines an Analyzer that checks what happens while
 // a lock is held: it proves the critical sections stay cheap.
 //
-// The merge plane's slot locks and the ingest front's lane locks sit
-// on every hot path: one decode, one blocking write or one channel
-// wait inside a critical section serializes the whole plane. The pass
+// The merge plane's slot locks and the roll-up planes' locks sit on
+// every hot path: one decode, one blocking write or one channel wait
+// inside a critical section serializes the whole plane. The pass
 // interprets each function with the flow engine, carrying the may-
-// held lock set (sl.mu, ln.mu, ...) through branches and defers, and
+// held lock set (sl.mu, p.mu, ...) through branches and defers, and
 // reports operations reachable while any lock is held:
 //
 //   - decoding (Decode, DecodeInto, UnmarshalBinary, DecodeFrame,

@@ -129,8 +129,8 @@ type plane struct {
 	cur *mergeable
 }
 
-// cleanMergeUnderLock is the window-plane Absorb / ingest-front flush
-// shape, and it is deliberately legal: a merge is bounded in-memory
+// cleanMergeUnderLock is the window-plane Absorb / slot ingest shape,
+// and it is deliberately legal: a merge is bounded in-memory
 // work (no decode, no I/O, no blocking), and running it under the
 // plane lock is what keeps a concurrent Advance from sealing an epoch
 // between the liveness check and the merge. Decoding the operand

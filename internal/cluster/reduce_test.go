@@ -27,13 +27,16 @@ func TestReduceMatchesSequentialN(t *testing.T) {
 				}
 				frames = append(frames, f)
 			}
-			gotEnt, merged, err := Reduce(frames)
+			kind, out, err := ReduceEncoded(frames)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer gotEnt.PutScratch(merged)
-			if gotEnt.Name() != ent.Name() {
-				t.Fatalf("resolved entry %q, want %q", gotEnt.Name(), ent.Name())
+			if kind != ent.Name() {
+				t.Fatalf("resolved kind %q, want %q", kind, ent.Name())
+			}
+			merged, err := ent.Decode(out)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if gn := ent.N(merged); gn != wantN {
 				t.Fatalf("reduced N = %d, want %d", gn, wantN)
@@ -63,10 +66,10 @@ func TestReduceEncodedSingleFramePassthrough(t *testing.T) {
 // first frame, and a mixed-kind batch (the second frame's kind check
 // must fail the whole reduction, not silently misparse).
 func TestReduceErrors(t *testing.T) {
-	if _, _, err := Reduce(nil); err == nil {
+	if _, _, err := ReduceEncoded(nil); err == nil {
 		t.Fatal("empty fan-in succeeded")
 	}
-	if _, _, err := Reduce([][]byte{{0xff, 0xfe, 0xfd}}); err == nil {
+	if _, _, err := ReduceEncoded([][]byte{{0xff, 0xfe, 0xfd}}); err == nil {
 		t.Fatal("garbage frame succeeded")
 	}
 	ents := registry.Entries()
@@ -81,7 +84,7 @@ func TestReduceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Reduce([][]byte{f0, f1}); err == nil {
+	if _, _, err := ReduceEncoded([][]byte{f0, f1}); err == nil {
 		t.Fatal("mixed-kind fan-in succeeded")
 	}
 }

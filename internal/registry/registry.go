@@ -1,13 +1,12 @@
 // Package registry is the typed catalog of every summary family in
 // this repository: one entry per codec.Kind, mapping the wire tag to
-// the family's canonical name, constructors, codec, merge algorithms
-// (the PODS'12 merge and, where a family defines one, the
-// low-total-error variant), weight accessor, and a pooled scratch of
-// decode targets that keep their storage from frame to frame.
+// the family's canonical name, constructors, codec, its one merge,
+// weight accessor, and a pooled scratch of decode targets that keep
+// their storage from frame to frame.
 //
 // The catalog is the single dispatch plane between the codec and
 // everything above it: the aggregation server, both binaries, the
-// sliding-window and sharded encode paths, and the public
+// roll-up plane and the cluster fan-in, and the public
 // mergesum.Decode/Kinds API all resolve families here instead of
 // keeping their own per-kind tables. Each family package registers
 // itself in an init with one Register call, compile-time-checked
@@ -30,21 +29,6 @@ import (
 	"repro/internal/codec"
 )
 
-// Variant selects which merge algorithm an Entry applies.
-type Variant int
-
-const (
-	// MergeDefault is the family's preferred algorithm: the
-	// low-total-error closed form where the family defines one
-	// (Misra-Gries, SpaceSaving), the PODS'12 merge otherwise.
-	MergeDefault Variant = iota
-	// MergePODS forces the paper's original merge.
-	MergePODS
-	// MergeLowError forces the low-total-error variant. Families
-	// without a distinct variant fall back to their only merge.
-	MergeLowError
-)
-
 // Codec constrains a family's pointer type to the wire interfaces;
 // Register is compile-time-checked against it, so a family cannot be
 // cataloged without a working binary codec.
@@ -55,8 +39,7 @@ type Codec[T any] interface {
 }
 
 // Spec declares one family for Register. Merge, N and Example are
-// required; MergeLowError is set only by families that implement the
-// follow-up paper's closed-form low-total-error merge.
+// required.
 type Spec[T any] struct {
 	// Example returns a canonically-parameterized summary filled with
 	// n deterministic updates. All Example summaries of one family
@@ -64,10 +47,12 @@ type Spec[T any] struct {
 	// makes them usable as fixtures for the completeness tests, fuzz
 	// seeds and per-kind server benchmarks.
 	Example func(n int) *T
-	// Merge is the PODS'12 merge: fold src into dst.
+	// Merge folds src into dst. It is the one merge everything that
+	// goes through the catalog runs — the server, the fan-in, the
+	// roll-up plane and the CLI — so they all fold alike. Misra-Gries
+	// and SpaceSaving register their low-total-error merge (Cafaro et
+	// al.); every other family its PODS'12 merge.
 	Merge func(dst, src *T) error
-	// MergeLowError is the optional low-total-error merge.
-	MergeLowError func(dst, src *T) error
 	// N reports the total weight summarized, merged-in weight included.
 	N func(*T) uint64
 }
@@ -81,8 +66,7 @@ type Entry struct {
 	example    func(int) any
 	decodeInto func(dst any, frame []byte) error
 	encode     func(any) ([]byte, error)
-	mergePODS  func(dst, src any) error
-	mergeLow   func(dst, src any) error // nil without a distinct variant
+	merge      func(dst, src any) error
 	n          func(any) uint64
 	owns       func(any) bool // reports a value of the family's summary type
 	typ        reflect.Type   // the summary's pointer type, *T
@@ -132,42 +116,15 @@ func (e *Entry) Decode(frame []byte) (any, error) {
 // Encode returns the summary's wire frame.
 func (e *Entry) Encode(v any) ([]byte, error) { return e.encode(v) }
 
-// Merge folds src into dst with the family's default algorithm. Both
-// operands must be this family's summary type; a cross-family mix-up
-// is an error before any mutation, never a panic mid-merge.
+// Merge folds src into dst with the family's registered merge (see
+// Spec.Merge). Both operands must be this family's summary type; a
+// cross-family mix-up is an error before any mutation, never a panic
+// mid-merge.
 func (e *Entry) Merge(dst, src any) error {
-	if err := e.checkOperands(dst, src); err != nil {
-		return err
-	}
-	return e.MergeVariant(MergeDefault, dst, src)
-}
-
-// MergeVariant folds src into dst with the selected algorithm.
-func (e *Entry) MergeVariant(v Variant, dst, src any) error {
-	if err := e.checkOperands(dst, src); err != nil {
-		return err
-	}
-	if e.mergeLow != nil && v != MergePODS {
-		return e.mergeLow(dst, src)
-	}
-	return e.mergePODS(dst, src)
-}
-
-// checkOperands rejects merge operands that are not this family's
-// summary type, including nil.
-func (e *Entry) checkOperands(dst, src any) error {
 	if !e.owns(dst) || !e.owns(src) {
 		return fmt.Errorf("registry: %s: merge operands must be the family's summary type (got %T, %T)", e.name, dst, src)
 	}
-	return nil
-}
-
-// Variants names the selectable merge algorithms, default first.
-func (e *Entry) Variants() []string {
-	if e.mergeLow != nil {
-		return []string{"low-error", "pods12"}
-	}
-	return []string{"pods12"}
+	return e.merge(dst, src)
 }
 
 // N reports the summary's total summarized weight.
@@ -218,13 +175,10 @@ func Register[T any, PT Codec[T]](kind codec.Kind, name string, spec Spec[T]) {
 		example:    func(n int) any { return spec.Example(n) },
 		decodeInto: func(dst any, b []byte) error { return PT(dst.(*T)).UnmarshalBinary(b) },
 		encode:     func(v any) ([]byte, error) { return PT(v.(*T)).MarshalBinary() },
-		mergePODS:  func(d, s any) error { return spec.Merge(d.(*T), s.(*T)) },
+		merge:      func(d, s any) error { return spec.Merge(d.(*T), s.(*T)) },
 		n:          func(v any) uint64 { return spec.N(v.(*T)) },
 		owns:       func(v any) bool { p, ok := v.(*T); return ok && p != nil },
 		typ:        reflect.TypeFor[*T](),
-	}
-	if spec.MergeLowError != nil {
-		e.mergeLow = func(d, s any) error { return spec.MergeLowError(d.(*T), s.(*T)) }
 	}
 	byKind[kind] = e
 	byName[name] = e

@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/mergetree"
+	"repro/internal/mg"
 	"repro/internal/registry"
 	_ "repro/internal/registry/all"
+	"repro/internal/spacesaving"
 )
 
 // TestCatalogComplete is the completeness table test: every wire tag
@@ -164,31 +166,51 @@ func TestMergeOfDecodedEqualsOriginals(t *testing.T) {
 	}
 }
 
-// TestMergeVariants checks the variant plumbing: the two families
-// declaring a low-error merge (mg and ss) expose both algorithms and
-// default to low-error; every other family reports exactly the PODS'12
-// merge.
+// TestMergeVariants: mg and ss each have two merges, and the catalog
+// holds the one the daemon serves, the low-total-error closed form; the
+// PODS'12 merge stays a family method. The catalog's Merge must give
+// MergeLowError's bytes — which differ from the PODS'12 merge's on
+// these operands — and every family's merge must preserve total weight.
 func TestMergeVariants(t *testing.T) {
 	for _, ent := range registry.Entries() {
-		variants := ent.Variants()
-		if ent.Name() == "mg" || ent.Name() == "ss" {
-			if len(variants) != 2 || variants[0] != "low-error" || variants[1] != "pods12" {
-				t.Fatalf("%s: Variants() = %v", ent.Name(), variants)
-			}
-		} else if len(variants) != 1 || variants[0] != "pods12" {
-			t.Fatalf("%s: Variants() = %v", ent.Name(), variants)
+		dst, src := ent.Example(60), ent.Example(40)
+		want := ent.N(dst) + ent.N(src)
+		if err := ent.Merge(dst, src); err != nil {
+			t.Fatalf("%s: Merge: %v", ent.Name(), err)
 		}
-
-		// Both selectable variants must run and preserve total weight.
-		for _, v := range []registry.Variant{registry.MergeDefault, registry.MergePODS, registry.MergeLowError} {
-			dst, src := ent.Example(60), ent.Example(40)
-			want := ent.N(dst) + ent.N(src)
-			if err := ent.MergeVariant(v, dst, src); err != nil {
-				t.Fatalf("%s: MergeVariant(%d): %v", ent.Name(), v, err)
+		if got := ent.N(dst); got != want {
+			t.Fatalf("%s: merged N = %d, want %d", ent.Name(), got, want)
+		}
+	}
+	type merge func(dst, src any) error
+	for name, m := range map[string]struct{ low, pods merge }{
+		"mg": {
+			func(d, s any) error { return d.(*mg.Summary).MergeLowError(s.(*mg.Summary)) },
+			func(d, s any) error { return d.(*mg.Summary).Merge(s.(*mg.Summary)) },
+		},
+		"ss": {
+			func(d, s any) error { return d.(*spacesaving.Summary).MergeLowError(s.(*spacesaving.Summary)) },
+			func(d, s any) error { return d.(*spacesaving.Summary).Merge(s.(*spacesaving.Summary)) },
+		},
+	} {
+		ent, _ := registry.ByName(name)
+		fold := func(f merge) []byte {
+			dst, src := ent.Example(3000), ent.Example(2000)
+			if err := f(dst, src); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if got := ent.N(dst); got != want {
-				t.Fatalf("%s: variant %d merge N = %d, want %d", ent.Name(), v, got, want)
+			out, err := ent.Encode(dst)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return out
+		}
+		catalog, low, pods := fold(ent.Merge), fold(m.low), fold(m.pods)
+		if !bytes.Equal(catalog, low) {
+			t.Errorf("%s: the catalog's merge is not MergeLowError", name)
+		}
+		if bytes.Equal(low, pods) {
+			t.Errorf("%s: the fixture cannot tell MergeLowError from the PODS'12 merge", name)
 		}
 	}
 }

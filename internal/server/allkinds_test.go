@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding"
 	"testing"
-	"time"
 
 	"repro/internal/registry"
 	"repro/internal/window"
@@ -131,15 +130,14 @@ func TestAllKindsRoundTrip(t *testing.T) {
 // TestPushIsPushBatchOfOne: a frame that arrives alone and a frame that
 // arrives as a batch of one take the same path, so nothing observable
 // may tell them apart — the replies, the STAT row, the METRICS deltas
-// and the pulled bytes agree for every family, on a direct node, a
-// fronted node and a windowed one (where the range read must agree too).
+// and the pulled bytes agree for every family, on a plain node and a
+// windowed one (where the range read must agree too).
 func TestPushIsPushBatchOfOne(t *testing.T) {
 	flavors := []struct {
 		name  string
 		start func(t *testing.T) (string, func())
 	}{
 		{"direct", startServer},
-		{"fronted", func(t *testing.T) (string, func()) { return startFrontServer(t, 4, time.Hour) }},
 		{"windowed", func(t *testing.T) (string, func()) {
 			_, addr, stop := startWindowedServer(t, window.Ladder{}, 0)
 			return addr, stop
@@ -156,10 +154,10 @@ func TestPushIsPushBatchOfOne(t *testing.T) {
 			defer c.Close()
 			for _, ent := range registry.Entries() {
 				kind := ent.Name()
-				rows := []string{"kind.push." + kind, "kind.merge." + kind, "kind.drop." + kind}
+				rows := []string{"kind.push." + kind, "kind.merge." + kind}
 				// write sends the same three frames one at a time and
 				// returns the replies and what METRICS moved by.
-				write := func(slot string, push func(f rawSummary) (uint64, error)) (replies [3]uint64, delta [3]uint64) {
+				write := func(slot string, push func(f rawSummary) (uint64, error)) (replies [3]uint64, delta [2]uint64) {
 					before, err := c.Metrics()
 					if err != nil {
 						t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding"
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -118,20 +119,30 @@ func TestPushBatchErrors(t *testing.T) {
 }
 
 // TestConcurrentPushStress hammers one slot from many goroutines with
-// a mix of PUSH and PUSHB and asserts the merged total equals the sum
-// of everything pushed — the slot lock must serialize batch merges
-// correctly. Run under -race (the Makefile's check target does).
+// a mix of PUSH and PUSHB and holds the write path to its one meaning
+// of "OK <n>": every write adds the same weight, and the slot lock
+// absorbs each write whole, so the replies across all clients are
+// exactly the multiples of that weight up to the total — each the
+// merged slot's N right after its write — and the final reply total is
+// STAT's N and PULL's N. METRICS conserves kind.push = kind.merge +
+// installed. Run under -race (the Makefile's check target does).
 func TestConcurrentPushStress(t *testing.T) {
 	addr, stop := startServer(t)
 	defer stop()
 
 	const (
+		k          = 32
 		workers    = 8
 		rounds     = 20
 		perBatch   = 5
 		itemWeight = 3
+		perWrite   = perBatch * itemWeight // a PUSHB and a PUSH weigh the same
 	)
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		replies []uint64
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(id int) {
@@ -143,31 +154,47 @@ func TestConcurrentPushStress(t *testing.T) {
 			}
 			defer c.Close()
 			for r := 0; r < rounds; r++ {
+				var n uint64
 				if r%2 == 0 {
 					batch := make([]encoding.BinaryMarshaler, perBatch)
 					for i := range batch {
-						s := mg.New(32)
+						s := mg.New(k)
 						s.Update(core.Item(id*1000+i), itemWeight)
 						batch[i] = s
 					}
-					if _, err := c.PushBatch("stress", "mg", batch); err != nil {
+					if n, err = c.PushBatch("stress", "mg", batch); err != nil {
 						t.Errorf("worker %d round %d: PushBatch: %v", id, r, err)
 						return
 					}
 				} else {
-					s := mg.New(32)
+					s := mg.New(k)
 					for i := 0; i < perBatch; i++ {
 						s.Update(core.Item(id*1000+i), itemWeight)
 					}
-					if _, err := c.Push("stress", "mg", s); err != nil {
+					if n, err = c.Push("stress", "mg", s); err != nil {
 						t.Errorf("worker %d round %d: Push: %v", id, r, err)
 						return
 					}
 				}
+				mu.Lock()
+				replies = append(replies, n)
+				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
+
+	const writes = workers * rounds
+	const want = uint64(writes * perWrite)
+	sort.Slice(replies, func(i, j int) bool { return replies[i] < replies[j] })
+	if len(replies) != writes {
+		t.Fatalf("%d replies, want %d", len(replies), writes)
+	}
+	for i, n := range replies {
+		if n != uint64(i+1)*perWrite {
+			t.Fatalf("sorted reply %d = %d, want %d: a reply is not the slot's N after its write", i, n, uint64(i+1)*perWrite)
+		}
+	}
 
 	c, err := Dial(addr)
 	if err != nil {
@@ -178,7 +205,6 @@ func TestConcurrentPushStress(t *testing.T) {
 	if _, err := decoded(&merged)(c.PullFrame("stress")); err != nil {
 		t.Fatal(err)
 	}
-	want := uint64(workers * rounds * perBatch * itemWeight)
 	if merged.N() != want {
 		t.Fatalf("merged N=%d, want %d", merged.N(), want)
 	}
@@ -187,7 +213,14 @@ func TestConcurrentPushStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPushes := uint64(workers * (rounds/2*perBatch + (rounds - rounds/2)))
-	if len(infos) != 1 || infos[0].Pushes != wantPushes {
-		t.Fatalf("stat = %+v, want %d pushes", infos, wantPushes)
+	if len(infos) != 1 || infos[0].N != want || infos[0].Pushes != wantPushes {
+		t.Fatalf("stat = %+v, want n=%d and %d pushes", infos, want, wantPushes)
+	}
+	m, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if push, rest := m["kind.push.mg"], m["kind.merge.mg"]+1; push != wantPushes || push != rest {
+		t.Fatalf("kind.push.mg = %d, kind.merge.mg + installed = %d, want both %d", push, rest, wantPushes)
 	}
 }

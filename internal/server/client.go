@@ -126,10 +126,9 @@ func (c *Client) readRow(what string, want int) ([][]byte, error) {
 
 // push is the one sender of a write: frames go out behind a PUSH line,
 // or — batched — behind PUSHB lines of at most MaxBatch frames each, and
-// the last "OK <n>" reply is the weight acknowledged into the slot so
-// far (the merged slot's N, or its running total on a server with the
-// ingest front on). The line is appended into w's own buffer, as a
-// read's is (query.writeLine).
+// the last "OK <n>" reply is the merged slot's N after the write. The
+// line is appended into w's own buffer, as a read's is
+// (query.writeLine).
 func (c *Client) push(slot, kind string, batched bool, frames ...[]byte) (n uint64, err error) {
 	if len(frames) == 0 {
 		return 0, fmt.Errorf("server: empty batch")

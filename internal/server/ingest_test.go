@@ -3,38 +3,23 @@ package server
 import (
 	"encoding"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mg"
 )
 
-// startFrontServer returns a running server with the PUSHB ingest
-// front enabled.
-func startFrontServer(t *testing.T, lanes int, tick time.Duration) (string, func()) {
-	t.Helper()
-	s := New()
-	s.SetIngestFront(lanes, tick)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve() }()
-	return addr, func() {
-		s.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}
-}
+// The tests in this file are named for the ingest front the server once
+// had (per-connection lanes flushed by a ticker and before every read).
+// Each guarantee they checked there now holds on the one write path:
+// decode off the lock, one locked absorb, "OK <slot N>".
 
-// A PULL issued after a front-mode PUSHB's OK reply must observe the
-// push even if the epoch ticker has not fired: PULL flushes the lanes.
+// A PULL issued after a PUSHB's OK reply observes the push, and the
+// reply's count is the slot's N after the write.
 func TestFrontReadYourWrites(t *testing.T) {
-	addr, stop := startFrontServer(t, 4, time.Hour) // ticker effectively off
+	addr, stop := startServer(t)
 	defer stop()
 
 	c, err := Dial(addr)
@@ -52,7 +37,7 @@ func TestFrontReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 150 {
-		t.Fatalf("front PUSHB returned n=%d, want pushed weight 150", n)
+		t.Fatalf("PUSHB returned n=%d, want the slot's N 150", n)
 	}
 
 	var got mg.Summary
@@ -60,24 +45,22 @@ func TestFrontReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.N() != 150 || got.Estimate(7).Value != 100 || got.Estimate(9).Value != 50 {
-		t.Fatalf("pull after front PUSHB lost data: n=%d", got.N())
+		t.Fatalf("pull after PUSHB lost data: n=%d", got.N())
 	}
 
-	// The reply's count is cumulative pushed weight, monotone across
-	// flushes.
 	s3 := mg.New(16)
 	s3.Update(7, 25)
 	if n, err = c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{s3}); err != nil {
 		t.Fatal(err)
 	}
 	if n != 175 {
-		t.Fatalf("second front PUSHB returned n=%d, want 175", n)
+		t.Fatalf("second PUSHB returned n=%d, want 175", n)
 	}
 }
 
-// STAT must also absorb lane-parked batches.
+// STAT right after a PUSHB reports the batch in the slot's N.
 func TestFrontStatFlushes(t *testing.T) {
-	addr, stop := startFrontServer(t, 4, time.Hour)
+	addr, stop := startServer(t)
 	defer stop()
 
 	c, err := Dial(addr)
@@ -96,14 +79,14 @@ func TestFrontStatFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(infos) != 1 || infos[0].N != 40 {
-		t.Fatalf("STAT after front PUSHB = %+v, want one slot with n=40", infos)
+		t.Fatalf("STAT after PUSHB = %+v, want one slot with n=40", infos)
 	}
 }
 
-// Kind mismatches must be caught even when the slot's only state is
-// lane-parked (summary still nil, ent bound).
+// A slot bound to one kind refuses a frame of another, whether it
+// arrives by PUSHB or by PUSH.
 func TestFrontKindMismatch(t *testing.T) {
-	addr, stop := startFrontServer(t, 4, time.Hour)
+	addr, stop := startServer(t)
 	defer stop()
 
 	c, err := Dial(addr)
@@ -120,25 +103,25 @@ func TestFrontKindMismatch(t *testing.T) {
 	s2 := mg.New(16)
 	s2.Update(2, 1)
 	if _, err := c.PushBatch("flows", "ss", []encoding.BinaryMarshaler{s2}); err == nil {
-		t.Fatal("mismatched kind accepted into front-mode slot")
+		t.Fatal("mismatched kind accepted in a batch")
 	}
 	if _, err := c.Push("flows", "ss", s2); err == nil {
-		t.Fatal("mismatched single PUSH accepted into front-mode slot")
+		t.Fatal("mismatched single PUSH accepted")
 	}
 }
 
-// TestFrontConcurrentStress races front-mode PUSHB against PULL with a
-// fast epoch tick (run under -race): weight must be conserved and
-// every pulled snapshot must be a valid MG summary whose N never
-// exceeds the total pushed so far.
+// TestFrontConcurrentStress races PUSHB against PULL (run under -race):
+// weight is conserved, and every pulled snapshot is a valid MG summary
+// holding a whole number of batches and never more than was pushed.
 func TestFrontConcurrentStress(t *testing.T) {
 	const (
 		k        = 64
 		workers  = 8
 		batches  = 30
 		perBatch = 4
+		perFrame = 128
 	)
-	addr, stop := startFrontServer(t, 4, time.Millisecond)
+	addr, stop := startServer(t)
 	defer stop()
 
 	var (
@@ -164,7 +147,7 @@ func TestFrontConcurrentStress(t *testing.T) {
 				var ln uint64
 				for i := range frames {
 					s := mg.New(k)
-					for j := 0; j < 128; j++ {
+					for j := 0; j < perFrame; j++ {
 						x := core.Item(rng.Intn(48))
 						s.Update(x, 1)
 						local[x]++
@@ -190,7 +173,7 @@ func TestFrontConcurrentStress(t *testing.T) {
 		}(wk)
 	}
 
-	// Reader racing the pushes and the epoch ticks.
+	// Reader racing the pushes.
 	stopRead := make(chan struct{})
 	var readWG sync.WaitGroup
 	readWG.Add(1)
@@ -215,8 +198,8 @@ func TestFrontConcurrentStress(t *testing.T) {
 			mu.Lock()
 			ceiling := total
 			mu.Unlock()
-			if got.N() > ceiling {
-				t.Errorf("pulled N=%d exceeds pushed total %d", got.N(), ceiling)
+			if got.N() > ceiling || got.N()%(perBatch*perFrame) != 0 {
+				t.Errorf("pulled N=%d: not a whole number of batches within the %d pushed", got.N(), ceiling)
 				return
 			}
 		}
@@ -226,7 +209,6 @@ func TestFrontConcurrentStress(t *testing.T) {
 	close(stopRead)
 	readWG.Wait()
 
-	// Final pull observes everything (PULL flushes the lanes).
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -254,11 +236,10 @@ func TestFrontConcurrentStress(t *testing.T) {
 	}
 }
 
-// On a fronted node every write goes through the lanes, so OK <n> means
-// one thing whatever mix of PUSH and PUSHB produced it: the weight
-// acknowledged into the slot so far.
+// OK <n> means one thing whatever mix of PUSH and PUSHB produced it:
+// the merged slot's N after the write.
 func TestFrontMixedWriteTotals(t *testing.T) {
-	addr, stop := startFrontServer(t, 4, time.Hour)
+	addr, stop := startServer(t)
 	defer stop()
 	c, err := Dial(addr)
 	if err != nil {
@@ -293,12 +274,12 @@ func TestFrontMixedWriteTotals(t *testing.T) {
 	}
 }
 
-// A lane summary is acknowledged when it is parked; whether the slot can
-// absorb it is only known at flush time. One it cannot (mg k=16 into a
-// k=8 slot) must not vanish unseen: it is counted as a drop of its kind,
-// and the counters still account for every acknowledged frame.
+// No write is acknowledged and then dropped: one the slot cannot absorb
+// (mg k=16 into a k=8 slot) is refused in its reply, by PUSH and by
+// PUSHB, leaves the slot's N and push count as they were and moves no
+// counter, and METRICS serves no drop row.
 func TestFrontFlushDropIsCounted(t *testing.T) {
-	addr, stop := startFrontServer(t, 4, time.Hour)
+	addr, stop := startServer(t)
 	defer stop()
 	c, err := Dial(addr)
 	if err != nil {
@@ -311,15 +292,15 @@ func TestFrontFlushDropIsCounted(t *testing.T) {
 	if n, err := c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{small}); err != nil || n != 100 {
 		t.Fatalf("PUSHB k=8: n=%d err=%v, want 100", n, err)
 	}
-	var pulled mg.Summary
-	if _, err := decoded(&pulled)(c.PullFrame("flows")); err != nil { // flush: the slot is k=8 now
-		t.Fatal(err)
-	}
 	big := mg.New(16)
 	big.Update(2, 50)
-	if n, err := c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{big}); err != nil || n != 150 {
-		t.Fatalf("PUSHB k=16: n=%d err=%v, want it acknowledged as 150", n, err)
+	if _, err := c.Push("flows", "mg", big); err == nil {
+		t.Fatal("PUSH k=16 into a k=8 slot acknowledged")
 	}
+	if _, err := c.PushBatch("flows", "mg", []encoding.BinaryMarshaler{big}); err == nil {
+		t.Fatal("PUSHB k=16 into a k=8 slot acknowledged")
+	}
+	var pulled mg.Summary
 	if _, err := decoded(&pulled)(c.PullFrame("flows")); err != nil {
 		t.Fatal(err)
 	}
@@ -327,27 +308,20 @@ func TestFrontFlushDropIsCounted(t *testing.T) {
 		t.Fatalf("PULL N = %d, want the k=8 slot's 100", pulled.N())
 	}
 	rows, err := c.Stat()
-	if err != nil || len(rows) != 1 || rows[0].N != 100 || rows[0].Pushes != 2 {
-		t.Fatalf("STAT = %+v, %v; want one slot, n=100, both acknowledged pushes counted", rows, err)
+	if err != nil || len(rows) != 1 || rows[0].N != 100 || rows[0].Pushes != 1 {
+		t.Fatalf("STAT = %+v, %v; want one slot, n=100, one push", rows, err)
 	}
 	m, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["kind.drop.mg"] != 1 {
-		t.Fatalf("kind.drop.mg = %d, want 1: the acknowledged k=16 write was lost unseen", m["kind.drop.mg"])
+	for name := range m {
+		if strings.HasPrefix(name, "kind.drop.") {
+			t.Fatalf("METRICS serves %s: no write is acknowledged and then dropped", name)
+		}
 	}
-	// Two frames acknowledged: one installed, none merged, one dropped.
-	if push, rest := m["kind.push.mg"], m["kind.merge.mg"]+1+m["kind.drop.mg"]; push != 2 || push != rest {
-		t.Fatalf("kind.push.mg = %d, merge + installed + drop = %d, want both 2", push, rest)
-	}
-
-	// A mismatch met in the lane is refused in the reply, not dropped
-	// later: with a k=16 summary parked, a k=8 write cannot join it.
-	if _, err := c.Push("flows", "mg", big); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Push("flows", "mg", small); err == nil {
-		t.Fatal("k=8 write merged into a lane holding k=16")
+	// One frame acknowledged and installed, none merged.
+	if push, rest := m["kind.push.mg"], m["kind.merge.mg"]+1; push != 1 || push != rest {
+		t.Fatalf("kind.push.mg = %d, kind.merge.mg + installed = %d, want both 1", push, rest)
 	}
 }

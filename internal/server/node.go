@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/registry"
-	"repro/internal/shard"
 	"repro/internal/window"
 )
 
@@ -48,14 +46,6 @@ type slot struct {
 	// snap is the epoch-cached encoding, valid iff snap.version ==
 	// version. Published under mu, loaded lock-free.
 	snap atomic.Pointer[snapshot]
-
-	// front is the slot's per-lane ingest front, created under mu by the
-	// first write once the node has ingest fronting enabled (see
-	// SetIngestFront). nil on nodes running the default direct-merge
-	// path. pushedN totals the weight acknowledged into the lanes, so a
-	// fronted write's reply stays meaningful without flushing.
-	front   atomic.Pointer[shard.Front]
-	pushedN atomic.Uint64
 
 	// plane is the slot's multi-resolution roll-up plane, bound with
 	// ent on windowed nodes (SetWindow); nil otherwise. Guarded by mu
@@ -97,7 +87,6 @@ type kindCounters struct {
 	pushes atomic.Uint64 // frames ingested (PUSH + each PUSHB frame)
 	pulls  atomic.Uint64 // encoded serves (PULL, QWIN and peer fan-in reads)
 	merges atomic.Uint64 // registry merges executed on the way into a slot
-	drops  atomic.Uint64 // acknowledged lane summaries a slot could not absorb
 }
 
 // SlotRow is one slot's STAT view.
@@ -108,23 +97,16 @@ type SlotRow struct {
 	Pushes uint64
 }
 
-// Node is the slot/registry/ingest-front core of the aggregation
-// plane, with no network attached: a named slot table, the
-// epoch-versioned snapshot cache serving encoded reads, the optional
-// per-lane ingest front, the optional per-slot roll-up planes, and
-// per-kind operation counters. The network Server layers the wire
+// Node is the slot/registry core of the aggregation plane, with no
+// network attached: a named slot table, the epoch-versioned snapshot
+// cache serving encoded reads, the optional per-slot roll-up planes,
+// and per-kind operation counters. The network Server layers the wire
 // protocol over exactly these methods, and the cluster fan-in reuses
 // them for its local share — one process can act as ingest node,
 // aggregator, or both without duplicating slot state.
 type Node struct {
 	mu    sync.Mutex
 	slots map[string]*slot // guarded by mu
-
-	// frontLanes > 0 enables the per-lane ingest front: every write folds
-	// into a per-connection lane and the slot absorbs the lanes on the
-	// epoch tick (frontTick) or at the next read.
-	frontLanes int
-	frontTick  time.Duration
 
 	// windowed nodes (SetWindow) give every slot a roll-up plane with
 	// this ladder shape; winTick > 0 additionally drives the epoch
@@ -154,25 +136,10 @@ func NewNode() *Node {
 	return n
 }
 
-// SetIngestFront enables the per-lane ingest front (off by default).
-// With the front on, every write — one frame or a batch — is folded into
-// a single summary off any lock and parked in a per-connection lane; the
-// slot absorbs the lanes on the epoch tick (every tick) and before any
-// read, so concurrent pushers stop contending on the slot lock while
-// reads stay read-your-writes. A write's reply then reports the total
-// weight acknowledged into the slot so far (monotone) instead of the
-// merged N. lanes < 1 selects GOMAXPROCS lanes; tick <= 0 selects 5ms.
-// Call before serving.
-func (n *Node) SetIngestFront(lanes int, tick time.Duration) {
-	if lanes < 1 {
-		lanes = runtime.GOMAXPROCS(0)
-	}
-	if tick <= 0 {
-		tick = 5 * time.Millisecond
-	}
-	n.frontLanes = lanes
-	n.frontTick = tick
-}
+// SetIngestFront does nothing: every write takes the one direct path.
+// Kept only because benchmark/probe.go calls it (ROADMAP item 1h
+// deletes it with that caller).
+func (n *Node) SetIngestFront(lanes int, tick time.Duration) {}
 
 // SetWindow enables windowed mode (off by default): every slot's
 // pushes additionally feed a per-slot multi-resolution roll-up plane
@@ -253,8 +220,7 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 
 // bindLocked fixes the slot's family on first contact — creating its
 // roll-up plane on windowed nodes — and rejects a push of any other
-// family. A fronted slot is bound by its first write while its only data
-// is still parked in a lane, so the check keys on ent, not on summary.
+// family.
 func (n *Node) bindLocked(sl *slot, name string, ent *registry.Entry) error {
 	if sl.ent == nil {
 		sl.ent = ent
@@ -266,9 +232,8 @@ func (n *Node) bindLocked(sl *slot, name string, ent *registry.Entry) error {
 }
 
 // ingestLocked is the one step that puts a summary into a bound slot,
-// run under sl.mu by both ingest mechanisms — per pushed frame on the
-// direct path, per drained lane on a fronted node: install incoming or
-// merge it in, feed the slot's roll-up plane, recycle, count the merge.
+// run under sl.mu once per pushed frame: install incoming or merge it
+// in, feed the slot's roll-up plane, recycle, count the merge.
 // Ownership of incoming ends here either way: after a failed merge the
 // slot may be partially mutated and incoming may alias its state, so it
 // is dropped unrecycled, and the caller must bump the version so no
@@ -314,22 +279,17 @@ func (n *Node) Ingest(name string, ent *registry.Entry, incoming any) (uint64, e
 }
 
 // IngestBatch decodes nothing: it takes already-decoded summaries of
-// ent's family and gets them into the named slot, binding the slot's
-// kind on first contact — the one write path, whether the frames arrived
-// alone or in a batch. On a direct node they are absorbed one by one
-// under a single acquisition of the slot lock and the returned total is
-// the slot's weight afterwards; frames preceding a failed merge stay
-// merged and the error reports the failing index. On a node running the
-// ingest front they are parked in a lane off the slot lock (ingestFront;
-// token spreads connections across lanes) and absorbed later by the same
-// step. Ownership of every element transfers to the node: each is
-// installed, recycled through the registry pool, or (after a failed
-// merge) dropped.
+// ent's family and absorbs them one by one into the named slot under a
+// single acquisition of the slot lock, binding the slot's kind on first
+// contact — the one write path, whether the frames arrived alone or in
+// a batch. The returned total is the slot's weight afterwards; frames
+// preceding a failed merge stay merged and the error reports the
+// failing index. Ownership of every element transfers to the node: each
+// is installed, recycled through the registry pool, or (after a failed
+// merge) dropped. token is unused; it is kept only because benchmark/
+// passes one (ROADMAP item 1h drops it with those callers).
 func (n *Node) IngestBatch(name string, ent *registry.Entry, decoded []any, token uint64) (uint64, error) {
 	sl := n.getSlot(name)
-	if n.frontLanes > 0 {
-		return n.ingestFront(sl, name, ent, decoded, token)
-	}
 	sl.mu.Lock()
 	if err := n.bindLocked(sl, name, ent); err != nil {
 		sl.mu.Unlock()
@@ -354,96 +314,13 @@ func (n *Node) IngestBatch(name string, ent *registry.Entry, decoded []any, toke
 	return total, nil
 }
 
-// ingestFront is the lane mechanism: the already-decoded frames are
-// folded into one summary with no lock held, the slot binds its kind
-// under a brief critical section, and the folded summary lands in the
-// connection's front lane — so concurrent writers to the same slot
-// contend (at worst) on a lane mutex held for one merge, never on the
-// slot lock. The slot absorbs the lanes on the epoch tick or at the next
-// read (flushFront). The returned total is the weight acknowledged into
-// the slot so far — every write's reply on a fronted node, single or
-// batched — rather than the merged slot's N, which would need a flush;
-// a failed fold or lane merge acknowledges nothing.
-func (n *Node) ingestFront(sl *slot, name string, ent *registry.Entry, decoded []any, token uint64) (uint64, error) {
-	folded := decoded[0]
-	for i, d := range decoded[1:] {
-		if err := ent.Merge(folded, d); err != nil {
-			recycle(ent, decoded[i+2:])
-			return 0, fmt.Errorf("merge frame %d/%d: %v", i+2, len(decoded), err)
-		}
-		ent.PutScratch(d)
-	}
-	sl.mu.Lock()
-	err := n.bindLocked(sl, name, ent)
-	fr := sl.front.Load()
-	if err == nil && fr == nil {
-		fr = shard.NewFront(ent, n.frontLanes)
-		sl.front.Store(fr)
-	}
-	sl.mu.Unlock()
-	if err != nil {
-		ent.PutScratch(folded)
-		return 0, err
-	}
-	w := ent.N(folded)
-	consumed, err := fr.Push(token, folded)
-	if err != nil {
-		return 0, fmt.Errorf("merge: %v", err)
-	}
-	merges := len(decoded) - 1
-	if !consumed {
-		merges++
-		ent.PutScratch(folded)
-	}
-	n.counters(ent).merges.Add(uint64(merges))
-	n.countPushes(sl, ent, len(decoded))
-	return sl.pushedN.Add(w), nil
-}
-
-// flushFront drains the slot's ingest front (if any) and absorbs the
-// pending per-lane summaries under the slot lock, making them visible
-// to reads — and, on windowed nodes, to the slot's roll-up plane. A lane
-// holds one family, but shape is only checked by the merge itself: a
-// lane summary the slot cannot absorb (mg k=16 into a k=8 slot) was
-// acknowledged when it was parked and is lost here, which is counted as
-// a drop of its kind rather than passed over in silence.
-func (n *Node) flushFront(sl *slot) {
-	fr := sl.front.Load()
-	if fr == nil || !fr.Dirty() {
-		return
-	}
-	pending := fr.Drain()
-	if len(pending) == 0 {
-		return
-	}
-	sl.mu.Lock()
-	for _, p := range pending {
-		if n.ingestLocked(sl, p) != nil {
-			n.counters(sl.ent).drops.Add(1)
-		}
-	}
-	sl.version.Add(1)
-	sl.mu.Unlock()
-}
-
-// FlushFronts absorbs every slot's lane-parked ingest. The serving
-// layer's epoch ticker calls this each tick, bounding the staleness of
-// lane-parked data even when nobody pulls.
-func (n *Node) FlushFronts() {
-	for _, sl := range n.snapshotSlots() {
-		n.flushFront(sl)
-	}
-}
-
 // AdvanceWindows seals the live epoch of every windowed slot's plane
-// (roll-ups included: they are part of the seal), absorbing lane-parked
-// ingest first so front-mode pushes land in the epoch that was open
-// when they arrived, and advances the node-wide epoch sequence. The
+// (roll-ups included: they are part of the seal) and advances the
+// node-wide epoch sequence. The
 // epoch ticker calls this every tick; tests call it directly for
 // deterministic epochs.
 func (n *Node) AdvanceWindows() {
 	for _, sl := range n.snapshotSlots() {
-		n.flushFront(sl)
 		sl.mu.Lock()
 		pl := sl.plane
 		sl.mu.Unlock()
@@ -456,26 +333,21 @@ func (n *Node) AdvanceWindows() {
 	n.winEpoch.Add(1)
 }
 
-// Drain is the graceful-shutdown flush: every slot's lane-parked
-// ingest is absorbed and, on windowed nodes, the live window epoch is
-// sealed — so the node's final serveable state (and its roll-up
-// history) contains everything a push reply ever acknowledged.
+// Drain is the graceful-shutdown seal: on windowed nodes the live
+// window epoch is sealed, so the roll-up history holds every push a
+// reply acknowledged.
 func (n *Node) Drain() {
-	n.FlushFronts()
 	if n.windowed {
 		n.AdvanceWindows()
 	}
 }
 
-// Encoded returns the named slot's kind and wire frame, absorbing any
-// lane-parked batches first: an encoded read issued after a front-mode
-// push's OK reply must observe that push.
+// Encoded returns the named slot's kind and wire frame.
 func (n *Node) Encoded(name string) (string, []byte, error) {
 	sl, ok := n.lookupSlot(name)
 	if !ok {
 		return "", nil, fmt.Errorf("%w %q", errNoSlot, name)
 	}
-	n.flushFront(sl)
 	kind, data, err := sl.encoded()
 	if err != nil {
 		if errors.Is(err, errSlotEmpty) {
@@ -491,14 +363,11 @@ func (n *Node) Encoded(name string) (string, []byte, error) {
 
 // WindowEncoded answers the named slot's epoch range [from, to] from
 // its roll-up plane (0 = oldest retained / through the live epoch).
-// Lane-parked ingest is absorbed first so a windowed read issued after
-// a push's OK reply observes that push in the live epoch.
 func (n *Node) WindowEncoded(name string, from, to uint64) (string, []byte, error) {
 	sl, ok := n.lookupSlot(name)
 	if !ok {
 		return "", nil, fmt.Errorf("%w %q", errNoSlot, name)
 	}
-	n.flushFront(sl)
 	sl.mu.Lock()
 	pl, ent := sl.plane, sl.ent // a plane is bound together with its kind
 	sl.mu.Unlock()
@@ -517,7 +386,7 @@ func (n *Node) WindowEncoded(name string, from, to uint64) (string, []byte, erro
 }
 
 // Rows returns one STAT row per slot in slot-name order, each
-// formatted under its slot's lock, lane-parked ingest absorbed first.
+// formatted under its slot's lock.
 func (n *Node) Rows() []SlotRow {
 	type named struct {
 		name string
@@ -533,7 +402,6 @@ func (n *Node) Rows() []SlotRow {
 	rows := make([]SlotRow, 0, len(slots))
 	for _, s := range slots {
 		row := SlotRow{Name: s.name, Kind: "-"}
-		n.flushFront(s.sl)
 		s.sl.mu.Lock()
 		if s.sl.summary != nil {
 			row.Kind = s.sl.ent.Name()
@@ -564,7 +432,6 @@ type KindStats struct {
 	Pushes uint64
 	Pulls  uint64
 	Merges uint64
-	Drops  uint64 // acknowledged writes lost at flush time; 0 on a healthy node
 }
 
 // Stats returns the per-kind operation tally in registry order.
@@ -578,7 +445,6 @@ func (n *Node) Stats() []KindStats {
 			Pushes: c.pushes.Load(),
 			Pulls:  c.pulls.Load(),
 			Merges: c.merges.Load(),
-			Drops:  c.drops.Load(),
 		})
 	}
 	return out

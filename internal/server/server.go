@@ -8,7 +8,7 @@
 //
 // Protocol (text commands, binary frames):
 //
-//	PUSH <slot> <kind>\n<frame>   → OK <n>\n            merge frame into slot; n = slot weight acknowledged so far
+//	PUSH <slot> <kind>\n<frame>   → OK <n>\n            merge frame into slot; n = the slot's weight after it
 //	PUSHB <slot> <kind> <count>\n then <count> frames
 //	                              → OK <n>\n            PUSH of <count> frames, one round-trip
 //	PULL <slot>\n                 → OK <kind> <len>\n<frame>
@@ -32,7 +32,7 @@
 // peer mode (SetPeers / summaryd -peers), the node PULLs the slot's
 // encoded snapshot from every peer concurrently, reduces the peer
 // partials together with its own local state through the registry's
-// decode-into-scratch path and the one frame reduce (cluster.Reduce),
+// decode-into-scratch path and the one frame reduce (cluster.ReduceEncoded),
 // and replies with the merged frame — the paper's topology-free merge
 // run over the network as a star. Peers missing the slot contribute
 // nothing; a peer that cannot be reached within the per-peer timeout
@@ -66,38 +66,31 @@
 //
 // Both write commands are one path too (write.go):
 //
-//	frames → decode outside any lock → direct or lane → one locked absorb → one reply
+//	frames → decode outside any lock → one locked absorb → one reply
 //
 // Every frame on the wire is preceded by its own "<len>\n" length line,
 // and PUSH is PUSHB of one: a single handler reads the frames the
 // command line announces (up to MaxBatch behind one PUSHB, one reply for
 // all of them, amortizing syscall, parse and slot-lock overhead) into a
 // pooled buffer, decodes each into a pooled scratch summary with no lock
-// held, and hands them to Node.IngestBatch. From there two mechanisms
-// lead to the slot: on a direct node the frames are absorbed under one
-// acquisition of the slot lock; on a node running the ingest front
-// (SetIngestFront / summaryd -front) every write, single or batched, is
-// folded and parked in a per-connection lane and absorbed on the next
-// tick or read. Either way a summary enters the slot through the same
-// locked step (ingestLocked: install or merge, feed the roll-up plane,
-// recycle, count), and the handler's "OK <n>" means one thing: the
-// weight acknowledged into the slot so far — the merged slot's N on a
-// direct node, the running total of acknowledged pushes on a fronted one,
-// which are the same number unless a lane summary could not be absorbed
-// at flush time (METRICS counts that as kind.drop.<kind>; 0 on a healthy
-// node). Frames preceding a failed merge within a direct batch stay
-// merged (the reply reports the error and the failing frame). The client
-// mirrors this with one sender behind Push and PushBatch.
+// held, and hands them to Node.IngestBatch, which absorbs them under one
+// acquisition of the slot lock, each through the same locked step
+// (ingestLocked: install or merge, feed the roll-up plane, recycle,
+// count). The handler's "OK <n>" means one thing: the merged slot's N
+// after the write, and METRICS's counters obey one law, kind.push =
+// kind.merge + summaries installed into a slot. Frames preceding a
+// failed merge within a batch stay merged (the reply reports the error
+// and the failing frame). The client mirrors this with one sender
+// behind Push and PushBatch.
 //
 // Layering: all slot state — the slot table, the epoch-versioned
-// snapshot cache, the per-lane ingest front, the roll-up planes and
-// the per-kind operation counters — lives on Node (node.go), which has
-// no network attached. Server is the wire-protocol shell: it reads
-// frames into pooled buffers, decodes them into pooled scratch
-// summaries entirely outside any slot lock, and calls the node's
-// ingest/read methods; the cluster fan-in reuses the same node methods
-// for the local share. One process can therefore act as ingest node,
-// aggregator, or both.
+// snapshot cache, the roll-up planes and the per-kind operation
+// counters — lives on Node (node.go), which has no network attached.
+// Server is the wire-protocol shell: it reads frames into pooled
+// buffers, decodes them into pooled scratch summaries entirely outside
+// any slot lock, and calls the node's ingest/read methods; the cluster
+// fan-in reuses the same node methods for the local share. One process
+// can therefore act as ingest node, aggregator, or both.
 //
 // Concurrency architecture (the merge plane):
 //
@@ -217,17 +210,13 @@ type Server struct {
 	// Client.Epochs uses.
 	winOrigin atomic.Int64
 
-	// connSeq hands each connection a token that spreads its pushes
-	// across front lanes.
-	connSeq atomic.Uint64
-
 	// draining is set by Shutdown: the listener is closed (no new
 	// connections) while in-flight connections keep being served until
 	// the grace period ends.
 	draining atomic.Bool
 
 	ln     net.Listener
-	loopWg sync.WaitGroup // ticker goroutines, exit on closed
+	loopWg sync.WaitGroup // the window ticker, exits on closed
 	connWg sync.WaitGroup // connection handlers
 	closed chan struct{}
 
@@ -266,10 +255,6 @@ func (s *Server) Serve() error {
 	}
 	if s.windowed {
 		s.winOrigin.Store(time.Now().UnixNano())
-	}
-	if s.frontLanes > 0 {
-		s.loopWg.Add(1)
-		go s.flushLoop()
 	}
 	if s.windowed && s.winTick > 0 {
 		s.loopWg.Add(1)
@@ -350,11 +335,10 @@ func (s *Server) Close() {
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
-// connections, absorbs every slot's lane-parked ingest, seals the live
-// window epoch (windowed servers), then waits up to grace for
-// in-flight connections to finish before closing everything (Close).
-// After the drain the node's serveable state contains every push a
-// reply ever acknowledged — a final PULL equals the pre-shutdown state.
+// connections, seals the live window epoch (windowed servers), then
+// waits up to grace for in-flight connections to finish before closing
+// everything (Close). Every push a reply acknowledged is already in its
+// slot, so a final PULL equals the pre-shutdown state.
 // A connection nobody hangs up — an idle link a peer keeps to this
 // node, say — holds the wait to the full grace period.
 func (s *Server) Shutdown(grace time.Duration) {
@@ -393,23 +377,6 @@ func (s *Server) windowLoop() {
 	}
 }
 
-// flushLoop is the epoch ticker: on servers running the ingest front
-// it absorbs every slot's lanes each tick, bounding the staleness of
-// lane-parked data by frontTick even when nobody pulls.
-func (s *Server) flushLoop() {
-	defer s.loopWg.Done()
-	t := time.NewTicker(s.frontTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-t.C:
-			s.FlushFronts()
-		}
-	}
-}
-
 // writerPool holds the connections' reply writers. A connection takes
 // one per command, once the command line is in, and puts it back after
 // the reply is flushed: an idle connection pins only its reader.
@@ -420,7 +387,6 @@ var writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, fra
 // write.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	token := s.connSeq.Add(1)
 	r := bufio.NewReaderSize(conn, frameChunk)
 	for {
 		line, err := readLine(r)
@@ -433,7 +399,7 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			fmt.Fprintf(w, "ERR %v\n", err)
 		} else {
-			keep = s.command(token, line, r, w)
+			keep = s.command(line, r, w)
 		}
 		w.Flush()
 		w.Reset(nil) // the pool must not pin the connection
@@ -446,14 +412,14 @@ func (s *Server) handle(conn net.Conn) {
 
 // command runs one command line, writing its reply into w; it returns
 // false when the connection must drop.
-func (s *Server) command(token uint64, line []byte, r *bufio.Reader, w *bufio.Writer) bool {
+func (s *Server) command(line []byte, r *bufio.Reader, w *bufio.Writer) bool {
 	fields := strings.Fields(string(line))
 	if len(fields) == 0 {
 		return true
 	}
 	switch verb := strings.ToUpper(fields[0]); verb {
 	case "PUSH", "PUSHB":
-		return s.cmdWrite(verb, token, fields, r, w)
+		return s.cmdWrite(verb, fields, r, w)
 	case "PULL", "PULLC", "QWIN", "QWINC":
 		s.cmdRead(verb, fields, w)
 	case "STAT":
@@ -546,10 +512,9 @@ func (s *Server) cmdStat(w *bufio.Writer) {
 	}
 }
 
-// cmdMetrics handles METRICS: the per-kind push/pull/merge/drop counters
-// (kind.push = kind.merge + summaries installed into a slot + kind.drop,
-// and kind.drop — acknowledged writes a fronted slot could not absorb at
-// flush time — is 0 on a healthy node), the peer fan-out and link
+// cmdMetrics handles METRICS: the per-kind push/pull/merge counters
+// (kind.push = kind.merge + summaries installed into a slot), the peer
+// fan-out and link
 // counters (peer mode), the number of open inbound connections, and the
 // window epoch origin and tick (windowed mode) as "<name> <value>" rows —
 // the first slice of the observability surface, and the epoch↔wall-clock
@@ -562,13 +527,12 @@ func (s *Server) cmdMetrics(w *bufio.Writer) {
 		name string
 		val  uint64
 	}
-	rows := make([]row, 0, 4*16+12)
+	rows := make([]row, 0, 3*16+12)
 	for _, ks := range s.Stats() {
 		rows = append(rows,
 			row{"kind.push." + ks.Kind, ks.Pushes},
 			row{"kind.pull." + ks.Kind, ks.Pulls},
 			row{"kind.merge." + ks.Kind, ks.Merges},
-			row{"kind.drop." + ks.Kind, ks.Drops},
 		)
 	}
 	if len(s.peers) > 0 {

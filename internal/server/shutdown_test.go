@@ -11,15 +11,13 @@ import (
 	"repro/internal/window"
 )
 
-// TestShutdownDrainsFront: a graceful Shutdown absorbs every
-// lane-parked batch before the grace period starts, so a final PULL
-// on a still-open connection sees exactly the acknowledged
-// pre-shutdown state — and new connections are refused.
+// TestShutdownDrainsFront: a graceful Shutdown refuses new connections
+// and serves open ones through the grace period, so a final PULL on a
+// still-open connection sees exactly the acknowledged pre-shutdown
+// state, and the node keeps it after Shutdown. (The test is named for
+// the removed ingest front, whose lanes Shutdown once had to drain.)
 func TestShutdownDrainsFront(t *testing.T) {
 	s := New()
-	// An hour-long flush tick: only Drain (or a PULL) can absorb the
-	// lanes, so the test proves Shutdown does the draining.
-	s.SetIngestFront(4, time.Hour)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +66,7 @@ func TestShutdownDrainsFront(t *testing.T) {
 	}
 
 	// The open connection is served through the grace period; its
-	// final PULL must equal the local fold — nothing parked in a lane
-	// was lost.
+	// final PULL must equal the local fold.
 	wantFrame, err := want.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

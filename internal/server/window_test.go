@@ -147,24 +147,13 @@ func TestQueryWindowDisabled(t *testing.T) {
 	}
 }
 
-// Windowed mode composes with the ingest front: lane-parked batches
-// must be visible to QWIN issued after the push's reply.
+// A PUSHB's frames land whole in the live epoch, so once AdvanceWindows
+// seals it a QWIN issued after the reply serves the batch. (The test is
+// named for the removed ingest front, whose lanes once had to be flushed
+// into the plane first.)
 func TestQueryWindowWithIngestFront(t *testing.T) {
-	s := New()
-	s.SetIngestFront(2, time.Hour) // ticker effectively off; flush on demand
-	s.SetWindow(window.Ladder{Fan: 4, Levels: 2}, 0)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve() }()
-	defer func() {
-		s.Close()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
+	s, addr, stop := startWindowedServer(t, window.Ladder{Fan: 4, Levels: 2}, 0)
+	defer stop()
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +169,7 @@ func TestQueryWindowWithIngestFront(t *testing.T) {
 	if _, err := c.PushBatch("flows", "mg", batch); err != nil {
 		t.Fatal(err)
 	}
-	s.AdvanceWindows() // flushes lanes into the plane, then seals
+	s.AdvanceWindows()
 
 	var got mg.Summary
 	if _, err := decoded(&got)(c.QueryWindowFrame("flows", 1, 1)); err != nil {

@@ -10,15 +10,15 @@ import (
 
 // cmdWrite handles PUSH and PUSHB — PUSH is PUSHB of one. The frames are
 // read one after another into a single pooled buffer and decoded into
-// pooled scratch summaries with no lock held; the node then gets them
-// into the slot, directly or through a lane (IngestBatch). Every frame
+// pooled scratch summaries with no lock held; the node then absorbs
+// them into the slot under one acquisition of its lock (IngestBatch). Every frame
 // the command line announced is consumed whatever a command-layer error
 // (unknown kind, decode failure) says about the frames before it, so the
 // stream stays in sync and the connection usable. It returns false when
 // that is no longer possible and the connection must drop: a line of the
 // wrong arity, an unparseable count or a frame-layer error leaves no way
 // to know where the next command starts.
-func (s *Server) cmdWrite(verb string, token uint64, fields []string, r *bufio.Reader, w *bufio.Writer) bool {
+func (s *Server) cmdWrite(verb string, fields []string, r *bufio.Reader, w *bufio.Writer) bool {
 	count := 1
 	if verb == "PUSH" {
 		if len(fields) != 3 {
@@ -70,7 +70,7 @@ func (s *Server) cmdWrite(verb string, token uint64, fields []string, r *bufio.R
 	putFrame(f)
 	if cmdErr != nil {
 		recycle(ent, decoded) // empty when the kind is unknown
-	} else if n, err := s.IngestBatch(name, ent, decoded, token); err != nil {
+	} else if n, err := s.IngestBatch(name, ent, decoded, 0); err != nil {
 		cmdErr = err
 	} else {
 		fmt.Fprintf(w, "OK %d\n", n)

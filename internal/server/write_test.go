@@ -138,7 +138,7 @@ func TestWriteOneAllocs(t *testing.T) {
 	handler := testing.AllocsPerRun(200, func() {
 		src.Reset(body)
 		r.Reset(src)
-		if !s.cmdWrite("PUSH", 1, fields, r, w) {
+		if !s.cmdWrite("PUSH", fields, r, w) {
 			t.Fatal("handler dropped the connection")
 		}
 		w.Flush()

@@ -1,10 +1,14 @@
-// Package shard is summaryd's ingest front: concurrent producers fold
+// Package shard is a per-lane ingest front: concurrent producers fold
 // incoming summaries into per-lane pending accumulators, and the
 // target's owner drains the lanes into the target. This is the
 // intra-process mirror of the paper's distributed story — the reason
 // it works at all is mergeability: a target that absorbs the lanes'
 // merged pushes carries the same guarantee as one that merged every
 // push directly.
+//
+// summaryd does not use it: every write takes the one direct path. It
+// is kept only because benchmark/probe.go times it (the shard.*
+// probes); ROADMAP item 1h deletes it with that caller.
 package shard
 
 import (

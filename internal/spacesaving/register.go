@@ -16,8 +16,10 @@ func init() {
 			}
 			return s
 		},
-		Merge:         (*Summary).Merge,
-		MergeLowError: (*Summary).MergeLowError,
-		N:             (*Summary).N,
+		// The catalog's one merge is the low-total-error closed form
+		// (Cafaro et al.); the PODS'12 Merge stays a method for
+		// experiment E04.
+		Merge: (*Summary).MergeLowError,
+		N:     (*Summary).N,
 	})
 }

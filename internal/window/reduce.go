@@ -4,9 +4,9 @@ import "fmt"
 
 // Reduce merges encoded frames of one family into a single summary —
 // the one frame reduce the system has: the plane's roll-ups and query
-// covers and the cluster fan-in (cluster.Reduce) all come here, so who
-// picked the merge tree (ladder, peer list, client) never changes how
-// it is folded. It folds as it decodes, on the calling goroutine: frame
+// covers and the cluster fan-in (cluster.ReduceEncoded) all come here,
+// so who picked the merge tree (ladder, peer list, client) never
+// changes how it is folded. It folds as it decodes, on the calling goroutine: frame
 // i is decoded into a pooled scratch summary (in place: a scratch keeps
 // its storage, and one whose decode fails goes back to the pool as it
 // is) and pushed on a stack of partial folds; while the top two cover
