@@ -83,6 +83,36 @@ func IsNoData(err error) bool {
 		strings.Contains(re.Msg, "nothing summarized")
 }
 
+// isRemote reports whether err is a server's ERR reply.
+func isRemote(err error) bool {
+	var re *RemoteError
+	return errors.As(err, &re)
+}
+
+// checkName rejects a slot or kind name a command line cannot carry:
+// an empty one, or one holding ASCII white space or another control
+// byte. Sent as it is, "x\nRESET victim" would end the line early and
+// run the rest as a command of its own.
+func checkName(what, name string) error {
+	if name == "" {
+		return fmt.Errorf("server: empty %s name", what)
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; c <= ' ' || c == 0x7f {
+			return fmt.Errorf("server: %s name %q holds a space or control byte", what, name)
+		}
+	}
+	return nil
+}
+
+// checkPush checks a write's slot and kind names (checkName).
+func checkPush(slot, kind string) error {
+	if err := checkName("slot", slot); err != nil {
+		return err
+	}
+	return checkName("kind", kind)
+}
+
 // Close sends QUIT and closes the connection.
 func (c *Client) Close() error {
 	fmt.Fprintf(c.w, "QUIT\n")
@@ -110,14 +140,15 @@ func (c *Client) readStatus() ([]byte, error) {
 	return bytes.TrimSpace(rest), nil
 }
 
-// readRow reads one STAT or METRICS row as its whitespace-separated
-// fields, of which it wants exactly want.
+// readRow reads one STAT or METRICS row as its fields, split as the
+// server splits a command line (splitFields), of which it wants exactly
+// want.
 func (c *Client) readRow(what string, want int) ([][]byte, error) {
 	line, err := readLine(c.r)
 	if err != nil {
 		return nil, err
 	}
-	f := bytes.Fields(line)
+	f := splitFields(make([][]byte, 0, want+1), line)
 	if len(f) != want {
 		return nil, fmt.Errorf("server: malformed %s row %q", what, bytes.TrimSpace(line))
 	}
@@ -128,8 +159,12 @@ func (c *Client) readRow(what string, want int) ([][]byte, error) {
 // or — batched — behind PUSHB lines of at most MaxBatch frames each, and
 // the last "OK <n>" reply is the merged slot's N after the write. The
 // line is appended into w's own buffer, as a read's is
-// (query.writeLine).
+// (query.writeLine). Names that cannot be sent fail before anything is
+// written (checkPush).
 func (c *Client) push(slot, kind string, batched bool, frames ...[]byte) (n uint64, err error) {
+	if err := checkPush(slot, kind); err != nil {
+		return 0, err
+	}
 	if len(frames) == 0 {
 		return 0, fmt.Errorf("server: empty batch")
 	}
@@ -157,7 +192,7 @@ func (c *Client) push(slot, kind string, batched bool, frames ...[]byte) (n uint
 		if err != nil {
 			return 0, err
 		}
-		if n, err = strconv.ParseUint(string(rest), 10, 64); err != nil {
+		if n, err = parseUint(rest); err != nil {
 			return 0, err
 		}
 	}
@@ -202,24 +237,25 @@ func (c *Client) PushBatch(slot, kind string, summaries []encoding.BinaryMarshal
 	return c.push(slot, kind, true, frames...)
 }
 
-// read sends q — asking for the cluster-wide answer when clusterWide
-// is set — and reads the frame reply.
-func (c *Client) read(q query, clusterWide bool) (string, []byte, error) {
+// send writes the request for q — asking for the cluster-wide answer
+// when clusterWide is set — and flushes it.
+func (c *Client) send(q query, clusterWide bool) error {
 	q.writeLine(c.w, clusterWide)
-	if err := c.w.Flush(); err != nil {
-		return "", nil, err
-	}
+	return c.w.Flush()
+}
+
+// receive reads a frame reply: "OK <kind> <len>\n<frame>".
+func (c *Client) receive() (string, []byte, error) {
 	rest, err := c.readStatus()
 	if err != nil {
 		return "", nil, err
 	}
-	// The reply is "OK <kind> <len>\n<frame>".
 	kind, length, ok := bytes.Cut(rest, []byte(" "))
 	if !ok {
 		return "", nil, fmt.Errorf("server: malformed frame reply %q", rest)
 	}
 	length = bytes.TrimSpace(length)
-	n, err := strconv.Atoi(string(length))
+	n, err := atoi(length)
 	if err != nil || n < 0 || n > maxFrame {
 		return "", nil, fmt.Errorf("server: bad frame length %q", length)
 	}
@@ -231,10 +267,28 @@ func (c *Client) read(q query, clusterWide bool) (string, []byte, error) {
 	return k, buf, nil
 }
 
+// read sends q and reads the frame reply.
+func (c *Client) read(q query, clusterWide bool) (string, []byte, error) {
+	if err := c.send(q, clusterWide); err != nil {
+		return "", nil, err
+	}
+	return c.receive()
+}
+
+// ask is read for a caller's slot name, which is checked first
+// (checkName).
+func (c *Client) ask(slot string, q query, clusterWide bool) (string, []byte, error) {
+	if err := checkName("slot", slot); err != nil {
+		return "", nil, err
+	}
+	q.slot = []byte(slot)
+	return c.read(q, clusterWide)
+}
+
 // PullFrame fetches the named slot's raw encoded frame and its kind,
 // without decoding — the shape fan-in readers and relays want.
 func (c *Client) PullFrame(slot string) (string, []byte, error) {
-	return c.read(query{slot: slot}, false)
+	return c.ask(slot, query{}, false)
 }
 
 // QueryWindowFrame fetches the raw encoded frame of the slot's epoch
@@ -243,7 +297,7 @@ func (c *Client) PullFrame(slot string) (string, []byte, error) {
 // epoch" for to, so QueryWindowFrame(slot, 0, 0) is the
 // all-retained-history query; Epochs maps a wall-clock span to a range.
 func (c *Client) QueryWindowFrame(slot string, from, to uint64) (string, []byte, error) {
-	return c.read(query{slot: slot, ranged: true, from: from, to: to}, false)
+	return c.ask(slot, query{ranged: true, from: from, to: to}, false)
 }
 
 // SlotInfo is one STAT row.
@@ -264,7 +318,7 @@ func (c *Client) Stat() ([]SlotInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := strconv.Atoi(string(rest))
+	count, err := atoi(rest)
 	if err != nil || count < 0 {
 		return nil, fmt.Errorf("server: malformed STAT count %q", rest)
 	}
@@ -274,8 +328,8 @@ func (c *Client) Stat() ([]SlotInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		n, nErr := strconv.ParseUint(string(f[2]), 10, 64)
-		p, pErr := strconv.ParseUint(string(f[3]), 10, 64)
+		n, nErr := parseUint(f[2])
+		p, pErr := parseUint(f[3])
 		if nErr != nil || pErr != nil {
 			return nil, fmt.Errorf("server: malformed STAT row %q", f)
 		}
@@ -286,6 +340,9 @@ func (c *Client) Stat() ([]SlotInfo, error) {
 
 // Reset drops the named slot.
 func (c *Client) Reset(slot string) error {
+	if err := checkName("slot", slot); err != nil {
+		return err
+	}
 	fmt.Fprintf(c.w, "RESET %s\n", slot)
 	if err := c.w.Flush(); err != nil {
 		return err
@@ -299,14 +356,14 @@ func (c *Client) Reset(slot string) error {
 // and reduces the snapshots before replying. Against a node without
 // peers it is a plain PULL.
 func (c *Client) PullClusterFrame(slot string) (string, []byte, error) {
-	return c.read(query{slot: slot}, true)
+	return c.ask(slot, query{}, true)
 }
 
 // QueryWindowClusterFrame fetches the cluster-wide merged frame of the
 // slot's epoch range [from, to] via QWINC (epoch-0 conventions as
 // QueryWindowFrame).
 func (c *Client) QueryWindowClusterFrame(slot string, from, to uint64) (string, []byte, error) {
-	return c.read(query{slot: slot, ranged: true, from: from, to: to}, true)
+	return c.ask(slot, query{ranged: true, from: from, to: to}, true)
 }
 
 // Metrics fetches the server's METRICS counters as a name→value map:
@@ -321,7 +378,7 @@ func (c *Client) Metrics() (map[string]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, err := strconv.Atoi(string(rest))
+	count, err := atoi(rest)
 	if err != nil || count < 0 {
 		return nil, fmt.Errorf("server: malformed METRICS count %q", rest)
 	}
@@ -331,7 +388,7 @@ func (c *Client) Metrics() (map[string]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := strconv.ParseUint(string(f[1]), 10, 64)
+		v, err := parseUint(f[1])
 		if err != nil {
 			return nil, fmt.Errorf("server: malformed METRICS value %q", f)
 		}

@@ -364,11 +364,14 @@ func wedgingPeer(t *testing.T, frame []byte) (addr string, wedge, stop func()) {
 	}
 }
 
-// TestClusterPartialResultOnHungPeer: a fan-in spanning a peer that
-// accepts but never answers must come back within the timeout budget
-// as a partial-result error naming the hung peer — never a hang,
-// never a silent short answer — whether the peer is reached by a fresh
-// dial or through a pooled link that worked a moment ago.
+// TestClusterPartialResultOnHungPeer: a fan-in spanning two members
+// that accept but never answer must come back within the retry budget
+// as a partial-result error naming both — never a hang, never a silent
+// short answer — whether they are reached by fresh dials or through
+// pooled links that worked a moment ago. The fan-in runs on one
+// goroutine, in rounds: two hung members cost one timeout per round
+// between them, (retries+1)·timeout in all, not the sum of theirs. The
+// cluster client's fan-in is the same gather with no retries.
 func TestClusterPartialResultOnHungPeer(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		name := "fresh dial"
@@ -386,17 +389,19 @@ func testPartialResultOnHungPeer(t *testing.T, pooled bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hungAddr, wedge, stopHung := wedgingPeer(t, peerFrame)
-	defer stopHung()
+	hungA, wedgeA, stopA := wedgingPeer(t, peerFrame)
+	defer stopA()
+	hungB, wedgeB, stopB := wedgingPeer(t, peerFrame)
+	defer stopB()
 
-	const timeout = 150 * time.Millisecond
+	const timeout, retries = 150 * time.Millisecond, 1
 	s := New()
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerList := []string{addr, hungAddr}
-	s.SetPeers(addr, peerList, timeout, 0)
+	peerList := []string{addr, hungA, hungB}
+	s.SetPeers(addr, peerList, timeout, retries)
 	done := make(chan error, 1)
 	go func() { done <- s.Serve() }()
 	defer func() {
@@ -411,6 +416,11 @@ func testPartialResultOnHungPeer(t *testing.T, pooled bool) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cc, err := DialCluster(peerList, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
 	sum := mg.New(16)
 	sum.Update(1, 7)
 	if _, err := c.Push("pq", "mg", sum); err != nil {
@@ -418,39 +428,46 @@ func testPartialResultOnHungPeer(t *testing.T, pooled bool) {
 	}
 
 	if pooled {
-		// One good fan-in leaves an idle link to the peer behind; the
-		// read below goes out on it.
+		// One good fan-in each leaves an idle link to every peer behind;
+		// the reads below go out on them.
 		var got mg.Summary
-		if _, err := decoded(&got)(c.PullClusterFrame("pq")); err != nil || got.N() != 12 {
-			t.Fatalf("fan-in before the peer wedged: n=%d err=%v", got.N(), err)
+		if _, err := decoded(&got)(c.PullClusterFrame("pq")); err != nil || got.N() != 17 {
+			t.Fatalf("fan-in before the peers wedged: n=%d err=%v", got.N(), err)
 		}
-		if m, err := c.Metrics(); err != nil || m["peer.idle"] != 1 {
-			t.Fatalf("peer.idle = %d (err %v) after a good fan-in, want 1", m["peer.idle"], err)
+		if _, err := decoded(&got)(cc.PullAllFrame("pq")); err != nil || got.N() != 17 {
+			t.Fatalf("client fan-in before the peers wedged: n=%d err=%v", got.N(), err)
+		}
+		if m, err := c.Metrics(); err != nil || m["peer.idle"] != 2 {
+			t.Fatalf("peer.idle = %d (err %v) after a good fan-in, want 2", m["peer.idle"], err)
 		}
 	}
-	wedge()
+	wedgeA()
+	wedgeB()
 
-	start := time.Now()
-	_, _, err = c.PullClusterFrame("pq")
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("fan-in over a hung peer succeeded")
+	// The documented bound: (retries+1)·timeout, dials included — two
+	// attempts at 150ms for the server, one for the client — plus
+	// scheduling slack.
+	check := func(who string, retries int, read func() (string, []byte, error)) error {
+		t.Helper()
+		start := time.Now()
+		_, _, err := read()
+		elapsed := time.Since(start)
+		if err == nil {
+			t.Fatalf("%s over two hung peers succeeded", who)
+		}
+		if !strings.Contains(err.Error(), "partial result (1/3 peers ok)") || !strings.Contains(err.Error(), hungA) || !strings.Contains(err.Error(), hungB) {
+			t.Fatalf("%s: partial-result error does not name both hung peers: %v", who, err)
+		}
+		if bound := time.Duration(retries+1)*timeout + 250*time.Millisecond; elapsed > bound {
+			t.Fatalf("%s over two hung peers took %v, want <= %v: the round deadline is not cutting them off", who, elapsed, bound)
+		}
+		return err
 	}
 	var re *RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("want a server ERR reply, got %v", err)
+	if err := check("PULLC", retries, func() (string, []byte, error) { return c.PullClusterFrame("pq") }); !errors.As(err, &re) {
+		t.Fatalf("PULLC: want a server ERR reply, got %v", err)
 	}
-	if !strings.Contains(re.Msg, "partial result") || !strings.Contains(re.Msg, hungAddr) {
-		t.Fatalf("partial-result error does not name the hung peer: %q", re.Msg)
-	}
-	if !strings.Contains(re.Msg, "1/2 peers ok") {
-		t.Fatalf("partial-result error miscounts: %q", re.Msg)
-	}
-	// The documented bound: (retries+1)·timeout, dial included — one
-	// attempt at 150ms here — plus scheduling slack.
-	if bound := timeout + 250*time.Millisecond; elapsed > bound {
-		t.Fatalf("fan-in over a hung peer took %v, want <= %v: the per-attempt deadline is not cutting it off", elapsed, bound)
-	}
+	check("PullAllFrame", 0, func() (string, []byte, error) { return cc.PullAllFrame("pq") })
 
 	// The same slot is still answerable node-locally.
 	var got mg.Summary
@@ -458,17 +475,61 @@ func testPartialResultOnHungPeer(t *testing.T, pooled bool) {
 		t.Fatalf("local PULL after failed fan-in: n=%d err=%v", got.N(), err)
 	}
 
-	// And the failure shows up in the fan-out counters.
+	// And the failures show up in the fan-out counters: one fan-in over
+	// the wedged peers, retrying both.
 	m, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m["peer.fanouts"] == 0 || m["peer.errors"] == 0 {
-		t.Fatalf("fan-out counters missed the failure: %v", m)
+	if m["peer.errors"] != 2 || m["peer.retries"] != 2 {
+		t.Fatalf("fan-out counters missed the failures: peer.errors = %d, peer.retries = %d, want 2 and 2", m["peer.errors"], m["peer.retries"])
 	}
-	// The link that timed out was hung up, not put back.
+	// The links that timed out were hung up, not put back.
 	if m["peer.idle"] != 0 {
-		t.Fatalf("peer.idle = %d after a timed-out read, want 0", m["peer.idle"])
+		t.Fatalf("peer.idle = %d after timed-out reads, want 0", m["peer.idle"])
+	}
+}
+
+// TestClusterHungPeerSparesTheNext: the fan-in reads replies in member
+// order, so a member listed after a hung one is read only once the
+// round's deadline has passed. Its reply, there since long before, is
+// still taken: the partial result names the hung member alone.
+func TestClusterHungPeerSparesTheNext(t *testing.T) {
+	hungAddr, wedge, stopHung := wedgingPeer(t, nil)
+	defer stopHung()
+	wedge()
+	liveAddr, stopLive := startServer(t)
+	defer stopLive()
+	lc, err := Dial(liveAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	pushMG(t, lc, "sp", 3, 4)
+
+	const timeout = 150 * time.Millisecond
+	s := New()
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetPeers(addr, []string{addr, hungAddr, liveAddr}, timeout, 0)
+	done := make(chan error, 1)
+	go func() { done <- s.Serve() }()
+	defer func() {
+		s.Close()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, _, err = c.PullClusterFrame("sp")
+	if err == nil || !strings.Contains(err.Error(), "partial result (2/3 peers ok)") || !strings.Contains(err.Error(), hungAddr) || strings.Contains(err.Error(), liveAddr) {
+		t.Fatalf("fan-in over a hung and a live peer: %v, want a partial result naming only %s", err, hungAddr)
 	}
 }
 

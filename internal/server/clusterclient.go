@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding"
-	"errors"
 	"fmt"
 	"time"
 
@@ -13,9 +12,10 @@ import (
 // list: pushes are routed to the slot key's owner on a consistent-hash
 // ring (every client computes the same ring from the same node list,
 // so all writers of a slot land on one node without coordination), and
-// PullAllFrame answers cluster-wide reads by pulling every node's snapshot
-// concurrently and reducing them client-side — the very gather the
-// server's PULLC runs (read.go), minus the extra network hop.
+// PullAllFrame answers cluster-wide reads by pulling every node's
+// snapshot — every request written before any reply is read — and
+// reducing them client-side: the very gather the server's PULLC runs
+// (read.go), minus the extra network hop.
 //
 // Nodes are reached as the server's fan-in reaches its peers, over
 // links kept between calls (links.go): a call costs at most timeout per
@@ -26,10 +26,8 @@ import (
 // A ClusterClient is meant for one goroutine, which never needs more
 // than one link per node. Open one per goroutine.
 type ClusterClient struct {
-	ring    *cluster.Ring
-	nodes   []string
-	links   []*links // lazily dialed, index-aligned with nodes
-	timeout time.Duration
+	ring *cluster.Ring
+	fan  *fanIn // over every node, none in process, no retries; links dialed lazily
 }
 
 // DialCluster builds a routing client over the node list. Connections
@@ -44,17 +42,13 @@ func DialCluster(nodes []string, timeout time.Duration) (*ClusterClient, error) 
 	if timeout <= 0 {
 		timeout = DefaultPeerTimeout
 	}
-	cc := &ClusterClient{ring: ring, nodes: ring.Nodes(), timeout: timeout}
-	for _, addr := range cc.nodes {
-		cc.links = append(cc.links, &links{addr: addr})
-	}
-	return cc, nil
+	return &ClusterClient{ring: ring, fan: newFanIn(ring.Nodes(), -1, timeout, 0)}, nil
 }
 
 // Close closes every open connection, returning the first error.
 func (cc *ClusterClient) Close() error {
 	var first error
-	for _, l := range cc.links {
+	for _, l := range cc.fan.links {
 		if err := l.drop(); err != nil && first == nil {
 			first = err
 		}
@@ -64,7 +58,7 @@ func (cc *ClusterClient) Close() error {
 
 // Nodes returns the cluster's node list. The slice is shared; callers
 // must not mutate it.
-func (cc *ClusterClient) Nodes() []string { return cc.nodes }
+func (cc *ClusterClient) Nodes() []string { return cc.fan.members }
 
 // Owner returns the node a slot key routes to.
 func (cc *ClusterClient) Owner(slot string) string { return cc.ring.Owner(slot) }
@@ -73,10 +67,9 @@ func (cc *ClusterClient) Owner(slot string) string { return cc.ring.Owner(slot) 
 // naming the node in any transport failure.
 func (cc *ClusterClient) toOwner(slot string, op func(*Client) error) error {
 	i := cc.ring.OwnerIndex(slot)
-	err := cc.links[i].do(cc.timeout, op)
-	var re *RemoteError
-	if err != nil && !errors.As(err, &re) {
-		return fmt.Errorf("node %s: %w", cc.nodes[i], err)
+	err := cc.fan.links[i].do(cc.fan.timeout, op)
+	if err != nil && !isRemote(err) {
+		return fmt.Errorf("node %s: %w", cc.fan.members[i], err)
 	}
 	return err
 }
@@ -84,6 +77,9 @@ func (cc *ClusterClient) toOwner(slot string, op func(*Client) error) error {
 // Push routes the summary to the slot key's owning node and merges it
 // there, returning that node's slot weight after the merge.
 func (cc *ClusterClient) Push(slot, kind string, summary encoding.BinaryMarshaler) (n uint64, err error) {
+	if err := checkPush(slot, kind); err != nil {
+		return 0, err
+	}
 	data, err := summary.MarshalBinary()
 	if err != nil {
 		return 0, err
@@ -98,6 +94,9 @@ func (cc *ClusterClient) Push(slot, kind string, summary encoding.BinaryMarshale
 // PushBatch routes the whole batch to the slot key's owning node with
 // PUSHB round-trips, returning that node's slot weight after the batch.
 func (cc *ClusterClient) PushBatch(slot, kind string, summaries []encoding.BinaryMarshaler) (n uint64, err error) {
+	if err := checkPush(slot, kind); err != nil {
+		return 0, err
+	}
 	frames, err := marshalAll(summaries)
 	if err != nil {
 		return 0, err
@@ -109,20 +108,18 @@ func (cc *ClusterClient) PushBatch(slot, kind string, summaries []encoding.Binar
 	return n, err
 }
 
-// readAll answers q cluster-wide, client-side: every node is read over
-// its link and the frames reduce in node-list order, so the answer
-// is byte-identical to the server-side fan-in over the same member
-// list. Nodes holding nothing contribute nothing; a node that cannot
-// be read fails the whole call with a partial-result error naming it —
-// the caller is never handed an answer silently missing a node's share.
-func (cc *ClusterClient) readAll(q query) (string, []byte, error) {
-	kind, frame, err := gather(q, cc.nodes, 0, func(i int) (frame []byte, err error) {
-		err = cc.links[i].do(cc.timeout, func(c *Client) (e error) {
-			_, frame, e = c.read(q, false)
-			return e
-		})
-		return frame, err
-	})
+// readAll answers q for slot cluster-wide, client-side: the one gather
+// (fanIn.gather) over every node, so the answer is byte-identical to
+// the server-side fan-in over the same member list. Nodes holding
+// nothing contribute nothing; a node that cannot be read fails the
+// whole call with a partial-result error naming it — the caller is
+// never handed an answer silently missing a node's share.
+func (cc *ClusterClient) readAll(slot string, q query) (string, []byte, error) {
+	if err := checkName("slot", slot); err != nil {
+		return "", nil, err
+	}
+	q.slot = []byte(slot)
+	kind, frame, err := cc.fan.gather(q, nil)
 	if err != nil {
 		return "", nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -132,11 +129,11 @@ func (cc *ClusterClient) readAll(q query) (string, []byte, error) {
 // PullAllFrame fetches the cluster-wide merged frame of the named
 // slot, reduced client-side (readAll).
 func (cc *ClusterClient) PullAllFrame(slot string) (string, []byte, error) {
-	return cc.readAll(query{slot: slot})
+	return cc.readAll(slot, query{})
 }
 
 // QueryWindowAllFrame is PullAllFrame over an epoch range: every
 // node's QWIN answer for [from, to], reduced in node-list order.
 func (cc *ClusterClient) QueryWindowAllFrame(slot string, from, to uint64) (string, []byte, error) {
-	return cc.readAll(query{slot: slot, ranged: true, from: from, to: to})
+	return cc.readAll(slot, query{ranged: true, from: from, to: to})
 }

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 // FuzzHandle throws arbitrary bytes at a live connection handler: the
@@ -39,6 +43,46 @@ func FuzzHandle(f *testing.F) {
 		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatal("handler did not terminate after close")
+		}
+	})
+}
+
+// FuzzCommandLine holds the in-place command line parse to references
+// kept here: the fields are what bytes.FieldsFunc splits at ASCII
+// white space — the first maxFields of them, aliasing the line — and a
+// field names a verb exactly when strings.ToUpper spells one of it and
+// the field is ASCII (verbs ignore ASCII case only, so "puſh", which
+// ToUpper turns into PUSH, is no verb).
+func FuzzCommandLine(f *testing.F) {
+	for _, seed := range []string{
+		"PUSH a mg\n", "pushb  a\tmg 3\r\n", "QwInC s 0 0\n", "\v\fSTAT\n",
+		"PULL a b\n", "pull a\u0085b\n", "puſh a mg\n", "a b c d e f g\n",
+		"metrics", "  \n", "",
+	} {
+		f.Add([]byte(seed))
+	}
+	space := func(r rune) bool { return strings.ContainsRune(" \t\n\v\f\r", r) }
+	f.Fuzz(func(t *testing.T, line []byte) {
+		ref := bytes.FieldsFunc(line, space)
+		var buf [maxFields][]byte
+		got := splitFields(buf[:0], line)
+		if len(got) != min(len(ref), maxFields) {
+			t.Fatalf("%q: %d fields, want %d", line, len(got), min(len(ref), maxFields))
+		}
+		for i, field := range got {
+			if !bytes.Equal(field, ref[i]) {
+				t.Fatalf("%q: field %d = %q, want %q", line, i, field, ref[i])
+			}
+		}
+		for _, field := range ref {
+			want := strings.ToUpper(string(field))
+			ascii := !bytes.ContainsFunc(field, func(r rune) bool { return r >= utf8.RuneSelf })
+			if !ascii || !slices.Contains(verbs[:], want) {
+				want = ""
+			}
+			if v := verbOf(field); v != want {
+				t.Fatalf("verbOf(%q) = %q, want %q", field, v, want)
+			}
 		}
 	})
 }

@@ -392,3 +392,36 @@ func TestClientStatusLineIsBounded(t *testing.T) {
 		t.Fatalf("the link that read an unterminated reply went back on the free list (%d idle)", n)
 	}
 }
+
+// TestPullClusterAllocs pins what a PULLC over kept links allocates in
+// the whole process: the command, its two peer reads (their requests,
+// the peers' replies, the frames read back) and the reduce of three
+// frames, on a 3-node cluster. The value is the measured one; it was 25
+// when the fan-in started a goroutine per peer and every command line
+// was parsed into strings. Skipped under -race: see raceEnabled.
+func TestPullClusterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
+	}
+	addrs, servers, stop := startPeerCluster(t, 3, 2*time.Second, 1)
+	defer stop()
+	for i, c := range dialAll(t, addrs) {
+		pushMG(t, c, "hot", uint64(i), 10)
+	}
+	conn := &countConn{}
+	line := []byte("PULLC hot\n")
+	pullc := func() {
+		conn.script(line)
+		servers[0].handle(conn)
+	}
+	pullc() // dials both peers
+	const pinned = 10
+	if got := testing.AllocsPerRun(200, pullc); got > pinned {
+		t.Errorf("PULLC over kept links: %v allocs, want <= %d", got, pinned)
+	} else {
+		t.Logf("PULLC over kept links: %v allocs", got)
+	}
+	if !bytes.HasPrefix(conn.out.Bytes(), []byte("OK mg ")) {
+		t.Fatalf("PULLC reply %q", conn.out.Bytes())
+	}
+}

@@ -169,23 +169,24 @@ func (n *Node) counters(ent *registry.Entry) *kindCounters {
 	return &n.stats[ent.Kind()]
 }
 
-// getSlot returns the named slot, creating it if needed.
-func (n *Node) getSlot(name string) *slot {
+// getSlot returns the named slot, creating it if needed. The name is
+// copied only when the slot is created.
+func (n *Node) getSlot(name []byte) *slot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sl, ok := n.slots[name]
+	sl, ok := n.slots[string(name)]
 	if !ok {
 		sl = &slot{}
-		n.slots[name] = sl
+		n.slots[string(name)] = sl
 	}
 	return sl
 }
 
 // lookupSlot returns the named slot without creating it.
-func (n *Node) lookupSlot(name string) (*slot, bool) {
+func (n *Node) lookupSlot(name []byte) (*slot, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	sl, ok := n.slots[name]
+	sl, ok := n.slots[string(name)]
 	return sl, ok
 }
 
@@ -221,12 +222,12 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 // bindLocked fixes the slot's family on first contact — creating its
 // roll-up plane on windowed nodes — and rejects a push of any other
 // family.
-func (n *Node) bindLocked(sl *slot, name string, ent *registry.Entry) error {
+func (n *Node) bindLocked(sl *slot, name []byte, ent *registry.Entry) error {
 	if sl.ent == nil {
 		sl.ent = ent
 		n.bindPlane(sl, ent)
 	} else if sl.ent != ent {
-		return fmt.Errorf("slot %q holds kind %q", name, sl.ent.Name())
+		return fmt.Errorf("slot %q holds kind %q", string(name), sl.ent.Name())
 	}
 	return nil
 }
@@ -289,6 +290,11 @@ func (n *Node) Ingest(name string, ent *registry.Entry, incoming any) (uint64, e
 // merge) dropped. token is unused; it is kept only because benchmark/
 // passes one (ROADMAP item 1h drops it with those callers).
 func (n *Node) IngestBatch(name string, ent *registry.Entry, decoded []any, token uint64) (uint64, error) {
+	return n.ingestBatch([]byte(name), ent, decoded)
+}
+
+// ingestBatch is IngestBatch for a name in bytes, the server's own.
+func (n *Node) ingestBatch(name []byte, ent *registry.Entry, decoded []any) (uint64, error) {
 	sl := n.getSlot(name)
 	sl.mu.Lock()
 	if err := n.bindLocked(sl, name, ent); err != nil {
@@ -344,14 +350,21 @@ func (n *Node) Drain() {
 
 // Encoded returns the named slot's kind and wire frame.
 func (n *Node) Encoded(name string) (string, []byte, error) {
+	return n.encoded([]byte(name))
+}
+
+// encoded is Encoded for a name in bytes, the server's own. Errors
+// format a copy, string(name), so that name does not escape and the
+// byte conversions of the string-named callers stay off the heap.
+func (n *Node) encoded(name []byte) (string, []byte, error) {
 	sl, ok := n.lookupSlot(name)
 	if !ok {
-		return "", nil, fmt.Errorf("%w %q", errNoSlot, name)
+		return "", nil, fmt.Errorf("%w %q", errNoSlot, string(name))
 	}
 	kind, data, err := sl.encoded()
 	if err != nil {
 		if errors.Is(err, errSlotEmpty) {
-			return "", nil, emptySlot(name)
+			return "", nil, emptySlot(string(name))
 		}
 		return "", nil, fmt.Errorf("encoding: %w", err)
 	}
@@ -364,9 +377,14 @@ func (n *Node) Encoded(name string) (string, []byte, error) {
 // WindowEncoded answers the named slot's epoch range [from, to] from
 // its roll-up plane (0 = oldest retained / through the live epoch).
 func (n *Node) WindowEncoded(name string, from, to uint64) (string, []byte, error) {
+	return n.windowEncoded([]byte(name), from, to)
+}
+
+// windowEncoded is WindowEncoded for a name in bytes, the server's own.
+func (n *Node) windowEncoded(name []byte, from, to uint64) (string, []byte, error) {
 	sl, ok := n.lookupSlot(name)
 	if !ok {
-		return "", nil, fmt.Errorf("%w %q", errNoSlot, name)
+		return "", nil, fmt.Errorf("%w %q", errNoSlot, string(name))
 	}
 	sl.mu.Lock()
 	pl, ent := sl.plane, sl.ent // a plane is bound together with its kind
@@ -375,7 +393,7 @@ func (n *Node) WindowEncoded(name string, from, to uint64) (string, []byte, erro
 		if !n.windowed {
 			return "", nil, errors.New("windowed queries disabled (start with -window)")
 		}
-		return "", nil, emptySlot(name)
+		return "", nil, emptySlot(string(name))
 	}
 	frame, err := pl.QueryEncoded(from, to)
 	if err != nil {

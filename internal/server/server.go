@@ -20,6 +20,19 @@
 //	RESET <slot>\n                → OK 0\n              drop the slot
 //	QUIT\n                        → connection closes
 //
+// Fields are separated by runs of ASCII white space — space, \t, \v,
+// \f, \r and the line's \n — and nothing else: U+00A0 or U+0085 are
+// bytes of a name like any other. Verbs match ignoring ASCII case. A
+// slot or kind name is one field, so it holds no ASCII white space;
+// Client and ClusterClient refuse a name that is empty or holds white
+// space or another ASCII control byte before writing anything, since
+// "x\nRESET victim" would otherwise run a second command. A server
+// reads its command line in place: the line is split over the reader's
+// bytes, a slot is looked up without copying its name (the name is
+// copied once, when its slot is created), and replies are appended
+// into the pooled writer, so a PUSH and a cached PULL or QWIN allocate
+// nothing for the request.
+//
 // QWIN is the time-travel query: on servers running windowed mode
 // (SetWindow), every slot additionally feeds a multi-resolution
 // roll-up plane (internal/window.Plane) and QWIN returns the merged
@@ -30,20 +43,22 @@
 //
 // PULLC and QWINC are the cluster fan-in commands: on servers running
 // peer mode (SetPeers / summaryd -peers), the node PULLs the slot's
-// encoded snapshot from every peer concurrently, reduces the peer
-// partials together with its own local state through the registry's
-// decode-into-scratch path and the one frame reduce (cluster.ReduceEncoded),
-// and replies with the merged frame — the paper's topology-free merge
-// run over the network as a star. Peers missing the slot contribute
-// nothing; a peer that cannot be reached within the per-peer timeout
-// (after retries) turns the reply into a partial-result error naming
-// the failed peers, never a hang. Connections to peers are kept between
-// fan-ins — a small free list of idle links per member (links.go) — so
-// a cluster read costs a round trip per peer, not a handshake: a link
-// goes back on the list only after a clean reply or a server ERR, a
-// link found stale (the peer restarted) is replaced by a fresh dial
-// within the same attempt and without spending a retry, and a member
-// read still costs at most (retries+1)·timeout. The other side of that
+// encoded snapshot from every peer — pipelined in rounds on the calling
+// goroutine: each round writes every request before it reads a reply —
+// reduces the peer partials together with its own local state through
+// the registry's decode-into-scratch path and the one frame reduce
+// (cluster.ReduceEncoded), and replies with the merged frame — the
+// paper's topology-free merge run over the network as a star. Peers
+// missing the slot contribute nothing; a peer that cannot be reached
+// within the per-peer timeout (after retries, one round each) turns the
+// reply into a partial-result error naming the failed peers, never a
+// hang. Connections to peers are kept between fan-ins — a small free
+// list of idle links per member (links.go) — so a cluster read costs a
+// round trip per peer, not a handshake: a link goes back on the list
+// only after a clean reply or a server ERR, a link found stale (the
+// peer restarted) is replaced by a fresh dial within the same attempt
+// and without spending a retry, and a fan-in still costs at most
+// (retries+1)·timeout however many peers hang. The other side of that
 // bargain: nodes hold idle inbound connections from their peers, so
 // Close hangs up everything the server holds instead of waiting for it,
 // and a Shutdown with such links open waits its whole grace period.
@@ -138,7 +153,6 @@ import (
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -188,21 +202,11 @@ func putFrame(f *frameBuf) {
 type Server struct {
 	*Node
 
-	// peer mode (SetPeers): the full cluster member list, the index of
-	// this node's own entry, the idle connections kept to each member
-	// (index-aligned with peers, this node's own never used; see
-	// links.go), and the per-peer fan-out policy. See read.go.
-	peers       []string
-	selfAt      int
-	links       []*links
-	peerTimeout time.Duration
-	peerRetries int
-
-	// peer fan-out counters, served by METRICS.
-	fanouts    atomic.Uint64 // cluster fan-in commands executed
-	fanPeerOK  atomic.Uint64 // per-peer reads that succeeded
-	fanPeerErr atomic.Uint64 // per-peer reads that failed after retries
-	fanRetries atomic.Uint64 // per-peer retry attempts
+	// peer mode (SetPeers): the fan-in over the full cluster member
+	// list, this node's own entry answered in process, with the idle
+	// links kept to the others and the fan-out counters METRICS serves;
+	// nil outside peer mode. See read.go.
+	fan *fanIn
 
 	// winOrigin is the wall-clock instant epoch 1 began (Serve time on
 	// windowed servers), unix nanoseconds; 0 until serving. With
@@ -322,8 +326,10 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	for _, l := range s.links {
-		l.close()
+	if s.fan != nil {
+		for _, l := range s.fan.links {
+			l.close()
+		}
 	}
 	s.connMu.Lock()
 	conns := s.conns
@@ -411,13 +417,16 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // command runs one command line, writing its reply into w; it returns
-// false when the connection must drop.
+// false when the connection must drop. The line is split in place
+// (splitFields) and nothing of it is copied unless a slot is created
+// under its name.
 func (s *Server) command(line []byte, r *bufio.Reader, w *bufio.Writer) bool {
-	fields := strings.Fields(string(line))
+	var buf [maxFields][]byte
+	fields := splitFields(buf[:0], line)
 	if len(fields) == 0 {
 		return true
 	}
-	switch verb := strings.ToUpper(fields[0]); verb {
+	switch verb := verbOf(fields[0]); verb {
 	case "PUSH", "PUSHB":
 		return s.cmdWrite(verb, fields, r, w)
 	case "PULL", "PULLC", "QWIN", "QWINC":
@@ -434,6 +443,68 @@ func (s *Server) command(line []byte, r *bufio.Reader, w *bufio.Writer) bool {
 		fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
 	}
 	return true
+}
+
+// isSpace reports whether c separates the fields of a command line:
+// ASCII space, \t, \n, \v, \f or \r. No other byte does, so a slot
+// name may hold U+00A0 or U+0085.
+func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// maxFields is the most fields splitFields keeps: the longest commands
+// (PUSHB, QWIN) have four, and a fifth tells a line with too many apart.
+const maxFields = 5
+
+// splitFields appends the isSpace-separated fields of line to dst, up
+// to cap(dst) of them, and returns dst. The fields alias line.
+func splitFields(dst [][]byte, line []byte) [][]byte {
+	for i := 0; i < len(line) && len(dst) < cap(dst); {
+		for i < len(line) && isSpace(line[i]) {
+			i++
+		}
+		start := i
+		for i < len(line) && !isSpace(line[i]) {
+			i++
+		}
+		if i > start {
+			dst = append(dst, line[start:i])
+		}
+	}
+	return dst
+}
+
+// verbs are the protocol's commands.
+var verbs = [...]string{"PUSH", "PUSHB", "PULL", "PULLC", "QWIN", "QWINC", "STAT", "METRICS", "RESET", "QUIT"}
+
+// verbOf returns the command f names, matched ignoring ASCII case, or
+// "" when it names none.
+func verbOf(f []byte) string {
+next:
+	for _, v := range verbs {
+		if len(f) != len(v) {
+			continue
+		}
+		for i := range len(v) {
+			if f[i]&^0x20 != v[i] { // v is upper-case letters only
+				continue next
+			}
+		}
+		return v
+	}
+	return ""
+}
+
+// atoi and parseUint are strconv's Atoi and base-10 ParseUint of b.
+// strconv copies its input only into an error, so the conversion
+// copies nothing for b of up to 32 bytes: a count, a length or an epoch
+// parses without allocating.
+func atoi(b []byte) (int, error) { return strconv.Atoi(string(b)) }
+
+func parseUint(b []byte) (uint64, error) { return strconv.ParseUint(string(b), 10, 64) }
+
+// writeOK writes the status line "OK <n>".
+func writeOK(w *bufio.Writer, n uint64) {
+	b := strconv.AppendUint(append(w.AvailableBuffer(), "OK "...), n, 10)
+	w.Write(append(b, '\n'))
 }
 
 // maxLine bounds a command, length or status line, newline included.
@@ -468,7 +539,7 @@ func readLengthPrefixed(r *bufio.Reader, f *frameBuf) ([]byte, error) {
 		return nil, err
 	}
 	line = bytes.TrimSpace(line)
-	n, err := strconv.Atoi(string(line))
+	n, err := atoi(line)
 	if err != nil || n < 0 || n > maxFrame {
 		return nil, fmt.Errorf("bad frame length %q (max %d)", line, maxFrame)
 	}
@@ -506,9 +577,13 @@ func (s *Server) cmdStat(w *bufio.Writer) {
 	// lock inside Node.Rows, in slot-name order): the client may be slow
 	// to drain and must not stall a slot.
 	rows := s.Rows()
-	fmt.Fprintf(w, "OK %d\n", len(rows))
+	writeOK(w, uint64(len(rows)))
 	for _, row := range rows {
-		fmt.Fprintf(w, "%s %s %d %d\n", row.Name, row.Kind, row.N, row.Pushes)
+		b := append(w.AvailableBuffer(), row.Name...)
+		b = append(append(b, ' '), row.Kind...)
+		b = strconv.AppendUint(append(b, ' '), row.N, 10)
+		b = strconv.AppendUint(append(b, ' '), row.Pushes, 10)
+		w.Write(append(b, '\n'))
 	}
 }
 
@@ -535,16 +610,16 @@ func (s *Server) cmdMetrics(w *bufio.Writer) {
 			row{"kind.merge." + ks.Kind, ks.Merges},
 		)
 	}
-	if len(s.peers) > 0 {
+	if f := s.fan; f != nil {
 		rows = append(rows,
-			row{"peer.count", uint64(len(s.peers))},
-			row{"peer.fanouts", s.fanouts.Load()},
-			row{"peer.ok", s.fanPeerOK.Load()},
-			row{"peer.errors", s.fanPeerErr.Load()},
-			row{"peer.retries", s.fanRetries.Load()},
+			row{"peer.count", uint64(len(f.members))},
+			row{"peer.fanouts", f.fanouts.Load()},
+			row{"peer.ok", f.ok.Load()},
+			row{"peer.errors", f.failed.Load()},
+			row{"peer.retries", f.retried.Load()},
 		)
 		var dials, reused, idle uint64
-		for _, l := range s.links {
+		for _, l := range f.links {
 			dials += l.dials.Load()
 			reused += l.reused.Load()
 			idle += uint64(l.idleCount())
@@ -567,17 +642,19 @@ func (s *Server) cmdMetrics(w *bufio.Writer) {
 			row{"window.seal_errors", s.sealErrs.Load()},
 		)
 	}
-	fmt.Fprintf(w, "OK %d\n", len(rows))
+	writeOK(w, uint64(len(rows)))
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s %d\n", r.name, r.val)
+		b := append(w.AvailableBuffer(), r.name...)
+		b = strconv.AppendUint(append(b, ' '), r.val, 10)
+		w.Write(append(b, '\n'))
 	}
 }
 
-func (s *Server) cmdReset(fields []string, w *bufio.Writer) {
+func (s *Server) cmdReset(fields [][]byte, w *bufio.Writer) {
 	if len(fields) != 2 {
 		fmt.Fprintf(w, "ERR usage: RESET <slot>\n")
 		return
 	}
-	s.Reset(fields[1])
-	fmt.Fprintf(w, "OK 0\n")
+	s.Reset(string(fields[1]))
+	w.WriteString("OK 0\n")
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -229,6 +230,101 @@ func TestProtocolErrors(t *testing.T) {
 	// The connection must still be usable after errors.
 	if _, err := c.Push("x", "mg", m); err != nil {
 		t.Fatalf("connection broken after errors: %v", err)
+	}
+}
+
+// TestNamesCannotSmuggleCommands: a name is one field of a command
+// line, so one holding a newline would end the line early and run the
+// rest as a command of its own — "x\nRESET victim" once dropped slot
+// victim. Client and ClusterClient refuse an empty name, or one holding
+// ASCII white space or another control byte, before writing anything:
+// the connection stays in sync and victim keeps its weight.
+func TestNamesCannotSmuggleCommands(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cc, err := DialCluster([]string{addr}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	pushMG(t, c, "victim", 1, 5)
+
+	m := mg.New(4)
+	m.Update(1, 1)
+	batch := []encoding.BinaryMarshaler{m}
+	for _, bad := range []string{"x\nRESET victim", "x RESET", "x\tvictim", "x\rRESET victim", "\x00", "x\x7f", ""} {
+		ops := map[string]error{}
+		ops["PullFrame"] = second(c.PullFrame(bad))
+		ops["PullClusterFrame"] = second(c.PullClusterFrame(bad))
+		ops["QueryWindowFrame"] = second(c.QueryWindowFrame(bad, 0, 0))
+		ops["QueryWindowClusterFrame"] = second(c.QueryWindowClusterFrame(bad, 0, 0))
+		ops["Reset"] = c.Reset(bad)
+		_, ops["Push slot"] = c.Push(bad, "mg", m)
+		_, ops["Push kind"] = c.Push("victim", bad, m)
+		_, ops["PushBatch"] = c.PushBatch(bad, "mg", batch)
+		_, ops["ClusterClient.Push"] = cc.Push(bad, "mg", m)
+		_, ops["ClusterClient.PushBatch"] = cc.PushBatch("victim", bad, batch)
+		ops["PullAllFrame"] = second(cc.PullAllFrame(bad))
+		ops["QueryWindowAllFrame"] = second(cc.QueryWindowAllFrame(bad, 0, 0))
+		for op, err := range ops {
+			var re *RemoteError
+			if err == nil || errors.As(err, &re) {
+				t.Errorf("%s(%q): %v, want a client-side refusal", op, bad, err)
+			}
+		}
+	}
+	stats, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 1 || stats[0].Name != "victim" || stats[0].N != 5 {
+		t.Fatalf("STAT after refused names = %+v, want victim alone with N 5", stats)
+	}
+}
+
+// second returns the error of a frame read.
+func second(_ string, _ []byte, err error) error { return err }
+
+// TestUnicodeSpaceInName: only ASCII white space separates the fields
+// of a command line. U+00A0 and U+0085 are bytes of a name like any
+// other, so a slot so named pushes, pulls and lists as itself — they
+// once split the name, and the PUSH lost its connection to a usage
+// error.
+func TestUnicodeSpaceInName(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	names := []string{"a\u00a0b", "a\u0085b", "\u3000"}
+	for i, name := range names {
+		pushMG(t, c, name, uint64(i), uint64(10+i))
+	}
+	for i, name := range names {
+		var got mg.Summary
+		if _, err := decoded(&got)(c.PullFrame(name)); err != nil || got.N() != uint64(10+i) {
+			t.Fatalf("PULL %q: n=%d err=%v", name, got.N(), err)
+		}
+	}
+	stats, err := c.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(names)
+	slices.Sort(want)
+	var got []string
+	for _, row := range stats {
+		got = append(got, row.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("STAT names = %q, want %q", got, want)
 	}
 }
 

@@ -255,7 +255,7 @@ func TestSealErrorsReachMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.StartAt(s.Epoch())
-	sl := s.getSlot("flows")
+	sl := s.getSlot([]byte("flows"))
 	sl.mu.Lock()
 	sl.plane = pl
 	sl.mu.Unlock()

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"fmt"
-	"strconv"
 
 	"repro/internal/registry"
 )
@@ -18,7 +17,7 @@ import (
 // that is no longer possible and the connection must drop: a line of the
 // wrong arity, an unparseable count or a frame-layer error leaves no way
 // to know where the next command starts.
-func (s *Server) cmdWrite(verb string, fields []string, r *bufio.Reader, w *bufio.Writer) bool {
+func (s *Server) cmdWrite(verb string, fields [][]byte, r *bufio.Reader, w *bufio.Writer) bool {
 	count := 1
 	if verb == "PUSH" {
 		if len(fields) != 3 {
@@ -33,16 +32,19 @@ func (s *Server) cmdWrite(verb string, fields []string, r *bufio.Reader, w *bufi
 			return false
 		}
 		var err error
-		if count, err = strconv.Atoi(fields[3]); err != nil || count < 1 || count > MaxBatch {
+		if count, err = atoi(fields[3]); err != nil || count < 1 || count > MaxBatch {
 			fmt.Fprintf(w, "ERR bad batch count %q (want 1..%d)\n", fields[3], MaxBatch)
 			return false
 		}
 	}
-	name, kind := fields[1], fields[2]
-	ent, known := registry.ByName(kind)
+	// The frames are read over the line's bytes: the kind is resolved
+	// first and the slot name kept in a buffer of the handler's own.
+	var nameBuf [64]byte
+	name := append(nameBuf[:0], fields[1]...)
+	ent, known := registry.ByName(string(fields[2]))
 	var cmdErr error
 	if !known {
-		cmdErr = fmt.Errorf("unknown kind %q", kind)
+		cmdErr = fmt.Errorf("unknown kind %q", fields[2])
 	}
 	var one [1]any // a single frame needs no slice of its own
 	decoded := one[:0]
@@ -70,10 +72,10 @@ func (s *Server) cmdWrite(verb string, fields []string, r *bufio.Reader, w *bufi
 	putFrame(f)
 	if cmdErr != nil {
 		recycle(ent, decoded) // empty when the kind is unknown
-	} else if n, err := s.IngestBatch(name, ent, decoded, 0); err != nil {
+	} else if n, err := s.ingestBatch(name, ent, decoded); err != nil {
 		cmdErr = err
 	} else {
-		fmt.Fprintf(w, "OK %d\n", n)
+		writeOK(w, n)
 		return true
 	}
 	fmt.Fprintf(w, "ERR %v\n", cmdErr)

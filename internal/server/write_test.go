@@ -16,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mg"
 	"repro/internal/registry"
+	"repro/internal/window"
 )
 
 // recordingProxy relays one connection to addr and keeps both byte
@@ -113,12 +114,14 @@ func TestWriteWireTranscript(t *testing.T) {
 }
 
 // TestWriteOneAllocs pins the cost of the unified path where it could
-// creep up: a PUSH through the one handler allocates once (the reply
-// line's formatting), three times through the connection loop, and
-// Node.Ingest through IngestBatch not at all — the pooled scratch
-// decodes in place and the mg merge works in scratch the accumulator
-// keeps (10 and 9 before decoding did). Skipped under -race: see
-// raceEnabled.
+// creep up: a PUSH allocates nothing, through the one handler and
+// through the connection loop — the command line is split in place and
+// the reply appended into the pooled writer (the line's string, its
+// fields and the reply's formatting cost three before) — and
+// Node.Ingest through IngestBatch allocates nothing either: the pooled
+// scratch decodes in place and the mg merge works in scratch the
+// accumulator keeps (10 and 9 before decoding did). Skipped under
+// -race: see raceEnabled.
 func TestWriteOneAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
@@ -134,7 +137,7 @@ func TestWriteOneAllocs(t *testing.T) {
 	src := bytes.NewReader(nil)
 	r := bufio.NewReader(src)
 	w := bufio.NewWriter(io.Discard)
-	fields := []string{"PUSH", "s", "mg"}
+	fields := [][]byte{[]byte("PUSH"), []byte("s"), []byte("mg")}
 	handler := testing.AllocsPerRun(200, func() {
 		src.Reset(body)
 		r.Reset(src)
@@ -143,31 +146,20 @@ func TestWriteOneAllocs(t *testing.T) {
 		}
 		w.Flush()
 	})
-	if handler > 1 {
-		t.Errorf("PUSH through cmdWrite: %v allocs, want <= 1", handler)
+	if handler > 0 {
+		t.Errorf("PUSH through cmdWrite: %v allocs, want 0", handler)
 	}
 
 	// Through the real handler loop, the command line's parse and the
-	// pooled reply writer ride along. A PUSH costs three allocations —
-	// the line's string, its fields and the reply's formatting — and a
-	// connection two more, its reader and the reader's buffer: the reply
-	// writer's Get and Put allocate nothing.
+	// pooled reply writer ride along and allocate nothing; a connection
+	// costs two allocations, its reader and the reader's buffer.
 	const pushes = 64
 	script := bytes.Repeat(append([]byte("PUSH s mg\n"), body...), pushes)
-	conn := &countConn{}
-	serve := func(script []byte) func() {
-		return func() {
-			conn.script(script)
-			s.handle(conn)
-		}
+	perPush, perConn := perCommandAllocs(s, script, pushes)
+	if perPush > 0 {
+		t.Errorf("PUSH through handle: %v allocs, want 0", perPush)
 	}
-	one := testing.AllocsPerRun(50, serve(script[:len(script)/pushes]))
-	all := testing.AllocsPerRun(50, serve(script))
-	perPush := (all - one) / (pushes - 1)
-	if perPush > 3 {
-		t.Errorf("PUSH through handle: %v allocs, want <= 3", perPush)
-	}
-	if perConn := one - perPush; perConn > 2 {
+	if perConn > 2 {
 		t.Errorf("a connection through handle: %v allocs beside its PUSH, want <= 2", perConn)
 	}
 
@@ -183,6 +175,73 @@ func TestWriteOneAllocs(t *testing.T) {
 	})
 	if ingest > 0 {
 		t.Errorf("decode + Node.Ingest: %v allocs, want 0", ingest)
+	}
+}
+
+// perCommandAllocs serves script — count copies of one command — on
+// one scripted connection, and one copy on another, and returns the
+// allocations of a command and of a connection beside it.
+func perCommandAllocs(s *Server, script []byte, count int) (perCmd, perConn float64) {
+	conn := &countConn{}
+	serve := func(script []byte) func() {
+		return func() {
+			conn.script(script)
+			s.handle(conn)
+		}
+	}
+	one := testing.AllocsPerRun(50, serve(script[:len(script)/count]))
+	all := testing.AllocsPerRun(50, serve(script))
+	perCmd = (all - one) / float64(count-1)
+	return perCmd, one - perCmd
+}
+
+// TestWriteReadHitAllocs pins the request path of the reads a node
+// serves from cache and of the client's write: a PULL of an unchanged
+// slot and a QWIN of a cached range through handle allocate nothing,
+// and neither does Client.Push — its line is appended and its status
+// parsed in place.
+func TestWriteReadHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
+	}
+	ent, _ := registry.ByName("mg")
+	frame, err := ent.Encode(ent.Example(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	if err := s.SetWindow(window.Ladder{Fan: 4, Levels: 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	sc := ent.GetScratch()
+	if err := ent.DecodeInto(sc, frame); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Ingest("s", ent, sc); err != nil {
+		t.Fatal(err)
+	}
+	s.AdvanceWindows()
+	const reads = 64
+	for _, cmd := range []string{"PULL s\n", "QWIN s 1 1\n"} {
+		script := bytes.Repeat([]byte(cmd), reads)
+		if perRead, _ := perCommandAllocs(s, script, reads); perRead > 0 {
+			t.Errorf("%q through handle: %v allocs, want 0", strings.TrimSpace(cmd), perRead)
+		}
+	}
+
+	conn := &countConn{}
+	c := newClient(conn)
+	var sum encoding.BinaryMarshaler = rawSummary(frame)
+	reply := []byte("OK 12345\n")
+	push := testing.AllocsPerRun(200, func() {
+		conn.script(reply)
+		c.r.Reset(conn)
+		if n, err := c.Push("s", "mg", sum); err != nil || n != 12345 {
+			t.Fatalf("Push: n=%d err=%v", n, err)
+		}
+	})
+	if push > 0 {
+		t.Errorf("Client.Push: %v allocs, want 0", push)
 	}
 }
 
