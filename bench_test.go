@@ -51,7 +51,6 @@ func BenchmarkE10(b *testing.B) { benchExperiment(b, "E10") }
 func BenchmarkE11(b *testing.B) { benchExperiment(b, "E11") }
 func BenchmarkE12(b *testing.B) { benchExperiment(b, "E12") }
 func BenchmarkE13(b *testing.B) { benchExperiment(b, "E13") }
-func BenchmarkE14(b *testing.B) { benchExperiment(b, "E14") }
 func BenchmarkE15(b *testing.B) { benchExperiment(b, "E15") }
 func BenchmarkE16(b *testing.B) { benchExperiment(b, "E16") }
 func BenchmarkE17(b *testing.B) { benchExperiment(b, "E17") }

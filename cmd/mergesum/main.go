@@ -103,9 +103,8 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer f.Close() // on the early returns; a finished stream is closed below
 	w := bufio.NewWriter(f)
-	defer w.Flush()
 	switch *kind {
 	case "zipf":
 		for _, x := range gen.NewZipf(*u, *alpha, *seed).Stream(*n) {
@@ -130,7 +129,12 @@ func cmdGen(args []string) error {
 	default:
 		return fmt.Errorf("gen: unknown kind %q", *kind)
 	}
-	return nil
+	// A failed write (a full disk) is only reported by the flush or
+	// the close.
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 func readItems(path string) ([]core.Item, error) {
@@ -306,6 +310,9 @@ func parsePhis(s string) ([]float64, error) {
 		if err != nil {
 			return nil, err
 		}
+		if !(v >= 0 && v <= 1) { // NaN too
+			return nil, fmt.Errorf("phi %v is not in [0, 1]", v)
+		}
 		out = append(out, v)
 	}
 	return out, nil
@@ -345,18 +352,27 @@ func cmdQuery(args []string) error {
 			threshold: func(t uint64) []core.Counter { return s.HeavyHitters(t) },
 			estimate:  s.Estimate,
 		}, *top, *threshold)
-	case "gk":
-		s := new(gk.Summary)
+	case "gk", "quantile":
+		phiList, err := parsePhis(*phis)
+		if err != nil {
+			return err
+		}
+		var s interface {
+			binaryCodec
+			N() uint64
+			Quantile(phi float64) float64
+		} = new(gk.Summary)
+		if *typ == "quantile" {
+			s = new(randquant.Summary)
+		}
 		if err := readSummary(*in, s); err != nil {
 			return err
 		}
-		return printQuantiles(s.N(), s.Quantile, *phis)
-	case "quantile":
-		s := new(randquant.Summary)
-		if err := readSummary(*in, s); err != nil {
-			return err
+		fmt.Printf("n=%d\n", s.N())
+		for _, phi := range phiList {
+			fmt.Printf("  phi=%-6g %v\n", phi, s.Quantile(phi))
 		}
-		return printQuantiles(s.N(), s.Quantile, *phis)
+		return nil
 	default:
 		return fmt.Errorf("query: unknown type %q", *typ)
 	}
@@ -381,18 +397,6 @@ func printCounters(n uint64, q counterQuery, top int, thresholdFrac float64) err
 	}
 	for _, c := range report {
 		fmt.Printf("  item %-12d %s\n", uint64(c.Item), q.estimate(c.Item))
-	}
-	return nil
-}
-
-func printQuantiles(n uint64, quantile func(float64) float64, phiList string) error {
-	phis, err := parsePhis(phiList)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("n=%d\n", n)
-	for _, phi := range phis {
-		fmt.Printf("  phi=%-6g %v\n", phi, quantile(phi))
 	}
 	return nil
 }

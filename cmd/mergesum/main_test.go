@@ -195,6 +195,16 @@ func TestErrorPaths(t *testing.T) {
 	if err := cmdQuery([]string{"-type", "mg", "-in", filepath.Join(dir, "missing")}); err == nil {
 		t.Error("query on missing file accepted")
 	}
+	// A phi outside [0, 1] is refused by name before the file is
+	// opened (the summaries would clamp it to the minimum or maximum).
+	for _, typ := range []string{"gk", "quantile"} {
+		for _, phi := range []string{"1.5", "-1", "NaN"} {
+			err := cmdQuery([]string{"-type", typ, "-phi", "0.5," + phi, "-in", filepath.Join(dir, "missing")})
+			if err == nil || !strings.Contains(err.Error(), "phi "+phi+" ") {
+				t.Errorf("%s -phi 0.5,%s: err = %v, want it to name phi %s", typ, phi, err, phi)
+			}
+		}
+	}
 	// Type confusion must be caught by the frame kind.
 	stream := filepath.Join(dir, "s.txt")
 	if err := cmdGen([]string{"-kind", "zipf", "-n", "100", "-out", stream}); err != nil {
@@ -229,5 +239,21 @@ func TestParsePhis(t *testing.T) {
 	}
 	if _, err := parsePhis("0.5,x"); err == nil {
 		t.Fatal("bad phi accepted")
+	}
+	for _, bad := range []string{"1.5", "-1", "NaN", "0.5,1.0001"} {
+		if _, err := parsePhis(bad); err == nil {
+			t.Errorf("phi %s outside [0, 1] accepted", bad)
+		}
+	}
+}
+
+// TestGenReportsFailedWrite: a stream that cannot be written is an
+// error, not a silently short file.
+func TestGenReportsFailedWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	if err := cmdGen([]string{"-n", "100000", "-out", "/dev/full"}); err == nil {
+		t.Fatal("gen to a full device reported success")
 	}
 }

@@ -9,12 +9,12 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
 
 	mergesum "repro"
-	"repro/internal/codec"
 	"repro/internal/exact"
 	"repro/internal/gen"
 )
@@ -23,6 +23,10 @@ const (
 	workers   = 8
 	perWorker = 100000
 	k         = 128
+
+	// maxFrame caps what the aggregator reads from one worker: a k=128
+	// summary's frame is a few KB, so a longer stream is not one.
+	maxFrame = 1 << 20
 )
 
 func main() {
@@ -70,7 +74,9 @@ func main() {
 		}(w)
 	}
 
-	// Aggregator: accept one frame per worker and fold it in.
+	// Aggregator: accept one frame per worker and fold it in. A worker
+	// sends its frame and closes, so the frame is everything the
+	// connection carries; a truncated or corrupted one fails to decode.
 	agg := mergesum.NewMisraGries(k)
 	received := 0
 	for received < workers {
@@ -78,13 +84,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		payload, err := codec.ReadFrame(conn, codec.KindMisraGries)
+		frame, err := io.ReadAll(io.LimitReader(conn, maxFrame))
 		conn.Close()
 		if err != nil {
-			log.Fatalf("aggregator: bad frame: %v", err)
+			log.Fatalf("aggregator: read: %v", err)
 		}
 		next := new(mergesum.MisraGries)
-		if err := next.UnmarshalBinary(codec.EncodeFrame(codec.KindMisraGries, payload)); err != nil {
+		if err := next.UnmarshalBinary(frame); err != nil {
 			log.Fatalf("aggregator: decode: %v", err)
 		}
 		if err := agg.MergeLowError(next); err != nil {

@@ -87,7 +87,7 @@ func main() {
 		}
 		fmt.Printf("%-8s key=%-10d %-22s %-12.3f %-12.3f\n",
 			fmt.Sprintf("%dm", lastN), uint64(top.Item), est.String(),
-			lq.Quantile(0.99), gen.QuantileOf(lats, 0.99))
+			lq.Quantile(0.99), exact.QuantilesOf(lats).Quantile(0.99))
 	}
 
 	// The 15-minute window spans the deploy at minute 20, so its p99

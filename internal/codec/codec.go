@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"math/bits"
 	"sync"
@@ -57,39 +56,23 @@ const (
 // internal/registry uses it to assert catalog completeness.
 const KindCount = int(KindTopK) + 1
 
-// kindNames maps tags to the canonical wire names declared by
-// registry registrations (RegisterKindName). The codec package itself
-// assigns no names: the registry is the single source of truth, and
-// this table is merely its projection for String. Writes
-// happen only during package init (family registrations), reads only
-// afterwards, so no lock is needed.
-var kindNames = map[Kind]string{}
-
-// kindByName is the inverse of kindNames.
-var kindByName = map[string]Kind{}
+// kindNames holds the canonical wire names declared by registry
+// registrations (RegisterKindName). The codec package itself assigns
+// no names: the registry is the single source of truth, and this table
+// is merely its projection for String. Writes happen only during
+// package init (family registrations), reads only afterwards, so no
+// lock is needed.
+var kindNames [KindCount]string
 
 // RegisterKindName binds a kind tag to its canonical wire name. It is
-// called by internal/registry once per family at init time and panics
-// on a duplicate tag or name: two families may not share a wire tag
-// (the historical topk/countmin and hll/kmv/bottomk aliasing), and two
-// tags may not share a name.
-func RegisterKindName(k Kind, name string) {
-	if k == KindInvalid || name == "" {
-		panic("codec: cannot register the invalid kind or an empty name")
-	}
-	if prev, ok := kindNames[k]; ok {
-		panic(fmt.Sprintf("codec: kind %d already registered as %q", uint8(k), prev))
-	}
-	if prev, ok := kindByName[name]; ok {
-		panic(fmt.Sprintf("codec: name %q already registered for kind %d", name, uint8(prev)))
-	}
-	kindNames[k] = name
-	kindByName[name] = k
-}
+// called by internal/registry once per family at init time, after the
+// registry has checked that the tag is in range and that neither the
+// tag nor the name is taken.
+func RegisterKindName(k Kind, name string) { kindNames[k] = name }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if int(k) < KindCount && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -510,19 +493,6 @@ func EncodeFrame(kind Kind, payload []byte) []byte {
 	return out
 }
 
-// DecodeFrame validates a frame and returns its payload. The whole
-// input must be exactly one frame.
-func DecodeFrame(kind Kind, data []byte) ([]byte, error) {
-	payload, rest, err := decodeFramePrefix(kind, data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, ErrTrailing
-	}
-	return payload, nil
-}
-
 // PeekKind returns the kind tag of a frame without validating its
 // payload or checksum: enough of the header is checked (magic and
 // version) to know the byte is really a kind tag. Dispatch layers use
@@ -541,94 +511,35 @@ func PeekKind(data []byte) (Kind, error) {
 	return Kind(data[len(magic)+1]), nil
 }
 
-// decodeFramePrefix decodes one frame from the front of data, returning
-// the payload and any remaining bytes.
-func decodeFramePrefix(kind Kind, data []byte) (payload, rest []byte, err error) {
-	if len(data) < len(magic)+2 {
-		return nil, nil, ErrTruncated
+// DecodeFrame validates a frame and returns its payload. The whole
+// input must be exactly one frame.
+func DecodeFrame(kind Kind, data []byte) ([]byte, error) {
+	got, err := PeekKind(data)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, nil, ErrBadMagic
-	}
-	if data[len(magic)] != Version {
-		return nil, nil, fmt.Errorf("%w: %d", ErrBadVersion, data[len(magic)])
-	}
-	got := Kind(data[len(magic)+1])
 	if got != kind {
-		return nil, nil, fmt.Errorf("%w: have %v, want %v", ErrWrongKind, got, kind)
+		return nil, fmt.Errorf("%w: have %v, want %v", ErrWrongKind, got, kind)
 	}
 	off := len(magic) + 2
 	plen, n := binary.Uvarint(data[off:])
 	if n <= 0 {
-		return nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	off += n
 	if plen > uint64(len(data)-off) {
-		return nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	end := off + int(plen)
 	if len(data) < end+4 {
-		return nil, nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	wantCRC := binary.LittleEndian.Uint32(data[end:])
 	if crc32.ChecksumIEEE(data[:end]) != wantCRC {
-		return nil, nil, ErrBadChecksum
+		return nil, ErrBadChecksum
 	}
-	return data[off:end], data[end+4:], nil
-}
-
-// ReadFrame reads exactly one frame of the given kind from r. Frames
-// are self-delimiting, so EncodeFrame outputs concatenated on a stream
-// read back one by one. The body grows only as its bytes arrive: a
-// header declaring more than the stream carries costs what was sent,
-// not what was declared.
-func ReadFrame(r io.Reader, kind Kind) ([]byte, error) {
-	head := make([]byte, len(magic)+2)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, err
+	if len(data) != end+4 {
+		return nil, ErrTrailing
 	}
-	if string(head[:len(magic)]) != magic {
-		return nil, ErrBadMagic
-	}
-	if head[len(magic)] != Version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, head[len(magic)])
-	}
-	got := Kind(head[len(magic)+1])
-	if got != kind {
-		return nil, fmt.Errorf("%w: have %v, want %v", ErrWrongKind, got, kind)
-	}
-	// Read the uvarint length byte-by-byte (it is at most 10 bytes).
-	var lenBuf []byte
-	var plen uint64
-	for {
-		var b [1]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return nil, err
-		}
-		lenBuf = append(lenBuf, b[0])
-		var n int
-		plen, n = binary.Uvarint(lenBuf)
-		if n > 0 {
-			break
-		}
-		if len(lenBuf) >= binary.MaxVarintLen64 {
-			return nil, ErrTruncated
-		}
-	}
-	if plen > 1<<31 {
-		return nil, fmt.Errorf("codec: implausible payload length %d", plen)
-	}
-	body, err := io.ReadAll(io.LimitReader(r, int64(plen)+4))
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(body)) < plen+4 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	full := append(append(head, lenBuf...), body...)
-	payload, _, err := decodeFramePrefix(kind, full)
-	if err != nil {
-		return nil, err
-	}
-	return payload, nil
+	return data[off:end], nil
 }

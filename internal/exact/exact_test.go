@@ -47,7 +47,11 @@ func TestHeavyHitters(t *testing.T) {
 }
 
 func TestQuantiles(t *testing.T) {
-	q := QuantilesOf([]float64{10, 30, 20, 40, 50})
+	vals := []float64{10, 30, 20, 40, 50}
+	q := QuantilesOf(vals)
+	if vals[1] != 30 || vals[2] != 20 {
+		t.Errorf("QuantilesOf sorted its input: %v", vals)
+	}
 	if q.N() != 5 {
 		t.Errorf("N = %d", q.N())
 	}

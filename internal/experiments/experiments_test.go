@@ -10,7 +10,7 @@ func quickCfg() Config { return Config{N: 40000, Seed: 1, Quick: true} }
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
-	want := []string{"E01", "E02", "E03", "E04", "E05", "E06", "E07", "E08", "E09", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19"}
+	want := []string{"E01", "E02", "E03", "E04", "E05", "E06", "E07", "E08", "E09", "E10", "E11", "E12", "E13", "E15", "E16", "E17", "E18", "E19"}
 	if len(ids) != len(want) {
 		t.Fatalf("registered %v, want %v", ids, want)
 	}
@@ -56,23 +56,30 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	}
 }
 
-// Output is a function of (n, seed): E03 and E13, which once ranged
-// over a map for their rows, must render the same text run after run.
+// Output is a function of (n, seed): every experiment renders the same
+// text run after run. E03 and E13, which once ranged over a map for
+// their rows, get more runs.
 func TestRowOrderDeterministic(t *testing.T) {
-	for _, id := range []string{"E03", "E13"} {
-		e, _ := ByID(id)
-		var first string
-		for run := 0; run < 20; run++ {
-			var out strings.Builder
-			for _, tb := range e.Run(quickCfg()).Tables {
-				out.WriteString(tb.String())
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			runs := 2
+			if e.ID == "E03" || e.ID == "E13" {
+				runs = 20
 			}
-			if run == 0 {
-				first = out.String()
-			} else if out.String() != first {
-				t.Fatalf("%s: run %d renders\n%s\nrun 0 rendered\n%s", id, run, out.String(), first)
+			var first string
+			for run := 0; run < runs; run++ {
+				var out strings.Builder
+				for _, tb := range e.Run(quickCfg()).Tables {
+					out.WriteString(tb.String())
+				}
+				if run == 0 {
+					first = out.String()
+				} else if out.String() != first {
+					t.Fatalf("run %d renders\n%s\nrun 0 rendered\n%s", run, out.String(), first)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -195,9 +202,6 @@ func TestE15Lossless(t *testing.T) {
 // cross-referenced mechanically.
 func TestTitlesCarryIDs(t *testing.T) {
 	for _, e := range All() {
-		if e.ID == "E14" {
-			continue // throughput tables are timed; covered above
-		}
 		res := e.Run(quickCfg())
 		found := false
 		for _, tb := range res.Tables {

@@ -19,22 +19,6 @@ func init() {
 	register("E04", "Total merge error: PODS'12 prune vs. low-total-error closed form (supplied text §5)", runE04)
 }
 
-// foldNames are the topologies every mergeability experiment sweeps.
-func folds[S any](seed uint64) map[string]func([]S, mergetree.MergeFunc[S]) (S, error) {
-	return map[string]func([]S, mergetree.MergeFunc[S]) (S, error){
-		"sequential": mergetree.Sequential[S],
-		"binary":     mergetree.Binary[S],
-		"random": func(p []S, m mergetree.MergeFunc[S]) (S, error) {
-			return mergetree.Random(p, seed, m)
-		},
-		"parallel": func(p []S, m mergetree.MergeFunc[S]) (S, error) {
-			return mergetree.Parallel(p, 4, m)
-		},
-	}
-}
-
-var foldOrder = []string{"sequential", "binary", "random", "parallel"}
-
 func runE01(cfg Config) Result {
 	n := cfg.n()
 	alphas := []float64{1.1, 1.5, 2.0}
@@ -52,8 +36,8 @@ func runE01(cfg Config) Result {
 		truth := exact.FreqOf(stream)
 		parts := gen.PartitionByHash(stream, sites, func(x core.Item) uint64 { return uint64(x) * 2654435761 })
 		for _, k := range ks {
-			for _, fname := range foldOrder {
-				fold := folds[*mg.Summary](cfg.Seed + 7)[fname]
+			for _, fname := range mergetree.Topologies {
+				fold := mergetree.Fold[*mg.Summary](fname, cfg.Seed+7)
 				merged, err := mergetree.BuildAndMerge(parts,
 					func(part []core.Item) *mg.Summary {
 						s := mg.New(k)
@@ -117,8 +101,8 @@ func runE02(cfg Config) Result {
 					}
 				}
 			}
-			for _, fname := range foldOrder {
-				fold := folds[*spacesaving.Summary](cfg.Seed + 7)[fname]
+			for _, fname := range mergetree.Topologies {
+				fold := mergetree.Fold[*spacesaving.Summary](fname, cfg.Seed+7)
 				merged, err := mergetree.BuildAndMerge(parts,
 					func(part []core.Item) *spacesaving.Summary {
 						s := spacesaving.New(k)

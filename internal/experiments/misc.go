@@ -3,17 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/countmin"
 	"repro/internal/countsketch"
 	"repro/internal/exact"
 	"repro/internal/gen"
-	"repro/internal/gk"
 	"repro/internal/mergetree"
 	"repro/internal/mg"
-	"repro/internal/randquant"
 	"repro/internal/sampling"
 	"repro/internal/spacesaving"
 	"repro/internal/stats"
@@ -22,7 +19,6 @@ import (
 func init() {
 	register("E12", "Mergeable bottom-k sampling: accuracy vs. the n/sqrt(k) law (PODS'12 §3.3 primitive)", runE12)
 	register("E13", "Linear-sketch baselines: Count-Min / Count-Sketch vs. MG at equal space", runE13)
-	register("E14", "Throughput: updates/s and merges/s for every summary", runE14)
 }
 
 func runE12(cfg Config) Result {
@@ -137,186 +133,6 @@ func runE13(cfg Config) Result {
 		ID: "E13", Title: "Linear-sketch baselines", Tables: []*stats.Table{tb},
 		Notes: []string{
 			"Claim: at equal space the counter summaries (mg/ss) dominate Count-Min on skewed streams for heavy items; Count-Sketch sits between; all intervals remain sound (violations = 0).",
-		},
-	}
-}
-
-func runE14(cfg Config) Result {
-	n := cfg.n()
-	if cfg.Quick {
-		n = cfg.n() / 4
-	}
-	stream := gen.NewZipf(n/20, 1.2, cfg.Seed+8).Stream(n)
-	vals := gen.UniformValues(n, cfg.Seed+9)
-
-	tb := stats.NewTable(
-		fmt.Sprintf("E14: single-thread throughput, n=%d (also available as go test -bench)", n),
-		"summary", "updates/s (millions)", "merges/s")
-
-	timeUpdates := func(update func()) float64 {
-		start := time.Now()
-		update()
-		el := time.Since(start).Seconds()
-		return float64(n) / el / 1e6
-	}
-
-	type mergeable struct {
-		name    string
-		updates func()
-		merges  func() float64 // merges per second
-	}
-
-	mkMG := func() *mg.Summary {
-		s := mg.New(256)
-		for _, x := range stream {
-			s.Update(x, 1)
-		}
-		return s
-	}
-	mkSS := func() *spacesaving.Summary {
-		s := spacesaving.New(256)
-		for _, x := range stream {
-			s.Update(x, 1)
-		}
-		return s
-	}
-	mkRQ := func() *randquant.Summary {
-		s := randquant.NewEpsilon(0.01, cfg.Seed)
-		for _, v := range vals {
-			s.Update(v)
-		}
-		return s
-	}
-	mkGK := func() *gk.Summary {
-		s := gk.New(0.01)
-		for _, v := range vals {
-			s.Update(v)
-		}
-		return s
-	}
-
-	rows := []mergeable{
-		{
-			name:    "mg(k=256)",
-			updates: func() { mkMG() },
-			merges: func() float64 {
-				a, b := mkMG(), mkMG()
-				const reps = 200
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					c := a.Clone()
-					if err := c.Merge(b); err != nil {
-						panic(err)
-					}
-				}
-				return reps / time.Since(start).Seconds()
-			},
-		},
-		{
-			name:    "spacesaving(k=256)",
-			updates: func() { mkSS() },
-			merges: func() float64 {
-				a, b := mkSS(), mkSS()
-				const reps = 200
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					c := a.Clone()
-					if err := c.MergeLowError(b); err != nil {
-						panic(err)
-					}
-				}
-				return reps / time.Since(start).Seconds()
-			},
-		},
-		{
-			name:    "gk(eps=0.01)",
-			updates: func() { mkGK() },
-			merges: func() float64 {
-				a, b := mkGK(), mkGK()
-				const reps = 50
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					c := a.Clone()
-					if err := c.Merge(b); err != nil {
-						panic(err)
-					}
-				}
-				return reps / time.Since(start).Seconds()
-			},
-		},
-		{
-			name:    "randquant(eps=0.01)",
-			updates: func() { mkRQ() },
-			merges: func() float64 {
-				a, b := mkRQ(), mkRQ()
-				const reps = 50
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					c := a.Clone()
-					if err := c.Merge(b); err != nil {
-						panic(err)
-					}
-				}
-				return reps / time.Since(start).Seconds()
-			},
-		},
-		{
-			name: "countmin(512x4)",
-			updates: func() {
-				s := countmin.New(512, 4, cfg.Seed)
-				for _, x := range stream {
-					s.Update(x, 1)
-				}
-			},
-			merges: func() float64 {
-				a := countmin.New(512, 4, cfg.Seed)
-				b := countmin.New(512, 4, cfg.Seed)
-				const reps = 2000
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					if err := a.Merge(b); err != nil {
-						panic(err)
-					}
-				}
-				return reps / time.Since(start).Seconds()
-			},
-		},
-		{
-			name: "bottomk(k=4096)",
-			updates: func() {
-				s := sampling.NewBottomK(4096, cfg.Seed)
-				for _, v := range vals {
-					s.Update(v)
-				}
-			},
-			merges: func() float64 {
-				mk := func(seed uint64) *sampling.BottomK {
-					s := sampling.NewBottomK(4096, seed)
-					for _, v := range vals[:n/4] {
-						s.Update(v)
-					}
-					return s
-				}
-				a, b := mk(1), mk(2)
-				const reps = 500
-				start := time.Now()
-				for i := 0; i < reps; i++ {
-					c := a.Clone()
-					if err := c.Merge(b); err != nil {
-						panic(err)
-					}
-				}
-				return reps / time.Since(start).Seconds()
-			},
-		},
-	}
-	for _, r := range rows {
-		tb.AddRow(r.name, timeUpdates(r.updates), r.merges())
-	}
-	return Result{
-		ID: "E14", Title: "Throughput", Tables: []*stats.Table{tb},
-		Notes: []string{
-			"Claim: all summaries sustain millions of updates/s single-threaded; merges are microsecond-scale (O(k) or O(size) work).",
 		},
 	}
 }

@@ -169,9 +169,9 @@ func runE08(cfg Config) Result {
 		"eps", "topology", "size", "maxRelErr", "err/eps")
 	for _, eps := range epss {
 		parts := gen.PartitionRandomSizes(vals, sites, cfg.Seed+2)
-		for _, fname := range foldOrder {
+		for _, fname := range mergetree.Topologies {
 			seed := cfg.Seed + 31
-			fold := folds[*randquant.Summary](cfg.Seed + 41)[fname]
+			fold := mergetree.Fold[*randquant.Summary](fname, cfg.Seed+41)
 			m, err := mergetree.BuildAndMerge(parts,
 				func(part []float64) *randquant.Summary {
 					seed++

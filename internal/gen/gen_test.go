@@ -225,26 +225,6 @@ func TestPointGenerators(t *testing.T) {
 	}
 }
 
-func TestQuantileOf(t *testing.T) {
-	vals := []float64{5, 1, 3, 2, 4}
-	if q := QuantileOf(vals, 0); q != 1 {
-		t.Errorf("QuantileOf(0) = %v", q)
-	}
-	if q := QuantileOf(vals, 0.5); q != 3 {
-		t.Errorf("QuantileOf(0.5) = %v", q)
-	}
-	if q := QuantileOf(vals, 1); q != 5 {
-		t.Errorf("QuantileOf(1) = %v", q)
-	}
-	if !math.IsNaN(QuantileOf(nil, 0.5)) {
-		t.Error("QuantileOf(nil) should be NaN")
-	}
-	// Input must not be mutated.
-	if vals[0] != 5 {
-		t.Error("QuantileOf mutated its input")
-	}
-}
-
 func TestPartitionsPreserveStream(t *testing.T) {
 	stream := NewZipf(100, 1.2, 5).Stream(997)
 	count := func(parts [][]core.Item) map[core.Item]int {

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"math"
-	"sort"
 )
 
 // UniformValues returns n floats uniform in [0, 1).
@@ -139,23 +138,4 @@ func ClusteredPoints(n, c int, spread float64, seed uint64) []Point {
 		out[i] = Point{ct.X + spread*rng.Norm(), ct.Y + spread*rng.Norm()}
 	}
 	return out
-}
-
-// QuantileOf returns the exact phi-quantile of values (nearest-rank on
-// a sorted copy); a convenience for tests and examples.
-func QuantileOf(values []float64, phi float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(values))
-	copy(s, values)
-	sort.Float64s(s)
-	i := int(phi * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return s[i]
 }

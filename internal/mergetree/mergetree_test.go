@@ -153,18 +153,8 @@ func TestTopologiesWithMG(t *testing.T) {
 	}
 	merge := MergeFunc[*mg.Summary]((*mg.Summary).Merge)
 
-	folds := map[string]func(parts []*mg.Summary, m MergeFunc[*mg.Summary]) (*mg.Summary, error){
-		"sequential": Sequential[*mg.Summary],
-		"binary":     Binary[*mg.Summary],
-		"random": func(p []*mg.Summary, m MergeFunc[*mg.Summary]) (*mg.Summary, error) {
-			return Random(p, 9, m)
-		},
-		"parallel": func(p []*mg.Summary, m MergeFunc[*mg.Summary]) (*mg.Summary, error) {
-			return Parallel(p, 4, m)
-		},
-	}
-	for name, fold := range folds {
-		got, err := BuildAndMerge(parts, build, fold, merge)
+	for _, name := range Topologies {
+		got, err := BuildAndMerge(parts, build, Fold[*mg.Summary](name, 9), merge)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -179,6 +169,15 @@ func TestTopologiesWithMG(t *testing.T) {
 			t.Errorf("%s: top item interval %v misses %d", name, e, top.Count)
 		}
 	}
+}
+
+func TestFoldUnknownTopology(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fold of an unknown topology did not panic")
+		}
+	}()
+	Fold[*counterBox]("star", 1)
 }
 
 func TestParallelManyParts(t *testing.T) {

@@ -2,8 +2,26 @@ package mergetree
 
 import "fmt"
 
-// Topologies names the fold orders Metamorphic exercises.
+// Topologies names the fold orders Fold runs, in the order Metamorphic
+// and the experiments sweep them.
 var Topologies = []string{"sequential", "binary", "random", "parallel"}
+
+// Fold returns the fold the named topology runs: Sequential, Binary,
+// Random drawing from seed, or Parallel on 4 workers. It panics on a
+// name not in Topologies.
+func Fold[S any](topology string, seed uint64) func([]S, MergeFunc[S]) (S, error) {
+	switch topology {
+	case "sequential":
+		return Sequential[S]
+	case "binary":
+		return Binary[S]
+	case "random":
+		return func(parts []S, merge MergeFunc[S]) (S, error) { return Random(parts, seed, merge) }
+	case "parallel":
+		return func(parts []S, merge MergeFunc[S]) (S, error) { return Parallel(parts, 4, merge) }
+	}
+	panic(fmt.Sprintf("mergetree: unknown topology %q", topology))
+}
 
 // Metamorphic is the mergeability definition's universal quantifier as
 // a test helper: it folds independent clones of parts under every
@@ -16,22 +34,12 @@ var Topologies = []string{"sequential", "binary", "random", "parallel"}
 // receives the topology name for error reporting and must return an
 // error when the merged summary violates the family's guarantee.
 func Metamorphic[S any](parts []S, clone func(S) S, merge MergeFunc[S], check func(topology string, merged S) error) error {
-	folds := map[string]func([]S, MergeFunc[S]) (S, error){
-		"sequential": Sequential[S],
-		"binary":     Binary[S],
-		"random": func(ps []S, m MergeFunc[S]) (S, error) {
-			return Random(ps, 0x5eed_c0ffee, m)
-		},
-		"parallel": func(ps []S, m MergeFunc[S]) (S, error) {
-			return Parallel(ps, 4, m)
-		},
-	}
 	for _, name := range Topologies {
 		clones := make([]S, len(parts))
 		for i, p := range parts {
 			clones[i] = clone(p)
 		}
-		merged, err := folds[name](clones, merge)
+		merged, err := Fold[S](name, 0x5eed_c0ffee)(clones, merge)
 		if err != nil {
 			return fmt.Errorf("mergetree: %s fold failed: %w", name, err)
 		}

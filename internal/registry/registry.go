@@ -160,12 +160,12 @@ func Register[T any, PT Codec[T]](kind codec.Kind, name string, spec Spec[T]) {
 	switch {
 	case kind == codec.KindInvalid || int(kind) >= codec.KindCount:
 		panic(fmt.Sprintf("registry: kind %d out of range", uint8(kind)))
-	case spec.Merge == nil || spec.N == nil || spec.Example == nil:
-		panic(fmt.Sprintf("registry: %s: Spec needs Example, Merge and N", name))
-	case byKind[kind] != nil:
-		panic(fmt.Sprintf("registry: kind %v already registered as %q", kind, byKind[kind].name))
+	case name == "" || spec.Merge == nil || spec.N == nil || spec.Example == nil:
+		panic(fmt.Sprintf("registry: kind %v: needs a name, and a Spec with Example, Merge and N", kind))
 	case byName[name] != nil:
 		panic(fmt.Sprintf("registry: name %q already registered", name))
+	case byKind[kind] != nil:
+		panic(fmt.Sprintf("registry: kind %v already registered as %q", kind, byKind[kind].name))
 	}
 	codec.RegisterKindName(kind, name)
 	e := &Entry{

@@ -3,6 +3,8 @@ package registry_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -50,6 +52,46 @@ func TestCatalogComplete(t *testing.T) {
 	}
 	if names := registry.Names(); len(names) != codec.KindCount-1 {
 		t.Fatalf("Names() = %v", names)
+	}
+}
+
+// TestRegisterRejectsReuse: registering under a taken name, or a
+// fresh name under a taken tag, panics naming what was reused and
+// leaves the catalog as it was. The registry is the only place either
+// is checked. Every tag is taken here, so the name case relies on the
+// name being checked first.
+func TestRegisterRejectsReuse(t *testing.T) {
+	spec := registry.Spec[mg.Summary]{
+		Example: func(int) *mg.Summary { return mg.New(8) },
+		Merge:   (*mg.Summary).MergeLowError,
+		N:       (*mg.Summary).N,
+	}
+	before := registry.Entries()
+	for _, c := range []struct {
+		kind codec.Kind
+		name string
+		want string // what the panic must name
+	}{
+		{codec.KindTopK, "mg", `name "mg"`},
+		{codec.KindMisraGries, "mg-copy", `kind mg`},
+	} {
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, c.want) {
+					t.Errorf("Register(%d, %q) panicked with %q, want it to name %s", uint8(c.kind), c.name, r, c.want)
+				}
+			}()
+			registry.Register(c.kind, c.name, spec)
+		}()
+	}
+	if after := registry.Entries(); !slices.Equal(after, before) {
+		t.Fatalf("a rejected registration changed the catalog: %v", registry.Names())
+	}
+	if _, ok := registry.ByName("mg-copy"); ok {
+		t.Fatal(`"mg-copy" resolves after a rejected registration`)
+	}
+	if e, _ := registry.ByName("mg"); e.Kind() != codec.KindMisraGries || codec.KindTopK.String() != "topk" {
+		t.Fatalf(`"mg" resolves to kind %v, topk's tag names %q`, e.Kind(), codec.KindTopK.String())
 	}
 }
 

@@ -10,7 +10,6 @@
 package sampling
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -27,33 +26,9 @@ type tagged struct {
 }
 
 // tagHeap is a max-heap on tags, so the root is the largest kept tag
-// (the first to be displaced).
+// (the first to be displaced). up and down make container/heap's
+// moves without boxing a tag.
 type tagHeap []tagged
-
-func (h tagHeap) Len() int            { return len(h) }
-func (h tagHeap) Less(i, j int) bool  { return h[i].tag > h[j].tag }
-func (h tagHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *tagHeap) Push(x interface{}) { *h = append(*h, x.(tagged)) }
-func (h *tagHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// pushConcrete and fixRoot are the batch path's non-boxing equivalents
-// of heap.Push and heap.Fix(h, 0): identical comparison and swap order
-// to container/heap, so a batch of updates leaves the heap in exactly
-// the state the heap-package loop would — the batch-vs-loop state
-// equality tests depend on that.
-
-func (h *tagHeap) pushConcrete(t tagged) {
-	*h = append(*h, t)
-	h.up(len(*h) - 1)
-}
-
-func (h *tagHeap) fixRoot() { h.down(0) }
 
 func (h tagHeap) up(j int) {
 	for {
@@ -82,6 +57,18 @@ func (h tagHeap) down(i int) {
 		h[i], h[j] = h[j], h[i]
 		i = j
 	}
+}
+
+// put adds t to a heap of fewer than k tags, or sets it in place of
+// the root of a full one.
+func (h *tagHeap) put(t tagged, k int) {
+	if len(*h) < k {
+		*h = append(*h, t)
+		h.up(len(*h) - 1)
+		return
+	}
+	(*h)[0] = t
+	h.down(0)
 }
 
 // BottomK is a mergeable uniform sample of up to k values. The zero
@@ -118,14 +105,16 @@ func (s *BottomK) Update(v float64) {
 		panic("sampling: NaN has no rank")
 	}
 	s.n++
-	t := tagged{tag: s.rng.Uint64(), v: v}
-	if len(s.keep) < s.k {
-		heap.Push(&s.keep, t)
-		return
-	}
-	if t.tag < s.keep[0].tag {
-		s.keep[0] = t
-		heap.Fix(&s.keep, 0)
+	s.offer(tagged{tag: s.rng.Uint64(), v: v})
+}
+
+// offer keeps t while the sample has room, and afterwards in place of
+// the largest kept tag when t's is smaller. It is small enough to
+// inline, so a tag that is not kept — most of them, once the sample is
+// full — costs a comparison and no call.
+func (s *BottomK) offer(t tagged) {
+	if len(s.keep) < s.k || t.tag < s.keep[0].tag {
+		s.keep.put(t, s.k)
 	}
 }
 
@@ -142,12 +131,7 @@ func (s *BottomK) Merge(other *BottomK) error {
 	}
 	s.n += other.n
 	for _, t := range other.keep {
-		if len(s.keep) < s.k {
-			heap.Push(&s.keep, t)
-		} else if t.tag < s.keep[0].tag {
-			s.keep[0] = t
-			heap.Fix(&s.keep, 0)
-		}
+		s.offer(t)
 	}
 	return nil
 }

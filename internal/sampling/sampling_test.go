@@ -59,6 +59,32 @@ func TestBottomKCapacity(t *testing.T) {
 	}
 }
 
+// TestBottomKUpdateAllocs: a tag joins the heap unboxed, so once the
+// sample's storage has room (a Reset keeps it) an Update allocates
+// nothing, whether the sample is filling or full.
+func TestBottomKUpdateAllocs(t *testing.T) {
+	const k = 512
+	s := NewBottomK(k, 1)
+	vals := gen.UniformValues(k, 2)
+	s.UpdateBatch(vals)
+	s.Reset()
+	i := 0
+	update := func() {
+		s.Update(vals[i])
+		i++
+	}
+	if allocs := testing.AllocsPerRun(k-1, update); allocs != 0 {
+		t.Errorf("filling: %v allocs per Update, want 0", allocs)
+	}
+	if s.Size() != k {
+		t.Fatalf("Size = %d after %d updates, want %d", s.Size(), i, k)
+	}
+	i = 0
+	if allocs := testing.AllocsPerRun(k-1, update); allocs != 0 {
+		t.Errorf("full: %v allocs per Update, want 0", allocs)
+	}
+}
+
 func TestBottomKRankAccuracy(t *testing.T) {
 	const n = 100000
 	const k = 10000
