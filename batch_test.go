@@ -6,7 +6,9 @@ package mergesum_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -698,10 +700,10 @@ func TestUpdateBatchAllocs(t *testing.T) {
 		{"hll/p=12", onItems(mergesum.NewHLL(12, 1).UpdateBatch), 0},
 		{"topk/k=64", onItems(mergesum.NewTopK(64, 512, 4, 1).UpdateBatch), 0}, // pooled collapse
 		{"bottomk/k=4096", onVals(mergesum.NewBottomK(4096, 1).UpdateBatch), 0},
-		{"qdigest/logU=16", onUvals(qd.UpdateBatch), 0}, // sort runs, body and compress scratch retained
+		{"qdigest/logU=16", onUvals(qd.UpdateBatch), 0}, // sort, merge and compress runs borrowed
 		{"gk/eps=0.01", onVals(mergesum.NewGK(0.01).UpdateBatch), 1},
 		{"randquant/eps=0.01", onVals(mergesum.NewQuantile(0.01, 1).UpdateBatch), batchLen - 1},
-		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), 0}, // the one type's free list
+		{"hybrid/eps=0.01", onVals(mergesum.NewQuantileHybrid(0.01, 1).UpdateBatch), 0}, // the lender's free list
 		{"mg/weighted,k=64", onWeighted(mergesum.NewMisraGries(64).Update), 0},
 		{"spacesaving/weighted,k=256", onWeighted(mergesum.NewSpaceSaving(256).Update), 0},
 		{"countmin/weighted,w=1024,d=4", onWeighted(mergesum.NewCountMin(1024, 4, 1).Update), 0},
@@ -766,14 +768,80 @@ func TestUpdateBatchAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// The four families that sort keep state that grows with n, and
+	// borrow the runs they sort, merge and compress in for the call: a
+	// fresh summary fed one chunk at the edge's parameters allocates
+	// about the state it keeps — Size() stored elements at their bytes
+	// each — and not its scratch. The bound leaves room for append
+	// growth of that state (at most as much again) and a few small
+	// headers.
+	values := gen.LogNormalValues(8192, 0, 1, 5)
+	uvalues := make([]uint64, len(values))
+	for i, v := range values {
+		uvalues[i] = min(uint64(v*4096), 1<<16-1)
+	}
+	points := gen.UniformPoints(8192, 5)
+	for _, tc := range []struct {
+		name  string
+		elem  int        // bytes per stored element
+		fresh func() int // New + one chunk; returns Size()
+	}{
+		{"qdigest/fresh,eps=0.02", 16, func() int {
+			d := mergesum.NewQDigest(16, 0.02)
+			d.UpdateBatch(uvalues)
+			return d.Size()
+		}},
+		{"quantile/fresh,eps=0.02", 8, func() int {
+			q := mergesum.NewQuantile(0.02, 1)
+			q.UpdateBatch(values)
+			return q.Size()
+		}},
+		{"rangecount/fresh,eps=0.05", 20, func() int {
+			r := mergesum.NewRangeCounter(0.05, mergesum.Rect{X0: 0, Y0: 0, X1: 1, Y1: 1}, 1)
+			for _, p := range points {
+				r.Update(p)
+			}
+			return r.Size()
+		}},
+		{"gk/fresh,eps=0.02", 24, func() int {
+			g := mergesum.NewGK(0.02)
+			g.UpdateBatch(values)
+			return g.Size()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if raceEnabled {
+				t.Skip("race instrumentation allocates beside the state")
+			}
+			if sanitizeEnabled {
+				t.Skip("a sanitize build clones summaries for its checks")
+			}
+			tc.fresh() // warm the lenders
+			// The least of a few builds, so that what another goroutine
+			// allocates meanwhile is not counted.
+			size, allocated := 0, uint64(math.MaxUint64)
+			for range 5 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				size = tc.fresh()
+				runtime.ReadMemStats(&after)
+				allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+			}
+			if state := uint64(size * tc.elem); allocated > 2*state+4096 {
+				t.Fatalf("New + %d values: %d B allocated for %d B of state", len(values), allocated, state)
+			}
+		})
+	}
 }
 
 // TestWarmPromoteAllocs pins the block promotion of the three families
 // that buffer and sort — the quantile summary, the range counter, GK —
-// at zero allocations once warm: the sort scratch lives on the summary
-// and block storage comes off its free list. Each summary is first fed
-// 16 blocks (one level-4 block stored, the rest of its storage free),
-// then measured over calls of one block each: block counts 17–24, which
+// at zero allocations once warm: the sort scratch and block storage
+// come from the family's lender, whose shelf every P reads and no GC
+// empties. Each summary is first fed 16 blocks (one level-4 block
+// stored, the rest of its storage in the lender's free list), then
+// measured over calls of one block each: block counts 17–24, which
 // never hold more blocks at once than the warm-up did.
 func TestWarmPromoteAllocs(t *testing.T) {
 	vals := batchValueStream()

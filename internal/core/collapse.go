@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // CollapseRun is the longest stretch of a batch a caller hands one
@@ -17,7 +18,59 @@ const CollapseRun = 1 << 16
 // rather than pinned in the pool.
 const maxPooledSlots = 4 * CollapseRun
 
-var collapsePool = sync.Pool{New: func() any { return new(Collapse) }}
+var collapsePool Pool[Collapse]
+
+// Pool lends scratch of type T for the length of one call: a summary
+// keeps only its state, and every call takes the runs it sorts, merges
+// or compresses in from Get and hands them back with Put before it
+// returns, so a warm path allocates nothing and a summary that is built,
+// encoded and dropped allocates only what it kept. It pools pointers
+// (a slice boxed into an interface would allocate on every Put).
+//
+// The first shelfLen values handed back wait on a shelf that every P
+// reads and no GC cycle empties, so a warm path stays at zero
+// allocations whichever P the next call runs on and however long it
+// waits. Values beyond those overflow into a sync.Pool, which keeps them per P
+// and drops them after two idle GC cycles. What a Pool holds is
+// therefore shelfLen values for good, plus what the GC has not yet
+// drained; callers cap what one value may keep. The zero value is ready
+// to use; safe for concurrent use.
+type Pool[T any] struct {
+	shelf [shelfLen]atomic.Pointer[T]
+	p     sync.Pool
+}
+
+// shelfLen is how many lent values a Pool keeps on its shelf: enough
+// for the calls a small machine runs at once.
+const shelfLen = 4
+
+// Get returns a T from the pool, or a new zero T when it is empty. The
+// contents are whatever the last borrower left: the caller resets what
+// it reads.
+func (p *Pool[T]) Get() *T {
+	for i := range p.shelf {
+		if p.shelf[i].Load() != nil {
+			if v := p.shelf[i].Swap(nil); v != nil {
+				return v
+			}
+		}
+	}
+	if v, ok := p.p.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
+
+// Put returns v to the pool. The caller must not touch v, or any
+// storage it handed over in v, afterwards.
+func (p *Pool[T]) Put(v *T) {
+	for i := range p.shelf {
+		if p.shelf[i].CompareAndSwap(nil, v) {
+			return
+		}
+	}
+	p.p.Put(v)
+}
 
 // Collapse is the collapse kernel under the item-keyed batch paths: it
 // turns a batch of items into its distinct (item, count) pairs, in order
@@ -41,7 +94,7 @@ type Collapse struct {
 
 // GetCollapse returns an empty Collapse from the pool. Pair it with
 // PutCollapse once the pairs have been used.
-func GetCollapse() *Collapse { return collapsePool.Get().(*Collapse) }
+func GetCollapse() *Collapse { return collapsePool.Get() }
 
 // PutCollapse empties c and returns it to the pool. The caller must not
 // touch c, or any slice it returned, afterwards.

@@ -2,7 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -202,5 +205,44 @@ func TestCollapseAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, run); got != 0 {
 		t.Fatalf("warm collapse of 8192 items: %.1f allocs, want 0", got)
+	}
+}
+
+// TestPoolLendsExclusively: a value Get returns is its borrower's alone
+// until it is Put back, from the shelf or from the overflow, with more
+// borrowers at once than the shelf holds.
+func TestPoolLendsExclusively(t *testing.T) {
+	type lent struct{ owner atomic.Int32 }
+	var p Pool[lent]
+	var wg sync.WaitGroup
+	for g := range int32(4 * shelfLen) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 2000 {
+				v := p.Get()
+				if !v.owner.CompareAndSwap(0, g+1) {
+					t.Errorf("borrower %d got a value borrower %d holds", g, v.owner.Load()-1)
+					return
+				}
+				runtime.Gosched()
+				v.owner.Store(0)
+				p.Put(v)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPoolShelfOutlivesGC: a value on the shelf is lent again after GC
+// cycles that would have emptied a sync.Pool.
+func TestPoolShelfOutlivesGC(t *testing.T) {
+	var p Pool[[64]byte]
+	v := p.Get()
+	p.Put(v)
+	runtime.GC()
+	runtime.GC()
+	if p.Get() != v {
+		t.Fatal("two GC cycles emptied the shelf")
 	}
 }

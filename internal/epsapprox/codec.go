@@ -44,10 +44,10 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Points decode
-// into storage from the receiver's free list, their Morton keys
-// computed as they arrive; once the frame is validated the receiver's
-// previous blocks join the free list in their turn. A pooled decode
-// target therefore stops allocating after its first few frames, and a
+// into storage from a borrowed free list, their Morton keys computed
+// as they arrive; once the frame is validated the receiver's previous
+// blocks join the free list in their turn. A pooled decode target
+// therefore stops allocating after its first few frames, and a
 // rejected frame leaves the receiver's contents untouched.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindRangeCount, data)
@@ -68,17 +68,20 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	// Stage the frame beside the live contents, in storage from the
 	// free list; every staged block goes back there unless the frame
 	// is accepted.
+	rs := lender.Get()
 	var partial block
-	blocks := s.stage[:0]
+	blocks := rs.stage[:0]
 	accepted := false
 	defer func() {
 		if !accepted {
-			s.putBlock(partial)
+			rs.retire(partial)
 			for _, b := range blocks {
-				s.putBlock(b)
+				rs.retire(b)
 			}
 		}
-		s.stage = blocks[:0]
+		clear(blocks)
+		rs.stage = blocks[:0]
+		lender.Put(rs)
 	}()
 
 	np := r.ArrayLen(16)
@@ -90,10 +93,10 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	}
 	// Scratch and blocks are sized only by counts ArrayLen has checked
 	// against the bytes left: the header's size alone reserves nothing.
-	partial = s.getBlock(np)
-	s.coords = codec.Resize(s.coords, 2*np)
-	r.Float64s(s.coords[:2*np])
-	partial.addCoords(box, s.coords)
+	partial = rs.block(np, 2*size)
+	rs.coords = codec.Resize(rs.coords, 2*np)
+	r.Float64s(rs.coords[:2*np])
+	partial.addCoords(box, rs.coords)
 	nb := r.ArrayLen(1)
 	if r.Err() != nil {
 		return r.Err()
@@ -116,10 +119,10 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		if bl != size {
 			return errBlock(i, bl, size)
 		}
-		b := s.getBlock(bl)
-		s.coords = codec.Resize(s.coords, 2*bl)
-		r.Float64s(s.coords[:2*bl])
-		b.addCoords(box, s.coords)
+		b := rs.block(bl, 2*bl)
+		rs.coords = codec.Resize(rs.coords, 2*bl)
+		r.Float64s(rs.coords[:2*bl])
+		b.addCoords(box, rs.coords)
 		blocks = append(blocks, b)
 	}
 	if err := r.Finish(); err != nil {
@@ -130,10 +133,11 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	}
 
 	accepted = true
-	s.putBlock(s.partial)
+	rs.retire(s.partial)
 	for _, b := range s.blocks {
-		s.putBlock(b)
+		rs.retire(b)
 	}
+	clear(s.blocks)
 	s.s, s.n, s.box = size, n, box
 	s.partial, s.blocks = partial, append(s.blocks[:0], blocks...)
 	if s.rng == nil {

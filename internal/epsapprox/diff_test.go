@@ -233,7 +233,7 @@ func TestHalveMatchesBranchy(t *testing.T) {
 	} {
 		for _, skip := range []bool{false, true} {
 			got, want := New(8, unitBox, seedFor(skip)), New(8, unitBox, seedFor(skip))
-			g, w := got.halve(tc.a, tc.b), refHalve(want, tc.a, tc.b)
+			g, w := got.halve(new(runs), tc.a, tc.b), refHalve(want, tc.a, tc.b)
 			if len(g.pts) != len(w.pts) || len(g.keys) != len(w.keys) {
 				t.Fatalf("%s, skip=%v: kept %d points, the branchy halve %d", tc.name, skip, len(g.pts), len(w.pts))
 			}

@@ -21,9 +21,12 @@
 //
 // Every stored point carries its Morton key beside it, computed once
 // when the point is inserted or decoded: sorting a full partial and
-// halving two blocks compare cached integers, never recompute a key,
-// and block storage cycles through a per-summary free list, so the
-// steady-state update, merge and decode paths do not allocate.
+// halving two blocks compare cached integers, never recompute a key.
+// A summary keeps only its state: the sort run, the decode's read run
+// and level table, and retired block storage are borrowed for the
+// length of a call from a pooled lender, so the steady-state update,
+// merge and decode paths do not allocate, and a fresh summary
+// allocates what it keeps.
 package epsapprox
 
 import (
@@ -57,12 +60,21 @@ type Summary struct {
 	// Morton quantization box: fixed at construction so that two
 	// mergeable summaries agree on the curve.
 	box exact.Rect
+}
 
+// runs is the scratch a call borrows from lender and hands back before
+// it returns.
+type runs struct {
 	free   []block   // recycled block storage
 	stage  []block   // UnmarshalBinary's level table while a frame is unvalidated
 	coords []float64 // UnmarshalBinary's read run: one block's x, y pairs
 	order  []uint64  // promotePartial's sort run and the kernel's scratch
 }
+
+var lender core.Pool[runs]
+
+// maxFree caps a free list: storage retired past it is dropped.
+const maxFree = 2 * maxLevels
 
 // block is a run of points with their cached Morton keys: keys[j] is
 // pts[j]'s Z-order index, computed once when the point is inserted or
@@ -162,24 +174,28 @@ func interleave(v uint32) uint64 {
 	return x
 }
 
-// getBlock returns empty block storage with room for size points
-// (the block size, or a decoded frame's before it is adopted).
-func (s *Summary) getBlock(size int) block {
-	for n := len(s.free); n > 0; n-- {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		// Storage recycled under a smaller block size is dropped.
-		if cap(b.pts) >= size && cap(b.keys) >= size {
+// block returns empty block storage with room for n points: recycled
+// from the free list when a block there has room for n and at most
+// most, new otherwise. Callers ask for at most twice n, so no summary
+// keeps storage sized for another's blocks; a decoded partial, which
+// grows to a block, asks for up to twice the block size.
+func (rs *runs) block(n, most int) block {
+	for i := len(rs.free) - 1; i >= 0; i-- {
+		b := rs.free[i]
+		if c := min(cap(b.pts), cap(b.keys)); c >= n && c <= most {
+			last := len(rs.free) - 1
+			rs.free[i], rs.free[last] = rs.free[last], block{}
+			rs.free = rs.free[:last]
 			return block{b.pts[:0], b.keys[:0]}
 		}
 	}
-	return block{make([]gen.Point, 0, size), make([]uint32, 0, size)}
+	return block{make([]gen.Point, 0, n), make([]uint32, 0, n)}
 }
 
-// putBlock recycles block storage nothing references any more.
-func (s *Summary) putBlock(b block) {
-	if b.pts != nil {
-		s.free = append(s.free, b)
+// retire recycles block storage nothing references any more.
+func (rs *runs) retire(b block) {
+	if b.pts != nil && len(rs.free) < maxFree {
+		rs.free = append(rs.free, b)
 	}
 }
 
@@ -188,7 +204,9 @@ func (s *Summary) Update(p gen.Point) {
 	s.n++
 	s.partial.add(p, mortonKey(s.box, p))
 	if len(s.partial.pts) >= s.s {
-		s.promotePartial()
+		rs := lender.Get()
+		s.promotePartial(rs)
+		lender.Put(rs)
 	}
 }
 
@@ -196,20 +214,20 @@ func (s *Summary) Update(p gen.Point) {
 // radix sort on the cached keys — each packed over its point's position,
 // which rides along as payload and so breaks ties by arrival — gathered
 // into recycled storage.
-func (s *Summary) promotePartial() {
+func (s *Summary) promotePartial(rs *runs) {
 	n := len(s.partial.keys)
-	s.order = codec.Resize(s.order, 2*n)
-	ord := s.order[:n]
+	rs.order = codec.Resize(rs.order, 2*n)
+	ord := rs.order[:n]
 	for j, k := range s.partial.keys {
 		ord[j] = uint64(k)<<32 | uint64(j)
 	}
-	core.SortKeys(ord, s.order[n:], 32, 64)
-	b := s.getBlock(s.s)
+	core.SortKeys(ord, rs.order[n:], 32, 64)
+	b := rs.block(s.s, 2*s.s)
 	for _, o := range ord {
 		b.add(s.partial.pts[uint32(o)], uint32(o>>32))
 	}
 	s.partial = block{s.partial.pts[:0], s.partial.keys[:0]}
-	s.carry(b, 0, true)
+	s.carry(rs, b, 0, true)
 	debugAssert(s, false)
 }
 
@@ -217,7 +235,7 @@ func (s *Summary) promotePartial() {
 // up while the level is taken. An owned b is the summary's to keep or
 // recycle; a borrowed one (another summary's block) is only read — it
 // is halved where it lies, and copied only if its level is free.
-func (s *Summary) carry(b block, i int, owned bool) {
+func (s *Summary) carry(rs *runs, b block, i int, owned bool) {
 	for {
 		for len(s.blocks) <= i {
 			s.blocks = append(s.blocks, block{})
@@ -225,17 +243,17 @@ func (s *Summary) carry(b block, i int, owned bool) {
 		occ := s.blocks[i]
 		if occ.pts == nil {
 			if !owned {
-				c := s.getBlock(s.s)
+				c := rs.block(s.s, 2*s.s)
 				b = block{append(c.pts, b.pts...), append(c.keys, b.keys...)}
 			}
 			s.blocks[i] = b
 			return
 		}
 		s.blocks[i] = block{}
-		out := s.halve(occ, b)
-		s.putBlock(occ)
+		out := s.halve(rs, occ, b)
+		rs.retire(occ)
 		if owned {
-			s.putBlock(b)
+			rs.retire(b)
 		}
 		b, owned = out, true
 		i++
@@ -255,13 +273,13 @@ func (s *Summary) carry(b block, i int, owned bool) {
 // two keys (ties to a). While both operands have points another one
 // follows, so w never reaches the end there; the one tail left is then
 // copied every other point in a plain loop.
-func (s *Summary) halve(a, b block) block {
+func (s *Summary) halve(rs *runs, a, b block) block {
 	keep := 1
 	if s.rng.Bool() {
 		keep = 0
 	}
 	size := (len(a.pts) + len(b.pts) + keep) / 2
-	out := s.getBlock(size)
+	out := rs.block(size, 2*size)
 	out.pts, out.keys = out.pts[:size], out.keys[:size]
 	ai, bi, w := 0, 0, 0
 	for ai < len(a.pts) && bi < len(b.pts) {
@@ -308,23 +326,25 @@ func (s *Summary) Merge(other *Summary) error {
 	if s.s != other.s || s.box != other.box {
 		return fmt.Errorf("%w: epsapprox shape", core.ErrMismatchedShape)
 	}
-	s.absorb(other)
+	rs := lender.Get()
+	s.absorb(rs, other)
+	lender.Put(rs)
 	debugAssert(s, true)
 	return nil
 }
 
 // absorb is Merge past the shape check.
-func (s *Summary) absorb(other *Summary) {
+func (s *Summary) absorb(rs *runs, other *Summary) {
 	s.n += other.n
 	for i := len(other.blocks) - 1; i >= 0; i-- {
 		if ob := other.blocks[i]; ob.pts != nil {
-			s.carry(ob, i, false)
+			s.carry(rs, ob, i, false)
 		}
 	}
 	for j, p := range other.partial.pts {
 		s.partial.add(p, other.partial.keys[j])
 		if len(s.partial.pts) >= s.s {
-			s.promotePartial()
+			s.promotePartial(rs)
 		}
 	}
 }

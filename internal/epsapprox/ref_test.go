@@ -30,7 +30,7 @@ type refSummary struct {
 // its branches — one branch on the keys per point, one on the
 // alternation — kept as the oracle for the branch-free version.
 func refHalve(s *Summary, a, b block) block {
-	out := s.getBlock(s.s)
+	out := new(runs).block(s.s, 2*s.s)
 	skip := s.rng.Bool()
 	ai, bi := 0, 0
 	for ai < len(a.pts) || bi < len(b.pts) {

@@ -13,10 +13,12 @@ func (s *Summary) UpdateBatch(vs []float64) {
 			panic("gk: NaN has no rank")
 		}
 	}
+	rs := lender.Get()
+	defer lender.Put(rs)
 	for len(vs) > 0 {
 		room := s.bufCap - len(s.buf)
 		if room <= 0 {
-			s.flush()
+			s.sweep(rs)
 			continue
 		}
 		if room > len(vs) {
@@ -26,7 +28,7 @@ func (s *Summary) UpdateBatch(vs []float64) {
 		s.n += uint64(room)
 		vs = vs[room:]
 		if len(s.buf) >= s.bufCap {
-			s.flush()
+			s.sweep(rs)
 		}
 	}
 }

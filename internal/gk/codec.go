@@ -33,11 +33,11 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements
-// encoding.BinaryUnmarshaler. Tuples are read into the receiver's
-// retired tuple run, which trades places with the live one once the
-// frame is validated (the idiom of flush and Merge), so a reused
-// receiver — any eps, any contents; the zero value too — allocates
-// nothing, and a rejected frame leaves it untouched. A frame is held to
+// encoding.BinaryUnmarshaler. Tuples are read into a borrowed run,
+// which once the frame is validated trades places with the receiver's
+// tuples if it has room for at most twice them and is copied into the
+// receiver's own storage if not, so a reused receiver — any eps, any contents; the zero value too —
+// allocates nothing, and a rejected frame leaves it untouched. A frame is held to
 // the invariants the sweeps in flush, Merge and the queries assume
 // (checkTuples): a NaN or decreasing value, g = 0 or g+Δ above
 // ⌊2εn⌋+1 is rejected, as is a weight other than n.
@@ -56,11 +56,13 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	if eps <= 0 || eps >= 1 {
 		return fmt.Errorf("gk: invalid eps %v in frame", eps)
 	}
-	tuples := codec.Resize(s.spare, m)[:0]
+	rs := lender.Get()
+	defer lender.Put(rs)
+	tuples := codec.Resize(rs.tuples, m)[:0]
 	for i := 0; i < m; i++ {
 		tuples = append(tuples, tuple{v: r.Float64(), g: r.Uint64(), delta: r.Uint64()})
 	}
-	s.spare = tuples[:0]
+	rs.tuples = tuples[:0]
 	if err := r.Finish(); err != nil {
 		return err
 	}
@@ -72,7 +74,11 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("gk: frame weight %d != n %d", sumG, n)
 	}
 	s.eps, s.bufCap, s.n = eps, bufCapFor(eps), n
-	s.tuples, s.spare = tuples, s.tuples[:0]
+	if cap(tuples) <= 2*m { // the run fits: trade places
+		s.tuples, rs.tuples = tuples, s.tuples[:0]
+	} else {
+		s.tuples = append(s.tuples[:0], tuples...)
+	}
 	s.buf = s.buf[:0]
 	return nil
 }

@@ -40,11 +40,18 @@ type Summary struct {
 	eps    float64
 	n      uint64
 	tuples []tuple
-	spare  []tuple   // retired tuple run: flush and Merge write into it, then swap
 	buf    []float64 // pending inserts, flushed in batch
 	bufCap int
-	keys   []uint64 // flush's sort scratch
 }
+
+// runs is the scratch a call borrows from lender and hands back before
+// it returns: the summary keeps only its state.
+type runs struct {
+	keys   []uint64 // flush's sort scratch
+	tuples []tuple  // Merge's interleaved run and the decoder's read run
+}
+
+var lender core.Pool[runs]
 
 // New returns an empty summary with rank-error parameter eps in (0,1).
 func New(eps float64) *Summary {
@@ -83,13 +90,24 @@ func (s *Summary) Update(v float64) {
 	}
 }
 
+// flush drains the insert buffer into the tuple list (sweep), in
+// borrowed scratch.
+func (s *Summary) flush() {
+	if len(s.buf) == 0 {
+		return
+	}
+	rs := lender.Get()
+	s.sweep(rs)
+	lender.Put(rs)
+}
+
 // threshold is the compress/insert bound floor(2*eps*n).
 func threshold(eps float64, n uint64) uint64 {
 	return uint64(2 * eps * float64(n))
 }
 
-// flush drains the insert buffer into the tuple list and compresses,
-// in one sweep from the right. The buffer is sorted by core.SortFloats
+// sweep drains the non-empty insert buffer into the tuple list and
+// compresses, in one sweep from the right. The buffer is sorted by core.SortFloats
 // (−0 before +0, whichever came first) and merged with the tuples from
 // their largest end, a new value landing before the old tuples it does
 // not exceed. A new value takes Δ = g+Δ−1 of the old tuple to its
@@ -101,15 +119,17 @@ func threshold(eps float64, n uint64) uint64 {
 // stay. These are the decisions, in the same order, of an insert sweep
 // followed by compress (ref_test.go keeps that two-pass flush as the
 // oracle) — made in one pass over the run instead of two.
-func (s *Summary) flush() {
-	if len(s.buf) == 0 {
-		return
-	}
-	s.keys = codec.Resize(s.keys, 2*len(s.buf))
-	core.SortFloats(s.buf, s.keys)
+//
+// The run is written from the right into the tuples' own storage,
+// grown to hold it: the write never passes the read, since every
+// element written was read at least one step earlier and the tuple a
+// new value takes its Δ from lies left of every write.
+func (s *Summary) sweep(rs *runs) {
+	rs.keys = codec.Resize(rs.keys, 2*len(s.buf))
+	core.SortFloats(s.buf, rs.keys)
 	old, buf := s.tuples, s.buf
 	run := len(old) + len(buf)
-	out := slices.Grow(s.spare[:0], run)[:run]
+	out := slices.Grow(old, len(buf))[:run]
 	thr := threshold(s.eps, s.n)
 	ti, bi, w := len(old)-1, len(buf)-1, run // w: write index, walking left
 	var head tuple
@@ -141,16 +161,19 @@ func (s *Summary) flush() {
 	}
 	w--
 	out[w] = head
-	s.tuples, s.spare = out[:copy(out, out[w:])], old
+	s.tuples = out[:copy(out, out[w:])]
 	s.buf = s.buf[:0]
 	debugAssert(s)
 }
 
 // compress merges adjacent tuples whose combined uncertainty fits the
-// threshold, scanning right to left. The first and last tuples are
-// preserved so Quantile(0) and Quantile(1) stay exact.
-func (s *Summary) compress() {
+// threshold, scanning right to left, and moves the result into dst's
+// storage (Merge's own, when it compresses a borrowed run). The first
+// and last tuples are preserved so Quantile(0) and Quantile(1) stay
+// exact.
+func (s *Summary) compress(dst []tuple) {
 	if len(s.tuples) < 3 {
+		s.tuples = append(dst[:0], s.tuples...)
 		return
 	}
 	thr := threshold(s.eps, s.n)
@@ -170,7 +193,7 @@ func (s *Summary) compress() {
 	}
 	w--
 	out[w] = out[0]
-	s.tuples = append(s.tuples[:0], out[w:]...)
+	s.tuples = append(dst[:0], out[w:]...)
 }
 
 // Flush forces pending inserts into the tuple structure; queries and
@@ -288,7 +311,8 @@ func (s *Summary) Merge(other *Summary) error {
 		return nil
 	}
 	a, b := s.tuples, other.tuples
-	out := slices.Grow(s.spare[:0], len(a)+len(b))
+	rs := lender.Get()
+	out := slices.Grow(rs.tuples[:0], len(a)+len(b))
 	ai, bi := 0, 0
 	for ai < len(a) || bi < len(b) {
 		var t tuple
@@ -315,9 +339,10 @@ func (s *Summary) Merge(other *Summary) error {
 		}
 		out = append(out, t)
 	}
-	s.tuples, s.spare = out, a
+	s.tuples, rs.tuples = out, out[:0]
 	s.n += other.n
-	s.compress()
+	s.compress(a)
+	lender.Put(rs)
 	debugAssert(s)
 	return nil
 }

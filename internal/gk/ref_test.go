@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
@@ -19,8 +18,7 @@ func refFlush(s *Summary) {
 	if len(s.buf) == 0 {
 		return
 	}
-	s.keys = codec.Resize(s.keys, 2*len(s.buf))
-	core.SortFloats(s.buf, s.keys)
+	core.SortFloats(s.buf, make([]uint64, 2*len(s.buf)))
 	out := make([]tuple, 0, len(s.tuples)+len(s.buf))
 	ti := 0
 	for _, v := range s.buf {
@@ -46,7 +44,7 @@ func refFlush(s *Summary) {
 	out = append(out, s.tuples[ti:]...)
 	s.tuples = out
 	s.buf = s.buf[:0]
-	s.compress()
+	s.compress(s.tuples)
 }
 
 // refUpdate is Update on the oracle's flush. UpdateBatch is documented

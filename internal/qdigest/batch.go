@@ -23,17 +23,18 @@ import (
 // tabulates which families promise which, and why either is sound.
 
 // batchRun is the number of values sorted into one run. It bounds the
-// scratch a batch retains on the digest (two runs of this length) and
-// the nodes a batch can add between compressions, whatever the length
-// of the caller's slice.
+// scratch a batch borrows (two runs of this length) and the nodes a
+// batch can add between compressions, whatever the length of the
+// caller's slice.
 const batchRun = 8192
 
 // UpdateBatch adds one occurrence of every value in vs (each clamped
 // into the universe).
 func (d *Digest) UpdateBatch(vs []uint64) {
+	rs := lender.Get()
 	for len(vs) > 0 {
 		m := min(len(vs), batchRun)
-		ids, counts := d.leafRun(m)
+		ids, counts := d.leafRun(rs, m)
 		for i, v := range vs[:m] {
 			ids[i] = d.leaf(v)
 		}
@@ -49,21 +50,25 @@ func (d *Digest) UpdateBatch(vs []uint64) {
 			r++
 			i = j
 		}
-		d.mergeBody(ids[:r], counts[:r])
+		d.mergeBody(rs, ids[:r], counts[:r])
 		d.n += uint64(m)
-		d.inserted(m) // compresses if that is due
+		if d.inserted(m) {
+			d.compress(rs)
+		}
+		d.keep(rs)
 		vs = vs[m:]
 	}
+	lender.Put(rs)
 	debugAssertSampled(d)
 }
 
-// leafRun flushes the pending leaves and returns two scratch runs of
-// length m that last until the run is merged into the body: they are
-// the t runs, which flush (called here, first) and Compress (called by
-// inserted, last) use and mergeBody does not.
-func (d *Digest) leafRun(m int) (ids, counts []uint64) {
-	d.flush()
-	d.tIDs = slices.Grow(d.tIDs[:0], m)
-	d.tCounts = slices.Grow(d.tCounts[:0], m)
-	return d.tIDs[:m], d.tCounts[:m]
+// leafRun flushes the pending leaves and returns two borrowed runs of
+// length m that last until the run is merged into the body: runs that
+// flush (called here, first) and compress (called after the merge) use
+// and mergeBody does not.
+func (d *Digest) leafRun(rs *runs, m int) (ids, counts []uint64) {
+	d.flush(rs)
+	rs.w[2] = slices.Grow(rs.w[2][:0], m)
+	rs.w[3] = slices.Grow(rs.w[3][:0], m)
+	return rs.w[2][:m], rs.w[3][:m]
 }

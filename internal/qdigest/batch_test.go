@@ -168,7 +168,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.counts = []uint64{2, 5, 3, 3, 98}
 	d.n = 111
 	var re [2 * reCap]uint64
-	if r := d.compressPass(d.n/d.k, &re); r != 1 || re[0] != 4 {
+	if r := d.compressPass(new(runs), d.n/d.k, &re); r != 1 || re[0] != 4 {
 		t.Fatalf("the sweep listed %v, want the fold under [4]", re[:min(r, reCap)])
 	}
 	if wantI, wantC := []uint64{1, 16, 17, 31}, []uint64{7, 3, 3, 98}; !slices.Equal(d.ids, wantI) || !slices.Equal(d.counts, wantC) {
@@ -193,7 +193,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 }
 
 // A digest nothing has touched since Compress is not compressed again:
-// encoding and querying leave its scratch alone, and any mutation
+// encoding and querying run no compress pass, and any mutation
 // clears the mark.
 func TestCleanDigestSkipsCompress(t *testing.T) {
 	d := New(16, 50)
@@ -207,15 +207,16 @@ func TestCleanDigestSkipsCompress(t *testing.T) {
 	if !d.clean {
 		t.Fatal("Compress left the digest unmarked")
 	}
-	d.sIDs = nil // a compress pass would have to allocate this again
+	d.base = -1 // a compress pass would set this again
 	if _, err := d.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}
 	d.Rank(100)
 	d.Quantile(0.5)
-	if d.sIDs != nil {
+	if d.base != -1 {
 		t.Fatal("encoding or querying a clean digest ran a compress pass")
 	}
+	d.base = len(d.ids)
 	frame, _ := d.MarshalBinary()
 	for name, touch := range map[string]func(d *Digest){
 		"Update":      func(d *Digest) { d.Update(7, 1) },
@@ -242,5 +243,5 @@ func TestCleanDigestSkipsCompress(t *testing.T) {
 // it re-enabled.
 func sweep(d *Digest) int {
 	var re [2 * reCap]uint64
-	return d.compressPass(d.n/d.k, &re)
+	return d.compressPass(new(runs), d.n/d.k, &re)
 }

@@ -71,7 +71,7 @@ func BenchmarkCompress(b *testing.B) {
 	var states []state
 	for _, ch := range edgeChunks(24, 8192) {
 		d := NewEpsilon(16, 0.02)
-		ids, counts := d.leafRun(len(ch))
+		ids, counts := d.leafRun(new(runs), len(ch))
 		for i, v := range ch {
 			ids[i] = d.leaf(v)
 		}

@@ -23,13 +23,21 @@ func (d *Digest) Compress() {
 	if d.clean {
 		return
 	}
+	rs := lender.Get()
+	d.compress(rs)
+	lender.Put(rs)
+}
+
+// compress is Compress on a digest that is not clean, in runs the
+// caller borrowed.
+func (d *Digest) compress(rs *runs) {
 	d.dirty = 0
-	d.flush()
+	d.flush(rs)
 	if t := d.n / d.k; t != 0 {
 		var re [2 * reCap]uint64
-		for r := d.compressPass(t, &re); r != 0; {
+		for r := d.compressPass(rs, t, &re); r != 0; {
 			if r > reCap {
-				r = d.compressPass(t, &re)
+				r = d.compressPass(rs, t, &re)
 			} else {
 				r = d.repass(t, &re, r)
 			}
@@ -88,11 +96,11 @@ func bit(c bool) uint64 {
 // folded, and does fail there. The parents of those folds are listed in
 // re (up to reCap of them) and the pass returns how many there were: 0
 // means the fixpoint is reached without a sweep to verify it.
-func (d *Digest) compressPass(t uint64, re *[2 * reCap]uint64) int {
+func (d *Digest) compressPass(rs *runs, t uint64, re *[2 * reCap]uint64) int {
 	ids, counts := d.ids, d.counts
 	n := len(ids)
-	nxtI, nxtC := slices.Grow(d.sIDs[:0], n+1)[:n+1], slices.Grow(d.sCounts[:0], n+1)[:n+1]
-	othI, othC := slices.Grow(d.tIDs[:0], n+1)[:n+1], slices.Grow(d.tCounts[:0], n+1)[:n+1]
+	nxtI, nxtC := slices.Grow(rs.w[0][:0], n+1)[:n+1], slices.Grow(rs.w[1][:0], n+1)[:n+1]
+	othI, othC := slices.Grow(rs.w[2][:0], n+1)[:n+1], slices.Grow(rs.w[3][:0], n+1)[:n+1]
 	p, _ := slices.BinarySearch(ids, 1<<d.logU) // ids[:p] is not yet consumed
 	curI, curC, lo, hi := ids, counts, p, n     // the run is cur[lo:hi]
 	w := n                                      // ids[w:] holds this pass's survivors
@@ -147,7 +155,7 @@ func (d *Digest) compressPass(t uint64, re *[2 * reCap]uint64) int {
 	size := copy(ids, ids[w:])
 	copy(counts, counts[w:])
 	d.ids, d.counts = ids[:size], counts[:size]
-	d.sIDs, d.sCounts, d.tIDs, d.tCounts = nxtI[:0], nxtC[:0], othI[:0], othC[:0]
+	rs.w = [4][]uint64{nxtI[:0], nxtC[:0], othI[:0], othC[:0]}
 	return r
 }
 

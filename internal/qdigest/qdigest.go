@@ -34,7 +34,10 @@
 // leaves, found through a core.Index, which Compress sorts and appends —
 // leaves are the largest ids; a batch is sorted into a run of its own
 // and merged like another digest's body (batch.go). Every sort is core.SortKeys, and no path
-// walks a Go map or allocates in steady state.
+// walks a Go map or allocates in steady state. The digest keeps only its
+// nodes: the sort keys, merge target and compress level runs are
+// borrowed for each call from a core.Pool and handed back before it
+// returns, and the body ends every call in storage sized to it.
 package qdigest
 
 import (
@@ -75,12 +78,19 @@ type Digest struct {
 	// clean: the body is at Compress's fixpoint and nothing has touched
 	// the digest since, so Compress has nothing to do.
 	clean bool
-
-	// Scratch runs reused by flush, the batch path, Merge, Compress and
-	// decode.
-	sIDs, sCounts []uint64
-	tIDs, tCounts []uint64
 }
+
+// runs is the scratch a call borrows from lender and hands back before
+// it returns: the digest keeps only its state. ids and counts are the
+// merge target a call rebuilds the body in (mergeBody, decode); w are
+// flush's sort keys and kernel scratch, a batch's leaf run, and
+// compressPass's level runs.
+type runs struct {
+	ids, counts []uint64
+	w           [4][]uint64
+}
+
+var lender core.Pool[runs]
 
 // compressSlack keeps a near-empty digest from compressing on every
 // update.
@@ -148,19 +158,19 @@ func (d *Digest) Update(v uint64, w uint64) {
 	}
 	d.addLeaf(d.leaf(v), w)
 	d.n += w
-	d.inserted(1)
+	if d.inserted(1) {
+		d.Compress()
+	}
 	debugAssertSampled(d)
 }
 
-// inserted counts m insertions and compresses when one is due. Growth
-// is measured against the size the last Compress left, not the current
-// one: a stream of distinct values grows the size with every insertion,
-// and a trigger that chases it never fires.
-func (d *Digest) inserted(m int) {
+// inserted counts m insertions and reports whether a compress is due.
+// Growth is measured against the size the last Compress left, not the
+// current one: a stream of distinct values grows the size with every
+// insertion, and a trigger that chases it never fires.
+func (d *Digest) inserted(m int) bool {
 	d.dirty += uint64(m)
-	if d.dirty > uint64(d.base)+compressSlack {
-		d.Compress()
-	}
+	return d.dirty > uint64(d.base)+compressSlack
 }
 
 // addLeaf adds w to leaf id: in the pending run if it is there, in the
@@ -188,13 +198,13 @@ func (d *Digest) addLeaf(id, w uint64) {
 // flush moves the pending leaves into the body. The run holds only
 // leaves the body lacks, so this is a sort of a copy of the pending
 // ids and a backward in-place merge into the body's tail.
-func (d *Digest) flush() {
+func (d *Digest) flush(rs *runs) {
 	if len(d.pendIDs) == 0 {
 		return
 	}
-	keys := append(d.sIDs[:0], d.pendIDs...)
-	d.tIDs = slices.Grow(d.tIDs[:0], len(keys))
-	core.SortKeys(keys, d.tIDs[:len(keys)], 0, uint(d.logU))
+	keys := append(rs.w[0][:0], d.pendIDs...)
+	rs.w[1] = slices.Grow(rs.w[1][:0], len(keys))
+	core.SortKeys(keys, rs.w[1][:len(keys)], 0, uint(d.logU))
 	m := len(d.ids)
 	total := m + len(keys)
 	d.ids = slices.Grow(d.ids, len(keys))[:total]
@@ -210,7 +220,7 @@ func (d *Digest) flush() {
 		d.ids[w], d.counts[w] = k, d.pendCounts[d.pend.Find(k)]
 		w--
 	}
-	d.sIDs = keys[:0]
+	rs.w[0] = keys[:0]
 	d.clearPending()
 }
 
@@ -290,26 +300,29 @@ func (d *Digest) Merge(other *Digest) error {
 	if d.logU != other.logU || d.k != other.k {
 		return fmt.Errorf("%w: qdigest logU/k", core.ErrMismatchedShape)
 	}
-	d.flush()
-	d.mergeBody(other.ids, other.counts)
+	rs := lender.Get()
+	d.flush(rs)
+	d.mergeBody(rs, other.ids, other.counts)
 	for i, id := range other.pendIDs {
 		d.addLeaf(id, other.pendCounts[i])
 	}
 	d.n += other.n
-	d.Compress()
+	d.compress(rs)
+	d.keep(rs)
+	lender.Put(rs)
 	debugAssert(d)
 	return nil
 }
 
 // mergeBody adds the sorted run (oi, oc) into the body node-wise: a
-// two-pointer union into scratch, which then trades places with the
-// body.
-func (d *Digest) mergeBody(oi, oc []uint64) {
+// two-pointer union into the borrowed merge target, which then trades
+// places with the body until keep moves the body home.
+func (d *Digest) mergeBody(rs *runs, oi, oc []uint64) {
 	d.clean = false
 	ai, ac := d.ids, d.counts
 	bound := len(ai) + len(oi)
-	ri := slices.Grow(d.sIDs[:0], bound)[:bound]
-	rc := slices.Grow(d.sCounts[:0], bound)[:bound]
+	ri := slices.Grow(rs.ids[:0], bound)[:bound]
+	rc := slices.Grow(rs.counts[:0], bound)[:bound]
 	a, b, w := 0, 0, 0
 	for a < len(ai) && b < len(oi) {
 		switch x, y := ai[a], oi[b]; {
@@ -330,7 +343,23 @@ func (d *Digest) mergeBody(oi, oc []uint64) {
 	copy(rc[w-len(ai)+a:], ac[a:])
 	w += copy(ri[w:], oi[b:])
 	copy(rc[w-len(oi)+b:], oc[b:])
-	d.ids, d.counts, d.sIDs, d.sCounts = ri[:w], rc[:w], ai[:0], ac[:0]
+	d.ids, d.counts, rs.ids, rs.counts = ri[:w], rc[:w], ai[:0], ac[:0]
+}
+
+// keep ends a call that ran mergeBody, which left the body in the
+// borrowed merge target and the digest's own storage in rs. A target
+// that fits the body — room for it and at most twice that — stays
+// with the digest, the two having traded places; any other is copied
+// from into the digest's own storage, grown only when the state
+// outgrew it, and goes back to rs. So the digest ends every call owning
+// storage sized to its state, never a run it gave back.
+func (d *Digest) keep(rs *runs) {
+	if cap(d.ids) <= 2*len(d.ids) && cap(d.counts) <= 2*len(d.counts) {
+		return
+	}
+	ids, counts := rs.ids, rs.counts
+	rs.ids, rs.counts = d.ids[:0], d.counts[:0]
+	d.ids, d.counts = append(ids[:0], d.ids...), append(counts[:0], d.counts...)
 }
 
 // Clone returns a deep copy.
@@ -463,8 +492,9 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Nodes decode
-// into the receiver's scratch run, which trades places with the body
-// once the frame is validated, so a pooled decode target allocates
+// into a borrowed run, which once the frame is validated trades places
+// with the body if it fits it (as keep's rule has it) and is copied
+// into the receiver's own storage if not, so a pooled decode target allocates
 // nothing in steady state and a rejected frame leaves the receiver
 // untouched.
 func (d *Digest) UnmarshalBinary(data []byte) error {
@@ -484,8 +514,10 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 		return errHeader(logU, k)
 	}
 	maxID := uint64(1) << (uint8(logU) + 1)
-	ids := slices.Grow(d.sIDs[:0], m)[:m]
-	counts := slices.Grow(d.sCounts[:0], m)[:m]
+	rs := lender.Get()
+	defer lender.Put(rs)
+	rs.ids, rs.counts = slices.Grow(rs.ids[:0], m), slices.Grow(rs.counts[:0], m)
+	ids, counts := rs.ids[:m], rs.counts[:m]
 	var sum, prev, unsorted uint64
 	// The nodes are read as runs of (id, count) pairs into a buffer on
 	// the stack, and checked a run at a time.
@@ -528,7 +560,11 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	}
 	d.logU, d.k, d.n = uint8(logU), k, n
 	d.dirty, d.base, d.clean = 0, len(ids), false
-	d.ids, d.counts, d.sIDs, d.sCounts = ids, counts, d.ids[:0], d.counts[:0]
+	if cap(ids) <= 2*m && cap(counts) <= 2*m { // the run fits: trade places
+		d.ids, d.counts, rs.ids, rs.counts = ids, counts, d.ids[:0], d.counts[:0]
+	} else {
+		d.ids, d.counts = append(d.ids[:0], ids...), append(d.counts[:0], counts...)
+	}
 	d.clearPending()
 	return nil
 }

@@ -15,10 +15,12 @@ func (s *Summary) UpdateBatch(vs []float64) {
 			panic("randquant: NaN has no rank")
 		}
 	}
+	rs := lender.Get()
+	defer lender.Put(rs)
 	for len(vs) > 0 && s.ell == 0 {
 		room := s.s - len(s.partial)
 		if room <= 0 {
-			s.promotePartial()
+			s.promotePartial(rs)
 			continue
 		}
 		if room > len(vs) {
@@ -28,9 +30,9 @@ func (s *Summary) UpdateBatch(vs []float64) {
 		s.n += uint64(room)
 		vs = vs[room:]
 		if len(s.partial) >= s.s {
-			s.promotePartial()
+			s.promotePartial(rs)
 		}
 	}
 	s.n += uint64(len(vs))
-	s.thin(vs, 0)
+	s.thin(rs, vs, 0)
 }

@@ -42,9 +42,9 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary. It implements encoding.BinaryUnmarshaler. The
 // receiver — in any state, the zero value included — first retires
-// every block it holds to its free list and then reads the frame's
-// partial buffer and blocks, one float run each, into that recycled
-// storage; its RNG is reseeded from the frame, and its mode (plain or
+// every block it holds to a borrowed free list and then reads the
+// frame's partial buffer and blocks, one float run each, into its
+// partial buffer and recycled block storage; its RNG is reseeded from the frame, and its mode (plain or
 // bounded) is whatever the frame's flag byte says. A pooled decode
 // target therefore stops allocating after its first few frames. A
 // frame rejected by a header check leaves the receiver untouched; one
@@ -80,12 +80,14 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	// From here on the receiver is overwritten; whatever stops the
 	// decode short leaves it empty.
 	reused := s.rng != nil
-	s.Reset()
+	rs := lender.Get()
+	s.reset(rs)
 	accepted := false
 	defer func() {
 		if !accepted {
-			s.Reset()
+			s.reset(rs)
 		}
+		lender.Put(rs)
 	}()
 	s.s, s.l, s.ell = size, l, ell
 	if s.rng == nil {
@@ -114,7 +116,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		if bl != size {
 			return fmt.Errorf("randquant: block %d has %d samples, want %d", i, bl, size)
 		}
-		b := codec.Resize(s.spare(), bl)
+		b := rs.block(bl, 2*bl)
 		s.blocks = append(s.blocks, b)
 		r.Float64s(b)
 	}

@@ -1,0 +1,44 @@
+package randquant
+
+import (
+	"testing"
+
+	"repro/internal/gen"
+)
+
+// TestKeepsOnlyItsState: a summary holds its samples and nothing else.
+// Promotion's sort keys and retired block storage are borrowed for the
+// call, so after a served slot's loop — 200 edge frames decoded into
+// one pooled target, each merged into one accumulator — and after one
+// fresh 8192-value batch, the capacity a summary holds beyond its live
+// samples is at most those samples again plus a small constant.
+func TestKeepsOnlyItsState(t *testing.T) {
+	var target Summary
+	slot := NewEpsilon(0.02, 1)
+	for i := range uint64(200) {
+		q := NewEpsilon(0.02, i)
+		q.UpdateBatch(gen.LogNormalValues(8192, 0, 1, i%8))
+		frame, err := q.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := target.UnmarshalBinary(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := slot.Merge(&target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := NewEpsilon(0.02, 99)
+	fresh.UpdateBatch(gen.LogNormalValues(8192, 0, 1, 99))
+	for name, q := range map[string]*Summary{"slot": slot, "decode target": &target, "fresh": fresh} {
+		live := 8 * q.Size()
+		held := 8*cap(q.partial) + 24*cap(q.blocks)
+		for _, b := range q.blocks {
+			held += 8 * cap(b)
+		}
+		if extra := held - live; extra > live+1024 {
+			t.Errorf("%s: %d B held beside %d B of live samples", name, extra, live)
+		}
+	}
+}

@@ -57,13 +57,24 @@ type Summary struct {
 	partial []float64   // < s accepted values at weight 2^ell, unsorted
 	blocks  [][]float64 // blocks[i]: nil or sorted block of s samples at weight 2^i (i >= ell)
 	rng     *gen.RNG
-	// free holds block storage nothing references any more: every
-	// carry retires two blocks for the one it makes, and a decode
-	// retires all of them, so a summary that merges or decodes in a
-	// loop stops allocating blocks once this has filled.
-	free [][]float64
-	keys []uint64 // promote's sort scratch: a block's keys and the kernel's run
 }
+
+// runs is the scratch a call borrows from lender and hands back before
+// it returns: the summary keeps only its state. keys is promote's sort
+// scratch (a block's keys and the kernel's run); free holds block
+// storage nothing references any more: every carry retires two blocks
+// for the one it makes, and a decode or Reset retires all of a
+// summary's, so summaries that merge or decode in a loop stop
+// allocating blocks once the lender's lists have filled.
+type runs struct {
+	keys []uint64
+	free [][]float64
+}
+
+var lender core.Pool[runs]
+
+// maxFree caps a free list: storage retired past it is dropped.
+const maxFree = 2 * maxLevels
 
 // New returns an empty summary with block size s >= 1 and a
 // deterministic random seed.
@@ -144,8 +155,10 @@ func (s *Summary) Update(v float64) {
 		panic("randquant: NaN has no rank")
 	}
 	s.n++
-	if s.accept(s.ell) {
-		s.push(v)
+	if s.accept(s.ell) && s.push(v) {
+		rs := lender.Get()
+		s.promotePartial(rs)
+		lender.Put(rs)
 	}
 }
 
@@ -155,58 +168,61 @@ func (s *Summary) accept(k int) bool {
 	return k <= 0 || s.rng.Uint64()&(1<<uint(k)-1) == 0
 }
 
-// push adds an accepted sample at weight 2^ell.
-func (s *Summary) push(v float64) {
+// push adds an accepted sample at weight 2^ell and reports whether
+// the partial buffer is full: the caller then runs promotePartial, in
+// runs it borrows only for that.
+func (s *Summary) push(v float64) bool {
 	s.partial = append(s.partial, v)
-	if len(s.partial) >= s.s {
-		s.promotePartial()
-	}
+	return len(s.partial) >= s.s
 }
 
-// spare pops recycled block storage, or nil when there is none. Callers
-// size it with codec.Resize, which replaces storage that is too small
-// (recycled under a smaller block size).
-func (s *Summary) spare() []float64 {
-	n := len(s.free)
-	if n == 0 {
-		return nil
+// block returns block storage of length n: recycled from the free list
+// when a block there has room for n and at most most, new otherwise.
+// Callers ask for at most twice n, so no summary keeps storage sized
+// for another's blocks.
+func (rs *runs) block(n, most int) []float64 {
+	for i := len(rs.free) - 1; i >= 0; i-- {
+		if b := rs.free[i]; cap(b) >= n && cap(b) <= most {
+			last := len(rs.free) - 1
+			rs.free[i], rs.free[last] = rs.free[last], nil
+			rs.free = rs.free[:last]
+			return b[:n]
+		}
 	}
-	b := s.free[n-1]
-	s.free = s.free[:n-1]
-	return b
+	return make([]float64, n)
 }
 
 // retire recycles block storage nothing references any more.
-func (s *Summary) retire(b []float64) {
-	if b != nil {
-		s.free = append(s.free, b)
+func (rs *runs) retire(b []float64) {
+	if b != nil && len(rs.free) < maxFree {
+		rs.free = append(rs.free, b)
 	}
 }
 
 // promote turns the first s samples of the partial buffer into a
 // level-ell block — sorted by core.SortFloats, which puts −0 before +0
 // where < would leave them in either order — and cascades the carry.
-func (s *Summary) promote() {
-	b := codec.Resize(s.spare(), s.s)
+func (s *Summary) promote(rs *runs) {
+	b := rs.block(s.s, 2*s.s)
 	copy(b, s.partial)
 	s.partial = append(s.partial[:0], s.partial[s.s:]...)
-	s.keys = codec.Resize(s.keys, 2*s.s)
-	core.SortFloats(b, s.keys)
-	s.carry(b, s.ell)
+	rs.keys = codec.Resize(rs.keys, 2*s.s)
+	core.SortFloats(b, rs.keys)
+	s.carry(rs, b, s.ell)
 }
 
 // promotePartial promotes the (full) partial buffer and re-establishes
 // the level budget.
-func (s *Summary) promotePartial() {
-	s.promote()
-	s.maybeAdvance()
+func (s *Summary) promotePartial(rs *runs) {
+	s.promote(rs)
+	s.maybeAdvance(rs)
 }
 
 // maybeAdvance raises ell while a bounded summary has more than l
 // block levels active.
-func (s *Summary) maybeAdvance() {
+func (s *Summary) maybeAdvance(rs *runs) {
 	for s.l > 0 && s.Levels()-1-s.ell >= s.l {
-		s.advance()
+		s.advance(rs)
 	}
 }
 
@@ -215,7 +231,7 @@ func (s *Summary) maybeAdvance() {
 // weight 2^(ell+1). Survivors are promoted in full chunks directly
 // (without re-entering maybeAdvance) so the subsampling probability is
 // applied exactly once per sample.
-func (s *Summary) advance() {
+func (s *Summary) advance(rs *runs) {
 	var low []float64
 	if s.ell < len(s.blocks) {
 		low, s.blocks[s.ell] = s.blocks[s.ell], nil
@@ -229,17 +245,17 @@ func (s *Summary) advance() {
 			}
 		}
 	}
-	s.retire(low)
+	rs.retire(low)
 	s.ell++
 	for len(s.partial) >= s.s {
-		s.promote()
+		s.promote(rs)
 	}
 }
 
 // carry places a block at level i, performing equal-weight merges up
 // the hierarchy while the slot is occupied — binary-counter addition.
 // It takes ownership of b.
-func (s *Summary) carry(b []float64, i int) {
+func (s *Summary) carry(rs *runs, b []float64, i int) {
 	for {
 		for len(s.blocks) <= i {
 			s.blocks = append(s.blocks, nil)
@@ -248,7 +264,7 @@ func (s *Summary) carry(b []float64, i int) {
 			s.blocks[i] = b
 			return
 		}
-		b = s.equalMerge(s.blocks[i], b)
+		b = s.equalMerge(rs, s.blocks[i], b)
 		s.blocks[i] = nil
 		i++
 	}
@@ -259,12 +275,13 @@ func (s *Summary) carry(b []float64, i int) {
 // keeping alternate elements of the sorted union, starting at a random
 // offset. Both inputs must have length s.s; both are retired, and the
 // result is built in recycled storage without materializing the union.
-func (s *Summary) equalMerge(a, b []float64) []float64 {
+func (s *Summary) equalMerge(rs *runs, a, b []float64) []float64 {
 	keep := 0
 	if s.rng.Bool() {
 		keep = 1
 	}
-	out := codec.Resize(s.spare(), (len(a)+len(b)+1-keep)/2)[:0]
+	size := (len(a) + len(b) + 1 - keep) / 2
+	out := rs.block(size, 2*size)[:0]
 	ai, bi := 0, 0
 	for i := 0; ai < len(a) || bi < len(b); i++ {
 		var v float64
@@ -279,8 +296,8 @@ func (s *Summary) equalMerge(a, b []float64) []float64 {
 			out = append(out, v)
 		}
 	}
-	s.retire(a)
-	s.retire(b)
+	rs.retire(a)
+	rs.retire(b)
 	return out
 }
 
@@ -306,33 +323,35 @@ func (s *Summary) Merge(other *Summary) error {
 	if s.s != other.s || s.l != other.l {
 		return fmt.Errorf("%w: shape (s=%d,l=%d) vs (s=%d,l=%d)", core.ErrMismatchedShape, s.s, s.l, other.s, other.l)
 	}
+	rs := lender.Get()
+	defer lender.Put(rs)
 	for s.ell < other.ell {
-		s.advance()
+		s.advance(rs)
 	}
 	s.n += other.n
 	for i := len(other.blocks) - 1; i >= 0; i-- {
 		switch {
 		case other.blocks[i] == nil:
 		case i >= s.ell: // carries never move ell, so every such level is met first
-			b := codec.Resize(s.spare(), len(other.blocks[i]))
+			b := rs.block(s.s, 2*s.s)
 			copy(b, other.blocks[i])
-			s.carry(b, i)
+			s.carry(rs, b, i)
 		default:
-			s.thin(other.blocks[i], i)
+			s.thin(rs, other.blocks[i], i)
 		}
 	}
-	s.thin(other.partial, other.ell)
-	s.maybeAdvance()
+	s.thin(rs, other.partial, other.ell)
+	s.maybeAdvance(rs)
 	return nil
 }
 
 // thin pushes samples of weight 2^level, each kept with probability
 // 2^(level − ell) at the ell current when its turn comes (a push may
 // advance it): every sample while level == ell.
-func (s *Summary) thin(vs []float64, level int) {
+func (s *Summary) thin(rs *runs, vs []float64, level int) {
 	for _, v := range vs {
-		if s.accept(s.ell - level) {
-			s.push(v)
+		if s.accept(s.ell-level) && s.push(v) {
+			s.promotePartial(rs)
 		}
 	}
 }
@@ -431,13 +450,22 @@ func (s *Summary) Clone() *Summary {
 }
 
 // Reset restores the summary to its freshly-constructed state (the
-// RNG keeps advancing rather than replaying), keeping its storage.
+// RNG keeps advancing rather than replaying), keeping its partial
+// buffer and level table; its blocks go back to the lender.
 func (s *Summary) Reset() {
+	rs := lender.Get()
+	s.reset(rs)
+	lender.Put(rs)
+}
+
+// reset is Reset, retiring the blocks into rs.
+func (s *Summary) reset(rs *runs) {
 	s.n, s.ell = 0, 0
 	s.partial = s.partial[:0]
 	for _, b := range s.blocks {
-		s.retire(b)
+		rs.retire(b)
 	}
+	clear(s.blocks)
 	s.blocks = s.blocks[:0]
 }
 

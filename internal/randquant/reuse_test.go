@@ -8,11 +8,12 @@ import (
 )
 
 // TestUnmarshalReusesReceiver: a summary of any block size and either
-// mode, holding any hierarchy and free list, decodes a frame of any
+// mode, holding any hierarchy, decodes a frame of any
 // other block size and mode (a receiver that last held a plain frame
 // decodes a bounded one, and the reverse) into recycled storage and is
 // then indistinguishable from a fresh decode — now, and after further
-// updates and a merge, which draw from its RNG and its free list.
+// updates and a merge, which draw from its RNG and the lender's free
+// list.
 func TestUnmarshalReusesReceiver(t *testing.T) {
 	shapes := []*Summary{
 		filled(New(1, 1), 9, 1), filled(New(8, 2), 1000, 2), filled(New(64, 3), 5000, 3), filled(New(64, 4), 10, 4), filled(New(200, 5), 3000, 5),
@@ -26,7 +27,7 @@ func TestUnmarshalReusesReceiver(t *testing.T) {
 				t.Fatal(err)
 			}
 			reused, fresh := from.Clone(), new(Summary)
-			if err := reused.Merge(from); err != nil { // fills its free list
+			if err := reused.Merge(from); err != nil { // fills the lender's free list
 				t.Fatal(err)
 			}
 			if err := reused.UnmarshalBinary(frame); err != nil {
@@ -58,8 +59,8 @@ func TestUnmarshalReusesReceiver(t *testing.T) {
 // TestMergeRecyclesBlocks: decoding and merging in a loop reaches a
 // steady state in which blocks, carries and — in bounded mode, where
 // the receiver's exponent soon outruns the frame's — the subsampled
-// survivors are all served from the free list: the merge allocates
-// nothing, the decode at most its frame's one allocation.
+// survivors are all served from the lender's free list: the merge
+// allocates nothing, the decode at most its frame's one allocation.
 func TestMergeRecyclesBlocks(t *testing.T) {
 	for _, m := range modes {
 		dst, frame := filled(m.new(32, 1), 4000, 3), mustMarshal(t, filled(m.new(32, 2), 4000, 3))

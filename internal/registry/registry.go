@@ -117,14 +117,24 @@ func (e *Entry) Decode(frame []byte) (any, error) {
 func (e *Entry) Encode(v any) ([]byte, error) { return e.encode(v) }
 
 // Merge folds src into dst with the family's registered merge (see
-// Spec.Merge). Both operands must be this family's summary type; a
-// cross-family mix-up is an error before any mutation, never a panic
-// mid-merge.
+// Spec.Merge). Both operands must be this family's summary type, and
+// their weights must sum without wrapping the uint64 N: a cross-family
+// mix-up or a weight overflow is an error before any mutation, never a
+// panic mid-merge or a summary that no longer decodes.
 func (e *Entry) Merge(dst, src any) error {
 	if !e.owns(dst) || !e.owns(src) {
 		return fmt.Errorf("registry: %s: merge operands must be the family's summary type (got %T, %T)", e.name, dst, src)
 	}
+	if n, m := e.n(dst), e.n(src); n+m < n {
+		return errWeightOverflow(e.name, n, m)
+	}
 	return e.merge(dst, src)
+}
+
+// errWeightOverflow lives outside Merge so the hot path carries no fmt
+// call.
+func errWeightOverflow(name string, n, m uint64) error {
+	return fmt.Errorf("registry: %s: merged weight %d + %d overflows uint64", name, n, m)
 }
 
 // N reports the summary's total summarized weight.

@@ -8,11 +8,15 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/countmin"
+	"repro/internal/countsketch"
 	"repro/internal/mergetree"
 	"repro/internal/mg"
+	"repro/internal/qdigest"
 	"repro/internal/registry"
 	_ "repro/internal/registry/all"
 	"repro/internal/spacesaving"
+	"repro/internal/topk"
 )
 
 // TestCatalogComplete is the completeness table test: every wire tag
@@ -272,6 +276,46 @@ func TestMergeRejectsForeignOperands(t *testing.T) {
 		t.Fatal("merging into nil dst succeeded")
 	}
 }
+
+// TestMergeRefusesWeightOverflow: every family that takes weighted
+// updates can hold a weight of 2^63, and two such summaries would sum
+// to N = 0 — a summary whose frame then fails its own decoder. The
+// registry refuses the merge before touching dst, which keeps its N
+// and its bytes.
+func TestMergeRefusesWeightOverflow(t *testing.T) {
+	const heavy = 1 << 63
+	for name, build := range map[string]func() encoder{
+		"mg":          func() encoder { s := mg.New(8); s.Update(1, heavy); return s },
+		"ss":          func() encoder { s := spacesaving.New(8); s.Update(1, heavy); return s },
+		"countmin":    func() encoder { s := countmin.New(16, 2, 1); s.Update(1, heavy); return s },
+		"countsketch": func() encoder { s := countsketch.New(16, 2, 1); s.Update(1, heavy); return s },
+		"topk":        func() encoder { s := topk.New(4, 16, 2, 1); s.Update(1, heavy); return s },
+		"qdigest":     func() encoder { s := qdigest.New(8, 4); s.Update(3, heavy); return s },
+	} {
+		ent, _ := registry.ByName(name)
+		frame, err := build().MarshalBinary()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		dst, err := ent.Decode(frame)
+		if err != nil {
+			t.Fatalf("%s: a weight-2^63 frame does not decode: %v", name, err)
+		}
+		src, _ := ent.Decode(frame)
+		if err := ent.Merge(dst, src); err == nil {
+			t.Fatalf("%s: merging two weight-2^63 summaries succeeded", name)
+		}
+		after, err := ent.Encode(dst)
+		if err != nil || !bytes.Equal(after, frame) || ent.N(dst) != heavy {
+			t.Fatalf("%s: the refused merge changed dst (N=%d, %v)", name, ent.N(dst), err)
+		}
+		if _, err := ent.Decode(after); err != nil {
+			t.Fatalf("%s: dst no longer decodes: %v", name, err)
+		}
+	}
+}
+
+type encoder interface{ MarshalBinary() ([]byte, error) }
 
 // TestScratchPool: decode targets from the pool are fully overwritten
 // by DecodeInto, so recycled scratch never leaks prior contents.

@@ -15,6 +15,7 @@ import (
 	"repro/internal/countmin"
 	"repro/internal/gen"
 	"repro/internal/mg"
+	"repro/internal/qdigest"
 	"repro/internal/registry"
 	"repro/internal/window"
 )
@@ -329,5 +330,44 @@ func TestWriteRejectsFlaggedCountMin(t *testing.T) {
 	}
 	if _, after, err := c.PullFrame("cm"); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("refused push changed the slot (%v)", err)
+	}
+}
+
+// TestWriteRefusesWeightOverflow: two accepted pushes of weight 2^63
+// would sum the slot's N to 0, and the slot's frame would then fail its
+// own decoder — every later PULL of it an error. The second push
+// answers ERR and leaves the slot as the first left it.
+func TestWriteRefusesWeightOverflow(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const heavy = 1 << 63
+	for kind, s := range map[string]encoding.BinaryMarshaler{
+		"qdigest": func() *qdigest.Digest { d := qdigest.New(8, 4); d.Update(3, heavy); return d }(),
+		"mg":      func() *mg.Summary { m := mg.New(8); m.Update(1, heavy); return m }(),
+	} {
+		if n, err := c.Push(kind, kind, s); err != nil || n != heavy {
+			t.Fatalf("%s: first push: N=%d, %v", kind, n, err)
+		}
+		if _, err := c.Push(kind, kind, s); err == nil {
+			t.Fatalf("%s: a push that wraps the slot's N was accepted", kind)
+		}
+		_, frame, err := c.PullFrame(kind)
+		if err != nil {
+			t.Fatalf("%s: PULL after the refused push: %v", kind, err)
+		}
+		ent, _ := registry.ByName(kind)
+		got, err := ent.Decode(frame)
+		if err != nil {
+			t.Fatalf("%s: the slot's frame no longer decodes: %v", kind, err)
+		}
+		if n := ent.N(got); n != heavy {
+			t.Fatalf("%s: slot N=%d after the refused push, want 2^63", kind, n)
+		}
 	}
 }

@@ -1,0 +1,131 @@
+package mergesum_test
+
+import (
+	"bytes"
+	"encoding"
+	"testing"
+
+	mergesum "repro"
+	"repro/internal/gen"
+)
+
+// TestKeepsOnlyItsStateInterleaved: the four families that sort borrow
+// their sort, merge and compress runs for each call and give them back
+// before it returns. Two summaries of a family — at two parameter
+// sets, so block and run sizes differ — built call by call in turn, so
+// that every call takes the runs the other summary's call just gave
+// back, must encode to exactly the bytes of the same two built one
+// after the other. A summary that kept a run it gave back would find it
+// overwritten.
+func TestKeepsOnlyItsStateInterleaved(t *testing.T) {
+	type summary interface {
+		encoding.BinaryMarshaler
+		encoding.BinaryUnmarshaler
+	}
+	box := mergesum.Rect{X0: 0, Y0: 0, X1: 1, Y1: 1}
+	uvals := func(seed uint64) []uint64 {
+		vs := gen.LogNormalValues(5000, 0, 1, seed)
+		us := make([]uint64, len(vs))
+		for i, v := range vs {
+			us[i] = min(uint64(v*4096), 1<<16-1)
+		}
+		return us
+	}
+	for _, f := range []struct {
+		name  string
+		mk    func(variant int) summary
+		feed  func(s summary, seed uint64)
+		merge func(dst, src summary) error
+	}{
+		{"qdigest",
+			func(v int) summary { return mergesum.NewQDigest(16, []float64{0.02, 0.05}[v]) },
+			func(s summary, seed uint64) { s.(*mergesum.QDigest).UpdateBatch(uvals(seed)) },
+			func(d, s summary) error { return d.(*mergesum.QDigest).Merge(s.(*mergesum.QDigest)) }},
+		{"quantile",
+			func(v int) summary { return mergesum.NewQuantile([]float64{0.02, 0.05}[v], uint64(v)) },
+			func(s summary, seed uint64) {
+				s.(*mergesum.Quantile).UpdateBatch(gen.LogNormalValues(5000, 0, 1, seed))
+			},
+			func(d, s summary) error { return d.(*mergesum.Quantile).Merge(s.(*mergesum.Quantile)) }},
+		{"quantile/bounded",
+			func(v int) summary { return mergesum.NewQuantileHybrid([]float64{0.02, 0.05}[v], uint64(v)) },
+			func(s summary, seed uint64) {
+				s.(*mergesum.Quantile).UpdateBatch(gen.LogNormalValues(50000, 0, 1, seed))
+			},
+			func(d, s summary) error { return d.(*mergesum.Quantile).Merge(s.(*mergesum.Quantile)) }},
+		{"rangecount",
+			func(v int) summary { return mergesum.NewRangeCounter([]float64{0.05, 0.25}[v], box, uint64(v)) },
+			func(s summary, seed uint64) {
+				r := s.(*mergesum.RangeCounter)
+				for _, p := range gen.UniformPoints(5000, seed) {
+					r.Update(p)
+				}
+			},
+			func(d, s summary) error { return d.(*mergesum.RangeCounter).Merge(s.(*mergesum.RangeCounter)) }},
+		{"gk",
+			func(v int) summary { return mergesum.NewGK([]float64{0.02, 0.05}[v]) },
+			func(s summary, seed uint64) { s.(*mergesum.GK).UpdateBatch(gen.LogNormalValues(5000, 0, 1, seed)) },
+			func(d, s summary) error { return d.(*mergesum.GK).Merge(s.(*mergesum.GK)) }},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			// The calls one summary of variant v goes through: a batch,
+			// a served slot's loop — four frames of other summaries
+			// decoded into one reused target, each merged in — a second
+			// batch, an encode, and the last merge again.
+			type build struct {
+				s, src summary
+				v      int
+			}
+			must := func(err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			decode := func(round uint64) func(b *build) {
+				return func(b *build) {
+					other := f.mk(b.v)
+					f.feed(other, 20+10*round+uint64(b.v))
+					frame, err := other.MarshalBinary()
+					must(err)
+					if b.src == nil {
+						b.src = f.mk(b.v)
+					}
+					must(b.src.UnmarshalBinary(frame))
+				}
+			}
+			merge := func(b *build) { must(f.merge(b.s, b.src)) }
+			steps := []func(b *build){func(b *build) { f.feed(b.s, uint64(10+b.v)) }}
+			for round := range uint64(4) {
+				steps = append(steps, decode(round), merge)
+			}
+			steps = append(steps,
+				func(b *build) { f.feed(b.s, uint64(90+b.v)) },
+				func(b *build) { _, err := b.s.MarshalBinary(); must(err) },
+				merge,
+			)
+			encode := func(b *build) []byte {
+				frame, err := b.s.MarshalBinary()
+				must(err)
+				return frame
+			}
+			var alone [2][]byte
+			for v := range 2 {
+				b := &build{s: f.mk(v), v: v}
+				for _, step := range steps {
+					step(b)
+				}
+				alone[v] = encode(b)
+			}
+			turns := [2]*build{{s: f.mk(0), v: 0}, {s: f.mk(1), v: 1}}
+			for _, step := range steps {
+				step(turns[0])
+				step(turns[1])
+			}
+			for v, b := range turns {
+				if !bytes.Equal(encode(b), alone[v]) {
+					t.Fatalf("variant %d: built in turn with another summary, it encodes differently from built alone", v)
+				}
+			}
+		})
+	}
+}
