@@ -72,6 +72,19 @@ func (p *Pool[T]) Put(v *T) {
 	p.p.Put(v)
 }
 
+// Fits is the one rule for storage a lent run trades or recycles:
+// storage of capacity c is kept for a run of n elements in a summary
+// whose state holds size only when it has room for n and at most twice
+// size, so no summary ends a call holding storage sized for another's
+// state. A run the call fills as it goes (a decoded partial block)
+// passes the size it may grow to.
+func Fits(c, n, size int) bool { return n <= c && c <= 2*size }
+
+// MaxFree caps a lent list of retired block storage; storage retired
+// past it is dropped. It is two blocks for each of the 64 levels a
+// hierarchy whose level i weighs 2^i can count in a uint64.
+const MaxFree = 2 * 64
+
 // Collapse is the collapse kernel under the item-keyed batch paths: it
 // turns a batch of items into its distinct (item, count) pairs, in order
 // of first occurrence. A batch's exact frequency table is itself a

@@ -93,7 +93,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	}
 	// Scratch and blocks are sized only by counts ArrayLen has checked
 	// against the bytes left: the header's size alone reserves nothing.
-	partial = rs.block(np, 2*size)
+	partial = rs.block(np, size)
 	rs.coords = codec.Resize(rs.coords, 2*np)
 	r.Float64s(rs.coords[:2*np])
 	partial.addCoords(box, rs.coords)
@@ -119,7 +119,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		if bl != size {
 			return errBlock(i, bl, size)
 		}
-		b := rs.block(bl, 2*bl)
+		b := rs.block(bl, bl)
 		rs.coords = codec.Resize(rs.coords, 2*bl)
 		r.Float64s(rs.coords[:2*bl])
 		b.addCoords(box, rs.coords)

@@ -73,9 +73,6 @@ type runs struct {
 
 var lender core.Pool[runs]
 
-// maxFree caps a free list: storage retired past it is dropped.
-const maxFree = 2 * maxLevels
-
 // block is a run of points with their cached Morton keys: keys[j] is
 // pts[j]'s Z-order index, computed once when the point is inserted or
 // decoded. A level with no block holds the zero block.
@@ -174,15 +171,14 @@ func interleave(v uint32) uint64 {
 	return x
 }
 
-// block returns empty block storage with room for n points: recycled
-// from the free list when a block there has room for n and at most
-// most, new otherwise. Callers ask for at most twice n, so no summary
-// keeps storage sized for another's blocks; a decoded partial, which
-// grows to a block, asks for up to twice the block size.
-func (rs *runs) block(n, most int) block {
+// block returns empty block storage with room for n points, for a
+// block of size: recycled from the free list when a block there fits
+// (core.Fits), new otherwise. A decoded partial, which grows to a
+// block, passes the block size.
+func (rs *runs) block(n, size int) block {
 	for i := len(rs.free) - 1; i >= 0; i-- {
 		b := rs.free[i]
-		if c := min(cap(b.pts), cap(b.keys)); c >= n && c <= most {
+		if core.Fits(min(cap(b.pts), cap(b.keys)), n, size) {
 			last := len(rs.free) - 1
 			rs.free[i], rs.free[last] = rs.free[last], block{}
 			rs.free = rs.free[:last]
@@ -194,7 +190,7 @@ func (rs *runs) block(n, most int) block {
 
 // retire recycles block storage nothing references any more.
 func (rs *runs) retire(b block) {
-	if b.pts != nil && len(rs.free) < maxFree {
+	if b.pts != nil && len(rs.free) < core.MaxFree {
 		rs.free = append(rs.free, b)
 	}
 }
@@ -222,7 +218,7 @@ func (s *Summary) promotePartial(rs *runs) {
 		ord[j] = uint64(k)<<32 | uint64(j)
 	}
 	core.SortKeys(ord, rs.order[n:], 32, 64)
-	b := rs.block(s.s, 2*s.s)
+	b := rs.block(s.s, s.s)
 	for _, o := range ord {
 		b.add(s.partial.pts[uint32(o)], uint32(o>>32))
 	}
@@ -243,7 +239,7 @@ func (s *Summary) carry(rs *runs, b block, i int, owned bool) {
 		occ := s.blocks[i]
 		if occ.pts == nil {
 			if !owned {
-				c := rs.block(s.s, 2*s.s)
+				c := rs.block(s.s, s.s)
 				b = block{append(c.pts, b.pts...), append(c.keys, b.keys...)}
 			}
 			s.blocks[i] = b
@@ -279,7 +275,7 @@ func (s *Summary) halve(rs *runs, a, b block) block {
 		keep = 0
 	}
 	size := (len(a.pts) + len(b.pts) + keep) / 2
-	out := rs.block(size, 2*size)
+	out := rs.block(size, size)
 	out.pts, out.keys = out.pts[:size], out.keys[:size]
 	ai, bi, w := 0, 0, 0
 	for ai < len(a.pts) && bi < len(b.pts) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 )
 
 // MarshalBinary encodes the summary (pending inserts are flushed
@@ -74,7 +75,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("gk: frame weight %d != n %d", sumG, n)
 	}
 	s.eps, s.bufCap, s.n = eps, bufCapFor(eps), n
-	if cap(tuples) <= 2*m { // the run fits: trade places
+	if core.Fits(cap(tuples), m, m) { // the run fits: trade places
 		s.tuples, rs.tuples = tuples, s.tuples[:0]
 	} else {
 		s.tuples = append(s.tuples[:0], tuples...)

@@ -3,8 +3,10 @@ package kernel
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/gen"
 )
 
@@ -70,6 +72,70 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	var got Kernel
 	if err := got.UnmarshalBinary(data); err == nil {
 		t.Fatal("corrupted frame accepted")
+	}
+	// A kernel fills every slot with its first point: a frame of n > 0
+	// with an empty slot, or of n = 0 with a filled one, is refused.
+	for name, spoil := range map[string]func(k *Kernel){
+		"empty slot": func(k *Kernel) { k.has[3] = false },
+		"n of 0":     func(k *Kernel) { k.n = 0 },
+		"n of 1":     func(k *Kernel) { k.Reset(); k.n = 1 },
+	} {
+		k := New(4)
+		k.Update(gen.Point{X: 1, Y: 2})
+		spoil(k)
+		data, _ := k.MarshalBinary()
+		if err := new(Kernel).UnmarshalBinary(data); err == nil {
+			t.Fatalf("%s: frame accepted", name)
+		}
+	}
+}
+
+// TestDecodeCostsWhatTheFrameHolds: decoding a frame allocates at most
+// twice its length, plus a constant. An empty kernel's frame holds one
+// byte per slot and makes its receiver store no slot; a frame of n > 0
+// holds 25 bytes for each of the 33 a slot and its share of the
+// direction grid take. The receiver is fresh, or one that has already
+// decoded a frame, as a pooled one has.
+func TestDecodeCostsWhatTheFrameHolds(t *testing.T) {
+	frame := func(m int, n uint64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Int(m)
+		w.Uint64(n)
+		for slot := range 2 * m {
+			w.Bool(n != 0)
+			if n != 0 {
+				x := float64(slot)
+				w.Float64(x)
+				w.Float64(-x)
+				w.Float64(2 * x)
+			}
+		}
+		return codec.EncodeFrame(codec.KindKernel, w.Bytes())
+	}
+	pooled := new(Kernel)
+	if err := pooled.UnmarshalBinary(frame(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{1 << 10, 1 << 16, 1 << 20} {
+		for _, n := range []uint64{0, 1} {
+			data := frame(m, n)
+			for _, into := range []struct {
+				name string
+				k    *Kernel
+			}{{"fresh", new(Kernel)}, {"pooled", pooled}} {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := into.k.UnmarshalBinary(data)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatalf("m=%d n=%d: %v", m, n, err)
+				}
+				if got, most := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(data))+64<<10; got > most {
+					t.Errorf("m=%d n=%d, %s receiver: decoding a %d B frame allocated %d B, more than %d", m, n, into.name, len(data), got, most)
+				}
+			}
+		}
 	}
 }
 

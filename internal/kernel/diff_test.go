@@ -209,10 +209,11 @@ func TestUpdateMatchesFullScan(t *testing.T) {
 	}
 }
 
-// A decoded frame whose points do not respect its own support values,
-// or that leaves slots empty — as a peer that does not run this
-// package's Update could send it — gives the filter nothing it may
-// rely on: Update must fall back to what the scan does with that state.
+// A decoded frame whose points do not respect its own support values —
+// as a peer that does not run this package's Update could send it —
+// gives the filter nothing it may rely on: Update must fall back to
+// what the scan does with that state. (A frame that leaves slots empty
+// is refused; see TestCodecRejectsCorruption.)
 func TestUpdateOnInconsistentFrame(t *testing.T) {
 	const m = 8
 	honest := func() *Kernel {
@@ -226,7 +227,6 @@ func TestUpdateOnInconsistentFrame(t *testing.T) {
 		"support values all zero": func(k *Kernel) { clear(k.bestDot) },
 		"one support value low":   func(k *Kernel) { k.bestDot[5]-- },
 		"one support value NaN":   func(k *Kernel) { k.bestDot[2] = math.NaN() },
-		"empty slots":             func(k *Kernel) { k.has[3], k.has[11] = false, false },
 	} {
 		for via, arrive := range map[string]func(in *Kernel) *Kernel{
 			"decoded": func(in *Kernel) *Kernel { return in },

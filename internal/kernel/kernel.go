@@ -117,23 +117,27 @@ func New(m int) *Kernel {
 	if m < 2 {
 		panic("kernel: need at least 2 directions")
 	}
-	k := &Kernel{}
-	k.reshape(m)
+	k := &Kernel{m: m}
+	k.grow()
 	return k
 }
 
-// reshape gives k the direction grid and slot count of New(m), in the
-// storage it already has where that fits; a kernel over m directions
-// already keeps its grid. What the slots hold afterwards is unspecified
-// unless the storage is new: the decoder writes every one.
-func (k *Kernel) reshape(m int) {
-	if k.m == m {
-		return
-	}
-	k.m = m
+// grow gives k its 2m slots, all empty, and the grid of its m
+// directions, in the storage it already has where that fits; a grid of
+// m directions is kept. A kernel decoded from an empty frame holds no
+// slots until its first point or merge, so that decoding costs what
+// the frame holds: an empty kernel's frame is one byte per slot.
+func (k *Kernel) grow() {
+	m := k.m
 	k.has = codec.Resize(k.has, 2*m)
 	k.best = codec.Resize(k.best, 2*m)
 	k.bestDot = codec.Resize(k.bestDot, 2*m)
+	clear(k.has)
+	clear(k.best)
+	clear(k.bestDot)
+	if len(k.cos) == m {
+		return
+	}
 	k.cos = codec.Resize(k.cos, m)
 	k.sin = codec.Resize(k.sin, m)
 	for i := 0; i < m; i++ {
@@ -205,6 +209,9 @@ func (k *Kernel) Update(p gen.Point) {
 	if k.interior(p) {
 		debugRejected(k, p)
 		return
+	}
+	if len(k.has) == 0 {
+		k.grow()
 	}
 	changed := false
 	for i := 0; i < k.m; i++ {
@@ -386,6 +393,9 @@ func (k *Kernel) Merge(other *Kernel) error {
 		return fmt.Errorf("%w: kernel grid %d vs %d", core.ErrMismatchedShape, k.m, other.m)
 	}
 	k.n += other.n
+	if len(k.has) == 0 && len(other.has) != 0 {
+		k.grow()
+	}
 	for slot := range other.has {
 		if other.has[slot] && k.offer(slot, other.best[slot], other.bestDot[slot]) {
 			k.fresh = false
@@ -443,6 +453,9 @@ func (k *Kernel) Width(theta float64) float64 {
 func (k *Kernel) GridSupport(slot int) (float64, bool) {
 	if slot < 0 || slot >= 2*k.m {
 		panic("kernel: slot out of range")
+	}
+	if len(k.has) == 0 {
+		return 0, false
 	}
 	return k.bestDot[slot], k.has[slot]
 }

@@ -106,7 +106,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{2, 4, 5, 7}
 	d.counts = []uint64{5, 3, 3, 100}
 	d.n = 111
-	if sweep(d) == 0 {
+	if !sweep(d) {
 		t.Fatal("first pass folded a propping parent but asks for no second pass")
 	}
 	if want := []uint64{1, 4, 5, 7}; !slices.Equal(d.ids, want) {
@@ -126,7 +126,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{2, 3, 4, 5, 7}
 	d.counts = []uint64{5, 1, 3, 3, 100}
 	d.n = 112
-	if sweep(d) == 0 {
+	if !sweep(d) {
 		t.Fatal("a propping sibling was folded but the pass asks for no second pass")
 	}
 	d.Compress()
@@ -139,7 +139,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{2, 3, 4, 5, 7}
 	d.counts = []uint64{5, 6, 3, 3, 94}
 	d.n = 111
-	if sweep(d) != 0 {
+	if sweep(d) {
 		t.Fatal("nothing propped was folded, yet the pass asks for another")
 	}
 	if err := d.checkInvariants(); err != nil {
@@ -151,7 +151,7 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	d.ids = []uint64{3, 7}
 	d.counts = []uint64{1, 100}
 	d.n = 101
-	if sweep(d) != 0 {
+	if sweep(d) {
 		t.Fatal("the folded parent propped nothing, yet the pass asks for another")
 	}
 	if err := d.checkInvariants(); err != nil {
@@ -159,36 +159,37 @@ func TestCompressRerunsAfterFoldedParent(t *testing.T) {
 	}
 	// A cascade, t = 10: leaves 16 and 17 (3 + 3) stay under node 8 (5);
 	// node 8 then folds alone into a new 4, 4 into a new 2 and 2 into
-	// the root (2 + 5). The confined pass re-creates 8 from the leaves
-	// and must follow the chain up: the pair of 8 (6) has no parent
-	// left, folds into a new 4, and that into a new 2, which stands on
-	// the root (6 + 7 > 10).
+	// the root (2 + 5). The second sweep re-creates 8 from the leaves
+	// and follows the chain up in the same pass: the pair of 8 (6) has
+	// no parent left, folds into a new 4, and that into a new 2, which
+	// stands on the root (6 + 7 > 10). That fold propped nothing, so
+	// there is no third sweep.
 	d = New(4, 11)
 	d.ids = []uint64{1, 8, 16, 17, 31}
 	d.counts = []uint64{2, 5, 3, 3, 98}
 	d.n = 111
-	var re [2 * reCap]uint64
-	if r := d.compressPass(new(runs), d.n/d.k, &re); r != 1 || re[0] != 4 {
-		t.Fatalf("the sweep listed %v, want the fold under [4]", re[:min(r, reCap)])
+	if !sweep(d) {
+		t.Fatal("the first sweep folded the propping node 8 but asks for no second sweep")
 	}
 	if wantI, wantC := []uint64{1, 16, 17, 31}, []uint64{7, 3, 3, 98}; !slices.Equal(d.ids, wantI) || !slices.Equal(d.counts, wantC) {
-		t.Fatalf("after the sweep %v / %v, want %v / %v", d.ids, d.counts, wantI, wantC)
+		t.Fatalf("after the first sweep %v / %v, want %v / %v", d.ids, d.counts, wantI, wantC)
 	}
-	if r := d.repass(d.n/d.k, &re, 1); r != 0 {
-		t.Fatalf("the confined pass listed %v, want nothing", re[:min(r, reCap)])
-	}
-	if wantI, wantC := []uint64{1, 2, 31}, []uint64{7, 6, 98}; !slices.Equal(d.ids, wantI) || !slices.Equal(d.counts, wantC) {
-		t.Fatalf("after the confined pass %v / %v, want %v / %v", d.ids, d.counts, wantI, wantC)
+	if sweep(d) {
+		t.Fatal("the second sweep folded nothing propped, yet asks for a third")
 	}
 	if err := d.checkInvariants(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("two sweeps were not enough: %v", err)
+	}
+	got := map[uint64]uint64{}
+	for i, id := range d.ids {
+		got[id] = d.counts[i]
 	}
 	ref := newRef(4, 11)
 	ref.counts = map[uint64]uint64{1: 2, 8: 5, 16: 3, 17: 3, 31: 98}
 	ref.n = 111
 	ref.Compress()
-	if !maps.Equal(ref.counts, map[uint64]uint64{1: 7, 2: 6, 31: 98}) {
-		t.Fatalf("the oracle compresses to %v", ref.counts)
+	if !maps.Equal(got, ref.counts) {
+		t.Fatalf("two sweeps compress to %v, the oracle to %v", got, ref.counts)
 	}
 }
 
@@ -239,9 +240,8 @@ func TestCleanDigestSkipsCompress(t *testing.T) {
 	}
 }
 
-// sweep runs one whole-body pass on d and returns the number of nodes
-// it re-enabled.
-func sweep(d *Digest) int {
-	var re [2 * reCap]uint64
-	return d.compressPass(new(runs), d.n/d.k, &re)
+// sweep runs one whole-body pass on d and reports whether it folded a
+// node its children needed, so that another pass is due.
+func sweep(d *Digest) bool {
+	return d.compressPass(new(runs), d.n/d.k)
 }

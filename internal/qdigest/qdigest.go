@@ -27,17 +27,19 @@
 //
 // Storage is flat. Node ids use heap numbering (root 1, children 2v
 // and 2v+1), so ascending id order is level order with siblings
-// adjacent: the body is two parallel ascending slices (ids, counts),
-// a merge is a two-pointer add of two sorted runs, and Compress is a
-// bottom-up sweep that joins each level's run with its parents' run.
-// Single updates between compressions land in a dense run of pending
-// leaves, found through a core.Index, which Compress sorts and appends —
-// leaves are the largest ids; a batch is sorted into a run of its own
-// and merged like another digest's body (batch.go). Every sort is core.SortKeys, and no path
-// walks a Go map or allocates in steady state. The digest keeps only its
-// nodes: the sort keys, merge target and compress level runs are
-// borrowed for each call from a core.Pool and handed back before it
-// returns, and the body ends every call in storage sized to it.
+// adjacent: the body is two parallel ascending slices (ids, counts).
+// Every run enters the body one way, mergeBody's two-pointer add of two
+// sorted runs: another digest's body, a batch sorted into a run of its
+// own (batch.go), and the single updates since the last compression,
+// which wait in a dense run of pending leaves found through a
+// core.Index and are sorted with their counts when Compress flushes
+// them. Compress is one bottom-up sweep, joining each level's run with
+// its parents' run, repeated until a sweep proves the fixpoint
+// (compress.go). Every sort is core.SortKeys, and no path walks a Go map
+// or allocates in steady state. The digest keeps only its nodes: the
+// sort keys, merge target and compress level runs are borrowed for each
+// call from a core.Pool and handed back before it returns, and keep
+// leaves the body in storage sized to it at the end of every call.
 package qdigest
 
 import (
@@ -83,7 +85,7 @@ type Digest struct {
 // runs is the scratch a call borrows from lender and hands back before
 // it returns: the digest keeps only its state. ids and counts are the
 // merge target a call rebuilds the body in (mergeBody, decode); w are
-// flush's sort keys and kernel scratch, a batch's leaf run, and
+// flush's pending run sorted with its counts, a batch's leaf run, and
 // compressPass's level runs.
 type runs struct {
 	ids, counts []uint64
@@ -195,32 +197,21 @@ func (d *Digest) addLeaf(id, w uint64) {
 	d.pendCounts = append(d.pendCounts, w)
 }
 
-// flush moves the pending leaves into the body. The run holds only
-// leaves the body lacks, so this is a sort of a copy of the pending
-// ids and a backward in-place merge into the body's tail.
+// flush moves the pending leaves into the body: sorted with their
+// counts, they are one more run for mergeBody, and the caller ends
+// with keep.
 func (d *Digest) flush(rs *runs) {
 	if len(d.pendIDs) == 0 {
 		return
 	}
-	keys := append(rs.w[0][:0], d.pendIDs...)
-	rs.w[1] = slices.Grow(rs.w[1][:0], len(keys))
-	core.SortKeys(keys, rs.w[1][:len(keys)], 0, uint(d.logU))
-	m := len(d.ids)
-	total := m + len(keys)
-	d.ids = slices.Grow(d.ids, len(keys))[:total]
-	d.counts = slices.Grow(d.counts, len(keys))[:total]
-	i, w := m-1, total-1
-	for j := len(keys) - 1; j >= 0; j-- {
-		k := keys[j]
-		for i >= 0 && d.ids[i] > k {
-			d.ids[w], d.counts[w] = d.ids[i], d.counts[i]
-			i--
-			w--
-		}
-		d.ids[w], d.counts[w] = k, d.pendCounts[d.pend.Find(k)]
-		w--
+	ids := append(rs.w[0][:0], d.pendIDs...)
+	counts := slices.Grow(rs.w[1][:0], len(ids))[:len(ids)]
+	core.SortKeys(ids, counts, 0, uint(d.logU))
+	for i, id := range ids {
+		counts[i] = d.pendCounts[d.pend.Find(id)]
 	}
-	rs.w[0] = keys[:0]
+	d.mergeBody(rs, ids, counts)
+	rs.w[0], rs.w[1] = ids[:0], counts[:0]
 	d.clearPending()
 }
 
@@ -346,15 +337,15 @@ func (d *Digest) mergeBody(rs *runs, oi, oc []uint64) {
 	d.ids, d.counts, rs.ids, rs.counts = ri[:w], rc[:w], ai[:0], ac[:0]
 }
 
-// keep ends a call that ran mergeBody, which left the body in the
-// borrowed merge target and the digest's own storage in rs. A target
-// that fits the body — room for it and at most twice that — stays
-// with the digest, the two having traded places; any other is copied
-// from into the digest's own storage, grown only when the state
-// outgrew it, and goes back to rs. So the digest ends every call owning
+// keep ends every call that changes the body. mergeBody and the decoder
+// leave the body in the borrowed merge target and the digest's own
+// storage in rs. Storage that fits the body (core.Fits) stays with the
+// digest, the two having traded places if they did; any other body is
+// copied into the storage in rs, grown only when the state outgrew it,
+// and its own goes back to rs. So the digest ends every call owning
 // storage sized to its state, never a run it gave back.
 func (d *Digest) keep(rs *runs) {
-	if cap(d.ids) <= 2*len(d.ids) && cap(d.counts) <= 2*len(d.counts) {
+	if n := len(d.ids); core.Fits(cap(d.ids), n, n) && core.Fits(cap(d.counts), n, n) {
 		return
 	}
 	ids, counts := rs.ids, rs.counts
@@ -492,11 +483,10 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Nodes decode
-// into a borrowed run, which once the frame is validated trades places
-// with the body if it fits it (as keep's rule has it) and is copied
-// into the receiver's own storage if not, so a pooled decode target allocates
-// nothing in steady state and a rejected frame leaves the receiver
-// untouched.
+// into the borrowed merge target, which once the frame is validated
+// becomes the body as mergeBody's does, and keep settles the storage:
+// a pooled decode target allocates nothing in steady state and a
+// rejected frame leaves the receiver untouched.
 func (d *Digest) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindQDigest, data)
 	if err != nil {
@@ -560,11 +550,8 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	}
 	d.logU, d.k, d.n = uint8(logU), k, n
 	d.dirty, d.base, d.clean = 0, len(ids), false
-	if cap(ids) <= 2*m && cap(counts) <= 2*m { // the run fits: trade places
-		d.ids, d.counts, rs.ids, rs.counts = ids, counts, d.ids[:0], d.counts[:0]
-	} else {
-		d.ids, d.counts = append(d.ids[:0], ids...), append(d.counts[:0], counts...)
-	}
+	d.ids, d.counts, rs.ids, rs.counts = ids, counts, d.ids[:0], d.counts[:0]
+	d.keep(rs)
 	d.clearPending()
 	return nil
 }

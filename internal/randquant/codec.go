@@ -116,7 +116,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		if bl != size {
 			return fmt.Errorf("randquant: block %d has %d samples, want %d", i, bl, size)
 		}
-		b := rs.block(bl, 2*bl)
+		b := rs.block(bl)
 		s.blocks = append(s.blocks, b)
 		r.Float64s(b)
 	}

@@ -73,9 +73,6 @@ type runs struct {
 
 var lender core.Pool[runs]
 
-// maxFree caps a free list: storage retired past it is dropped.
-const maxFree = 2 * maxLevels
-
 // New returns an empty summary with block size s >= 1 and a
 // deterministic random seed.
 func New(s int, seed uint64) *Summary {
@@ -177,12 +174,10 @@ func (s *Summary) push(v float64) bool {
 }
 
 // block returns block storage of length n: recycled from the free list
-// when a block there has room for n and at most most, new otherwise.
-// Callers ask for at most twice n, so no summary keeps storage sized
-// for another's blocks.
-func (rs *runs) block(n, most int) []float64 {
+// when a block there fits it (core.Fits), new otherwise.
+func (rs *runs) block(n int) []float64 {
 	for i := len(rs.free) - 1; i >= 0; i-- {
-		if b := rs.free[i]; cap(b) >= n && cap(b) <= most {
+		if b := rs.free[i]; core.Fits(cap(b), n, n) {
 			last := len(rs.free) - 1
 			rs.free[i], rs.free[last] = rs.free[last], nil
 			rs.free = rs.free[:last]
@@ -194,7 +189,7 @@ func (rs *runs) block(n, most int) []float64 {
 
 // retire recycles block storage nothing references any more.
 func (rs *runs) retire(b []float64) {
-	if b != nil && len(rs.free) < maxFree {
+	if b != nil && len(rs.free) < core.MaxFree {
 		rs.free = append(rs.free, b)
 	}
 }
@@ -203,7 +198,7 @@ func (rs *runs) retire(b []float64) {
 // level-ell block — sorted by core.SortFloats, which puts −0 before +0
 // where < would leave them in either order — and cascades the carry.
 func (s *Summary) promote(rs *runs) {
-	b := rs.block(s.s, 2*s.s)
+	b := rs.block(s.s)
 	copy(b, s.partial)
 	s.partial = append(s.partial[:0], s.partial[s.s:]...)
 	rs.keys = codec.Resize(rs.keys, 2*s.s)
@@ -281,7 +276,7 @@ func (s *Summary) equalMerge(rs *runs, a, b []float64) []float64 {
 		keep = 1
 	}
 	size := (len(a) + len(b) + 1 - keep) / 2
-	out := rs.block(size, 2*size)[:0]
+	out := rs.block(size)[:0]
 	ai, bi := 0, 0
 	for i := 0; ai < len(a) || bi < len(b); i++ {
 		var v float64
@@ -333,7 +328,7 @@ func (s *Summary) Merge(other *Summary) error {
 		switch {
 		case other.blocks[i] == nil:
 		case i >= s.ell: // carries never move ell, so every such level is met first
-			b := rs.block(s.s, 2*s.s)
+			b := rs.block(s.s)
 			copy(b, other.blocks[i])
 			s.carry(rs, b, i)
 		default:
