@@ -25,8 +25,8 @@ check: vet build lint staticcheck govulncheck race sanitize bench-smoke bench-se
 # -race run or sanitize assertion catches (DESIGN.md §7 is the mutation
 # audit that kept them): lockflow (no decode, I/O or blocking under a
 # lock) and mergecompat (no dropped merge error). Any diagnostic fails
-# the build. Linting runs with the sanitize tag so the invariant layer
-# itself is analyzed.
+# the build. The sanitize invariant layer is untagged code behind one
+# constant, core.Sanitize, so a plain load lints it too: no build tag.
 lint:
 	$(GO) run ./cmd/sketchlint
 
@@ -64,8 +64,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race-enabled suite with the runtime invariant layer compiled in:
-# every Update/Merge asserts the paper's structural invariants.
+# Race-enabled suite with the runtime invariant layer switched on: the
+# one sanitize tag sets core.Sanitize (internal/core/sanitize_on.go),
+# and every family's hooks then hold each Update, Merge and decode to
+# the laws its checkInvariants states. Without the tag the hooks are
+# empty and inline away.
 sanitize:
 	$(GO) test -tags sanitize -race ./...
 

@@ -15,6 +15,7 @@ import (
 
 	mergesum "repro"
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/spacesaving"
@@ -724,7 +725,7 @@ func TestUpdateBatchAllocs(t *testing.T) {
 			if raceEnabled && (strings.HasPrefix(tc.name, "spacesaving") || strings.HasPrefix(tc.name, "topk")) {
 				t.Skip("the race detector drops pooled values at random")
 			}
-			if sanitizeEnabled && (strings.Contains(tc.name, "per-item") || tc.name == "qdigest/weighted,logU=16") {
+			if core.Sanitize && (strings.Contains(tc.name, "per-item") || tc.name == "qdigest/weighted,logU=16") {
 				t.Skip("a sanitize build clones the digest for its sampled per-item check")
 			}
 			last := batchStreamLen - batchLen
@@ -814,7 +815,7 @@ func TestUpdateBatchAllocs(t *testing.T) {
 			if raceEnabled {
 				t.Skip("race instrumentation allocates beside the state")
 			}
-			if sanitizeEnabled {
+			if core.Sanitize {
 				t.Skip("a sanitize build clones summaries for its checks")
 			}
 			tc.fresh() // warm the lenders

@@ -31,10 +31,10 @@ type expectation struct {
 
 // Run loads the fixture package in dir (relative to the test's
 // working directory), applies the analyzer, and enforces the // want
-// expectations. Extra build tags mirror the driver's (e.g. sanitize).
-func Run(t *testing.T, dir string, a *analysis.Analyzer, tags ...string) {
+// expectations.
+func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	l, err := analysis.NewLoader(dir, tags...)
+	l, err := analysis.NewLoader(dir)
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}

@@ -43,20 +43,18 @@ type Loader struct {
 }
 
 // NewLoader returns a loader rooted at the module containing dir.
-// Files are selected as under `go build -tags` with the given tags.
-func NewLoader(dir string, tags ...string) (*Loader, error) {
+// Files are selected as under a plain `go build`.
+func NewLoader(dir string) (*Loader, error) {
 	root, path, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	ctx := build.Default
-	ctx.BuildTags = append(ctx.BuildTags, tags...)
 	return &Loader{
 		fset:       fset,
 		moduleRoot: root,
 		modulePath: path,
-		ctx:        ctx,
+		ctx:        build.Default,
 		std:        importer.ForCompiler(fset, "source", nil),
 		cache:      make(map[string]*Package),
 		loading:    make(map[string]bool),

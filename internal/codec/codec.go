@@ -302,22 +302,29 @@ func Resize[T any](s []T, n int) []T {
 }
 
 // uvarintRun decodes len(dst) uvarints from the front of b into dst
-// and returns the bytes they took, or -1 when b is short or malformed.
-// The one- and two-byte encodings are decoded inline. A failed run
-// leaves dst partly written.
-func uvarintRun[T uint64 | int64](b []byte, dst []T) int {
+// and returns the bytes they took, or -1 when b is short or malformed,
+// with the sum of the values and whether that sum wrapped 64 bits: a
+// decoder that holds a run to a mass law gets it from the one walk.
+// The one- and two-byte encodings are decoded inline and summed apart,
+// without a carry check: each is below 2^14, so no run a frame can
+// hold wraps their sum. A failed run leaves dst partly written.
+func uvarintRun[T uint64 | int64](b []byte, dst []T) (int, uint64, bool) {
 	i := 0
+	var small, sum, carry, wrap uint64
 	for j := range dst {
 		if i >= len(b) {
-			return -1
+			return -1, 0, false
 		}
 		if c := b[i]; c < 0x80 {
 			dst[j] = T(c)
+			small += uint64(c)
 			i++
 			continue
 		}
 		if i+1 < len(b) && b[i+1] < 0x80 {
-			dst[j] = T(b[i]&0x7f) | T(b[i+1])<<7
+			v := uint64(b[i]&0x7f) | uint64(b[i+1])<<7
+			dst[j] = T(v)
+			small += v
 			i += 2
 			continue
 		}
@@ -329,12 +336,15 @@ func uvarintRun[T uint64 | int64](b []byte, dst []T) int {
 			v, n = binary.Uvarint(b[i:])
 		}
 		if n <= 0 {
-			return -1
+			return -1, 0, false
 		}
 		dst[j] = T(v)
+		sum, carry = bits.Add64(sum, v, 0)
+		wrap |= carry
 		i += n
 	}
-	return i
+	sum, carry = bits.Add64(sum, small, 0)
+	return i, sum, wrap|carry != 0
 }
 
 // uvarintWord is binary.Uvarint for len(b) >= 10, without the loop:
@@ -378,13 +388,21 @@ func (r *Reader) ran(n int) {
 
 // Uint64s reads a run of len(dst) uvarints into dst — what a loop of
 // Uint64 calls reads, without a call, a reader update and an error
-// check per element. On error dst is partly written and the error is
-// recorded.
-func (r *Reader) Uint64s(dst []uint64) { r.ran(uvarintRun(r.b[r.off:], dst)) }
+// check per element — and returns their sum, with ok false when the
+// sum wraps 64 bits or the run fails. On error dst is partly written
+// and the error is recorded.
+func (r *Reader) Uint64s(dst []uint64) (sum uint64, ok bool) {
+	n, sum, wrapped := uvarintRun(r.b[r.off:], dst)
+	r.ran(n)
+	return sum, n >= 0 && !wrapped
+}
 
 // Int64s is Uint64s for counters that travel as their raw
 // two's-complement bits (int64(r.Uint64()) per element).
-func (r *Reader) Int64s(dst []int64) { r.ran(uvarintRun(r.b[r.off:], dst)) }
+func (r *Reader) Int64s(dst []int64) {
+	n, _, _ := uvarintRun(r.b[r.off:], dst)
+	r.ran(n)
+}
 
 // Uint8s reads a run of len(dst) small uvarints, each at most max,
 // into dst: values below 128 are one byte on the wire, 128–255 two.

@@ -351,9 +351,22 @@ func TestReaderRuns(t *testing.T) {
 
 	got := make([]uint64, len(vals))
 	r := NewReader(payload)
-	r.Uint64s(got)
+	if _, ok := r.Uint64s(got); ok {
+		t.Fatal("Uint64s: a run holding 2^63 twice did not report its sum wrapping")
+	}
 	if err := r.Finish(); err != nil || !slices.Equal(got, vals) {
 		t.Fatalf("Uint64s: err %v, values equal %v", err, slices.Equal(got, vals))
+	}
+	// Values of every encoded length below 2^62: the sum fits.
+	var small Buffer
+	var want uint64
+	for _, v := range vals[:3*62] {
+		small.Uint64(v)
+		want += v
+	}
+	r = NewReader(small.Bytes())
+	if sum, ok := r.Uint64s(got[:3*62]); !ok || sum != want {
+		t.Fatalf("Uint64s sum = %d, %v; want %d", sum, ok, want)
 	}
 	gotI := make([]int64, len(vals))
 	r = NewReader(payload)

@@ -241,7 +241,9 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 // overwritten by one run read, any other receiver (the zero value
 // included) is first reshaped exactly as New would build it. A frame
 // rejected by a header or geometry check leaves the receiver untouched;
-// one that fails inside the counter run leaves it empty.
+// one that fails inside the counter run, or whose rows break the
+// sketch's row-mass law (checkInvariants: every row the same mass, at
+// least n, no sum wrapping), leaves it empty.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindCountMin, data)
 	if err != nil {
@@ -272,11 +274,27 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	reused := s.width != 0
 	s.reshape(width, depth, seed)
 	s.n = n
-	r.Uint64s(s.cells)
+	// Rows are contiguous on the wire and in cells: one run per row
+	// hands back each row's mass from the decoding walk.
+	var first uint64
+	for i := 0; i < depth; i++ {
+		mass, ok := r.Uint64s(s.row(i))
+		if r.Err() != nil {
+			break // Finish reports it
+		}
+		if i == 0 {
+			first = mass
+		}
+		if !ok || mass < n || mass != first {
+			s.Reset()
+			return fmt.Errorf("countmin: row %d mass breaks the law: every row carries the same mass, at least n=%d", i, n)
+		}
+	}
 	if err := r.Finish(); err != nil {
 		s.Reset()
 		return err
 	}
+	debugAssert(s)
 	debugAssertDecoded(s, data, reused)
 	return nil
 }

@@ -2,6 +2,7 @@ package countmin
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/codec"
@@ -86,6 +87,9 @@ func TestMergeEqualsWholeStream(t *testing.T) {
 	if merged.N() != whole.N() {
 		t.Fatalf("N: %d != %d", merged.N(), whole.N())
 	}
+	if err := merged.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	// Linearity: the merged sketch must be bit-identical to the
 	// whole-stream sketch.
 	for _, x := range []core.Item{0, 1, 5, 99, 12345} {
@@ -161,6 +165,31 @@ func flaggedFrame(s *Sketch, flag bool) []byte {
 		w.Uint64(v)
 	}
 	return codec.EncodeFrame(codec.KindCountMin, w.Bytes())
+}
+
+// TestCodecRejectsBrokenRowMass: every update adds its weight to every
+// row, so a frame whose rows carry different masses, less than n, or a
+// mass that wraps is no sketch of any stream (R8), and the decoder
+// refuses it.
+func TestCodecRejectsBrokenRowMass(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		n          uint64
+		cells      []uint64 // 4 rows of 2
+		acceptable bool
+	}{
+		{"rows empty under n", 100, make([]uint64, 8), false},
+		{"rows differ", 3, []uint64{1, 2, 3, 1, 2, 1, 0, 3}, false},
+		{"row mass wraps", 2, []uint64{math.MaxUint64, 3, 1, 1, 1, 1, 1, 1}, false},
+		{"rows above n", 2, []uint64{1, 2, 3, 0, 2, 1, 0, 3}, true},
+	} {
+		src := &Sketch{width: 2, depth: 4, seed: 5, n: tc.n, cells: tc.cells}
+		var got Sketch
+		err := got.UnmarshalBinary(flaggedFrame(src, false))
+		if (err == nil) != tc.acceptable {
+			t.Errorf("%s: decode error %v", tc.name, err)
+		}
+	}
 }
 
 // TestFlagByteRejected: the frame's flag byte is reserved and must be

@@ -84,6 +84,9 @@ func TestKMVMergeIsUnion(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
 	ah, wh := a.Hashes(), whole.Hashes()
 	if len(ah) != len(wh) {
 		t.Fatalf("merged has %d hashes, whole has %d", len(ah), len(wh))
@@ -192,6 +195,9 @@ func TestHLLMergeEqualsWhole(t *testing.T) {
 		}
 	}
 	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if a.Estimate() != whole.Estimate() {

@@ -203,6 +203,7 @@ func (s *Summary) Update(p gen.Point) {
 		rs := lender.Get()
 		s.promotePartial(rs)
 		lender.Put(rs)
+		debugAssert(s)
 	}
 }
 
@@ -224,7 +225,6 @@ func (s *Summary) promotePartial(rs *runs) {
 	}
 	s.partial = block{s.partial.pts[:0], s.partial.keys[:0]}
 	s.carry(rs, b, 0, true)
-	debugAssert(s, false)
 }
 
 // carry places b at level i, halving it with the occupant and moving
@@ -325,7 +325,7 @@ func (s *Summary) Merge(other *Summary) error {
 	rs := lender.Get()
 	s.absorb(rs, other)
 	lender.Put(rs)
-	debugAssert(s, true)
+	debugAssert(s)
 	return nil
 }
 
@@ -391,9 +391,15 @@ func (s *Summary) Clone() *Summary {
 	return c
 }
 
-// checkInvariants verifies structural invariants against the cached
-// keys; used by tests.
+// checkInvariants reports the first law s breaks: a cached Morton key
+// that differs from a fresh computation (every sort and halving trusts
+// the keys instead of the points, so a stale one would silently bend
+// the curve order), or a shape checkShape refuses; used by tests and
+// the sanitize layer.
 func (s *Summary) checkInvariants() error {
+	if err := s.checkKeys(); err != nil {
+		return err
+	}
 	return checkShape(s.s, s.n, s.partial, s.blocks)
 }
 

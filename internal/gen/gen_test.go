@@ -161,13 +161,6 @@ func TestUniformSequentialBlocks(t *testing.T) {
 			t.Fatalf("Sequential[%d] = %d", i, x)
 		}
 	}
-	b := Blocks(100, 10)
-	if len(b) != 100 {
-		t.Fatalf("Blocks len = %d", len(b))
-	}
-	if b[0] != b[9] || b[0] == b[10] {
-		t.Fatalf("Blocks not in runs: %v", b[:20])
-	}
 }
 
 func TestValueGenerators(t *testing.T) {

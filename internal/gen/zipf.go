@@ -55,9 +55,6 @@ func NewZipf(u int, alpha float64, seed uint64) *Zipf {
 	return z
 }
 
-// Universe returns the universe size.
-func (z *Zipf) Universe() int { return len(z.items) }
-
 // ItemForRank returns the item identity assigned to 1-based rank r.
 func (z *Zipf) ItemForRank(r int) core.Item { return z.items[r-1] }
 
@@ -97,23 +94,6 @@ func Sequential(n int) []core.Item {
 	out := make([]core.Item, n)
 	for i := range out {
 		out[i] = core.Item(i)
-	}
-	return out
-}
-
-// Blocks returns a stream consisting of each item i in {0..u-1}
-// repeated n/u times, in item order. Sorted runs are the adversarial
-// case for merge-based summaries because partitions become disjoint.
-func Blocks(n, u int) []core.Item {
-	out := make([]core.Item, 0, n)
-	per := n / u
-	if per == 0 {
-		per = 1
-	}
-	for i := 0; len(out) < n; i++ {
-		for j := 0; j < per && len(out) < n; j++ {
-			out = append(out, core.Item(i%u))
-		}
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package mg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -34,9 +35,11 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // encoding.BinaryUnmarshaler. Counters go straight into the receiver's
 // own storage, emptied first and regrown only when the frame holds more
 // than it has room for, so a reused receiver (any k, any contents; the
-// zero value too) allocates nothing. A frame rejected by a header
-// check leaves the receiver untouched; one rejected among its counters
-// leaves it empty.
+// zero value too) allocates nothing. The frame must keep the laws
+// every merge keeps (checkInvariants): an undercount dec of at most
+// n/(k+1) and counters that together carry at most n. A frame rejected
+// by a header check leaves the receiver untouched; one rejected among
+// its counters leaves it empty.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindMisraGries, data)
 	if err != nil {
@@ -56,14 +59,22 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	if m > k {
 		return fmt.Errorf("mg: %d counters exceed k=%d", m, k)
 	}
+	if bound := core.MGBound(n, k); dec > bound {
+		return fmt.Errorf("mg: dec=%d exceeds n/(k+1)=%d", dec, bound)
+	}
 	s.k, s.n, s.dec = k, n, dec
 	s.clearTable()
 	s.ensure(m)
+	var sum, carry uint64
 	for i := 0; i < m; i++ {
 		item := core.Item(r.Uint64())
 		count := r.Uint64()
 		if r.Err() != nil {
 			break
+		}
+		if sum, carry = bits.Add64(sum, count, 0); carry != 0 || sum > n {
+			s.Reset()
+			return fmt.Errorf("mg: counters carry more than n=%d", n)
 		}
 		if err := s.put(item, count); err != nil {
 			s.Reset()
@@ -74,5 +85,6 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 		s.Reset()
 		return err
 	}
+	debugAssert(s)
 	return nil
 }

@@ -1,8 +1,10 @@
 package mg
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
@@ -269,5 +271,34 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	var got Summary
 	if err := got.UnmarshalBinary(data); err == nil {
 		t.Fatal("corrupted frame accepted")
+	}
+
+	// Well-formed frames that break the laws every merge keeps: the
+	// counters may carry at most n between them, without wrapping, and
+	// dec may not pass n/(k+1).
+	for _, tc := range []struct {
+		name       string
+		n, dec     uint64
+		counts     []uint64
+		acceptable bool
+	}{
+		{"counters carry more than n", 1, 0, []uint64{1000}, false},
+		{"counter sum wraps", math.MaxUint64, 0, []uint64{1 << 63, 1 << 63, 2}, false},
+		{"dec above n/(k+1)", 10, 3, []uint64{4}, false},
+		{"at both bounds", 10, 2, []uint64{4, 6}, true},
+	} {
+		var w codec.Buffer
+		w.Int(4)
+		w.Uint64(tc.n)
+		w.Uint64(tc.dec)
+		w.Int(len(tc.counts))
+		for i, c := range tc.counts {
+			w.Uint64(uint64(i + 1))
+			w.Uint64(c)
+		}
+		err := got.UnmarshalBinary(codec.EncodeFrame(codec.KindMisraGries, w.Bytes()))
+		if (err == nil) != tc.acceptable {
+			t.Errorf("%s: decode error %v", tc.name, err)
+		}
 	}
 }

@@ -78,7 +78,7 @@ func TestPropertyMergeGuarantee(t *testing.T) {
 		} else {
 			err = a.Merge(b)
 		}
-		if err != nil {
+		if err != nil || a.checkInvariants() != nil {
 			return false
 		}
 		if a.N() != truth.N() || a.Len() > k {

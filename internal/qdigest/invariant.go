@@ -1,29 +1,25 @@
-//go:build sanitize
-
 package qdigest
 
-// sanitizeEnabled reports whether this build carries the runtime
-// invariant layer (`go test -tags sanitize`). See DESIGN.md.
-const sanitizeEnabled = true
+import "repro/internal/core"
 
-// debugAssert panics if d's flat layout is inconsistent (body ids
-// strictly ascending, pending run and body agreeing on size),
-// then compresses a clone of d and panics if it violates the q-digest
-// property: positive node counts inside the tree, the
-// compression completeness bound c(v)+c(sibling)+c(parent) > n/k for
-// every non-root node, and total mass equal to n. This is the weight
-// bound every merge order must preserve (Agarwal et al. §3). The
-// clone keeps the assert side-effect-free: compressing d itself would
-// be legal, but it would make sanitize builds take different
-// amortization paths than release builds (and break the batch-vs-loop
-// state-equivalence tests).
+// debugAssert panics, in a core.Sanitize build, if d's flat layout is
+// inconsistent (checkLayout), or if a compressed clone of d breaks the
+// q-digest property (checkInvariants): the weight bound every merge
+// order must preserve (Agarwal et al. §3). The clone keeps the assert
+// side-effect-free: compressing d itself would be legal, but it would
+// make sanitize builds take different amortization paths than release
+// builds (and break the batch-vs-loop state-equivalence tests).
 func debugAssert(d *Digest) {
-	if err := d.checkLayout(); err != nil {
-		panic("qdigest: sanitize: " + err.Error())
+	if !core.Sanitize {
+		return
 	}
-	c := d.Clone()
-	c.Compress()
-	if err := c.checkInvariants(); err != nil {
+	err := d.checkLayout()
+	if err == nil {
+		c := d.Clone()
+		c.Compress()
+		err = c.checkInvariants()
+	}
+	if err != nil {
 		panic("qdigest: sanitize: " + err.Error())
 	}
 }
@@ -32,7 +28,7 @@ func debugAssert(d *Digest) {
 // calls (keyed on n): forcing a compression per update would defeat
 // the amortization the update path is built around.
 func debugAssertSampled(d *Digest) {
-	if d.n&1023 == 0 {
+	if core.Sanitize && d.n&1023 == 0 {
 		debugAssert(d)
 	}
 }

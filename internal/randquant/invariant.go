@@ -1,26 +1,21 @@
-//go:build sanitize
-
 package randquant
 
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/core"
 )
 
-// sanitizeEnabled reports whether this build carries the runtime
-// invariant layer (it re-decodes every frame a reused receiver takes).
-const sanitizeEnabled = true
-
-// debugAssertDecoded panics if a reused receiver, having decoded
-// frame into recycled storage, differs anywhere from a fresh summary
-// decoding the same frame: block size, level budget, sampling exponent,
-// weight, partial buffer, every level of the hierarchy, and the RNG
-// state its next draw comes from.
-// This is the sanitize layer's (`go test -tags sanitize`, DESIGN.md)
-// check on the decode-in-place path.
+// debugAssertDecoded panics, in a core.Sanitize build, if a reused
+// receiver, having decoded frame into recycled storage, differs
+// anywhere from a fresh summary decoding the same frame: block size,
+// level budget, sampling exponent, weight, partial buffer, every level
+// of the hierarchy, and the RNG state its next draw comes from. The
+// decoder has already held the frame to checkInvariants.
 func debugAssertDecoded(s *Summary, frame []byte, reused bool) {
-	if !reused {
-		return // also what ends the recursion: fresh is not reused
+	if !core.Sanitize || !reused {
+		return // !reused also ends the recursion: fresh is not reused
 	}
 	var fresh Summary
 	if err := fresh.UnmarshalBinary(frame); err != nil {

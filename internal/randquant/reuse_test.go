@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -76,7 +77,7 @@ func TestMergeRecyclesBlocks(t *testing.T) {
 		for range 64 {
 			step()
 		}
-		if allocs := testing.AllocsPerRun(50, step); allocs > 1 && !sanitizeEnabled {
+		if allocs := testing.AllocsPerRun(50, step); allocs > 1 && !core.Sanitize {
 			t.Fatalf("%s: steady-state decode+merge: %v allocs", m.name, allocs)
 		}
 		if allocs := testing.AllocsPerRun(50, func() { _ = dst.Merge(&src) }); allocs > 0 {

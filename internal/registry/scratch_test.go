@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/registry"
 	_ "repro/internal/registry/all"
 )
@@ -309,7 +310,7 @@ func TestDecodeMergeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
 	}
-	if sanitizeEnabled {
+	if core.Sanitize {
 		t.Skip("the sanitize layer's checks allocate by design")
 	}
 	for _, ent := range registry.Entries() {
@@ -350,7 +351,7 @@ func TestEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under -race: the payload buffer is sometimes made anew")
 	}
-	if sanitizeEnabled {
+	if core.Sanitize {
 		t.Skip("the sanitize layer's checks allocate by design")
 	}
 	views := map[string]float64{"mg": 1, "ss": 1, "topk": 1, "kmv": 3}

@@ -116,8 +116,8 @@ type Node struct {
 	winTick   time.Duration
 
 	// winEpoch is the node-wide live epoch sequence: it starts at 1 and
-	// advances with AdvanceWindows, and every plane bound after the
-	// node has already turned epochs over is aligned to it (StartAt),
+	// advances with AdvanceWindows, and every plane follows it
+	// (window.Plane.AdvanceTo), whenever it was bound,
 	// so one wall-clock origin + tick maps times to epochs for every
 	// slot regardless of when the slot first appeared.
 	winEpoch atomic.Uint64
@@ -206,7 +206,8 @@ func (n *Node) snapshotSlots() []*slot {
 // to the slot's family entry. Called under sl.mu at kind-bind time, so
 // a slot's plane exists from its first push onward. A plane bound
 // after the node has already turned epochs over starts at the
-// node-wide epoch, keeping every slot on one epoch timeline.
+// node-wide epoch, keeping every slot on one epoch timeline; see
+// AdvanceWindows for a bind that races a turn-over.
 func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 	if !n.windowed || sl.plane != nil {
 		return
@@ -215,7 +216,7 @@ func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
 	if err != nil {
 		return // unreachable: SetWindow validated the ladder
 	}
-	pl.StartAt(n.winEpoch.Load())
+	_ = pl.AdvanceTo(n.winEpoch.Load()) // a fresh plane seals nothing
 	sl.plane = pl
 }
 
@@ -320,23 +321,29 @@ func (n *Node) ingestBatch(name []byte, ent *registry.Entry, decoded []any) (uin
 	return total, nil
 }
 
-// AdvanceWindows seals the live epoch of every windowed slot's plane
-// (roll-ups included: they are part of the seal) and advances the
-// node-wide epoch sequence. The
-// epoch ticker calls this every tick; tests call it directly for
-// deterministic epochs.
+// AdvanceWindows advances the node-wide epoch sequence and then every
+// windowed slot's plane to it, sealing each live epoch (roll-ups
+// included: they are part of the seal). The epoch ticker calls this
+// every tick; tests call it directly for deterministic epochs.
+//
+// The node's epoch moves first, so a plane bound while this runs is
+// never left behind: one bound after the bump starts at the new epoch,
+// and one bound before it belongs to a slot the snapshot holds, so it
+// is advanced here. Advancing to the epoch rather than by one leaves a
+// plane that is already there as it is, and two overlapping calls
+// converge on the node's epoch.
 func (n *Node) AdvanceWindows() {
+	to := n.winEpoch.Add(1)
 	for _, sl := range n.snapshotSlots() {
 		sl.mu.Lock()
 		pl := sl.plane
 		sl.mu.Unlock()
 		// The plane's epoch turns over even when sealing or rolling up
 		// fails; nothing retains the error but this count.
-		if pl != nil && pl.Advance() != nil {
+		if pl != nil && pl.AdvanceTo(to) != nil {
 			n.sealErrs.Add(1)
 		}
 	}
-	n.winEpoch.Add(1)
 }
 
 // Drain is the graceful-shutdown seal: on windowed nodes the live

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -254,7 +255,9 @@ func TestSealErrorsReachMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.StartAt(s.Epoch())
+	if err := pl.AdvanceTo(s.Epoch()); err != nil {
+		t.Fatal(err)
+	}
 	sl := s.getSlot([]byte("flows"))
 	sl.mu.Lock()
 	sl.plane = pl
@@ -268,5 +271,52 @@ func TestSealErrorsReachMetrics(t *testing.T) {
 	}
 	if pl.Epoch() != s.Epoch() {
 		t.Fatalf("plane epoch %d fell behind the node's %d after a failed seal", pl.Epoch(), s.Epoch())
+	}
+}
+
+// TestAdvanceWindowsRacingFirstPush: a slot first pushed to while
+// AdvanceWindows runs binds its plane in the middle of a turn-over. It
+// must end that turn-over on the node's epoch — one behind, it would
+// stay behind for good, and its QWIN ranges would name the previous
+// tick. The existing slots make each turn-over long enough for first
+// pushes to land inside it.
+func TestAdvanceWindowsRacingFirstPush(t *testing.T) {
+	n := NewNode()
+	if err := n.SetWindow(window.Ladder{Fan: 4, Levels: 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	ent, _ := registry.ByName("mg")
+	push := func(name string) {
+		s := mg.New(16)
+		s.Update(1, 1)
+		if _, err := n.Ingest(name, ent, s); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := range 2000 {
+		push(fmt.Sprintf("old%d", i))
+	}
+	for round := range 20 {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			n.AdvanceWindows()
+		}()
+		for i := range 200 {
+			push(fmt.Sprintf("new%d.%d", round, i))
+		}
+		<-done
+	}
+	behind := 0
+	for _, sl := range n.snapshotSlots() {
+		sl.mu.Lock()
+		pl := sl.plane
+		sl.mu.Unlock()
+		if pl.Epoch() != n.Epoch() {
+			behind++
+		}
+	}
+	if behind != 0 {
+		t.Fatalf("%d planes off the node's epoch %d", behind, n.Epoch())
 	}
 }

@@ -1,21 +1,14 @@
-//go:build sanitize
-
 package spacesaving
 
-// sanitizeEnabled reports whether this build carries the runtime
-// invariant layer (`go test -tags sanitize`). See DESIGN.md.
-const sanitizeEnabled = true
+import "repro/internal/core"
 
-// debugAssert panics if s violates the stream-summary structural
-// invariants the O(1) update path and the SS↔MG isomorphism rely on:
-// at most k monitored entries, a strictly ascending doubly-linked
-// bucket list bracketed by minB/maxB, every entry in the bucket
-// matching its count, and an entries map in exact bijection with the
-// bucket lists. The walk itself is checkInvariants (shared with the
-// unit tests); the sanitize layer turns its error into a panic so
-// violations surface at the faulting Update/Merge, not at the next
-// query.
+// debugAssert panics, in a core.Sanitize build, if s breaks a
+// stream-summary law (checkInvariants), so a violation surfaces at the
+// faulting Update/Merge, not at the next query.
 func debugAssert(s *Summary) {
+	if !core.Sanitize {
+		return
+	}
 	if err := s.checkInvariants(); err != nil {
 		panic("spacesaving: sanitize: " + err.Error())
 	}
@@ -25,7 +18,7 @@ func debugAssert(s *Summary) {
 // sample of calls (keyed on n), keeping the O(1) per-item path usable
 // under the sanitize tag.
 func debugAssertSampled(s *Summary) {
-	if s.n&63 == 0 {
+	if core.Sanitize && s.n&63 == 0 {
 		debugAssert(s)
 	}
 }

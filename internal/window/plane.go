@@ -111,21 +111,6 @@ func NewPlane(ops Ops, mk func(epoch uint64) any, l Ladder) (*Plane, error) {
 	}, nil
 }
 
-// StartAt aligns a fresh plane's live epoch with an external epoch
-// sequence: a plane bound to a slot after its server has already
-// turned over epochs starts at the server's current epoch instead of
-// 1, so every slot on a node — and every node in a cluster advancing
-// on the same tick — shares one epoch timeline. It is a no-op unless
-// the plane is still pristine (no absorbs, no advances, no sealed
-// segments) and epoch moves the sequence forward.
-func (p *Plane) StartAt(epoch uint64) {
-	p.mu.Lock()
-	if p.cur == nil && p.liveVer == 0 && epoch > p.now {
-		p.now = epoch
-	}
-	p.mu.Unlock()
-}
-
 // Epoch returns the live epoch sequence number.
 func (p *Plane) Epoch() uint64 {
 	p.mu.Lock()
@@ -219,6 +204,31 @@ func (p *Plane) AbsorbClone(src any) error {
 func (p *Plane) Advance() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.advance()
+}
+
+// AdvanceTo advances the plane until its live epoch is epoch, one
+// Advance per epoch, and joins their errors; a plane already there or
+// past it is left as it is. It is how a plane follows an external epoch
+// sequence — a server's, shared by all its slots and by every node of
+// a cluster on the same tick — whichever epoch the plane was made in:
+// a pristine plane (no absorbs, no advances) has nothing to seal or
+// roll up and jumps straight there.
+func (p *Plane) AdvanceTo(epoch uint64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cur == nil && p.liveVer == 0 && epoch > p.now {
+		p.now = epoch
+	}
+	var err error
+	for p.now < epoch {
+		err = errors.Join(err, p.advance())
+	}
+	return err
+}
+
+// advance is Advance with p.mu held.
+func (p *Plane) advance() error {
 	sealed := p.now
 	var sealErr, rollErr error
 	if p.cur != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -133,6 +134,39 @@ func TestPlaneRollupLadder(t *testing.T) {
 	}
 	if covered != 98 || prev != 100 {
 		t.Fatalf("cover spans %d epochs ending at %d, want 98 ending at 100", covered, prev)
+	}
+}
+
+// AdvanceTo is Advance once per epoch it crosses: the roll-ups of every
+// block it closes included, byte for byte. A pristine plane jumps, and
+// an epoch at or behind the plane's leaves it as it is.
+func TestPlaneAdvanceTo(t *testing.T) {
+	l := Ladder{Fan: 2, Levels: 3, Horizon: []uint64{1 << 20, 1 << 20, 1 << 20}}
+	stepped, ent := mustPlane(t, "mg", l)
+	jumped, _ := mustPlane(t, "mg", l)
+	sealExampleEpochs(t, stepped, ent, []int{5, 0, 7, 0, 0})
+	sealExampleEpochs(t, jumped, ent, []int{5, 0, 7})
+	if err := jumped.AdvanceTo(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := jumped.AdvanceTo(2); err != nil || jumped.Epoch() != 6 {
+		t.Fatalf("AdvanceTo(2) from epoch 6: epoch %d, err %v", jumped.Epoch(), err)
+	}
+	a, b := stepped.Stats(), jumped.Stats()
+	if a.Epoch != b.Epoch || !slices.Equal(a.Segments, b.Segments) {
+		t.Fatalf("stepped %+v, jumped %+v", a, b)
+	}
+	want, err := stepped.QueryEncoded(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := jumped.QueryEncoded(1, 4); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("[1,4] differs after AdvanceTo (err %v)", err)
+	}
+
+	fresh, _ := mustPlane(t, "mg", l)
+	if err := fresh.AdvanceTo(1 << 40); err != nil || fresh.Epoch() != 1<<40 {
+		t.Fatalf("pristine AdvanceTo: epoch %d, err %v", fresh.Epoch(), err)
 	}
 }
 
