@@ -15,7 +15,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/server"
-	"repro/internal/spacesaving"
 )
 
 // benchCfg trims the experiments so a full -bench=. pass stays
@@ -438,22 +437,6 @@ func BenchmarkMisraGriesEstimate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Estimate(mergesum.Item(i % 4096))
-	}
-}
-
-// Ablation: stream-summary buckets (O(1) update) vs. binary heap
-// (O(log k) update) behind the same SpaceSaving algorithm.
-func BenchmarkSpaceSavingHeapUpdate(b *testing.B) {
-	for _, k := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			stream := zipfStream()
-			s := spacesaving.NewHeap(k)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Update(stream[i%len(stream)], 1)
-			}
-		})
 	}
 }
 

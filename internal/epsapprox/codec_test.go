@@ -180,8 +180,8 @@ func TestDecodeNotSizedByHeader(t *testing.T) {
 				if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 					t.Fatalf("size %d, partial %d, %s receiver: decode allocated %d bytes for a %d-byte frame", size, partial, how, got, len(frame))
 				}
-				if s.s != size || s.N() != uint64(partial) {
-					t.Errorf("size %d, partial %d, %s: decoded s=%d n=%d", size, partial, how, s.s, s.N())
+				if s.lv.S != size || s.N() != uint64(partial) {
+					t.Errorf("size %d, partial %d, %s: decoded s=%d n=%d", size, partial, how, s.lv.S, s.N())
 				}
 			}
 		}

@@ -198,15 +198,15 @@ func TestHalveMatchesBranchy(t *testing.T) {
 	// keyed returns n points whose sorted keys are drawn from [lo, hi);
 	// each point names its operand and position, in coordinates that
 	// use every mantissa bit.
-	keyed := func(n int, lo, hi uint32, tag float64) block {
+	keyed := func(n int, lo, hi uint32, tag float64) run {
 		rng := gen.NewRNG(uint64(n)*31 + uint64(lo))
-		b := block{make([]gen.Point, n), make([]uint32, n)}
-		for j := range b.keys {
-			b.keys[j] = lo + uint32(rng.Uint64()%uint64(hi-lo))
+		b := run{Keys: make([]uint32, n), Pay: make([]gen.Point, n)}
+		for j := range b.Keys {
+			b.Keys[j] = lo + uint32(rng.Uint64()%uint64(hi-lo))
 		}
-		slices.Sort(b.keys)
-		for j := range b.pts {
-			b.pts[j] = gen.Point{X: tag + rng.Float64(), Y: float64(j) / 3}
+		slices.Sort(b.Keys)
+		for j := range b.Pay {
+			b.Pay[j] = gen.Point{X: tag + rng.Float64(), Y: float64(j) / 3}
 		}
 		return b
 	}
@@ -219,24 +219,27 @@ func TestHalveMatchesBranchy(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		a, b block
+		a, b run
 	}{
 		{"a's tail, odd total", keyed(9, 0, 40, 1), keyed(4, 0, 20, 2)},
 		{"b's tail, odd total", keyed(4, 0, 20, 1), keyed(9, 10, 40, 2)},
 		{"a's tail, even total", keyed(300, 0, 64, 1), keyed(18, 0, 32, 2)},
 		{"b's tail, even total", keyed(7, 5, 10, 1), keyed(11, 0, 64, 2)},
-		{"one side empty", keyed(5, 0, 8, 1), block{}},
-		{"other side empty", block{}, keyed(6, 0, 8, 2)},
+		{"one side empty", keyed(5, 0, 8, 1), keyed(0, 0, 8, 2)},
+		{"other side empty", keyed(0, 0, 8, 1), keyed(6, 0, 8, 2)},
 	} {
 		for _, skip := range []bool{false, true} {
-			got, want := New(8, unitBox, seedFor(skip)), New(8, unitBox, seedFor(skip))
-			g, w := got.halve(new(runs), tc.a, tc.b), refHalve(want, tc.a, tc.b)
-			if len(g.pts) != len(w.pts) || len(g.keys) != len(w.keys) {
-				t.Fatalf("%s, skip=%v: kept %d points, the branchy halve %d", tc.name, skip, len(g.pts), len(w.pts))
+			// The halving runs as a carry: b, another stack's level-0
+			// block, meets a at level 0.
+			got := stack{S: 8, RNG: gen.NewRNG(seedFor(skip)), Blocks: []run{tc.a}}
+			got.Absorb(new(runs), &stack{Blocks: []run{tc.b}}, 0)
+			g, w := got.Blocks[1], refHalve(gen.NewRNG(seedFor(skip)), tc.a, tc.b)
+			if len(g.Pay) != len(w.Pay) || len(g.Keys) != len(w.Keys) {
+				t.Fatalf("%s, skip=%v: kept %d points, the branchy halve %d", tc.name, skip, len(g.Pay), len(w.Pay))
 			}
-			for j := range w.pts {
-				if g.pts[j] != w.pts[j] || g.keys[j] != w.keys[j] {
-					t.Fatalf("%s, skip=%v: point %d is %v/%d, want %v/%d", tc.name, skip, j, g.pts[j], g.keys[j], w.pts[j], w.keys[j])
+			for j := range w.Pay {
+				if g.Pay[j] != w.Pay[j] || g.Keys[j] != w.Keys[j] {
+					t.Fatalf("%s, skip=%v: point %d is %v/%d, want %v/%d", tc.name, skip, j, g.Pay[j], g.Keys[j], w.Pay[j], w.Keys[j])
 				}
 			}
 		}

@@ -4,10 +4,12 @@
 //
 //	| weight(Q ∩ R) − |P ∩ R| |  ≤  ε·|P|
 //
-// under arbitrary merges. The structure mirrors the quantile summary's
+// under arbitrary merges. The structure is the quantile summary's
 // logarithmic block hierarchy (a 1-D ε-approximation *is* a quantile
-// summary); the per-level primitive is an equal-weight halving of 2s
-// points down to s points.
+// summary), internal/levels, with Morton keys and the points beside
+// them as payload; the per-level primitive is an equal-weight halving
+// of 2s points down to s points. This package adds the Morton keying,
+// RangeCount, the box, and its frame header.
 //
 // Substitution note (DESIGN.md §2): the paper's halving is a
 // deterministic low-discrepancy coloring with large constants; this
@@ -22,79 +24,44 @@
 // Every stored point carries its Morton key beside it, computed once
 // when the point is inserted or decoded: sorting a full partial and
 // halving two blocks compare cached integers, never recompute a key.
-// A summary keeps only its state: the sort run, the decode's read run
-// and level table, and retired block storage are borrowed for the
-// length of a call from a pooled lender, so the steady-state update,
-// merge and decode paths do not allocate, and a fresh summary
-// allocates what it keeps.
 package epsapprox
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/gen"
+	"repro/internal/levels"
 )
 
 // maxBlockSize bounds the points per block: a full partial is sorted
 // by (32-bit Morton key, 32-bit position) packed into one word.
 const maxBlockSize = 1 << 32
 
-// maxLevels bounds the block hierarchy: a block at level i weighs
-// s·2^i, which must fit the uint64 weight n.
-const maxLevels = 64
-
-// Summary is a mergeable 2-D range-counting summary. The zero value is
-// not usable; use New. Not safe for concurrent use.
+// Summary is a mergeable 2-D range-counting summary: a hierarchy whose
+// partial holds fewer than s raw points at weight 1, in arrival order,
+// and whose level i holds no block or s points at weight 2^i, Z-order
+// sorted. The zero value is not usable; use New. Not safe for
+// concurrent use.
 type Summary struct {
-	s       int // points per block
-	n       uint64
-	partial block   // < s raw points at weight 1, in arrival order
-	blocks  []block // blocks[i]: empty or s points at weight 2^i, Z-order sorted
-	rng     *gen.RNG
+	lv stack
 	// Morton quantization box: fixed at construction so that two
 	// mergeable summaries agree on the curve.
 	box exact.Rect
 }
 
-// runs is the scratch a call borrows from lender and hands back before
-// it returns.
-type runs struct {
-	free   []block   // recycled block storage
-	stage  []block   // UnmarshalBinary's level table while a frame is unvalidated
-	coords []float64 // UnmarshalBinary's read run: one block's x, y pairs
-	order  []uint64  // promotePartial's sort run and the kernel's scratch
-}
+type (
+	stack = levels.Stack[uint32, gen.Point]
+	run   = levels.Run[uint32, gen.Point]
+	runs  = levels.Runs[uint32, gen.Point]
+)
 
+// lender lends each call its sort run and retired block storage.
 var lender core.Pool[runs]
-
-// block is a run of points with their cached Morton keys: keys[j] is
-// pts[j]'s Z-order index, computed once when the point is inserted or
-// decoded. A level with no block holds the zero block.
-type block struct {
-	pts  []gen.Point
-	keys []uint32
-}
-
-func (b *block) add(p gen.Point, key uint32) {
-	b.pts, b.keys = append(b.pts, p), append(b.keys, key)
-}
-
-// addCoords appends the points whose coordinates xy lists as x, y
-// pairs, keying each inside box. The block must have room for them.
-func (b *block) addCoords(box exact.Rect, xy []float64) {
-	at := len(b.pts)
-	b.pts, b.keys = b.pts[:at+len(xy)/2], b.keys[:at+len(xy)/2]
-	for j := range b.pts[at:] {
-		p := gen.Point{X: xy[2*j], Y: xy[2*j+1]}
-		b.pts[at+j], b.keys[at+j] = p, mortonKey(box, p)
-	}
-}
 
 // New returns an empty summary with block size s over the coordinate
 // bounding box (points outside are clamped for curve ordering only;
@@ -107,7 +74,7 @@ func New(s int, box exact.Rect, seed uint64) *Summary {
 	if !(box.X1 > box.X0) || !(box.Y1 > box.Y0) {
 		panic("epsapprox: degenerate bounding box")
 	}
-	return &Summary{s: s, box: box, rng: gen.NewRNG(seed)}
+	return &Summary{lv: stack{S: s, RNG: gen.NewRNG(seed)}, box: box}
 }
 
 // NewEpsilon sizes the summary for rectangle-count error ~eps*n:
@@ -122,19 +89,13 @@ func NewEpsilon(eps float64, box exact.Rect, seed uint64) *Summary {
 }
 
 // BlockSize returns the points-per-block parameter.
-func (s *Summary) BlockSize() int { return s.s }
+func (s *Summary) BlockSize() int { return s.lv.S }
 
 // N returns the number of points summarized, including merges.
-func (s *Summary) N() uint64 { return s.n }
+func (s *Summary) N() uint64 { return s.lv.N }
 
 // Size returns the number of stored points.
-func (s *Summary) Size() int {
-	total := len(s.partial.pts)
-	for _, b := range s.blocks {
-		total += len(b.pts)
-	}
-	return total
-}
+func (s *Summary) Size() int { return s.lv.Size() }
 
 // morton maps p to its Z-order index inside the box (16 bits per axis).
 func (s *Summary) morton(p gen.Point) uint64 { return uint64(mortonKey(s.box, p)) }
@@ -171,193 +132,70 @@ func interleave(v uint32) uint64 {
 	return x
 }
 
-// block returns empty block storage with room for n points, for a
-// block of size: recycled from the free list when a block there fits
-// (core.Fits), new otherwise. A decoded partial, which grows to a
-// block, passes the block size.
-func (rs *runs) block(n, size int) block {
-	for i := len(rs.free) - 1; i >= 0; i-- {
-		b := rs.free[i]
-		if core.Fits(min(cap(b.pts), cap(b.keys)), n, size) {
-			last := len(rs.free) - 1
-			rs.free[i], rs.free[last] = rs.free[last], block{}
-			rs.free = rs.free[:last]
-			return block{b.pts[:0], b.keys[:0]}
-		}
-	}
-	return block{make([]gen.Point, 0, n), make([]uint32, 0, n)}
-}
-
-// retire recycles block storage nothing references any more.
-func (rs *runs) retire(b block) {
-	if b.pts != nil && len(rs.free) < core.MaxFree {
-		rs.free = append(rs.free, b)
-	}
-}
-
 // Update inserts one point.
 func (s *Summary) Update(p gen.Point) {
-	s.n++
-	s.partial.add(p, mortonKey(s.box, p))
-	if len(s.partial.pts) >= s.s {
+	s.lv.N++
+	s.lv.Partial.Add(mortonKey(s.box, p), p)
+	if len(s.lv.Partial.Keys) >= s.lv.S {
 		rs := lender.Get()
-		s.promotePartial(rs)
+		s.lv.Promote(rs, sortZ)
 		lender.Put(rs)
 		debugAssert(s)
 	}
 }
 
-// promotePartial turns the full partial into a level-0 block: a stable
-// radix sort on the cached keys — each packed over its point's position,
-// which rides along as payload and so breaks ties by arrival — gathered
-// into recycled storage.
-func (s *Summary) promotePartial(rs *runs) {
-	n := len(s.partial.keys)
-	rs.order = codec.Resize(rs.order, 2*n)
-	ord := rs.order[:n]
-	for j, k := range s.partial.keys {
+// sortZ is the promote sort: a stable radix sort on the cached keys —
+// each packed over its point's position, which rides along as payload
+// and so breaks ties by arrival — gathered into dst.
+func sortZ(dst, src run, scratch *[]uint64) {
+	n := len(src.Keys)
+	*scratch = codec.Resize(*scratch, 2*n)
+	ord := (*scratch)[:n]
+	for j, k := range src.Keys {
 		ord[j] = uint64(k)<<32 | uint64(j)
 	}
-	core.SortKeys(ord, rs.order[n:], 32, 64)
-	b := rs.block(s.s, s.s)
-	for _, o := range ord {
-		b.add(s.partial.pts[uint32(o)], uint32(o>>32))
+	core.SortKeys(ord, (*scratch)[n:], 32, 64)
+	for j, o := range ord {
+		dst.Keys[j], dst.Pay[j] = uint32(o>>32), src.Pay[uint32(o)]
 	}
-	s.partial = block{s.partial.pts[:0], s.partial.keys[:0]}
-	s.carry(rs, b, 0, true)
-}
-
-// carry places b at level i, halving it with the occupant and moving
-// up while the level is taken. An owned b is the summary's to keep or
-// recycle; a borrowed one (another summary's block) is only read — it
-// is halved where it lies, and copied only if its level is free.
-func (s *Summary) carry(rs *runs, b block, i int, owned bool) {
-	for {
-		for len(s.blocks) <= i {
-			s.blocks = append(s.blocks, block{})
-		}
-		occ := s.blocks[i]
-		if occ.pts == nil {
-			if !owned {
-				c := rs.block(s.s, s.s)
-				b = block{append(c.pts, b.pts...), append(c.keys, b.keys...)}
-			}
-			s.blocks[i] = b
-			return
-		}
-		s.blocks[i] = block{}
-		out := s.halve(rs, occ, b)
-		rs.retire(occ)
-		if owned {
-			rs.retire(b)
-		}
-		b, owned = out, true
-		i++
-	}
-}
-
-// halve merges two Z-sorted blocks by cached key and keeps alternate
-// points with a random offset — the low-discrepancy halving primitive.
-// The inputs are only read; the result is built in recycled storage.
-//
-// No branch depends on the keys: a branch there mispredicts on about
-// every other point of a block the predictor has never seen. The
-// output is sized once — (|a|+|b|+1−skip)/2 points, skip being the
-// rng.Bool() draw — and the merge loop writes every point it takes to
-// out[w], moving w on only for a kept one, so a dropped point is
-// overwritten by the next; the operand is picked by a select on the
-// two keys (ties to a). While both operands have points another one
-// follows, so w never reaches the end there; the one tail left is then
-// copied every other point in a plain loop.
-func (s *Summary) halve(rs *runs, a, b block) block {
-	keep := 1
-	if s.rng.Bool() {
-		keep = 0
-	}
-	size := (len(a.pts) + len(b.pts) + keep) / 2
-	out := rs.block(size, size)
-	out.pts, out.keys = out.pts[:size], out.keys[:size]
-	ai, bi, w := 0, 0, 0
-	for ai < len(a.pts) && bi < len(b.pts) {
-		ka, kb, pa, pb := a.keys[ai], b.keys[bi], a.pts[ai], b.pts[bi]
-		fromA := 0
-		if ka <= kb {
-			fromA = 1 // a SETcc, not a branch
-		}
-		// The point is selected by mask on its bits: the compiler will
-		// not turn a select of a float, or of a pointer it then loads
-		// through, into a conditional move.
-		m := -uint64(fromA)
-		out.pts[w] = gen.Point{X: sel(m, pa.X, pb.X), Y: sel(m, pa.Y, pb.Y)}
-		out.keys[w] = min(ka, kb)
-		w += keep
-		keep ^= 1
-		ai += fromA
-		bi += 1 - fromA
-	}
-	tail := block{a.pts[ai:], a.keys[ai:]} // at most one tail is left
-	if bi < len(b.pts) {
-		tail = block{b.pts[bi:], b.keys[bi:]}
-	}
-	for j := 1 - keep; j < len(tail.pts); j += 2 {
-		out.pts[w], out.keys[w] = tail.pts[j], tail.keys[j]
-		w++
-	}
-	return out
-}
-
-// sel returns x where the mask m is all ones and y where it is zero,
-// bit for bit.
-func sel(m uint64, x, y float64) float64 {
-	xb, yb := math.Float64bits(x), math.Float64bits(y)
-	return math.Float64frombits(yb ^ (xb^yb)&m)
 }
 
 // Merge folds other into s; summaries must share block size and box.
-// other is not modified.
+// other is not modified: its blocks are carried in from the top level
+// down, then its partial's points join s's one at a time.
 func (s *Summary) Merge(other *Summary) error {
 	if other == nil {
 		return core.ErrNilSummary
 	}
-	if s.s != other.s || s.box != other.box {
+	if s.lv.S != other.lv.S || s.box != other.box {
 		return fmt.Errorf("%w: epsapprox shape", core.ErrMismatchedShape)
 	}
 	rs := lender.Get()
-	s.absorb(rs, other)
+	s.lv.Absorb(rs, &other.lv, 0)
+	for j, k := range other.lv.Partial.Keys {
+		s.lv.Partial.Add(k, other.lv.Partial.Pay[j])
+		if len(s.lv.Partial.Keys) >= s.lv.S {
+			s.lv.Promote(rs, sortZ)
+		}
+	}
 	lender.Put(rs)
 	debugAssert(s)
 	return nil
 }
 
-// absorb is Merge past the shape check.
-func (s *Summary) absorb(rs *runs, other *Summary) {
-	s.n += other.n
-	for i := len(other.blocks) - 1; i >= 0; i-- {
-		if ob := other.blocks[i]; ob.pts != nil {
-			s.carry(rs, ob, i, false)
-		}
-	}
-	for j, p := range other.partial.pts {
-		s.partial.add(p, other.partial.keys[j])
-		if len(s.partial.pts) >= s.s {
-			s.promotePartial(rs)
-		}
-	}
-}
-
 // RangeCount estimates the number of summarized points inside r.
 func (s *Summary) RangeCount(r exact.Rect) uint64 {
 	var c uint64
-	for i, b := range s.blocks {
+	for i, b := range s.lv.Blocks {
 		var in uint64
-		for _, p := range b.pts {
+		for _, p := range b.Pay {
 			if r.Contains(p) {
 				in++
 			}
 		}
 		c += in << uint(i)
 	}
-	for _, p := range s.partial.pts {
+	for _, p := range s.lv.Partial.Pay {
 		if r.Contains(p) {
 			c++
 		}
@@ -367,94 +205,59 @@ func (s *Summary) RangeCount(r exact.Rect) uint64 {
 
 // StoredWeight returns the total weight of stored points; the
 // hierarchy conserves it exactly (equal to N).
-func (s *Summary) StoredWeight() uint64 {
-	var w uint64
-	for i, b := range s.blocks {
-		w += uint64(len(b.pts)) << uint(i)
-	}
-	return w + uint64(len(s.partial.pts))
-}
-
-func (b block) clone() block {
-	return block{slices.Clone(b.pts), slices.Clone(b.keys)}
-}
+func (s *Summary) StoredWeight() uint64 { return s.lv.StoredWeight() }
 
 // Clone returns a deep copy (with a re-derived RNG).
 func (s *Summary) Clone() *Summary {
-	c := New(s.s, s.box, s.rng.Uint64())
-	c.n = s.n
-	c.partial = s.partial.clone()
-	c.blocks = make([]block, len(s.blocks))
-	for i, b := range s.blocks {
-		c.blocks[i] = b.clone()
-	}
-	return c
+	return &Summary{lv: s.lv.Clone(), box: s.box}
 }
 
 // checkInvariants reports the first law s breaks: a cached Morton key
 // that differs from a fresh computation (every sort and halving trusts
 // the keys instead of the points, so a stale one would silently bend
-// the curve order), or a shape checkShape refuses; used by tests and
-// the sanitize layer.
+// the curve order), or a shape levels.Stack.Check refuses — a short
+// partial, full Z-sorted blocks, keys in step with points, and a stored
+// weight of exactly n; used by tests and the sanitize layer.
 func (s *Summary) checkInvariants() error {
-	if err := s.checkKeys(); err != nil {
-		return err
+	if j := s.staleKey(s.lv.Partial); j >= 0 {
+		return fmt.Errorf("partial point %d carries a stale Morton key", j)
 	}
-	return checkShape(s.s, s.n, s.partial, s.blocks)
+	for i, b := range s.lv.Blocks {
+		if j := s.staleKey(b); j >= 0 {
+			return fmt.Errorf("block %d point %d carries a stale Morton key", i, j)
+		}
+	}
+	return s.lv.Check()
 }
 
-// checkShape verifies that a partial and a level table form a valid
-// summary of block size and weight n: a short partial, full Z-sorted
-// blocks, keys in step with points, and a stored weight of exactly n.
-func checkShape(size int, n uint64, partial block, blocks []block) error {
-	if len(partial.pts) >= size {
-		return fmt.Errorf("partial %d >= s=%d", len(partial.pts), size)
-	}
-	if len(partial.keys) != len(partial.pts) {
-		return fmt.Errorf("partial has %d points but %d keys", len(partial.pts), len(partial.keys))
-	}
-	weight := uint64(len(partial.pts))
-	for i, b := range blocks {
-		if b.pts == nil {
-			continue
-		}
-		if len(b.pts) != size || len(b.keys) != size {
-			return fmt.Errorf("block %d has %d points and %d keys, want %d", i, len(b.pts), len(b.keys), size)
-		}
-		for j := 1; j < len(b.keys); j++ {
-			if b.keys[j-1] > b.keys[j] {
-				return fmt.Errorf("block %d not Z-sorted", i)
-			}
-		}
-		// A block at level i weighs size·2^i; neither it nor the
-		// running total may wrap the uint64 that n is compared against.
-		if bits.Len64(uint64(size))+i > 64 {
-			return fmt.Errorf("block %d overflows the weight", i)
-		}
-		var carry uint64
-		if weight, carry = bits.Add64(weight, uint64(size)<<uint(i), 0); carry != 0 {
-			return fmt.Errorf("stored weight overflows at block %d", i)
+// staleKey returns the first point of b whose cached key differs from
+// a fresh computation, or -1.
+func (s *Summary) staleKey(b run) int {
+	for j, p := range b.Pay {
+		if j >= len(b.Keys) || uint64(b.Keys[j]) != s.morton(p) {
+			return j
 		}
 	}
-	if weight != n {
-		return fmt.Errorf("stored weight %d != n %d", weight, n)
-	}
-	return nil
+	return -1
 }
 
-// checkKeys verifies every cached key against a fresh computation.
-func (s *Summary) checkKeys() error {
-	for j, p := range s.partial.pts {
-		if uint64(s.partial.keys[j]) != s.morton(p) {
-			return fmt.Errorf("partial point %d carries a stale Morton key", j)
-		}
+// putPoints writes a run's points, 16 bytes each; the keys do not
+// travel.
+func putPoints(w *codec.Buffer, r run) {
+	for _, p := range r.Pay {
+		w.Float64(p.X)
+		w.Float64(p.Y)
 	}
-	for i, b := range s.blocks {
-		for j, p := range b.pts {
-			if uint64(b.keys[j]) != s.morton(p) {
-				return fmt.Errorf("block %d point %d carries a stale Morton key", i, j)
-			}
+}
+
+// getPoints reads a run's points from their bytes and keys each inside
+// box as it arrives.
+func getPoints(b []byte, dst run, box exact.Rect) {
+	for j := range dst.Keys {
+		p := gen.Point{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(b[16*j:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[16*j+8:])),
 		}
+		dst.Pay[j], dst.Keys[j] = p, mortonKey(box, p)
 	}
-	return nil
 }

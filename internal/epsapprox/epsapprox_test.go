@@ -227,10 +227,10 @@ func TestHalveTiesKeepOccupantFirst(t *testing.T) {
 	}
 	check := func(name string, s *Summary) {
 		t.Helper()
-		if len(s.blocks) != 2 || s.blocks[0].pts != nil || len(s.blocks[1].pts) != 2 {
-			t.Fatalf("%s: expected one level-1 block, have %d levels", name, len(s.blocks))
+		if len(s.lv.Blocks) != 2 || s.lv.Blocks[0].Keys != nil || len(s.lv.Blocks[1].Pay) != 2 {
+			t.Fatalf("%s: expected one level-1 block, have %d levels", name, len(s.lv.Blocks))
 		}
-		got := s.blocks[1].pts
+		got := s.lv.Blocks[1].Pay
 		if !(got[0] == pts[0] && got[1] == pts[2]) && !(got[0] == pts[1] && got[1] == pts[3]) {
 			t.Fatalf("%s: halving kept %v; with the occupant first it keeps points 0,2 or 1,3 of %v", name, got, pts)
 		}

@@ -42,9 +42,9 @@ func TestKeepsOnlyItsState(t *testing.T) {
 	const point = 16 + 4 // a point and its Morton key
 	for name, s := range map[string]*Summary{"slot": slot, "decode target": &target, "fresh": fresh} {
 		live := point * s.Size()
-		held := 16*cap(s.partial.pts) + 4*cap(s.partial.keys) + 48*cap(s.blocks)
-		for _, b := range s.blocks {
-			held += 16*cap(b.pts) + 4*cap(b.keys)
+		held := 16*cap(s.lv.Partial.Pay) + 4*cap(s.lv.Partial.Keys) + 48*cap(s.lv.Blocks)
+		for _, b := range s.lv.Blocks {
+			held += 16*cap(b.Pay) + 4*cap(b.Keys)
 		}
 		if extra := held - live; extra > live+1024 {
 			t.Errorf("%s: %d B held beside %d B of live points", name, extra, live)

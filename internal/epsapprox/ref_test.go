@@ -26,25 +26,25 @@ type refSummary struct {
 	box exact.Rect
 }
 
-// refHalve is Summary.halve as it shipped before its merge loop lost
-// its branches — one branch on the keys per point, one on the
-// alternation — kept as the oracle for the branch-free version.
-func refHalve(s *Summary, a, b block) block {
-	out := new(runs).block(s.s, 2*s.s)
-	skip := s.rng.Bool()
+// refHalve is the halving as it shipped before its merge loop lost its
+// branches — one branch on the keys per point, one on the alternation
+// — kept as the oracle for the branch-free one in internal/levels.
+func refHalve(rng *gen.RNG, a, b run) run {
+	var out run
+	skip := rng.Bool()
 	ai, bi := 0, 0
-	for ai < len(a.pts) || bi < len(b.pts) {
+	for ai < len(a.Keys) || bi < len(b.Keys) {
 		var p gen.Point
 		var k uint32
-		if bi >= len(b.pts) || (ai < len(a.pts) && a.keys[ai] <= b.keys[bi]) {
-			p, k = a.pts[ai], a.keys[ai]
+		if bi >= len(b.Keys) || (ai < len(a.Keys) && a.Keys[ai] <= b.Keys[bi]) {
+			p, k = a.Pay[ai], a.Keys[ai]
 			ai++
 		} else {
-			p, k = b.pts[bi], b.keys[bi]
+			p, k = b.Pay[bi], b.Keys[bi]
 			bi++
 		}
 		if !skip {
-			out.add(p, k)
+			out.Add(k, p)
 		}
 		skip = !skip
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -192,8 +193,10 @@ func runE04(cfg Config) Result {
 		s1, _ := mg.FromCounters(4, 70, 0, []core.Counter{{Item: 2, Count: 4}, {Item: 3, Count: 11}, {Item: 4, Count: 22}, {Item: 5, Count: 33}})
 		s2, _ := mg.FromCounters(4, 100, 0, []core.Counter{{Item: 7, Count: 10}, {Item: 8, Count: 20}, {Item: 9, Count: 30}, {Item: 10, Count: 40}})
 		combined := mg.CombinedCounters(s1, s2)
-		pods, _ := mg.Merged(s1, s2)
-		low, _ := mg.MergedLowError(s1, s2)
+		pods, low := s1.Clone(), s1.Clone()
+		if err := errors.Join(pods.Merge(s2), low.MergeLowError(s2)); err != nil {
+			panic(err)
+		}
 		golden.AddRow("frequent", "pods12-prune", mg.TotalMergeError(combined, pods), 80)
 		golden.AddRow("frequent", "low-error", mg.TotalMergeError(combined, low), 55)
 	}
@@ -214,8 +217,10 @@ func runE04(cfg Config) Result {
 		s1 := mk([]core.Item{1, 2, 3, 4, 5}, []uint64{5, 7, 12, 14, 18})
 		s2 := mk([]core.Item{6, 7, 8, 9, 10}, []uint64{4, 16, 17, 19, 23})
 		combined := spacesaving.CombinedCounters(s1, s2)
-		pods, _ := spacesaving.Merged(s1, s2)
-		low, _ := spacesaving.MergedLowError(s1, s2)
+		pods, low := s1.Clone(), s1.Clone()
+		if err := errors.Join(pods.Merge(s2), low.MergeLowError(s2)); err != nil {
+			panic(err)
+		}
 		golden.AddRow("spacesaving", "pods12-prune", spacesaving.TotalMergeError(combined, pods), 48)
 		golden.AddRow("spacesaving", "low-error", spacesaving.TotalMergeError(combined, low), 18)
 	}

@@ -24,11 +24,6 @@ type FlowTrace struct {
 	Seed uint64
 }
 
-// DefaultFlowTrace returns parameters resembling a backbone capture.
-func DefaultFlowTrace(seed uint64) FlowTrace {
-	return FlowTrace{ActiveFlows: 4096, ParetoAlpha: 1.2, MinFlowSize: 1, Seed: seed}
-}
-
 // flowState is one active flow.
 type flowState struct {
 	id        core.Item

@@ -6,8 +6,13 @@ import (
 	"repro/internal/core"
 )
 
+// backbone returns parameters resembling a backbone capture.
+func backbone(seed uint64) FlowTrace {
+	return FlowTrace{ActiveFlows: 4096, ParetoAlpha: 1.2, MinFlowSize: 1, Seed: seed}
+}
+
 func TestFlowTraceBasics(t *testing.T) {
-	ft := DefaultFlowTrace(1)
+	ft := backbone(1)
 	trace := ft.Generate(100000)
 	if len(trace) != 100000 {
 		t.Fatalf("len = %d", len(trace))
@@ -33,14 +38,14 @@ func TestFlowTraceBasics(t *testing.T) {
 }
 
 func TestFlowTraceDeterminism(t *testing.T) {
-	a := DefaultFlowTrace(7).Generate(5000)
-	b := DefaultFlowTrace(7).Generate(5000)
+	a := backbone(7).Generate(5000)
+	b := backbone(7).Generate(5000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same-seed traces differ")
 		}
 	}
-	c := DefaultFlowTrace(8).Generate(5000)
+	c := backbone(8).Generate(5000)
 	same := true
 	for i := 0; i < 100; i++ {
 		if a[i] != c[i] {

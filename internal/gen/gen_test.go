@@ -92,15 +92,15 @@ func TestZipfSkew(t *testing.T) {
 	}
 	// Rank-1 item should dominate: with alpha=1.5 over 1000 items its
 	// probability is 1/zeta ≈ 0.39.
-	top := counts[z.ItemForRank(1)]
+	top := counts[z.items[0]]
 	if top < n/4 {
 		t.Errorf("rank-1 frequency = %d, want > %d", top, n/4)
 	}
 	// Monotonicity of the first few ranks (statistically robust).
-	if counts[z.ItemForRank(1)] <= counts[z.ItemForRank(2)] {
+	if counts[z.items[0]] <= counts[z.items[1]] {
 		t.Error("rank 1 not more frequent than rank 2")
 	}
-	if counts[z.ItemForRank(2)] <= counts[z.ItemForRank(4)] {
+	if counts[z.items[1]] <= counts[z.items[3]] {
 		t.Error("rank 2 not more frequent than rank 4")
 	}
 }

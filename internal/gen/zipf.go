@@ -55,9 +55,6 @@ func NewZipf(u int, alpha float64, seed uint64) *Zipf {
 	return z
 }
 
-// ItemForRank returns the item identity assigned to 1-based rank r.
-func (z *Zipf) ItemForRank(r int) core.Item { return z.items[r-1] }
-
 // Sample draws one item.
 func (z *Zipf) Sample() core.Item {
 	u := z.rng.Float64()

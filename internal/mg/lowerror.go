@@ -83,13 +83,3 @@ func (s *Summary) MergeLowError(other *Summary) error {
 	debugAssert(s)
 	return nil
 }
-
-// MergedLowError returns the low-total-error merge of a and b without
-// modifying either.
-func MergedLowError(a, b *Summary) (*Summary, error) {
-	out := a.Clone()
-	if err := out.MergeLowError(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -16,7 +16,7 @@ func TestMergeLowErrorGoldenExample(t *testing.T) {
 	s2 := mustFrom(t, 4, []core.Counter{{Item: 7, Count: 10}, {Item: 8, Count: 20}, {Item: 9, Count: 30}, {Item: 10, Count: 40}})
 	combined := CombinedCounters(s1, s2)
 
-	m, err := MergedLowError(s1, s2)
+	m, err := merged(s1, s2, (*Summary).MergeLowError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestMergeLowErrorGoldenExample(t *testing.T) {
 	}
 
 	// And the text's headline claim on this example: 55 < 80.
-	pods, err := Merged(s1, s2)
+	pods, err := merged(s1, s2, (*Summary).Merge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMergeLowErrorEqualsReplay(t *testing.T) {
 			}
 			a, b := mk(0), mk(1000+rng.Intn(k+1)) // supports may or may not overlap
 			combined := CombinedCounters(a, b)
-			m, err := MergedLowError(a, b)
+			m, err := merged(a, b, (*Summary).MergeLowError)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,8 +120,8 @@ func TestLowErrorNeverWorse(t *testing.T) {
 		a := build(counts1, 0)
 		b := build(counts2, 500)
 		combined := CombinedCounters(a, b)
-		lo, err1 := MergedLowError(a, b)
-		po, err2 := Merged(a, b)
+		lo, err1 := merged(a, b, (*Summary).MergeLowError)
+		po, err2 := merged(a, b, (*Summary).Merge)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -137,7 +137,7 @@ func TestLowErrorNeverWorse(t *testing.T) {
 func TestMergeLowErrorOverlap(t *testing.T) {
 	a := mustFrom(t, 3, []core.Counter{{Item: 1, Count: 10}, {Item: 2, Count: 6}, {Item: 3, Count: 2}})
 	b := mustFrom(t, 3, []core.Counter{{Item: 1, Count: 4}, {Item: 4, Count: 8}, {Item: 5, Count: 1}})
-	m, err := MergedLowError(a, b)
+	m, err := merged(a, b, (*Summary).MergeLowError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestMergeLowErrorDropsZeros(t *testing.T) {
 	// C_{c+1} == C_c.
 	a := mustFrom(t, 2, []core.Counter{{Item: 1, Count: 5}, {Item: 2, Count: 5}})
 	b := mustFrom(t, 2, []core.Counter{{Item: 3, Count: 5}, {Item: 4, Count: 5}})
-	m, err := MergedLowError(a, b)
+	m, err := merged(a, b, (*Summary).MergeLowError)
 	if err != nil {
 		t.Fatal(err)
 	}

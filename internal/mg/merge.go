@@ -1,9 +1,6 @@
 package mg
 
-import (
-	"repro/internal/core"
-	"repro/internal/registry"
-)
+import "repro/internal/core"
 
 // Merge folds other into s using the PODS'12 algorithm (Agarwal et al.,
 // §2): counters are added pointwise, and if more than k counters remain
@@ -30,41 +27,13 @@ func (s *Summary) Merge(other *Summary) error {
 	return nil
 }
 
-// Merged returns the PODS'12 merge of a and b without modifying either.
-func Merged(a, b *Summary) (*Summary, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// combineAccumulator borrows a summary to accumulate pointwise counter
-// sums into, drawn from the family's registry scratch pool (the same
-// sync.Pool the server's decode path recycles summaries through) so
-// repeated merge experiments do not allocate a fresh table each time.
-// release returns it to the pool.
-func combineAccumulator(occ int) (acc *Summary, release func()) {
-	if ent, ok := registry.ByName("mg"); ok {
-		if pooled, ok := ent.GetScratch().(*Summary); ok {
-			pooled.k = 1 // accumulator never prunes; k is irrelevant
-			pooled.Reset()
-			pooled.ensure(occ)
-			return pooled, func() { ent.PutScratch(pooled) }
-		}
-	}
-	return newSized(1, occ), func() {}
-}
-
 // CombinedCounters returns the exact pointwise sum of the two
 // summaries' counters in ascending order — the intermediate multiset S
 // both merge algorithms start from. Exposed for the total-error
-// experiments, which compare each merge's output against it. The
-// accumulation runs in a pooled scratch table; only the returned slice
-// is allocated.
+// experiments, which compare each merge's output against it. The sums
+// accumulate in a table of their own, sized for both summaries.
 func CombinedCounters(a, b *Summary) []core.Counter {
-	acc, release := combineAccumulator(len(a.items) + len(b.items))
-	defer release()
+	acc := newSized(1, len(a.items)+len(b.items)) // never pruned: k is irrelevant
 	for _, s := range []*Summary{a, b} {
 		for i, x := range s.items {
 			acc.add(core.Item(x), s.counts[i])

@@ -25,7 +25,7 @@ func TestMergeGoldenExample(t *testing.T) {
 	s2 := mustFrom(t, 4, []core.Counter{{Item: 7, Count: 10}, {Item: 8, Count: 20}, {Item: 9, Count: 30}, {Item: 10, Count: 40}})
 	combined := CombinedCounters(s1, s2)
 
-	m, err := Merged(s1, s2)
+	m, err := merged(s1, s2, (*Summary).Merge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,4 +236,11 @@ func TestCombinedCounters(t *testing.T) {
 			t.Fatalf("combined = %v, want %v", got, want)
 		}
 	}
+}
+
+// merged returns a clone of a with b folded in by merge (Merge or
+// MergeLowError): the two-way merge that leaves both operands alone.
+func merged(a, b *Summary, merge func(*Summary, *Summary) error) (*Summary, error) {
+	out := a.Clone()
+	return out, merge(out, b)
 }

@@ -17,8 +17,8 @@ func (s *Summary) UpdateBatch(vs []float64) {
 	}
 	rs := lender.Get()
 	defer lender.Put(rs)
-	for len(vs) > 0 && s.ell == 0 {
-		room := s.s - len(s.partial)
+	for len(vs) > 0 && s.lv.Ell == 0 {
+		room := s.lv.S - len(s.lv.Partial.Keys)
 		if room <= 0 {
 			s.promotePartial(rs)
 			continue
@@ -26,13 +26,13 @@ func (s *Summary) UpdateBatch(vs []float64) {
 		if room > len(vs) {
 			room = len(vs)
 		}
-		s.partial = append(s.partial, vs[:room]...)
-		s.n += uint64(room)
+		s.lv.Partial.Keys = append(s.lv.Partial.Keys, vs[:room]...)
+		s.lv.N += uint64(room)
 		vs = vs[room:]
-		if len(s.partial) >= s.s {
+		if len(s.lv.Partial.Keys) >= s.lv.S {
 			s.promotePartial(rs)
 		}
 	}
-	s.n += uint64(len(vs))
+	s.lv.N += uint64(len(vs))
 	s.thin(rs, vs, 0)
 }

@@ -21,10 +21,11 @@ func debugAssertDecoded(s *Summary, frame []byte, reused bool) {
 	if err := fresh.UnmarshalBinary(frame); err != nil {
 		panic(fmt.Sprintf("randquant: sanitize: fresh decode of an accepted frame failed: %v", err))
 	}
-	same := s.s == fresh.s && s.l == fresh.l && s.ell == fresh.ell && s.n == fresh.n && s.rng.State() == fresh.rng.State() &&
-		slices.Equal(s.partial, fresh.partial) && len(s.blocks) == len(fresh.blocks)
-	for i := 0; same && i < len(s.blocks); i++ {
-		same = slices.Equal(s.blocks[i], fresh.blocks[i]) && (s.blocks[i] == nil) == (fresh.blocks[i] == nil)
+	a, b := &s.lv, &fresh.lv
+	same := a.S == b.S && s.l == fresh.l && a.Ell == b.Ell && a.N == b.N && a.RNG.State() == b.RNG.State() &&
+		slices.Equal(a.Partial.Keys, b.Partial.Keys) && len(a.Blocks) == len(b.Blocks)
+	for i := 0; same && i < len(a.Blocks); i++ {
+		same = slices.Equal(a.Blocks[i].Keys, b.Blocks[i].Keys) && (a.Blocks[i].Keys == nil) == (b.Blocks[i].Keys == nil)
 	}
 	if !same {
 		panic("randquant: sanitize: reused receiver differs from a fresh decode of the same frame")

@@ -33,9 +33,9 @@ func TestKeepsOnlyItsState(t *testing.T) {
 	fresh.UpdateBatch(gen.LogNormalValues(8192, 0, 1, 99))
 	for name, q := range map[string]*Summary{"slot": slot, "decode target": &target, "fresh": fresh} {
 		live := 8 * q.Size()
-		held := 8*cap(q.partial) + 24*cap(q.blocks)
-		for _, b := range q.blocks {
-			held += 8 * cap(b)
+		held := 8*cap(q.lv.Partial.Keys) + 48*cap(q.lv.Blocks)
+		for _, b := range q.lv.Blocks {
+			held += 8 * cap(b.Keys)
 		}
 		if extra := held - live; extra > live+1024 {
 			t.Errorf("%s: %d B held beside %d B of live samples", name, extra, live)

@@ -11,8 +11,11 @@
 // Unequal weights are handled by the logarithmic technique (§3.3): the
 // summary is a binary-counter-like hierarchy where level i holds at
 // most one block of s samples of weight 2^i, plus a partial buffer of
-// raw (weight-1) values. Inserting and merging cascade carries up the
-// hierarchy exactly like binary addition.
+// raw values. Inserting and merging cascade carries up the hierarchy
+// exactly like binary addition. The hierarchy is internal/levels, with
+// float64 keys and no payload; it is shared with the range-counting
+// ε-approximation (internal/epsapprox). This package adds the sampling
+// exponent, the rank queries, and its frame header.
 //
 // With s = Θ((1/ε)·√log(1/ε)) the rank error is at most εn with high
 // probability under arbitrary merge topologies (the paper's Theorem
@@ -42,6 +45,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/levels"
 )
 
 // Summary is a randomized mergeable quantile summary, plain (l == 0:
@@ -49,28 +53,22 @@ import (
 // l block levels above the sampling exponent, size independent of n).
 // The zero value is not usable; use New, NewEpsilon, NewHybrid or
 // NewHybridEpsilon. Summaries are not safe for concurrent use.
+//
+// The hierarchy's partial level is the sampling exponent ell: values
+// enter with probability 2^-ell at weight 2^ell. It stays 0 while
+// l == 0, and lv.N is the exact number of values inserted.
 type Summary struct {
-	s       int         // samples per block
-	l       int         // level budget: max active block levels above ell; 0 = unbounded
-	ell     int         // sampling exponent: values enter w.p. 2^-ell; stays 0 while l == 0
-	n       uint64      // exact number of inserted values (incl. merges)
-	partial []float64   // < s accepted values at weight 2^ell, unsorted
-	blocks  [][]float64 // blocks[i]: nil or sorted block of s samples at weight 2^i (i >= ell)
-	rng     *gen.RNG
+	lv stack
+	l  int // level budget: max active block levels above ell; 0 = unbounded
 }
 
-// runs is the scratch a call borrows from lender and hands back before
-// it returns: the summary keeps only its state. keys is promote's sort
-// scratch (a block's keys and the kernel's run); free holds block
-// storage nothing references any more: every carry retires two blocks
-// for the one it makes, and a decode or Reset retires all of a
-// summary's, so summaries that merge or decode in a loop stop
-// allocating blocks once the lender's lists have filled.
-type runs struct {
-	keys []uint64
-	free [][]float64
-}
+type (
+	stack = levels.Stack[float64, struct{}]
+	run   = levels.Run[float64, struct{}]
+	runs  = levels.Runs[float64, struct{}]
+)
 
+// lender lends each call its sort run and retired block storage.
 var lender core.Pool[runs]
 
 // New returns an empty summary with block size s >= 1 and a
@@ -79,7 +77,7 @@ func New(s int, seed uint64) *Summary {
 	if s < 1 {
 		panic("randquant: block size must be >= 1")
 	}
-	return &Summary{s: s, rng: gen.NewRNG(seed)}
+	return &Summary{lv: stack{S: s, RNG: gen.NewRNG(seed)}}
 }
 
 // NewEpsilon returns a summary sized for rank error at most eps*n with
@@ -115,35 +113,26 @@ func NewHybridEpsilon(eps float64, seed uint64) *Summary {
 }
 
 // BlockSize returns the number of samples per block.
-func (s *Summary) BlockSize() int { return s.s }
+func (s *Summary) BlockSize() int { return s.lv.S }
 
 // SampleLevel returns the sampling exponent ell: 0 until a bounded
 // summary outgrows its level budget, always 0 for a plain one.
-func (s *Summary) SampleLevel() int { return s.ell }
+func (s *Summary) SampleLevel() int { return s.lv.Ell }
 
 // N returns the exact number of values summarized, including merges.
-func (s *Summary) N() uint64 { return s.n }
+func (s *Summary) N() uint64 { return s.lv.N }
 
 // Size returns the total number of stored samples.
-func (s *Summary) Size() int {
-	total := len(s.partial)
-	for _, b := range s.blocks {
-		total += len(b)
-	}
-	return total
-}
+func (s *Summary) Size() int { return s.lv.Size() }
 
 // Levels returns the number of levels in the hierarchy (the index of
 // the highest occupied block + 1, or 0).
-func (s *Summary) Levels() int {
-	top := 0
-	for i, b := range s.blocks {
-		if b != nil {
-			top = i + 1
-		}
-	}
-	return top
-}
+func (s *Summary) Levels() int { return s.lv.Levels() }
+
+// StoredWeight returns the total weight of stored samples: exactly N
+// until a bounded summary samples (ell > 0), an unbiased estimate of
+// it from then on.
+func (s *Summary) StoredWeight() uint64 { return s.lv.StoredWeight() }
 
 // Update inserts one value (kept with probability 2^-ell once a
 // bounded summary samples).
@@ -151,8 +140,8 @@ func (s *Summary) Update(v float64) {
 	if math.IsNaN(v) {
 		panic("randquant: NaN has no rank")
 	}
-	s.n++
-	if s.accept(s.ell) && s.push(v) {
+	s.lv.N++
+	if s.accept(s.lv.Ell) && s.push(v) {
 		rs := lender.Get()
 		s.promotePartial(rs)
 		lender.Put(rs)
@@ -162,61 +151,36 @@ func (s *Summary) Update(v float64) {
 // accept draws whether a sample survives k halvings of its inclusion
 // probability; k <= 0 always does, without a draw.
 func (s *Summary) accept(k int) bool {
-	return k <= 0 || s.rng.Uint64()&(1<<uint(k)-1) == 0
+	return k <= 0 || s.lv.RNG.Uint64()&(1<<uint(k)-1) == 0
 }
 
 // push adds an accepted sample at weight 2^ell and reports whether
 // the partial buffer is full: the caller then runs promotePartial, in
 // runs it borrows only for that.
 func (s *Summary) push(v float64) bool {
-	s.partial = append(s.partial, v)
-	return len(s.partial) >= s.s
+	s.lv.Partial.Keys = append(s.lv.Partial.Keys, v)
+	return len(s.lv.Partial.Keys) >= s.lv.S
 }
 
-// block returns block storage of length n: recycled from the free list
-// when a block there fits it (core.Fits), new otherwise.
-func (rs *runs) block(n int) []float64 {
-	for i := len(rs.free) - 1; i >= 0; i-- {
-		if b := rs.free[i]; core.Fits(cap(b), n, n) {
-			last := len(rs.free) - 1
-			rs.free[i], rs.free[last] = rs.free[last], nil
-			rs.free = rs.free[:last]
-			return b[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-// retire recycles block storage nothing references any more.
-func (rs *runs) retire(b []float64) {
-	if b != nil && len(rs.free) < core.MaxFree {
-		rs.free = append(rs.free, b)
-	}
-}
-
-// promote turns the first s samples of the partial buffer into a
-// level-ell block — sorted by core.SortFloats, which puts −0 before +0
-// where < would leave them in either order — and cascades the carry.
-func (s *Summary) promote(rs *runs) {
-	b := rs.block(s.s)
-	copy(b, s.partial)
-	s.partial = append(s.partial[:0], s.partial[s.s:]...)
-	rs.keys = codec.Resize(rs.keys, 2*s.s)
-	core.SortFloats(b, rs.keys)
-	s.carry(rs, b, s.ell)
+// sortRun is the quantile's promote sort: core.SortFloats, which puts
+// −0 before +0 where < would leave them in either order.
+func sortRun(dst, src run, scratch *[]uint64) {
+	copy(dst.Keys, src.Keys)
+	*scratch = codec.Resize(*scratch, 2*len(dst.Keys))
+	core.SortFloats(dst.Keys, *scratch)
 }
 
 // promotePartial promotes the (full) partial buffer and re-establishes
 // the level budget.
 func (s *Summary) promotePartial(rs *runs) {
-	s.promote(rs)
+	s.lv.Promote(rs, sortRun)
 	s.maybeAdvance(rs)
 }
 
 // maybeAdvance raises ell while a bounded summary has more than l
 // block levels active.
 func (s *Summary) maybeAdvance(rs *runs) {
-	for s.l > 0 && s.Levels()-1-s.ell >= s.l {
+	for s.l > 0 && s.lv.Levels()-1-s.lv.Ell >= s.l {
 		s.advance(rs)
 	}
 }
@@ -227,73 +191,24 @@ func (s *Summary) maybeAdvance(rs *runs) {
 // (without re-entering maybeAdvance) so the subsampling probability is
 // applied exactly once per sample.
 func (s *Summary) advance(rs *runs) {
-	var low []float64
-	if s.ell < len(s.blocks) {
-		low, s.blocks[s.ell] = s.blocks[s.ell], nil
+	var low run
+	if s.lv.Ell < len(s.lv.Blocks) {
+		low, s.lv.Blocks[s.lv.Ell] = s.lv.Blocks[s.lv.Ell], run{}
 	}
-	pending := s.partial
-	s.partial = s.partial[:0] // filtered in place: survivors never overtake the read
-	for _, vs := range [...][]float64{pending, low} {
+	pending := s.lv.Partial.Keys
+	s.lv.Partial.Keys = pending[:0] // filtered in place: survivors never overtake the read
+	for _, vs := range [...][]float64{pending, low.Keys} {
 		for _, v := range vs {
-			if s.rng.Bool() {
-				s.partial = append(s.partial, v)
+			if s.lv.RNG.Bool() {
+				s.lv.Partial.Keys = append(s.lv.Partial.Keys, v)
 			}
 		}
 	}
-	rs.retire(low)
-	s.ell++
-	for len(s.partial) >= s.s {
-		s.promote(rs)
+	rs.Retire(low)
+	s.lv.Ell++
+	for len(s.lv.Partial.Keys) >= s.lv.S {
+		s.lv.Promote(rs, sortRun)
 	}
-}
-
-// carry places a block at level i, performing equal-weight merges up
-// the hierarchy while the slot is occupied — binary-counter addition.
-// It takes ownership of b.
-func (s *Summary) carry(rs *runs, b []float64, i int) {
-	for {
-		for len(s.blocks) <= i {
-			s.blocks = append(s.blocks, nil)
-		}
-		if s.blocks[i] == nil {
-			s.blocks[i] = b
-			return
-		}
-		b = s.equalMerge(rs, s.blocks[i], b)
-		s.blocks[i] = nil
-		i++
-	}
-}
-
-// equalMerge is the paper's §3.2 primitive: merge two sorted blocks of
-// equal sample weight into one block of half the union's length by
-// keeping alternate elements of the sorted union, starting at a random
-// offset. Both inputs must have length s.s; both are retired, and the
-// result is built in recycled storage without materializing the union.
-func (s *Summary) equalMerge(rs *runs, a, b []float64) []float64 {
-	keep := 0
-	if s.rng.Bool() {
-		keep = 1
-	}
-	size := (len(a) + len(b) + 1 - keep) / 2
-	out := rs.block(size)[:0]
-	ai, bi := 0, 0
-	for i := 0; ai < len(a) || bi < len(b); i++ {
-		var v float64
-		if bi >= len(b) || (ai < len(a) && a[ai] <= b[bi]) {
-			v = a[ai]
-			ai++
-		} else {
-			v = b[bi]
-			bi++
-		}
-		if i&1 == keep {
-			out = append(out, v)
-		}
-	}
-	rs.retire(a)
-	rs.retire(b)
-	return out
 }
 
 // Merge folds other into s. Blocks are combined level-wise with
@@ -315,27 +230,21 @@ func (s *Summary) Merge(other *Summary) error {
 	if other == nil {
 		return core.ErrNilSummary
 	}
-	if s.s != other.s || s.l != other.l {
-		return fmt.Errorf("%w: shape (s=%d,l=%d) vs (s=%d,l=%d)", core.ErrMismatchedShape, s.s, s.l, other.s, other.l)
+	if s.lv.S != other.lv.S || s.l != other.l {
+		return fmt.Errorf("%w: shape (s=%d,l=%d) vs (s=%d,l=%d)", core.ErrMismatchedShape, s.lv.S, s.l, other.lv.S, other.l)
 	}
 	rs := lender.Get()
 	defer lender.Put(rs)
-	for s.ell < other.ell {
+	for s.lv.Ell < other.lv.Ell {
 		s.advance(rs)
 	}
-	s.n += other.n
-	for i := len(other.blocks) - 1; i >= 0; i-- {
-		switch {
-		case other.blocks[i] == nil:
-		case i >= s.ell: // carries never move ell, so every such level is met first
-			b := rs.block(s.s)
-			copy(b, other.blocks[i])
-			s.carry(rs, b, i)
-		default:
-			s.thin(rs, other.blocks[i], i)
-		}
+	// Carries never move ell, so every level at or above it is met
+	// before the first thin.
+	s.lv.Absorb(rs, &other.lv, s.lv.Ell)
+	for i := min(s.lv.Ell, len(other.lv.Blocks)) - 1; i >= 0; i-- {
+		s.thin(rs, other.lv.Blocks[i].Keys, i)
 	}
-	s.thin(rs, other.partial, other.ell)
+	s.thin(rs, other.lv.Partial.Keys, other.lv.Ell)
 	s.maybeAdvance(rs)
 	return nil
 }
@@ -345,7 +254,7 @@ func (s *Summary) Merge(other *Summary) error {
 // advance it): every sample while level == ell.
 func (s *Summary) thin(rs *runs, vs []float64, level int) {
 	for _, v := range vs {
-		if s.accept(s.ell-level) && s.push(v) {
+		if s.accept(s.lv.Ell-level) && s.push(v) {
 			s.promotePartial(rs)
 		}
 	}
@@ -356,16 +265,13 @@ func (s *Summary) thin(rs *runs, vs []float64, level int) {
 // εn w.h.p. for NewEpsilon summaries.
 func (s *Summary) Rank(v float64) uint64 {
 	var r uint64
-	for i, b := range s.blocks {
-		if b == nil {
-			continue
-		}
-		c := sort.Search(len(b), func(j int) bool { return b[j] > v })
+	for i, b := range s.lv.Blocks {
+		c := sort.Search(len(b.Keys), func(j int) bool { return b.Keys[j] > v })
 		r += uint64(c) << uint(i)
 	}
-	for _, x := range s.partial {
+	for _, x := range s.lv.Partial.Keys {
 		if x <= v {
-			r += 1 << uint(s.ell)
+			r += 1 << uint(s.lv.Ell)
 		}
 	}
 	return r
@@ -380,27 +286,16 @@ type weighted struct {
 // samples returns all stored samples sorted by value.
 func (s *Summary) samples() []weighted {
 	out := make([]weighted, 0, s.Size())
-	for i, b := range s.blocks {
-		for _, v := range b {
+	for i, b := range s.lv.Blocks {
+		for _, v := range b.Keys {
 			out = append(out, weighted{v: v, w: 1 << uint(i)})
 		}
 	}
-	for _, v := range s.partial {
-		out = append(out, weighted{v: v, w: 1 << uint(s.ell)})
+	for _, v := range s.lv.Partial.Keys {
+		out = append(out, weighted{v: v, w: 1 << uint(s.lv.Ell)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].v < out[j].v })
 	return out
-}
-
-// StoredWeight returns the total weight of stored samples: exactly N
-// until a bounded summary samples (ell > 0), an unbiased estimate of
-// it from then on.
-func (s *Summary) StoredWeight() uint64 {
-	var w uint64
-	for i, b := range s.blocks {
-		w += uint64(len(b)) << uint(i)
-	}
-	return w + uint64(len(s.partial))<<uint(s.ell)
 }
 
 // Quantile returns a value whose rank is approximately phi*N: the
@@ -432,16 +327,7 @@ func (s *Summary) Quantile(phi float64) float64 {
 // state is re-derived so clone and original diverge on future random
 // choices (still deterministically, per the original seed).
 func (s *Summary) Clone() *Summary {
-	c := New(s.s, s.rng.Uint64())
-	c.l, c.ell, c.n = s.l, s.ell, s.n
-	c.partial = append([]float64(nil), s.partial...)
-	c.blocks = make([][]float64, len(s.blocks))
-	for i, b := range s.blocks {
-		if b != nil {
-			c.blocks[i] = append([]float64(nil), b...)
-		}
-	}
-	return c
+	return &Summary{lv: s.lv.Clone(), l: s.l}
 }
 
 // Reset restores the summary to its freshly-constructed state (the
@@ -449,56 +335,24 @@ func (s *Summary) Clone() *Summary {
 // buffer and level table; its blocks go back to the lender.
 func (s *Summary) Reset() {
 	rs := lender.Get()
-	s.reset(rs)
+	s.lv.Reset(rs)
 	lender.Put(rs)
 }
 
-// reset is Reset, retiring the blocks into rs.
-func (s *Summary) reset(rs *runs) {
-	s.n, s.ell = 0, 0
-	s.partial = s.partial[:0]
-	for _, b := range s.blocks {
-		rs.retire(b)
-	}
-	clear(s.blocks)
-	s.blocks = s.blocks[:0]
-}
-
-// maxLevels bounds the hierarchy: a sample at level i weighs 2^i, and
-// weights are uint64.
-const maxLevels = 64
-
-// checkInvariants verifies structural invariants; the decoder accepts
-// exactly the frames that satisfy them.
+// checkInvariants verifies the hierarchy's shape (levels.Stack.Check:
+// full sorted blocks without NaN, none below ell, and exact weight
+// while ell == 0), that a plain summary never samples, and the level
+// budget; the decoder accepts exactly the frames that satisfy them.
 func (s *Summary) checkInvariants() error {
-	if len(s.partial) >= s.s {
-		return fmt.Errorf("partial buffer size %d >= s=%d", len(s.partial), s.s)
+	if err := s.lv.Check(); err != nil {
+		return err
 	}
-	if s.ell >= maxLevels || len(s.blocks) > maxLevels || (s.l == 0 && s.ell != 0) {
-		return fmt.Errorf("sampling exponent %d, %d levels, budget %d", s.ell, len(s.blocks), s.l)
-	}
-	for i, b := range s.blocks {
-		if b == nil {
-			continue
-		}
-		if i < s.ell {
-			return fmt.Errorf("block at level %d below ell=%d", i, s.ell)
-		}
-		if len(b) != s.s {
-			return fmt.Errorf("block %d has %d samples, want %d", i, len(b), s.s)
-		}
-		if !sort.Float64sAreSorted(b) {
-			return fmt.Errorf("block %d not sorted", i)
-		}
+	if s.l == 0 && s.lv.Ell != 0 {
+		return fmt.Errorf("plain summary at sampling exponent %d", s.lv.Ell)
 	}
 	// Between promotions a merge's carries may leave one level over budget.
-	if active := s.Levels() - s.ell; s.l > 0 && active > s.l+1 {
+	if active := s.lv.Levels() - s.lv.Ell; s.l > 0 && active > s.l+1 {
 		return fmt.Errorf("active levels %d exceed budget %d", active, s.l)
-	}
-	// Exact weight conservation until sampling starts: every insert is
-	// represented once.
-	if s.ell == 0 && s.StoredWeight() != s.n {
-		return fmt.Errorf("stored weight %d != n %d", s.StoredWeight(), s.n)
 	}
 	return nil
 }

@@ -66,12 +66,12 @@ func TestBlockOrdersInfinitiesAndZeros(t *testing.T) {
 		s := New(len(vs), 1)
 		s.UpdateBatch(vs)
 		want := []float64{math.Inf(-1), -1, negZero, negZero, 0, 0, 1, math.Inf(1)}
-		if len(s.partial) != 0 || len(s.blocks) != 1 {
-			t.Fatalf("expected one promoted block, have partial %d and %d levels", len(s.partial), len(s.blocks))
+		if len(s.lv.Partial.Keys) != 0 || len(s.lv.Blocks) != 1 {
+			t.Fatalf("expected one promoted block, have partial %d and %d levels", len(s.lv.Partial.Keys), len(s.lv.Blocks))
 		}
-		for j, v := range s.blocks[0] {
+		for j, v := range s.lv.Blocks[0].Keys {
 			if math.Float64bits(v) != math.Float64bits(want[j]) {
-				t.Fatalf("block sorted as %v, want %v", s.blocks[0], want)
+				t.Fatalf("block sorted as %v, want %v", s.lv.Blocks[0].Keys, want)
 			}
 		}
 		frame, err := s.MarshalBinary()
@@ -423,7 +423,7 @@ func TestMergeDoesNotModifyOther(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(mustMarshal(t, src), before) {
-			t.Errorf("%s: merge modified its source (ell %d into %d)", name, src.ell, dst.ell)
+			t.Errorf("%s: merge modified its source (ell %d into %d)", name, src.lv.Ell, dst.lv.Ell)
 		}
 		if dst.N() != want {
 			t.Errorf("%s: N = %d, want %d", name, dst.N(), want)
@@ -491,7 +491,7 @@ func TestCloneIndependence(t *testing.T) {
 	for _, m := range modes {
 		a := filled(m.new(8, 1), 5000, 3)
 		c := a.Clone()
-		if c.s != a.s || c.l != a.l || c.ell != a.ell || c.n != a.n || c.Size() != a.Size() || c.Quantile(0.5) != a.Quantile(0.5) {
+		if c.lv.S != a.lv.S || c.l != a.l || c.lv.Ell != a.lv.Ell || c.lv.N != a.lv.N || c.Size() != a.Size() || c.Quantile(0.5) != a.Quantile(0.5) {
 			t.Fatalf("%s: clone differs from its original", m.name)
 		}
 		before := a.N()
@@ -603,6 +603,46 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// A NaN has no rank: Update refuses one, and so does the decoder, in
+// the partial and anywhere in a block — at a block's front no order
+// check sees it, since every comparison with a NaN is false.
+func TestCodecRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	frame := func(n uint64, partial []float64, blocks ...[]float64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Bool(false)
+		w.Int(4)
+		w.Uint64(n)
+		w.Uint64(1) // rng state
+		w.Int(len(partial))
+		for _, v := range partial {
+			w.Float64(v)
+		}
+		w.Int(len(blocks))
+		for _, b := range blocks {
+			w.Int(len(b))
+			for _, v := range b {
+				w.Float64(v)
+			}
+		}
+		return codec.EncodeFrame(codec.KindRandQuant, w.Bytes())
+	}
+	var s Summary
+	if err := s.UnmarshalBinary(frame(10, []float64{1, 2}, nil, []float64{1, 3, 5, 7})); err != nil {
+		t.Fatalf("NaN-free frame: %v", err)
+	}
+	for name, f := range map[string][]byte{
+		"NaN in the partial":   frame(10, []float64{1, nan}, nil, []float64{1, 3, 5, 7}),
+		"NaN first in a block": frame(4, nil, []float64{nan, 3, 5, 7}),
+		"NaN inside a block":   frame(4, nil, []float64{1, nan, 5, 7}),
+	} {
+		if err := s.UnmarshalBinary(f); err == nil {
+			t.Errorf("%s: accepted (Rank(100) = %d, Quantile(0) = %v)", name, s.Rank(100), s.Quantile(0))
+		}
+	}
+}
+
 // A receiver's mode is whatever the frame says — either mode decodes
 // over the other — and only the frame's kind tag can mismatch.
 func TestCodecKindMismatch(t *testing.T) {
@@ -613,8 +653,8 @@ func TestCodecKindMismatch(t *testing.T) {
 			if err := got.UnmarshalBinary(mustMarshal(t, want)); err != nil {
 				t.Fatalf("%s receiver, %s frame: %v", from.name, to.name, err)
 			}
-			if got.l != want.l || got.ell != want.ell || got.N() != want.N() {
-				t.Fatalf("%s receiver, %s frame: decoded l=%d ell=%d", from.name, to.name, got.l, got.ell)
+			if got.l != want.l || got.lv.Ell != want.lv.Ell || got.N() != want.N() {
+				t.Fatalf("%s receiver, %s frame: decoded l=%d ell=%d", from.name, to.name, got.l, got.lv.Ell)
 			}
 		}
 	}

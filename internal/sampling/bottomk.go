@@ -242,7 +242,12 @@ func (s *BottomK) UnmarshalBinary(data []byte) error {
 	}
 	s.keep = codec.Resize(s.keep, m)[:0]
 	for i := 0; i < m; i++ {
-		s.keep = append(s.keep, tagged{tag: r.Uint64(), v: r.Float64()})
+		t := tagged{tag: r.Uint64(), v: r.Float64()}
+		if math.IsNaN(t.v) { // Update refuses one: it has no rank
+			s.Reset()
+			return fmt.Errorf("sampling: NaN sample in frame")
+		}
+		s.keep = append(s.keep, t)
 	}
 	if err := r.Finish(); err != nil {
 		s.Reset()

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/exact"
 	"repro/internal/gen"
 )
@@ -254,5 +255,30 @@ func TestBottomKCodecRoundTrip(t *testing.T) {
 	data[len(data)-5] ^= 0xff
 	if err := got.UnmarshalBinary(data); err == nil {
 		t.Fatal("corrupted frame accepted")
+	}
+}
+
+// A NaN has no rank: Update refuses one, and so does the decoder.
+func TestBottomKCodecRejectsNaN(t *testing.T) {
+	frame := func(v float64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Int(4)     // k
+		w.Uint64(1)  // n
+		w.Uint64(1)  // rng state
+		w.Int(1)     // sample size
+		w.Uint64(5)  // tag
+		w.Float64(v) // value
+		return codec.EncodeFrame(codec.KindBottomK, w.Bytes())
+	}
+	var s BottomK
+	if err := s.UnmarshalBinary(frame(2)); err != nil {
+		t.Fatalf("NaN-free frame: %v", err)
+	}
+	if err := s.UnmarshalBinary(frame(math.NaN())); err == nil {
+		t.Fatalf("NaN sample accepted (Quantile(0) = %v)", s.Quantile(0))
+	}
+	if s.N() != 0 || s.Size() != 0 {
+		t.Fatalf("refused frame left n=%d size=%d", s.N(), s.Size())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -330,6 +331,72 @@ func TestWriteRejectsFlaggedCountMin(t *testing.T) {
 	}
 	if _, after, err := c.PullFrame("cm"); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("refused push changed the slot (%v)", err)
+	}
+}
+
+// TestWriteRejectsNaNSample: a quantile or bottom-k frame holding a
+// NaN sample — which no Update can insert, and which would answer
+// quantile queries with NaN — is refused by its decoder: PUSH answers
+// ERR and the slot's bytes stay what they were.
+func TestWriteRejectsNaNSample(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	nan := math.NaN()
+	// A plain quantile frame of block size 4 and weight 10: a partial of
+	// two and one level-1 block.
+	quantile := func(v float64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Bool(false)
+		w.Int(4)
+		w.Uint64(10)
+		w.Uint64(1)
+		w.Int(2)
+		w.Float64(1)
+		w.Float64(v)
+		w.Int(2)
+		w.Int(0)
+		w.Int(4)
+		for _, x := range []float64{1, 3, 5, 7} {
+			w.Float64(x)
+		}
+		return codec.EncodeFrame(codec.KindRandQuant, w.Bytes())
+	}
+	// A bottom-k frame of k = 4 holding one tagged sample.
+	bottomk := func(v float64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Int(4)
+		w.Uint64(1)
+		w.Uint64(1)
+		w.Int(1)
+		w.Uint64(5)
+		w.Float64(v)
+		return codec.EncodeFrame(codec.KindBottomK, w.Bytes())
+	}
+	for _, tc := range []struct {
+		kind  string
+		frame func(float64) []byte
+	}{{"quantile", quantile}, {"bottomk", bottomk}} {
+		if _, err := c.Push(tc.kind, tc.kind, rawSummary(tc.frame(2))); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		_, before, err := c.PullFrame(tc.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Push(tc.kind, tc.kind, rawSummary(tc.frame(nan))); err == nil {
+			t.Fatalf("%s: frame with a NaN sample accepted", tc.kind)
+		}
+		if _, after, err := c.PullFrame(tc.kind); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("%s: refused push changed the slot (%v)", tc.kind, err)
+		}
 	}
 }
 

@@ -112,15 +112,6 @@ func (s *Summary) Merge(other *Summary) error {
 	return nil
 }
 
-// Merged returns the PODS'12 merge of a and b without modifying either.
-func Merged(a, b *Summary) (*Summary, error) {
-	out := a.Clone()
-	if err := out.Merge(b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MergeLowError folds other into s using Algorithm 3 of the supplied
 // follow-up text (Cafaro–Tempesta–Pulimeno; their Theorem 4.5 evaluated
 // at the final update step). After the same minima-subtraction pre-step
@@ -177,16 +168,6 @@ func (s *Summary) MergeLowError(other *Summary) error {
 	s.rebuild(out)
 	debugAssert(s)
 	return nil
-}
-
-// MergedLowError returns the low-total-error merge of a and b without
-// modifying either.
-func MergedLowError(a, b *Summary) (*Summary, error) {
-	out := a.Clone()
-	if err := out.MergeLowError(b); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CombinedCounters returns the pointwise sum of the two summaries'

@@ -57,7 +57,7 @@ func TestCombinedGoldenExample(t *testing.T) {
 func TestMergeGoldenExample(t *testing.T) {
 	s1, s2 := goldenInputs(t)
 	combined := CombinedCounters(s1, s2)
-	m, err := Merged(s1, s2)
+	m, err := merged(s1, s2, (*Summary).Merge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestMergeGoldenExample(t *testing.T) {
 func TestMergeLowErrorGoldenExample(t *testing.T) {
 	s1, s2 := goldenInputs(t)
 	combined := CombinedCounters(s1, s2)
-	m, err := MergedLowError(s1, s2)
+	m, err := merged(s1, s2, (*Summary).MergeLowError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMergeLowErrorGoldenExample(t *testing.T) {
 		t.Errorf("total error = %d, want 18", te)
 	}
 	// The headline claim: 18 < 48.
-	pods, err := Merged(s1, s2)
+	pods, err := merged(s1, s2, (*Summary).Merge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMergeMismatched(t *testing.T) {
 func TestMergeDoesNotModifyOther(t *testing.T) {
 	a, b := goldenInputs(t)
 	before := b.States()
-	if _, err := Merged(a, b); err != nil {
+	if _, err := merged(a, b, (*Summary).Merge); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Merge(b); err != nil {
@@ -195,7 +195,7 @@ func TestMergeLowErrorEqualsReplay(t *testing.T) {
 			a := mk(0)
 			b := mk(1000 + rng.Intn(k)) // may overlap with a's tail
 			combined := CombinedCounters(a, b)
-			m, err := MergedLowError(a, b)
+			m, err := merged(a, b, (*Summary).MergeLowError)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -349,7 +349,7 @@ func TestMergeLowErrorCertificates(t *testing.T) {
 	for _, c := range combined {
 		byItem[c.Item] = c.Count
 	}
-	m, err := MergedLowError(a, b)
+	m, err := merged(a, b, (*Summary).MergeLowError)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,4 +362,11 @@ func TestMergeLowErrorCertificates(t *testing.T) {
 			t.Errorf("item %d: overcount %d exceeds certificate %d", st.Item, st.Count-cv, st.Eps)
 		}
 	}
+}
+
+// merged returns a clone of a with b folded in by merge (Merge or
+// MergeLowError): the two-way merge that leaves both operands alone.
+func merged(a, b *Summary, merge func(*Summary, *Summary) error) (*Summary, error) {
+	out := a.Clone()
+	return out, merge(out, b)
 }
