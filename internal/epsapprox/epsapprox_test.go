@@ -253,3 +253,31 @@ func TestHalveTiesKeepOccupantFirst(t *testing.T) {
 		check("absorb", a)
 	}
 }
+
+// TestMergeIntoCloneThenOtherBlockSize: a clone's blocks hold more room
+// for Morton keys than for points (each slice is rounded to its own
+// allocation size class); retired into the shared lender by a merge,
+// such a block must not be lent to a summary of a larger block size.
+func TestMergeIntoCloneThenOtherBlockSize(t *testing.T) {
+	five := New(5, unitBox, 1)
+	for _, p := range gen.UniformPoints(5, 2) {
+		five.Update(p)
+	}
+	c := five.Clone()
+	if err := c.Merge(five); err != nil {
+		t.Fatal(err)
+	}
+	six := New(6, unitBox, 3)
+	pts := gen.UniformPoints(12, 4)
+	for _, p := range pts {
+		six.Update(p)
+	}
+	for _, s := range []*Summary{c, six} {
+		if err := s.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := six.RangeCount(unitBox); got != 12 {
+		t.Fatalf("six counts %d of 12 points", got)
+	}
+}

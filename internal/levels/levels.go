@@ -72,11 +72,10 @@ type Runs[K Key, P any] struct {
 }
 
 // block returns storage for a block of n elements: recycled from the
-// free list when a run there fits it (core.Fits), new otherwise. Every
-// block is made here, its keys and payload of one capacity.
+// free list when a run there fits it (core.Fits), new otherwise.
 func (rs *Runs[K, P]) block(n int) Run[K, P] {
 	for i := len(rs.Free) - 1; i >= 0; i-- {
-		if b := rs.Free[i]; core.Fits(cap(b.Keys), n, n) {
+		if b := rs.Free[i]; core.Fits(b.room(), n, n) {
 			last := len(rs.Free) - 1
 			rs.Free[i], rs.Free[last] = rs.Free[last], Run[K, P]{}
 			rs.Free = rs.Free[:last]
@@ -95,6 +94,16 @@ func (rs *Runs[K, P]) Retire(b Run[K, P]) {
 	if b.Keys != nil && len(rs.Free) < core.MaxFree {
 		rs.Free = append(rs.Free, b)
 	}
+}
+
+// room is how many elements r's storage holds. Its keys and payload
+// need not be of one capacity: a run cloned or grown by append has
+// each rounded up to its own allocation size class.
+func (r Run[K, P]) room() int {
+	if hasPay[P]() {
+		return min(cap(r.Keys), cap(r.Pay))
+	}
+	return cap(r.Keys)
 }
 
 // head returns the first n elements of r's storage.

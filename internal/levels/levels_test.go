@@ -25,6 +25,38 @@ func sortFloats(dst, src frun, scratch *[]uint64) {
 	core.SortFloats(dst.Keys, *scratch)
 }
 
+// The instance with a payload, as the range-count summary uses it.
+type (
+	pstack = Stack[uint32, gen.Point]
+	prun   = Run[uint32, gen.Point]
+	pruns  = Runs[uint32, gen.Point]
+)
+
+func sortPoints(dst, src prun, _ *[]uint64) {
+	copy(dst.Keys, src.Keys)
+	copy(dst.Pay, src.Pay)
+	for i := 1; i < len(dst.Keys); i++ {
+		for j := i; j > 0 && dst.Keys[j-1] > dst.Keys[j]; j-- {
+			dst.Keys[j-1], dst.Keys[j] = dst.Keys[j], dst.Keys[j-1]
+			dst.Pay[j-1], dst.Pay[j] = dst.Pay[j], dst.Pay[j-1]
+		}
+	}
+}
+
+// pfill returns a stack of block size s holding n points keyed by a
+// hash of their index, promoted through rs as they arrive.
+func pfill(rs *pruns, s int, seed uint64, n int) *pstack {
+	st := &pstack{S: s, RNG: gen.NewRNG(seed)}
+	for i := range n {
+		st.N++
+		st.Partial.Add(uint32(i)*2654435761, gen.Point{X: float64(i), Y: float64(seed)})
+		if len(st.Partial.Keys) >= s {
+			st.Promote(rs, sortPoints)
+		}
+	}
+	return st
+}
+
 func putFloats(w *codec.Buffer, r frun) {
 	for _, v := range r.Keys {
 		w.Float64(v)
@@ -246,6 +278,30 @@ func TestKeepsOnlyItsState(t *testing.T) {
 	for _, b := range rs.Free {
 		if !core.Fits(cap(b.Keys), 64, 64) {
 			t.Errorf("retired run of capacity %d for blocks of 64", cap(b.Keys))
+		}
+	}
+}
+
+// TestLenderFitsKeysAndPayload: a cloned block's keys and payload are
+// each rounded up to their own allocation size class (5 uint32 keys to
+// 24 B, room for 6; 5 points to 80 B, room for 5), so once a merge into
+// the clone retires that block, the free list holds a run with more
+// room for keys than for points. A block of 6, promoted by a stack of
+// another block size or read by a decode, must not be cut from it.
+func TestLenderFitsKeysAndPayload(t *testing.T) {
+	rs := new(pruns)
+	clone := pfill(rs, 5, 1, 5).Clone()
+	clone.Absorb(rs, pfill(rs, 5, 2, 5), 0) // retires the clone's level-0 block
+	if err := clone.Check(); err != nil {
+		t.Fatal(err)
+	}
+	six := pfill(rs, 6, 3, 6)
+	if err := six.Check(); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range rs.Free {
+		if len(b.Keys) > cap(b.Pay) {
+			t.Fatalf("free run of %d keys but room for %d points", len(b.Keys), cap(b.Pay))
 		}
 	}
 }
