@@ -173,6 +173,112 @@ func (w *Buffer) Float64(v float64) {
 	w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v))
 }
 
+// lsb and msb have the lowest and the highest bit of every byte set:
+// the masks of the runs that step a word of eight bytes at a time.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+// Uint8s appends src as a run of small uvarints — the bytes a loop of
+// Uint64 calls over it appends: a byte below 128 as itself, one from
+// 128 up as itself and a 1. The buffer grows once, by exactly what the
+// run takes, and eight bytes below 128 are copied as one word: a run
+// with no byte from 128 up is one copy.
+func (w *Buffer) Uint8s(src []uint8) {
+	high := 0
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		high += bits.OnesCount64(binary.LittleEndian.Uint64(src[i:]) & msb)
+	}
+	for _, c := range src[i:] {
+		high += int(c >> 7)
+	}
+	w.Grow(len(src) + high)
+	if high == 0 {
+		w.b = append(w.b, src...)
+		return
+	}
+	at := len(w.b)
+	b := w.b[at : at+len(src)+high]
+	j := 0
+	for i := 0; i < len(src); {
+		if i+8 <= len(src) {
+			if x := binary.LittleEndian.Uint64(src[i:]); x&msb == 0 {
+				binary.LittleEndian.PutUint64(b[j:], x)
+				i, j = i+8, j+8
+				continue
+			}
+		}
+		c := src[i]
+		i++
+		b[j] = c
+		j++
+		if c >= 0x80 {
+			b[j] = 1
+			j++
+		}
+	}
+	w.b = w.b[:at+j]
+}
+
+// Uvarints appends src as a run of uvarints — the bytes a loop of
+// Uint64 calls over it appends, a signed counter as its raw
+// two's-complement bits — and is the writer of what Reader.Uint64s and
+// Reader.Int64s read (generic over the element type, so a slice of a
+// named word type such as core.Item needs no copy). The buffer grows
+// once, by exactly what the run takes. One- and two-byte values are
+// written inline; a longer one as a word and two bytes, without a
+// branch on its length (spread7), so a run that mixes lengths — a
+// signed sketch's small and negative cells — pays one mispredicted
+// branch per element at most. The ninth and tenth bytes are right for
+// a value of more than 56 bits; for a shorter one they, and the word's
+// bytes past its length, are overwritten by the next value.
+func Uvarints[T ~uint64 | ~int64](w *Buffer, src []T) {
+	need := 0
+	for _, v := range src {
+		need += uvarintLen(uint64(v))
+	}
+	w.Grow(need)
+	at := len(w.b)
+	b := w.b[at : at+need]
+	i := 0
+	for _, x := range src {
+		v := uint64(x)
+		switch {
+		case v < 0x80:
+			b[i] = byte(v)
+			i++
+		case v < 0x4000:
+			b[i], b[i+1] = byte(v)|0x80, byte(v>>7)
+			i += 2
+		case i+binary.MaxVarintLen64 <= len(b):
+			n := uvarintLen(v)
+			cont := uint64(msb) & (1<<(8*uint(n-1)) - 1) // every byte when n > 8
+			binary.LittleEndian.PutUint64(b[i:], spread7(v)|cont)
+			b[i+8] = byte(v >> 56) // its top bit is bit 63: the continuation
+			b[i+9] = byte(v >> 63)
+			i += n
+		default: // the last bytes of the run: no room for a word store
+			i += binary.PutUvarint(b[i:], v)
+		}
+	}
+	w.b = w.b[:at+i]
+}
+
+// uvarintLen is the length of v as a uvarint: one byte per seven bits.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1)*9 + 64) >> 6 }
+
+// spread7 spreads the low 56 bits of v into eight 7-bit groups, one a
+// byte, in three shift-and-mask steps: the inverse of uvarintWord's
+// squeeze.
+func spread7(v uint64) uint64 {
+	x := v & (1<<56 - 1)
+	x = x&0x000000000fffffff | x&0x00fffffff0000000<<4
+	x = x&0x00003fff00003fff | x&0x0fffc0000fffc000<<2
+	return x&0x007f007f007f007f | x&0x3f803f803f803f80<<1
+}
+
 // Reader consumes a payload written by Buffer.
 type Reader struct {
 	b   []byte
@@ -408,28 +514,49 @@ func (r *Reader) Int64s(dst []int64) {
 // into dst: values below 128 are one byte on the wire, 128–255 two.
 // Only the canonical (shortest) encoding is accepted — Buffer.Uint64
 // emits no other — so a run whose max is below 128 is exactly len(dst)
-// bytes: borrowed, range-checked, then copied (dst is untouched if the
-// check fails). A value above max, a padded encoding or a short payload
-// fails the run; with max at 128 or above dst is then partly written.
-// The error is recorded.
+// bytes: borrowed, range-checked eight bytes per step, then copied
+// (dst is untouched if the check fails). With max at 128 or above, eight
+// wire bytes below 128 are copied as one word, and a byte with its top
+// bit set is decoded with what follows it. A value above max, a padded
+// encoding or a short payload fails the run; with max at 128 or above
+// dst is then written up to the element that failed. The error is
+// recorded.
 func (r *Reader) Uint8s(dst []uint8, max uint8) {
 	if max < 0x80 {
 		b := r.Borrow(len(dst))
 		if b == nil {
 			return
 		}
-		for _, c := range b {
-			if c > max {
-				r.fail(errSmallUvarint)
-				return
-			}
+		// A byte c is out of range when its top bit is set or, below
+		// 128, when c + (127 − max) reaches 128; neither sum carries
+		// out of its byte.
+		over := uint64(0x7f-max) * lsb
+		var bad uint64
+		i := 0
+		for ; i+8 <= len(b); i += 8 {
+			x := binary.LittleEndian.Uint64(b[i:])
+			bad |= (x&^msb + over) | x
+		}
+		for _, c := range b[i:] {
+			bad |= uint64((c&0x7f + 0x7f - max) | c)
+		}
+		if bad&msb != 0 {
+			r.fail(errSmallUvarint)
+			return
 		}
 		copy(dst, b)
 		return
 	}
 	b := r.b[r.off:] // empty once an error stands
-	i := 0
-	for j := range dst {
+	i, j := 0, 0
+	for j < len(dst) {
+		if j+8 <= len(dst) && i+8 <= len(b) {
+			if x := binary.LittleEndian.Uint64(b[i:]); x&msb == 0 {
+				binary.LittleEndian.PutUint64(dst[j:], x)
+				i, j = i+8, j+8
+				continue
+			}
+		}
 		if i >= len(b) {
 			r.fail(ErrTruncated)
 			return
@@ -450,6 +577,7 @@ func (r *Reader) Uint8s(dst []uint8, max uint8) {
 			i++
 		}
 		dst[j] = c
+		j++
 	}
 	r.off += i
 }

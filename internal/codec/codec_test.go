@@ -430,19 +430,26 @@ func TestReaderSmallRun(t *testing.T) {
 	}
 	for name, tc := range map[string]struct {
 		payload []byte
+		n       int
 		max     uint8
 	}{
-		"above max, one byte":    {[]byte{3, 65, 3}, 64},
-		"above max, two bytes":   {[]byte{3, 0xc8, 0x01, 3}, 199},
-		"not a byte: 256 + 77":   {[]byte{0xcd, 0x02, 3, 3}, 255},
-		"not a byte: three long": {[]byte{0x80, 0x80, 0x01}, 255},
-		"padded: 5 in two bytes": {[]byte{0x85, 0x00, 3}, 64},
-		"padded, wide max":       {[]byte{0x85, 0x00, 3}, 255},
-		"short":                  {[]byte{3, 3}, 64},
-		"short, wide max":        {[]byte{3, 0xc8}, 255},
+		"above max, one byte":    {[]byte{3, 65, 3}, 3, 64},
+		"above max, two bytes":   {[]byte{3, 0xc8, 0x01, 3}, 3, 199},
+		"not a byte: 256 + 77":   {[]byte{0xcd, 0x02, 3, 3}, 3, 255},
+		"not a byte: three long": {[]byte{0x80, 0x80, 0x01}, 3, 255},
+		"padded: 5 in two bytes": {[]byte{0x85, 0x00, 3}, 3, 64},
+		"padded, wide max":       {[]byte{0x85, 0x00, 3}, 3, 255},
+		"short":                  {[]byte{3, 3}, 3, 64},
+		"short, wide max":        {[]byte{3, 0xc8}, 3, 255},
+		// Inside a word of eight: the checks that step eight bytes.
+		"above max, in a word":          {[]byte{1, 2, 65, 4, 5, 6, 7, 8, 9}, 9, 64},
+		"high byte, in a word":          {[]byte{1, 2, 3, 4, 5, 6, 0x85, 0x01, 9}, 8, 64},
+		"above max, wide max, in word":  {[]byte{1, 2, 3, 4, 5, 0xc8, 0x01, 8, 9}, 8, 199},
+		"padded, wide max, in a word":   {[]byte{1, 2, 3, 0x85, 0x00, 6, 7, 8, 9}, 8, 255},
+		"not a byte, wide max, in word": {[]byte{1, 2, 3, 4, 0xcd, 0x02, 7, 8, 9}, 8, 255},
 	} {
 		r := NewReader(tc.payload)
-		r.Uint8s(make([]uint8, 3), tc.max)
+		r.Uint8s(make([]uint8, tc.n), tc.max)
 		if r.Err() == nil {
 			t.Errorf("%s: accepted", name)
 		}
@@ -485,4 +492,129 @@ func TestResize(t *testing.T) {
 	if got := Resize([]int(nil), 0); len(got) != 0 {
 		t.Fatal("Resize(nil, 0)")
 	}
+}
+
+// TestRunWriters: the run writers append the bytes of the Uint64 loop
+// they replace for values at both ends of every uvarint length, and
+// grow the buffer by what the run takes in one step: none when it has
+// the room, one otherwise.
+func TestRunWriters(t *testing.T) {
+	var words []uint64
+	for l := 0; l < 64; l++ {
+		words = append(words, uint64(1)<<l, uint64(1)<<l-1, uint64(1)<<l+1)
+	}
+	words = append(words, math.MaxUint64, math.MaxUint64-1, 1<<63|1<<56)
+	signed := []int64{0, -1, 1, -64, 64, -1 << 63, math.MaxInt64, -1 << 55}
+	small := make([]uint8, 256+7)
+	for i := range small {
+		small[i] = uint8(i * 37)
+	}
+	var want Buffer
+	for _, v := range words {
+		want.Uint64(v)
+	}
+	for _, v := range signed {
+		want.Uint64(uint64(v))
+	}
+	for _, c := range small {
+		want.Uint64(uint64(c))
+	}
+	write := func(w *Buffer) {
+		Uvarints(w, words)
+		Uvarints(w, signed)
+		w.Uint8s(small)
+	}
+	var got Buffer
+	write(&got)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("run writers wrote\n%x\nthe Uint64 loop\n%x", got.Bytes(), want.Bytes())
+	}
+	regs := bytes.Repeat([]byte{53, 0, 7, 12}, 1024) // an HLL register file: one copy
+	var reg, regWant Buffer
+	reg.Uint8s(regs)
+	for _, c := range regs {
+		regWant.Uint64(uint64(c))
+	}
+	if !bytes.Equal(reg.Bytes(), regWant.Bytes()) {
+		t.Fatal("Uint8s of bytes below 128 differs from the Uint64 loop")
+	}
+
+	var fits Buffer
+	fits.Grow(want.Len())
+	if n := testing.AllocsPerRun(10, func() { fits.Reset(); write(&fits) }); n != 0 {
+		t.Fatalf("run writers into a buffer with room allocate %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { var w Buffer; Uvarints(&w, words) }); n != 1 {
+		t.Fatalf("Uvarints into an empty buffer allocates %v times, want 1", n)
+	}
+}
+
+// BenchmarkRunWriters times each run writer against the Uint64 loop it
+// replaced, per element, on the runs the families write: countmin rows
+// (counts below 300, one or two bytes at random, and below 100, one
+// byte each), a countsketch row (small and negative cells alternating
+// at random), a kmv hash list (the smallest of 2^64, eight or nine
+// bytes each) and an HLL register file.
+func BenchmarkRunWriters(b *testing.B) {
+	rng := uint64(1)
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	counts, small, signed := make([]uint64, 2048), make([]uint64, 2048), make([]int64, 2048)
+	hashes, regs := make([]uint64, 256), make([]uint8, 4096)
+	for i := range counts {
+		counts[i] = next() % 300
+		small[i] = next() % 100
+		signed[i] = int64(next()%200) - 100
+	}
+	for i := range hashes {
+		hashes[i] = next() >> (6 + next()%3)
+	}
+	for i := range regs {
+		regs[i] = uint8(next() % 20)
+	}
+	var w Buffer
+	w.Grow(10 * 4096)
+	run := func(name string, n int, f func()) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w.Reset()
+				f()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+		})
+	}
+	run("counts/loop", len(counts), func() {
+		for _, v := range counts {
+			w.Uint64(v)
+		}
+	})
+	run("counts/run", len(counts), func() { Uvarints(&w, counts) })
+	run("small/loop", len(small), func() {
+		for _, v := range small {
+			w.Uint64(v)
+		}
+	})
+	run("small/run", len(small), func() { Uvarints(&w, small) })
+	run("signed/loop", len(signed), func() {
+		for _, v := range signed {
+			w.Uint64(uint64(v))
+		}
+	})
+	run("signed/run", len(signed), func() { Uvarints(&w, signed) })
+	run("hashes/loop", len(hashes), func() {
+		for _, v := range hashes {
+			w.Uint64(v)
+		}
+	})
+	run("hashes/run", len(hashes), func() { Uvarints(&w, hashes) })
+	run("registers/loop", len(regs), func() {
+		for _, v := range regs {
+			w.Uint64(uint64(v))
+		}
+	})
+	run("registers/run", len(regs), func() { w.Uint8s(regs) })
 }

@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/bits"
 	"slices"
@@ -121,4 +123,140 @@ func agree(t *testing.T, what string, run, loop *Reader, valuesDiffer bool) {
 	if run.Err() == nil && (valuesDiffer || run.Remaining() != loop.Remaining()) {
 		t.Fatalf("%s: run and loop disagree (remaining %d vs %d)", what, run.Remaining(), loop.Remaining())
 	}
+}
+
+// FuzzRuns: every run writer appends exactly the bytes of the Uint64
+// loop it replaces, whatever the buffer held before and whether or not
+// it had room; and Reader.Uint8s agrees with refUint8s, the
+// element-at-a-time reader it replaced — values, bytes consumed, error
+// and the sticky failure — for every maximum and run length, at every
+// cut of the payload.
+func FuzzRuns(f *testing.F) {
+	f.Add([]byte{}, uint8(64), uint8(3))
+	f.Add(bytes.Repeat([]byte{0x35}, 21), uint8(53), uint8(21))
+	// High bytes, a padded 5, a value of three bytes, a run of eight
+	// small bytes after a high one.
+	f.Add([]byte{0xc8, 0x01, 0x85, 0x00, 0x80, 0x80, 0x01, 0xff, 0x01, 1, 2, 3, 4, 5, 6, 7, 8, 0x7f}, uint8(200), uint8(13))
+	f.Add(bytes.Repeat([]byte{0xff, 0x01}, 9), uint8(255), uint8(9))
+	f.Fuzz(func(t *testing.T, data []byte, max, n uint8) {
+		checkRunWriters(t, data, int(n)%4)
+		for cut := 0; cut <= min(len(data), 48); cut++ {
+			checkUint8s(t, data[:cut], int(n), max)
+		}
+		checkUint8s(t, data, int(n), max)
+	})
+}
+
+// checkRunWriters appends data's bytes, and words made from them, with
+// each run writer and with a loop of Uint64 calls, behind a prefix of
+// pre bytes, and requires the same bytes — once into a buffer grown to
+// fit and once into one that must grow.
+func checkRunWriters(t *testing.T, data []byte, pre int) {
+	t.Helper()
+	words := make([]uint64, (len(data)+7)/8)
+	for i := range words {
+		var b [8]byte
+		copy(b[:], data[8*i:])
+		x := binary.LittleEndian.Uint64(b[:])
+		words[i] = x >> (x >> 58) // every uvarint length
+	}
+	signed := make([]int64, len(words))
+	for i, v := range words {
+		signed[i] = int64(v)
+	}
+	for _, grown := range []bool{false, true} {
+		var run, loop Buffer
+		for i := 0; i < pre; i++ {
+			run.Uint64(uint64(0x90 + i))
+			loop.Uint64(uint64(0x90 + i))
+		}
+		if grown {
+			run.Grow(2*len(data) + 10*len(words) + 10*len(signed))
+		}
+		run.Uint8s(data)
+		Uvarints(&run, words)
+		Uvarints(&run, signed)
+		for _, c := range data {
+			loop.Uint64(uint64(c))
+		}
+		for _, v := range words {
+			loop.Uint64(v)
+		}
+		for _, v := range signed {
+			loop.Uint64(uint64(v))
+		}
+		if !bytes.Equal(run.Bytes(), loop.Bytes()) {
+			t.Fatalf("run writers (grown %v) wrote %x, the Uint64 loop %x", grown, run.Bytes(), loop.Bytes())
+		}
+	}
+}
+
+var errBroken = errors.New("an earlier read failed")
+
+// checkUint8s reads a run of n small uvarints from payload with
+// Reader.Uint8s and with refUint8s, from a fresh reader and from one an
+// earlier read broke, then reads once more, and requires the two to
+// agree after each read.
+func checkUint8s(t *testing.T, payload []byte, n int, max uint8) {
+	t.Helper()
+	for _, broken := range []bool{false, true} {
+		run, ref := NewReader(payload), NewReader(payload)
+		if broken {
+			run.fail(errBroken)
+			ref.fail(errBroken)
+		}
+		got, want := bytes.Repeat([]byte{0xee}, n), bytes.Repeat([]byte{0xee}, n)
+		for pass := 0; pass < 2; pass++ {
+			run.Uint8s(got, max)
+			refUint8s(ref, want, max)
+			if !bytes.Equal(got, want) || run.Err() != ref.Err() || run.Remaining() != ref.Remaining() {
+				t.Fatalf("Uint8s(n %d, max %d) over %x, pass %d, broken %v: got %x, err %v, %d remaining; want %x, err %v, %d remaining",
+					n, max, payload, pass, broken, got, run.Err(), run.Remaining(), want, ref.Err(), ref.Remaining())
+			}
+		}
+	}
+}
+
+// refUint8s is Reader.Uint8s one element at a time: a run whose max is
+// below 128 is borrowed whole and range-checked byte by byte (dst
+// untouched on failure); otherwise each value is read and checked in
+// turn, dst written up to the one that fails.
+func refUint8s(r *Reader, dst []uint8, max uint8) {
+	if max < 0x80 {
+		b := r.Borrow(len(dst))
+		if b == nil {
+			return
+		}
+		for _, c := range b {
+			if c > max {
+				r.fail(errSmallUvarint)
+				return
+			}
+		}
+		copy(dst, b)
+		return
+	}
+	b := r.b[r.off:]
+	i := 0
+	for j := range dst {
+		if i >= len(b) {
+			r.fail(ErrTruncated)
+			return
+		}
+		c := b[i]
+		i++
+		if c >= 0x80 {
+			if i >= len(b) {
+				r.fail(ErrTruncated)
+				return
+			}
+			if b[i] != 1 || c > max {
+				r.fail(errSmallUvarint)
+				return
+			}
+			i++
+		}
+		dst[j] = c
+	}
+	r.off += i
 }

@@ -51,7 +51,7 @@ func checkSortKeys(t *testing.T, in []uint64, lo, hi uint) {
 
 func TestSortKeysDifferential(t *testing.T) {
 	ranges := [][2]uint{{0, 64}, {32, 64}, {0, 16}, {0, 17}, {5, 6}, {3, 3}, {0, 62}, {63, 64}, {8, 24}}
-	lengths := []int{0, 1, 2, radixCutoff - 1, radixCutoff, radixCutoff + 1, 258, 426, 8192}
+	lengths := []int{0, 1, 2, radixCutoff - 1, radixCutoff, radixCutoff + 1, 258, 426, windowMax, windowMax + 1, 8192}
 	rng := xorshift(0x9e3779b97f4a7c15)
 	for _, r := range ranges {
 		lo, hi := r[0], r[1]
@@ -66,6 +66,31 @@ func TestSortKeysDifferential(t *testing.T) {
 				"sorted":     func(i int) uint64 { return uint64(i) << lo },
 				"reversed":   func(i int) uint64 { return uint64(n-i) << lo },
 				"high digit": func(int) uint64 { return rng.next() | 1<<63 | 1<<(hi-1) },
+				// One key sets the range's top bit; the others differ only
+				// in its low five eighths, below the window.
+				"below window": func(i int) uint64 {
+					if i == 0 {
+						return rng.next() | 1<<(hi-1)
+					}
+					return rng.next() &^ rangeMask(lo+(hi-lo)*5/8, hi)
+				},
+				// Four clusters at the top of the range, taken in turn, and
+				// eight values spread over four bytes below them: windows
+				// shared by a quarter of the keys each, ties within them.
+				"clustered ties": func(i int) uint64 {
+					k := clusters[i%4]>>(64-(hi-lo)) | rng.next()%8*0x01010101
+					return rng.next()&^rangeMask(lo, hi) | k<<lo&rangeMask(lo, hi)
+				},
+				// About 2√n keys, at random places, share one window and
+				// arrive in descending order: an insertion pass needs more
+				// moves than its budget, yet so few keys paired at random
+				// share a window that the window passes often run first.
+				"crowded window": func(i int) uint64 {
+					if rng.next()%uint64(n) >= uint64(2*math.Sqrt(float64(n))+2) {
+						return rng.next()
+					}
+					return rng.next()&^rangeMask(lo, hi) | (1<<(hi-lo-1)|uint64(n-i))<<lo&rangeMask(lo, hi)
+				},
 			}
 			for name, gen := range shapes {
 				if hi == lo && name != "random" {
@@ -78,6 +103,65 @@ func TestSortKeysDifferential(t *testing.T) {
 				t.Run(fmt.Sprintf("%d-%d/%d/%s", lo, hi, n, name), func(t *testing.T) { checkSortKeys(t, in, lo, hi) })
 			}
 		}
+	}
+}
+
+// TestWindowSortPaths drives windowSort itself: random keys finish in
+// the window passes; clustered keys are turned back before a key moves;
+// and keys crowding one window in descending order, spread so that few
+// random pairs meet, run the passes and then exhaust the insertion
+// budget — a stable reordering from which the LSD sort must still give
+// the stable reference order.
+func TestWindowSortPaths(t *testing.T) {
+	rng := xorshift(5)
+	mask := ^uint64(0)
+	outcomes := map[string]int{}
+	for round := 0; round < 40; round++ {
+		for _, n := range []int{258, windowMax} {
+			c := 2*int(math.Sqrt(float64(n))) + 2
+			shapes := map[string]func(i int) uint64{
+				"random":    func(int) uint64 { return rng.next() },
+				"clustered": func(int) uint64 { return clusters[rng.next()%4] | rng.next()>>32 },
+				"crowded": func(i int) uint64 {
+					if rng.next()%uint64(n) < uint64(c) {
+						return 1<<63 | uint64(n-i)
+					}
+					return rng.next()
+				},
+			}
+			for name, gen := range shapes {
+				in := make([]uint64, n)
+				for i := range in {
+					in[i] = gen(i)
+				}
+				keys, scratch := slices.Clone(in), make([]uint64, n)
+				var outcome string
+				switch {
+				case windowSort(keys, scratch, 0, mask):
+					outcome = "sorted"
+				case slices.Equal(keys, in):
+					outcome = "declined"
+					lsdSort(keys, scratch, 0, mask)
+				default:
+					outcome = "fell back"
+					lsdSort(keys, scratch, 0, mask)
+				}
+				outcomes[name+" "+outcome]++
+				want := slices.Clone(in)
+				slices.SortStableFunc(want, cmp.Compare[uint64])
+				if !slices.Equal(keys, want) {
+					t.Fatalf("%s, n=%d (%s): differs from the stable reference sort", name, n, outcome)
+				}
+			}
+		}
+	}
+	for _, want := range []string{"random sorted", "clustered declined", "crowded fell back"} {
+		if outcomes[want] == 0 {
+			t.Errorf("no run ended %q; outcomes %v", want, outcomes)
+		}
+	}
+	if outcomes["random sorted"] != 80 || outcomes["clustered declined"] != 80 {
+		t.Errorf("outcomes %v: every random run should finish in the window passes, every clustered one be declined", outcomes)
 	}
 }
 
@@ -241,6 +325,76 @@ func BenchmarkSortKernel(b *testing.B) {
 				sortSink += work[sh.n/2]
 			}
 		})
+	}
+}
+
+// sortShapes are the key shapes BenchmarkSortKeys times: the words the
+// summaries sort, and the ones that send windowSort back to the LSD
+// sort. Each makes word i of a run of n.
+var sortShapes = []struct {
+	name   string
+	lo, hi uint
+	gen    func(rng *xorshift, i, n int) uint64
+}{
+	{"random", 0, 64, func(rng *xorshift, _, _ int) uint64 { return rng.next() }},
+	// A quantile block: float keys.
+	{"floats", 0, 64, func(rng *xorshift, _, _ int) uint64 {
+		return FloatKey(math.Exp(float64(int64(rng.next())) / (1 << 62)))
+	}},
+	// A rangecount block: Morton keys over their positions.
+	{"morton", 32, 64, func(rng *xorshift, i, _ int) uint64 { return rng.next()<<32 | uint64(i) }},
+	// Keys 16 bits wide: the LSD sort's two passes, no window.
+	{"narrow", 0, 16, func(rng *xorshift, _, _ int) uint64 { return rng.next() >> 48 }},
+	// One key sets the top bit; the others differ only below the
+	// window, all in its bucket 0.
+	{"below window", 0, 64, func(rng *xorshift, i, _ int) uint64 {
+		if i == 0 {
+			return 1 << 63
+		}
+		return rng.next() >> 24
+	}},
+	// Four clusters, apart in the window, spread below it: four
+	// buckets hold every key.
+	{"clustered", 0, 64, func(rng *xorshift, _, _ int) uint64 {
+		return clusters[rng.next()%4] | rng.next()>>32
+	}},
+	// The same clusters taken in turn, with eight values below them
+	// spread over four bytes: no two neighbours share a window, but
+	// keys paired at random do, so the path is declined before a key
+	// moves.
+	{"clustered ties", 0, 64, func(rng *xorshift, i, _ int) uint64 {
+		return clusters[i%4] | rng.next()%8*0x01010101
+	}},
+}
+
+var clusters = [4]uint64{0x1234 << 48, 0x5678 << 48, 0x9abc << 48, 0xdef0 << 48}
+
+// BenchmarkSortKeys times SortKeys on every shape at the run lengths the
+// summaries sort (48 the cutoff, 92 and 128 counter lists, 258 a
+// quantile block, 426 a rangecount block, 1024 the window's limit, 8192
+// a q-digest batch), a fresh array each iteration from a pool of 2^18
+// words.
+func BenchmarkSortKeys(b *testing.B) {
+	for _, sh := range sortShapes {
+		for _, n := range []int{48, 92, 128, 258, 426, 1024, 8192} {
+			b.Run(fmt.Sprintf("%s/%d", sh.name, n), func(b *testing.B) {
+				rng := xorshift(42)
+				pool := make([][]uint64, (1<<18)/n)
+				for p := range pool {
+					pool[p] = make([]uint64, n)
+					for i := range pool[p] {
+						pool[p][i] = sh.gen(&rng, i, n)
+					}
+				}
+				work, scratch := make([]uint64, n), make([]uint64, n)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(work, pool[i%len(pool)])
+					SortKeys(work, scratch, sh.lo, sh.hi)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+			})
+		}
 	}
 }
 

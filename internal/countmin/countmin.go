@@ -229,9 +229,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w.Uint64(s.seed)
 	w.Uint64(s.n)
 	w.Bool(false) // reserved flag byte: always 0 (DESIGN.md §8)
-	for _, v := range s.cells {
-		w.Uint64(v)
-	}
+	codec.Uvarints(w, s.cells)
 	return codec.EncodeFrame(codec.KindCountMin, w.Bytes()), nil
 }
 

@@ -219,10 +219,8 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w.Int(s.depth)
 	w.Uint64(s.seed)
 	w.Uint64(s.n)
-	for i := range s.rows {
-		for _, v := range s.rows[i] {
-			w.Uint64(uint64(v)) // two's complement through uvarint zig would be nicer; raw bits are fine
-		}
+	for _, row := range s.rows {
+		codec.Uvarints(w, row) // raw two's-complement bits: a negative cell takes ten bytes
 	}
 	return codec.EncodeFrame(codec.KindCountSketch, w.Bytes()), nil
 }

@@ -18,10 +18,10 @@
 package distinct
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -201,7 +201,7 @@ func (s *KMV) Clone() *KMV {
 // tests to verify the merge-equals-union property.
 func (s *KMV) Hashes() []uint64 {
 	out := append([]uint64(nil), s.hashes...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -217,9 +217,7 @@ func (s *KMV) MarshalBinary() ([]byte, error) {
 	w.Uint64(s.n)
 	hs := s.Hashes()
 	w.Int(len(hs))
-	for _, h := range hs {
-		w.Uint64(h)
-	}
+	codec.Uvarints(w, hs)
 	return codec.EncodeFrame(codec.KindKMV, w.Bytes()), nil
 }
 
@@ -316,7 +314,7 @@ func (s *HLL) Update(x core.Item) {
 	s.n++
 	h := hash64(s.seed, x)
 	idx := h >> (64 - s.p)
-	rest := h<<s.p | 1<<(uint(s.p)-1) // ensure termination
+	rest := h<<s.p | 1<<(uint(s.p)-1) // ensure termination: rho <= maxRho(p)
 	rho := uint8(1)
 	for rest&(1<<63) == 0 {
 		rho++
@@ -361,14 +359,32 @@ func (s *HLL) Merge(other *HLL) error {
 		return fmt.Errorf("%w: HLL precision/seed", core.ErrMismatchedShape)
 	}
 	s.n += other.n
-	for i, r := range other.regs {
-		if r > s.regs[i] {
-			s.regs[i] = r
-		}
-	}
+	maxRegs(s.regs, other.regs)
 	debugAssertHLL(s)
 	return nil
 }
+
+// maxRegs sets each register of dst to the larger of it and its peer in
+// src, eight registers a step and without a branch. It relies on the
+// register law (maxRho): every register is below 128, so (a|128) − b
+// borrows across no byte and its top bit says a ≥ b. The register file
+// is 2^p ≥ 16 bytes, a whole number of words.
+func maxRegs(dst, src []uint8) {
+	const msb = 0x8080808080808080
+	src = src[:len(dst)]
+	for i := 0; i+8 <= len(dst); i += 8 {
+		a := binary.LittleEndian.Uint64(dst[i:])
+		b := binary.LittleEndian.Uint64(src[i:])
+		ge := ((a | msb) - b) & msb >> 7 * 0xff // 0xff where a ≥ b
+		binary.LittleEndian.PutUint64(dst[i:], a&ge|b&^ge)
+	}
+}
+
+// maxRho is the largest register an HLL of precision p can hold: the
+// 64−p hash bits below the bucket index, all zero, then the guard bit
+// Update sets, give a rho of 65−p — at most 61, so every register is
+// below 128.
+func maxRho(p uint8) uint8 { return 65 - p }
 
 // Clone returns a deep copy.
 func (s *HLL) Clone() *HLL {
@@ -379,8 +395,9 @@ func (s *HLL) Clone() *HLL {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler. The payload is
-// built in a pooled buffer pre-sized for the register file (each
-// register value is < 65, so one uvarint byte each).
+// built in a pooled buffer pre-sized for the register file: each
+// register is at most maxRho(p) < 128, one uvarint byte, so the file
+// is one copy.
 func (s *HLL) MarshalBinary() ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
@@ -389,18 +406,17 @@ func (s *HLL) MarshalBinary() ([]byte, error) {
 	w.Int(int(s.p))
 	w.Uint64(s.seed)
 	w.Uint64(s.n)
-	for _, r := range s.regs {
-		w.Uint64(uint64(r))
-	}
+	w.Uint8s(s.regs)
 	return codec.EncodeFrame(codec.KindHLL, w.Bytes()), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Registers are
-// at most 64, one byte each on the wire, so the register file is one
-// range-checked copy into the receiver's own storage (regrown only
-// when the precision differs). A frame rejected by a header check
-// leaves the receiver untouched; one rejected inside the register run
-// leaves it empty.
+// at most maxRho(p), one byte each on the wire, so the register file
+// is one copy into the receiver's own storage (regrown only when the
+// precision differs), range-checked eight registers a step: a register
+// above maxRho(p) is refused, which keeps maxRegs' law. A frame
+// rejected by a header check leaves the receiver untouched; one
+// rejected inside the register run leaves it empty.
 func (s *HLL) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindHLL, data)
 	if err != nil {
@@ -425,7 +441,7 @@ func (s *HLL) UnmarshalBinary(data []byte) error {
 	reused := s.regs != nil
 	s.reshape(uint8(p), seed)
 	s.n = n
-	r.Uint8s(s.regs, 64)
+	r.Uint8s(s.regs, maxRho(uint8(p)))
 	if err := r.Finish(); err != nil {
 		s.n = 0
 		clear(s.regs)

@@ -2,9 +2,11 @@ package distinct
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
@@ -283,5 +285,83 @@ func TestKMVMergeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// hllFrame encodes an HLL of precision p whose register i holds regs(i),
+// written by hand: the encoder only writes what Update can reach.
+func hllFrame(p int, regs func(i int) uint8) []byte {
+	var w codec.Buffer
+	w.Bool(true)
+	w.Int(p)
+	w.Uint64(1) // seed
+	w.Uint64(9) // n
+	for i := 0; i < 1<<p; i++ {
+		w.Uint64(uint64(regs(i)))
+	}
+	return codec.EncodeFrame(codec.KindHLL, w.Bytes())
+}
+
+// TestHLLRejectsRegisterAboveMaxRho: a register is at most 65−p, the
+// largest rho Update can write; a frame holding one above that is
+// refused, at every precision, and leaves a reused receiver empty.
+func TestHLLRejectsRegisterAboveMaxRho(t *testing.T) {
+	for p := 4; p <= 18; p++ {
+		top := uint8(65 - p)
+		at := func(v uint8) func(int) uint8 {
+			return func(i int) uint8 {
+				if i == 1<<p-3 {
+					return v
+				}
+				return uint8(i % 5)
+			}
+		}
+		var s HLL
+		if err := s.UnmarshalBinary(hllFrame(p, at(top))); err != nil {
+			t.Fatalf("p=%d: register %d refused: %v", p, top, err)
+		}
+		for _, v := range []uint8{top + 1, 64, 127} {
+			if err := s.UnmarshalBinary(hllFrame(p, at(v))); err == nil {
+				t.Fatalf("p=%d: register %d (max %d) accepted", p, v, top)
+			}
+			if s.N() != 0 || slices.ContainsFunc(s.regs, func(r uint8) bool { return r != 0 }) {
+				t.Fatalf("p=%d: a refused frame left n=%d and registers behind", p, s.N())
+			}
+		}
+	}
+}
+
+// TestHLLMergeMatchesByteLoop: the eight-registers-a-step merge is the
+// register-wise max of the byte loop at every precision, registers at
+// 65−p included, on both sides of each comparison.
+func TestHLLMergeMatchesByteLoop(t *testing.T) {
+	rng := gen.NewRNG(17)
+	for p := uint8(4); p <= 18; p++ {
+		top := maxRho(p)
+		for round := 0; round < 4; round++ {
+			a, b := NewHLL(p, 3), NewHLL(p, 3)
+			for i := range a.regs {
+				a.regs[i] = uint8(rng.Uint64() % uint64(top+1))
+				b.regs[i] = uint8(rng.Uint64() % uint64(top+1))
+				switch rng.Uint64() % 8 {
+				case 0:
+					a.regs[i] = top
+				case 1:
+					b.regs[i] = top
+				case 2:
+					a.regs[i] = b.regs[i]
+				}
+			}
+			want := slices.Clone(a.regs)
+			for i, r := range b.regs {
+				want[i] = max(want[i], r)
+			}
+			if err := a.Merge(b); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(a.regs, want) {
+				t.Fatalf("p=%d: merged registers differ from the byte loop's max", p)
+			}
+		}
 	}
 }

@@ -39,12 +39,12 @@ func (s *KMV) checkInvariants() error {
 
 // checkInvariants reports the first HyperLogLog law s breaks: exactly
 // 2^p registers, each holding a rho value no larger than a 64-bit hash
-// allows (64−p leading-zero bits plus one).
+// allows (64−p leading-zero bits plus one: maxRho).
 func (s *HLL) checkInvariants() error {
 	if len(s.regs) != 1<<s.p {
 		return fmt.Errorf("HLL has %d registers, want 2^%d", len(s.regs), s.p)
 	}
-	max := uint8(64-s.p) + 1
+	max := maxRho(s.p)
 	for i, r := range s.regs {
 		if r > max {
 			return fmt.Errorf("HLL register %d holds rho=%d, max %d", i, r, max)

@@ -60,8 +60,8 @@ func TestUnmarshalReusesReceiver(t *testing.T) {
 	}
 }
 
-// TestHLLRejectsPaddedRegisters: a register is at most 64, one byte on
-// the wire; the two-byte form of the same value, which the encoder
+// TestHLLRejectsPaddedRegisters: a register is at most 65−p, one byte
+// on the wire; the two-byte form of the same value, which the encoder
 // never writes, is not accepted in its place.
 func TestHLLRejectsPaddedRegisters(t *testing.T) {
 	var w codec.Buffer

@@ -354,7 +354,7 @@ func TestEncodeAllocs(t *testing.T) {
 	if core.Sanitize {
 		t.Skip("the sanitize layer's checks allocate by design")
 	}
-	views := map[string]float64{"mg": 1, "ss": 1, "topk": 1, "kmv": 3}
+	views := map[string]float64{"mg": 1, "ss": 1, "topk": 1, "kmv": 1}
 	for _, ent := range registry.Entries() {
 		t.Run(ent.Name(), func(t *testing.T) {
 			v := ent.Example(12000)

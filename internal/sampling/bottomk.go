@@ -213,8 +213,9 @@ func (s *BottomK) MarshalBinary() ([]byte, error) {
 // frame holds more than it has room for) and its tag generator is
 // reseeded from the frame, so a reused receiver — any k, any contents;
 // the zero value too — allocates nothing. A frame rejected by a header
-// check leaves the receiver untouched; one that fails inside the sample
-// leaves it empty.
+// check leaves the receiver untouched; one whose sample size is not
+// min(k, n) — what every stream of n values keeps — or that fails inside
+// the sample leaves it empty.
 func (s *BottomK) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindBottomK, data)
 	if err != nil {
@@ -231,14 +232,15 @@ func (s *BottomK) UnmarshalBinary(data []byte) error {
 	if k < 1 {
 		return fmt.Errorf("sampling: invalid k %d in frame", k)
 	}
-	if m > k {
-		return fmt.Errorf("sampling: sample size %d exceeds k %d", m, k)
-	}
 	s.k, s.n = k, n
 	if s.rng == nil {
 		s.rng = gen.NewRNG(seed)
 	} else {
 		*s.rng = *gen.NewRNG(seed)
+	}
+	if uint64(m) != min(uint64(k), n) {
+		s.Reset()
+		return fmt.Errorf("sampling: sample size %d is not min(k=%d, n=%d)", m, k, n)
 	}
 	s.keep = codec.Resize(s.keep, m)[:0]
 	for i := 0; i < m; i++ {

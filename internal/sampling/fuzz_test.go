@@ -20,8 +20,8 @@ func FuzzUnmarshal(f *testing.F) {
 		if err := out.UnmarshalBinary(data); err != nil {
 			return
 		}
-		if out.Size() > out.K() {
-			t.Fatal("accepted frame overflows capacity")
+		if uint64(out.Size()) != min(uint64(out.K()), out.N()) {
+			t.Fatalf("accepted frame holds %d samples, not min(k=%d, n=%d)", out.Size(), out.K(), out.N())
 		}
 		// Accepted frames must round-trip to a canonical fixpoint:
 		// re-encode, decode, re-encode byte-identically.

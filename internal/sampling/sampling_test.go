@@ -282,3 +282,43 @@ func TestBottomKCodecRejectsNaN(t *testing.T) {
 		t.Fatalf("refused frame left n=%d size=%d", s.N(), s.Size())
 	}
 }
+
+// A bottom-k sample of n values holds min(k, n) of them: the decoder
+// refuses a frame holding more or fewer, and leaves the receiver empty.
+func TestBottomKCodecRejectsWrongSampleSize(t *testing.T) {
+	frame := func(k int, n uint64, vs ...float64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Int(k)
+		w.Uint64(n)
+		w.Uint64(1) // rng state
+		w.Int(len(vs))
+		for i, v := range vs {
+			w.Uint64(uint64(10 + i)) // tag
+			w.Float64(v)
+		}
+		return codec.EncodeFrame(codec.KindBottomK, w.Bytes())
+	}
+	var s BottomK
+	for _, ok := range [][]byte{frame(4, 0), frame(4, 2, 10, 20), frame(4, 9, 10, 20, 30, 40)} {
+		if err := s.UnmarshalBinary(ok); err != nil {
+			t.Fatalf("sample of min(k, n) refused: %v", err)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"k=4, n=0, three samples": frame(4, 0, 10, 20, 30),
+		"k=4, n=2, one sample":    frame(4, 2, 10),
+		"k=4, n=9, three samples": frame(4, 9, 10, 20, 30),
+		"k=2, n=9, three samples": frame(2, 9, 10, 20, 30),
+	} {
+		if err := s.UnmarshalBinary(frame(4, 9, 1, 2, 3, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UnmarshalBinary(bad); err == nil {
+			t.Fatalf("%s: accepted (Quantile(0) = %v)", name, s.Quantile(0))
+		}
+		if s.N() != 0 || s.Size() != 0 {
+			t.Fatalf("%s: refused frame left n=%d size=%d", name, s.N(), s.Size())
+		}
+	}
+}

@@ -400,6 +400,47 @@ func TestWriteRejectsNaNSample(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsHLLRegisterAboveMaxRho: an HLL register is at most
+// 65−p, the largest rho an update can write. A PUSH of a p = 12 frame
+// holding a 64 answers ERR and leaves the slot's PULL bytes as they
+// were; the same frame with 53 in that register is accepted.
+func TestWriteRejectsHLLRegisterAboveMaxRho(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	hll := func(reg uint64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Bool(true)
+		w.Int(12)
+		w.Uint64(1) // seed
+		w.Uint64(3) // n
+		w.Uint64(reg)
+		for i := 1; i < 1<<12; i++ {
+			w.Uint64(uint64(i % 3))
+		}
+		return codec.EncodeFrame(codec.KindHLL, w.Bytes())
+	}
+	if _, err := c.Push("card", "hll", rawSummary(hll(53))); err != nil {
+		t.Fatalf("register 53 at p = 12: %v", err)
+	}
+	_, before, err := c.PullFrame("card")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push("card", "hll", rawSummary(hll(64))); err == nil {
+		t.Fatal("register 64 at p = 12 (max 53) accepted")
+	}
+	if _, after, err := c.PullFrame("card"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused push changed the slot (%v)", err)
+	}
+}
+
 // TestWriteRefusesWeightOverflow: two accepted pushes of weight 2^63
 // would sum the slot's N to 0, and the slot's frame would then fail its
 // own decoder — every later PULL of it an error. The second push

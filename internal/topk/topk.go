@@ -239,13 +239,9 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 	w.Grow(3*10 + len(inner)*2 + len(t.items)*10)
 	w.Int(t.k)
 	w.Int(len(inner))
-	for _, b := range inner {
-		w.Uint64(uint64(b))
-	}
+	w.Uint8s(inner)
 	w.Int(len(t.items))
-	for _, x := range t.items {
-		w.Uint64(uint64(x))
-	}
+	codec.Uvarints(w, t.items)
 	return codec.EncodeFrame(codec.KindTopK, w.Bytes()), nil
 }
 
