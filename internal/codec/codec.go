@@ -23,6 +23,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -629,14 +630,25 @@ func (r *Reader) Finish() error {
 
 // EncodeFrame wraps a payload in the versioned, checksummed frame.
 func EncodeFrame(kind Kind, payload []byte) []byte {
-	out := make([]byte, 0, len(magic)+2+binary.MaxVarintLen64+len(payload)+4)
-	out = append(out, magic...)
-	out = append(out, Version, byte(kind))
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = append(out, payload...)
-	crc := crc32.ChecksumIEEE(out)
-	out = binary.LittleEndian.AppendUint32(out, crc)
-	return out
+	return AppendFrame(nil, kind, payload)
+}
+
+// AppendFrame appends the frame EncodeFrame returns to dst, growing it
+// at most once; a nil dst becomes one allocation of the frame's size.
+func AppendFrame(dst []byte, kind Kind, payload []byte) []byte {
+	size := len(magic) + 2 + binary.MaxVarintLen64 + len(payload) + 4
+	if dst == nil {
+		dst = make([]byte, 0, size)
+	} else {
+		dst = slices.Grow(dst, size)
+	}
+	start := len(dst)
+	dst = append(dst, magic...)
+	dst = append(dst, Version, byte(kind))
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	crc := crc32.ChecksumIEEE(dst[start:])
+	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // PeekKind returns the kind tag of a frame without validating its

@@ -1,11 +1,13 @@
-package mg
+package core
 
-// selectKth returns the k-th smallest element (0-indexed) of vals,
+// SelectKth returns the k-th smallest element (0-indexed) of vals,
 // partially reordering vals in place. Quickselect with median-of-three
-// pivots: expected O(len(vals)), against the O(m log m) full sort it
-// replaces in prune — the prune itself only needs the single cut value,
-// not an ordering.
-func selectKth(vals []uint64, k int) uint64 {
+// pivots: expected O(len(vals)), against the O(m log m) full sort a
+// caller that needs one order statistic would otherwise pay (mg's
+// prune needs only its cut value, a bottom-k quantile one sample, by
+// FloatKey). It is written for words, not generically: a type-parameter
+// instance took twice as long on runs of 100 words (2 vCPU).
+func SelectKth(vals []uint64, k int) uint64 {
 	lo, hi := 0, len(vals)-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2

@@ -1,4 +1,4 @@
-package mg
+package core
 
 import (
 	"math/rand"
@@ -19,8 +19,8 @@ func TestSelectKth(t *testing.T) {
 		sorted := append([]uint64(nil), vals...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 		k := rng.Intn(n)
-		if got := selectKth(vals, k); got != sorted[k] {
-			t.Fatalf("trial %d: selectKth(%d of %d) = %d, want %d", trial, k, n, got, sorted[k])
+		if got := SelectKth(vals, k); got != sorted[k] {
+			t.Fatalf("trial %d: SelectKth(%d of %d) = %d, want %d", trial, k, n, got, sorted[k])
 		}
 	}
 }

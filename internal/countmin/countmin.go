@@ -215,9 +215,14 @@ func (s *Sketch) Reset() {
 	clear(s.cells)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. The payload is
-// built in a pooled buffer pre-sized for the full counter matrix.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s *Sketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary implements encoding.BinaryAppender: it appends the frame
+// MarshalBinary returns to b. The payload is built in a pooled buffer
+// pre-sized for the full counter matrix, so an encode into storage
+// with room for the frame allocates nothing.
+func (s *Sketch) AppendBinary(b []byte) ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
 	// Header plus one uvarint per cell; typical counters are small, so
@@ -230,7 +235,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w.Uint64(s.n)
 	w.Bool(false) // reserved flag byte: always 0 (DESIGN.md §8)
 	codec.Uvarints(w, s.cells)
-	return codec.EncodeFrame(codec.KindCountMin, w.Bytes()), nil
+	return codec.AppendFrame(b, codec.KindCountMin, w.Bytes()), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The frame is

@@ -23,3 +23,17 @@ func BenchmarkUpdateBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*8192), "ns/item")
 }
+
+// BenchmarkEstimate is an edge read's HLL query: p = 12, registers
+// from 100,000 distinct items.
+func BenchmarkEstimate(b *testing.B) {
+	s := NewHLL(12, 9)
+	for i := range core.Item(100000) {
+		s.Update(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		_ = s.Estimate()
+	}
+}

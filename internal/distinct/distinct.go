@@ -200,22 +200,37 @@ func (s *KMV) Clone() *KMV {
 // Hashes returns the stored hash values in ascending order; used by
 // tests to verify the merge-equals-union property.
 func (s *KMV) Hashes() []uint64 {
-	out := append([]uint64(nil), s.hashes...)
-	slices.Sort(out)
-	return out
+	return s.appendSorted(nil)
 }
 
+// appendSorted appends the stored hash values to dst in ascending
+// order.
+func (s *KMV) appendSorted(dst []uint64) []uint64 {
+	n := len(dst)
+	dst = append(dst, s.hashes...)
+	slices.Sort(dst[n:])
+	return dst
+}
+
+// views lends MarshalBinary its ascending copy of the hashes.
+var views core.Pool[[]uint64]
+
 // MarshalBinary implements encoding.BinaryMarshaler. The payload is
-// built in a pooled, pre-sized buffer.
+// built in a pooled, pre-sized buffer and the hashes are put in frame
+// order in lent scratch: steady-state encoding allocates only the
+// returned frame.
 func (s *KMV) MarshalBinary() ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
+	v := views.Get()
+	defer views.Put(v)
 	w.Grow(1 + 4*10 + len(s.hashes)*10)
 	w.Bool(false) // kind: KMV
 	w.Int(s.k)
 	w.Uint64(s.seed)
 	w.Uint64(s.n)
-	hs := s.Hashes()
+	hs := s.appendSorted((*v)[:0])
+	*v = hs
 	w.Int(len(hs))
 	codec.Uvarints(w, hs)
 	return codec.EncodeFrame(codec.KindKMV, w.Bytes()), nil
@@ -326,14 +341,25 @@ func (s *HLL) Update(x core.Item) {
 	debugAssertHLLSampled(s)
 }
 
+// invPow2[r] is 2^−r, exactly what 1/2^r divides out to.
+var invPow2 = func() (t [64]float64) {
+	for r := range t {
+		t[r] = 1 / float64(uint64(1)<<r)
+	}
+	return t
+}()
+
 // Estimate returns the estimated number of distinct items, with the
-// standard small-range (linear counting) correction.
+// standard small-range (linear counting) correction. Each register's
+// 2^−r is read from a table (every register is at most maxRho < 64),
+// and the terms are added in register order, so the sum is the
+// per-register division's to the bit.
 func (s *HLL) Estimate() float64 {
 	m := float64(len(s.regs))
 	var sum float64
 	zeros := 0
 	for _, r := range s.regs {
-		sum += 1 / float64(uint64(1)<<r)
+		sum += invPow2[r&63]
 		if r == 0 {
 			zeros++
 		}

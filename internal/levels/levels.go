@@ -68,7 +68,8 @@ type Stack[K Key, P any] struct {
 // merge or decode in a loop stop allocating blocks once it has filled.
 type Runs[K Key, P any] struct {
 	Free    []Run[K, P]
-	Scratch []uint64 // an instance's sort run
+	Scratch []uint64  // an instance's sort run
+	Sorted  Run[K, P] // a query's copy of the partial in key order
 }
 
 // block returns storage for a block of n elements: recycled from the
@@ -161,6 +162,103 @@ func (st *Stack[K, P]) weight() (uint64, bool) {
 		over |= hi | carry
 	}
 	return w, over == 0
+}
+
+// Rank returns the stored weight of the elements whose key is at most
+// k: each block's by binary search, the partial's by a scan.
+func (st *Stack[K, P]) Rank(k K) uint64 {
+	r := st.blockRank(k)
+	for _, x := range st.Partial.Keys {
+		if x <= k {
+			r += 1 << uint(st.Ell)
+		}
+	}
+	return r
+}
+
+// blockRank is the weight of the blocks' elements whose key is at
+// most k.
+func (st *Stack[K, P]) blockRank(k K) uint64 {
+	var r uint64
+	for i, b := range st.Blocks {
+		r += uint64(upper(b.Keys, k)) << uint(i)
+	}
+	return r
+}
+
+// upper returns how many of a sorted run's keys are at most k: the
+// index of the first key above k. A NaN k is above no key.
+func upper[K Key](keys []K, k K) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keys[m] > k {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// Select returns the smallest stored key whose rank — the weight of
+// the elements at or below it, as Rank counts it — reaches need, or
+// the largest stored key when none does. The stack must hold an
+// element. Rank grows along a sorted run, so each run's first element
+// that qualifies is found by binary search; and the answer lies above
+// every element seen to fall short and at or below the best candidate
+// so far, so each run is searched only between those two. The top
+// block, which spans the stored range, goes first: after it, a lower
+// block has about one element left to try. For the call the partial is
+// sorted into rs.Sorted by sort, the instance's Promote sort; the
+// partial itself is only read.
+func (st *Stack[K, P]) Select(rs *Runs[K, P], need uint64, sort func(dst, src Run[K, P], scratch *[]uint64)) K {
+	rs.Sorted.Keys = codec.Resize(rs.Sorted.Keys, len(st.Partial.Keys))
+	if hasPay[P]() {
+		rs.Sorted.Pay = codec.Resize(rs.Sorted.Pay, len(st.Partial.Keys))
+	}
+	sort(rs.Sorted, st.Partial, &rs.Scratch)
+	part := rs.Sorted.Keys
+	var short, best, top K // short falls short of need; best reaches it
+	haveShort, found, seen := false, false, false
+	for i := len(st.Blocks) - 1; i >= -1; i-- {
+		keys := part
+		if i >= 0 {
+			keys = st.Blocks[i].Keys
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		if last := keys[len(keys)-1]; !seen || last > top {
+			top, seen = last, true
+		}
+		lo, hi := 0, len(keys)
+		if haveShort {
+			lo = upper(keys, short)
+		}
+		if found {
+			hi = upper(keys, best)
+		}
+		a, b := lo, hi
+		for a < b {
+			m := int(uint(a+b) >> 1)
+			if st.blockRank(keys[m])+uint64(upper(part, keys[m]))<<uint(st.Ell) >= need {
+				b = m
+			} else {
+				a = m + 1
+			}
+		}
+		if a < hi {
+			best, found = keys[a], true
+		}
+		if a > lo {
+			short, haveShort = keys[a-1], true
+		}
+	}
+	if !found {
+		return top
+	}
+	return best
 }
 
 // Promote turns the first S elements of the partial into a block at

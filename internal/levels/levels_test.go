@@ -263,14 +263,28 @@ func TestKeepsOnlyItsState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, st := range map[string]*fstack{"accumulator": acc, "decode target": &target} {
-		held := 8*cap(st.Partial.Keys) + 48*cap(st.Blocks)
+	held := func(st *fstack) int {
+		h := 8*cap(st.Partial.Keys) + 48*cap(st.Blocks)
 		for _, b := range st.Blocks {
-			held += 8 * cap(b.Keys)
+			h += 8 * cap(b.Keys)
 		}
-		if live := 8 * st.Size(); held-live > live+1024 {
-			t.Errorf("%s: %d B held beside %d B of live elements", name, held-live, live)
+		return h
+	}
+	for name, st := range map[string]*fstack{"accumulator": acc, "decode target": &target} {
+		if live := 8 * st.Size(); held(st)-live > live+1024 {
+			t.Errorf("%s: %d B held beside %d B of live elements", name, held(st)-live, live)
 		}
+	}
+	// A query sorts the partial into the borrowed runs, not the stack.
+	before, partial := held(acc), slices.Clone(acc.Partial.Keys)
+	for w, need := acc.StoredWeight(), uint64(0); need <= w+1; need += 1 + w/100 {
+		acc.Select(rs, need, sortFloats)
+	}
+	if held(acc) != before || !slices.Equal(acc.Partial.Keys, partial) {
+		t.Error("Select changed the stack it queried")
+	}
+	if len(rs.Sorted.Keys) != len(partial) {
+		t.Errorf("the sorted partial is not in the borrowed runs: %d of %d keys", len(rs.Sorted.Keys), len(partial))
 	}
 	if len(rs.Free) > core.MaxFree {
 		t.Errorf("free list holds %d runs, cap %d", len(rs.Free), core.MaxFree)
@@ -302,6 +316,111 @@ func TestLenderFitsKeysAndPayload(t *testing.T) {
 	for _, b := range rs.Free {
 		if len(b.Keys) > cap(b.Pay) {
 			t.Fatalf("free run of %d keys but room for %d points", len(b.Keys), cap(b.Pay))
+		}
+	}
+}
+
+// walkSelect is Select as a sorted walk: every stored element with its
+// level weight, in key order, and the first whose running weight
+// reaches need; the largest element when none does.
+func walkSelect(st *fstack, need uint64) float64 {
+	type elem struct {
+		k float64
+		w uint64
+	}
+	var all []elem
+	for i, b := range st.Blocks {
+		for _, k := range b.Keys {
+			all = append(all, elem{k, 1 << uint(i)})
+		}
+	}
+	for _, k := range st.Partial.Keys {
+		all = append(all, elem{k, 1 << uint(st.Ell)})
+	}
+	slices.SortStableFunc(all, func(a, b elem) int {
+		switch {
+		case a.k < b.k:
+			return -1
+		case a.k > b.k:
+			return 1
+		}
+		return 0
+	})
+	var cum uint64
+	for _, e := range all {
+		if cum += e.w; cum >= need {
+			return e.k
+		}
+	}
+	return all[len(all)-1].k
+}
+
+// randomStack returns a valid stack of block size s whose keys come
+// from a few values (ties within and across levels, ±0 and ±Inf among
+// them), with a partial at level ell, blocks at random levels at or
+// above it, and a random number of partial elements.
+func randomStack(rng *gen.RNG, s, ell int) *fstack {
+	pool := []float64{math.Inf(-1), -2, math.Copysign(0, -1), 0, 0.5, 3, math.Inf(1)}
+	key := func() float64 { return pool[rng.Uint64()%uint64(len(pool))] }
+	st := &fstack{S: s, Ell: ell, RNG: rng}
+	for i := ell; i < ell+6; i++ {
+		for len(st.Blocks) <= i {
+			st.Blocks = append(st.Blocks, frun{})
+		}
+		if rng.Bool() {
+			continue
+		}
+		b := make([]float64, s)
+		for j := range b {
+			b[j] = key()
+		}
+		core.SortFloats(b, make([]uint64, 2*s))
+		st.Blocks[i] = frun{Keys: b}
+	}
+	for range rng.Uint64() % uint64(s) {
+		st.Partial.Keys = append(st.Partial.Keys, key())
+	}
+	st.N = st.StoredWeight()
+	return st
+}
+
+// TestSelectMatchesWalk holds Select and Rank to a sorted walk and a
+// count over random stacks, at every need from 0 to past the stored
+// weight: stacks with and without a partial, with Ell above 0, and
+// with ties of equal keys of different bits, which must answer equal.
+func TestSelectMatchesWalk(t *testing.T) {
+	rng := gen.NewRNG(1)
+	rs := new(fruns)
+	for trial := range 300 {
+		st := randomStack(rng, 1+int(rng.Uint64()%5), int(rng.Uint64()%3))
+		if st.Size() == 0 {
+			continue
+		}
+		if err := st.Check(); err != nil {
+			t.Fatal(err)
+		}
+		for need := range st.StoredWeight() + 2 {
+			if got, want := st.Select(rs, need, sortFloats), walkSelect(st, need); got != want {
+				t.Fatalf("trial %d: Select(%d) = %v, the walk %v", trial, need, got, want)
+			}
+		}
+		for _, k := range []float64{math.Inf(-1), -3, -2, 0, 1, 3, math.Inf(1)} {
+			var want uint64
+			for i, b := range st.Blocks {
+				for _, x := range b.Keys {
+					if x <= k {
+						want += 1 << uint(i)
+					}
+				}
+			}
+			for _, x := range st.Partial.Keys {
+				if x <= k {
+					want += 1 << uint(st.Ell)
+				}
+			}
+			if got := st.Rank(k); got != want {
+				t.Fatalf("trial %d: Rank(%v) = %d, want %d", trial, k, got, want)
+			}
 		}
 	}
 }

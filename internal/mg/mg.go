@@ -225,7 +225,7 @@ func (s *Summary) prune() {
 	// The (k+1)-th largest is the (m-k)-th smallest.
 	vals := append(s.pruneBuf[:0], s.counts...)
 	s.pruneBuf = vals
-	cut := selectKth(vals, m-s.k-1)
+	cut := core.SelectKth(vals, m-s.k-1)
 	s.index.Reset(cap(s.items))
 	w := 0
 	for i, c := range s.counts {
@@ -249,12 +249,18 @@ func (s *Summary) Estimate(x core.Item) core.Estimate {
 // Counters returns the monitored (item, count) pairs in ascending count
 // order (ties by item). The slice is freshly allocated.
 func (s *Summary) Counters() []core.Counter {
-	out := make([]core.Counter, len(s.items))
-	for i, x := range s.items {
-		out[i] = core.Counter{Item: core.Item(x), Count: s.counts[i]}
-	}
+	out := s.appendCounters(make([]core.Counter, 0, len(s.items)))
 	core.SortCountersAsc(out, nil)
 	return out
+}
+
+// appendCounters appends the monitored (item, count) pairs to dst in
+// table order.
+func (s *Summary) appendCounters(dst []core.Counter) []core.Counter {
+	for i, x := range s.items {
+		dst = append(dst, core.Counter{Item: core.Item(x), Count: s.counts[i]})
+	}
+	return dst
 }
 
 // HeavyHitters returns every monitored item whose estimate interval

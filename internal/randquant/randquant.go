@@ -40,7 +40,6 @@ package randquant
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -263,64 +262,31 @@ func (s *Summary) thin(rs *runs, vs []float64, level int) {
 // Rank estimates the number of inserted values <= v: the weighted
 // count of stored samples <= v. The estimator is unbiased and within
 // εn w.h.p. for NewEpsilon summaries.
-func (s *Summary) Rank(v float64) uint64 {
-	var r uint64
-	for i, b := range s.lv.Blocks {
-		c := sort.Search(len(b.Keys), func(j int) bool { return b.Keys[j] > v })
-		r += uint64(c) << uint(i)
-	}
-	for _, x := range s.lv.Partial.Keys {
-		if x <= v {
-			r += 1 << uint(s.lv.Ell)
-		}
-	}
-	return r
-}
-
-// weighted is one stored sample with its level weight.
-type weighted struct {
-	v float64
-	w uint64
-}
-
-// samples returns all stored samples sorted by value.
-func (s *Summary) samples() []weighted {
-	out := make([]weighted, 0, s.Size())
-	for i, b := range s.lv.Blocks {
-		for _, v := range b.Keys {
-			out = append(out, weighted{v: v, w: 1 << uint(i)})
-		}
-	}
-	for _, v := range s.lv.Partial.Keys {
-		out = append(out, weighted{v: v, w: 1 << uint(s.lv.Ell)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].v < out[j].v })
-	return out
-}
+func (s *Summary) Rank(v float64) uint64 { return s.lv.Rank(v) }
 
 // Quantile returns a value whose rank is approximately phi*N: the
 // smallest stored sample whose cumulative stored weight reaches
-// phi*StoredWeight().
+// phi*StoredWeight() — the smallest stored v with Rank(v) at least that
+// — selected from the sorted levels (levels.Stack.Select), with the
+// partial sorted in lent scratch. phi <= 0 answers the smallest sample,
+// phi >= 1 or NaN the largest, an empty summary NaN.
 func (s *Summary) Quantile(phi float64) float64 {
-	all := s.samples()
-	if len(all) == 0 {
+	if s.Size() == 0 {
 		return math.NaN()
 	}
-	if phi <= 0 {
-		return all[0].v
+	need := uint64(math.MaxUint64) // no rank reaches past the total: the largest sample
+	switch {
+	case phi <= 0:
+		need = 0
+	case phi < 1:
+		// Ranks are whole, so reaching the target is reaching its
+		// ceiling; phi < 1 keeps that below 2^64.
+		need = uint64(math.Ceil(phi * float64(s.StoredWeight())))
 	}
-	if phi >= 1 {
-		return all[len(all)-1].v
-	}
-	target := phi * float64(s.StoredWeight())
-	var cum float64
-	for _, ws := range all {
-		cum += float64(ws.w)
-		if cum >= target {
-			return ws.v
-		}
-	}
-	return all[len(all)-1].v
+	rs := lender.Get()
+	v := s.lv.Select(rs, need, sortRun)
+	lender.Put(rs)
+	return v
 }
 
 // Clone returns a deep copy sharing nothing with s. The clone's RNG

@@ -12,7 +12,7 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -142,7 +142,7 @@ func (s *BottomK) Values() []float64 {
 	for i, t := range s.keep {
 		out[i] = t.v
 	}
-	sort.Float64s(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -161,20 +161,31 @@ func (s *BottomK) Rank(v float64) uint64 {
 	return uint64(float64(c) / float64(len(s.keep)) * float64(s.n))
 }
 
-// Quantile returns the sample's phi-quantile.
+// lender lends Quantile its copy of the sample, as order-preserving
+// words (core.FloatKey).
+var lender core.Pool[[]uint64]
+
+// Quantile returns the sample's phi-quantile: the value at index
+// ⌊phi·size⌋ of the sorted sample, phi clamped to [0, 1] first (1 and
+// above answer the largest value, 0 and below the smallest, and so
+// does NaN). The one order statistic is selected in a lent copy of the
+// sample; nothing is sorted or allocated.
 func (s *BottomK) Quantile(phi float64) float64 {
-	vals := s.Values()
-	if len(vals) == 0 {
+	if len(s.keep) == 0 {
 		return math.NaN()
 	}
-	i := int(phi * float64(len(vals)))
-	if i >= len(vals) {
-		i = len(vals) - 1
+	i := 0
+	if phi > 0 {
+		i = min(int(min(phi, 1)*float64(len(s.keep))), len(s.keep)-1)
 	}
-	if i < 0 {
-		i = 0
+	keys := lender.Get()
+	*keys = (*keys)[:0]
+	for _, t := range s.keep {
+		*keys = append(*keys, core.FloatKey(t.v))
 	}
-	return vals[i]
+	v := core.KeyFloat(core.SelectKth(*keys, i))
+	lender.Put(keys)
+	return v
 }
 
 // Clone returns a deep copy (with a re-derived RNG).

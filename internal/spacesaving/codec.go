@@ -7,11 +7,17 @@ import (
 
 // MarshalBinary encodes the summary in the library's framed wire
 // format. It implements encoding.BinaryMarshaler. The payload is
-// built in a pooled, pre-sized buffer.
+// built in a pooled, pre-sized buffer and the counter states are put
+// in frame order in lent scratch: steady-state encoding allocates only
+// the returned frame.
 func (s *Summary) MarshalBinary() ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
-	states := s.States()
+	v := views.Get()
+	defer views.Put(v)
+	v.keys = codec.Resize(v.keys, 2*s.live)
+	states := s.appendStates(v.states[:0], v.keys)
+	v.states = states
 	// Worst-case uvarint sizing: header (k, n, under, len) plus three
 	// uvarints per counter state.
 	w.Grow(4*10 + len(states)*3*10)
@@ -26,6 +32,16 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 	}
 	return codec.EncodeFrame(codec.KindSpaceSaving, w.Bytes()), nil
 }
+
+// view is an encode's lent scratch: the counter states in frame order
+// and their sort's keys.
+type view struct {
+	states []CounterState
+	keys   []uint64
+}
+
+// views lends MarshalBinary its view.
+var views core.Pool[view]
 
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements

@@ -52,7 +52,7 @@ func addStates(idx *core.Index, a, b []CounterState) []CounterState {
 func combineStates(idx *core.Index, a, b []CounterState) []CounterState {
 	idx.Reset(len(a) + len(b))
 	out := addStates(idx, addStates(idx, a[:0], a), b)
-	sortStates(out)
+	sortStates(out, nil)
 	return out
 }
 
@@ -62,8 +62,8 @@ func combineStates(idx *core.Index, a, b []CounterState) []CounterState {
 // decode), with n and under brought up to date. s's index is the
 // combine's scratch: the rebuild that follows every combine resets it.
 func (s *Summary) combineWith(other *Summary) []CounterState {
-	sa, mua := subtractMin(s.appendStates(s.stage[:0]), s.k)
-	sb, mub := subtractMin(other.appendStates(s.stage2[:0]), other.k)
+	sa, mua := subtractMin(s.appendStates(s.stage[:0], nil), s.k)
+	sb, mub := subtractMin(other.appendStates(s.stage2[:0], nil), other.k)
 	s.stage2 = sb[:0]
 	combined := combineStates(&s.index, sa, sb)
 	s.stage = combined[:0]
@@ -164,7 +164,7 @@ func (s *Summary) MergeLowError(other *Summary) error {
 		}
 	}
 	s.stage2 = out[:0]
-	sortStates(out)
+	sortStates(out, nil)
 	s.rebuild(out)
 	debugAssert(s)
 	return nil

@@ -396,30 +396,35 @@ type CounterState struct {
 
 // States returns all counter states in ascending (count, item) order.
 func (s *Summary) States() []CounterState {
-	return s.appendStates(make([]CounterState, 0, s.live))
+	return s.appendStates(make([]CounterState, 0, s.live), nil)
 }
 
 // appendStates appends all counter states to dst, which must be
-// empty, and sorts them ascending by (count, item).
-func (s *Summary) appendStates(dst []CounterState) []CounterState {
+// empty, and sorts them ascending by (count, item) with sortStates'
+// scratch.
+func (s *Summary) appendStates(dst []CounterState, scratch []uint64) []CounterState {
 	for e := 0; e < s.live; e++ {
 		dst = append(dst, CounterState{Item: core.Item(s.items[e]), Count: s.counts[e], Eps: s.eps[e]})
 	}
-	sortStates(dst)
+	sortStates(dst, scratch)
 	return dst
 }
 
 // sortStates sorts cs ascending by (count, item) as core.SortCountersAsc
-// sorts counters, in a buffer on the stack up to 128 states.
-func sortStates(cs []CounterState) {
+// sorts counters. scratch is the sort's working memory, 2·len(cs)
+// words; a shorter one (nil too) is replaced by a buffer on the stack
+// up to 128 states, or past that by a fresh one.
+func sortStates(cs []CounterState, scratch []uint64) {
 	n := len(cs)
-	var buf [256]uint64
-	scratch := slices.Grow(buf[:0], 2*n)[:2*n]
+	if len(scratch) < 2*n {
+		var buf [256]uint64
+		scratch = slices.Grow(buf[:0], 2*n)[:2*n]
+	}
 	keys := scratch[:n]
 	for i, c := range cs {
 		keys[i] = c.Count
 	}
-	core.CountOrder(keys, scratch[n:])
+	core.CountOrder(keys, scratch[n:2*n])
 	core.Permute(cs, keys)
 	for i := 1; i < n; i++ {
 		x := cs[i]
@@ -527,7 +532,7 @@ func (s *Summary) load(k int, n, under uint64, states []CounterState) error {
 			return fmt.Errorf("spacesaving: zero count for item %d", st.Item)
 		}
 	}
-	sortStates(states)
+	sortStates(states, nil)
 	s.k, s.n, s.under = k, n, under
 	if c := entryCap(k, len(states)); len(s.items) < c {
 		s.live = 0 // nothing to carry over

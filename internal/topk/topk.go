@@ -224,13 +224,21 @@ func (t *Tracker) Clone() *Tracker {
 	return c
 }
 
+// inners lends MarshalBinary the nested sketch frame's storage.
+var inners core.Pool[[]byte]
+
 // MarshalBinary implements encoding.BinaryMarshaler: the sketch frame
-// followed by the directory, wrapped in one outer frame.
+// followed by the directory, wrapped in one outer frame. The nested
+// frame is built in lent scratch, so steady-state encoding allocates
+// only the returned frame.
 func (t *Tracker) MarshalBinary() ([]byte, error) {
-	inner, err := t.sketch.MarshalBinary()
+	f := inners.Get()
+	defer inners.Put(f)
+	inner, err := t.sketch.AppendBinary((*f)[:0])
 	if err != nil {
 		return nil, err
 	}
+	*f = inner
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
 	// Inner frame bytes cost up to two uvarint bytes each; directory
