@@ -208,7 +208,7 @@ func (s *Summary) Rank(v float64) uint64 {
 		return 0
 	}
 	var rmin uint64
-	if v < s.tuples[0].v {
+	if !(v >= s.tuples[0].v) { // NaN too: no value is <= NaN
 		return 0
 	}
 	for i, t := range s.tuples {
@@ -237,7 +237,7 @@ func (s *Summary) RankBounds(v float64) (lo, hi uint64) {
 	if len(s.tuples) == 0 {
 		return 0, 0
 	}
-	if v < s.tuples[0].v {
+	if !(v >= s.tuples[0].v) { // NaN too: no value is <= NaN
 		return 0, 0
 	}
 	var rmin uint64
@@ -254,7 +254,8 @@ func (s *Summary) RankBounds(v float64) (lo, hi uint64) {
 	return s.n, s.n
 }
 
-// Quantile returns a value whose rank is within εn of phi*N.
+// Quantile returns a value whose rank is within εn of phi*N. phi <= 0
+// answers the smallest stored value, phi >= 1 or NaN the largest.
 func (s *Summary) Quantile(phi float64) float64 {
 	s.flush()
 	if len(s.tuples) == 0 {
@@ -263,7 +264,7 @@ func (s *Summary) Quantile(phi float64) float64 {
 	if phi <= 0 {
 		return s.tuples[0].v
 	}
-	if phi >= 1 {
+	if !(phi < 1) {
 		return s.tuples[len(s.tuples)-1].v
 	}
 	r := uint64(math.Ceil(phi * float64(s.n)))

@@ -16,18 +16,18 @@ import (
 func (s *Summary) MarshalBinary() ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
-	v := views.Get()
-	defer views.Put(v)
+	rs := lender.Get()
+	defer lender.Put(rs)
 	// Worst-case uvarint sizing: header (k, n, dec, len) plus two
 	// uvarints per counter.
 	w.Grow(4*10 + len(s.items)*2*10)
 	w.Int(s.k)
 	w.Uint64(s.n)
 	w.Uint64(s.dec)
-	cs := s.appendCounters(v.cs[:0])
-	v.keys = codec.Resize(v.keys, 2*len(cs))
-	core.SortCountersAsc(cs, v.keys)
-	v.cs = cs
+	cs := s.appendCounters(rs.cs[:0])
+	rs.keys = codec.Resize(rs.keys, 2*len(cs))
+	core.SortCountersAsc(cs, rs.keys)
+	rs.cs = cs
 	w.Int(len(cs))
 	for _, c := range cs {
 		w.Uint64(uint64(c.Item))
@@ -35,16 +35,6 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 	}
 	return codec.EncodeFrame(codec.KindMisraGries, w.Bytes()), nil
 }
-
-// view is an encode's lent scratch: the counters in frame order and
-// their sort's keys.
-type view struct {
-	cs   []core.Counter
-	keys []uint64
-}
-
-// views lends MarshalBinary its view.
-var views core.Pool[view]
 
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements

@@ -35,19 +35,18 @@ func (s *Summary) MergeLowError(other *Summary) error {
 	}
 	c := s.k
 	// Sum pointwise in s's own table, then read the combined counters
-	// out, ascending, into scratch the summary keeps: a merge in a loop
-	// allocates nothing.
+	// out, ascending, into borrowed runs: a merge in a loop allocates
+	// nothing.
 	s.ensure(len(s.items) + len(other.items))
 	for i, x := range other.items {
 		s.add(core.Item(x), other.counts[i])
 	}
-	combined := s.combined[:0]
-	for i, x := range s.items {
-		combined = append(combined, core.Counter{Item: core.Item(x), Count: s.counts[i]})
-	}
-	s.pruneBuf = slices.Grow(s.pruneBuf[:0], 2*len(combined))[:2*len(combined)]
-	core.SortCountersAsc(combined, s.pruneBuf)
-	s.combined = combined
+	rs := lender.Get()
+	defer lender.Put(rs)
+	combined := s.appendCounters(rs.cs[:0])
+	rs.keys = slices.Grow(rs.keys[:0], 2*len(combined))[:2*len(combined)]
+	core.SortCountersAsc(combined, rs.keys)
+	rs.cs = combined
 	s.n += other.n
 	s.dec += other.dec
 	if len(combined) <= c {

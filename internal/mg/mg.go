@@ -56,14 +56,18 @@ type Summary struct {
 	items  []uint64
 	counts []uint64
 	index  core.Index
-
-	// pruneBuf is scratch for prune's count selection and for
-	// MergeLowError's sort, reused so the hot ingestion path stays
-	// allocation-free.
-	pruneBuf []uint64
-	// combined is MergeLowError's scratch for the sorted pointwise sum.
-	combined []core.Counter
 }
+
+// runs is the scratch a call borrows from lender and hands back before
+// it returns: the summary keeps only its state. keys are prune's count
+// selection and a counter sort's keys; cs are MergeLowError's combined
+// counters and MarshalBinary's counters in frame order.
+type runs struct {
+	cs   []core.Counter
+	keys []uint64
+}
+
+var lender core.Pool[runs]
 
 // New returns an empty summary with capacity k >= 1 counters. The
 // counter storage is sized eagerly for the batch path's full deferred-
@@ -223,9 +227,10 @@ func (s *Summary) prune() {
 		return
 	}
 	// The (k+1)-th largest is the (m-k)-th smallest.
-	vals := append(s.pruneBuf[:0], s.counts...)
-	s.pruneBuf = vals
-	cut := core.SelectKth(vals, m-s.k-1)
+	rs := lender.Get()
+	rs.keys = append(rs.keys[:0], s.counts...)
+	cut := core.SelectKth(rs.keys, m-s.k-1)
+	lender.Put(rs)
 	s.index.Reset(cap(s.items))
 	w := 0
 	for i, c := range s.counts {

@@ -261,8 +261,14 @@ func (s *Summary) thin(rs *runs, vs []float64, level int) {
 
 // Rank estimates the number of inserted values <= v: the weighted
 // count of stored samples <= v. The estimator is unbiased and within
-// εn w.h.p. for NewEpsilon summaries.
-func (s *Summary) Rank(v float64) uint64 { return s.lv.Rank(v) }
+// εn w.h.p. for NewEpsilon summaries. Rank(NaN) is 0: no stored value
+// is <= NaN.
+func (s *Summary) Rank(v float64) uint64 {
+	if math.IsNaN(v) {
+		return 0
+	}
+	return s.lv.Rank(v)
+}
 
 // Quantile returns a value whose rank is approximately phi*N: the
 // smallest stored sample whose cumulative stored weight reaches

@@ -51,8 +51,12 @@ func refQuantile(s *Summary, phi float64) float64 {
 }
 
 // refRank is Rank as it shipped before it moved into levels.Stack: a
-// sort.Search per block and a scan of the partial.
+// sort.Search per block and a scan of the partial. A NaN has rank 0
+// (no stored value is <= NaN); the search counted every block key.
 func refRank(s *Summary, v float64) uint64 {
+	if math.IsNaN(v) {
+		return 0
+	}
 	var r uint64
 	for i, b := range s.lv.Blocks {
 		c := sort.Search(len(b.Keys), func(j int) bool { return b.Keys[j] > v })
@@ -144,7 +148,7 @@ func TestQuantileMatchesSort(t *testing.T) {
 
 // TestRankMatchesSearch holds Rank to the per-block search it moved
 // from, at every stored sample, between samples, at the infinities and
-// at NaN (which no block key is above, and no partial key at or below).
+// at NaN (rank 0).
 func TestRankMatchesSearch(t *testing.T) {
 	for name, s := range refCases(t) {
 		probes := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1)}

@@ -147,7 +147,7 @@ func (s *BottomK) Values() []float64 {
 }
 
 // Rank estimates the number of observed values <= v by scaling the
-// sample fraction to n.
+// sample fraction to n. Rank(NaN) is 0: no sampled value is <= NaN.
 func (s *BottomK) Rank(v float64) uint64 {
 	if len(s.keep) == 0 {
 		return 0
@@ -167,16 +167,16 @@ var lender core.Pool[[]uint64]
 
 // Quantile returns the sample's phi-quantile: the value at index
 // ⌊phi·size⌋ of the sorted sample, phi clamped to [0, 1] first (1 and
-// above answer the largest value, 0 and below the smallest, and so
-// does NaN). The one order statistic is selected in a lent copy of the
+// above answer the largest value, and so does NaN; 0 and below the
+// smallest). The one order statistic is selected in a lent copy of the
 // sample; nothing is sorted or allocated.
 func (s *BottomK) Quantile(phi float64) float64 {
 	if len(s.keep) == 0 {
 		return math.NaN()
 	}
-	i := 0
-	if phi > 0 {
-		i = min(int(min(phi, 1)*float64(len(s.keep))), len(s.keep)-1)
+	i := len(s.keep) - 1
+	if phi < 1 {
+		i = min(int(max(phi, 0)*float64(len(s.keep))), i)
 	}
 	keys := lender.Get()
 	*keys = (*keys)[:0]

@@ -9,7 +9,7 @@ import (
 )
 
 // refQuantile is BottomK.Quantile as it shipped before the lent
-// selection, with phi clamped to [0, 1] first (NaN to 0): the sample
+// selection, with phi clamped to [0, 1] first (NaN to 1): the sample
 // copied, sorted by sort.Float64s and indexed at ⌊phi·size⌋.
 func refQuantile(s *BottomK, phi float64) float64 {
 	vals := make([]float64, 0, len(s.keep))
@@ -20,14 +20,17 @@ func refQuantile(s *BottomK, phi float64) float64 {
 	if len(vals) == 0 {
 		return math.NaN()
 	}
+	if math.IsNaN(phi) {
+		phi = 1
+	}
 	if !(phi > 0) {
 		phi = 0
 	}
 	return vals[min(int(min(phi, 1)*float64(len(vals))), len(vals)-1)]
 }
 
-// TestQuantileOutOfRangeClamps: phi past 1 answers the largest sampled
-// value, as phi = 1 does, and phi below 0 (or NaN) the smallest. Before
+// TestQuantileOutOfRangeClamps: phi past 1 (or NaN) answers the largest
+// sampled value, as phi = 1 does, and phi below 0 the smallest. Before
 // the clamp, int(+Inf·size) was out of int's range and the index fell
 // to 0 on amd64: a k = 16 sample of 0…99 answered Quantile(+Inf) with
 // its smallest value.
@@ -38,12 +41,12 @@ func TestQuantileOutOfRangeClamps(t *testing.T) {
 	}
 	vals := s.Values()
 	lo, hi := vals[0], vals[len(vals)-1]
-	for _, phi := range []float64{1, 2, 1e300, math.Inf(1)} {
+	for _, phi := range []float64{1, 2, 1e300, math.Inf(1), math.NaN()} {
 		if got := s.Quantile(phi); got != hi {
 			t.Errorf("Quantile(%v) = %v, want the largest value %v", phi, got, hi)
 		}
 	}
-	for _, phi := range []float64{0, -1, -1e300, math.Inf(-1), math.NaN()} {
+	for _, phi := range []float64{0, -1, -1e300, math.Inf(-1)} {
 		if got := s.Quantile(phi); got != lo {
 			t.Errorf("Quantile(%v) = %v, want the smallest value %v", phi, got, lo)
 		}

@@ -13,11 +13,10 @@ import (
 func (s *Summary) MarshalBinary() ([]byte, error) {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
-	v := views.Get()
-	defer views.Put(v)
-	v.keys = codec.Resize(v.keys, 2*s.live)
-	states := s.appendStates(v.states[:0], v.keys)
-	v.states = states
+	rs := lender.Get()
+	defer lender.Put(rs)
+	states := s.appendStates(rs, rs.states[:0])
+	rs.states = states
 	// Worst-case uvarint sizing: header (k, n, under, len) plus three
 	// uvarints per counter state.
 	w.Grow(4*10 + len(states)*3*10)
@@ -33,24 +32,14 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindSpaceSaving, w.Bytes()), nil
 }
 
-// view is an encode's lent scratch: the counter states in frame order
-// and their sort's keys.
-type view struct {
-	states []CounterState
-	keys   []uint64
-}
-
-// views lends MarshalBinary its view.
-var views core.Pool[view]
-
 // UnmarshalBinary decodes a summary previously encoded with
 // MarshalBinary, replacing the receiver's contents. It implements
-// encoding.BinaryUnmarshaler. The counter states are staged in a
-// buffer the receiver keeps and the stream-summary structure is rebuilt
-// in the arrays it already has (see load), so a reused receiver — any
-// k, any contents; the zero value too — allocates nothing. A rejected
-// frame leaves the receiver untouched, or empty when the rejection is
-// a repeated item.
+// encoding.BinaryUnmarshaler. The counter states are staged in
+// borrowed runs and the stream-summary structure is rebuilt in the
+// arrays the receiver already has (see load), so a reused receiver —
+// any k, any contents; the zero value too — allocates nothing. A
+// rejected frame leaves the receiver untouched, or empty when the
+// rejection is a repeated item.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindSpaceSaving, data)
 	if err != nil {
@@ -61,7 +50,9 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	n := r.Uint64()
 	under := r.Uint64()
 	m := r.ArrayLen(3)
-	states := codec.Resize(s.stage, m)[:0]
+	rs := lender.Get()
+	defer lender.Put(rs)
+	states := codec.Resize(rs.states, m)[:0]
 	for i := 0; i < m; i++ {
 		states = append(states, CounterState{
 			Item:  core.Item(r.Uint64()),
@@ -69,9 +60,9 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 			Eps:   r.Uint64(),
 		})
 	}
-	s.stage = states[:0]
+	rs.states = states
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	return s.load(k, n, under, states)
+	return s.load(rs, k, n, under, states)
 }

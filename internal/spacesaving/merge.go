@@ -46,27 +46,26 @@ func addStates(idx *core.Index, a, b []CounterState) []CounterState {
 }
 
 // combineStates sums two state lists pointwise and returns the result,
-// sorted ascending, in a's storage, with idx (scratch) indexing it.
-// The sort orders states totally, so which list an item came from, and
-// where, leaves no trace.
-func combineStates(idx *core.Index, a, b []CounterState) []CounterState {
+// sorted ascending in rs, in a's storage, with idx (scratch) indexing
+// it. The sort orders states totally, so which list an item came from,
+// and where, leaves no trace.
+func combineStates(rs *runs, idx *core.Index, a, b []CounterState) []CounterState {
 	idx.Reset(len(a) + len(b))
 	out := addStates(idx, addStates(idx, a[:0], a), b)
-	sortStates(out, nil)
+	rs.sort(out)
 	return out
 }
 
 // combineWith is the shared front half of both merges: both operands'
 // states after the minima-subtraction pre-step, summed pointwise and
-// sorted ascending, in s's own scratch (valid until the next merge or
-// decode), with n and under brought up to date. s's index is the
+// sorted ascending, in rs.states (other's states are left in rs.spare,
+// spent), with n and under brought up to date. s's index is the
 // combine's scratch: the rebuild that follows every combine resets it.
-func (s *Summary) combineWith(other *Summary) []CounterState {
-	sa, mua := subtractMin(s.appendStates(s.stage[:0], nil), s.k)
-	sb, mub := subtractMin(other.appendStates(s.stage2[:0], nil), other.k)
-	s.stage2 = sb[:0]
-	combined := combineStates(&s.index, sa, sb)
-	s.stage = combined[:0]
+func (s *Summary) combineWith(rs *runs, other *Summary) []CounterState {
+	sa, mua := subtractMin(s.appendStates(rs, rs.states[:0]), s.k)
+	sb, mub := subtractMin(other.appendStates(rs, rs.spare[:0]), other.k)
+	combined := combineStates(rs, &s.index, sa, sb)
+	rs.states, rs.spare = combined, sb
 	s.n += other.n
 	s.under += other.under + mua + mub
 	return combined
@@ -89,7 +88,9 @@ func (s *Summary) Merge(other *Summary) error {
 	if s.k != other.k {
 		return core.ErrMismatchedK
 	}
-	combined := s.combineWith(other)
+	rs := lender.Get()
+	defer lender.Put(rs)
+	combined := s.combineWith(rs, other)
 
 	c := s.k - 1 // MG capacity after the isomorphism
 	if len(combined) > c && c > 0 {
@@ -134,7 +135,9 @@ func (s *Summary) MergeLowError(other *Summary) error {
 		return core.ErrMismatchedK
 	}
 	k := s.k
-	combined := s.combineWith(other)
+	rs := lender.Get()
+	defer lender.Put(rs)
+	combined := s.combineWith(rs, other)
 
 	if len(combined) < k {
 		s.rebuild(combined)
@@ -151,7 +154,7 @@ func (s *Summary) MergeLowError(other *Summary) error {
 		return combined[i-1-pad]
 	}
 
-	out := s.stage2[:0] // other's states are spent
+	out := rs.spare[:0] // other's states are spent
 	for j := 1; j <= k; j++ {
 		st := cntAt(k - 2 + j)
 		if j >= 3 {
@@ -163,8 +166,8 @@ func (s *Summary) MergeLowError(other *Summary) error {
 			out = append(out, st)
 		}
 	}
-	s.stage2 = out[:0]
-	sortStates(out, nil)
+	rs.spare = out
+	rs.sort(out)
 	s.rebuild(out)
 	debugAssert(s)
 	return nil
@@ -175,10 +178,12 @@ func (s *Summary) MergeLowError(other *Summary) error {
 // the multiset S both merge algorithms build, and the reference the
 // total-error metric is measured against (§5 of the supplied text).
 func CombinedCounters(a, b *Summary) []core.Counter {
-	sa, _ := subtractMin(a.States(), a.k)
-	sb, _ := subtractMin(b.States(), b.k)
+	rs := lender.Get()
+	defer lender.Put(rs)
+	sa, _ := subtractMin(a.appendStates(rs, nil), a.k)
+	sb, _ := subtractMin(b.appendStates(rs, nil), b.k)
 	var idx core.Index
-	combined := combineStates(&idx, sa, sb)
+	combined := combineStates(rs, &idx, sa, sb)
 	out := make([]core.Counter, len(combined))
 	for i, st := range combined {
 		out[i] = core.Counter{Item: st.Item, Count: st.Count}

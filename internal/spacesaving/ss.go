@@ -71,12 +71,18 @@ type Summary struct {
 
 	// index maps each monitored item to its entry slot.
 	index core.Index
-
-	// stage and stage2 are state-list scratch: UnmarshalBinary stages a
-	// frame's counters in stage until they are validated; a merge lists
-	// its two operands in them and builds its result in their storage.
-	stage, stage2 []CounterState
 }
+
+// runs is the scratch a call borrows from lender and hands back once
+// rebuild has copied out what it built: the summary keeps only its
+// state. states and spare are state lists (a decoded frame, a merge's
+// operands and result, an encode's frame order); keys sort them.
+type runs struct {
+	states, spare []CounterState
+	keys          []uint64
+}
+
+var lender core.Pool[runs]
 
 // New returns an empty summary with capacity k >= 1 counters. The
 // entry arrays are allocated eagerly up to a cap and grow on demand,
@@ -396,35 +402,32 @@ type CounterState struct {
 
 // States returns all counter states in ascending (count, item) order.
 func (s *Summary) States() []CounterState {
-	return s.appendStates(make([]CounterState, 0, s.live), nil)
+	rs := lender.Get()
+	defer lender.Put(rs)
+	return s.appendStates(rs, make([]CounterState, 0, s.live))
 }
 
 // appendStates appends all counter states to dst, which must be
-// empty, and sorts them ascending by (count, item) with sortStates'
-// scratch.
-func (s *Summary) appendStates(dst []CounterState, scratch []uint64) []CounterState {
+// empty, and sorts them ascending by (count, item) in rs.
+func (s *Summary) appendStates(rs *runs, dst []CounterState) []CounterState {
 	for e := 0; e < s.live; e++ {
 		dst = append(dst, CounterState{Item: core.Item(s.items[e]), Count: s.counts[e], Eps: s.eps[e]})
 	}
-	sortStates(dst, scratch)
+	rs.sort(dst)
 	return dst
 }
 
-// sortStates sorts cs ascending by (count, item) as core.SortCountersAsc
-// sorts counters. scratch is the sort's working memory, 2·len(cs)
-// words; a shorter one (nil too) is replaced by a buffer on the stack
-// up to 128 states, or past that by a fresh one.
-func sortStates(cs []CounterState, scratch []uint64) {
+// sort sorts cs ascending by (count, item) as core.SortCountersAsc
+// sorts counters, with 2·len(cs) words of rs.keys as its working
+// memory.
+func (rs *runs) sort(cs []CounterState) {
 	n := len(cs)
-	if len(scratch) < 2*n {
-		var buf [256]uint64
-		scratch = slices.Grow(buf[:0], 2*n)[:2*n]
-	}
-	keys := scratch[:n]
+	rs.keys = slices.Grow(rs.keys[:0], 2*n)[:2*n]
+	keys := rs.keys[:n]
 	for i, c := range cs {
 		keys[i] = c.Count
 	}
-	core.CountOrder(keys, scratch[n:2*n])
+	core.CountOrder(keys, rs.keys[n:2*n])
 	core.Permute(cs, keys)
 	for i := 1; i < n; i++ {
 		x := cs[i]
@@ -506,8 +509,10 @@ func (s *Summary) rebuild(states []CounterState) {
 // by tests replaying the paper's worked examples. The structure is
 // sized for the given states (not k).
 func FromStates(k int, n, under uint64, states []CounterState) (*Summary, error) {
+	rs := lender.Get()
+	defer lender.Put(rs)
 	s := &Summary{}
-	if err := s.load(k, n, under, slices.Clone(states)); err != nil {
+	if err := s.load(rs, k, n, under, slices.Clone(states)); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -515,12 +520,12 @@ func FromStates(k int, n, under uint64, states []CounterState) (*Summary, error)
 
 // load replaces s — in any state, the zero value included — with the
 // summary of the given header and counter states, which it sorts in
-// place. The entry arrays are kept when they have room and otherwise
-// sized for the states (not k), so decoding a frame allocates in
-// proportion to its payload. It fails on k < 1, more than k states, a
+// place in rs. The entry arrays are kept when they have room and
+// otherwise sized for the states (not k), so decoding a frame allocates
+// in proportion to its payload. It fails on k < 1, more than k states, a
 // zero count or a repeated item; s is untouched unless the failure is
 // a repeated item, which leaves it empty.
-func (s *Summary) load(k int, n, under uint64, states []CounterState) error {
+func (s *Summary) load(rs *runs, k int, n, under uint64, states []CounterState) error {
 	if k < 1 {
 		return fmt.Errorf("spacesaving: k must be >= 1, have %d", k)
 	}
@@ -532,7 +537,7 @@ func (s *Summary) load(k int, n, under uint64, states []CounterState) error {
 			return fmt.Errorf("spacesaving: zero count for item %d", st.Item)
 		}
 	}
-	sortStates(states, nil)
+	rs.sort(states)
 	s.k, s.n, s.under = k, n, under
 	if c := entryCap(k, len(states)); len(s.items) < c {
 		s.live = 0 // nothing to carry over

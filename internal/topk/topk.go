@@ -33,13 +33,17 @@ type Tracker struct {
 	// their candidates in the order they always did.
 	items []core.Item
 	ests  []uint64
+}
 
-	// Retained scratch, so that decoding in a loop stops allocating: the
-	// nested sketch frame as UnmarshalBinary copied it out, and the
-	// candidate items staged for a rebuild.
+// runs is the scratch a call borrows from lender and hands back before
+// it returns: the tracker keeps only its state. inner is the nested
+// sketch frame a codec call builds or reads; cands a decode's candidates.
+type runs struct {
 	inner []byte
 	cands []uint64
 }
+
+var lender core.Pool[runs]
 
 // New returns a tracker keeping the top k items over a Count-Min
 // sketch with the given geometry. Trackers merge iff k and the sketch
@@ -224,21 +228,18 @@ func (t *Tracker) Clone() *Tracker {
 	return c
 }
 
-// inners lends MarshalBinary the nested sketch frame's storage.
-var inners core.Pool[[]byte]
-
 // MarshalBinary implements encoding.BinaryMarshaler: the sketch frame
 // followed by the directory, wrapped in one outer frame. The nested
-// frame is built in lent scratch, so steady-state encoding allocates
+// frame is built in borrowed runs, so steady-state encoding allocates
 // only the returned frame.
 func (t *Tracker) MarshalBinary() ([]byte, error) {
-	f := inners.Get()
-	defer inners.Put(f)
-	inner, err := t.sketch.AppendBinary((*f)[:0])
+	rs := lender.Get()
+	defer lender.Put(rs)
+	inner, err := t.sketch.AppendBinary(rs.inner[:0])
 	if err != nil {
 		return nil, err
 	}
-	*f = inner
+	rs.inner = inner
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
 	// Inner frame bytes cost up to two uvarint bytes each; directory
@@ -254,13 +255,13 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The nested
-// sketch frame is copied out into a buffer the receiver keeps — one
-// small-uvarint run: every element must be a byte, a larger value is
-// an error, not its low eight bits — and decoded into the receiver's
-// own sketch; the candidates are staged in retained scratch and the
-// directory rebuilt in its own arrays, a repeated candidate once. A
-// reused receiver (any k, any sketch geometry, any contents; the zero
-// value too) allocates nothing. A frame rejected before the nested sketch is decoded leaves
+// sketch frame is copied out into borrowed runs — one small-uvarint
+// run: every element must be a byte, a larger value is an error, not
+// its low eight bits — and decoded into the receiver's own sketch; the
+// candidates are staged in the runs too and the directory rebuilt in
+// its own arrays, a repeated candidate once. A reused receiver (any k,
+// any sketch geometry, any contents; the zero value too) allocates
+// nothing. A frame rejected before the nested sketch is decoded leaves
 // the receiver untouched; one whose nested frame is rejected leaves it
 // empty.
 func (t *Tracker) UnmarshalBinary(data []byte) error {
@@ -277,14 +278,16 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	if k < 1 {
 		return fmt.Errorf("topk: implausible frame header (k=%d)", k)
 	}
-	t.inner = codec.Resize(t.inner, il)
-	r.Uint8s(t.inner, 255)
+	rs := lender.Get()
+	defer lender.Put(rs)
+	rs.inner = codec.Resize(rs.inner, il)
+	r.Uint8s(rs.inner, 255)
 	m := r.ArrayLen(1)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	t.cands = codec.Resize(t.cands, m)
-	r.Uint64s(t.cands)
+	rs.cands = codec.Resize(rs.cands, m)
+	r.Uint64s(rs.cands)
 	if err := r.Finish(); err != nil {
 		return err
 	}
@@ -294,14 +297,14 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	if t.sketch == nil {
 		t.sketch = new(countmin.Sketch)
 	}
-	if err := t.sketch.UnmarshalBinary(t.inner); err != nil {
+	if err := t.sketch.UnmarshalBinary(rs.inner); err != nil {
 		t.sketch.Reset()
 		t.items, t.ests = t.items[:0], t.ests[:0]
 		return err
 	}
 	t.k = k
 	c := core.GetCollapse()
-	for _, x := range t.cands {
+	for _, x := range rs.cands {
 		c.Add(core.Item(x), 1)
 	}
 	t.rebuild(c)

@@ -9,9 +9,10 @@ import (
 	"repro/internal/gen"
 )
 
-// TestKeepsOnlyItsStateInterleaved: the four families that sort borrow
-// their sort, merge and compress runs for each call and give them back
-// before it returns. Two summaries of a family — at two parameter
+// TestKeepsOnlyItsStateInterleaved: the families that lend — the four
+// that sort, and the three frequent-item families — borrow their sort,
+// merge, compress, prune and codec runs for each call and give them
+// back before it returns. Two summaries of a family — at two parameter
 // sets, so block and run sizes differ — built call by call in turn, so
 // that every call takes the runs the other summary's call just gave
 // back, must encode to exactly the bytes of the same two built one
@@ -31,6 +32,7 @@ func TestKeepsOnlyItsStateInterleaved(t *testing.T) {
 		}
 		return us
 	}
+	items := func(seed uint64) []mergesum.Item { return gen.NewZipf(1<<12, 1.1, seed).Stream(5000) }
 	for _, f := range []struct {
 		name  string
 		mk    func(variant int) summary
@@ -66,6 +68,27 @@ func TestKeepsOnlyItsStateInterleaved(t *testing.T) {
 			func(v int) summary { return mergesum.NewGK([]float64{0.02, 0.05}[v]) },
 			func(s summary, seed uint64) { s.(*mergesum.GK).UpdateBatch(gen.LogNormalValues(5000, 0, 1, seed)) },
 			func(d, s summary) error { return d.(*mergesum.GK).Merge(s.(*mergesum.GK)) }},
+		{"mg",
+			func(v int) summary { return mergesum.NewMisraGries([]int{64, 300}[v]) },
+			func(s summary, seed uint64) {
+				m := s.(*mergesum.MisraGries)
+				for _, x := range items(seed) {
+					m.Update(x, 1) // a prune on every miss once full
+				}
+			},
+			func(d, s summary) error {
+				return d.(*mergesum.MisraGries).MergeLowError(s.(*mergesum.MisraGries))
+			}},
+		{"spacesaving",
+			func(v int) summary { return mergesum.NewSpaceSaving([]int{64, 300}[v]) },
+			func(s summary, seed uint64) { s.(*mergesum.SpaceSaving).UpdateBatch(items(seed)) },
+			func(d, s summary) error {
+				return d.(*mergesum.SpaceSaving).MergeLowError(s.(*mergesum.SpaceSaving))
+			}},
+		{"topk",
+			func(v int) summary { return mergesum.NewTopK([]int{16, 64}[v], []int{512, 2048}[v], 4, 11) },
+			func(s summary, seed uint64) { s.(*mergesum.TopK).UpdateBatch(items(seed)) },
+			func(d, s summary) error { return d.(*mergesum.TopK).Merge(s.(*mergesum.TopK)) }},
 	} {
 		t.Run(f.name, func(t *testing.T) {
 			// The calls one summary of variant v goes through: a batch,

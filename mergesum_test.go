@@ -1,6 +1,7 @@
 package mergesum_test
 
 import (
+	"math"
 	"testing"
 
 	mergesum "repro"
@@ -86,6 +87,46 @@ func TestFacadeQuantileWorkflow(t *testing.T) {
 		if r < n/2-n/10 || r > n/2+n/10 {
 			t.Errorf("%s median rank %d too far from %d", name, r, n/2)
 		}
+	}
+}
+
+// TestNaNQueries: the quantile families answer a NaN query by one rule
+// (DESIGN.md, "A NaN query"): Rank(NaN) is 0 and GK's RankBounds(NaN)
+// is [0, 0], because no stored value is <= NaN, and Quantile(NaN)
+// answers as phi = 1. Each family is fed the values 0…99.
+func TestNaNQueries(t *testing.T) {
+	nan := math.NaN()
+	q := mergesum.NewQuantile(0.05, 1)
+	g := mergesum.NewGK(0.05)
+	bk := mergesum.NewBottomK(16, 1)
+	d := mergesum.NewQDigest(8, 0.05)
+	for v := range 100 {
+		q.Update(float64(v))
+		g.Update(float64(v))
+		bk.Update(float64(v))
+		d.Update(uint64(v), 1)
+	}
+	for _, f := range []struct {
+		name     string
+		rank     func(float64) uint64 // nil: q-digest ranks integers
+		quantile func(float64) float64
+	}{
+		{"quantile", q.Rank, q.Quantile},
+		{"gk", g.Rank, g.Quantile},
+		{"bottomk", bk.Rank, bk.Quantile},
+		{"qdigest", nil, func(phi float64) float64 { return float64(d.Quantile(phi)) }},
+	} {
+		if f.rank != nil {
+			if r := f.rank(nan); r != 0 {
+				t.Errorf("%s: Rank(NaN) = %d, want 0", f.name, r)
+			}
+		}
+		if got, want := f.quantile(nan), f.quantile(1); got != want {
+			t.Errorf("%s: Quantile(NaN) = %v, want Quantile(1) = %v", f.name, got, want)
+		}
+	}
+	if lo, hi := g.RankBounds(nan); lo != 0 || hi != 0 {
+		t.Errorf("gk: RankBounds(NaN) = [%d, %d], want [0, 0]", lo, hi)
 	}
 }
 
