@@ -17,7 +17,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-harness fuzz wire-golden loc clean
+.PHONY: check lint staticcheck govulncheck vet build test race sanitize bench-smoke bench-server bench-harness fuzz wire-golden examples loc clean
 
 check: vet build lint staticcheck govulncheck race sanitize bench-smoke bench-server bench-harness
 
@@ -103,6 +103,13 @@ bench-server:
 # tests: run the harness's unit tests and its -quick smoke run here.
 bench-harness:
 	cd benchmark && $(GO) test ./...
+
+# Run the seven examples/ programs. Each checks the guarantees it
+# prints (an error against its summary's bound, a missed heavy hitter,
+# an interval that misses the exact count) and exits non-zero when one
+# breaks, so a clean pass is an end-to-end check of the public API.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
 # Minimizing a newly interesting input can hold a worker for its whole
 # default minute with no executions; a second is plenty for these

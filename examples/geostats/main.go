@@ -4,7 +4,9 @@
 // "how many events in this rectangle?" dashboards and (b) a
 // directional-width kernel for "how spread out is the fleet?"
 // monitoring. Headquarters merges both kinds and answers queries that
-// are checked against the exact point set.
+// are checked against the exact point set: a count error beyond εn or
+// a width error beyond ε of the exact width is a broken guarantee, and
+// the program panics.
 package main
 
 import (
@@ -19,6 +21,8 @@ import (
 const (
 	regions   = 10
 	perRegion = 20000
+	rangeEps  = 0.02
+	kernelEps = 0.05
 )
 
 func main() {
@@ -35,8 +39,8 @@ func main() {
 			pts[i].X = math.Min(1, math.Max(0, pts[i].X))
 			pts[i].Y = math.Min(1, math.Max(0, pts[i].Y))
 		}
-		rangeSums[r] = mergesum.NewRangeCounter(0.02, box, uint64(r)+50)
-		kernels[r] = mergesum.NewKernel(0.05)
+		rangeSums[r] = mergesum.NewRangeCounter(rangeEps, box, uint64(r)+50)
+		kernels[r] = mergesum.NewKernel(kernelEps)
 		for _, p := range pts {
 			rangeSums[r].Update(p)
 			kernels[r].Update(p)
@@ -57,6 +61,7 @@ func main() {
 	fmt.Printf("regions=%d events=%d  range summary: %d points (%.3g%% of data)\n\n",
 		regions, n, rc.Size(), 100*float64(rc.Size())/float64(n))
 
+	broken := false
 	fmt.Printf("%-34s %-10s %-10s %-8s\n", "rectangle", "estimate", "exact", "err/n")
 	for _, q := range []mergesum.Rect{
 		{X0: 0, Y0: 0, X1: 0.5, Y1: 0.5},
@@ -66,15 +71,21 @@ func main() {
 	} {
 		got := rc.RangeCount(q)
 		want := exact.RangeCount(all, q)
-		diff := float64(got) - float64(want)
+		e := math.Abs(float64(got)-float64(want)) / float64(n)
+		broken = broken || e > rangeEps
 		fmt.Printf("[%.2f,%.2f]x[%.2f,%.2f]%12d %10d %8.4f%%\n",
-			q.X0, q.X1, q.Y0, q.Y1, got, want, 100*math.Abs(diff)/float64(n))
+			q.X0, q.X1, q.Y0, q.Y1, got, want, 100*e)
 	}
 
 	fmt.Printf("\nfleet extent (kernel of %d extreme points):\n", len(kn.Points()))
 	fmt.Printf("%-10s %-10s %-10s\n", "direction", "kernel", "exact")
 	for _, deg := range []float64{0, 30, 60, 90, 120, 150} {
 		theta := deg * math.Pi / 180
-		fmt.Printf("%6.0f°    %-10.4f %-10.4f\n", deg, kn.Width(theta), exact.DirectionalWidth(all, theta))
+		got, want := kn.Width(theta), exact.DirectionalWidth(all, theta)
+		broken = broken || math.Abs(got-want) > kernelEps*want
+		fmt.Printf("%6.0f°    %-10.4f %-10.4f\n", deg, got, want)
+	}
+	if broken {
+		panic(fmt.Sprintf("geostats: an error exceeds its summary's bound (range count %g·n, width %g)", rangeEps, kernelEps))
 	}
 }

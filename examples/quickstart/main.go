@@ -1,9 +1,11 @@
 // Quickstart: build two Misra–Gries summaries on two halves of a
 // stream, merge them, and query — the 30-second tour of the library.
+// An answer outside its guarantee panics.
 package main
 
 import (
 	"fmt"
+	"math"
 
 	mergesum "repro"
 )
@@ -38,6 +40,9 @@ func main() {
 
 	est := left.Estimate(7)
 	fmt.Printf("item 7:        estimate %s (true count 3334)\n", est)
+	if est.Lower > 3334 || est.Upper < 3334 {
+		panic("quickstart: the estimate interval misses the true count")
+	}
 
 	threshold := mergesum.HeavyThreshold(left.N(), 10)
 	fmt.Printf("heavy hitters above %d:\n", threshold)
@@ -53,5 +58,11 @@ func main() {
 		vals[i] = float64(i)
 	}
 	q.UpdateBatch(vals)
-	fmt.Printf("median of 0..99999 ~ %.0f, p99 ~ %.0f\n", q.Quantile(0.5), q.Quantile(0.99))
+	med, p99 := q.Quantile(0.5), q.Quantile(0.99)
+	fmt.Printf("median of 0..99999 ~ %.0f, p99 ~ %.0f\n", med, p99)
+	// Value v has rank v+1 here, so a rank error of 1% of n is a value
+	// off by at most 1,000.
+	if math.Abs(med-49999) > 1000 || math.Abs(p99-98999) > 1000 {
+		panic("quickstart: a quantile's rank error exceeds 1% of n")
+	}
 }

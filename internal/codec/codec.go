@@ -309,27 +309,54 @@ func (r *Reader) fail(err error) {
 
 // Uint64 reads a uvarint. On error it returns 0 and records the error.
 // A one-byte value — most counters, every length — is decoded before
-// anything else is looked at.
+// anything else is looked at, and a two-byte one (a second byte of
+// 1–127: 0 would be padding) inline after it, as the runs do.
 func (r *Reader) Uint64() uint64 {
 	b := r.b[r.off:] // empty once an error stands
 	if len(b) > 0 && b[0] < 0x80 {
 		r.off++
 		return uint64(b[0])
 	}
+	if len(b) > 1 && b[1]-1 < 0x7f {
+		r.off += 2
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7
+	}
 	var v uint64
 	var n int
 	if longUvarint(b) {
 		v, n = uvarintWord(b)
-	} else {
-		v, n = binary.Uvarint(b)
+	} else if v, n = binary.Uvarint(b); padded(v, n) {
+		n = -n
 	}
 	if n <= 0 {
-		r.fail(ErrTruncated)
+		r.fail(uvarintErr(n))
 		return 0
 	}
 	r.off += n
 	return v
 }
+
+// errUvarint is a uvarint that is all there but is not one Buffer
+// writes: padded, or over 64 bits.
+var errUvarint = errors.New("codec: uvarint padded or over 64 bits")
+
+// uvarintErr is the fault of a uvarint read that returned n <= 0, as
+// binary.Uvarint reports it: 0 when the bytes ran out, negative when
+// they are all there but malformed.
+func uvarintErr(n int) error {
+	if n == 0 {
+		return ErrTruncated
+	}
+	return errUvarint
+}
+
+// padded reports whether v, read as a uvarint of n bytes, is padded: its
+// last byte is 0, so v has no bits beyond the first n−1 bytes' 7(n−1)
+// and a shorter encoding exists, which is the only one Buffer writes.
+// Every read path refuses one, so a value has one encoding on the wire
+// and a state one frame. It tests the value, not the byte, so the check
+// costs a shift on values already in registers.
+func padded(v uint64, n int) bool { return n > 1 && v>>(7*uint(n-1)) == 0 }
 
 // longUvarint reports whether b opens with a uvarint of seven bytes or
 // more — a hash, a random tag, a negative counter sent as its raw bits
@@ -373,16 +400,23 @@ func (r *Reader) ArrayLen(minBytesPerItem int) int {
 	return n
 }
 
-// Bool reads a single byte as a bool.
+// Bool reads a single 0/1 byte as a bool. Any other byte is refused:
+// Buffer.Bool writes no other, so a flag has one encoding.
 func (r *Reader) Bool() bool {
 	if r.off >= len(r.b) {
 		r.fail(ErrTruncated)
 		return false
 	}
 	v := r.b[r.off]
+	if v > 1 {
+		r.fail(errBool)
+		return false
+	}
 	r.off++
-	return v != 0
+	return v == 1
 }
+
+var errBool = errors.New("codec: bool byte other than 0 or 1")
 
 // Float64 reads 8 little-endian bytes as a float64.
 func (r *Reader) Float64() float64 {
@@ -409,12 +443,14 @@ func Resize[T any](s []T, n int) []T {
 }
 
 // uvarintRun decodes len(dst) uvarints from the front of b into dst
-// and returns the bytes they took, or -1 when b is short or malformed,
-// with the sum of the values and whether that sum wrapped 64 bits: a
-// decoder that holds a run to a mass law gets it from the one walk.
+// and returns the bytes they took, or -1 when b is short and -2 when
+// it holds a malformed uvarint, with the sum of the values and whether
+// that sum wrapped 64 bits: a decoder that holds a run to a mass law
+// gets it from the one walk.
 // The one- and two-byte encodings are decoded inline and summed apart,
 // without a carry check: each is below 2^14, so no run a frame can
-// hold wraps their sum. A failed run leaves dst partly written.
+// hold wraps their sum. A padded encoding fails the run, as it fails
+// Uint64; a failed run leaves dst partly written.
 func uvarintRun[T uint64 | int64](b []byte, dst []T) (int, uint64, bool) {
 	i := 0
 	var small, sum, carry, wrap uint64
@@ -428,7 +464,7 @@ func uvarintRun[T uint64 | int64](b []byte, dst []T) (int, uint64, bool) {
 			i++
 			continue
 		}
-		if i+1 < len(b) && b[i+1] < 0x80 {
+		if i+1 < len(b) && b[i+1]-1 < 0x7f { // a second byte of 1–127: 0 is padding
 			v := uint64(b[i]&0x7f) | uint64(b[i+1])<<7
 			dst[j] = T(v)
 			small += v
@@ -439,10 +475,13 @@ func uvarintRun[T uint64 | int64](b []byte, dst []T) (int, uint64, bool) {
 		var n int
 		if longUvarint(b[i:]) {
 			v, n = uvarintWord(b[i:])
-		} else {
-			v, n = binary.Uvarint(b[i:])
+		} else if v, n = binary.Uvarint(b[i:]); padded(v, n) {
+			n = -n
 		}
-		if n <= 0 {
+		if n < 0 {
+			return -2, 0, false
+		}
+		if n == 0 {
 			return -1, 0, false
 		}
 		dst[j] = T(v)
@@ -459,8 +498,8 @@ func uvarintRun[T uint64 | int64](b []byte, dst []T) (int, uint64, bool) {
 // its continuation bit clear gives the length, and the 7-bit groups
 // are squeezed together in three shift-and-mask steps. A negative
 // counter sent as its raw bits (ten bytes, countsketch's every other
-// cell) costs the same as a two-byte one. Returns n <= 0 on overflow,
-// as binary.Uvarint does.
+// cell) costs the same as a two-byte one. Returns n < 0 on overflow,
+// as binary.Uvarint does, and on a padded encoding.
 func uvarintWord(b []byte) (v uint64, n int) {
 	w := binary.LittleEndian.Uint64(b)
 	n = 8
@@ -473,21 +512,32 @@ func uvarintWord(b []byte) (v uint64, n int) {
 	w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
 	w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
 	if n < 8 || b[7] < 0x80 {
+		if padded(w, n) {
+			return 0, -n
+		}
 		return w, n
 	}
 	if b[8] < 0x80 {
+		if b[8] == 0 {
+			return 0, -9 // padded
+		}
 		return w | uint64(b[8])<<56, 9
 	}
-	if b[9] > 1 {
-		return 0, -10 // overflows 64 bits
+	if b[9] != 1 {
+		return 0, -10 // padded, or overflows 64 bits
 	}
-	return w | uint64(b[8]&0x7f)<<56 | uint64(b[9])<<63, 10
+	return w | uint64(b[8]&0x7f)<<56 | 1<<63, 10
 }
 
-// ran consumes the n bytes a run read, or records its failure (n < 0).
+// ran consumes the n bytes a run read, or records its failure (n < 0):
+// -1 is a short payload, -2 a malformed uvarint.
 func (r *Reader) ran(n int) {
-	if n < 0 {
+	if n == -1 {
 		r.fail(ErrTruncated)
+		return
+	}
+	if n < 0 {
+		r.fail(errUvarint)
 		return
 	}
 	r.off += n
@@ -681,8 +731,11 @@ func DecodeFrame(kind Kind, data []byte) ([]byte, error) {
 	}
 	off := len(magic) + 2
 	plen, n := binary.Uvarint(data[off:])
+	if padded(plen, n) {
+		n = -n
+	}
 	if n <= 0 {
-		return nil, ErrTruncated
+		return nil, uvarintErr(n)
 	}
 	off += n
 	if plen > uint64(len(data)-off) {

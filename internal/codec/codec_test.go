@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"slices"
@@ -305,7 +306,8 @@ func TestReaderBorrow(t *testing.T) {
 
 // TestUvarintWordMatchesUvarint: the word-at-a-time decoder is
 // binary.Uvarint on every input of ten bytes or more — value, length,
-// and the overflow verdict — over random bytes biased towards long
+// and the overflow verdict — except that it refuses a padded encoding
+// (a last byte of 0), over random bytes biased towards long
 // continuation runs.
 func TestUvarintWordMatchesUvarint(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -321,7 +323,7 @@ func TestUvarintWordMatchesUvarint(t *testing.T) {
 		}
 		wantV, wantN := binary.Uvarint(buf)
 		gotV, gotN := uvarintWord(buf)
-		if wantN <= 0 {
+		if wantN <= 0 || wantN > 1 && buf[wantN-1] == 0 {
 			if gotN > 0 {
 				t.Fatalf("%x: Uvarint fails (n=%d), uvarintWord gives %d, %d", buf, wantN, gotV, gotN)
 			}
@@ -452,6 +454,72 @@ func TestReaderSmallRun(t *testing.T) {
 		r.Uint8s(make([]uint8, tc.n), tc.max)
 		if r.Err() == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReaderRefusesPaddedUvarints: a uvarint has one encoding, the
+// shortest, which is the only one Buffer writes. A padded one — the
+// same value with a last byte of 0 — is refused by every read path:
+// the scalar read, each run at every position the run decodes it
+// differently (the inline two-byte step, the byte loop, the word), and
+// the frame's payload length — as errUvarint, not ErrTruncated: every
+// byte is there.
+func TestReaderRefusesPaddedUvarints(t *testing.T) {
+	var vals []uint64
+	for l := 0; l < 64; l += 3 {
+		vals = append(vals, uint64(1)<<l, uint64(1)<<l-1)
+	}
+	vals = append(vals, math.MaxUint64)
+	for _, v := range vals {
+		var w Buffer
+		w.Uint64(v)
+		canon := w.Bytes() // at ten bytes, padding it overflows 64 bits
+		padded := append(slices.Clone(canon), 0)
+		padded[len(canon)-1] |= 0x80
+		// Behind a run of small values and before ten more bytes, so
+		// the run meets it inline, by the loop and as a word.
+		for _, pre := range []int{0, 1, 3} {
+			body := append(bytes.Repeat([]byte{5}, pre), padded...)
+			body = append(body, bytes.Repeat([]byte{0x7f}, 10)...)
+			r := NewReader(body[pre:])
+			if r.Uint64(); r.Err() != errUvarint {
+				t.Errorf("Uint64 of %x: err %v", padded, r.Err())
+			}
+			r = NewReader(body)
+			if _, ok := r.Uint64s(make([]uint64, pre+1)); ok || r.Err() != errUvarint {
+				t.Errorf("Uint64s of %x after %d values: err %v", padded, pre, r.Err())
+			}
+			r = NewReader(body)
+			if r.Int64s(make([]int64, pre+2)); r.Err() != errUvarint {
+				t.Errorf("Int64s of %x after %d values: err %v", padded, pre, r.Err())
+			}
+		}
+		if _, err := DecodeFrame(KindMisraGries, paddedLength(EncodeFrame(KindMisraGries, make([]byte, v&0x3ff)))); err != errUvarint {
+			t.Errorf("DecodeFrame of a padded payload length: err %v", err)
+		}
+	}
+}
+
+// paddedLength re-writes frame's payload length one byte longer, with
+// a matching checksum.
+func paddedLength(frame []byte) []byte {
+	plen, n := binary.Uvarint(frame[6:])
+	out := binary.AppendUvarint(slices.Clone(frame[:6]), plen)
+	out[len(out)-1] |= 0x80
+	out = append(out, 0)
+	out = append(out, frame[6+n:len(frame)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestReaderBoolIsZeroOrOne: a flag has one encoding. Bool reads 0 and
+// 1 and refuses every other byte, which Buffer.Bool never writes.
+func TestReaderBoolIsZeroOrOne(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		r := NewReader([]byte{byte(b)})
+		got := r.Bool()
+		if ok := r.Finish() == nil; ok != (b <= 1) || got != (b == 1) {
+			t.Errorf("Bool(%#02x) = %v, err %v", b, got, r.Err())
 		}
 	}
 }

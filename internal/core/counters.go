@@ -6,8 +6,17 @@ import (
 	"slices"
 )
 
+// CounterBefore reports whether a counter of (count, item) comes
+// before one of (nextCount, nextItem) in the counter order: ascending
+// by count, ties broken by item. It is the one statement of that order:
+// SortCountersAsc sorts into it, and a decoder refuses a counter run
+// that is not strictly ascending in it, so a summary has one frame.
+func CounterBefore(count uint64, item Item, nextCount uint64, nextItem Item) bool {
+	return count < nextCount || count == nextCount && item < nextItem
+}
+
 // SortCountersAsc sorts counters in ascending order of count, breaking
-// ties by item so the order is deterministic. This is the canonical
+// ties by item so the order is deterministic (CounterBefore). This is the canonical
 // order used by the merge algorithms, which index the combined summary
 // "in ascending sorted order" (PODS'12 §2; supplied-text Algorithms 1-3).
 //
@@ -30,7 +39,7 @@ func SortCountersAsc(cs []Counter, scratch []uint64) {
 	for i := 1; i < n; i++ {
 		x := cs[i]
 		j := i
-		for ; j > 0 && (cs[j-1].Count > x.Count || cs[j-1].Count == x.Count && cs[j-1].Item > x.Item); j-- {
+		for ; j > 0 && CounterBefore(x.Count, x.Item, cs[j-1].Count, cs[j-1].Item); j-- {
 			cs[j] = cs[j-1]
 		}
 		cs[j] = x

@@ -12,7 +12,7 @@ package countsketch
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -143,19 +143,30 @@ func (s *Sketch) UpdateBatch(xs []core.Item) {
 	s.n += uint64(len(xs))
 }
 
-// estimate returns the median-of-rows signed estimate, clamped at 0.
+// lender lends estimate its row estimates, as order-preserving words:
+// a signed estimate's bits with the sign bit flipped.
+var lender core.Pool[[]uint64]
+
+// estimate returns the median-of-rows signed estimate, clamped at 0: the
+// middle row estimate, or the mean of the two middle ones (rounded
+// toward zero) for an even depth. The median is selected in a lent copy
+// of the row estimates; nothing is sorted or allocated.
 func (s *Sketch) estimate(x core.Item) uint64 {
-	ests := make([]int64, s.depth)
+	const flip = 1 << 63
+	keys := lender.Get()
+	ks := (*keys)[:0]
 	for i := 0; i < s.depth; i++ {
-		ests[i] = s.sign(i, x) * s.rows[i][s.cell(i, x)]
+		ks = append(ks, uint64(s.sign(i, x)*s.rows[i][s.cell(i, x)])^flip)
 	}
-	sort.Slice(ests, func(i, j int) bool { return ests[i] < ests[j] })
-	var med int64
-	if s.depth%2 == 1 {
-		med = ests[s.depth/2]
-	} else {
-		med = (ests[s.depth/2-1] + ests[s.depth/2]) / 2
+	*keys = ks
+	h := s.depth / 2
+	med := int64(core.SelectKth(ks, h) ^ flip)
+	if s.depth%2 == 0 {
+		// The selection leaves the h estimates below the median's slot
+		// at or under it: the lower middle one is their largest.
+		med = (int64(slices.Max(ks[:h])^flip) + med) / 2
 	}
+	lender.Put(keys)
 	if med < 0 {
 		return 0
 	}

@@ -3,6 +3,7 @@ package countsketch
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -178,5 +179,48 @@ func TestBatchMatchesPerItem(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("width %d: batch frame differs from per-item frame", width)
 		}
+	}
+}
+
+// refEstimate is the point query estimate replaced: every row's signed
+// estimate sorted, the middle one (or the mean of the two middle ones)
+// taken, clamped at 0.
+func refEstimate(s *Sketch, x core.Item) uint64 {
+	ests := make([]int64, s.depth)
+	for i := range ests {
+		ests[i] = s.sign(i, x) * s.rows[i][s.cell(i, x)]
+	}
+	sort.Slice(ests, func(i, j int) bool { return ests[i] < ests[j] })
+	med := ests[s.depth/2]
+	if s.depth%2 == 0 {
+		med = (ests[s.depth/2-1] + med) / 2
+	}
+	return uint64(max(med, 0))
+}
+
+// TestEstimateMatchesSort: the selected median is the sorted one, at
+// every depth from 1 to 8 (odd and even), over queried items whose row
+// estimates are positive, negative and tied — the sign collisions of a
+// narrow sketch over a skewed stream make all three.
+func TestEstimateMatchesSort(t *testing.T) {
+	for depth := 1; depth <= 8; depth++ {
+		s := New(16, depth, uint64(depth))
+		s.UpdateBatch(gen.NewZipf(500, 1.1, uint64(depth)).Stream(5000))
+		for x := core.Item(0); x < 600; x++ {
+			if got, want := s.Estimate(x).Value, refEstimate(s, x); got != want {
+				t.Fatalf("depth %d, item %d: estimate %d, sorted median %d", depth, x, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimateAllocatesNothing: once the lender holds a run of the
+// sketch's depth, a point query allocates nothing.
+func TestEstimateAllocatesNothing(t *testing.T) {
+	s := New(256, 5, 1)
+	s.UpdateBatch(gen.NewZipf(1000, 1.1, 1).Stream(10000))
+	_ = s.Estimate(3)
+	if a := testing.AllocsPerRun(100, func() { _ = s.Estimate(3) }); a != 0 {
+		t.Errorf("Estimate: %v allocs", a)
 	}
 }

@@ -43,7 +43,9 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // than it has room for, so a reused receiver (any k, any contents; the
 // zero value too) allocates nothing. The frame must keep the laws
 // every merge keeps (checkInvariants): an undercount dec of at most
-// n/(k+1) and counters that together carry at most n. A frame rejected
+// n/(k+1) and counters that together carry at most n. The counters must
+// come in the one order MarshalBinary writes, ascending by (count,
+// item), so a summary has one frame. A frame rejected
 // by a header check leaves the receiver untouched; one rejected among
 // its counters leaves it empty.
 func (s *Summary) UnmarshalBinary(data []byte) error {
@@ -72,6 +74,7 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	s.clearTable()
 	s.ensure(m)
 	var sum, carry uint64
+	var prev core.Counter
 	for i := 0; i < m; i++ {
 		item := core.Item(r.Uint64())
 		count := r.Uint64()
@@ -82,6 +85,11 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 			s.Reset()
 			return fmt.Errorf("mg: counters carry more than n=%d", n)
 		}
+		if i > 0 && !core.CounterBefore(prev.Count, prev.Item, count, item) {
+			s.Reset()
+			return fmt.Errorf("mg: counter %d out of (count, item) order", i)
+		}
+		prev = core.Counter{Item: item, Count: count}
 		if err := s.put(item, count); err != nil {
 			s.Reset()
 			return err

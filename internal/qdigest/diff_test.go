@@ -254,16 +254,18 @@ func TestDifferentialAtScale(t *testing.T) {
 	})
 }
 
-// An unsorted frame is not canonical but stays decodable: the decoder
-// sorts it, and still rejects duplicates.
+// A digest has one frame, its nodes in ascending id order: a frame
+// listing them in any other order is refused, as is one that repeats a
+// node, and a refused frame leaves the receiver untouched.
 func TestUnmarshalUnsortedFrame(t *testing.T) {
-	// frame encodes the given nodes of a logU=4 digest in the order
-	// given, node i carrying count i+1.
+	// frame encodes the given nodes of a logU=4, k=100 digest in the
+	// order given, node i carrying count i+1: the threshold ⌊n/k⌋ is 0,
+	// so any body is compressed.
 	frame := func(ids ...uint64) []byte {
 		w := codec.GetBuffer()
 		defer codec.PutBuffer(w)
 		w.Int(4)
-		w.Uint64(2)
+		w.Uint64(100)
 		w.Uint64(uint64(len(ids) * (len(ids) + 1) / 2))
 		w.Int(len(ids))
 		for i, id := range ids {
@@ -273,23 +275,52 @@ func TestUnmarshalUnsortedFrame(t *testing.T) {
 		return codec.EncodeFrame(codec.KindQDigest, w.Bytes())
 	}
 	var d Digest
-	if err := d.UnmarshalBinary(frame(31, 16, 5, 17)); err != nil {
-		t.Fatalf("unsorted frame rejected: %v", err)
-	}
-	if d.Size() != 4 || d.N() != 10 {
-		t.Fatalf("decoded %d nodes of weight %d, want 4 of weight 10", d.Size(), d.N())
-	}
-	for i := 1; i < len(d.ids); i++ {
-		if d.ids[i-1] >= d.ids[i] {
-			t.Fatalf("body not sorted after decode: %v", d.ids)
-		}
+	if err := d.UnmarshalBinary(frame(5, 16, 17, 31)); err != nil {
+		t.Fatalf("sorted frame rejected: %v", err)
 	}
 	before, _ := d.Clone().MarshalBinary()
-	if err := d.UnmarshalBinary(frame(31, 16, 31)); err == nil {
-		t.Fatal("duplicate node accepted")
+	for name, bad := range map[string][]byte{
+		"unsorted":  frame(31, 16, 5, 17),
+		"one swap":  frame(5, 17, 16, 31),
+		"duplicate": frame(16, 31, 31),
+	} {
+		if err := d.UnmarshalBinary(bad); err == nil {
+			t.Fatalf("%s frame accepted", name)
+		}
+		after, _ := d.Clone().MarshalBinary()
+		if !bytes.Equal(before, after) {
+			t.Fatalf("rejected %s frame modified the receiver", name)
+		}
 	}
-	after, _ := d.Clone().MarshalBinary()
-	if !bytes.Equal(before, after) {
+}
+
+// A digest's body is compressed for its k when it is encoded, so the
+// decoder refuses one that is not: here two lone leaves whose groups
+// hold 1 each, within the threshold ⌊n/k⌋ = 1 at k = 2 and above the
+// threshold 0 at k = 4. A refused frame leaves the receiver untouched.
+func TestUnmarshalRefusesUncompressedBody(t *testing.T) {
+	frame := func(k uint64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Int(4)
+		w.Uint64(k)
+		w.Uint64(2)
+		w.Int(2)
+		for _, id := range []uint64{16, 31} {
+			w.Uint64(id)
+			w.Uint64(1)
+		}
+		return codec.EncodeFrame(codec.KindQDigest, w.Bytes())
+	}
+	var d Digest
+	if err := d.UnmarshalBinary(frame(4)); err != nil {
+		t.Fatalf("compressed body rejected: %v", err)
+	}
+	before, _ := d.Clone().MarshalBinary()
+	if err := d.UnmarshalBinary(frame(2)); err == nil {
+		t.Fatal("uncompressed body accepted")
+	}
+	if after, _ := d.Clone().MarshalBinary(); !bytes.Equal(before, after) {
 		t.Fatal("rejected frame modified the receiver")
 	}
 }

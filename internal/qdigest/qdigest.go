@@ -43,11 +43,11 @@
 package qdigest
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -482,11 +482,15 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 	return codec.EncodeFrame(codec.KindQDigest, w.Bytes()), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. Nodes decode
-// into the borrowed merge target, which once the frame is validated
-// becomes the body as mergeBody's does, and keep settles the storage:
-// a pooled decode target allocates nothing in steady state and a
-// rejected frame leaves the receiver untouched.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The body
+// must be the one MarshalBinary writes: nodes strictly ascending by id,
+// compressed for the frame's k — every node but the root, with its
+// sibling and its parent, above the threshold ⌊n/k⌋ (checkInvariants'
+// law, checked by compressed) — and counts summing to n. So a decoded
+// digest is clean: its first query or encode has nothing to compress. Nodes decode into the borrowed merge target, which once
+// the frame is validated becomes the body as mergeBody's does, and keep
+// settles the storage: a pooled decode target allocates nothing in
+// steady state and a rejected frame leaves the receiver untouched.
 func (d *Digest) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindQDigest, data)
 	if err != nil {
@@ -535,25 +539,49 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	// Canonical frames list nodes in ascending id order; any order
-	// without duplicates is accepted.
 	if unsorted != 0 {
-		sort.Sort(nodesByID{ids, counts})
-		for i := 1; i < len(ids); i++ {
-			if ids[i-1] == ids[i] {
-				return errDuplicate(ids[i])
-			}
-		}
+		return errOrder
 	}
 	if sum != n {
 		return errWeight(sum, n)
 	}
+	if !compressed(ids, counts, n/k) {
+		return errCompress(n / k)
+	}
 	d.logU, d.k, d.n = uint8(logU), k, n
-	d.dirty, d.base, d.clean = 0, len(ids), false
+	d.dirty, d.base, d.clean = 0, len(ids), true
 	d.ids, d.counts, rs.ids, rs.counts = ids, counts, d.ids[:0], d.counts[:0]
 	d.keep(rs)
 	d.clearPending()
 	return nil
+}
+
+// compressed reports whether a body, ids strictly ascending, keeps the
+// law Compress restores and checkInvariants states: every node but the
+// root, with its sibling and its parent, counts above t. Ids ascend, so
+// a node's sibling (id^1) is the node before or after it if present.
+// Most groups clear t without their parent; for the rest, the parents
+// ascend with the nodes, so one cursor p finds them among the nodes
+// before. A separate loop is faster than one fused into the decoder's
+// read: the read's live state leaves this loop no registers.
+func compressed(ids, counts []uint64, t uint64) bool {
+	p, last := 0, len(ids)-1
+	var prevID, prevCnt uint64
+	for i, id := range ids {
+		sib, next := id^1, min(i+1, last)
+		pair := counts[i] + prevCnt&-bit(prevID == sib) + counts[next]&-bit(ids[next] == sib)
+		if pair <= t && id > 1 {
+			parent := id >> 1
+			for ids[p] < parent {
+				p++
+			}
+			if pair+counts[p]&-bit(ids[p] == parent) <= t {
+				return false
+			}
+		}
+		prevID, prevCnt = id, counts[i]
+	}
+	return true
 }
 
 // Decode errors live outside UnmarshalBinary so the hot path carries
@@ -563,17 +591,11 @@ func errHeader(logU int, k uint64) error {
 }
 func errNodeRange(id uint64) error { return fmt.Errorf("qdigest: node id %d out of tree", id) }
 func errZeroCount(id uint64) error { return fmt.Errorf("qdigest: zero-count node %d", id) }
-func errDuplicate(id uint64) error { return fmt.Errorf("qdigest: duplicate node %d", id) }
+func errCompress(t uint64) error {
+	return fmt.Errorf("qdigest: body not compressed: a node with its sibling and parent within the threshold %d", t)
+}
 func errWeight(sum, n uint64) error {
 	return fmt.Errorf("qdigest: frame weight %d != n %d", sum, n)
 }
 
-// nodesByID sorts parallel (ids, counts) runs by id.
-type nodesByID struct{ ids, counts []uint64 }
-
-func (s nodesByID) Len() int           { return len(s.ids) }
-func (s nodesByID) Less(i, j int) bool { return s.ids[i] < s.ids[j] }
-func (s nodesByID) Swap(i, j int) {
-	s.ids[i], s.ids[j] = s.ids[j], s.ids[i]
-	s.counts[i], s.counts[j] = s.counts[j], s.counts[i]
-}
+var errOrder = errors.New("qdigest: node ids not strictly ascending")

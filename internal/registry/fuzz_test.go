@@ -14,9 +14,10 @@ import (
 // here) plus, per family, the emptyRuns of its empty example — long
 // tables of one-byte elements behind every early length field — and
 // its bigClaims — a structure of 2^28 elements claimed by every early
-// size field, with none sent — and any accepted frame must decode, re-encode to a canonical
-// fixpoint, and preserve its total weight. Every input is also decoded
-// into a pooled scratch summary that has seen whatever the fuzzer fed
+// size field, with none sent — and any accepted frame must be the very
+// frame its decoded state encodes to, byte for byte: one frame per
+// state, so a round trip keeps every byte and the weight with them.
+// Every input is also decoded into a pooled scratch summary that has seen whatever the fuzzer fed
 // it before — accepted frames, rejected ones, other parameters: it must
 // accept exactly what a fresh receiver accepts and come out the same
 // bytes.
@@ -60,19 +61,8 @@ func FuzzDecodeAnyFrame(f *testing.F) {
 		if dirty, err := ent.Encode(sc); err != nil || !bytes.Equal(dirty, canon) {
 			t.Fatalf("%s: pooled scratch decoded to different bytes than a fresh receiver (encode error: %v)", ent.Name(), err)
 		}
-		again, err := ent.Decode(canon)
-		if err != nil {
-			t.Fatalf("%s: re-encoded frame rejected: %v", ent.Name(), err)
-		}
-		canon2, err := ent.Encode(again)
-		if err != nil {
-			t.Fatalf("%s: second re-encode: %v", ent.Name(), err)
-		}
-		if !bytes.Equal(canon, canon2) {
-			t.Fatalf("%s: encode/decode/encode is not a fixpoint", ent.Name())
-		}
-		if ent.N(again) != ent.N(v) {
-			t.Fatalf("%s: round-trip changed N: %d -> %d", ent.Name(), ent.N(v), ent.N(again))
+		if !bytes.Equal(canon, data) {
+			t.Fatalf("%s: an accepted frame re-encodes to other bytes", ent.Name())
 		}
 	})
 }

@@ -223,10 +223,11 @@ func (s *BottomK) MarshalBinary() ([]byte, error) {
 // read into the receiver's own heap storage (regrown only when the
 // frame holds more than it has room for) and its tag generator is
 // reseeded from the frame, so a reused receiver — any k, any contents;
-// the zero value too — allocates nothing. A frame rejected by a header
-// check leaves the receiver untouched; one whose sample size is not
-// min(k, n) — what every stream of n values keeps — or that fails inside
-// the sample leaves it empty.
+// the zero value too — allocates nothing. The sample must come in the
+// heap order MarshalBinary writes: no tag above its parent's. A frame
+// rejected by a header check leaves the receiver untouched; one whose
+// sample size is not min(k, n) — what every stream of n values keeps —
+// or that fails inside the sample leaves it empty.
 func (s *BottomK) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindBottomK, data)
 	if err != nil {
@@ -260,16 +261,15 @@ func (s *BottomK) UnmarshalBinary(data []byte) error {
 			s.Reset()
 			return fmt.Errorf("sampling: NaN sample in frame")
 		}
+		if i > 0 && t.tag > s.keep[(i-1)/2].tag {
+			s.Reset()
+			return fmt.Errorf("sampling: sample %d out of heap order", i)
+		}
 		s.keep = append(s.keep, t)
 	}
 	if err := r.Finish(); err != nil {
 		s.Reset()
 		return err
-	}
-	// heap.Init, unboxed: a frame in heap order (every one the encoder
-	// writes) moves nothing.
-	for i := len(s.keep)/2 - 1; i >= 0; i-- {
-		s.keep.down(i)
 	}
 	return nil
 }

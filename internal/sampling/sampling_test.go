@@ -294,7 +294,7 @@ func TestBottomKCodecRejectsWrongSampleSize(t *testing.T) {
 		w.Uint64(1) // rng state
 		w.Int(len(vs))
 		for i, v := range vs {
-			w.Uint64(uint64(10 + i)) // tag
+			w.Uint64(uint64(100 - i)) // tag, descending: in heap order
 			w.Float64(v)
 		}
 		return codec.EncodeFrame(codec.KindBottomK, w.Bytes())
@@ -319,6 +319,42 @@ func TestBottomKCodecRejectsWrongSampleSize(t *testing.T) {
 		}
 		if s.N() != 0 || s.Size() != 0 {
 			t.Fatalf("%s: refused frame left n=%d size=%d", name, s.N(), s.Size())
+		}
+	}
+}
+
+// A sample has one frame: the decoder takes the samples only in the
+// heap order the encoder writes, no tag above its parent's, and leaves
+// the receiver empty on any other.
+func TestBottomKCodecRejectsOutOfHeapOrder(t *testing.T) {
+	frame := func(tags ...uint64) []byte {
+		w := codec.GetBuffer()
+		defer codec.PutBuffer(w)
+		w.Int(4)
+		w.Uint64(uint64(len(tags)))
+		w.Uint64(1) // rng state
+		w.Int(len(tags))
+		for _, tag := range tags {
+			w.Uint64(tag)
+			w.Float64(float64(tag))
+		}
+		return codec.EncodeFrame(codec.KindBottomK, w.Bytes())
+	}
+	var s BottomK
+	for _, ok := range [][]byte{frame(9, 3, 7), frame(9, 7, 3, 2), frame(5, 5, 5)} {
+		if err := s.UnmarshalBinary(ok); err != nil {
+			t.Fatalf("heap-ordered sample refused: %v", err)
+		}
+	}
+	for _, bad := range [][]byte{frame(3, 9), frame(9, 3, 10), frame(9, 7, 3, 8)} {
+		if err := s.UnmarshalBinary(frame(9, 7, 3, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UnmarshalBinary(bad); err == nil {
+			t.Fatalf("sample out of heap order accepted")
+		}
+		if s.N() != 0 || s.Size() != 0 {
+			t.Fatalf("refused frame left n=%d size=%d", s.N(), s.Size())
 		}
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/countmin"
+	"repro/internal/distinct"
 	"repro/internal/gen"
 	"repro/internal/mg"
 	"repro/internal/qdigest"
@@ -332,6 +334,71 @@ func TestWriteRejectsFlaggedCountMin(t *testing.T) {
 	}
 	if _, after, err := c.PullFrame("cm"); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("refused push changed the slot (%v)", err)
+	}
+}
+
+// TestWriteRejectsNonCanonicalFrame: a state has one frame. A frame
+// that spells a value its encoder never would — a uvarint padded with
+// a last byte of 0 (an mg k of 16 as 0x90 0x00), a bool byte of 2
+// (an HLL's kind flag, which the encoder writes as 1) — is refused by
+// the codec: PUSH answers an ERR that names the fault, and the slot's
+// PULL bytes stay what they were.
+func TestWriteRejectsNonCanonicalFrame(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	m := mg.New(16)
+	m.UpdateBatch(gen.NewZipf(500, 1.1, 3).Stream(10000))
+	h := distinct.NewHLL(12, 7)
+	for x := range core.Item(1000) {
+		h.Update(x)
+	}
+	for _, tc := range []struct {
+		kind  string
+		s     encoding.BinaryMarshaler
+		fault string // what the ERR names
+		bend  func(payload []byte) []byte
+	}{
+		{"mg", m, "uvarint padded", func(p []byte) []byte {
+			if p[0] != 16 {
+				t.Fatalf("mg payload opens with k = %d, want 16", p[0])
+			}
+			return append([]byte{0x90, 0x00}, p[1:]...)
+		}},
+		{"hll", h, "bool byte", func(p []byte) []byte {
+			if p[0] != 1 {
+				t.Fatalf("hll payload opens with flag %d, want 1", p[0])
+			}
+			return append([]byte{2}, p[1:]...)
+		}},
+	} {
+		if _, err := c.Push(tc.kind, tc.kind, tc.s); err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		_, before, err := c.PullFrame(tc.kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, _ := tc.s.MarshalBinary()
+		kind, _ := codec.PeekKind(frame)
+		payload, err := codec.DecodeFrame(kind, frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bent := codec.EncodeFrame(kind, tc.bend(bytes.Clone(payload)))
+		if _, err := c.Push(tc.kind, tc.kind, rawSummary(bent)); err == nil {
+			t.Fatalf("%s: non-canonical frame accepted", tc.kind)
+		} else if !strings.Contains(err.Error(), tc.fault) {
+			t.Errorf("%s: refused with %q, which does not name the %s", tc.kind, err, tc.fault)
+		}
+		if _, after, err := c.PullFrame(tc.kind); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("%s: refused push changed the slot (%v)", tc.kind, err)
+		}
 	}
 }
 

@@ -37,9 +37,10 @@ func (s *Summary) MarshalBinary() ([]byte, error) {
 // encoding.BinaryUnmarshaler. The counter states are staged in
 // borrowed runs and the stream-summary structure is rebuilt in the
 // arrays the receiver already has (see load), so a reused receiver —
-// any k, any contents; the zero value too — allocates nothing. A
-// rejected frame leaves the receiver untouched, or empty when the
-// rejection is a repeated item.
+// any k, any contents; the zero value too — allocates nothing. The
+// states must come in the order MarshalBinary writes them. A rejected
+// frame leaves the receiver untouched, or empty when the rejection is
+// a repeated item.
 func (s *Summary) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindSpaceSaving, data)
 	if err != nil {
@@ -64,5 +65,5 @@ func (s *Summary) UnmarshalBinary(data []byte) error {
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	return s.load(rs, k, n, under, states)
+	return s.load(k, n, under, states)
 }

@@ -15,12 +15,14 @@ import (
 // borrowed for the call. So after a served slot's loop — 200 edge
 // frames decoded into one reused target, each folded in with the
 // catalog merge — and after a fresh 8192-record batch, the storage a
-// summary reaches beyond its state is at most that state plus a small
-// constant, and no run the lender holds shares storage with a summary
-// or a clone of one.
-// A summary's state is room for k entries, 64 B each across the entry
-// and bucket arrays; the index beside them is sized by that room, so it
-// is left out of both.
+// summary reaches beyond its state is at most the state's entries
+// (room for k, 64 B each across the entry and bucket arrays) plus a
+// small constant, and no run the lender holds shares storage with a
+// summary or a clone of one.
+// A summary's state is what a fresh summary of its k holds: those
+// entries and the index over them. The index never outgrows a fresh
+// one's: a merge indexes its combined states (up to 2k) in a lent
+// table, not in it.
 func TestKeepsOnlyItsState(t *testing.T) {
 	const k = 1000
 	edge := func(seed uint64) []core.Item { return gen.NewZipf(1<<16, 1.1, seed).Stream(8192) }
@@ -49,10 +51,14 @@ func TestKeepsOnlyItsState(t *testing.T) {
 	fresh.UpdateBatch(edge(99))
 	notLent(t, "fresh", fresh)
 	notLent(t, "clone", slot.Clone())
+	empty := New(k)
 	for name, s := range map[string]*Summary{"slot": slot, "decode target": &target, "fresh": fresh} {
-		state := 64 * s.K()
-		if extra := heldBytes(reflect.ValueOf(s)) - state; extra > state+256 {
+		state := heldBytes(reflect.ValueOf(empty))
+		if extra := heldBytes(reflect.ValueOf(s)) - state; extra > 64*s.K()+256 {
 			t.Errorf("%s: %d B held beside a state of %d B", name, extra, state)
+		}
+		if got, want := s.index.Cap(), empty.index.Cap(); got > want {
+			t.Errorf("%s: an index of %d slots where a fresh summary of k=%d has %d", name, got, k, want)
 		}
 	}
 }
@@ -87,8 +93,7 @@ func overlaps[A, B any](a []A, b []B) bool {
 }
 
 // heldBytes is the storage v reaches through its slices, pointers and
-// fields — state and any scratch kept beside it — with core.Index
-// tables left out.
+// fields — state, core.Index tables and any scratch kept beside them.
 func heldBytes(v reflect.Value) int {
 	switch v.Kind() {
 	case reflect.Pointer:
@@ -97,9 +102,6 @@ func heldBytes(v reflect.Value) int {
 		}
 		return heldBytes(v.Elem())
 	case reflect.Struct:
-		if v.Type() == reflect.TypeFor[core.Index]() {
-			return 0
-		}
 		n := 0
 		for i := range v.NumField() {
 			n += heldBytes(v.Field(i))

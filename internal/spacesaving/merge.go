@@ -59,12 +59,12 @@ func combineStates(rs *runs, idx *core.Index, a, b []CounterState) []CounterStat
 // combineWith is the shared front half of both merges: both operands'
 // states after the minima-subtraction pre-step, summed pointwise and
 // sorted ascending, in rs.states (other's states are left in rs.spare,
-// spent), with n and under brought up to date. s's index is the
-// combine's scratch: the rebuild that follows every combine resets it.
+// spent), with n and under brought up to date. The combine indexes its
+// items in rs.idx, so s's own index stays sized for its k.
 func (s *Summary) combineWith(rs *runs, other *Summary) []CounterState {
 	sa, mua := subtractMin(s.appendStates(rs, rs.states[:0]), s.k)
 	sb, mub := subtractMin(other.appendStates(rs, rs.spare[:0]), other.k)
-	combined := combineStates(rs, &s.index, sa, sb)
+	combined := combineStates(rs, &rs.idx, sa, sb)
 	rs.states, rs.spare = combined, sb
 	s.n += other.n
 	s.under += other.under + mua + mub
@@ -182,8 +182,7 @@ func CombinedCounters(a, b *Summary) []core.Counter {
 	defer lender.Put(rs)
 	sa, _ := subtractMin(a.appendStates(rs, nil), a.k)
 	sb, _ := subtractMin(b.appendStates(rs, nil), b.k)
-	var idx core.Index
-	combined := combineStates(rs, &idx, sa, sb)
+	combined := combineStates(rs, &rs.idx, sa, sb)
 	out := make([]core.Counter, len(combined))
 	for i, st := range combined {
 		out[i] = core.Counter{Item: st.Item, Count: st.Count}

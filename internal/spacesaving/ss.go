@@ -76,10 +76,12 @@ type Summary struct {
 // runs is the scratch a call borrows from lender and hands back once
 // rebuild has copied out what it built: the summary keeps only its
 // state. states and spare are state lists (a decoded frame, a merge's
-// operands and result, an encode's frame order); keys sort them.
+// operands and result, an encode's frame order); keys sort them; idx
+// indexes a merge's combined states.
 type runs struct {
 	states, spare []CounterState
 	keys          []uint64
+	idx           core.Index
 }
 
 var lender core.Pool[runs]
@@ -432,7 +434,7 @@ func (rs *runs) sort(cs []CounterState) {
 	for i := 1; i < n; i++ {
 		x := cs[i]
 		j := i
-		for ; j > 0 && (cs[j-1].Count > x.Count || cs[j-1].Count == x.Count && cs[j-1].Item > x.Item); j-- {
+		for ; j > 0 && core.CounterBefore(x.Count, x.Item, cs[j-1].Count, cs[j-1].Item); j-- {
 			cs[j] = cs[j-1]
 		}
 		cs[j] = x
@@ -505,39 +507,46 @@ func (s *Summary) rebuild(states []CounterState) {
 	}
 }
 
-// FromStates reconstructs a summary from explicit counter states, used
-// by tests replaying the paper's worked examples. The structure is
-// sized for the given states (not k).
+// FromStates reconstructs a summary from explicit counter states, in
+// any order, used by tests replaying the paper's worked examples. The
+// structure is sized for the given states (not k).
 func FromStates(k int, n, under uint64, states []CounterState) (*Summary, error) {
 	rs := lender.Get()
 	defer lender.Put(rs)
+	states = slices.Clone(states)
+	rs.sort(states)
 	s := &Summary{}
-	if err := s.load(rs, k, n, under, slices.Clone(states)); err != nil {
+	if err := s.load(k, n, under, states); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // load replaces s — in any state, the zero value included — with the
-// summary of the given header and counter states, which it sorts in
-// place in rs. The entry arrays are kept when they have room and
-// otherwise sized for the states (not k), so decoding a frame allocates
-// in proportion to its payload. It fails on k < 1, more than k states, a
-// zero count or a repeated item; s is untouched unless the failure is
-// a repeated item, which leaves it empty.
-func (s *Summary) load(rs *runs, k int, n, under uint64, states []CounterState) error {
+// summary of the given header and counter states, which must be in
+// the order MarshalBinary writes, strictly ascending by (count, item).
+// The entry arrays are kept when they have room and otherwise sized
+// for the states (not k), so decoding a frame allocates in proportion
+// to its payload. It fails on k < 1, more than k states, a zero count,
+// states out of order or a repeated item; s is untouched unless the
+// failure is a repeated item, which leaves it empty.
+func (s *Summary) load(k int, n, under uint64, states []CounterState) error {
 	if k < 1 {
 		return fmt.Errorf("spacesaving: k must be >= 1, have %d", k)
 	}
 	if len(states) > k {
 		return fmt.Errorf("spacesaving: %d counters exceed k=%d", len(states), k)
 	}
-	for _, st := range states {
+	var prev CounterState
+	for i, st := range states {
 		if st.Count == 0 {
 			return fmt.Errorf("spacesaving: zero count for item %d", st.Item)
 		}
+		if i > 0 && !core.CounterBefore(prev.Count, prev.Item, st.Count, st.Item) {
+			return fmt.Errorf("spacesaving: counter %d out of (count, item) order", i)
+		}
+		prev = st
 	}
-	rs.sort(states)
 	s.k, s.n, s.under = k, n, under
 	if c := entryCap(k, len(states)); len(s.items) < c {
 		s.live = 0 // nothing to carry over

@@ -66,7 +66,8 @@ func notLent(t *testing.T, name string, tr *Tracker) {
 	}
 	for _, rs := range held {
 		if overlaps(rs.inner, tr.items) || overlaps(rs.inner, tr.ests) ||
-			overlaps(rs.cands, tr.items) || overlaps(rs.cands, tr.ests) {
+			overlaps(rs.cands, tr.items) || overlaps(rs.cands, tr.ests) ||
+			overlaps(rs.dir.items, tr.items) || overlaps(rs.dir.ests, tr.ests) {
 			t.Fatalf("%s: its directory shares storage with a run it gave back", name)
 		}
 	}

@@ -37,10 +37,12 @@ type Tracker struct {
 
 // runs is the scratch a call borrows from lender and hands back before
 // it returns: the tracker keeps only its state. inner is the nested
-// sketch frame a codec call builds or reads; cands a decode's candidates.
+// sketch frame a codec call builds or reads; cands a decode's
+// candidates; dir the directory an encode writes.
 type runs struct {
 	inner []byte
 	cands []uint64
+	dir   Tracker
 }
 
 var lender core.Pool[runs]
@@ -229,9 +231,13 @@ func (t *Tracker) Clone() *Tracker {
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler: the sketch frame
-// followed by the directory, wrapped in one outer frame. The nested
-// frame is built in borrowed runs, so steady-state encoding allocates
-// only the returned frame.
+// followed by the directory, wrapped in one outer frame. The directory
+// goes out as rebuild makes it from the candidates against the sketch
+// as it is now — Update refreshes only its own item's estimate, so the
+// heap may be ordered by stale ones — and so as the decoder rebuilds
+// it: a tracker has one frame. The nested frame and the directory are
+// built in borrowed runs, so steady-state encoding allocates only the
+// returned frame.
 func (t *Tracker) MarshalBinary() ([]byte, error) {
 	rs := lender.Get()
 	defer lender.Put(rs)
@@ -240,6 +246,11 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 		return nil, err
 	}
 	rs.inner = inner
+	dir := &rs.dir
+	dir.k, dir.items, dir.ests = t.k, dir.items[:0], dir.ests[:0]
+	for _, x := range t.items {
+		dir.offer(x, t.sketch.Estimate(x).Value)
+	}
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
 	// Inner frame bytes cost up to two uvarint bytes each; directory
@@ -249,8 +260,8 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 	w.Int(t.k)
 	w.Int(len(inner))
 	w.Uint8s(inner)
-	w.Int(len(t.items))
-	codec.Uvarints(w, t.items)
+	w.Int(len(dir.items))
+	codec.Uvarints(w, dir.items)
 	return codec.EncodeFrame(codec.KindTopK, w.Bytes()), nil
 }
 
@@ -258,12 +269,14 @@ func (t *Tracker) MarshalBinary() ([]byte, error) {
 // sketch frame is copied out into borrowed runs — one small-uvarint
 // run: every element must be a byte, a larger value is an error, not
 // its low eight bits — and decoded into the receiver's own sketch; the
-// candidates are staged in the runs too and the directory rebuilt in
-// its own arrays, a repeated candidate once. A reused receiver (any k,
-// any sketch geometry, any contents; the zero value too) allocates
+// candidates are staged in the runs too and become the directory in
+// its own arrays. They must be the directory MarshalBinary writes:
+// distinct, and a min-heap on their estimates against the decoded
+// sketch, which rebuild would leave as it is. A reused receiver (any
+// k, any sketch geometry, any contents; the zero value too) allocates
 // nothing. A frame rejected before the nested sketch is decoded leaves
-// the receiver untouched; one whose nested frame is rejected leaves it
-// empty.
+// the receiver untouched; one rejected at its nested frame or its
+// candidates leaves it empty.
 func (t *Tracker) UnmarshalBinary(data []byte) error {
 	payload, err := codec.DecodeFrame(codec.KindTopK, data)
 	if err != nil {
@@ -297,9 +310,9 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	if t.sketch == nil {
 		t.sketch = new(countmin.Sketch)
 	}
+	t.items, t.ests = t.items[:0], t.ests[:0]
 	if err := t.sketch.UnmarshalBinary(rs.inner); err != nil {
 		t.sketch.Reset()
-		t.items, t.ests = t.items[:0], t.ests[:0]
 		return err
 	}
 	t.k = k
@@ -307,8 +320,21 @@ func (t *Tracker) UnmarshalBinary(data []byte) error {
 	for _, x := range rs.cands {
 		c.Add(core.Item(x), 1)
 	}
-	t.rebuild(c)
+	distinct := len(c.Pairs()) == m
 	core.PutCollapse(c)
+	if !distinct {
+		t.sketch.Reset()
+		return fmt.Errorf("topk: a candidate repeats")
+	}
+	for i, x := range rs.cands {
+		est := t.sketch.Estimate(core.Item(x)).Value
+		if i > 0 && est < t.ests[(i-1)/2] {
+			t.sketch.Reset()
+			t.items, t.ests = t.items[:0], t.ests[:0]
+			return fmt.Errorf("topk: candidate %d out of heap order", i)
+		}
+		t.items, t.ests = append(t.items, core.Item(x)), append(t.ests, est)
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -187,5 +188,35 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if len(a.Top()) != 1 || len(c.Top()) != 2 {
 		t.Fatal("clone directory not independent")
+	}
+}
+
+// TestUpdatedTrackerHasOneFrame: Update refreshes only its own item's
+// estimate, so after a run of them the directory's heap can be ordered
+// by stale estimates. The frame still lists the candidates as the
+// decoder rebuilds them — a heap on estimates against the sketch as it
+// is — so decoding it and encoding again gives the same bytes. A
+// narrow sketch makes the estimates move under the directory.
+func TestUpdatedTrackerHasOneFrame(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		tr := New(8, 16, 2, seed)
+		for _, x := range gen.NewZipf(200, 1.1, seed).Stream(3000) {
+			tr.Update(x, 1)
+		}
+		data, err := tr.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Tracker
+		if err := got.UnmarshalBinary(data); err != nil {
+			t.Fatalf("seed %d: the encoder's own frame refused: %v", seed, err)
+		}
+		again, err := got.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("seed %d: decoded and encoded again, the frame changed", seed)
+		}
 	}
 }

@@ -3,9 +3,11 @@ package mergesum_test
 import (
 	"bytes"
 	"encoding"
+	"reflect"
 	"testing"
 
 	mergesum "repro"
+	"repro/internal/core"
 	"repro/internal/gen"
 )
 
@@ -17,7 +19,9 @@ import (
 // that every call takes the runs the other summary's call just gave
 // back, must encode to exactly the bytes of the same two built one
 // after the other. A summary that kept a run it gave back would find it
-// overwritten.
+// overwritten. Nor may its core.Index tables end larger than a fresh
+// summary's of the same parameters: an index a merge used as scratch
+// would keep the merge's size.
 func TestKeepsOnlyItsStateInterleaved(t *testing.T) {
 	type summary interface {
 		encoding.BinaryMarshaler
@@ -148,7 +152,32 @@ func TestKeepsOnlyItsStateInterleaved(t *testing.T) {
 				if !bytes.Equal(encode(b), alone[v]) {
 					t.Fatalf("variant %d: built in turn with another summary, it encodes differently from built alone", v)
 				}
+				if got, want := indexSlots(reflect.ValueOf(b.s)), indexSlots(reflect.ValueOf(f.mk(v))); got > want {
+					t.Errorf("variant %d: its item tables hold %d slots where a fresh summary's hold %d", v, got, want)
+				}
 			}
 		})
 	}
+}
+
+// indexSlots is the number of core.Index slots v reaches through its
+// pointers and fields.
+func indexSlots(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 0
+		}
+		return indexSlots(v.Elem())
+	case reflect.Struct:
+		if v.Type() == reflect.TypeFor[core.Index]() {
+			return (*core.Index)(v.Addr().UnsafePointer()).Cap()
+		}
+		n := 0
+		for i := range v.NumField() {
+			n += indexSlots(v.Field(i))
+		}
+		return n
+	}
+	return 0
 }
