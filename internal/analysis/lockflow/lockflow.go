@@ -17,9 +17,9 @@
 //
 // Same-package callees are classified through the summary table, so a
 // helper that decodes taints its callers one level up (transitively
-// folded within the package). Encode is deliberately not banned: the
-// snapshot cache encodes under the slot lock by design, and encoding
-// writes to a pooled in-memory buffer. A function may opt out with a
+// folded within the package). Encode is deliberately not banned: an
+// accumulator's owner encodes its frame under its lock by design, and
+// encoding writes to a pooled in-memory buffer. A function may opt out with a
 // `//sketch:lockflow-ok` doc-comment line: its body is not checked, and
 // callers that hold a lock across a call to it are not tainted by what
 // it does (the taint stops at the annotation; the callers' own bodies

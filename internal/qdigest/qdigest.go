@@ -486,8 +486,8 @@ func (d *Digest) MarshalBinary() ([]byte, error) {
 // must be the one MarshalBinary writes: nodes strictly ascending by id,
 // compressed for the frame's k — every node but the root, with its
 // sibling and its parent, above the threshold ⌊n/k⌋ (checkInvariants'
-// law, checked by compressed) — and counts summing to n. So a decoded
-// digest is clean: its first query or encode has nothing to compress. Nodes decode into the borrowed merge target, which once
+// law, checked by compressed) — and counts summing to n, never past
+// 2^64 on the way. So a decoded digest is clean: its first query or encode has nothing to compress. Nodes decode into the borrowed merge target, which once
 // the frame is validated becomes the body as mergeBody's does, and keep
 // settles the storage: a pooled decode target allocates nothing in
 // steady state and a rejected frame leaves the receiver untouched.
@@ -512,7 +512,7 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	defer lender.Put(rs)
 	rs.ids, rs.counts = slices.Grow(rs.ids[:0], m), slices.Grow(rs.counts[:0], m)
 	ids, counts := rs.ids[:m], rs.counts[:m]
-	var sum, prev, unsorted uint64
+	var sum, wrapped, prev, unsorted uint64
 	// The nodes are read as runs of (id, count) pairs into a buffer on
 	// the stack, and checked a run at a time.
 	var buf [256]uint64
@@ -533,7 +533,9 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 			unsorted |= bit(id <= prev)
 			prev = id
 			ids[j+i], counts[j+i] = id, cnt
-			sum += cnt
+			var carry uint64
+			sum, carry = bits.Add64(sum, cnt, 0)
+			wrapped |= carry
 		}
 	}
 	if err := r.Finish(); err != nil {
@@ -541,6 +543,9 @@ func (d *Digest) UnmarshalBinary(data []byte) error {
 	}
 	if unsorted != 0 {
 		return errOrder
+	}
+	if wrapped != 0 {
+		return errWrapped(n)
 	}
 	if sum != n {
 		return errWeight(sum, n)
@@ -593,6 +598,9 @@ func errNodeRange(id uint64) error { return fmt.Errorf("qdigest: node id %d out 
 func errZeroCount(id uint64) error { return fmt.Errorf("qdigest: zero-count node %d", id) }
 func errCompress(t uint64) error {
 	return fmt.Errorf("qdigest: body not compressed: a node with its sibling and parent within the threshold %d", t)
+}
+func errWrapped(n uint64) error {
+	return fmt.Errorf("qdigest: node counts sum past 2^64 (n %d)", n)
 }
 func errWeight(sum, n uint64) error {
 	return fmt.Errorf("qdigest: frame weight %d != n %d", sum, n)

@@ -1,8 +1,10 @@
 package qdigest
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/gen"
 )
@@ -276,6 +278,31 @@ func TestCodecRoundTrip(t *testing.T) {
 	data[len(data)-5] ^= 0xff
 	if err := got.UnmarshalBinary(data); err == nil {
 		t.Fatal("corrupted frame accepted")
+	}
+}
+
+// TestDecodeRefusesWrappedWeight: node counts must sum to n in
+// 64 bits. Two siblings counting 2^64−1 and 3 wrap to 2; a decoder
+// that summed without a carry check would take the frame as a digest
+// of n = 2 holding a node heavier than n.
+func TestDecodeRefusesWrappedWeight(t *testing.T) {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	w.Int(4)      // logU
+	w.Uint64(100) // k
+	w.Uint64(2)   // n
+	w.Int(2)
+	w.Uint64(16)
+	w.Uint64(math.MaxUint64)
+	w.Uint64(17)
+	w.Uint64(3)
+	frame := codec.EncodeFrame(codec.KindQDigest, w.Bytes())
+	var d Digest
+	if err := d.UnmarshalBinary(frame); err == nil {
+		t.Fatalf("frame whose counts wrap 2^64 to n accepted: n = %d, Rank(1000) = %d", d.N(), d.Rank(1000))
+	}
+	if d.N() != 0 || d.Size() != 0 {
+		t.Fatalf("refused frame left n = %d, %d nodes in the receiver", d.N(), d.Size())
 	}
 }
 

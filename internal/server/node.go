@@ -23,29 +23,12 @@ func emptySlot(name string) error { return fmt.Errorf("slot %q %w", name, errSlo
 // errNoSlot reports an operation on a slot that was never pushed to.
 var errNoSlot = errors.New("no such slot")
 
-// snapshot is one epoch of a slot's encoded state. data is immutable
-// once published: concurrent PULLs write the same bytes to their own
-// connections without copying.
-type snapshot struct {
-	version uint64
-	kind    string
-	data    []byte
-}
-
 // slot is one named aggregation target.
 type slot struct {
-	mu      sync.Mutex
-	ent     *registry.Entry // guarded by mu; set by the first push
-	summary any             // guarded by mu
-	pushes  atomic.Uint64   // frames taken in
-
-	// version counts mutations. It is bumped under mu after every
-	// install/merge and read without mu by the PULL fast path, so a
-	// reply-ordered reader can detect staleness with one atomic load.
-	version atomic.Uint64
-	// snap is the epoch-cached encoding, valid iff snap.version ==
-	// version. Published under mu, loaded lock-free.
-	snap atomic.Pointer[snapshot]
+	mu     sync.Mutex
+	ent    *registry.Entry // set once, under mu, by the first push
+	all    window.Acc      // the all-time summary; guarded by mu
+	pushes atomic.Uint64   // frames taken in
 
 	// plane is the slot's multi-resolution roll-up plane, bound with
 	// ent on windowed nodes (SetWindow); nil otherwise. Guarded by mu
@@ -53,32 +36,14 @@ type slot struct {
 	plane *window.Plane
 }
 
-// encoded returns the slot's wire encoding, serving the epoch cache
-// when it is fresh. The fast path is two atomic loads and no lock; the
-// slow path takes sl.mu, re-checks (another puller may have refreshed
-// the cache while we waited), encodes, and publishes the snapshot
-// before unlocking. Invalidation rule: a snapshot is valid only while
-// its version matches the slot's; pushes bump the version, so stale
-// bytes are unreachable the instant a push's reply is written.
-func (sl *slot) encoded() (string, []byte, error) {
-	if snap := sl.snap.Load(); snap != nil && snap.version == sl.version.Load() {
-		return snap.kind, snap.data, nil
-	}
+// frame encodes the slot's Acc under sl.mu: the PULL slow path.
+func (sl *slot) frame() ([]byte, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.summary == nil {
-		return "", nil, errSlotEmpty
+	if sl.all.Value() == nil {
+		return nil, errSlotEmpty
 	}
-	v := sl.version.Load()
-	if snap := sl.snap.Load(); snap != nil && snap.version == v {
-		return snap.kind, snap.data, nil
-	}
-	data, err := sl.ent.Encode(sl.summary)
-	if err != nil {
-		return "", nil, err
-	}
-	sl.snap.Store(&snapshot{version: v, kind: sl.ent.Name(), data: data})
-	return sl.ent.Name(), data, nil
+	return sl.all.Frame(sl.ent)
 }
 
 // kindCounters is one family's operation tally on a node. Counters are
@@ -98,8 +63,8 @@ type SlotRow struct {
 }
 
 // Node is the slot/registry core of the aggregation plane, with no
-// network attached: a named slot table, the epoch-versioned snapshot
-// cache serving encoded reads, the optional per-slot roll-up planes,
+// network attached: a named slot table, each slot's versioned
+// accumulator serving encoded reads, the optional per-slot roll-up planes,
 // and per-kind operation counters. The network Server layers the wire
 // protocol over exactly these methods, and the cluster fan-in reuses
 // them for its local share — one process can act as ingest node,
@@ -202,31 +167,20 @@ func (n *Node) snapshotSlots() []*slot {
 	return sls
 }
 
-// bindPlane creates the slot's roll-up plane on windowed nodes, tied
-// to the slot's family entry. Called under sl.mu at kind-bind time, so
-// a slot's plane exists from its first push onward. A plane bound
-// after the node has already turned epochs over starts at the
-// node-wide epoch, keeping every slot on one epoch timeline; see
-// AdvanceWindows for a bind that races a turn-over.
-func (n *Node) bindPlane(sl *slot, ent *registry.Entry) {
-	if !n.windowed || sl.plane != nil {
-		return
-	}
-	pl, err := window.NewPlane(ent, nil, n.winLadder)
-	if err != nil {
-		return // unreachable: SetWindow validated the ladder
-	}
-	_ = pl.AdvanceTo(n.winEpoch.Load()) // a fresh plane seals nothing
-	sl.plane = pl
-}
-
-// bindLocked fixes the slot's family on first contact — creating its
-// roll-up plane on windowed nodes — and rejects a push of any other
-// family.
+// bindLocked fixes the slot's family on first contact and rejects a
+// push of any other family. On windowed nodes the first contact also
+// creates the slot's roll-up plane, so it exists from the first push
+// on, at the node-wide epoch: every slot stays on one epoch timeline
+// (see AdvanceWindows for a bind that races a turn-over).
 func (n *Node) bindLocked(sl *slot, name []byte, ent *registry.Entry) error {
 	if sl.ent == nil {
 		sl.ent = ent
-		n.bindPlane(sl, ent)
+		if n.windowed {
+			if pl, err := window.NewPlane(ent, nil, n.winLadder); err == nil { // SetWindow validated the ladder
+				_ = pl.AdvanceTo(n.winEpoch.Load()) // a fresh plane seals nothing
+				sl.plane = pl
+			}
+		}
 	} else if sl.ent != ent {
 		return fmt.Errorf("slot %q holds kind %q", string(name), sl.ent.Name())
 	}
@@ -234,19 +188,17 @@ func (n *Node) bindLocked(sl *slot, name []byte, ent *registry.Entry) error {
 }
 
 // ingestLocked is the one step that puts a summary into a bound slot,
-// run under sl.mu once per pushed frame: install incoming or merge it
-// in, feed the slot's roll-up plane, recycle, count the merge.
+// run under sl.mu once per pushed frame: fold incoming into the slot's
+// Acc, feed the slot's roll-up plane, recycle, count the merge.
 // Ownership of incoming ends here either way: after a failed merge the
 // slot may be partially mutated and incoming may alias its state, so it
-// is dropped unrecycled, and the caller must bump the version so no
-// cached snapshot outlives the attempt.
+// is dropped unrecycled (the fold has already bumped the version).
 func (n *Node) ingestLocked(sl *slot, incoming any) error {
-	install := sl.summary == nil
-	if install {
-		sl.summary = incoming // ownership transfers to the slot
-	} else if err := sl.ent.Merge(sl.summary, incoming); err != nil {
+	installed, err := sl.all.Fold(sl.ent, incoming)
+	if err != nil {
 		return err
-	} else {
+	}
+	if !installed {
 		n.counters(sl.ent).merges.Add(1)
 	}
 	if sl.plane != nil {
@@ -254,17 +206,10 @@ func (n *Node) ingestLocked(sl *slot, incoming any) error {
 		// it just installed.
 		_ = sl.plane.AbsorbClone(incoming)
 	}
-	if !install {
+	if !installed {
 		sl.ent.PutScratch(incoming)
 	}
 	return nil
-}
-
-// countPushes tallies frames the slot has taken in, for STAT and
-// METRICS.
-func (n *Node) countPushes(sl *slot, ent *registry.Entry, frames int) {
-	sl.pushes.Add(uint64(frames))
-	n.counters(ent).pushes.Add(uint64(frames))
 }
 
 // recycle returns decoded summaries nothing took ownership of to their
@@ -310,10 +255,10 @@ func (n *Node) ingestBatch(name []byte, ent *registry.Entry, decoded []any) (uin
 			break
 		}
 	}
-	sl.version.Add(1)
-	total := ent.N(sl.summary)
+	total := ent.N(sl.all.Value())
 	sl.mu.Unlock()
-	n.countPushes(sl, ent, done)
+	sl.pushes.Add(uint64(done)) // for STAT and METRICS
+	n.counters(ent).pushes.Add(uint64(done))
 	if err != nil {
 		recycle(ent, decoded[done+1:])
 		return 0, fmt.Errorf("merge frame %d/%d: %v", done+1, len(decoded), err)
@@ -360,25 +305,28 @@ func (n *Node) Encoded(name string) (string, []byte, error) {
 	return n.encoded([]byte(name))
 }
 
-// encoded is Encoded for a name in bytes, the server's own. Errors
-// format a copy, string(name), so that name does not escape and the
-// byte conversions of the string-named callers stay off the heap.
+// encoded is Encoded for a name in bytes, the server's own: the slot
+// Acc's published frame while it is valid (two atomic loads, no lock),
+// else sl.frame. sl.ent needs no lock here: it is set before the Acc
+// can hold anything. Errors format a copy, string(name), so that name
+// does not escape and the byte conversions of the string-named callers
+// stay off the heap.
 func (n *Node) encoded(name []byte) (string, []byte, error) {
 	sl, ok := n.lookupSlot(name)
 	if !ok {
 		return "", nil, fmt.Errorf("%w %q", errNoSlot, string(name))
 	}
-	kind, data, err := sl.encoded()
-	if err != nil {
-		if errors.Is(err, errSlotEmpty) {
+	data, ok := sl.all.Cached()
+	if !ok {
+		var err error
+		if data, err = sl.frame(); errors.Is(err, errSlotEmpty) {
 			return "", nil, emptySlot(string(name))
+		} else if err != nil {
+			return "", nil, fmt.Errorf("encoding: %w", err)
 		}
-		return "", nil, fmt.Errorf("encoding: %w", err)
 	}
-	if ent, entOK := registry.ByName(kind); entOK {
-		n.counters(ent).pulls.Add(1)
-	}
-	return kind, data, nil
+	n.counters(sl.ent).pulls.Add(1)
+	return sl.ent.Name(), data, nil
 }
 
 // WindowEncoded answers the named slot's epoch range [from, to] from
@@ -428,9 +376,9 @@ func (n *Node) Rows() []SlotRow {
 	for _, s := range slots {
 		row := SlotRow{Name: s.name, Kind: "-"}
 		s.sl.mu.Lock()
-		if s.sl.summary != nil {
+		if v := s.sl.all.Value(); v != nil {
 			row.Kind = s.sl.ent.Name()
-			row.N = s.sl.ent.N(s.sl.summary)
+			row.N = s.sl.ent.N(v)
 			row.Pushes = s.sl.pushes.Load()
 		}
 		s.sl.mu.Unlock()

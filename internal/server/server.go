@@ -41,27 +41,13 @@
 // byte-identical in shape to PULL's. Without windowed mode QWIN
 // reports an error.
 //
-// PULLC and QWINC are the cluster fan-in commands: on servers running
-// peer mode (SetPeers / summaryd -peers), the node PULLs the slot's
-// encoded snapshot from every peer — pipelined in rounds on the calling
-// goroutine: each round writes every request before it reads a reply —
-// reduces the peer partials together with its own local state through
-// the registry's decode-into-scratch path and the one frame reduce
-// (cluster.ReduceEncoded), and replies with the merged frame — the
-// paper's topology-free merge run over the network as a star. Peers
-// missing the slot contribute nothing; a peer that cannot be reached
-// within the per-peer timeout (after retries, one round each) turns the
-// reply into a partial-result error naming the failed peers, never a
-// hang. Connections to peers are kept between fan-ins — a small free
-// list of idle links per member (links.go) — so a cluster read costs a
-// round trip per peer, not a handshake: a link goes back on the list
-// only after a clean reply or a server ERR, a link found stale (the
-// peer restarted) is replaced by a fresh dial within the same attempt
-// and without spending a retry, and a fan-in still costs at most
-// (retries+1)·timeout however many peers hang. The other side of that
-// bargain: nodes hold idle inbound connections from their peers, so
-// Close hangs up everything the server holds instead of waiting for it,
-// and a Shutdown with such links open waits its whole grace period.
+// PULLC and QWINC are the cluster fan-in commands: in peer mode
+// (SetPeers / summaryd -peers) the node reads the single-node answer
+// from every peer over kept links (links.go), in rounds on the calling
+// goroutine, and reduces them with its own in member order — the
+// paper's topology-free merge run over the network as a star. A peer it
+// cannot reach turns the reply into a partial-result error, never a
+// hang (fanIn.gather).
 //
 // All four read commands are one path (read.go):
 //
@@ -84,44 +70,27 @@
 //	frames → decode outside any lock → one locked absorb → one reply
 //
 // Every frame on the wire is preceded by its own "<len>\n" length line,
-// and PUSH is PUSHB of one: a single handler reads the frames the
-// command line announces (up to MaxBatch behind one PUSHB, one reply for
-// all of them, amortizing syscall, parse and slot-lock overhead) into a
-// pooled buffer, decodes each into a pooled scratch summary with no lock
-// held, and hands them to Node.IngestBatch, which absorbs them under one
-// acquisition of the slot lock, each through the same locked step
-// (ingestLocked: install or merge, feed the roll-up plane, recycle,
-// count). The handler's "OK <n>" means one thing: the merged slot's N
-// after the write, and METRICS's counters obey one law, kind.push =
+// and PUSH is PUSHB of one (up to MaxBatch frames, one reply): cmdWrite
+// decodes the frames with no lock held, and Node.IngestBatch folds them
+// into the slot under one acquisition of its lock. "OK <n>" is the
+// slot's N after the write, and METRICS keeps one law, kind.push =
 // kind.merge + summaries installed into a slot. Frames preceding a
 // failed merge within a batch stay merged (the reply reports the error
-// and the failing frame). The client mirrors this with one sender
-// behind Push and PushBatch.
+// and the failing frame).
 //
-// Layering: all slot state — the slot table, the epoch-versioned
-// snapshot cache, the roll-up planes and the per-kind operation
+// Layering: all slot state — the slot table, each slot's versioned
+// accumulator, the roll-up planes and the per-kind operation
 // counters — lives on Node (node.go), which has no network attached.
-// Server is the wire-protocol shell: it reads frames into pooled
-// buffers, decodes them into pooled scratch summaries entirely outside
-// any slot lock, and calls the node's ingest/read methods; the cluster
-// fan-in reuses the same node methods for the local share. One process
-// can therefore act as ingest node, aggregator, or both.
+// Server is the wire-protocol shell over the node's ingest/read
+// methods, which the cluster fan-in reuses for the local share. One
+// process can therefore act as ingest node, aggregator, or both.
 //
-// Concurrency architecture (the merge plane):
-//
-//   - Writes read frames into a pooled buffer and decode them into
-//     pooled scratch summaries entirely outside the slot lock; only
-//     the merge itself runs under sl.mu. Steady-state ingestion
-//     allocates nothing at the framing layer.
-//   - Every successful mutation bumps the slot's version counter.
-//     PULL serves from an epoch-versioned encoded-snapshot cache: a
-//     slot re-encodes only after its version moved, and concurrent
-//     readers share the cached bytes lock-free. A PULL issued after a
-//     push's OK reply always observes that push (the version bump
-//     happens before the reply is written).
-//   - Lock ordering: n.mu (slot map) and sl.mu (one slot) are never
-//     held together except map-lookup-then-slot-lock; sl.mu is never
-//     held while touching another slot.
+// Concurrency (the merge plane, DESIGN.md §5): a slot's state is a
+// window.Acc under sl.mu, so a PULL serves, lock-free, the frame valid
+// for the slot's current version, never one from before a push whose
+// reply was written. n.mu (slot map) and sl.mu (one slot) nest only as
+// map-lookup-then-slot-lock; sl.mu is never held while touching another
+// slot.
 //
 // Both ends hold frameChunk (64 KiB) connection buffers, so a message up
 // to that size — a PUSHB of aggregator-size frames, a frame reply —

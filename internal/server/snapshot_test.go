@@ -4,12 +4,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/mg"
 )
 
-// The epoch cache's contract: a PULL issued after a push was
+// The slot Acc's contract: a PULL issued after a push was
 // acknowledged never serves bytes from before that push. First the
 // deterministic shape — warm the cache, bump the version, re-pull —
 // then the concurrent one under the race detector.
@@ -160,4 +161,16 @@ func TestConcurrentPushPullReset(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestSlotKeepsItsSize: a slot's cached state is one window.Acc — the
+// summary, the version and the published frame pointer — and a plain
+// slot stays 64 bytes on a 64-bit platform.
+func TestSlotKeepsItsSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(slot{}); got > 64 {
+		t.Fatalf("slot is %d bytes, want at most 64", got)
+	}
 }

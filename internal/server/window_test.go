@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding"
 	"errors"
 	"fmt"
@@ -318,5 +319,82 @@ func TestAdvanceWindowsRacingFirstPush(t *testing.T) {
 	}
 	if behind != 0 {
 		t.Fatalf("%d planes off the node's epoch %d", behind, n.Epoch())
+	}
+}
+
+// TestWindowedPullIsPlainPull: a slot's all-time state does not depend
+// on its node being windowed. For every family, the same frames pushed
+// in the same order to a plain node and to a windowed one — with epoch
+// turn-overs on the windowed node between pushes — PULL the same bytes
+// after every step. And the windowed node's live-range QWIN is the
+// reduce of its sealed cover followed by the live epoch's frame: the
+// fold, in push order, of the frames pushed since the last turn-over.
+func TestWindowedPullIsPlainPull(t *testing.T) {
+	for _, ent := range registry.Entries() {
+		t.Run(ent.Name(), func(t *testing.T) {
+			plain, windowed := NewNode(), NewNode()
+			if err := windowed.SetWindow(window.Ladder{Fan: 2, Levels: 3}, 0); err != nil {
+				t.Fatal(err)
+			}
+			decode := func(frame []byte) any {
+				v, err := ent.Decode(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+			var live any // the live epoch's fold, nil right after a turn-over
+			for step := range 14 {
+				frame, err := ent.Encode(ent.Example(37*step%300 + 20))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range []*Node{plain, windowed} {
+					if _, err := n.Ingest("s", ent, decode(frame)); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
+				if live == nil {
+					live = decode(frame)
+				} else if err := ent.Merge(live, decode(frame)); err != nil {
+					t.Fatal(err)
+				}
+				_, want, err := plain.Encoded("s")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, got, err := windowed.Encoded("s"); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("step %d: windowed PULL %d bytes (%v), plain PULL %d bytes", step, len(got), err, len(want))
+				}
+
+				sl, _ := windowed.lookupSlot([]byte("s"))
+				cov, err := sl.plane.Cover(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pieces := make([][]byte, 0, len(cov.Segments)+1)
+				for _, seg := range cov.Segments {
+					pieces = append(pieces, seg.Frame)
+				}
+				liveFrame, err := ent.Encode(live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pieces = append(pieces, liveFrame)
+				want = liveFrame
+				if len(pieces) > 1 {
+					if want, err = window.ReduceEncoded(ent, pieces); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, got, err := windowed.WindowEncoded("s", 0, 0); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("step %d: live-range QWIN %d bytes (%v), cover + live epoch reduce to %d bytes", step, len(got), err, len(want))
+				}
+				if step%3 != 1 {
+					windowed.AdvanceWindows()
+					live = nil
+				}
+			}
+		})
 	}
 }

@@ -402,6 +402,43 @@ func TestWriteRejectsNonCanonicalFrame(t *testing.T) {
 	}
 }
 
+// TestWriteRejectsWrappedQDigestWeight: a q-digest frame whose node
+// counts wrap 2^64 to exactly n — two siblings counting 2^64−1 and 3
+// under n = 2 — is refused by its decoder: PUSH answers ERR and the
+// slot's PULL bytes stay what they were.
+func TestWriteRejectsWrappedQDigestWeight(t *testing.T) {
+	addr, stop := startServer(t)
+	defer stop()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	d := qdigest.New(4, 100)
+	d.Update(3, 1)
+	d.Update(9, 1)
+	if _, err := c.Push("qd", "qdigest", d); err != nil {
+		t.Fatal(err)
+	}
+	_, before, err := c.PullFrame("qd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	for _, v := range []uint64{4, 100, 2, 2, 16, math.MaxUint64, 17, 3} { // logU, k, n, nodes, (id, count)...
+		w.Uint64(v)
+	}
+	wrapped := codec.EncodeFrame(codec.KindQDigest, w.Bytes())
+	if _, err := c.Push("qd", "qdigest", rawSummary(wrapped)); err == nil {
+		t.Fatal("q-digest frame whose counts wrap 2^64 accepted")
+	}
+	if _, after, err := c.PullFrame("qd"); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("refused push changed the slot (%v)", err)
+	}
+}
+
 // TestWriteRejectsNaNSample: a quantile or bottom-k frame holding a
 // NaN sample — which no Update can insert, and which would answer
 // quantile queries with NaN — is refused by its decoder: PUSH answers

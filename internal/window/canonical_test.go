@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mg"
@@ -218,6 +219,68 @@ func TestAnswerSurvivesCacheClear(t *testing.T) {
 				t.Fatalf("[3,32] answered %d bytes before the cache was cleared and %d after", len(first), len(again))
 			}
 		})
+	}
+}
+
+// TestAnswerIndependentOfCacheHistory: an answer is a function of the
+// range and the writes, not of what was asked before. For every family,
+// a plane that caches every answer and one whose cache is cleared before
+// each query take the same writes through three horizons of the
+// coarsest level; at every epoch every range — live epoch included —
+// must answer both with the same bytes or the same error. Fewer ranges
+// exist than the cache holds, so the caching plane never drops an
+// answer it computed: one that outlived the eviction of its epochs
+// would be served here.
+func TestAnswerIndependentOfCacheHistory(t *testing.T) {
+	for _, l := range []Ladder{
+		{Fan: 2, Levels: 2, Horizon: []uint64{2, 4}},
+		{Fan: 2, Levels: 3, Horizon: []uint64{4, 2, 4}}, // the coarsest level retains no longer than the finest
+	} {
+		nl, err := l.normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		epochs := 3*slices.Max(nl.Horizon) + 3
+		if epochs*(epochs+1)/2 >= maxCachedQueries {
+			t.Fatalf("%d epochs have more ranges than the cache holds", epochs)
+		}
+		for _, ent := range registry.Entries() {
+			t.Run(fmt.Sprintf("%v/%s", nl.Horizon, ent.Name()), func(t *testing.T) {
+				t.Parallel()
+				cached, err := NewPlane(ent, nil, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				uncached, _ := NewPlane(ent, nil, l)
+				for now := uint64(1); now <= epochs; now++ {
+					for _, n := range scriptSizes(now) {
+						for _, p := range []*Plane{cached, uncached} {
+							if _, err := p.Absorb(ent.Example(n)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					for from := uint64(1); from <= now; from++ {
+						for to := from; to <= now; to++ {
+							got, gotErr := cached.QueryEncoded(from, to)
+							uncached.mu.Lock()
+							clear(uncached.cache)
+							uncached.mu.Unlock()
+							want, wantErr := uncached.QueryEncoded(from, to)
+							if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
+								t.Fatalf("epoch %d, [%d, %d]: caching plane answers %d bytes (%v), uncached plane %d bytes (%v)",
+									now, from, to, len(got), gotErr, len(want), wantErr)
+							}
+						}
+					}
+					for _, p := range []*Plane{cached, uncached} {
+						if err := p.Advance(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

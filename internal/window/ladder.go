@@ -1,6 +1,9 @@
 package window
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Ladder is the shape of a multi-resolution roll-up plane: Levels
 // geometric resolutions where a level-ℓ segment summarizes Fan^ℓ
@@ -138,27 +141,21 @@ func (st *segStore) get(level int, from uint64) (*Segment, bool) {
 // its level's horizon behind the live epoch.
 func (st *segStore) evict(now uint64) {
 	for level, segs := range st.levels {
-		h := st.ladder.Horizon[level]
-		if now <= h {
-			continue
-		}
-		limit := now - h // keep segments with To >= limit
 		for from, seg := range segs {
-			if seg.To < limit {
+			if now > st.retainedThrough(level, seg.To) {
 				delete(segs, from)
 			}
 		}
 	}
 }
 
-// retained reports whether the level-ℓ block ending at epoch blockTo
-// is still within the level's retention horizon at live epoch now. A
-// block inside the horizon that has no sealed segment was empty (its
-// epochs summarized nothing), which the planner may skip; outside the
-// horizon, absence means evicted and the cover fails.
-func (st *segStore) retained(level int, blockTo, now uint64) bool {
-	h := st.ladder.Horizon[level]
-	return now <= h || blockTo >= now-h
+// retainedThrough returns the last live epoch at which the level-ℓ
+// block ending at blockTo is retained: until then a block with no
+// sealed segment was empty (its epochs summarized nothing), which the
+// planner may skip; after it, evict has dropped the block and the
+// cover fails.
+func (st *segStore) retainedThrough(level int, blockTo uint64) uint64 {
+	return blockTo + min(st.ladder.Horizon[level], math.MaxUint64-blockTo)
 }
 
 // count returns the number of sealed segments per level.

@@ -53,17 +53,14 @@ type PlaneStats struct {
 // queryKey identifies one planned cover in the result cache.
 type queryKey struct{ from, to uint64 }
 
-// queryEnt is one cached query result. A fully-sealed range is
-// immutable — Advance stores everything a seal adds before any query
-// can see the seal, and a cover is a function of the stored set — so
-// its merged frame is the answer, cached or recomputed. Ranges that
-// include the live epoch are additionally pinned to the live-mutation
-// version, mirroring the server's PULL snapshot cache: any
-// Absorb/Update/Advance bump invalidates them.
+// queryEnt is one cached answer and what it read: the sealed pieces
+// of its cover, all retained through epoch until, and — for a range
+// ending at the live epoch — the live Acc at version ver. Plane.fresh
+// states when it may be served.
 type queryEnt struct {
-	live    uint64 // liveVer at compute time (live ranges only)
-	hasLive bool
-	frame   []byte
+	until uint64
+	ver   uint64
+	frame []byte
 }
 
 // maxCachedQueries bounds the cover cache; on overflow the cache is
@@ -79,11 +76,10 @@ type Plane struct {
 	ladder Ladder
 	mk     func(epoch uint64) any // optional live-epoch constructor
 
-	mu      sync.Mutex
-	store   *segStore
-	cur     any    // live epoch summary; nil until first Absorb/Update
-	now     uint64 // live epoch sequence number, starts at 1
-	liveVer uint64 // bumps on every live-epoch mutation and Advance
+	mu    sync.Mutex
+	store *segStore
+	live  Acc    // the live epoch's summary; empty until first Absorb/Update
+	now   uint64 // live epoch sequence number, starts at 1
 
 	cache map[queryKey]queryEnt
 
@@ -124,14 +120,13 @@ func (p *Plane) Epoch() uint64 {
 func (p *Plane) Update(f func(cur any)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cur == nil {
+	if p.live.Value() == nil {
 		if p.mk == nil {
 			panic("window: Plane.Update without a live-epoch constructor; use Absorb")
 		}
-		p.cur = p.mk(p.now)
+		p.live.Fold(p.ops, p.mk(p.now)) // installs: an empty Acc merges nothing
 	}
-	f(p.cur)
-	p.liveVer++
+	p.live.Update(f)
 }
 
 // Absorb folds an already-built summary into the live epoch: the
@@ -143,12 +138,7 @@ func (p *Plane) Update(f func(cur any)) {
 func (p *Plane) Absorb(src any) (consumed bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.liveVer++ // whatever happens: a failed merge may have half-mutated the live summary
-	if p.cur == nil {
-		p.cur = src
-		return true, nil
-	}
-	return false, p.ops.Merge(p.cur, src)
+	return p.live.Fold(p.ops, src)
 }
 
 // AbsorbClone folds src into the live epoch without ever taking
@@ -159,9 +149,8 @@ func (p *Plane) Absorb(src any) (consumed bool, err error) {
 // path runs once per epoch; every other call is Absorb's plain merge.
 func (p *Plane) AbsorbClone(src any) error {
 	p.mu.Lock()
-	if p.cur != nil {
-		err := p.ops.Merge(p.cur, src)
-		p.liveVer++
+	if p.live.Value() != nil {
+		_, err := p.live.Fold(p.ops, src)
 		p.mu.Unlock()
 		return err
 	}
@@ -192,9 +181,8 @@ func (p *Plane) AbsorbClone(src any) error {
 // planner's "coarsest available segment" is the canonical aligned
 // cover and a sealed range reduces through the same merge tree — to
 // the same bytes — on every read, cached or not, on every node that
-// saw the same writes. Encoding under the lock is the same deliberate
-// choice as the server's snapshot cache: it writes to a pooled
-// in-memory buffer and keeps the seal atomic with the turn-over.
+// saw the same writes. The seal encodes under the lock as every Acc
+// owner does, once per version: a query may have encoded it already.
 //
 // The epoch turns over whatever fails, and every failure is returned
 // (joined). A failed seal loses that epoch; the blocks it closes are
@@ -217,7 +205,7 @@ func (p *Plane) Advance() error {
 func (p *Plane) AdvanceTo(epoch uint64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cur == nil && p.liveVer == 0 && epoch > p.now {
+	if p.live.Version() == 0 && epoch > p.now {
 		p.now = epoch
 	}
 	var err error
@@ -231,9 +219,9 @@ func (p *Plane) AdvanceTo(epoch uint64) error {
 func (p *Plane) advance() error {
 	sealed := p.now
 	var sealErr, rollErr error
-	if p.cur != nil {
-		if n := p.ops.N(p.cur); n > 0 {
-			frame, err := p.ops.Encode(p.cur)
+	if v := p.live.Value(); v != nil {
+		if n := p.ops.N(v); n > 0 {
+			frame, err := p.live.Frame(p.ops)
 			if err == nil {
 				err = p.store.put(&Segment{Level: 0, From: sealed, To: sealed, N: n, Frame: frame})
 			}
@@ -241,13 +229,13 @@ func (p *Plane) advance() error {
 				sealErr = fmt.Errorf("window: sealing epoch %d: %w", sealed, err)
 			}
 		}
-		// Recycled through the registry pool: the sealed frame captures
-		// it, and DecodeInto fully replaces a scratch target.
-		p.ops.PutScratch(p.cur)
-		p.cur = nil
+	}
+	// Taken even when empty, so the version shows a plane is not
+	// pristine; recycled, since the sealed frame captures the summary.
+	if v := p.live.Take(); v != nil {
+		p.ops.PutScratch(v)
 	}
 	p.now++
-	p.liveVer++
 	// Spans nest, so the levels this seal closes a block at are a
 	// prefix; finest first, because a cascading boundary (epoch 64 closes
 	// an 8-block and a 64-block) builds level 2 from the level-1 segment
@@ -262,13 +250,21 @@ func (p *Plane) advance() error {
 		}
 	}
 	p.store.evict(p.now)
-	// Live-range answers are stale now; sealed-range ones stay correct.
 	for k, e := range p.cache {
-		if e.hasLive {
+		if !p.fresh(k, e) {
 			delete(p.cache, k)
 		}
 	}
 	return errors.Join(sealErr, rollErr)
+}
+
+// fresh is the cache's one rule: a cached answer is valid while the
+// versions of the Accs it read are unchanged and no piece of its cover
+// has been evicted. Only a range ending at the live epoch read the live
+// Acc. Segments are immutable, and a seal adds none inside an older
+// range, so a fresh answer is the bytes a new plan and reduce would give.
+func (p *Plane) fresh(k queryKey, e queryEnt) bool {
+	return p.now <= e.until && (k.to < p.now || e.ver == p.live.Version())
 }
 
 // rollUp stores the level segment covering [from, from+span-1],
@@ -344,13 +340,16 @@ func (p *Plane) Cover(from, to uint64) (Cover, error) {
 // whole range, or everything before the live epoch when that is
 // included (nothing, for a live-only range).
 func (p *Plane) planSealed(from, to uint64, includeLive bool) (Cover, error) {
-	if includeLive {
-		if from == p.now {
-			return Cover{From: from, To: to}, nil
-		}
-		to = p.now - 1
+	if !includeLive {
+		return p.store.plan(from, to, p.now)
 	}
-	return p.store.plan(from, to, p.now)
+	// The live epoch is a piece retained through its own epoch.
+	if from == p.now {
+		return Cover{From: from, To: to, until: p.now}, nil
+	}
+	cov, err := p.store.plan(from, p.now-1, p.now)
+	cov.until = min(cov.until, p.now)
+	return cov, err
 }
 
 // resolveRange validates and normalizes a query range under p.mu:
@@ -372,10 +371,10 @@ func (p *Plane) resolveRange(from, to uint64) (rfrom, rto uint64, includeLive bo
 // QueryEncoded plans, reduces and encodes the summary of epochs
 // [from, to] (both inclusive; 0 means "oldest retained" / "live").
 // The returned frame is immutable and may be shared; repeated covers
-// are served from the epoch-versioned result cache. The live epoch,
-// when included, is snapshotted under the plane lock via the registry
-// Encode path — identical bound-wise to merging it directly, and it
-// keeps every decode outside the critical section.
+// are served from the answer cache while fresh. The live epoch, when
+// included, is read as its Acc's frame under the plane lock —
+// identical bound-wise to merging it directly, and it keeps every
+// decode outside the critical section.
 func (p *Plane) QueryEncoded(from, to uint64) ([]byte, error) {
 	return p.queryEncoded(from, to, 0)
 }
@@ -395,8 +394,7 @@ func (p *Plane) queryEncoded(from, to, last uint64) ([]byte, error) {
 		return nil, err
 	}
 	key := queryKey{rfrom, rto}
-	liveVer := p.liveVer
-	if e, ok := p.cache[key]; ok && (!e.hasLive || e.live == liveVer) {
+	if e, ok := p.cache[key]; ok && p.fresh(key, e) {
 		p.hits++
 		p.mu.Unlock()
 		return e.frame, nil
@@ -407,25 +405,22 @@ func (p *Plane) queryEncoded(from, to, last uint64) ([]byte, error) {
 		p.mu.Unlock()
 		return nil, err
 	}
-	var liveFrame []byte
-	if includeLive && p.cur != nil && p.ops.N(p.cur) > 0 {
-		liveFrame, err = p.ops.Encode(p.cur)
-		if err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("window: snapshotting live epoch: %w", err)
-		}
-	}
-	p.mu.Unlock()
-
-	// Reduce outside the lock: the cover's frames, then the live
-	// snapshot, in ascending epoch order.
+	// The pieces in ascending epoch order: the cover's frames, then the
+	// live Acc's; reduced outside the lock.
 	pieces := make([][]byte, 0, len(cov.Segments)+1)
 	for _, seg := range cov.Segments {
 		pieces = append(pieces, seg.Frame)
 	}
-	if liveFrame != nil {
-		pieces = append(pieces, liveFrame)
+	ent := queryEnt{until: cov.until, ver: p.live.Version()}
+	if v := p.live.Value(); includeLive && v != nil && p.ops.N(v) > 0 {
+		live, err := p.live.Frame(p.ops)
+		if err != nil {
+			p.mu.Unlock()
+			return nil, fmt.Errorf("window: snapshotting live epoch: %w", err)
+		}
+		pieces = append(pieces, live)
 	}
+	p.mu.Unlock()
 	var frame []byte
 	switch len(pieces) {
 	case 0:
@@ -440,12 +435,13 @@ func (p *Plane) queryEncoded(from, to, last uint64) ([]byte, error) {
 		}
 	}
 
+	ent.frame = frame
 	p.mu.Lock()
-	if !includeLive || p.liveVer == liveVer {
+	if p.fresh(key, ent) {
 		if len(p.cache) >= maxCachedQueries {
 			clear(p.cache)
 		}
-		p.cache[key] = queryEnt{live: liveVer, hasLive: includeLive, frame: frame}
+		p.cache[key] = ent
 	}
 	p.mu.Unlock()
 	return frame, nil

@@ -264,7 +264,7 @@ func TestPlaneEmptyEpochs(t *testing.T) {
 }
 
 // The cover cache serves repeated covers and invalidates live ranges
-// on mutation, mirroring the PULL snapshot cache.
+// when the live Acc's version moves.
 func TestPlaneQueryCache(t *testing.T) {
 	p, ent := mustPlane(t, "mg", Ladder{Fan: 4, Levels: 2})
 	sealExampleEpochs(t, p, ent, []int{100, 200, 300})

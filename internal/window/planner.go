@@ -1,6 +1,9 @@
 package window
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Cover is a planner result: sealed segments whose epoch ranges are
 // pairwise disjoint and union exactly to the planned [From, To] range
@@ -8,6 +11,10 @@ import "fmt"
 type Cover struct {
 	From, To uint64
 	Segments []*Segment
+	// until is the last live epoch at which every piece of the plan —
+	// each segment, and each empty block it skipped — is still
+	// retained, so the same range plans the same cover.
+	until uint64
 }
 
 // plan decomposes the sealed epoch range [from, to] into the minimal
@@ -32,7 +39,7 @@ func (st *segStore) plan(from, to, now uint64) (Cover, error) {
 		return Cover{}, fmt.Errorf("window: epoch range [%d, %d] reaches past the last sealed epoch %d", from, to, now-1)
 	}
 	top := len(st.levels) - 1
-	cov := Cover{From: from, To: to}
+	cov := Cover{From: from, To: to, until: math.MaxUint64}
 	for pos := from; pos <= to; {
 		var seg *Segment
 		for level := top; level >= 0; level-- {
@@ -47,6 +54,7 @@ func (st *segStore) plan(from, to, now uint64) (Cover, error) {
 		}
 		if seg != nil {
 			cov.Segments = append(cov.Segments, seg)
+			cov.until = min(cov.until, st.retainedThrough(seg.Level, seg.To))
 			pos = seg.To + 1
 			continue
 		}
@@ -66,7 +74,8 @@ func (st *segStore) plan(from, to, now uint64) (Cover, error) {
 			if blockTo > to {
 				break // coarser blocks only overshoot further
 			}
-			if st.retained(level, blockTo, now) {
+			if through := st.retainedThrough(level, blockTo); now <= through {
+				cov.until = min(cov.until, through)
 				pos = blockTo + 1
 				skipped = true
 				break
