@@ -283,13 +283,18 @@ func (d *Digest) Quantile(phi float64) uint64 {
 
 // Merge folds other into d: counts add node-wise and the result is
 // re-compressed — the q-digest is trivially mergeable. Digests must
-// share logU and k; other is not modified.
+// share logU and k, and their weights must sum below 2^64: a merge that
+// would wrap n is refused before d is touched (no node count can wrap
+// while n does not). other is not modified.
 func (d *Digest) Merge(other *Digest) error {
 	if other == nil {
 		return core.ErrNilSummary
 	}
 	if d.logU != other.logU || d.k != other.k {
 		return fmt.Errorf("%w: qdigest logU/k", core.ErrMismatchedShape)
+	}
+	if _, carry := bits.Add64(d.n, other.n, 0); carry != 0 {
+		return errMergeOverflow(d.n, other.n)
 	}
 	rs := lender.Get()
 	d.flush(rs)
@@ -589,12 +594,15 @@ func compressed(ids, counts []uint64, t uint64) bool {
 	return true
 }
 
-// Decode errors live outside UnmarshalBinary so the hot path carries
-// no fmt call.
+// Decode and merge errors live outside UnmarshalBinary and Merge so the
+// hot paths carry no fmt call.
 func errHeader(logU int, k uint64) error {
 	return fmt.Errorf("qdigest: invalid header (logU=%d, k=%d)", logU, k)
 }
 func errNodeRange(id uint64) error { return fmt.Errorf("qdigest: node id %d out of tree", id) }
+func errMergeOverflow(n, m uint64) error {
+	return fmt.Errorf("qdigest: merged weight %d + %d overflows uint64", n, m)
+}
 func errZeroCount(id uint64) error { return fmt.Errorf("qdigest: zero-count node %d", id) }
 func errCompress(t uint64) error {
 	return fmt.Errorf("qdigest: body not compressed: a node with its sibling and parent within the threshold %d", t)

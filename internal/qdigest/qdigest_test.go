@@ -1,6 +1,7 @@
 package qdigest
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -304,6 +305,45 @@ func TestDecodeRefusesWrappedWeight(t *testing.T) {
 	if d.N() != 0 || d.Size() != 0 {
 		t.Fatalf("refused frame left n = %d, %d nodes in the receiver", d.N(), d.Size())
 	}
+}
+
+// TestMergeRefusesWrappedWeight: a merge whose weights sum past 2^64
+// is refused before the receiver changes. Self-merges of a digest of
+// weight 2^62 reach 2^63 and then would wrap n to 0, leaving a digest
+// whose own frame its decoder refuses.
+func TestMergeRefusesWrappedWeight(t *testing.T) {
+	d := New(4, 3)
+	d.Update(1, 1<<62)
+	for i := 0; i < 3; i++ {
+		before, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.N()
+		err = d.Merge(d.Clone())
+		if n <= math.MaxUint64-n {
+			if err != nil {
+				t.Fatalf("merge %d: weight %d + %d refused: %v", i+1, n, n, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("merge %d: weight %d + %d accepted: n = %d", i+1, n, n, d.N())
+		}
+		after, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("merge %d: refused merge changed the digest", i+1)
+		}
+		var back Digest
+		if err := back.UnmarshalBinary(after); err != nil {
+			t.Fatalf("merge %d: digest's own frame refused: %v", i+1, err)
+		}
+		return
+	}
+	t.Fatal("no merge reached the wrap")
 }
 
 func TestWeightedUpdates(t *testing.T) {

@@ -2,6 +2,7 @@ package qdigest
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/codec"
@@ -193,6 +194,9 @@ func (d *refDigest) Merge(other *refDigest) error {
 	}
 	if d.logU != other.logU || d.k != other.k {
 		return fmt.Errorf("%w: qdigest logU/k", core.ErrMismatchedShape)
+	}
+	if d.n > math.MaxUint64-other.n {
+		return fmt.Errorf("qdigest: merged weight %d + %d overflows uint64", d.n, other.n)
 	}
 	for id, c := range other.counts {
 		d.counts[id] += c

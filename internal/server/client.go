@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/window"
 )
 
@@ -259,12 +260,21 @@ func (c *Client) receive() (string, []byte, error) {
 	if err != nil || n < 0 || n > maxFrame {
 		return "", nil, fmt.Errorf("server: bad frame length %q", length)
 	}
-	k := string(kind) // before readFrame reads over the line
+	k := kindName(kind) // before readFrame reads over the line
 	buf, err := readFrame(c.r, nil, n)
 	if err != nil {
 		return "", nil, err
 	}
 	return k, buf, nil
+}
+
+// kindName returns a reply's kind as the registry's own name string, so
+// reading a registered kind allocates nothing; any other is copied.
+func kindName(kind []byte) string {
+	if ent, ok := registry.ByName(string(kind)); ok {
+		return ent.Name()
+	}
+	return string(kind)
 }
 
 // read sends q and reads the frame reply.

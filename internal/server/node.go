@@ -188,27 +188,31 @@ func (n *Node) bindLocked(sl *slot, name []byte, ent *registry.Entry) error {
 }
 
 // ingestLocked is the one step that puts a summary into a bound slot,
-// run under sl.mu once per pushed frame: fold incoming into the slot's
-// Acc, feed the slot's roll-up plane, recycle, count the merge.
-// Ownership of incoming ends here either way: after a failed merge the
-// slot may be partially mutated and incoming may alias its state, so it
-// is dropped unrecycled (the fold has already bumped the version).
+// run under sl.mu once per pushed frame; ownership of incoming ends
+// here. The slot installs its first push and keeps it, so the plane
+// gets a clone of that one, once per slot lifetime. A later push is
+// only read by the slot's merge, so it goes on to the plane itself:
+// adopted by an empty live epoch, or merged and recycled. After a
+// failed merge, into the slot or the live epoch, incoming may alias the
+// merged state and is dropped unrecycled (Acc.Fold).
 func (n *Node) ingestLocked(sl *slot, incoming any) error {
 	installed, err := sl.all.Fold(sl.ent, incoming)
 	if err != nil {
 		return err
 	}
-	if !installed {
-		n.counters(sl.ent).merges.Add(1)
+	if installed {
+		if sl.plane != nil {
+			_ = sl.plane.AbsorbClone(incoming)
+		}
+		return nil
 	}
+	n.counters(sl.ent).merges.Add(1)
 	if sl.plane != nil {
-		// AbsorbClone never takes ownership, so the slot keeps a summary
-		// it just installed.
-		_ = sl.plane.AbsorbClone(incoming)
+		if consumed, err := sl.plane.Absorb(incoming); consumed || err != nil {
+			return nil
+		}
 	}
-	if !installed {
-		sl.ent.PutScratch(incoming)
-	}
+	sl.ent.PutScratch(incoming)
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -393,6 +395,143 @@ func TestWindowedPullIsPlainPull(t *testing.T) {
 				if step%3 != 1 {
 					windowed.AdvanceWindows()
 					live = nil
+				}
+			}
+		})
+	}
+}
+
+// TestWindowedPushAllocs: feeding a slot's roll-up plane costs a push
+// no allocation. The same decode + Node.Ingest goes to a plain node and
+// to a windowed one, once with an epoch turn-over before every push —
+// so each is its epoch's first, which the live epoch adopts — and once
+// without, so each merges into the live epoch. Only the push is
+// counted, not the turn-over's seal. Skipped under -race: see
+// raceEnabled.
+func TestWindowedPushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
+	}
+	ent, _ := registry.ByName("mg")
+	frame, err := ent.Encode(ent.Example(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(n *Node) {
+		sc := ent.GetScratch()
+		if err := ent.DecodeInto(sc, frame); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Ingest("s", ent, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// perPush is testing.AllocsPerRun for the push alone.
+	perPush := func(n *Node, turn bool) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		const runs = 200
+		var before, after runtime.MemStats
+		var total uint64
+		for i := 0; i <= runs; i++ {
+			if turn {
+				n.AdvanceWindows()
+			}
+			runtime.ReadMemStats(&before)
+			push(n)
+			runtime.ReadMemStats(&after)
+			if i > 0 { // the first run warms up, as in AllocsPerRun
+				total += after.Mallocs - before.Mallocs
+			}
+		}
+		return total / runs
+	}
+	plain, windowed := NewNode(), NewNode()
+	if err := windowed.SetWindow(window.Ladder{Fan: 4, Levels: 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	push(plain) // the installing pushes
+	push(windowed)
+	for _, turn := range []bool{true, false} {
+		want := perPush(plain, turn)
+		if got := perPush(windowed, turn); got > want {
+			t.Errorf("push into a windowed slot (epoch turned over before each: %v): %d allocs, plain slot %d", turn, got, want)
+		}
+	}
+}
+
+// TestLiveEpochIsFoldOfPushes: a windowed slot's live epoch is the fold
+// of its epoch's pushes, however they reached it — cloned from the
+// slot's installing push, adopted as an epoch's first, or merged in.
+// For every family, random runs of pushes (empty epochs among them) go
+// to a windowed node with a turn-over between runs. After every push
+// the live epoch's QWIN, and after every turn-over the level-0 segment
+// it sealed, must byte-equal the reference: the registry decode of the
+// epoch's first frame, the rest merged in push order, encoded. PULL
+// must stay the same fold over every push: the live epoch never shares
+// state with the slot.
+func TestLiveEpochIsFoldOfPushes(t *testing.T) {
+	for k, ent := range registry.Entries() {
+		t.Run(ent.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(k) + 1))
+			n := NewNode()
+			if err := n.SetWindow(window.Ladder{Fan: 2, Levels: 3}, 0); err != nil {
+				t.Fatal(err)
+			}
+			fold := func(acc any, frame []byte) any {
+				v, err := ent.Decode(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if acc == nil {
+					return v
+				}
+				if err := ent.Merge(acc, v); err != nil {
+					t.Fatal(err)
+				}
+				return acc
+			}
+			encode := func(v any) []byte {
+				frame, err := ent.Encode(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return frame
+			}
+			var all any
+			for range 12 {
+				epoch := n.Epoch()
+				var live any // the reference fold of this epoch's pushes
+				for range rng.Intn(4) {
+					frame := encode(ent.Example(rng.Intn(400) + 1))
+					sc := ent.GetScratch()
+					if err := ent.DecodeInto(sc, frame); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := n.Ingest("s", ent, sc); err != nil {
+						t.Fatal(err)
+					}
+					live, all = fold(live, frame), fold(all, frame)
+					want := encode(live)
+					if _, got, err := n.WindowEncoded("s", epoch, epoch); err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("epoch %d: live QWIN %d bytes (%v), fold of its pushes %d bytes", epoch, len(got), err, len(want))
+					}
+					if _, got, err := n.Encoded("s"); err != nil || !bytes.Equal(got, encode(all)) {
+						t.Fatalf("epoch %d: PULL is not the fold of every push (%v)", epoch, err)
+					}
+				}
+				n.AdvanceWindows()
+				sl, ok := n.lookupSlot([]byte("s"))
+				if !ok {
+					continue // nothing pushed yet
+				}
+				cov, err := sl.plane.Cover(epoch, epoch)
+				switch {
+				case err != nil:
+					t.Fatalf("epoch %d: %v", epoch, err)
+				case live == nil && len(cov.Segments) != 0:
+					t.Fatalf("empty epoch %d sealed %d segments", epoch, len(cov.Segments))
+				case live != nil && (len(cov.Segments) != 1 || !bytes.Equal(cov.Segments[0].Frame, encode(live))):
+					t.Fatalf("epoch %d: sealed level-0 segment is not the fold of its pushes", epoch)
 				}
 			}
 		})

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/mg"
@@ -222,6 +224,13 @@ func TestAnswerSurvivesCacheClear(t *testing.T) {
 	}
 }
 
+// evictingLadders retain little history at some level, so a few epochs
+// evict at every level.
+var evictingLadders = []Ladder{
+	{Fan: 2, Levels: 2, Horizon: []uint64{2, 4}},
+	{Fan: 2, Levels: 3, Horizon: []uint64{4, 2, 4}}, // the coarsest level retains no longer than the finest
+}
+
 // TestAnswerIndependentOfCacheHistory: an answer is a function of the
 // range and the writes, not of what was asked before. For every family,
 // a plane that caches every answer and one whose cache is cleared before
@@ -232,10 +241,7 @@ func TestAnswerSurvivesCacheClear(t *testing.T) {
 // answer it computed: one that outlived the eviction of its epochs
 // would be served here.
 func TestAnswerIndependentOfCacheHistory(t *testing.T) {
-	for _, l := range []Ladder{
-		{Fan: 2, Levels: 2, Horizon: []uint64{2, 4}},
-		{Fan: 2, Levels: 3, Horizon: []uint64{4, 2, 4}}, // the coarsest level retains no longer than the finest
-	} {
+	for _, l := range evictingLadders {
 		nl, err := l.normalize()
 		if err != nil {
 			t.Fatal(err)
@@ -280,6 +286,54 @@ func TestAnswerIndependentOfCacheHistory(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestEvictionErrorNamesAnswerableEpoch: a range refused for eviction
+// names an epoch the plane can still answer on its own. At every epoch
+// of the cache-history script, each refused range's error must name an
+// epoch E whose single-epoch query answers or finds no data.
+func TestEvictionErrorNamesAnswerableEpoch(t *testing.T) {
+	const marker = "granularity is "
+	ent, _ := registry.ByName("mg")
+	for _, l := range evictingLadders {
+		p, err := NewPlane(ent, nil, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := uint64(1); now <= 3*slices.Max(p.ladder.Horizon)+3; now++ {
+			for _, n := range scriptSizes(now) {
+				if _, err := p.Absorb(ent.Example(n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refused := 0
+			for from := uint64(1); from <= now; from++ {
+				for to := from; to <= now; to++ {
+					_, err := p.QueryEncoded(from, to)
+					if err == nil || errors.Is(err, ErrNoData) {
+						continue
+					}
+					refused++
+					msg := err.Error()
+					_, tail, _ := strings.Cut(msg, marker)
+					named, perr := strconv.ParseUint(tail, 10, 64)
+					if perr != nil {
+						t.Fatalf("%v epoch %d, [%d, %d]: error names no epoch: %v", l.Horizon, now, from, to, err)
+					}
+					if _, err := p.QueryEncoded(named, named); err != nil && !errors.Is(err, ErrNoData) {
+						t.Fatalf("%v epoch %d, [%d, %d] refused with %q, but [%d, %d] answers %v",
+							l.Horizon, now, from, to, msg, named, named, err)
+					}
+				}
+			}
+			if now > p.ladder.Horizon[0]+1 && refused == 0 {
+				t.Fatalf("%v epoch %d: no range refused", l.Horizon, now)
+			}
+			if err := p.Advance(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

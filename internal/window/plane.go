@@ -63,6 +63,12 @@ type queryEnt struct {
 	frame []byte
 }
 
+// coverBuf is how many pieces a query's cover or a roll-up's children
+// hold on the stack before they spill to the heap. A cover takes at most
+// 2·(Fan−1) pieces from each level below the coarsest, so on the default
+// ladder every range of up to 18 coarsest blocks (1,152 epochs) fits.
+const coverBuf = 32
+
 // maxCachedQueries bounds the cover cache; on overflow the cache is
 // reset wholesale (entries are cheap to recompute and the reset keeps
 // the structure allocation-free on the steady path).
@@ -129,10 +135,11 @@ func (p *Plane) Update(f func(cur any)) {
 	p.live.Update(f)
 }
 
-// Absorb folds an already-built summary into the live epoch: the
-// first summary becomes the live accumulator (ownership transfers to
-// the plane and consumed is true), later ones are merged in and may
-// be recycled by the caller. The merge runs under the plane lock by
+// Absorb folds an already-built summary into the live epoch: an empty
+// live epoch adopts it (ownership transfers to the plane and consumed
+// is true), a non-empty one merges it in and the caller may recycle it.
+// After a failed merge src may alias the live epoch's state and must
+// not be recycled (Acc.Fold). The merge runs under the plane lock by
 // design — the legal critical-section shape of the lockflow fixture:
 // pure in-memory folding, no decode, I/O or blocking.
 func (p *Plane) Absorb(src any) (consumed bool, err error) {
@@ -141,20 +148,12 @@ func (p *Plane) Absorb(src any) (consumed bool, err error) {
 	return p.live.Fold(p.ops, src)
 }
 
-// AbsorbClone folds src into the live epoch without ever taking
-// ownership: the caller keeps src (and may keep mutating or recycle
-// it). When the live accumulator does not exist yet, src is cloned by
-// a codec roundtrip — outside the lock — and the clone adopts src's
-// shape the way the server's slots adopt their first push's. That cold
-// path runs once per epoch; every other call is Absorb's plain merge.
+// AbsorbClone absorbs a codec clone of src, so the caller keeps src
+// and may go on mutating it: src's frame decoded into pooled scratch,
+// outside the lock. It is the cold path of a caller that must keep the
+// summary it hands over, as a server slot keeps its installing push;
+// a summary the caller can give up goes to Absorb itself.
 func (p *Plane) AbsorbClone(src any) error {
-	p.mu.Lock()
-	if p.live.Value() != nil {
-		_, err := p.live.Fold(p.ops, src)
-		p.mu.Unlock()
-		return err
-	}
-	p.mu.Unlock()
 	frame, err := p.ops.Encode(src)
 	if err != nil {
 		return err
@@ -164,11 +163,8 @@ func (p *Plane) AbsorbClone(src any) error {
 		p.ops.PutScratch(c)
 		return err
 	}
-	// Another absorber (or an Advance) may have raced the clone; Absorb
-	// re-checks under the lock and either installs the clone or merges
-	// it into whoever won.
 	consumed, err := p.Absorb(c)
-	if !consumed {
+	if !consumed && err == nil {
 		p.ops.PutScratch(c)
 	}
 	return err
@@ -282,7 +278,8 @@ func (p *Plane) fresh(k queryKey, e queryEnt) bool {
 //sketch:lockflow-ok
 func (p *Plane) rollUp(level int, from uint64) error {
 	childSpan := p.ladder.span(level - 1)
-	children := make([][]byte, 0, p.ladder.Fan)
+	var buf [coverBuf][]byte
+	children := buf[:0] // on the stack up to coverBuf children
 	var n uint64
 	for i := 0; i < p.ladder.Fan; i++ {
 		if seg, ok := p.store.get(level-1, from+uint64(i)*childSpan); ok {
@@ -333,21 +330,22 @@ func (p *Plane) Cover(from, to uint64) (Cover, error) {
 	if err != nil {
 		return Cover{}, err
 	}
-	return p.planSealed(from, to, includeLive)
+	return p.planSealed(from, to, includeLive, nil)
 }
 
 // planSealed plans the sealed part of a resolved range under p.mu: the
 // whole range, or everything before the live epoch when that is
-// included (nothing, for a live-only range).
-func (p *Plane) planSealed(from, to uint64, includeLive bool) (Cover, error) {
+// included (nothing, for a live-only range). The cover's segments are
+// appended to segs[:0].
+func (p *Plane) planSealed(from, to uint64, includeLive bool, segs []*Segment) (Cover, error) {
 	if !includeLive {
-		return p.store.plan(from, to, p.now)
+		return p.store.plan(from, to, p.now, segs)
 	}
 	// The live epoch is a piece retained through its own epoch.
 	if from == p.now {
 		return Cover{From: from, To: to, until: p.now}, nil
 	}
-	cov, err := p.store.plan(from, p.now-1, p.now)
+	cov, err := p.store.plan(from, p.now-1, p.now, segs)
 	cov.until = min(cov.until, p.now)
 	return cov, err
 }
@@ -400,14 +398,17 @@ func (p *Plane) queryEncoded(from, to, last uint64) ([]byte, error) {
 		return e.frame, nil
 	}
 	p.misses++
-	cov, err := p.planSealed(rfrom, rto, includeLive)
+	var segBuf [coverBuf]*Segment
+	cov, err := p.planSealed(rfrom, rto, includeLive, segBuf[:0])
 	if err != nil {
 		p.mu.Unlock()
 		return nil, err
 	}
 	// The pieces in ascending epoch order: the cover's frames, then the
-	// live Acc's; reduced outside the lock.
-	pieces := make([][]byte, 0, len(cov.Segments)+1)
+	// live Acc's; reduced outside the lock. Both lists stay on the
+	// stack up to coverBuf pieces.
+	var pieceBuf [coverBuf + 1][]byte
+	pieces := pieceBuf[:0]
 	for _, seg := range cov.Segments {
 		pieces = append(pieces, seg.Frame)
 	}

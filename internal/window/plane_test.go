@@ -425,3 +425,41 @@ func TestPlaneConcurrentRollups(t *testing.T) {
 		t.Fatalf("full-range N = %d, want %d", n, want)
 	}
 }
+
+// TestWindowQueryAllocs pins what a cache-missing query allocates: its
+// answer frame and a constant beside it, whatever the number of pieces
+// its cover takes up to coverBuf — the cover and its piece list stay on
+// the stack, and Reduce decodes into pooled scratch. Covers of 8 to 32
+// level-0 segments on a flat ladder must allocate alike.
+func TestWindowQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: pooled scratch is sometimes made anew")
+	}
+	p, ent := mustPlane(t, "mg", Ladder{Fan: 2, Levels: 1, Horizon: []uint64{64}})
+	weights := make([]int, coverBuf)
+	for i := range weights {
+		weights[i] = 20 + 7*i
+	}
+	sealExampleEpochs(t, p, ent, weights)
+	miss := func(pieces uint64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			p.mu.Lock()
+			clear(p.cache)
+			p.mu.Unlock()
+			if _, err := p.QueryEncoded(1, pieces); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// The answer frame, and nothing else: mg encodes into one
+	// allocation, and the cache entry goes into a cleared map.
+	const pinned = 1
+	for _, pieces := range []uint64{8, 16, 24, coverBuf} {
+		if cov, err := p.Cover(1, pieces); err != nil || uint64(len(cov.Segments)) != pieces {
+			t.Fatalf("[1, %d]: %d pieces (%v), want %d", pieces, len(cov.Segments), err, pieces)
+		}
+		if got := miss(pieces); got > pinned {
+			t.Errorf("cache-missing query over %d pieces: %v allocs, want <= %d", pieces, got, pinned)
+		}
+	}
+}

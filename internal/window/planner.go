@@ -30,8 +30,10 @@ type Cover struct {
 //
 // A position whose level-0 block is retained but unsealed was an empty
 // epoch and is skipped; a position older than every level's horizon
-// fails with a description of the oldest answerable granularity.
-func (st *segStore) plan(from, to, now uint64) (Cover, error) {
+// fails naming the oldest epoch a query can still read on its own. The
+// segments are appended to segs[:0], a buffer the caller may keep on
+// its stack.
+func (st *segStore) plan(from, to, now uint64, segs []*Segment) (Cover, error) {
 	if from < 1 || to < from {
 		return Cover{}, fmt.Errorf("window: bad epoch range [%d, %d]", from, to)
 	}
@@ -39,7 +41,7 @@ func (st *segStore) plan(from, to, now uint64) (Cover, error) {
 		return Cover{}, fmt.Errorf("window: epoch range [%d, %d] reaches past the last sealed epoch %d", from, to, now-1)
 	}
 	top := len(st.levels) - 1
-	cov := Cover{From: from, To: to, until: math.MaxUint64}
+	cov := Cover{From: from, To: to, Segments: segs[:0], until: math.MaxUint64}
 	for pos := from; pos <= to; {
 		var seg *Segment
 		for level := top; level >= 0; level-- {
@@ -85,13 +87,25 @@ func (st *segStore) plan(from, to, now uint64) (Cover, error) {
 			continue
 		}
 		return Cover{}, fmt.Errorf(
-			"window: epoch %d evicted at every level covering [%d, %d]; oldest retained epoch is %d",
-			pos, from, to, st.oldestRetained(now))
+			"window: epoch %d evicted at every level covering [%d, %d]; oldest epoch retained at epoch granularity is %d",
+			pos, from, to, st.oldestSingle(now))
 	}
 	return cov, nil
 }
 
-// oldestRetained returns the oldest epoch any level still retains.
+// oldestSingle returns the oldest epoch whose level-0 block is still
+// retained: the oldest epoch a single-epoch query can answer. Every
+// range starting there or later answers; one starting earlier answers
+// only where coarser blocks cover it.
+func (st *segStore) oldestSingle(now uint64) uint64 {
+	if h := st.ladder.Horizon[0]; now > h {
+		return now - h
+	}
+	return 1
+}
+
+// oldestRetained returns the oldest epoch any level still retains: the
+// start of a query whose from is 0.
 func (st *segStore) oldestRetained(now uint64) uint64 {
 	oldest := now
 	for _, segs := range st.levels {
